@@ -234,8 +234,22 @@ def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
     return MseTuple(1.0 - p * quad)
 
 
-def mse_tuples(channels, powers, config: SystemConfig, chunk: int = 131072) -> np.ndarray:
-    """MSE rows for an (S, K) batch of power vectors, evaluated in chunks."""
+# complex bytes of covariance plus right-hand sides per batch chunk
+_CHUNK_BYTES = 2 ** 26
+
+
+def _chunk_rows(n: int, k: int) -> int:
+    """Rows per mse_tuples chunk that keep the working set near _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // (16 * n * (n + k)))
+
+
+def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None) -> np.ndarray:
+    """MSE rows for an (S, K) batch of power vectors, evaluated in chunks.
+
+    By default a chunk holds as many rows as fit a fixed working-set
+    budget, so memory stays bounded at large N; every row is computed
+    independently, so the output does not depend on the chunk size.
+    """
     mat = _channel_matrix(channels)
     n, k = mat.shape
     pw = np.asarray(powers, dtype=np.float64)
@@ -243,11 +257,14 @@ def mse_tuples(channels, powers, config: SystemConfig, chunk: int = 131072) -> n
         raise ValueError(f"power batch shape {pw.shape} does not match {k} users")
     if not np.isfinite(pw).all() or (pw < 0.0).any():
         raise ValueError("powers must be finite and nonnegative")
+    if chunk is None:
+        chunk = _chunk_rows(n, k)
     out = np.empty_like(pw)
     noise_eye = config.noise_variance * np.eye(n)
     for lo in range(0, pw.shape[0], chunk):
         blk = pw[lo:lo + chunk]
-        cov = np.einsum("sk,ik,jk->sij", blk, mat, mat.conj()) + noise_eye
+        cov = np.einsum("sk,ik,jk->sij", blk, mat, mat.conj())
+        cov += noise_eye
         sol = np.linalg.solve(cov, np.broadcast_to(mat, (blk.shape[0], n, k)))
         quad = np.einsum("nk,snk->sk", mat.conj(), sol).real
         out[lo:lo + chunk] = 1.0 - blk * quad

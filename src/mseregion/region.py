@@ -3,12 +3,11 @@
 A target MSE tuple t is counted as achievable when some feasible power
 allocation p satisfies eps_k(p) <= t_k for every user, i.e. membership is
 tested against the dominated (coordinatewise-relaxed) region.  The inner
-problem min_p max_k (eps_k(p) - t_k) is nonsmooth, so the solver anneals
-a log-sum-exp smoothing through a fixed temperature schedule, polishes
-with exact-max subgradient steps, and finishes with a sequential
-quadratic refinement of the equivalent epigraph program
-min {s : eps(p) - t <= s, p feasible}, keeping the best true margin seen
-at any stage.
+problem min_p max_k (eps_k(p) - t_k) is nonsmooth, so the solver takes it
+in its epigraph form min {s : eps(p) - t <= s, p feasible}, which is
+smooth, and runs a sequential quadratic program (SLSQP) on it from each
+of the best points of a coarse power lattice, keeping the best true
+margin seen at any lattice point or refined point.
 
 `segment_test` applies the membership test along the chord between two
 achievable tuples; an interior point that fails membership is a direct
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize as _sqp_minimize
 
 from .model import (
     ChannelSet,
@@ -36,7 +34,6 @@ from .simplex import (
     budget_simplex_lattice,
     lattice_size,
     project_onto_budget_simplex,
-    projected_gradient,
     sample_budget_simplex,
 )
 from .tolerances import TOL_MEMBER
@@ -63,30 +60,39 @@ _COARSE_LIMIT = 100_000
 
 @dataclass(frozen=True)
 class MembershipOptions:
-    """Multistart and annealing schedule for the membership solver.
+    """Lattice seeding and SQP budget for the membership solver.
 
-    The temperature ladder and the exact-max polish are part of the
-    published output contract: changing them changes witness powers, so
-    they stay pinned here rather than being derived from the instance.
+    The solver evaluates every point of a budget-simplex lattice of
+    `coarse_resolution` steps (coarsened until it holds at most
+    100 000 points), takes the `coarse_starts` points of smallest margin
+    and runs one SLSQP refinement of the epigraph program from each,
+    capped at `sqp_max_iters` iterations.  These values are part of the
+    published output contract: changing them changes witness powers and
+    the last digits of margins, so they stay pinned here rather than
+    being derived from the instance.
     """
 
-    starts: int = 4
-    seed: int = 0
     coarse_resolution: int = 12
     coarse_starts: int = 3
-    temperatures: tuple = (1e-1, 1e-2, 1e-3)
-    stage_max_iters: int = 300
-    polish_max_iters: int = 400
     sqp_max_iters: int = 200
     tol_member: float = TOL_MEMBER
 
 
 @dataclass(frozen=True)
 class MembershipVerdict:
+    """Best margin found and how it was found.
+
+    `seed_rank` is the lattice rank (0 = smallest lattice margin) of the
+    seed whose point or refinement attained `margin`; `sqp_failures`
+    counts the refinements whose SLSQP run did not report success.
+    """
+
     target: np.ndarray
     margin: float
     witness_powers: np.ndarray
     dominated: bool
+    seed_rank: int
+    sqp_failures: int
 
 
 @dataclass(frozen=True)
@@ -116,13 +122,15 @@ class RegionSampleSet:
 
 
 def _epigraph_refine(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
-                     start: np.ndarray, opts: MembershipOptions) -> np.ndarray:
+                     start: np.ndarray, opts: MembershipOptions):
     """SQP step on min {s : eps(p) - t <= s} over the power simplex.
 
-    Resolves the tie valleys where first-order steps on the smoothed or
-    exact max crawl; the returned point is re-projected so the caller can
-    evaluate the true margin at a feasible allocation.
+    Returns the refined allocation, re-projected so the caller can
+    evaluate the true margin at a feasible point, and whether SLSQP
+    reported success.
     """
+    from scipy.optimize import minimize
+
     k = mat.shape[1]
     grad_s = np.zeros(k + 1)
     grad_s[k] = 1.0
@@ -140,7 +148,7 @@ def _epigraph_refine(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
 
     eps0, _ = mse_jacobian(mat, start, config)
     x0 = np.append(start, float((eps0 - target).max()))
-    result = _sqp_minimize(
+    result = minimize(
         lambda x: x[k], x0, jac=lambda x: grad_s, method="SLSQP",
         bounds=[(0.0, None)] * k + [(None, None)],
         constraints=[
@@ -151,12 +159,13 @@ def _epigraph_refine(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
         ],
         options={"maxiter": opts.sqp_max_iters, "ftol": 1e-12},
     )
-    return project_onto_budget_simplex(result.x[:k], config.power_budget)
+    point = project_onto_budget_simplex(result.x[:k], config.power_budget)
+    return point, bool(result.success)
 
 
 def _coarse_seeds(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
                   opts: MembershipOptions):
-    """Best lattice points by true margin, as PGD seeds."""
+    """Best lattice points by true margin, best first, as SQP seeds."""
     k = mat.shape[1]
     res = opts.coarse_resolution
     while res > 1 and lattice_size(k, res) > _COARSE_LIMIT:
@@ -182,59 +191,26 @@ def dominated_membership(channels, config: SystemConfig, target,
     if tgt.size != k:
         raise ValueError(f"target has {tgt.size} entries for {k} users")
 
-    def true_margin(p):
-        eps, _ = mse_jacobian(mat, p, config)
-        return float((eps - tgt).max())
-
-    def lse_stage(temp):
-        def value_and_grad(p):
-            eps, jac = mse_jacobian(mat, p, config)
-            z = (eps - tgt) / temp
-            top = float(z.max())
-            wgt = np.exp(z - top)
-            total = wgt.sum()
-            return temp * (top + math.log(total)), jac.T @ (wgt / total)
-        return value_and_grad
-
-    def max_stage(p):
-        eps, jac = mse_jacobian(mat, p, config)
-        idx = int(np.argmax(eps - tgt))
-        return float(eps[idx] - tgt[idx]), jac[idx]
-
-    rng = np.random.default_rng(opts.seed)
-    seeds = _coarse_seeds(mat, config, tgt, opts)
-    seeds.extend(sample_budget_simplex(rng, k, config.power_budget, opts.starts))
-
     best_margin = math.inf
     best_point = np.zeros(k)
-
-    def consider(p):
-        nonlocal best_margin, best_point
-        margin = true_margin(p)
-        if margin < best_margin:
-            best_margin = margin
-            best_point = p
-        return margin
-
-    for seed in seeds:
-        consider(seed)
-        point = seed
-        for temp in opts.temperatures:
-            run = projected_gradient(lse_stage(temp), point, config.power_budget,
-                                     max_iters=opts.stage_max_iters)
-            point = run.point
-            consider(point)
-
-    run = projected_gradient(max_stage, best_point, config.power_budget,
-                             max_iters=opts.polish_max_iters)
-    consider(run.point)
-    consider(_epigraph_refine(mat, config, tgt, best_point, opts))
+    best_rank = 0
+    failures = 0
+    for rank, seed in enumerate(_coarse_seeds(mat, config, tgt, opts)):
+        refined, success = _epigraph_refine(mat, config, tgt, seed, opts)
+        failures += not success
+        for point in (seed, refined):
+            eps, _ = mse_jacobian(mat, point, config)
+            margin = float((eps - tgt).max())
+            if margin < best_margin:
+                best_margin, best_point, best_rank = margin, point, rank
 
     return MembershipVerdict(
         target=tgt,
         margin=best_margin,
         witness_powers=best_point,
         dominated=bool(best_margin <= opts.tol_member),
+        seed_rank=best_rank,
+        sqp_failures=failures,
     )
 
 

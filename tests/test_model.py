@@ -21,6 +21,7 @@ from mseregion import (
     weighted_mse_gradient,
     weighted_sum_mse,
 )
+from mseregion.model import _chunk_rows
 
 from helpers import dense_mse, random_channels, random_config, random_powers
 
@@ -87,6 +88,20 @@ def test_batched_powers_agree_with_loop():
     # chunked evaluation takes the same values
     eps_chunked = mse_tuples(channels, batch, config, chunk=5)
     np.testing.assert_array_equal(eps_batch, eps_chunked)
+
+
+def test_default_chunking_is_bitwise_invariant():
+    # a batch spanning three default-sized chunks (about 3.9k rows each at
+    # N=32, K=2), against one row per chunk and the whole batch in one chunk
+    rng = np.random.default_rng(41)
+    channels = random_channels(rng, 32, 2)
+    config = random_config(rng)
+    rows = 2 * _chunk_rows(32, 2) + 101
+    batch = rng.uniform(0.0, config.power_budget / 2, size=(rows, 2))
+    eps_default = mse_tuples(channels, batch, config)
+    np.testing.assert_array_equal(eps_default, mse_tuples(channels, batch, config, chunk=1))
+    np.testing.assert_array_equal(eps_default,
+                                  mse_tuples(channels, batch, config, chunk=131072))
 
 
 def test_mse_values_in_unit_interval():

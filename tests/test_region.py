@@ -17,9 +17,16 @@ from mseregion import (
     segment_test,
 )
 from mseregion.boundary import boundary_sweep, mse_pair_at_power
+from mseregion.simplex import lattice_size
 from mseregion.tolerances import TOL_MEMBER
 
-from helpers import minimax_margin_oracle, random_channels, random_config
+from helpers import (
+    dense_mse,
+    minimax_margin_oracle,
+    random_channels,
+    random_config,
+    random_powers,
+)
 
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
 REF_CONFIG = SystemConfig(noise_variance=1.0, power_budget=10.0)
@@ -32,8 +39,7 @@ TRIPLE_B = np.array([1.0, 0.19774107345910796, 0.2335317708515292])
 ROUNDED_A = np.array([0.2139, 0.1365, 1.0])
 ROUNDED_B = np.array([1.0, 0.1977, 0.2335])
 
-LIGHT = MembershipOptions(starts=1, coarse_starts=1, coarse_resolution=8,
-                          stage_max_iters=80, polish_max_iters=150)
+LIGHT = MembershipOptions(coarse_starts=1, coarse_resolution=8)
 
 
 def test_grid_sample_counts_and_feasibility():
@@ -136,6 +142,57 @@ def test_membership_published_midpoint_outside():
     assert not verdict.dominated
     assert verdict.margin == pytest.approx(0.012179043218058072, abs=1e-3)
     assert verdict.margin > 100 * TOL_MEMBER
+
+
+def test_membership_reports_sqp_failures():
+    # one SLSQP iteration cannot converge: every refine stops at its
+    # iteration limit, and the verdict still holds a replayable witness
+    target = [0.60695, 0.1671, 0.61675]
+    opts = MembershipOptions(sqp_max_iters=1)
+    verdict = dominated_membership(REF_H, REF_CONFIG, target, opts)
+    assert verdict.sqp_failures == opts.coarse_starts
+    assert 0 <= verdict.seed_rank < opts.coarse_starts
+    eps = mse_tuple(REF_H, verdict.witness_powers, REF_CONFIG).values
+    assert float((eps - verdict.target).max()) == pytest.approx(verdict.margin, abs=1e-9)
+
+    converged = dominated_membership(REF_H, REF_CONFIG, target)
+    assert converged.sqp_failures == 0
+    assert 0 <= converged.seed_rank < MembershipOptions().coarse_starts
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_membership_oracle_campaign(k):
+    # N = 1..8 antennas; per instance a reachable target, the exact MSE
+    # tuple of a full-budget allocation (on the boundary), and a target
+    # that puts one user below its single-user floor
+    rng = np.random.default_rng(100 + k)
+    resolution = 1
+    while lattice_size(k, resolution + 1) <= 200_000:
+        resolution += 1
+    for n in range(1, 9):
+        channels = random_channels(rng, n, k)
+        config = random_config(rng)
+        mat = channels.entries
+        inner = random_powers(rng, k, config.power_budget)
+        reachable = np.minimum(1.0, mse_tuple(channels, inner, config).values + 0.02)
+        full = random_powers(rng, k, 1.0)
+        tight = mse_tuple(channels, full * (config.power_budget / full.sum()), config).values
+        floor = 1.0 / (1.0 + config.snr * np.linalg.norm(mat, axis=0) ** 2)
+        unreachable = reachable.copy()
+        low = int(rng.integers(k))
+        unreachable[low] = 0.5 * floor[low]
+        targets = [reachable, tight, unreachable]
+        _, lattice_min = minimax_margin_oracle(channels, config, targets, resolution)
+
+        verdicts = [dominated_membership(channels, config, t) for t in targets]
+        for target, verdict, bound in zip(targets, verdicts, lattice_min):
+            assert verdict.margin <= bound + 1e-9
+            replay = dense_mse(mat, verdict.witness_powers, config.noise_variance)
+            assert float((replay - target).max()) == pytest.approx(verdict.margin, abs=1e-9)
+        assert verdicts[0].dominated
+        assert verdicts[1].dominated
+        assert not verdicts[2].dominated
+        assert verdicts[2].margin >= float((floor - unreachable).max()) - 1e-12
 
 
 def test_membership_matches_bruteforce_oracle():
