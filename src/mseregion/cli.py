@@ -307,7 +307,8 @@ def _add_common(parser, seed: bool = True) -> None:
     parser.add_argument("--sigma2", type=float, default=1.0,
                         help="noise variance (default 1)")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker cap for parallel sections; never changes output bytes")
+                        help="accepted for compatibility; has no effect (multistart "
+                             "solves run as one batch) and never changes output bytes")
     if seed:
         parser.add_argument("--seed", type=int, default=None,
                             help=f"RNG seed (default: ${_SEED_ENV} or 0)")

@@ -10,6 +10,14 @@ budget, mu_k for nonnegativity), and evaluates the stationarity system
 as signed residuals.  The left-hand side equals the negative objective
 gradient, so stationarity reads gradient_k = mu_k - lambda.
 
+Every solve is a batch: all starts run as one (S, K) array through a
+single lockstep projected-gradient loop, whose rounds are each one
+batched `mse_jacobian` call on the channels' triangular factor
+(`reduced_channels`, computed once per instance).  Rows are evaluated
+independently and weighted with `einsum` reductions, so a start's
+certificate is bitwise the same whether it ran alone or in a batch; a
+single start is a batch of one.
+
 The module also ships a reference three-user instance whose weighted
 problem has two distinct stationary points; `counterexample_suite`
 re-derives every known number for it and runs the segment witness test
@@ -18,7 +26,6 @@ that shows the three-user region is not convex.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +40,7 @@ from .model import (
     ensure_feasible,
     mse_jacobian,
     mse_tuple,
+    reduced_channels,
     weighted_mse_gradient,
 )
 from .simplex import projected_gradient, sample_budget_simplex
@@ -118,6 +126,12 @@ class KktResiduals:
 
 @dataclass(frozen=True)
 class KktCertificate:
+    """A solver end point with its multipliers and residual replay.
+
+    `stalled` marks a run whose Armijo backtracking gave out before the
+    projected-gradient test passed (see `projected_gradient`).
+    """
+
     powers: np.ndarray
     lam: float
     mu: np.ndarray
@@ -125,6 +139,7 @@ class KktCertificate:
     residuals: KktResiduals
     converged: bool
     iterations: int
+    stalled: bool
 
 
 @dataclass(frozen=True)
@@ -146,6 +161,29 @@ class SolverOptions:
     step_cap: float = 1e6
 
 
+def _residuals(grad: np.ndarray, p: np.ndarray, budget: float, lam: float,
+               mu: np.ndarray) -> KktResiduals:
+    stationarity = -grad - (lam - mu)
+    total = float(p.sum())
+    return KktResiduals(
+        stationarity=stationarity,
+        complementarity=p * mu,
+        budget_slack=budget - total,
+        budget_complementarity=lam * (total - budget),
+    )
+
+
+def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
+    active = p > TOL_ACTIVE_REL * budget
+    tight = p.sum() >= budget * (1.0 - _TIGHT_REL)
+    if tight and active.any():
+        lam = max(0.0, float((-grad[active]).max()))
+    else:
+        lam = 0.0
+    mu = np.where(active, 0.0, np.maximum(0.0, lam + grad))
+    return lam, mu
+
+
 def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, mu) -> KktResiduals:
     """Evaluate every first-order condition at (p, lambda, mu)."""
     mat = _channel_matrix(channels)
@@ -155,16 +193,8 @@ def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, m
     mu_vec = np.asarray(mu, dtype=np.float64).reshape(-1)
     if mu_vec.size != k:
         raise ValueError(f"{mu_vec.size} multipliers for {k} users")
-    lam_val = float(lam)
     grad = weighted_mse_gradient(mat, p, config, w)
-    stationarity = -grad - (lam_val - mu_vec)
-    total = float(p.sum())
-    return KktResiduals(
-        stationarity=stationarity,
-        complementarity=p * mu_vec,
-        budget_slack=config.power_budget - total,
-        budget_complementarity=lam_val * (total - config.power_budget),
-    )
+    return _residuals(grad, p, config.power_budget, float(lam), mu_vec)
 
 
 def recover_multipliers(channels, config: SystemConfig, weights, powers):
@@ -178,15 +208,7 @@ def recover_multipliers(channels, config: SystemConfig, weights, powers):
     k = mat.shape[1]
     w = _weight_vector(weights, k)
     p = _power_vector(powers, k)
-    grad = weighted_mse_gradient(mat, p, config, w)
-    active = p > TOL_ACTIVE_REL * config.power_budget
-    tight = p.sum() >= config.power_budget * (1.0 - _TIGHT_REL)
-    if tight and active.any():
-        lam = max(0.0, float((-grad[active]).max()))
-    else:
-        lam = 0.0
-    mu = np.where(active, 0.0, np.maximum(0.0, lam + grad))
-    return lam, mu
+    return _multipliers(weighted_mse_gradient(mat, p, config, w), p, config.power_budget)
 
 
 def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
@@ -197,43 +219,73 @@ def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
     )
 
 
-def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
-                              options: Optional[SolverOptions] = None) -> KktCertificate:
-    """Projected gradient descent from a feasible start.
+def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.ndarray,
+           opts: SolverOptions) -> list:
+    """One lockstep PGD batch from the rows of `starts`; a certificate per row.
 
-    The certificate is marked converged only if the projected-gradient
-    test passed and the recovered multipliers replay through
-    kkt_residuals within tol_kkt.
+    The multipliers and residuals are fitted to the gradient the descent
+    ended with, which is the gradient at the returned powers.
     """
-    opts = options or SolverOptions()
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
-    w = _weight_vector(weights, k)
-    p0 = _power_vector(start, k)
-    ensure_feasible(p0, config)
-
     def value_and_grad(p):
-        eps, jac = mse_jacobian(mat, p, config)
-        return float(w @ eps), jac.T @ w
+        eps, jac = mse_jacobian(chan, p, config)
+        return np.einsum("sk,k->s", eps, w), np.einsum("slk,l->sk", jac, w)
 
-    run = projected_gradient(
-        value_and_grad, p0, config.power_budget,
+    batch = projected_gradient(
+        value_and_grad, starts, config.power_budget,
         max_iters=opts.max_iters, tol_rel=opts.tol_grad,
         armijo_slope=opts.armijo_slope, shrink=opts.shrink,
         initial_step=opts.initial_step, step_growth=opts.step_growth,
         step_cap=opts.step_cap,
     )
-    lam, mu = recover_multipliers(mat, config, w, run.point)
-    res = kkt_residuals(mat, config, w, run.point, lam, mu)
-    return KktCertificate(
-        powers=run.point,
-        lam=lam,
-        mu=mu,
-        objective=run.value,
-        residuals=res,
-        converged=bool(run.converged and _residuals_pass(res, config)),
-        iterations=run.iterations,
-    )
+    certs = []
+    for run in batch.results:
+        lam, mu = _multipliers(run.gradient, run.point, config.power_budget)
+        res = _residuals(run.gradient, run.point, config.power_budget, lam, mu)
+        certs.append(KktCertificate(
+            powers=run.point,
+            lam=lam,
+            mu=mu,
+            objective=run.value,
+            residuals=res,
+            converged=bool(run.converged and _residuals_pass(res, config)),
+            iterations=run.iterations,
+            stalled=run.stalled,
+        ))
+    return certs
+
+
+def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
+                              options: Optional[SolverOptions] = None):
+    """Projected gradient descent from a feasible start.
+
+    `start` is one power vector, giving one certificate, or an (S, K)
+    batch of them, giving a list with one certificate per row; each is
+    bitwise the same as the certificate of that row solved alone.  A
+    certificate is marked converged only if the projected-gradient test
+    passed and the recovered multipliers satisfy every residual within
+    tol_kkt.
+    """
+    opts = options or SolverOptions()
+    chan = reduced_channels(channels)
+    k = chan.n_users
+    w = _weight_vector(weights, k)
+    batch = np.ndim(start) == 2
+    rows = [_power_vector(row, k) for row in start] if batch else [_power_vector(start, k)]
+    for row in rows:
+        ensure_feasible(row, config)
+    certs = _solve(chan, config, w, np.stack(rows), opts)
+    return certs if batch else certs[0]
+
+
+def _start_points(k: int, budget: float, starts: int, seed: int) -> np.ndarray:
+    """`starts` uniform simplex draws, the vertices and the centroid."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([
+        sample_budget_simplex(rng, k, budget, starts),
+        np.zeros(k),
+        budget * np.eye(k),
+        np.full(k, budget / (k + 1.0)),
+    ])
 
 
 def enumerate_stationary_points(channels, config: SystemConfig, weights,
@@ -244,35 +296,27 @@ def enumerate_stationary_points(channels, config: SystemConfig, weights,
 
     Start points: `starts` uniform draws from the solid simplex, plus all
     its vertices (origin and the single-user corners) and the centroid.
-    Certificates within a power distance of 1e-3 * P collapse into one
-    cluster represented by the lowest objective; clusters are returned
-    sorted by objective.
+    They descend together as one lockstep batch on the channels'
+    triangular factor, each start with its own step size and iteration
+    count.  Certificates within a power distance of 1e-3 * P collapse
+    into one cluster represented by the lowest objective (ties broken by
+    powers, then iterations), so the clusters do not depend on the order
+    of the starts; they are returned sorted by objective.  `threads` is
+    accepted for compatibility and has no effect.
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
+    chan = reduced_channels(channels)
+    k = chan.n_users
+    w = _weight_vector(weights, k)
     budget = config.power_budget
-    rng = np.random.default_rng(seed)
-    points = list(sample_budget_simplex(rng, k, budget, starts))
-    points.append(np.zeros(k))
-    points.extend(budget * np.eye(k))
-    points.append(np.full(k, budget / (k + 1.0)))
+    points = _start_points(k, budget, starts, seed)
+    certs = _solve(chan, config, w, points, options or SolverOptions())
 
-    def solve(p0):
-        return minimize_weighted_sum_mse(mat, config, weights, p0, options)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            certs = list(pool.map(solve, points))
-    else:
-        certs = [solve(p0) for p0 in points]
-
-    order = np.argsort([c.objective for c in certs], kind="stable")
+    certs.sort(key=lambda c: (c.objective, tuple(c.powers), c.iterations))
     clusters: list[KktCertificate] = []
     radius = CLUSTER_REL_RADIUS * budget
-    for idx in order:
-        cert = certs[idx]
+    for cert in certs:
         if all(np.linalg.norm(cert.powers - kept.powers) > radius for kept in clusters):
             clusters.append(cert)
     return clusters

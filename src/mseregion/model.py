@@ -13,6 +13,9 @@ Everything downstream (boundary calculus, stationarity conditions, region
 sampling) reduces to the Gram matrices A[i, j] = h_i^H X^{-1} h_j and
 B[i, j] = h_i^H X^{-2} h_j.  Both are computed through a Cholesky factor
 of X, so X^{-1} is applied once per right-hand side and never formed.
+They depend on H only through H^H H, so the solvers evaluate them on the
+triangular factor of H (`reduced_channels`), whose covariance is at most
+K x K whatever the antenna count.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "PowerAllocation",
     "MseTuple",
     "receive_covariance",
+    "reduced_channels",
     "resolvent_grams",
     "mse_tuple",
     "mse_tuples",
@@ -190,6 +194,48 @@ def receive_covariance(channels, powers, config: SystemConfig) -> np.ndarray:
     return 0.5 * (cov + cov.conj().T)
 
 
+def reduced_channels(channels) -> ChannelSet:
+    """An equivalent channel set with at most K rows.
+
+    The MSEs, the Gram matrices A and B and the Jacobian depend on H only
+    through H^H H.  With H = QR and Q having orthonormal columns,
+    H^H H = R^H R, so they are the same on the triangular factor R,
+    whose covariances are min(N, K) x min(N, K) instead of N x N.  When
+    N > K this returns R (computed once; call it once per instance),
+    otherwise the channels themselves, which are no larger.
+    """
+    chan = channels if isinstance(channels, ChannelSet) else ChannelSet(channels)
+    if chan.n_antennas <= chan.n_users:
+        return chan
+    return ChannelSet(np.linalg.qr(chan.entries, mode="r"))
+
+
+def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool):
+    """A (and B) for a validated (S, K) power batch; rows are independent."""
+    n, k = mat.shape
+    cov = np.einsum("sk,ik,jk->sij", pw, mat, mat.conj())
+    cov += noise_variance * np.eye(n)
+    cov = 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
+    low = np.linalg.cholesky(cov)
+    rhs = np.broadcast_to(mat, (pw.shape[0], n, k))
+    half = np.linalg.solve(low, rhs)                       # L^{-1} H
+    gram_a = np.einsum("sni,snj->sij", half.conj(), half)
+    if not second_order:
+        return gram_a
+    full = np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half)  # X^{-1} H
+    return gram_a, np.einsum("sni,snj->sij", full.conj(), full)
+
+
+def _power_rows(powers, n_users: int) -> np.ndarray:
+    """Validated (S, K) power batch."""
+    pw = np.atleast_2d(np.asarray(powers, dtype=np.float64))
+    if pw.ndim != 2 or pw.shape[1] != n_users:
+        raise ValueError(f"power batch shape {pw.shape} does not match {n_users} users")
+    if not np.isfinite(pw).all() or (pw < 0.0).any():
+        raise ValueError("powers must be finite and nonnegative")
+    return pw
+
+
 def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
     """Gram matrices of the channels under X^{-1} (and optionally X^{-2}).
 
@@ -200,36 +246,20 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     Hermitian positive semidefinite up to rounding.
     """
     mat = _channel_matrix(channels)
-    n, k = mat.shape
-    pw = np.asarray(powers, dtype=np.float64)
-    single = pw.ndim == 1
-    pw = np.atleast_2d(pw)
-    if pw.ndim != 2 or pw.shape[1] != k:
-        raise ValueError(f"power batch shape {pw.shape} does not match {k} users")
-    if not np.isfinite(pw).all() or (pw < 0.0).any():
-        raise ValueError("powers must be finite and nonnegative")
-
-    cov = np.einsum("sk,ik,jk->sij", pw, mat, mat.conj())
-    cov += config.noise_variance * np.eye(n)
-    cov = 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
-    low = np.linalg.cholesky(cov)
-    rhs = np.broadcast_to(mat, (pw.shape[0], n, k))
-    half = np.linalg.solve(low, rhs)                       # L^{-1} H
-    gram_a = np.einsum("sni,snj->sij", half.conj(), half)
+    single = np.ndim(powers) == 1
+    grams = _grams(mat, _power_rows(powers, mat.shape[1]), config.noise_variance, second_order)
     if not second_order:
-        return gram_a[0] if single else gram_a
-    full = np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half)  # X^{-1} H
-    gram_b = np.einsum("sni,snj->sij", full.conj(), full)
+        return grams[0] if single else grams
     if single:
-        return gram_a[0], gram_b[0]
-    return gram_a, gram_b
+        return grams[0][0], grams[1][0]
+    return grams
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
     """MMSE values eps_k = 1 - p_k h_k^H X^{-1} h_k."""
     mat = _channel_matrix(channels)
     p = _power_vector(powers, mat.shape[1])
-    gram = resolvent_grams(mat, p, config)
+    gram = _grams(mat, p[None, :], config.noise_variance, second_order=False)[0]
     quad = np.diagonal(gram).real
     return MseTuple(1.0 - p * quad)
 
@@ -272,18 +302,24 @@ def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None)
 
 
 def mse_jacobian(channels, powers, config: SystemConfig):
-    """Return (eps, J) with J[l, k] = d eps_l / d p_k.
+    """Return (eps, J) with J[..., l, k] = d eps_l / d p_k.
 
     J[l, k] = -delta_{lk} a_kk + p_l |a_{lk}|^2 from the X^{-1} Gram matrix.
+    `powers` is one length-K vector or an (S, K) batch, giving (S, K)
+    MSEs and (S, K, K) Jacobians; every row is evaluated on its own, so
+    its values do not depend on the batch it came in.
     """
     mat = _channel_matrix(channels)
-    p = _power_vector(powers, mat.shape[1])
-    gram = resolvent_grams(mat, p, config)
-    diag = np.diagonal(gram).real
-    eps = 1.0 - p * diag
-    jac = p[:, None] * (gram.real ** 2 + gram.imag ** 2)
-    jac[np.diag_indices_from(jac)] -= diag
-    return eps, jac
+    k = mat.shape[1]
+    batch = np.ndim(powers) == 2
+    pw = _power_rows(powers, k) if batch else _power_vector(powers, k)[None, :]
+    gram = _grams(mat, pw, config.noise_variance, second_order=False)
+    diag = np.diagonal(gram, axis1=1, axis2=2).real
+    eps = 1.0 - pw * diag
+    jac = pw[:, :, None] * (gram.real ** 2 + gram.imag ** 2)
+    users = np.arange(k)
+    jac[:, users, users] -= diag
+    return (eps, jac) if batch else (eps[0], jac[0])
 
 
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:

@@ -29,6 +29,7 @@ from .model import (
     _channel_matrix,
     mse_jacobian,
     mse_tuples,
+    reduced_channels,
 )
 from .simplex import (
     budget_simplex_lattice,
@@ -121,7 +122,7 @@ class RegionSampleSet:
     seed: Optional[int]
 
 
-def _epigraph_refine(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
+def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
                      start: np.ndarray, opts: MembershipOptions):
     """SQP step on min {s : eps(p) - t <= s} over the power simplex.
 
@@ -131,22 +132,22 @@ def _epigraph_refine(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
     """
     from scipy.optimize import minimize
 
-    k = mat.shape[1]
+    k = chan.n_users
     grad_s = np.zeros(k + 1)
     grad_s[k] = 1.0
 
     def cons_val(x):
-        eps, _ = mse_jacobian(mat, np.maximum(x[:k], 0.0), config)
+        eps, _ = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
         return x[k] - (eps - target)
 
     def cons_jac(x):
-        _, jac = mse_jacobian(mat, np.maximum(x[:k], 0.0), config)
+        _, jac = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
         out = np.zeros((k, k + 1))
         out[:, :k] = -jac
         out[:, k] = 1.0
         return out
 
-    eps0, _ = mse_jacobian(mat, start, config)
+    eps0, _ = mse_jacobian(chan, start, config)
     x0 = np.append(start, float((eps0 - target).max()))
     result = minimize(
         lambda x: x[k], x0, jac=lambda x: grad_s, method="SLSQP",
@@ -163,15 +164,15 @@ def _epigraph_refine(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
     return point, bool(result.success)
 
 
-def _coarse_seeds(mat: np.ndarray, config: SystemConfig, target: np.ndarray,
+def _coarse_seeds(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
                   opts: MembershipOptions):
     """Best lattice points by true margin, best first, as SQP seeds."""
-    k = mat.shape[1]
+    k = chan.n_users
     res = opts.coarse_resolution
     while res > 1 and lattice_size(k, res) > _COARSE_LIMIT:
         res -= 1
     grid = budget_simplex_lattice(k, res) * (config.power_budget / res)
-    margins = (mse_tuples(mat, grid, config) - target).max(axis=1)
+    margins = (mse_tuples(chan, grid, config) - target).max(axis=1)
     order = np.argsort(margins, kind="stable")[: opts.coarse_starts]
     return [grid[i] for i in order]
 
@@ -182,11 +183,13 @@ def dominated_membership(channels, config: SystemConfig, target,
 
     Reports the smallest max_k (eps_k - t_k) found and the allocation
     attaining it; the verdict is dominated when that margin is at most
-    tol_member.
+    tol_member.  Every evaluation runs on the channels' triangular factor
+    (`reduced_channels`), so the lattice and SQP cost do not grow with
+    the antenna count.
     """
     opts = options or MembershipOptions()
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
+    chan = reduced_channels(channels)
+    k = chan.n_users
     tgt = MseTuple(target).values
     if tgt.size != k:
         raise ValueError(f"target has {tgt.size} entries for {k} users")
@@ -195,11 +198,11 @@ def dominated_membership(channels, config: SystemConfig, target,
     best_point = np.zeros(k)
     best_rank = 0
     failures = 0
-    for rank, seed in enumerate(_coarse_seeds(mat, config, tgt, opts)):
-        refined, success = _epigraph_refine(mat, config, tgt, seed, opts)
+    for rank, seed in enumerate(_coarse_seeds(chan, config, tgt, opts)):
+        refined, success = _epigraph_refine(chan, config, tgt, seed, opts)
         failures += not success
         for point in (seed, refined):
-            eps, _ = mse_jacobian(mat, point, config)
+            eps, _ = mse_jacobian(chan, point, config)
             margin = float((eps - tgt).max())
             if margin < best_margin:
                 best_margin, best_point, best_rank = margin, point, rank
@@ -228,6 +231,7 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9,
     vec_b = MseTuple(b).values
     if vec_a.size != vec_b.size:
         raise ValueError(f"endpoint sizes differ: {vec_a.size} vs {vec_b.size}")
+    channels = reduced_channels(channels)   # once for all the membership tests
     end_a = dominated_membership(channels, config, vec_a, options)
     if not end_a.dominated:
         raise ValueError(f"endpoint a is not achievable (margin {end_a.margin:.3e})")

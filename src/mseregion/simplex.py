@@ -18,6 +18,7 @@ __all__ = [
     "budget_simplex_lattice",
     "lattice_size",
     "PgdResult",
+    "PgdBatch",
     "projected_gradient",
 ]
 
@@ -25,20 +26,25 @@ __all__ = [
 def project_onto_budget_simplex(point, budget: float) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum(p) <= budget}.
 
-    Clips negatives first; only when the clipped point still violates the
-    budget is the sort-based threshold projection onto the face
-    {p >= 0, sum(p) = budget} applied.
+    `point` is one vector or an (S, K) batch projected row by row.  Clips
+    negatives first; only rows whose clipped point still violates the
+    budget get the sort-based threshold projection onto the face
+    {p >= 0, sum(p) = budget}.
     """
     vec = np.asarray(point, dtype=np.float64)
-    clipped = np.maximum(vec, 0.0)
-    if clipped.sum() <= budget:
-        return clipped
-    srt = np.sort(vec)[::-1]
-    excess = np.cumsum(srt) - budget
-    counts = np.arange(1, vec.size + 1)
-    rho = np.nonzero(srt - excess / counts > 0.0)[0][-1]
-    tau = excess[rho] / (rho + 1.0)
-    return np.maximum(vec - tau, 0.0)
+    rows = np.atleast_2d(vec)
+    out = np.maximum(rows, 0.0)
+    over = np.flatnonzero(out.sum(axis=1) > budget)
+    if over.size:
+        raw = rows[over]
+        srt = np.sort(raw, axis=1)[:, ::-1]
+        excess = np.cumsum(srt, axis=1) - budget
+        counts = np.arange(1, rows.shape[1] + 1)
+        keep = srt - excess / counts > 0.0
+        rho = rows.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)   # last kept index
+        tau = excess[np.arange(over.size), rho] / (rho + 1.0)
+        out[over] = np.maximum(raw - tau[:, None], 0.0)
+    return out if vec.ndim == 2 else out[0]
 
 
 def sample_budget_simplex(rng: np.random.Generator, k: int, budget: float, count: int) -> np.ndarray:
@@ -72,12 +78,37 @@ def lattice_size(k: int, resolution: int) -> int:
 
 @dataclass(frozen=True)
 class PgdResult:
+    """Outcome of one start.
+
+    `stalled` marks a run whose backtracking fell below 1e-18 without an
+    accepted step; `converged` is then decided by the projected-gradient
+    test at the last accepted point.
+    """
+
     point: np.ndarray
     value: float
     gradient: np.ndarray
     iterations: int
     pg_norm: float
     converged: bool
+    stalled: bool
+
+
+@dataclass(frozen=True)
+class PgdBatch:
+    """Per-start outcomes of one lockstep run, in start order."""
+
+    results: tuple
+
+    @property
+    def iterations(self) -> int:
+        """Iterations of the longest-running start."""
+        return max(r.iterations for r in self.results)
+
+    @property
+    def converged(self) -> bool:
+        """Whether every start converged."""
+        return all(r.converged for r in self.results)
 
 
 def projected_gradient(
@@ -91,44 +122,83 @@ def projected_gradient(
     initial_step: float = 1.0,
     step_growth: float = 2.0,
     step_cap: float = 1e6,
-) -> PgdResult:
+):
     """Projected gradient descent with Armijo backtracking.
 
     Accepts a candidate when f(cand) <= f(p) + slope * <grad, cand - p>.
     The accepted step is carried over and grown by `step_growth` before
     the next backtracking pass; convergence is declared when the unit
     projected-gradient norm drops below tol_rel * (1 + |f|).  A stall of
-    the backtracking below 1e-18 exits with converged determined by the
-    projected-gradient test alone.
+    the backtracking below 1e-18 exits with `stalled` set and converged
+    determined by the projected-gradient test alone.
+
+    With a single start `value_and_grad` maps a point to (value, gradient)
+    and the result is a PgdResult.  With an (S, K) batch of starts it maps
+    an (R, K) array of points to (R,) values and (R, K) gradients, and the
+    result is a PgdBatch.  The starts run in lockstep: every row keeps its
+    own step, iteration count and backtracking, and each round evaluates
+    the pending candidate of every running row in one call.  When
+    `value_and_grad` evaluates rows independently, a start's result does
+    not depend on the batch it ran in; a single start is a batch of one.
     """
-    point = project_onto_budget_simplex(np.asarray(start, dtype=np.float64), budget)
+    starts = np.asarray(start, dtype=np.float64)
+    single = starts.ndim == 1
+    if single:
+        scalar_fn = value_and_grad
+
+        def value_and_grad(rows):
+            val, grad = scalar_fn(rows[0])
+            return np.array([float(val)]), np.asarray(grad, dtype=np.float64)[None, :]
+
+    point = project_onto_budget_simplex(np.atleast_2d(starts), budget)
+    count = point.shape[0]
     value, grad = value_and_grad(point)
-    value = float(value)
-    step = initial_step
-    iters = 0
-    converged = False
-    pg_norm = math.inf
+    value = np.array(value, dtype=np.float64)
+    grad = np.array(grad, dtype=np.float64)
+    step = np.full(count, float(initial_step))   # last accepted step
+    trial = np.zeros(count)                       # step being tried
+    iters = np.zeros(count, dtype=np.int64)
+    pg_norm = np.full(count, math.inf)
+    converged = np.zeros(count, dtype=bool)
+    stalled = np.zeros(count, dtype=bool)
+    running = np.ones(count, dtype=bool)
+    fresh = np.ones(count, dtype=bool)            # running rows at an accepted point
     while True:
-        pg_norm = float(np.linalg.norm(point - project_onto_budget_simplex(point - grad, budget)))
-        if pg_norm <= tol_rel * (1.0 + abs(value)):
-            converged = True
+        top = np.flatnonzero(fresh)
+        if top.size:
+            fresh[top] = False
+            pts, grs = point[top], grad[top]
+            pg = np.linalg.norm(pts - project_onto_budget_simplex(pts - grs, budget), axis=1)
+            pg_norm[top] = pg
+            done = pg <= tol_rel * (1.0 + np.abs(value[top]))
+            converged[top] = done
+            done |= iters[top] >= max_iters
+            running[top[done]] = False
+            go = top[~done]
+            iters[go] += 1
+            trial[go] = np.where(iters[go] == 1, initial_step,
+                                 np.minimum(step[go] * step_growth, step_cap))
+        rows = np.flatnonzero(running)
+        if not rows.size:
             break
-        if iters >= max_iters:
-            break
-        iters += 1
-        trial = initial_step if iters == 1 else min(step * step_growth, step_cap)
-        stalled = False
-        while True:
-            cand = project_onto_budget_simplex(point - trial * grad, budget)
-            cand_val, cand_grad = value_and_grad(cand)
-            cand_val = float(cand_val)
-            if cand_val <= value + armijo_slope * float(grad @ (cand - point)):
-                break
-            trial *= shrink
-            if trial < 1e-18:
-                stalled = True
-                break
-        if stalled:
-            break
-        point, value, grad, step = cand, cand_val, cand_grad, trial
-    return PgdResult(point, value, grad, iters, pg_norm, converged)
+        base = point[rows]
+        cand = project_onto_budget_simplex(base - trial[rows, None] * grad[rows], budget)
+        cand_val, cand_grad = value_and_grad(cand)
+        decrease = np.einsum("sk,sk->s", grad[rows], cand - base)
+        ok = cand_val <= value[rows] + armijo_slope * decrease
+        acc = rows[ok]
+        point[acc], value[acc], grad[acc] = cand[ok], cand_val[ok], cand_grad[ok]
+        step[acc] = trial[acc]
+        fresh[acc] = True
+        back = rows[~ok]
+        trial[back] *= shrink
+        stuck = back[trial[back] < 1e-18]
+        stalled[stuck] = True
+        running[stuck] = False
+
+    results = tuple(
+        PgdResult(point[i].copy(), float(value[i]), grad[i].copy(), int(iters[i]),
+                  float(pg_norm[i]), bool(converged[i]), bool(stalled[i]))
+        for i in range(count)
+    )
+    return results[0] if single else PgdBatch(results)

@@ -17,7 +17,8 @@ from mseregion import (
     recover_multipliers,
     weighted_mse_gradient,
 )
-from mseregion.simplex import budget_simplex_lattice
+from mseregion import kkt
+from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
 from mseregion.tolerances import TOL_KKT
 
 from helpers import random_channels, random_config
@@ -238,3 +239,44 @@ def test_infeasible_start_rejected():
         minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, [-1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         enumerate_stationary_points(REF_H, REF_CONFIG, REF_WEIGHTS, starts=-1)
+
+
+def _invariance_instances():
+    # K = 2..8, each antenna count in {1, 2, 8, 32} at least once
+    rng = np.random.default_rng(26)
+    for k, n in zip(range(2, 9), (1, 2, 8, 32, 1, 2, 8, 32)):
+        yield random_channels(rng, n, k), random_config(rng), rng.uniform(0.05, 1.0, size=k), rng
+
+
+def _same_certificate(a, b):
+    np.testing.assert_array_equal(a.powers, b.powers)
+    assert a.objective == b.objective
+    assert a.iterations == b.iterations
+    assert a.lam == b.lam
+    np.testing.assert_array_equal(a.mu, b.mu)
+    assert a.converged == b.converged
+    assert a.stalled == b.stalled
+
+
+def test_batch_rows_are_bitwise_single_solves():
+    for channels, config, w, rng in _invariance_instances():
+        k = channels.n_users
+        starts = sample_budget_simplex(rng, k, config.power_budget, 68)
+        batch = minimize_weighted_sum_mse(channels, config, w, starts)
+        assert len(batch) == 68
+        for start, row in zip(starts, batch):
+            _same_certificate(minimize_weighted_sum_mse(channels, config, w, start), row)
+
+
+def test_enumerate_invariant_under_start_permutation(monkeypatch):
+    base = kkt._start_points
+    for channels, config, w, _ in _invariance_instances():
+        plain = enumerate_stationary_points(channels, config, w, starts=16, seed=3)
+        count = 16 + channels.n_users + 2
+        perm = np.random.default_rng(count).permutation(count)
+        monkeypatch.setattr(kkt, "_start_points", lambda *a: base(*a)[perm])
+        shuffled = enumerate_stationary_points(channels, config, w, starts=16, seed=3)
+        monkeypatch.setattr(kkt, "_start_points", base)
+        assert len(shuffled) == len(plain)
+        for a, b in zip(plain, shuffled):
+            _same_certificate(a, b)

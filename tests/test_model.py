@@ -16,6 +16,7 @@ from mseregion import (
     mse_tuples,
     rate_from_mse,
     receive_covariance,
+    reduced_channels,
     resolvent_grams,
     sinr_from_mse,
     weighted_mse_gradient,
@@ -256,3 +257,39 @@ def test_feasibility_checks():
         ensure_feasible([4.0, 7.0], config)
     with pytest.raises(ValueError):
         mse_tuple(np.eye(2), [1.0, 2.0, 3.0], config)  # wrong user count
+
+
+def _factor_cases():
+    rng = np.random.default_rng(27)
+    for n, k in [(2, 4), (1, 3), (3, 3), (6, 3), (32, 8), (4, 2)]:
+        yield f"{n}x{k}", random_channels(rng, n, k).entries, rng
+    for n in (1, 2, 5):
+        # near-colinear pair h2 = h1 (1 + 1e-6) + 1e-7 g
+        h1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield f"colinear {n}x2", np.column_stack([h1, h1 * (1 + 1e-6) + 1e-7 * g]), rng
+
+
+def test_triangular_factor_gives_the_same_mse_quantities():
+    for name, mat, rng in _factor_cases():
+        n, k = mat.shape
+        factor = np.linalg.qr(mat, mode="r")
+        assert factor.shape == (min(n, k), k)
+        reduced = reduced_channels(mat).entries
+        assert reduced.shape == (min(n, k), k)
+        if n > k:
+            np.testing.assert_array_equal(reduced, factor)
+        for snr in 10.0 ** np.arange(-2, 7):
+            config = SystemConfig(noise_variance=1.0, power_budget=float(snr))
+            powers = random_powers(rng, k, config.power_budget)
+            tol = 1e-12 * (1.0 + snr)
+            on_h = resolvent_grams(mat, powers, config, second_order=True) \
+                + mse_jacobian(mat, powers, config)
+            on_r = resolvent_grams(factor, powers, config, second_order=True) \
+                + mse_jacobian(factor, powers, config)
+            for label, x_h, x_r in zip(("A", "B", "eps", "J"), on_h, on_r):
+                scale = np.abs(x_h) if label == "eps" else np.abs(x_h).max()
+                assert (np.abs(x_r - x_h) <= tol * scale).all(), (name, snr, label)
+            dense = dense_mse(mat, powers, config.noise_variance)
+            eps_h, eps_r = on_h[2], on_r[2]
+            assert (np.abs(eps_r - dense) <= np.abs(eps_h - dense) + tol * eps_h).all(), (name, snr)

@@ -195,6 +195,20 @@ def test_membership_oracle_campaign(k):
         assert verdicts[2].margin >= float((floor - unreachable).max()) - 1e-12
 
 
+def test_membership_many_antennas_reachable_target():
+    # K=8, N=64: the solver works on the 8 x 8 triangular factor of H,
+    # and the witness replays on H itself
+    rng = np.random.default_rng(32)
+    channels = random_channels(rng, 64, 8)
+    config = random_config(rng)
+    inner = random_powers(rng, 8, config.power_budget)
+    target = np.minimum(1.0, mse_tuple(channels, inner, config).values + 0.02)
+    verdict = dominated_membership(channels, config, target)
+    assert verdict.dominated
+    replay = dense_mse(channels.entries, verdict.witness_powers, config.noise_variance)
+    assert float((replay - target).max()) == pytest.approx(verdict.margin, abs=1e-9)
+
+
 def test_membership_matches_bruteforce_oracle():
     rng = np.random.default_rng(31)
     for _ in range(2):

@@ -109,3 +109,46 @@ def test_pgd_quadratic_projected_minimum():
     np.testing.assert_allclose(result.point, expected, atol=1e-6)
     assert (result.point >= 0.0).all()
     assert result.point.sum() <= budget * (1.0 + 1e-12)
+
+
+def test_pgd_stall_is_reported():
+    # f(p) = p.p / 2 + b.p with the callable returning the negated
+    # gradient: every candidate raises f, so backtracking gives out
+    b = np.array([1.0, 1.0])
+
+    def wrong_sign(p):
+        return 0.5 * float(p @ p) + float(b @ p), -(p + b)
+
+    result = projected_gradient(wrong_sign, np.zeros(2), budget=1.0)
+    assert result.stalled
+    assert not result.converged
+    assert result.iterations == 1
+    np.testing.assert_array_equal(result.point, np.zeros(2))
+
+
+def test_pgd_batch_rows_match_single_runs():
+    target = np.array([0.2, 0.5, 0.1])
+
+    def quad_rows(p):
+        diff = p - target
+        return 0.5 * np.einsum("sk,sk->s", diff, diff), diff
+
+    starts = sample_budget_simplex(np.random.default_rng(9), 3, 2.0, 12)
+    batch = projected_gradient(quad_rows, starts, budget=2.0)
+    assert batch.converged
+    assert batch.iterations == max(r.iterations for r in batch.results)
+    for start, row in zip(starts, batch.results):
+        alone = projected_gradient(quad_rows, start[None, :], budget=2.0).results[0]
+        np.testing.assert_array_equal(row.point, alone.point)
+        assert row.value == alone.value
+        assert row.iterations == alone.iterations
+        assert not row.stalled
+
+
+def test_projection_batch_rows_match_single_points():
+    rng = np.random.default_rng(30)
+    for k in (1, 2, 5, 8):
+        points = rng.normal(scale=3.0, size=(40, k))
+        batch = project_onto_budget_simplex(points, 2.0)
+        for point, row in zip(points, batch):
+            np.testing.assert_array_equal(row, project_onto_budget_simplex(point, 2.0))
