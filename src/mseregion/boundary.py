@@ -130,6 +130,33 @@ def _pair(h1, h2) -> np.ndarray:
     return ChannelSet(np.column_stack([v1, v2])).entries
 
 
+def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
+    """(eps1', eps2', eps1'', eps2'', D, summands) from the Gram entries.
+
+    Works elementwise on arrays of power splits and on scalars alike;
+    `summands` is the tuple of the three nonpositive terms that add up
+    to D.
+    """
+    cross = a12.real ** 2 + a12.imag ** 2          # |a12|^2
+    re_ab = (a12 * np.conj(b12)).real              # Re{a12 b21}
+    deps1 = -sig2 * b11 - budget * cross
+    deps2 = sig2 * b22 + budget * cross
+    ddeps1 = 2.0 * sig2 * (a11 * b11 - re_ab) + 2.0 * budget * cross * (a11 - a22)
+    ddeps2 = 2.0 * sig2 * (a22 * b22 - re_ab) + 2.0 * budget * cross * (a22 - a11)
+    disc = ddeps2 * deps1 - ddeps1 * deps2
+    summands = (
+        2.0 * sig2 * budget * cross * (2.0 * re_ab - a22 * b11 - a11 * b22),
+        2.0 * sig2 ** 2 * b11 * (re_ab - a11 * b22),
+        2.0 * sig2 ** 2 * b22 * (re_ab - a22 * b11),
+    )
+    return deps1, deps2, ddeps1, ddeps2, disc, summands
+
+
+def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
+    return _derivatives(bundle.a11, bundle.a22, bundle.a12, bundle.b11, bundle.b22,
+                        bundle.b12, config.noise_variance, config.power_budget)
+
+
 class _SweepData:
     """Vectorized boundary quantities over a grid of power splits."""
 
@@ -141,7 +168,6 @@ class _SweepData:
 
     def __init__(self, pair: np.ndarray, config: SystemConfig, ps: np.ndarray):
         budget = config.power_budget
-        sig2 = config.noise_variance
         powers = np.column_stack([ps, budget - ps])
         gram_a, gram_b = resolvent_grams(pair, powers, config, second_order=True)
         self.ps = ps
@@ -156,19 +182,11 @@ class _SweepData:
         self.re_ab = (self.a12 * np.conj(self.b12)).real    # Re{a12 b21}
         self.eps1 = 1.0 - ps * self.a11
         self.eps2 = 1.0 - (budget - ps) * self.a22
-        self.deps1 = -sig2 * self.b11 - budget * self.absa12sq
-        self.deps2 = sig2 * self.b22 + budget * self.absa12sq
-        self.ddeps1 = 2.0 * sig2 * (self.a11 * self.b11 - self.re_ab) \
-            + 2.0 * budget * self.absa12sq * (self.a11 - self.a22)
-        self.ddeps2 = 2.0 * sig2 * (self.a22 * self.b22 - self.re_ab) \
-            + 2.0 * budget * self.absa12sq * (self.a22 - self.a11)
-        self.disc = self.ddeps2 * self.deps1 - self.ddeps1 * self.deps2
+        self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc, summands = _derivatives(
+            self.a11, self.a22, self.a12, self.b11, self.b22, self.b12,
+            config.noise_variance, budget)
         self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
-        s_cross = 2.0 * sig2 * budget * self.absa12sq \
-            * (2.0 * self.re_ab - self.a22 * self.b11 - self.a11 * self.b22)
-        s_first = 2.0 * sig2 ** 2 * self.b11 * (self.re_ab - self.a11 * self.b22)
-        s_second = 2.0 * sig2 ** 2 * self.b22 * (self.re_ab - self.a22 * self.b11)
-        self.summands = np.column_stack([s_cross, s_first, s_second])
+        self.summands = np.column_stack(summands)
 
 
 def _gram_determinant(pair: np.ndarray):
@@ -232,24 +250,12 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
 
 def mse_first_derivatives(bundle: CouplingBundle, config: SystemConfig):
     """(d eps1 / dp, d eps2 / dp); always of opposite, fixed sign."""
-    budget = config.power_budget
-    sig2 = config.noise_variance
-    cross = abs(bundle.a12) ** 2
-    return (-sig2 * bundle.b11 - budget * cross,
-            sig2 * bundle.b22 + budget * cross)
+    return tuple(map(float, _bundle_derivatives(bundle, config)[:2]))
 
 
 def mse_second_derivatives(bundle: CouplingBundle, config: SystemConfig):
     """(d^2 eps1 / dp^2, d^2 eps2 / dp^2)."""
-    budget = config.power_budget
-    sig2 = config.noise_variance
-    cross = abs(bundle.a12) ** 2
-    re_ab = (bundle.a12 * np.conj(bundle.b12)).real
-    dd1 = 2.0 * sig2 * (bundle.a11 * bundle.b11 - re_ab) \
-        + 2.0 * budget * cross * (bundle.a11 - bundle.a22)
-    dd2 = 2.0 * sig2 * (bundle.a22 * bundle.b22 - re_ab) \
-        + 2.0 * budget * cross * (bundle.a22 - bundle.a11)
-    return float(dd1), float(dd2)
+    return tuple(map(float, _bundle_derivatives(bundle, config)[2:4]))
 
 
 def convexity_discriminant(bundle: CouplingBundle, config: SystemConfig):
@@ -259,19 +265,8 @@ def convexity_discriminant(bundle: CouplingBundle, config: SystemConfig):
     and summands the decomposition; their sum reproduces value to 1e-10
     relative to the derivative scale.
     """
-    budget = config.power_budget
-    sig2 = config.noise_variance
-    d1, d2 = mse_first_derivatives(bundle, config)
-    dd1, dd2 = mse_second_derivatives(bundle, config)
-    value = dd2 * d1 - dd1 * d2
-    cross = abs(bundle.a12) ** 2
-    re_ab = (bundle.a12 * np.conj(bundle.b12)).real
-    summands = np.array([
-        2.0 * sig2 * budget * cross * (2.0 * re_ab - bundle.a22 * bundle.b11 - bundle.a11 * bundle.b22),
-        2.0 * sig2 ** 2 * bundle.b11 * (re_ab - bundle.a11 * bundle.b22),
-        2.0 * sig2 ** 2 * bundle.b22 * (re_ab - bundle.a22 * bundle.b11),
-    ])
-    return float(value), summands
+    *_, value, summands = _bundle_derivatives(bundle, config)
+    return float(value), np.array(summands)
 
 
 def g_derivatives(h1, h2, config: SystemConfig, p: float):
@@ -284,10 +279,8 @@ def g_derivatives(h1, h2, config: SystemConfig, p: float):
     split = float(p)
     if not 0.0 < split < config.power_budget:
         raise ValueError(f"g derivatives need an interior split, got p={split}")
-    bundle = coupling_bundle(h1, h2, config, split)
-    d1, d2 = mse_first_derivatives(bundle, config)
-    value, _ = convexity_discriminant(bundle, config)
-    return d2 / d1, value / d1 ** 3
+    d1, d2, _, _, value, _ = _bundle_derivatives(coupling_bundle(h1, h2, config, split), config)
+    return float(d2 / d1), float(value / d1 ** 3)
 
 
 def closed_form_ratios(h1, h2, config: SystemConfig, p: float):

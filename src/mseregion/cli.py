@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kkt
 from .boundary import boundary_sweep, colinearity_classify, convexity_certificate
 from .io import (
     json_text,
@@ -183,12 +183,11 @@ def cmd_counterexample(args) -> int:
     if (args.region_csv is None) != (args.grid is None):
         raise ValueError("--region-csv and --grid must be given together")
     seed = _resolve_seed(args)
-    report = counterexample_suite(starts=args.starts, seed=seed, threads=args.threads)
-    config = SystemConfig(noise_variance=report.sigma2_assumed, power_budget=10.0)
+    report = counterexample_suite(starts=args.starts, seed=seed)
+    config = SystemConfig(noise_variance=kkt.REFERENCE_NOISE_VARIANCE,
+                          power_budget=kkt.REFERENCE_POWER_BUDGET)
     if args.region_csv is not None:
-        from .kkt import REFERENCE_CHANNELS
-
-        samples = sample_region(REFERENCE_CHANNELS, config, args.grid, mode="grid")
+        samples = sample_region(kkt.REFERENCE_CHANNELS, config, args.grid, mode="grid")
         write_region_csv(args.region_csv, samples)
         write_json(
             args.region_csv + ".manifest.json",
@@ -224,9 +223,7 @@ def cmd_wsmse(args) -> int:
         raise ValueError(f"{weights.size} weights for {channels.n_users} users")
     config = _config(args)
     seed = _resolve_seed(args)
-    clusters = enumerate_stationary_points(
-        channels, config, weights, starts=args.starts, seed=seed, threads=args.threads,
-    )
+    clusters = enumerate_stationary_points(channels, config, weights, starts=args.starts, seed=seed)
     payload = {
         "manifest": manifest(
             "wsmse",

@@ -35,8 +35,8 @@ from .model import (
     ChannelSet,
     PowerAllocation,
     SystemConfig,
-    _channel_matrix,
     _power_vector,
+    _weighted,
     ensure_feasible,
     mse_jacobian,
     mse_tuple,
@@ -186,14 +186,14 @@ def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
 
 def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, mu) -> KktResiduals:
     """Evaluate every first-order condition at (p, lambda, mu)."""
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
+    chan = reduced_channels(channels)
+    k = chan.n_users
     w = _weight_vector(weights, k)
     p = _power_vector(powers, k)
     mu_vec = np.asarray(mu, dtype=np.float64).reshape(-1)
     if mu_vec.size != k:
         raise ValueError(f"{mu_vec.size} multipliers for {k} users")
-    grad = weighted_mse_gradient(mat, p, config, w)
+    grad = weighted_mse_gradient(chan, p, config, w)
     return _residuals(grad, p, config.power_budget, float(lam), mu_vec)
 
 
@@ -202,13 +202,14 @@ def recover_multipliers(channels, config: SystemConfig, weights, powers):
 
     lambda = max over active users (p_k > tol_active) of -gradient_k when
     the budget is tight, else 0; mu_k = max(0, lambda + gradient_k) for
-    inactive users and 0 for active ones.
+    inactive users and 0 for active ones.  At a certificate's powers this
+    returns its lam and mu exactly.
     """
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
+    chan = reduced_channels(channels)
+    k = chan.n_users
     w = _weight_vector(weights, k)
     p = _power_vector(powers, k)
-    return _multipliers(weighted_mse_gradient(mat, p, config, w), p, config.power_budget)
+    return _multipliers(weighted_mse_gradient(chan, p, config, w), p, config.power_budget)
 
 
 def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
@@ -228,7 +229,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
     """
     def value_and_grad(p):
         eps, jac = mse_jacobian(chan, p, config)
-        return np.einsum("sk,k->s", eps, w), np.einsum("slk,l->sk", jac, w)
+        return _weighted(eps, jac, w)
 
     batch = projected_gradient(
         value_and_grad, starts, config.power_budget,
@@ -290,8 +291,7 @@ def _start_points(k: int, budget: float, starts: int, seed: int) -> np.ndarray:
 
 def enumerate_stationary_points(channels, config: SystemConfig, weights,
                                 starts: int = 16, seed: int = 0,
-                                options: Optional[SolverOptions] = None,
-                                threads: int = 1):
+                                options: Optional[SolverOptions] = None):
     """Multistart minimization with power-space clustering.
 
     Start points: `starts` uniform draws from the solid simplex, plus all
@@ -301,8 +301,7 @@ def enumerate_stationary_points(channels, config: SystemConfig, weights,
     count.  Certificates within a power distance of 1e-3 * P collapse
     into one cluster represented by the lowest objective (ties broken by
     powers, then iterations), so the clusters do not depend on the order
-    of the starts; they are returned sorted by objective.  `threads` is
-    accepted for compatibility and has no effect.
+    of the starts; they are returned sorted by objective.
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
@@ -383,7 +382,7 @@ def _check_vector(name, expected, computed, tol):
     return CheckResult(name, exp.tolist(), com.tolist(), tol, bool(passed))
 
 
-def counterexample_suite(starts: int = 64, seed: int = 0, threads: int = 1,
+def counterexample_suite(starts: int = 64, seed: int = 0,
                          segment_steps: int = 9, membership_options=None) -> CounterexampleReport:
     """Re-derive every known number of the reference instance.
 
@@ -400,8 +399,7 @@ def counterexample_suite(starts: int = 64, seed: int = 0, threads: int = 1,
                           power_budget=REFERENCE_POWER_BUDGET)
     mat = REFERENCE_CHANNELS
     w = np.array(REFERENCE_WEIGHTS)
-    clusters = enumerate_stationary_points(mat, config, w, starts=starts,
-                                           seed=seed, threads=threads)
+    clusters = enumerate_stationary_points(mat, config, w, starts=starts, seed=seed)
     checks = [CheckResult("cluster_count", 2, len(clusters), None, len(clusters) == 2)]
 
     matched = clusters[:2] if len(clusters) >= 2 else clusters

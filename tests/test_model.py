@@ -1,5 +1,6 @@
 """Model layer: closed forms, dense-inverse oracles, batching, validation."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +294,42 @@ def test_triangular_factor_gives_the_same_mse_quantities():
             dense = dense_mse(mat, powers, config.noise_variance)
             eps_h, eps_r = on_h[2], on_r[2]
             assert (np.abs(eps_r - dense) <= np.abs(eps_h - dense) + tol * eps_h).all(), (name, snr)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(28)
+    yield "random 4x3", random_channels(rng, 4, 3).entries, np.array([0.3, 0.5, 0.2])
+    yield "orthogonal", np.eye(2, dtype=complex), np.array([0.4, 0.6])
+    yield "near-colinear", np.array([[1.0, 1.0], [0.0, 1e-6]], dtype=complex), np.array([0.4, 0.6])
+
+
+def _mp_mse_and_gram(mat, powers, sigma2):
+    """eps and A = H^H X^{-1} H through a 60-digit inverse of X."""
+    n, k = mat.shape
+    with mpmath.workdps(60):
+        h = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in mat])
+        cov = mpmath.mpf(sigma2) * mpmath.eye(n)
+        for j in range(k):
+            cov += mpmath.mpf(powers[j]) * (h[:, j] * h[:, j].H)
+        gram = h.H * mpmath.inverse(cov) * h
+        eps = [1 - mpmath.mpf(powers[j]) * gram[j, j].real for j in range(k)]
+        return (np.array([float(e) for e in eps]),
+                np.array([[complex(gram[i, j]) for j in range(k)] for i in range(k)]))
+
+
+def test_kernel_against_high_precision_oracle():
+    # every public entry point of the kernel, against mpmath at 60 digits
+    for name, mat, shares in _oracle_cases():
+        for snr in 10.0 ** np.arange(-3, 13):
+            config = SystemConfig(noise_variance=1.0, power_budget=float(snr))
+            powers = shares * snr
+            eps_mp, gram_mp = _mp_mse_and_gram(mat, powers, config.noise_variance)
+            tol = 1e-14 * (1.0 + snr)
+            for label, eps in (
+                ("mse_tuple", mse_tuple(mat, powers, config).values),
+                ("mse_tuples", mse_tuples(mat, powers[None, :], config)[0]),
+                ("mse_jacobian", mse_jacobian(mat, powers, config)[0]),
+            ):
+                assert (np.abs(eps - eps_mp) <= tol * eps_mp).all(), (name, snr, label)
+            gram = resolvent_grams(mat, powers, config)
+            assert np.abs(gram - gram_mp).max() <= tol * np.abs(gram_mp).max(), (name, snr)
