@@ -7,7 +7,10 @@ Channel sets travel as
 with `entries` holding n rows of k [re, im] pairs.  All JSON output is
 byte-stable: keys sorted, two-space indent, no timestamps, complex
 numbers as [re, im] pairs.  CSV floats use repr(), which round-trips
-exactly through float().
+exactly through float().  Region CSVs are formatted a block of rows at a
+time with one `%r` line template; `%r` of a float is its repr, and a
+float's repr holds no delimiter, quote or newline, so the bytes are
+those a `csv.writer` of repr() cells would write.
 """
 
 from __future__ import annotations
@@ -114,16 +117,30 @@ def write_boundary_csv(path, samples) -> None:
             ])
 
 
+# Rows formatted per write.  Speed is flat from 32 to 1024 rows; a small
+# block keeps each block's text, list and array at a few kB, which the
+# allocator serves from its free lists.  Blocks of 256 or 1024 rows raised
+# the peak RSS of a run of region commands by 1.5-3%; 64 rows did not.
+_REGION_BLOCK_ROWS = 64
+
+
 def write_region_csv(path, sample_set) -> None:
-    powers = np.asarray(sample_set.powers)
-    mses = np.asarray(sample_set.mses)
+    """Header p_1..p_K, eps_1..eps_K, then one row of repr() floats per sample.
+
+    Rows are formatted _REGION_BLOCK_ROWS at a time: the block's powers
+    and MSEs become one flat list of Python floats, filled into the
+    line template repeated once per row, and written in one call.
+    """
+    powers = np.asarray(sample_set.powers, dtype=np.float64)
+    mses = np.asarray(sample_set.mses, dtype=np.float64)
     k = powers.shape[1]
     header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
+    line = ",".join(["%r"] * (2 * k)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for p_row, e_row in zip(powers, mses):
-            writer.writerow([_cell(v) for v in p_row] + [_cell(v) for v in e_row])
+        handle.write(",".join(header) + "\n")
+        for lo in range(0, powers.shape[0], _REGION_BLOCK_ROWS):
+            block = np.hstack([powers[lo:lo + _REGION_BLOCK_ROWS], mses[lo:lo + _REGION_BLOCK_ROWS]])
+            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_region_csv(path):

@@ -331,13 +331,16 @@ def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
 
 
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:
-    """f(p) = sum_k w_k eps_k(p)."""
-    mat = _channel_matrix(channels)
+    """f(p) = sum_k w_k eps_k(p).
+
+    Evaluated like the solvers' objective, so it replays it bitwise.
+    """
+    chan = reduced_channels(channels)
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != mat.shape[1]:
-        raise ValueError(f"{w.size} weights for {mat.shape[1]} users")
-    vals = mse_tuple(mat, powers, config).values
-    return float(w @ vals)
+    if w.size != chan.n_users:
+        raise ValueError(f"{w.size} weights for {chan.n_users} users")
+    eps = mse_tuple(chan, powers, config).values
+    return float(np.einsum("sk,k->s", eps[None], w)[0])
 
 
 def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np.ndarray:

@@ -59,16 +59,22 @@ def sample_budget_simplex(rng: np.random.Generator, k: int, budget: float, count
 
 
 def budget_simplex_lattice(k: int, resolution: int) -> np.ndarray:
-    """All integer vectors i >= 0 with sum(i) <= resolution, shape (M, k)."""
+    """All integer vectors i >= 0 with sum(i) <= resolution, shape (M, k).
+
+    Built one coordinate at a time: each row with slack s spawns rows
+    whose next coordinate runs 0..s, so rows come in lexicographic order.
+    """
     if k < 1 or resolution < 0:
         raise ValueError(f"bad lattice request k={k} resolution={resolution}")
-    if k == 1:
-        return np.arange(resolution + 1, dtype=np.int64)[:, None]
-    blocks = []
-    for lead in range(resolution + 1):
-        tail = budget_simplex_lattice(k - 1, resolution - lead)
-        blocks.append(np.column_stack([np.full(tail.shape[0], lead, dtype=np.int64), tail]))
-    return np.vstack(blocks)
+    grid = np.zeros((1, 0), dtype=np.int64)
+    slack = np.array([resolution], dtype=np.int64)
+    for _ in range(k):
+        counts = slack + 1
+        parent = np.repeat(np.arange(slack.size), counts)
+        coord = np.arange(parent.size) - (np.cumsum(counts) - counts)[parent]
+        grid = np.column_stack([grid[parent], coord])
+        slack = slack[parent] - coord
+    return grid
 
 
 def lattice_size(k: int, resolution: int) -> int:

@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import csv
+
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
@@ -96,3 +98,25 @@ def minimax_margin_oracle(channels, config: SystemConfig, targets, resolution: i
         eps, _ = mse_jacobian(mat, point, config)
         refined.append(min(raw[len(refined)], float((eps - tgt).max())))
     return refined, raw
+
+
+def recursive_lattice(k: int, resolution: int) -> np.ndarray:
+    """Reference lattice: lead coordinate 0..resolution, then the rest recursively."""
+    if k == 1:
+        return np.arange(resolution + 1, dtype=np.int64)[:, None]
+    blocks = []
+    for lead in range(resolution + 1):
+        tail = recursive_lattice(k - 1, resolution - lead)
+        blocks.append(np.column_stack([np.full(tail.shape[0], lead, dtype=np.int64), tail]))
+    return np.vstack(blocks)
+
+
+def reference_region_csv(path, powers, mses) -> None:
+    """Reference region CSV: csv.writer rows of repr(float) cells."""
+    k = np.shape(powers)[1]
+    header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for p_row, e_row in zip(powers, mses):
+            writer.writerow([repr(float(v)) for v in p_row] + [repr(float(v)) for v in e_row])

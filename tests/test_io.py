@@ -21,12 +21,16 @@ from mseregion import (
     write_region_csv,
 )
 from mseregion.io import (
+    _REGION_BLOCK_ROWS,
     BOUNDARY_COLUMNS,
     channel_dict,
     json_text,
     read_region_csv,
     to_jsonable,
 )
+from mseregion.region import RegionSampleSet
+
+from helpers import reference_region_csv
 
 CONFIG = SystemConfig(noise_variance=1.0, power_budget=10.0)
 
@@ -97,6 +101,31 @@ def test_region_csv_round_trip(tmp_path):
     powers, mses = read_region_csv(path)
     np.testing.assert_array_equal(powers, samples.powers)
     np.testing.assert_array_equal(mses, samples.mses)
+
+
+EDGE_VALUES = (0.0, -0.0, 1e-5, 9.999e-5, 1e16, 5e-324, 1e300)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_region_csv_bytes_match_reference_writer(tmp_path, k):
+    rng = np.random.default_rng(100 + k)
+    for rows in (1, _REGION_BLOCK_ROWS - 1, _REGION_BLOCK_ROWS, _REGION_BLOCK_ROWS + 1, 3000):
+        powers = rng.uniform(0.0, 10.0, size=(rows, k))
+        mses = rng.uniform(0.0, 1.0, size=(rows, k))
+        cells = np.concatenate([powers.ravel(), mses.ravel()])
+        cells[:len(EDGE_VALUES)] = EDGE_VALUES[:cells.size]
+        powers, mses = cells[:rows * k].reshape(rows, k), cells[rows * k:].reshape(rows, k)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
+        reference_region_csv(ref, powers, mses)
+        assert ours.read_bytes() == ref.read_bytes(), (k, rows)
+
+    # integer powers print as floats, exactly as their float64 values do
+    ints = rng.integers(0, 50, size=(40, k))
+    mses = rng.uniform(0.0, 1.0, size=(40, k))
+    write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses, 50, "grid", None))
+    reference_region_csv(ref, ints.astype(np.float64), mses)
+    assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes()
 
 
 def test_manifest_contents():

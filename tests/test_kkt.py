@@ -16,6 +16,7 @@ from mseregion import (
     mse_tuples,
     recover_multipliers,
     weighted_mse_gradient,
+    weighted_sum_mse,
 )
 from mseregion import kkt
 from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
@@ -267,6 +268,7 @@ def test_batch_rows_are_bitwise_single_solves():
         for start, row in zip(starts, batch):
             _same_certificate(minimize_weighted_sum_mse(channels, config, w, start), row)
             # the public replay reproduces the certificate exactly
+            assert weighted_sum_mse(channels, row.powers, config, w) == row.objective
             lam, mu = recover_multipliers(channels, config, w, row.powers)
             assert lam == row.lam
             np.testing.assert_array_equal(mu, row.mu)

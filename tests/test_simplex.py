@@ -16,6 +16,8 @@ from mseregion.simplex import (
     sample_budget_simplex,
 )
 
+from helpers import recursive_lattice
+
 
 def test_projection_frozen_case():
     out = project_onto_budget_simplex(np.array([2.0, -1.0, 0.5]), 1.0)
@@ -79,6 +81,16 @@ def test_lattice_counts_and_contents():
 
     with pytest.raises(ValueError):
         budget_simplex_lattice(0, 4)
+    with pytest.raises(ValueError):
+        budget_simplex_lattice(2, -1)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_lattice_matches_recursive_reference(k):
+    for resolution in (0, 1, 5, 12):
+        grid = budget_simplex_lattice(k, resolution)
+        assert grid.dtype == np.int64
+        np.testing.assert_array_equal(grid, recursive_lattice(k, resolution))
 
 
 def test_pgd_quadratic_interior_minimum():
