@@ -32,7 +32,7 @@ from .io import (
     write_region_csv,
 )
 from .kkt import counterexample_suite, enumerate_stationary_points
-from .model import ChannelSet, SystemConfig
+from .model import SystemConfig
 from .region import sample_region, segment_test
 
 __all__ = ["main"]
@@ -73,12 +73,20 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_instance(args) -> ChannelSet:
-    return load_channels(args.channels)
-
-
 def _config(args) -> SystemConfig:
     return SystemConfig(noise_variance=args.sigma2, power_budget=args.power)
+
+
+def _segment_block(report) -> dict:
+    """The JSON fields of a segment report, shared by `segment` and `counterexample`."""
+    return {
+        "endpoint_margins": [report.endpoint_a.margin, report.endpoint_b.margin],
+        "points": [
+            {"t": pt.t, "target": pt.target, "margin": pt.margin, "dominated": pt.dominated}
+            for pt in report.points
+        ],
+        "nonconvex_witness": report.nonconvex_witness,
+    }
 
 
 def _emit(args, payload) -> None:
@@ -108,7 +116,7 @@ def _plot_script(csv_path: str, eps_min1: float, eps_min2: float) -> str:
 
 def cmd_boundary(args) -> int:
     if args.channels is not None:
-        channels = _load_instance(args)
+        channels = load_channels(args.channels)
         if channels.n_users != 2:
             raise ValueError(f"boundary needs exactly 2 users, got {channels.n_users}")
         h1, h2 = channels.user_channel(0), channels.user_channel(1)
@@ -193,7 +201,6 @@ def cmd_counterexample(args) -> int:
             args.region_csv + ".manifest.json",
             manifest("counterexample", {"region_csv": args.region_csv, "grid": args.grid}, seed, config),
         )
-    segment = report.segment
     payload = {
         "manifest": manifest(
             "counterexample", {"starts": args.starts, "region_csv": args.region_csv, "grid": args.grid},
@@ -203,21 +210,14 @@ def cmd_counterexample(args) -> int:
         "all_passed": report.all_passed,
         "checks": report.checks,
         "clusters": report.clusters,
-        "segment": None if segment is None else {
-            "endpoint_margins": [segment.endpoint_a.margin, segment.endpoint_b.margin],
-            "points": [
-                {"t": pt.t, "target": pt.target, "margin": pt.margin, "dominated": pt.dominated}
-                for pt in segment.points
-            ],
-            "nonconvex_witness": segment.nonconvex_witness,
-        },
+        "segment": None if report.segment is None else _segment_block(report.segment),
     }
     _emit(args, payload)
     return 0 if report.all_passed else 1
 
 
 def cmd_wsmse(args) -> int:
-    channels = _load_instance(args)
+    channels = load_channels(args.channels)
     weights = _parse_float_list(args.weights)
     if weights.size != channels.n_users:
         raise ValueError(f"{weights.size} weights for {channels.n_users} users")
@@ -245,7 +245,7 @@ def cmd_wsmse(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    channels = _load_instance(args)
+    channels = load_channels(args.channels)
     vec_a = _parse_float_list(args.a)
     vec_b = _parse_float_list(args.b)
     if vec_a.size != channels.n_users or vec_b.size != channels.n_users:
@@ -269,19 +269,14 @@ def cmd_segment(args) -> int:
             _resolve_seed(args),
             config,
         ),
-        "endpoint_margins": [report.endpoint_a.margin, report.endpoint_b.margin],
-        "points": [
-            {"t": pt.t, "target": pt.target, "margin": pt.margin, "dominated": pt.dominated}
-            for pt in report.points
-        ],
-        "nonconvex_witness": report.nonconvex_witness,
+        **_segment_block(report),
     }
     _emit(args, payload)
     return 3 if report.nonconvex_witness else 0
 
 
 def cmd_region(args) -> int:
-    channels = _load_instance(args)
+    channels = load_channels(args.channels)
     config = _config(args)
     seed = _resolve_seed(args)
     if args.grid is not None:

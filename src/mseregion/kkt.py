@@ -33,9 +33,8 @@ import numpy as np
 
 from .model import (
     ChannelSet,
-    PowerAllocation,
     SystemConfig,
-    _power_vector,
+    _power_rows,
     _weighted,
     ensure_feasible,
     mse_jacobian,
@@ -144,21 +143,13 @@ class KktCertificate:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Projected-gradient settings.
+    """Stopping rule of the projected-gradient descent.
 
-    Armijo parameters follow the usual slope/backtracking scheme; the
-    accepted step carries over between iterations and doubles before the
-    next backtracking pass, which keeps iteration counts low on the flat
-    objectives this problem produces.
+    The Armijo step rule is fixed in `simplex`.
     """
 
     max_iters: int = 5000
     tol_grad: float = PGD_TOL_REL
-    armijo_slope: float = 1e-4
-    shrink: float = 0.5
-    initial_step: float = 1.0
-    step_growth: float = 2.0
-    step_cap: float = 1e6
 
 
 def _residuals(grad: np.ndarray, p: np.ndarray, budget: float, lam: float,
@@ -184,16 +175,20 @@ def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
     return lam, mu
 
 
+def _gradient_at(channels, config: SystemConfig, weights, powers):
+    """(p, gradient of the weighted sum at p) for one validated power vector."""
+    chan = reduced_channels(channels)
+    w = _weight_vector(weights, chan.n_users)
+    p = _power_rows(powers, chan.n_users)
+    return p, weighted_mse_gradient(chan, p, config, w)
+
+
 def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, mu) -> KktResiduals:
     """Evaluate every first-order condition at (p, lambda, mu)."""
-    chan = reduced_channels(channels)
-    k = chan.n_users
-    w = _weight_vector(weights, k)
-    p = _power_vector(powers, k)
+    p, grad = _gradient_at(channels, config, weights, powers)
     mu_vec = np.asarray(mu, dtype=np.float64).reshape(-1)
-    if mu_vec.size != k:
-        raise ValueError(f"{mu_vec.size} multipliers for {k} users")
-    grad = weighted_mse_gradient(chan, p, config, w)
+    if mu_vec.size != p.size:
+        raise ValueError(f"{mu_vec.size} multipliers for {p.size} users")
     return _residuals(grad, p, config.power_budget, float(lam), mu_vec)
 
 
@@ -205,11 +200,8 @@ def recover_multipliers(channels, config: SystemConfig, weights, powers):
     inactive users and 0 for active ones.  At a certificate's powers this
     returns its lam and mu exactly.
     """
-    chan = reduced_channels(channels)
-    k = chan.n_users
-    w = _weight_vector(weights, k)
-    p = _power_vector(powers, k)
-    return _multipliers(weighted_mse_gradient(chan, p, config, w), p, config.power_budget)
+    p, grad = _gradient_at(channels, config, weights, powers)
+    return _multipliers(grad, p, config.power_budget)
 
 
 def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
@@ -231,13 +223,8 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
         eps, jac = mse_jacobian(chan, p, config)
         return _weighted(eps, jac, w)
 
-    batch = projected_gradient(
-        value_and_grad, starts, config.power_budget,
-        max_iters=opts.max_iters, tol_rel=opts.tol_grad,
-        armijo_slope=opts.armijo_slope, shrink=opts.shrink,
-        initial_step=opts.initial_step, step_growth=opts.step_growth,
-        step_cap=opts.step_cap,
-    )
+    batch = projected_gradient(value_and_grad, starts, config.power_budget,
+                               max_iters=opts.max_iters, tol_rel=opts.tol_grad)
     certs = []
     for run in batch.results:
         lam, mu = _multipliers(run.gradient, run.point, config.power_budget)
@@ -266,16 +253,13 @@ def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
     passed and the recovered multipliers satisfy every residual within
     tol_kkt.
     """
-    opts = options or SolverOptions()
     chan = reduced_channels(channels)
-    k = chan.n_users
-    w = _weight_vector(weights, k)
-    batch = np.ndim(start) == 2
-    rows = [_power_vector(row, k) for row in start] if batch else [_power_vector(start, k)]
-    for row in rows:
+    w = _weight_vector(weights, chan.n_users)
+    starts = np.atleast_2d(_power_rows(start, chan.n_users))
+    for row in starts:
         ensure_feasible(row, config)
-    certs = _solve(chan, config, w, np.stack(rows), opts)
-    return certs if batch else certs[0]
+    certs = _solve(chan, config, w, starts, options or SolverOptions())
+    return certs if np.ndim(start) == 2 else certs[0]
 
 
 def _start_points(k: int, budget: float, starts: int, seed: int) -> np.ndarray:
@@ -290,8 +274,7 @@ def _start_points(k: int, budget: float, starts: int, seed: int) -> np.ndarray:
 
 
 def enumerate_stationary_points(channels, config: SystemConfig, weights,
-                                starts: int = 16, seed: int = 0,
-                                options: Optional[SolverOptions] = None):
+                                starts: int = 16, seed: int = 0):
     """Multistart minimization with power-space clustering.
 
     Start points: `starts` uniform draws from the solid simplex, plus all
@@ -310,7 +293,7 @@ def enumerate_stationary_points(channels, config: SystemConfig, weights,
     w = _weight_vector(weights, k)
     budget = config.power_budget
     points = _start_points(k, budget, starts, seed)
-    certs = _solve(chan, config, w, points, options or SolverOptions())
+    certs = _solve(chan, config, w, points, SolverOptions())
 
     certs.sort(key=lambda c: (c.objective, tuple(c.powers), c.iterations))
     clusters: list[KktCertificate] = []
@@ -382,8 +365,7 @@ def _check_vector(name, expected, computed, tol):
     return CheckResult(name, exp.tolist(), com.tolist(), tol, bool(passed))
 
 
-def counterexample_suite(starts: int = 64, seed: int = 0,
-                         segment_steps: int = 9, membership_options=None) -> CounterexampleReport:
+def counterexample_suite(starts: int = 64, seed: int = 0) -> CounterexampleReport:
     """Re-derive every known number of the reference instance.
 
     Multistart enumeration must find exactly the two known stationary
@@ -425,8 +407,7 @@ def counterexample_suite(starts: int = 64, seed: int = 0,
         checks.append(_check_scalar(f"reference_residuals_{idx}", 0.0, ref_res.max_abs(), 5e-4))
 
     if len(triples) == 2:
-        segment = segment_test(mat, config, triples[0], triples[1],
-                               steps=segment_steps, options=membership_options)
+        segment = segment_test(mat, config, triples[0], triples[1], steps=9)
         witness = bool(segment.nonconvex_witness)
         all_interior = all(not pt.dominated for pt in segment.points)
     else:

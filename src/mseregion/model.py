@@ -167,11 +167,14 @@ def _channel_matrix(channels) -> np.ndarray:
     return ChannelSet(channels).entries
 
 
-def _power_vector(powers, n_users: int) -> np.ndarray:
-    vec = powers.powers if isinstance(powers, PowerAllocation) else PowerAllocation(powers).powers
-    if vec.size != n_users:
-        raise ValueError(f"power allocation has {vec.size} entries for {n_users} users")
-    return vec
+def _power_rows(powers, n_users: int) -> np.ndarray:
+    """Validated float powers: one length-K vector or an (S, K) batch."""
+    pw = np.asarray(powers, dtype=np.float64)
+    if pw.ndim not in (1, 2) or pw.shape[-1] != n_users:
+        raise ValueError(f"power shape {pw.shape} does not match {n_users} users")
+    if not np.isfinite(pw).all() or (pw < 0.0).any():
+        raise ValueError("powers must be finite and nonnegative")
+    return pw
 
 
 def ensure_feasible(powers, config: SystemConfig) -> np.ndarray:
@@ -187,12 +190,12 @@ def ensure_feasible(powers, config: SystemConfig) -> np.ndarray:
 
 
 def receive_covariance(channels, powers, config: SystemConfig) -> np.ndarray:
-    """X = sigma^2 I + sum_k p_k h_k h_k^H, Hermitian positive definite."""
+    """X = sigma^2 I + sum_k p_k h_k h_k^H, Hermitian positive definite (per row of a batch)."""
     mat = _channel_matrix(channels)
-    p = _power_vector(powers, mat.shape[1])
-    cov = (mat * p) @ mat.conj().T
+    p = _power_rows(powers, mat.shape[1])
+    cov = (mat * p[..., None, :]) @ mat.conj().T
     cov += config.noise_variance * np.eye(mat.shape[0])
-    return 0.5 * (cov + cov.conj().T)
+    return 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
 
 
 def reduced_channels(channels) -> ChannelSet:
@@ -233,16 +236,6 @@ def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order:
     return tuple(np.einsum("sni,snj->sij", f.conj(), f) for f in factors)
 
 
-def _power_rows(powers, n_users: int) -> np.ndarray:
-    """Validated (S, K) power batch."""
-    pw = np.asarray(powers, dtype=np.float64)
-    if pw.ndim != 2 or pw.shape[1] != n_users:
-        raise ValueError(f"power batch shape {pw.shape} does not match {n_users} users")
-    if not np.isfinite(pw).all() or (pw < 0.0).any():
-        raise ValueError("powers must be finite and nonnegative")
-    return pw
-
-
 def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
     """Gram matrices of the channels under X^{-1} (and optionally X^{-2}).
 
@@ -253,21 +246,19 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     Hermitian positive semidefinite up to rounding.
     """
     mat = _channel_matrix(channels)
-    single = np.ndim(powers) == 1
-    pw = _power_rows(np.atleast_2d(powers), mat.shape[1])
-    grams = _grams(mat, pw, config.noise_variance, second_order)
-    if single:
+    pw = _power_rows(powers, mat.shape[1])
+    grams = _grams(mat, np.atleast_2d(pw), config.noise_variance, second_order)
+    if pw.ndim == 1:
         grams = tuple(gram[0] for gram in grams)
     return grams if second_order else grams[0]
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
-    """MMSE values eps_k = 1 - p_k h_k^H X^{-1} h_k."""
-    mat = _channel_matrix(channels)
-    p = _power_vector(powers, mat.shape[1])
-    gram, = _grams(mat, p[None, :], config.noise_variance)
-    quad = np.diagonal(gram[0]).real
-    return MseTuple(1.0 - p * quad)
+    """MMSE values eps_k = 1 - p_k h_k^H X^{-1} h_k at one power vector."""
+    if np.ndim(powers) != 1:
+        raise ValueError("mse_tuple takes one power vector; mse_tuples takes a batch")
+    eps, _ = mse_jacobian(channels, powers, config)
+    return MseTuple(eps)
 
 
 # complex bytes of covariance plus whitened channels per batch chunk
@@ -293,6 +284,8 @@ def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None)
     pw = _power_rows(powers, k)
     if chunk is None:
         chunk = _chunk_rows(n, k)
+    elif chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     out = np.empty_like(pw)
     for lo in range(0, pw.shape[0], chunk):
         blk = pw[lo:lo + chunk]
@@ -310,16 +303,15 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     its values do not depend on the batch it came in.
     """
     mat = _channel_matrix(channels)
-    k = mat.shape[1]
-    batch = np.ndim(powers) == 2
-    pw = _power_rows(powers, k) if batch else _power_vector(powers, k)[None, :]
-    gram, = _grams(mat, pw, config.noise_variance)
+    pw = _power_rows(powers, mat.shape[1])
+    rows = np.atleast_2d(pw)
+    gram, = _grams(mat, rows, config.noise_variance)
     diag = np.diagonal(gram, axis1=1, axis2=2).real
-    eps = 1.0 - pw * diag
-    jac = pw[:, :, None] * (gram.real ** 2 + gram.imag ** 2)
-    users = np.arange(k)
+    eps = 1.0 - rows * diag
+    jac = rows[:, :, None] * (gram.real ** 2 + gram.imag ** 2)
+    users = np.arange(mat.shape[1])
     jac[:, users, users] -= diag
-    return (eps, jac) if batch else (eps[0], jac[0])
+    return (eps, jac) if pw.ndim == 2 else (eps[0], jac[0])
 
 
 def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
@@ -330,17 +322,23 @@ def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
     return np.einsum("sk,k->s", eps, w), np.einsum("slk,l->sk", jac, w)
 
 
+def _weighted_at(channels, powers, config: SystemConfig, weights):
+    """(f, grad f) at one power vector, evaluated like the solvers' batches."""
+    chan = reduced_channels(channels)
+    w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if w.size != chan.n_users:
+        raise ValueError(f"{w.size} weights for {chan.n_users} users")
+    eps, jac = mse_jacobian(chan, powers, config)
+    value, grad = _weighted(eps[None], jac[None], w)
+    return float(value[0]), grad[0]
+
+
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:
     """f(p) = sum_k w_k eps_k(p).
 
     Evaluated like the solvers' objective, so it replays it bitwise.
     """
-    chan = reduced_channels(channels)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != chan.n_users:
-        raise ValueError(f"{w.size} weights for {chan.n_users} users")
-    eps = mse_tuple(chan, powers, config).values
-    return float(np.einsum("sk,k->s", eps[None], w)[0])
+    return _weighted_at(channels, powers, config, weights)[0]
 
 
 def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np.ndarray:
@@ -350,12 +348,7 @@ def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np
     -h_k^H X^{-1} (w_k X - S) X^{-1} h_k with S = sum_l w_l p_l h_l h_l^H.
     Evaluated like the solvers' gradient, so it replays it bitwise.
     """
-    chan = reduced_channels(channels)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != chan.n_users:
-        raise ValueError(f"{w.size} weights for {chan.n_users} users")
-    eps, jac = mse_jacobian(chan, powers, config)
-    return _weighted(eps[None], jac[None], w)[1][0]
+    return _weighted_at(channels, powers, config, weights)[1]
 
 
 def sinr_from_mse(eps: float) -> float:

@@ -70,13 +70,18 @@ class MembershipOptions:
     capped at `sqp_max_iters` iterations.  These values are part of the
     published output contract: changing them changes witness powers and
     the last digits of margins, so they stay pinned here rather than
-    being derived from the instance.
+    being derived from the instance.  A target is dominated when its
+    margin is at most `tolerances.TOL_MEMBER`, the value every manifest
+    reports.
     """
 
     coarse_resolution: int = 12
     coarse_starts: int = 3
     sqp_max_iters: int = 200
-    tol_member: float = TOL_MEMBER
+
+    def __post_init__(self):
+        if min(self.coarse_resolution, self.coarse_starts) < 1:
+            raise ValueError(f"coarse_resolution and coarse_starts must be >= 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -128,26 +133,37 @@ def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
 
     Returns the refined allocation, re-projected so the caller can
     evaluate the true margin at a feasible point, and whether SLSQP
-    reported success.
+    reported success.  SLSQP asks for the constraint values and their
+    Jacobian at the same iterate, so the last (eps, J) is kept, keyed on
+    the powers' bytes, and each point is evaluated once; the cached
+    arrays are only read.
     """
     from scipy.optimize import minimize
 
     k = chan.n_users
     grad_s = np.zeros(k + 1)
     grad_s[k] = 1.0
+    cache = {}
+
+    def evaluate(x):
+        key = x[:k].tobytes()
+        if key not in cache:
+            cache.clear()
+            cache[key] = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
+        return cache[key]
 
     def cons_val(x):
-        eps, _ = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
+        eps, _ = evaluate(x)
         return x[k] - (eps - target)
 
     def cons_jac(x):
-        _, jac = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
+        _, jac = evaluate(x)
         out = np.zeros((k, k + 1))
         out[:, :k] = -jac
         out[:, k] = 1.0
         return out
 
-    eps0, _ = mse_jacobian(chan, start, config)
+    eps0, _ = evaluate(start)
     x0 = np.append(start, float((eps0 - target).max()))
     result = minimize(
         lambda x: x[k], x0, jac=lambda x: grad_s, method="SLSQP",
@@ -183,7 +199,7 @@ def dominated_membership(channels, config: SystemConfig, target,
 
     Reports the smallest max_k (eps_k - t_k) found and the allocation
     attaining it; the verdict is dominated when that margin is at most
-    tol_member.  Every evaluation runs on the channels' triangular factor
+    TOL_MEMBER.  Every evaluation runs on the channels' triangular factor
     (`reduced_channels`), so the lattice and SQP cost do not grow with
     the antenna count.
     """
@@ -211,7 +227,7 @@ def dominated_membership(channels, config: SystemConfig, target,
         target=tgt,
         margin=best_margin,
         witness_powers=best_point,
-        dominated=bool(best_margin <= opts.tol_member),
+        dominated=bool(best_margin <= TOL_MEMBER),
         seed_rank=best_rank,
         sqp_failures=failures,
     )

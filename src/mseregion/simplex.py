@@ -22,6 +22,19 @@ __all__ = [
     "projected_gradient",
 ]
 
+# Armijo backtracking of `projected_gradient`.  A trial step t gives the
+# candidate c = proj(p - t grad), accepted when
+# f(c) <= f(p) + _ARMIJO_SLOPE * <grad, c - p>; a rejected step is
+# multiplied by _SHRINK.  The first iteration tries _INITIAL_STEP; each
+# later one starts from the last accepted step times _STEP_GROWTH, capped
+# at _STEP_CAP, which keeps iteration counts low on the flat objectives
+# this problem produces.
+_ARMIJO_SLOPE = 1e-4
+_SHRINK = 0.5
+_INITIAL_STEP = 1.0
+_STEP_GROWTH = 2.0
+_STEP_CAP = 1e6
+
 
 def project_onto_budget_simplex(point, budget: float) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum(p) <= budget}.
@@ -117,26 +130,14 @@ class PgdBatch:
         return all(r.converged for r in self.results)
 
 
-def projected_gradient(
-    value_and_grad,
-    start,
-    budget: float,
-    max_iters: int = 5000,
-    tol_rel: float = PGD_TOL_REL,
-    armijo_slope: float = 1e-4,
-    shrink: float = 0.5,
-    initial_step: float = 1.0,
-    step_growth: float = 2.0,
-    step_cap: float = 1e6,
-):
-    """Projected gradient descent with Armijo backtracking.
+def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 5000,
+                       tol_rel: float = PGD_TOL_REL):
+    """Projected gradient descent with the Armijo step rule of the module constants.
 
-    Accepts a candidate when f(cand) <= f(p) + slope * <grad, cand - p>.
-    The accepted step is carried over and grown by `step_growth` before
-    the next backtracking pass; convergence is declared when the unit
-    projected-gradient norm drops below tol_rel * (1 + |f|).  A stall of
-    the backtracking below 1e-18 exits with `stalled` set and converged
-    determined by the projected-gradient test alone.
+    Convergence is declared when the unit projected-gradient norm drops
+    below tol_rel * (1 + |f|).  A stall of the backtracking below 1e-18
+    exits with `stalled` set and converged determined by the
+    projected-gradient test alone.
 
     With a single start `value_and_grad` maps a point to (value, gradient)
     and the result is a PgdResult.  With an (S, K) batch of starts it maps
@@ -161,7 +162,7 @@ def projected_gradient(
     value, grad = value_and_grad(point)
     value = np.array(value, dtype=np.float64)
     grad = np.array(grad, dtype=np.float64)
-    step = np.full(count, float(initial_step))   # last accepted step
+    step = np.full(count, _INITIAL_STEP)          # last accepted step
     trial = np.zeros(count)                       # step being tried
     iters = np.zeros(count, dtype=np.int64)
     pg_norm = np.full(count, math.inf)
@@ -182,8 +183,8 @@ def projected_gradient(
             running[top[done]] = False
             go = top[~done]
             iters[go] += 1
-            trial[go] = np.where(iters[go] == 1, initial_step,
-                                 np.minimum(step[go] * step_growth, step_cap))
+            trial[go] = np.where(iters[go] == 1, _INITIAL_STEP,
+                                 np.minimum(step[go] * _STEP_GROWTH, _STEP_CAP))
         rows = np.flatnonzero(running)
         if not rows.size:
             break
@@ -191,13 +192,13 @@ def projected_gradient(
         cand = project_onto_budget_simplex(base - trial[rows, None] * grad[rows], budget)
         cand_val, cand_grad = value_and_grad(cand)
         decrease = np.einsum("sk,sk->s", grad[rows], cand - base)
-        ok = cand_val <= value[rows] + armijo_slope * decrease
+        ok = cand_val <= value[rows] + _ARMIJO_SLOPE * decrease
         acc = rows[ok]
         point[acc], value[acc], grad[acc] = cand[ok], cand_val[ok], cand_grad[ok]
         step[acc] = trial[acc]
         fresh[acc] = True
         back = rows[~ok]
-        trial[back] *= shrink
+        trial[back] *= _SHRINK
         stuck = back[trial[back] < 1e-18]
         stalled[stuck] = True
         running[stuck] = False

@@ -104,6 +104,9 @@ def test_default_chunking_is_bitwise_invariant():
     np.testing.assert_array_equal(eps_default, mse_tuples(channels, batch, config, chunk=1))
     np.testing.assert_array_equal(eps_default,
                                   mse_tuples(channels, batch, config, chunk=131072))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            mse_tuples(channels, batch, config, chunk=bad)
 
 
 def test_mse_values_in_unit_interval():

@@ -1,11 +1,13 @@
 """Region sampling, dominated-membership oracle, segment witness test,
 and the zero-power user embedding."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import mseregion.region as region
 from mseregion import (
     MembershipOptions,
     SystemConfig,
@@ -160,6 +162,28 @@ def test_membership_reports_sqp_failures():
     assert 0 <= converged.seed_rank < MembershipOptions().coarse_starts
 
 
+def test_membership_evaluates_each_point_once(monkeypatch):
+    # SLSQP asks for the constraint values and their Jacobian at the same
+    # iterate; the kernel runs once per point and the verdict keeps its bits
+    target = [0.60695, 0.1671, 0.61675]
+    plain = dominated_membership(REF_H, REF_CONFIG, target)
+    kernel = region.mse_jacobian
+    calls = []
+
+    def recorded(channels, powers, config):
+        calls.append(np.array(powers, dtype=np.float64))
+        return kernel(channels, powers, config)
+
+    monkeypatch.setattr(region, "mse_jacobian", recorded)
+    verdict = dominated_membership(REF_H, REF_CONFIG, target)
+    assert len(calls) > 2 * MembershipOptions().coarse_starts
+    for before, after in zip(calls, calls[1:]):
+        assert not np.array_equal(before, after)
+    for field in dataclasses.fields(verdict):
+        got = np.asarray(getattr(verdict, field.name))
+        assert got.tobytes() == np.asarray(getattr(plain, field.name)).tobytes()
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_membership_oracle_campaign(k):
     # N = 1..8 antennas; per instance a reachable target, the exact MSE
@@ -240,6 +264,10 @@ def test_segment_endpoint_validation():
         segment_test(REF_H, REF_CONFIG, TRIPLE_A, [0.5, 0.5])
     with pytest.raises(ValueError):
         segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=0)
+    with pytest.raises(ValueError):
+        MembershipOptions(coarse_resolution=0)
+    with pytest.raises(ValueError):
+        MembershipOptions(coarse_starts=0)
 
 
 def test_segment_counterexample_witness_margins():
