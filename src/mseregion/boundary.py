@@ -59,13 +59,10 @@ class BoundaryClass(enum.Enum):
 
 @dataclass(frozen=True)
 class CouplingBundle:
-    """Quadratic forms and closed-form auxiliaries at one power split p.
+    """Quadratic forms at one power split p.
 
     a11, a22, a12 are entries of the X^{-1} Gram matrix, b11, b22, b12 of
-    the X^{-2} Gram matrix.  d = |h1|^2 |h2|^2 - |h1^H h2|^2 is the Gram
-    determinant of the raw channels; c1, c2, d1, d2 are the nonnegative
-    polynomial pieces of the two closed-form product ratios
-    Re{a12 b21} / (a11 b22) and Re{a12 b21} / (a22 b11).
+    the X^{-2} Gram matrix.
     """
 
     a11: float
@@ -74,11 +71,6 @@ class CouplingBundle:
     b11: float
     b22: float
     b12: complex
-    d: float
-    c1: float
-    c2: float
-    d1: float
-    d2: float
 
 
 @dataclass(frozen=True)
@@ -107,18 +99,6 @@ class ConvexityReport:
     cauchy_schwarz_ok: bool
     summands_ok: bool
     monotonicity_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "certified": self.certified,
-            "classification": self.classification.value,
-            "worst_discriminant": self.worst_discriminant,
-            "worst_p": self.worst_p,
-            "grid": self.grid,
-            "cauchy_schwarz_ok": self.cauchy_schwarz_ok,
-            "summands_ok": self.summands_ok,
-            "monotonicity_ok": self.monotonicity_ok,
-        }
 
 
 def _pair(h1, h2) -> np.ndarray:
@@ -229,23 +209,10 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     if abs(b12) ** 2 > b11 * b22 + CAUCHY_SCHWARZ_ATOL:
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
 
-    n1, n2, inner, det_raw = _gram_determinant(pair)
-    det = det_raw
-    if det < 0.0:
-        if det >= -COLINEARITY_RTOL * max(1.0, n1 * n2):
-            det = 0.0
-        else:
-            raise ArithmeticError(f"Gram determinant {det_raw} significantly negative")
-    sig2 = config.noise_variance
-    rem = budget - split
-    abs_inner_sq = inner.real ** 2 + inner.imag ** 2
-    c1 = sig2 * abs_inner_sq * split * det * rem
-    c2 = (sig2 * n1 + det * rem) * det * split * (2.0 * sig2 + split * n1) \
-        + sig2 ** 2 * n2 * det * rem
-    d2 = (sig2 * n2 + det * split) * det * rem * (2.0 * sig2 + rem * n2) \
-        + sig2 ** 2 * n1 * det * split
-    return CouplingBundle(a11=a11, a22=a22, a12=a12, b11=b11, b22=b22, b12=b12,
-                          d=det, c1=c1, c2=c2, d1=c1, d2=d2)
+    n1, n2, _, det = _gram_determinant(pair)
+    if det < -COLINEARITY_RTOL * max(1.0, n1 * n2):
+        raise ArithmeticError(f"Gram determinant {det} significantly negative")
+    return CouplingBundle(a11=a11, a22=a22, a12=a12, b11=b11, b22=b22, b12=b12)
 
 
 def mse_first_derivatives(bundle: CouplingBundle, config: SystemConfig):

@@ -163,7 +163,7 @@ def cmd_convexity_scan(args) -> int:
         if report.worst_discriminant > worst:
             worst = report.worst_discriminant
             worst_trial = trial
-        reports.append(report.to_dict())
+        reports.append(report)
     payload = {
         "manifest": manifest(
             "convexity-scan",

@@ -34,7 +34,9 @@ import numpy as np
 from .model import (
     ChannelSet,
     SystemConfig,
+    WeightVector,
     _power_rows,
+    _weight_vector,
     _weighted,
     ensure_feasible,
     mse_jacobian,
@@ -71,39 +73,6 @@ __all__ = [
 
 # budget considered active when within this relative gap
 _TIGHT_REL = 1e-6
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative MSE weights, not all zero."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.weights, dtype=np.float64).reshape(-1)
-        if vec.size < 1:
-            raise ValueError("weight vector is empty")
-        if not np.isfinite(vec).all():
-            raise ValueError("weights contain non-finite entries")
-        if (vec < 0.0).any():
-            raise ValueError(f"negative weight: {vec.min()}")
-        if not (vec > 0.0).any():
-            raise ValueError("at least one weight must be positive")
-        vec.setflags(write=False)
-        object.__setattr__(self, "weights", vec)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.weights, dtype=dtype)
-
-
-def _weight_vector(weights, n_users: int) -> np.ndarray:
-    vec = weights.weights if isinstance(weights, WeightVector) else WeightVector(weights).weights
-    if vec.size != n_users:
-        raise ValueError(f"{vec.size} weights for {n_users} users")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -178,9 +147,8 @@ def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
 def _gradient_at(channels, config: SystemConfig, weights, powers):
     """(p, gradient of the weighted sum at p) for one validated power vector."""
     chan = reduced_channels(channels)
-    w = _weight_vector(weights, chan.n_users)
     p = _power_rows(powers, chan.n_users)
-    return p, weighted_mse_gradient(chan, p, config, w)
+    return p, weighted_mse_gradient(chan, p, config, weights)
 
 
 def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, mu) -> KktResiduals:

@@ -33,6 +33,7 @@ __all__ = [
     "SystemConfig",
     "PowerAllocation",
     "MseTuple",
+    "WeightVector",
     "receive_covariance",
     "reduced_channels",
     "resolvent_grams",
@@ -161,6 +162,39 @@ class MseTuple:
         return np.asarray(self.values, dtype=dtype)
 
 
+@dataclass(frozen=True)
+class WeightVector:
+    """Nonnegative MSE weights, not all zero."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        vec = np.array(self.weights, dtype=np.float64).reshape(-1)
+        if vec.size < 1:
+            raise ValueError("weight vector is empty")
+        if not np.isfinite(vec).all():
+            raise ValueError("weights contain non-finite entries")
+        if (vec < 0.0).any():
+            raise ValueError(f"negative weight: {vec.min()}")
+        if not (vec > 0.0).any():
+            raise ValueError("at least one weight must be positive")
+        vec.setflags(write=False)
+        object.__setattr__(self, "weights", vec)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def __array__(self, dtype=None):
+        return np.asarray(self.weights, dtype=dtype)
+
+
+def _weight_vector(weights, n_users: int) -> np.ndarray:
+    vec = weights.weights if isinstance(weights, WeightVector) else WeightVector(weights).weights
+    if vec.size != n_users:
+        raise ValueError(f"{vec.size} weights for {n_users} users")
+    return vec
+
+
 def _channel_matrix(channels) -> np.ndarray:
     if isinstance(channels, ChannelSet):
         return channels.entries
@@ -282,6 +316,8 @@ def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None)
     mat = _channel_matrix(channels)
     n, k = mat.shape
     pw = _power_rows(powers, k)
+    if pw.ndim != 2:
+        raise ValueError("mse_tuples takes an (S, K) batch; mse_tuple takes one power vector")
     if chunk is None:
         chunk = _chunk_rows(n, k)
     elif chunk < 1:
@@ -325,9 +361,7 @@ def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
 def _weighted_at(channels, powers, config: SystemConfig, weights):
     """(f, grad f) at one power vector, evaluated like the solvers' batches."""
     chan = reduced_channels(channels)
-    w = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if w.size != chan.n_users:
-        raise ValueError(f"{w.size} weights for {chan.n_users} users")
+    w = _weight_vector(weights, chan.n_users)
     eps, jac = mse_jacobian(chan, powers, config)
     value, grad = _weighted(eps[None], jac[None], w)
     return float(value[0]), grad[0]

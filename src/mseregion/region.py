@@ -40,7 +40,6 @@ from .simplex import (
 from .tolerances import TOL_MEMBER
 
 __all__ = [
-    "MembershipOptions",
     "MembershipVerdict",
     "SegmentPoint",
     "SegmentReport",
@@ -55,33 +54,18 @@ __all__ = [
 # hard cap on grid-mode sample counts; beyond this, use random mode
 GRID_LIMIT = 10_000_000
 
-# coarse seeding lattices stay below this many points
+# Membership evaluates every point of a budget-simplex lattice of
+# _COARSE_RESOLUTION steps (coarsened until it holds at most _COARSE_LIMIT
+# points), takes the _COARSE_STARTS points of smallest margin and runs one
+# SLSQP refinement of the epigraph program from each, capped at
+# _SQP_MAX_ITERS iterations.  These values are part of the published
+# output contract: changing them changes witness powers and the last
+# digits of margins, so they stay pinned here rather than being derived
+# from the instance.
 _COARSE_LIMIT = 100_000
-
-
-@dataclass(frozen=True)
-class MembershipOptions:
-    """Lattice seeding and SQP budget for the membership solver.
-
-    The solver evaluates every point of a budget-simplex lattice of
-    `coarse_resolution` steps (coarsened until it holds at most
-    100 000 points), takes the `coarse_starts` points of smallest margin
-    and runs one SLSQP refinement of the epigraph program from each,
-    capped at `sqp_max_iters` iterations.  These values are part of the
-    published output contract: changing them changes witness powers and
-    the last digits of margins, so they stay pinned here rather than
-    being derived from the instance.  A target is dominated when its
-    margin is at most `tolerances.TOL_MEMBER`, the value every manifest
-    reports.
-    """
-
-    coarse_resolution: int = 12
-    coarse_starts: int = 3
-    sqp_max_iters: int = 200
-
-    def __post_init__(self):
-        if min(self.coarse_resolution, self.coarse_starts) < 1:
-            raise ValueError(f"coarse_resolution and coarse_starts must be >= 1: {self}")
+_COARSE_RESOLUTION = 12
+_COARSE_STARTS = 3
+_SQP_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -128,15 +112,16 @@ class RegionSampleSet:
 
 
 def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
-                     start: np.ndarray, opts: MembershipOptions):
+                     start: np.ndarray):
     """SQP step on min {s : eps(p) - t <= s} over the power simplex.
 
-    Returns the refined allocation, re-projected so the caller can
-    evaluate the true margin at a feasible point, and whether SLSQP
-    reported success.  SLSQP asks for the constraint values and their
-    Jacobian at the same iterate, so the last (eps, J) is kept, keyed on
-    the powers' bytes, and each point is evaluated once; the cached
-    arrays are only read.
+    Returns the true margin max_k (eps_k - t_k) at the start, the refined
+    allocation re-projected onto the simplex with its true margin, and
+    whether SLSQP reported success.  SLSQP asks for the constraint values
+    and their Jacobian at the same iterate, so the last (eps, J) is kept,
+    keyed on the powers' bytes, and each point (the start and the
+    projected point included) is evaluated once; the cached arrays are
+    only read.
     """
     from scipy.optimize import minimize
 
@@ -163,8 +148,12 @@ def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
         out[:, k] = 1.0
         return out
 
-    eps0, _ = evaluate(start)
-    x0 = np.append(start, float((eps0 - target).max()))
+    def margin(x):
+        eps, _ = evaluate(x)
+        return float((eps - target).max())
+
+    start_margin = margin(start)
+    x0 = np.append(start, start_margin)
     result = minimize(
         lambda x: x[k], x0, jac=lambda x: grad_s, method="SLSQP",
         bounds=[(0.0, None)] * k + [(None, None)],
@@ -174,27 +163,25 @@ def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
              "fun": lambda x: config.power_budget - x[:k].sum(),
              "jac": lambda x: np.append(-np.ones(k), 0.0)},
         ],
-        options={"maxiter": opts.sqp_max_iters, "ftol": 1e-12},
+        options={"maxiter": _SQP_MAX_ITERS, "ftol": 1e-12},
     )
     point = project_onto_budget_simplex(result.x[:k], config.power_budget)
-    return point, bool(result.success)
+    return start_margin, point, margin(point), bool(result.success)
 
 
-def _coarse_seeds(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
-                  opts: MembershipOptions):
+def _coarse_seeds(chan: ChannelSet, config: SystemConfig, target: np.ndarray):
     """Best lattice points by true margin, best first, as SQP seeds."""
     k = chan.n_users
-    res = opts.coarse_resolution
+    res = _COARSE_RESOLUTION
     while res > 1 and lattice_size(k, res) > _COARSE_LIMIT:
         res -= 1
     grid = budget_simplex_lattice(k, res) * (config.power_budget / res)
     margins = (mse_tuples(chan, grid, config) - target).max(axis=1)
-    order = np.argsort(margins, kind="stable")[: opts.coarse_starts]
+    order = np.argsort(margins, kind="stable")[:_COARSE_STARTS]
     return [grid[i] for i in order]
 
 
-def dominated_membership(channels, config: SystemConfig, target,
-                         options: Optional[MembershipOptions] = None) -> MembershipVerdict:
+def dominated_membership(channels, config: SystemConfig, target) -> MembershipVerdict:
     """Decide whether some feasible allocation meets the target componentwise.
 
     Reports the smallest max_k (eps_k - t_k) found and the allocation
@@ -203,7 +190,6 @@ def dominated_membership(channels, config: SystemConfig, target,
     (`reduced_channels`), so the lattice and SQP cost do not grow with
     the antenna count.
     """
-    opts = options or MembershipOptions()
     chan = reduced_channels(channels)
     k = chan.n_users
     tgt = MseTuple(target).values
@@ -214,12 +200,10 @@ def dominated_membership(channels, config: SystemConfig, target,
     best_point = np.zeros(k)
     best_rank = 0
     failures = 0
-    for rank, seed in enumerate(_coarse_seeds(chan, config, tgt, opts)):
-        refined, success = _epigraph_refine(chan, config, tgt, seed, opts)
+    for rank, seed in enumerate(_coarse_seeds(chan, config, tgt)):
+        seed_margin, refined, refined_margin, success = _epigraph_refine(chan, config, tgt, seed)
         failures += not success
-        for point in (seed, refined):
-            eps, _ = mse_jacobian(chan, point, config)
-            margin = float((eps - tgt).max())
+        for point, margin in ((seed, seed_margin), (refined, refined_margin)):
             if margin < best_margin:
                 best_margin, best_point, best_rank = margin, point, rank
 
@@ -233,8 +217,7 @@ def dominated_membership(channels, config: SystemConfig, target,
     )
 
 
-def segment_test(channels, config: SystemConfig, a, b, steps: int = 9,
-                 options: Optional[MembershipOptions] = None) -> SegmentReport:
+def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> SegmentReport:
     """Membership along the chord between two achievable tuples.
 
     Both endpoints must pass the membership test themselves; interior
@@ -248,10 +231,10 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9,
     if vec_a.size != vec_b.size:
         raise ValueError(f"endpoint sizes differ: {vec_a.size} vs {vec_b.size}")
     channels = reduced_channels(channels)   # once for all the membership tests
-    end_a = dominated_membership(channels, config, vec_a, options)
+    end_a = dominated_membership(channels, config, vec_a)
     if not end_a.dominated:
         raise ValueError(f"endpoint a is not achievable (margin {end_a.margin:.3e})")
-    end_b = dominated_membership(channels, config, vec_b, options)
+    end_b = dominated_membership(channels, config, vec_b)
     if not end_b.dominated:
         raise ValueError(f"endpoint b is not achievable (margin {end_b.margin:.3e})")
 
@@ -259,7 +242,7 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9,
     for i in range(1, steps + 1):
         t = i / (steps + 1)
         target = (1.0 - t) * vec_a + t * vec_b
-        verdict = dominated_membership(channels, config, target, options)
+        verdict = dominated_membership(channels, config, target)
         points.append(SegmentPoint(
             t=t, target=target, margin=verdict.margin,
             dominated=verdict.dominated, witness_powers=verdict.witness_powers,

@@ -131,7 +131,7 @@ class PgdBatch:
 
 
 def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 5000,
-                       tol_rel: float = PGD_TOL_REL):
+                       tol_rel: float = PGD_TOL_REL) -> PgdBatch:
     """Projected gradient descent with the Armijo step rule of the module constants.
 
     Convergence is declared when the unit projected-gradient norm drops
@@ -139,25 +139,18 @@ def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 50
     exits with `stalled` set and converged determined by the
     projected-gradient test alone.
 
-    With a single start `value_and_grad` maps a point to (value, gradient)
-    and the result is a PgdResult.  With an (S, K) batch of starts it maps
-    an (R, K) array of points to (R,) values and (R, K) gradients, and the
-    result is a PgdBatch.  The starts run in lockstep: every row keeps its
-    own step, iteration count and backtracking, and each round evaluates
-    the pending candidate of every running row in one call.  When
-    `value_and_grad` evaluates rows independently, a start's result does
-    not depend on the batch it ran in; a single start is a batch of one.
+    `start` is an (S, K) batch of starts and `value_and_grad` maps an
+    (R, K) array of points to (R,) values and (R, K) gradients.  The
+    starts run in lockstep: every row keeps its own step, iteration count
+    and backtracking, and each round evaluates the pending candidate of
+    every running row in one call.  When `value_and_grad` evaluates rows
+    independently, a start's result does not depend on the batch it ran
+    in; a single start is a batch of one.
     """
     starts = np.asarray(start, dtype=np.float64)
-    single = starts.ndim == 1
-    if single:
-        scalar_fn = value_and_grad
-
-        def value_and_grad(rows):
-            val, grad = scalar_fn(rows[0])
-            return np.array([float(val)]), np.asarray(grad, dtype=np.float64)[None, :]
-
-    point = project_onto_budget_simplex(np.atleast_2d(starts), budget)
+    if starts.ndim != 2:
+        raise ValueError(f"starts must be an (S, K) batch, got shape {starts.shape}")
+    point = project_onto_budget_simplex(starts, budget)
     count = point.shape[0]
     value, grad = value_and_grad(point)
     value = np.array(value, dtype=np.float64)
@@ -203,9 +196,8 @@ def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 50
         stalled[stuck] = True
         running[stuck] = False
 
-    results = tuple(
+    return PgdBatch(tuple(
         PgdResult(point[i].copy(), float(value[i]), grad[i].copy(), int(iters[i]),
                   float(pg_norm[i]), bool(converged[i]), bool(stalled[i]))
         for i in range(count)
-    )
-    return results[0] if single else PgdBatch(results)
+    ))

@@ -20,6 +20,7 @@ from mseregion import (
     mse_second_derivatives,
     mse_tuple,
 )
+from mseregion.io import to_jsonable
 
 from helpers import random_config
 
@@ -282,7 +283,7 @@ def test_certificate_random_and_colinear():
     assert report.certified
     assert report.classification is BoundaryClass.AFFINE
 
-    as_dict = report.to_dict()
+    as_dict = to_jsonable(report)
     assert as_dict["classification"] == "Affine"
     assert set(as_dict) == {
         "certified", "classification", "worst_discriminant", "worst_p",

@@ -107,6 +107,8 @@ def test_default_chunking_is_bitwise_invariant():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="chunk"):
             mse_tuples(channels, batch, config, chunk=bad)
+    with pytest.raises(ValueError, match="mse_tuple"):
+        mse_tuples(channels, batch[0], config)
 
 
 def test_mse_values_in_unit_interval():
@@ -147,6 +149,16 @@ def test_weighted_gradient_matches_finite_differences():
             fd = (weighted_sum_mse(channels, up, config, weights)
                   - weighted_sum_mse(channels, down, config, weights)) / (2 * step)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+def test_weighted_functions_reject_invalid_weights():
+    channels = random_channels(np.random.default_rng(8), 2, 3)
+    config = SystemConfig(noise_variance=1.0, power_budget=10.0)
+    powers = np.array([1.0, 2.0, 3.0])
+    for weights in ([np.nan, 1.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 0.0]):
+        for fn in (weighted_sum_mse, weighted_mse_gradient):
+            with pytest.raises(ValueError):
+                fn(channels, powers, config, weights)
 
 
 def test_jacobian_sign_structure():

@@ -9,7 +9,6 @@ import pytest
 
 import mseregion.region as region
 from mseregion import (
-    MembershipOptions,
     SystemConfig,
     dominated_membership,
     embed_inactive_users,
@@ -40,8 +39,6 @@ TRIPLE_B = np.array([1.0, 0.19774107345910796, 0.2335317708515292])
 # the same triples rounded to the four digits usually quoted
 ROUNDED_A = np.array([0.2139, 0.1365, 1.0])
 ROUNDED_B = np.array([1.0, 0.1977, 0.2335])
-
-LIGHT = MembershipOptions(coarse_starts=1, coarse_resolution=8)
 
 
 def test_grid_sample_counts_and_feasibility():
@@ -146,25 +143,27 @@ def test_membership_published_midpoint_outside():
     assert verdict.margin > 100 * TOL_MEMBER
 
 
-def test_membership_reports_sqp_failures():
+def test_membership_reports_sqp_failures(monkeypatch):
     # one SLSQP iteration cannot converge: every refine stops at its
     # iteration limit, and the verdict still holds a replayable witness
     target = [0.60695, 0.1671, 0.61675]
-    opts = MembershipOptions(sqp_max_iters=1)
-    verdict = dominated_membership(REF_H, REF_CONFIG, target, opts)
-    assert verdict.sqp_failures == opts.coarse_starts
-    assert 0 <= verdict.seed_rank < opts.coarse_starts
-    eps = mse_tuple(REF_H, verdict.witness_powers, REF_CONFIG).values
-    assert float((eps - verdict.target).max()) == pytest.approx(verdict.margin, abs=1e-9)
-
     converged = dominated_membership(REF_H, REF_CONFIG, target)
     assert converged.sqp_failures == 0
-    assert 0 <= converged.seed_rank < MembershipOptions().coarse_starts
+    assert 0 <= converged.seed_rank < region._COARSE_STARTS
+
+    monkeypatch.setattr(region, "_SQP_MAX_ITERS", 1)
+    verdict = dominated_membership(REF_H, REF_CONFIG, target)
+    assert verdict.sqp_failures == region._COARSE_STARTS
+    assert 0 <= verdict.seed_rank < region._COARSE_STARTS
+    eps = mse_tuple(REF_H, verdict.witness_powers, REF_CONFIG).values
+    assert float((eps - verdict.target).max()) == pytest.approx(verdict.margin, abs=1e-9)
 
 
 def test_membership_evaluates_each_point_once(monkeypatch):
     # SLSQP asks for the constraint values and their Jacobian at the same
-    # iterate; the kernel runs once per point and the verdict keeps its bits
+    # iterate, and the margins of the seeds and refined points come from
+    # the refine's own evaluations: the kernel runs once per point and the
+    # verdict keeps its bits
     target = [0.60695, 0.1671, 0.61675]
     plain = dominated_membership(REF_H, REF_CONFIG, target)
     kernel = region.mse_jacobian
@@ -176,9 +175,10 @@ def test_membership_evaluates_each_point_once(monkeypatch):
 
     monkeypatch.setattr(region, "mse_jacobian", recorded)
     verdict = dominated_membership(REF_H, REF_CONFIG, target)
-    assert len(calls) > 2 * MembershipOptions().coarse_starts
+    assert len(calls) > 2 * region._COARSE_STARTS
     for before, after in zip(calls, calls[1:]):
         assert not np.array_equal(before, after)
+    assert len({powers.tobytes() for powers in calls}) == len(calls)
     for field in dataclasses.fields(verdict):
         got = np.asarray(getattr(verdict, field.name))
         assert got.tobytes() == np.asarray(getattr(plain, field.name)).tobytes()
@@ -264,10 +264,6 @@ def test_segment_endpoint_validation():
         segment_test(REF_H, REF_CONFIG, TRIPLE_A, [0.5, 0.5])
     with pytest.raises(ValueError):
         segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=0)
-    with pytest.raises(ValueError):
-        MembershipOptions(coarse_resolution=0)
-    with pytest.raises(ValueError):
-        MembershipOptions(coarse_starts=0)
 
 
 def test_segment_counterexample_witness_margins():
@@ -297,7 +293,7 @@ def test_two_user_segments_never_witness():
         pb = float(rng.uniform(0.55, 0.95)) * cfg.power_budget
         a = np.asarray(mse_pair_at_power(mat[:, 0], mat[:, 1], cfg, pa))
         b = np.asarray(mse_pair_at_power(mat[:, 0], mat[:, 1], cfg, pb))
-        report = segment_test(mat, cfg, a, b, steps=1, options=LIGHT)
+        report = segment_test(mat, cfg, a, b, steps=1)
         assert not report.nonconvex_witness
 
 

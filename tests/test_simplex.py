@@ -93,29 +93,30 @@ def test_lattice_matches_recursive_reference(k):
         np.testing.assert_array_equal(grid, recursive_lattice(k, resolution))
 
 
-def test_pgd_quadratic_interior_minimum():
-    target = np.array([0.2, 0.5, 0.1])
-
+def _quad_rows(target):
     def quad(p):
         diff = p - target
-        return 0.5 * float(diff @ diff), diff
+        return 0.5 * np.einsum("sk,sk->s", diff, diff), diff
+    return quad
 
-    result = projected_gradient(quad, np.zeros(3), budget=2.0)
+
+def test_pgd_quadratic_interior_minimum():
+    target = np.array([0.2, 0.5, 0.1])
+    quad = _quad_rows(target)
+    result = projected_gradient(quad, np.zeros((1, 3)), budget=2.0).results[0]
     assert result.converged
     np.testing.assert_allclose(result.point, target, atol=1e-7)
-    assert result.value <= quad(np.zeros(3))[0]
+    assert result.value <= quad(np.zeros((1, 3)))[0][0]
+    with pytest.raises(ValueError, match="batch"):
+        projected_gradient(quad, np.zeros(3), budget=2.0)
 
 
 def test_pgd_quadratic_projected_minimum():
     # unconstrained optimum outside the simplex: solution is its projection
     target = np.array([3.0, 2.0])
     budget = 1.0
-
-    def quad(p):
-        diff = p - target
-        return 0.5 * float(diff @ diff), diff
-
-    result = projected_gradient(quad, np.array([0.5, 0.25]), budget=budget)
+    result = projected_gradient(_quad_rows(target), np.array([[0.5, 0.25]]),
+                                budget=budget).results[0]
     expected = project_onto_budget_simplex(target, budget)
     assert result.converged
     np.testing.assert_allclose(result.point, expected, atol=1e-6)
@@ -129,9 +130,9 @@ def test_pgd_stall_is_reported():
     b = np.array([1.0, 1.0])
 
     def wrong_sign(p):
-        return 0.5 * float(p @ p) + float(b @ p), -(p + b)
+        return 0.5 * np.einsum("sk,sk->s", p, p) + p @ b, -(p + b)
 
-    result = projected_gradient(wrong_sign, np.zeros(2), budget=1.0)
+    result = projected_gradient(wrong_sign, np.zeros((1, 2)), budget=1.0).results[0]
     assert result.stalled
     assert not result.converged
     assert result.iterations == 1
@@ -139,12 +140,7 @@ def test_pgd_stall_is_reported():
 
 
 def test_pgd_batch_rows_match_single_runs():
-    target = np.array([0.2, 0.5, 0.1])
-
-    def quad_rows(p):
-        diff = p - target
-        return 0.5 * np.einsum("sk,sk->s", diff, diff), diff
-
+    quad_rows = _quad_rows(np.array([0.2, 0.5, 0.1]))
     starts = sample_budget_simplex(np.random.default_rng(9), 3, 2.0, 12)
     batch = projected_gradient(quad_rows, starts, budget=2.0)
     assert batch.converged
