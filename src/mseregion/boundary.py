@@ -13,6 +13,12 @@ g'' >= 0 and hence a convex region), the closed-form coupling ratios
 whose Cauchy-Schwarz bounds drive that sign argument, and the affine
 special case that arises for colinear channels h2 = alpha h1.
 
+Every evaluation works on a (T, N, 2) stack of channel pairs, a single
+pair being a stack of one, and reduces each pair to its 2 x 2 triangular
+factor first (the rule of `model.reduced_channels`), so every covariance
+is at most 2 x 2 whatever N is.  Certificates are checked once over (T, G) arrays
+of T pairs and G power splits.
+
 Substitutions used throughout, with X(p) the receive covariance:
 
     a_ij = h_i^H X^{-1} h_j      b_ij = h_i^H X^{-2} h_j
@@ -30,7 +36,14 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ChannelSet, SystemConfig, mse_tuple, resolvent_grams
+from .model import (
+    SystemConfig,
+    _budget_rows,
+    _checked_channels,
+    _triangular_factor,
+    mse_tuple,
+    resolvent_grams,
+)
 from .tolerances import CAUCHY_SCHWARZ_ATOL, COLINEARITY_RTOL, DISCRIMINANT_RTOL
 
 __all__ = [
@@ -49,6 +62,7 @@ __all__ = [
     "affine_boundary",
     "boundary_sweep",
     "convexity_certificate",
+    "convexity_certificates",
 ]
 
 
@@ -101,13 +115,27 @@ class ConvexityReport:
     monotonicity_ok: bool
 
 
+# peak bytes per (pair, split) row of one certificate block: the kernel's
+# stacked 2 x 2 complex matrices and the (T, G) arrays built from them
+# (529 measured with tracemalloc, N = 8, grid 101)
+_CERTIFY_ROW_BYTES = 544
+
+
+def _pairs(pairs) -> np.ndarray:
+    """A validated (T, N, 2) complex stack of two-user channel pairs."""
+    stack = _checked_channels(pairs, ndim=3)
+    if stack.shape[2] != 2:
+        raise ValueError(f"channel pairs must have shape (T, N, 2), got {stack.shape}")
+    return stack
+
+
 def _pair(h1, h2) -> np.ndarray:
+    """One channel pair as a validated stack of one, shape (1, N, 2)."""
     v1 = np.asarray(h1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(h2, dtype=np.complex128).reshape(-1)
     if v1.size != v2.size:
         raise ValueError(f"channel length mismatch: {v1.size} vs {v2.size}")
-    # ChannelSet validation covers finiteness and zero columns
-    return ChannelSet(np.column_stack([v1, v2])).entries
+    return _pairs(np.column_stack([v1, v2])[None])
 
 
 def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
@@ -138,7 +166,11 @@ def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
 
 
 class _SweepData:
-    """Vectorized boundary quantities over a grid of power splits."""
+    """Boundary quantities of T channel pairs over G power splits, as (T, G) arrays.
+
+    Each pair is evaluated on its triangular factor, one kernel call for
+    all T x G rows; `summands` is (T, G, 3).
+    """
 
     __slots__ = (
         "ps", "a11", "a22", "a12", "b11", "b22", "b12", "eps1", "eps2",
@@ -146,17 +178,22 @@ class _SweepData:
         "re_ab", "absa12sq", "absb12sq",
     )
 
-    def __init__(self, pair: np.ndarray, config: SystemConfig, ps: np.ndarray):
+    def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
         budget = config.power_budget
-        powers = np.column_stack([ps, budget - ps])
-        gram_a, gram_b = resolvent_grams(pair, powers, config, second_order=True)
+        factors = _triangular_factor(pairs)
+        trials, points = factors.shape[0], ps.size
+        powers = np.tile(np.column_stack([ps, budget - ps]), (trials, 1))
+        gram_a, gram_b = resolvent_grams(np.repeat(factors, points, axis=0), powers, config,
+                                         second_order=True)
+        gram_a = gram_a.reshape(trials, points, 2, 2)
+        gram_b = gram_b.reshape(trials, points, 2, 2)
         self.ps = ps
-        self.a11 = gram_a[:, 0, 0].real
-        self.a22 = gram_a[:, 1, 1].real
-        self.a12 = gram_a[:, 0, 1]
-        self.b11 = gram_b[:, 0, 0].real
-        self.b22 = gram_b[:, 1, 1].real
-        self.b12 = gram_b[:, 0, 1]
+        self.a11 = gram_a[..., 0, 0].real
+        self.a22 = gram_a[..., 1, 1].real
+        self.a12 = gram_a[..., 0, 1]
+        self.b11 = gram_b[..., 0, 0].real
+        self.b22 = gram_b[..., 1, 1].real
+        self.b12 = gram_b[..., 0, 1]
         self.absa12sq = self.a12.real ** 2 + self.a12.imag ** 2
         self.absb12sq = self.b12.real ** 2 + self.b12.imag ** 2
         self.re_ab = (self.a12 * np.conj(self.b12)).real    # Re{a12 b21}
@@ -166,15 +203,23 @@ class _SweepData:
             self.a11, self.a22, self.a12, self.b11, self.b22, self.b12,
             config.noise_variance, budget)
         self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
-        self.summands = np.column_stack(summands)
+        self.summands = np.stack(summands, axis=-1)
 
 
-def _gram_determinant(pair: np.ndarray):
-    n1 = float(np.linalg.norm(pair[:, 0]) ** 2)
-    n2 = float(np.linalg.norm(pair[:, 1]) ** 2)
-    inner = complex(np.vdot(pair[:, 0], pair[:, 1]))
+def _gram_determinant(pairs: np.ndarray):
+    """(|h1|^2, |h2|^2, h1^H h2, det) of each raw pair's channel Gram matrix."""
+    norms = (pairs.real ** 2 + pairs.imag ** 2).sum(axis=1)
+    n1, n2 = norms[:, 0], norms[:, 1]
+    inner = np.einsum("tn,tn->t", pairs[:, :, 0].conj(), pairs[:, :, 1])
     det = n1 * n2 - (inner.real ** 2 + inner.imag ** 2)
     return n1, n2, inner, det
+
+
+def _classify(pairs: np.ndarray) -> list:
+    """Affine where the raw Gram determinant vanishes relative to |h1|^2 |h2|^2."""
+    n1, n2, _, det = _gram_determinant(pairs)
+    return [BoundaryClass.AFFINE if flat else BoundaryClass.STRICTLY_CONVEX
+            for flat in det <= COLINEARITY_RTOL * n1 * n2]
 
 
 def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
@@ -183,7 +228,7 @@ def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
     split = float(p)
     if not 0.0 <= split <= config.power_budget:
         raise ValueError(f"power split {split} outside [0, {config.power_budget}]")
-    vals = mse_tuple(pair, [split, config.power_budget - split], config).values
+    vals = mse_tuple(pair[0], [split, config.power_budget - split], config).values
     return float(vals[0]), float(vals[1])
 
 
@@ -196,12 +241,12 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     if not 0.0 <= split <= budget:
         raise ValueError(f"power split {split} outside [0, {budget}]")
     data = _SweepData(pair, config, np.array([split]))
-    a11 = float(data.a11[0])
-    a22 = float(data.a22[0])
-    a12 = complex(data.a12[0])
-    b11 = float(data.b11[0])
-    b22 = float(data.b22[0])
-    b12 = complex(data.b12[0])
+    a11 = float(data.a11[0, 0])
+    a22 = float(data.a22[0, 0])
+    a12 = complex(data.a12[0, 0])
+    b11 = float(data.b11[0, 0])
+    b22 = float(data.b22[0, 0])
+    b12 = complex(data.b12[0, 0])
     if min(a11, a22, b11, b22) <= 0.0:
         raise ArithmeticError("diagonal quadratic forms must be positive")
     if abs(a12) ** 2 > a11 * a22 + CAUCHY_SCHWARZ_ATOL:
@@ -209,7 +254,7 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     if abs(b12) ** 2 > b11 * b22 + CAUCHY_SCHWARZ_ATOL:
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
 
-    n1, n2, _, det = _gram_determinant(pair)
+    n1, n2, _, det = (v[0] for v in _gram_determinant(pair))
     if det < -COLINEARITY_RTOL * max(1.0, n1 * n2):
         raise ArithmeticError(f"Gram determinant {det} significantly negative")
     return CouplingBundle(a11=a11, a22=a22, a12=a12, b11=b11, b22=b22, b12=b12)
@@ -267,7 +312,7 @@ def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
         raise ValueError(f"power split {split} outside [0, {budget}]")
     sig2 = config.noise_variance
     rem = budget - split
-    n1, n2, inner, det_raw = _gram_determinant(pair)
+    n1, n2, inner, det_raw = (v[0] for v in _gram_determinant(pair))
     det = max(det_raw, 0.0)
     ratio_a = sig2 * inner / (sig2 * n1 + det * rem)
     ratio_b = np.conj(inner) * (sig2 ** 2 - split * rem * det) \
@@ -292,11 +337,7 @@ def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
 def colinearity_classify(h1, h2) -> BoundaryClass:
     """Affine iff the raw channel Gram determinant vanishes relative to
     |h1|^2 |h2|^2 (threshold 1e-12), else strictly convex."""
-    pair = _pair(h1, h2)
-    n1, n2, _, det = _gram_determinant(pair)
-    if det <= COLINEARITY_RTOL * n1 * n2:
-        return BoundaryClass.AFFINE
-    return BoundaryClass.STRICTLY_CONVEX
+    return _classify(_pair(h1, h2))[0]
 
 
 def affine_boundary(h1, alpha, config: SystemConfig):
@@ -330,73 +371,94 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
     count = int(samples)
     if count < 3:
         raise ValueError(f"sweep needs at least 3 samples, got {count}")
-    pair = _pair(h1, h2)
     ps = np.linspace(0.0, config.power_budget, count)
-    data = _SweepData(pair, config, ps)
-    g_prime = np.divide(data.deps2, data.deps1)
-    g_dprime = np.divide(data.disc, data.deps1 ** 3)
+    data = _SweepData(_pair(h1, h2), config, ps)
+    g_prime = np.divide(data.deps2, data.deps1)[0]
+    g_dprime = np.divide(data.disc, data.deps1 ** 3)[0]
     out = []
     last = count - 1
     for i in range(count):
         interior = 0 < i < last
         out.append(BoundarySample(
             p=float(ps[i]),
-            eps1=float(data.eps1[i]),
-            eps2=float(data.eps2[i]),
-            deps1=float(data.deps1[i]) if interior else None,
-            deps2=float(data.deps2[i]) if interior else None,
-            ddeps1=float(data.ddeps1[i]) if interior else None,
-            ddeps2=float(data.ddeps2[i]) if interior else None,
-            discriminant=float(data.disc[i]) if interior else None,
+            eps1=float(data.eps1[0, i]),
+            eps2=float(data.eps2[0, i]),
+            deps1=float(data.deps1[0, i]) if interior else None,
+            deps2=float(data.deps2[0, i]) if interior else None,
+            ddeps1=float(data.ddeps1[0, i]) if interior else None,
+            ddeps2=float(data.ddeps2[0, i]) if interior else None,
+            discriminant=float(data.disc[0, i]) if interior else None,
             g_prime=float(g_prime[i]) if interior else None,
             g_double_prime=float(g_dprime[i]) if interior else None,
         ))
     return out
 
 
-def convexity_certificate(h1, h2, config: SystemConfig, grid: int = 101) -> ConvexityReport:
-    """Certify convex boundary curvature over an interior power grid.
-
-    certified = discriminant <= 1e-9 * scale at every interior grid point
-    and both Gram Cauchy-Schwarz chains hold.  Violations are reported in
-    the flags rather than raised.
-    """
-    count = int(grid)
-    if count < 11:
-        raise ValueError(f"certification grid must have at least 11 points, got {count}")
-    pair = _pair(h1, h2)
-    ps = np.linspace(0.0, config.power_budget, count)[1:-1]
-    data = _SweepData(pair, config, ps)
+def _certify(pairs: np.ndarray, config: SystemConfig, ps: np.ndarray, grid: int) -> list:
+    """One ConvexityReport per pair of a validated (T, N, 2) stack."""
+    data = _SweepData(pairs, config, ps)
 
     slack = DISCRIMINANT_RTOL * data.scale
-    disc_ok = bool((data.disc <= slack).all())
-    summands_ok = bool((data.summands <= slack[:, None]).all())
-    mono_ok = bool((data.deps1 < 0.0).all() and (data.deps2 > 0.0).all())
+    disc_ok = (data.disc <= slack).all(axis=1)
+    summands_ok = (data.summands <= slack[..., None]).all(axis=(1, 2))
+    mono_ok = (data.deps1 < 0.0).all(axis=1) & (data.deps2 > 0.0).all(axis=1)
 
     prod_aa = data.a11 * data.a22
     prod_bb = data.b11 * data.b22
-    cs_gram = bool((data.absa12sq <= prod_aa + CAUCHY_SCHWARZ_ATOL).all()
-                   and (data.absb12sq <= prod_bb + CAUCHY_SCHWARZ_ATOL).all())
+    cs_gram = ((data.absa12sq <= prod_aa + CAUCHY_SCHWARZ_ATOL).all(axis=1)
+               & (data.absb12sq <= prod_bb + CAUCHY_SCHWARZ_ATOL).all(axis=1))
     # 4 Re^2{a21 b12} <= 4 |a21 b12|^2 <= 4 a11 a22 b11 b22 <= (a22 b11 + a11 b22)^2
     link0 = 4.0 * data.re_ab ** 2
     link1 = 4.0 * data.absa12sq * data.absb12sq
     link2 = 4.0 * prod_aa * prod_bb
     link3 = (data.a22 * data.b11 + data.a11 * data.b22) ** 2
-    chain_ok = bool(
-        (link0 <= link1 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all()
-        and (link1 <= link2 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all()
-        and (link2 <= link3 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all()
+    chain_ok = (
+        (link0 <= link1 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
+        & (link1 <= link2 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
+        & (link2 <= link3 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
     )
-    cs_ok = cs_gram and chain_ok
+    cs_ok = cs_gram & chain_ok
+    certified = disc_ok & cs_ok
 
-    worst = int(np.argmax(data.disc))
-    return ConvexityReport(
-        certified=disc_ok and cs_ok,
-        classification=colinearity_classify(h1, h2),
-        worst_discriminant=float(data.disc[worst]),
-        worst_p=float(ps[worst]),
-        grid=count,
-        cauchy_schwarz_ok=cs_ok,
-        summands_ok=summands_ok,
-        monotonicity_ok=mono_ok,
-    )
+    worst = np.argmax(data.disc, axis=1)
+    worst_disc = np.take_along_axis(data.disc, worst[:, None], axis=1)[:, 0]
+    return [
+        ConvexityReport(
+            certified=bool(certified[t]),
+            classification=label,
+            worst_discriminant=float(worst_disc[t]),
+            worst_p=float(ps[worst[t]]),
+            grid=grid,
+            cauchy_schwarz_ok=bool(cs_ok[t]),
+            summands_ok=bool(summands_ok[t]),
+            monotonicity_ok=bool(mono_ok[t]),
+        )
+        for t, label in enumerate(_classify(pairs))
+    ]
+
+
+def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list:
+    """Certify convex boundary curvature of each channel pair of a (T, N, 2) stack.
+
+    Returns one ConvexityReport per pair: certified = discriminant
+    <= 1e-9 * scale at every interior point of the power grid and both
+    Gram Cauchy-Schwarz chains hold.  Violations are reported in the
+    flags rather than raised.  Pairs are certified in blocks whose
+    T x (grid - 2) rows fit the model's working-set budget, and every
+    report is independent of the block it came in.
+    """
+    count = int(grid)
+    if count < 11:
+        raise ValueError(f"certification grid must have at least 11 points, got {count}")
+    stack = _pairs(pairs)
+    ps = np.linspace(0.0, config.power_budget, count)[1:-1]
+    block = max(1, _budget_rows(_CERTIFY_ROW_BYTES) // ps.size)
+    reports = []
+    for lo in range(0, stack.shape[0], block):
+        reports.extend(_certify(stack[lo:lo + block], config, ps, count))
+    return reports
+
+
+def convexity_certificate(h1, h2, config: SystemConfig, grid: int = 101) -> ConvexityReport:
+    """`convexity_certificates` for the one pair (h1, h2)."""
+    return convexity_certificates(_pair(h1, h2), config, grid)[0]

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, kkt
-from .boundary import boundary_sweep, colinearity_classify, convexity_certificate
+from .boundary import boundary_sweep, colinearity_classify, convexity_certificates
 from .io import (
     json_text,
     load_channels,
@@ -142,28 +142,33 @@ def cmd_boundary(args) -> int:
     return 0
 
 
+def _scan_pairs(rng, trials: int, dim: int, colinear: bool) -> np.ndarray:
+    """The (trials, dim, 2) channel pairs of a scan, drawn in one call.
+
+    Trial t takes, in order, the real and the imaginary parts of its
+    dim x 2 pair and, with `colinear`, the real and imaginary parts of
+    alpha, then sets h2 = alpha h1: the stream order of drawing trial by
+    trial.
+    """
+    draws = rng.standard_normal((trials, 4 * dim + 2 * colinear))
+    pairs = draws[:, :2 * dim].reshape(trials, dim, 2) \
+        + 1j * draws[:, 2 * dim:4 * dim].reshape(trials, dim, 2)
+    if colinear:
+        alpha = draws[:, -2] + 1j * draws[:, -1]
+        pairs[:, :, 1] = alpha[:, None] * pairs[:, :, 0]
+    return pairs
+
+
 def cmd_convexity_scan(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     config = _config(args)
     seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
-    reports = []
-    all_certified = True
-    worst = -float("inf")
-    worst_trial = 0
-    for trial in range(args.trials):
-        shape = (args.dim, 2)
-        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if args.colinear:
-            alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            mat[:, 1] = alpha * mat[:, 0]
-        report = convexity_certificate(mat[:, 0], mat[:, 1], config, grid=args.grid)
-        all_certified = all_certified and report.certified
-        if report.worst_discriminant > worst:
-            worst = report.worst_discriminant
-            worst_trial = trial
-        reports.append(report)
+    pairs = _scan_pairs(np.random.default_rng(seed), args.trials, args.dim, bool(args.colinear))
+    reports = convexity_certificates(pairs, config, grid=args.grid)
+    discriminants = [report.worst_discriminant for report in reports]
+    worst_trial = int(np.argmax(discriminants))
+    all_certified = all(report.certified for report in reports)
     payload = {
         "manifest": manifest(
             "convexity-scan",
@@ -179,7 +184,7 @@ def cmd_convexity_scan(args) -> int:
             config,
         ),
         "all_certified": all_certified,
-        "worst_discriminant": worst,
+        "worst_discriminant": discriminants[worst_trial],
         "worst_trial": worst_trial,
         "trials": reports,
     }

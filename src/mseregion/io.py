@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .boundary import BoundarySample
 from .model import ChannelSet, SystemConfig
 from .tolerances import TOLERANCES
 

@@ -26,7 +26,7 @@ that shows the three-user region is not convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -14,9 +14,11 @@ sampling) reduces to the Gram matrices A[i, j] = h_i^H X^{-1} h_j and
 B[i, j] = h_i^H X^{-2} h_j.  Every evaluation, batched MSE tuples
 included, goes through one Cholesky whitening X = L L^H: A is the Gram
 matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
-They depend on H only through H^H H, so the solvers and the region
-sampler evaluate them on the triangular factor of H (`reduced_channels`),
-whose covariance is at most K x K whatever the antenna count.
+They depend on H only through H^H H, so the solvers, the region
+sampler and the two-user boundary evaluate them on the triangular factor
+of H (`reduced_channels`), whose covariance is at most K x K whatever
+the antenna count.  The kernel takes either one channel matrix shared by
+every power row or a stack holding one matrix per power row.
 """
 
 from __future__ import annotations
@@ -55,17 +57,7 @@ class ChannelSet:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.entries, dtype=np.complex128)
-        if mat.ndim != 2:
-            raise ValueError(f"channel matrix must be 2-D, got shape {mat.shape}")
-        if mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise ValueError(f"channel matrix needs at least one antenna and one user, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("channel matrix contains non-finite entries")
-        norms = np.linalg.norm(mat, axis=0)
-        if np.any(norms == 0.0):
-            dead = int(np.flatnonzero(norms == 0.0)[0])
-            raise ValueError(f"user {dead} has an all-zero channel (its MSE would be constant 1)")
+        mat = _checked_channels(self.entries, ndim=2)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
@@ -195,6 +187,23 @@ def _weight_vector(weights, n_users: int) -> np.ndarray:
     return vec
 
 
+def _checked_channels(entries, ndim: int) -> np.ndarray:
+    """A validated complex copy: one (N, K) matrix (ndim 2) or an (S, N, K) stack (ndim 3)."""
+    mat = np.array(entries, dtype=np.complex128)
+    if mat.ndim != ndim:
+        raise ValueError(f"channel matrix must be {ndim}-D, got shape {mat.shape}")
+    if min(mat.shape) < 1:
+        raise ValueError(f"channel matrix needs at least one antenna and one user, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("channel matrix contains non-finite entries")
+    dead = np.argwhere(np.linalg.norm(mat, axis=-2) == 0.0)
+    if dead.size:
+        *stack, user = dead[0].tolist()
+        where = f" in matrix {stack[0]}" if stack else ""
+        raise ValueError(f"user {user}{where} has an all-zero channel (its MSE would be constant 1)")
+    return mat
+
+
 def _channel_matrix(channels) -> np.ndarray:
     if isinstance(channels, ChannelSet):
         return channels.entries
@@ -232,6 +241,14 @@ def receive_covariance(channels, powers, config: SystemConfig) -> np.ndarray:
     return 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
 
 
+def _triangular_factor(mat: np.ndarray) -> np.ndarray:
+    """R of H = QR for one (N, K) matrix or each matrix of an (S, N, K)
+    stack when N > K; otherwise H itself, which is no larger."""
+    if mat.shape[-2] <= mat.shape[-1]:
+        return mat
+    return np.linalg.qr(mat, mode="r")
+
+
 def reduced_channels(channels) -> ChannelSet:
     """An equivalent channel set with at most K rows.
 
@@ -243,18 +260,20 @@ def reduced_channels(channels) -> ChannelSet:
     otherwise the channels themselves, which are no larger.
     """
     chan = channels if isinstance(channels, ChannelSet) else ChannelSet(channels)
-    if chan.n_antennas <= chan.n_users:
-        return chan
-    return ChannelSet(np.linalg.qr(chan.entries, mode="r"))
+    factor = _triangular_factor(chan.entries)
+    return chan if factor is chan.entries else ChannelSet(factor)
 
 
 def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
     """(L, L^{-1} H) with X = L L^H for a validated (S, K) power batch.
 
-    The one covariance construction; rows are independent of each other.
+    `mat` is one (n, k) matrix shared by every power row or an (S, n, k)
+    stack with one matrix per row.  The one covariance construction;
+    rows are independent of each other.
     """
-    n, k = mat.shape
-    cov = np.einsum("sk,ik,jk->sij", pw, mat, mat.conj())
+    n, k = mat.shape[-2:]
+    subscripts = "sk,ik,jk->sij" if mat.ndim == 2 else "sk,sik,sjk->sij"
+    cov = np.einsum(subscripts, pw, mat, mat.conj())
     cov += noise_variance * np.eye(n)
     cov = 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
     low = np.linalg.cholesky(cov)
@@ -262,7 +281,10 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
 
 
 def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool = False):
-    """(A,) or (A, B): the Gram matrices of L^{-1} H and X^{-1} H = L^{-H} L^{-1} H."""
+    """(A,) or (A, B): the Gram matrices of L^{-1} H and X^{-1} H = L^{-H} L^{-1} H.
+
+    `mat` is shared by every row of `pw` or stacks one matrix per row, as in `_whiten`.
+    """
     low, half = _whiten(mat, pw, noise_variance)
     factors = [half]
     if second_order:
@@ -273,14 +295,23 @@ def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order:
 def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
     """Gram matrices of the channels under X^{-1} (and optionally X^{-2}).
 
-    `powers` is one length-K vector or an (S, K) batch.  Returns A with
+    `powers` is one length-K vector or an (S, K) batch.  `channels` is one
+    N x K channel matrix for every power row, or an (S, N, K) stack with
+    one channel matrix per row of an (S, K) batch.  Returns A with
     A[..., i, j] = h_i^H X^{-1} h_j; with second_order also
     B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
     L^{-1} H and X^{-1} H where X = L L^H, which keeps both matrices
     Hermitian positive semidefinite up to rounding.
     """
-    mat = _channel_matrix(channels)
-    pw = _power_rows(powers, mat.shape[1])
+    if np.ndim(channels) == 3:
+        mat = _checked_channels(channels, ndim=3)
+        pw = _power_rows(powers, mat.shape[2])
+        if pw.ndim != 2 or pw.shape[0] != mat.shape[0]:
+            raise ValueError(f"{mat.shape[0]} channel matrices need an ({mat.shape[0]}, K) "
+                             f"power batch, got shape {pw.shape}")
+    else:
+        mat = _channel_matrix(channels)
+        pw = _power_rows(powers, mat.shape[1])
     grams = _grams(mat, np.atleast_2d(pw), config.noise_variance, second_order)
     if pw.ndim == 1:
         grams = tuple(gram[0] for gram in grams)
@@ -295,13 +326,18 @@ def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
     return MseTuple(eps)
 
 
-# complex bytes of covariance plus whitened channels per batch chunk
+# working-set budget of one batch chunk, in bytes
 _CHUNK_BYTES = 2 ** 26
 
 
+def _budget_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` each that keep a chunk's working set near _CHUNK_BYTES."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def _chunk_rows(n: int, k: int) -> int:
-    """Rows per mse_tuples chunk that keep the working set near _CHUNK_BYTES."""
-    return max(1, _CHUNK_BYTES // (16 * n * (n + k)))
+    """Rows per mse_tuples chunk: complex bytes of covariance plus whitened channels."""
+    return _budget_rows(16 * n * (n + k))
 
 
 def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None) -> np.ndarray:

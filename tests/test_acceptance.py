@@ -1,9 +1,6 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL
 line, every tolerance exactly as stated."""
 
-import json
-import math
-import os
 import subprocess
 import sys
 import time

@@ -1,6 +1,7 @@
 """Two-user boundary calculus: frozen worked example, finite-difference
 cross-checks, discriminant decomposition, closed forms, affine case."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from mseregion import (
     closed_form_ratios,
     colinearity_classify,
     convexity_certificate,
+    convexity_certificates,
     convexity_discriminant,
     coupling_bundle,
     g_derivatives,
@@ -20,7 +22,9 @@ from mseregion import (
     mse_second_derivatives,
     mse_tuple,
 )
+from mseregion import boundary, model
 from mseregion.io import to_jsonable
+from mseregion.tolerances import DISCRIMINANT_RTOL
 
 from helpers import random_config
 
@@ -315,3 +319,115 @@ def test_mse_pair_matches_model_path():
                      config).values
     assert pair[0] == pytest.approx(full[0], rel=1e-12)
     assert pair[1] == pytest.approx(full[1], rel=1e-12)
+
+
+def _bits(report):
+    """Every field of a report, floats by their exact repr."""
+    return tuple(repr(value) for value in to_jsonable(report).values())
+
+
+def _mixed_pairs(rng, trials: int, dim: int) -> np.ndarray:
+    """General, colinear, near-colinear and unequal-gain pairs in one stack."""
+    pairs = rng.standard_normal((trials, dim, 2)) + 1j * rng.standard_normal((trials, dim, 2))
+    pairs[1::4, :, 1] = (0.3 - 1.7j) * pairs[1::4, :, 0]
+    pairs[2::4, :, 1] = pairs[2::4, :, 0] * (1 + 1e-6) + 1e-7 * pairs[2::4, :, 1]
+    pairs[3::4, :, 1] *= 1e-2
+    return pairs
+
+
+def test_certificates_reject_invalid_stacks():
+    pairs = _mixed_pairs(np.random.default_rng(19), 4, 3)
+    bad = pairs.copy()
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        convexity_certificates(bad, UNIT)
+    bad = pairs.copy()
+    bad[3, :, 1] = 0.0
+    with pytest.raises(ValueError, match="all-zero"):
+        convexity_certificates(bad, UNIT)
+    with pytest.raises(ValueError, match="at least 11"):
+        convexity_certificates(pairs, UNIT, grid=10)
+    with pytest.raises(ValueError):
+        convexity_certificates(pairs[:, :, :1], UNIT)
+    with pytest.raises(ValueError):
+        convexity_certificates(pairs[:, :0], UNIT)
+    with pytest.raises(ValueError, match="length mismatch"):
+        convexity_certificate(pairs[0, :, 0], pairs[0, :2, 1], UNIT)
+
+
+def test_certificate_blocks_are_bitwise_invariant(monkeypatch):
+    pairs = _mixed_pairs(np.random.default_rng(20), 9, 4)
+    config = SystemConfig(noise_variance=0.5, power_budget=300.0)
+    calls = []
+    kernel = boundary.resolvent_grams
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(boundary, "resolvent_grams", counted)
+    default = convexity_certificates(pairs, config, grid=31)
+    assert calls == [(9 * 29, 2, 2)]
+    monkeypatch.setattr(model, "_CHUNK_BYTES", 1)
+    one_by_one = convexity_certificates(pairs, config, grid=31)
+    assert calls[1:] == [(29, 2, 2)] * 9
+    assert [_bits(r) for r in one_by_one] == [_bits(r) for r in default]
+    for t in range(9):
+        single = convexity_certificate(pairs[t, :, 0], pairs[t, :, 1], config, grid=31)
+        assert _bits(single) == _bits(default[t])
+
+
+def test_certificates_on_reduced_pairs_match_raw_grams(monkeypatch):
+    rng = np.random.default_rng(21)
+    for dim in range(3, 9):
+        pairs = _mixed_pairs(rng, 8, dim)
+        for snr in 10.0 ** np.arange(-2, 7):
+            config = SystemConfig(noise_variance=1.0, power_budget=float(snr))
+            reduced = convexity_certificates(pairs, config, grid=41)
+            with monkeypatch.context() as patch:
+                # evaluate on the raw N x 2 pairs: N x N covariances
+                patch.setattr(boundary, "_triangular_factor", lambda mat: mat)
+                raw = convexity_certificates(pairs, config, grid=41)
+                ps = np.linspace(0.0, config.power_budget, 41)[1:-1]
+                scale = boundary._SweepData(pairs, config, ps).scale.max(axis=1)
+            for t, (red, ref) in enumerate(zip(reduced, raw)):
+                where = (dim, snr, t)
+                assert red.certified and ref.certified, where
+                for flag in ("certified", "classification", "grid", "cauchy_schwarz_ok",
+                             "summands_ok", "monotonicity_ok"):
+                    assert getattr(red, flag) == getattr(ref, flag), (where, flag)
+                gap = abs(red.worst_discriminant - ref.worst_discriminant)
+                assert gap <= DISCRIMINANT_RTOL * scale[t], where
+            assert [r.classification for r in reduced[1::4]] == [BoundaryClass.AFFINE] * 2
+
+
+def _exact_discriminant(h1, h2, config, p):
+    """D at split p from a 60-digit dense inverse of the N x N covariance."""
+    with mpmath.workdps(60):
+        col1, col2 = mpmath.matrix(h1.tolist()), mpmath.matrix(h2.tolist())
+        budget, split = mpmath.mpf(config.power_budget), mpmath.mpf(p)
+        cov = config.noise_variance * mpmath.eye(h1.size) \
+            + split * col1 * col1.H + (budget - split) * col2 * col2.H
+        inv = cov ** -1
+        inv2 = inv * inv
+        grams = [(u.H * m * v)[0] for m in (inv, inv2) for u, v in
+                 ((col1, col1), (col2, col2), (col1, col2))]
+        a11, a22, a12, b11, b22, b12 = grams
+        return boundary._derivatives(a11.real, a22.real, a12, b11.real, b22.real, b12,
+                                     mpmath.mpf(config.noise_variance), budget)[4]
+
+
+def test_discriminant_on_reduced_pair_matches_high_precision_oracle():
+    # |h|^2 ~ 1.5e7 and P / sigma^2 = 1e6: evaluated on the raw 6 x 6
+    # covariance, the discriminant is off by 5e-7..1.6e-6 of the
+    # derivative scale at these splits
+    rng = np.random.default_rng(22)
+    h1, h2 = (1e3 * h for h in random_pair(rng, 6))
+    config = SystemConfig(noise_variance=1.0, power_budget=1e6)
+    for p in np.linspace(0.0, config.power_budget, 9)[1:-1]:
+        bundle = coupling_bundle(h1, h2, config, p)
+        disc, _ = convexity_discriminant(bundle, config)
+        d1, d2 = mse_first_derivatives(bundle, config)
+        dd1, dd2 = mse_second_derivatives(bundle, config)
+        scale = abs(dd2 * d1) + abs(dd1 * d2)
+        assert abs(disc - float(_exact_discriminant(h1, h2, config, p))) <= 1e-12 * scale, p

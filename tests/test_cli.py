@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mseregion import ChannelSet, SystemConfig, mse_tuples, save_channels
+from mseregion.cli import _scan_pairs
 from mseregion.io import BOUNDARY_COLUMNS, read_region_csv
 
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
@@ -109,6 +110,30 @@ def test_convexity_scan_reproducible(tmp_path):
     assert payload["manifest"]["command"] == "convexity-scan"
     assert len(payload["trials"]) == 5
     assert all(t["certified"] for t in payload["trials"])
+
+
+def test_convexity_scan_input_errors(tmp_path):
+    out = str(tmp_path / "scan.json")
+    for bad in (("--dim", "0"), ("--grid", "5"), ("--trials", "0")):
+        proc = run_cli("convexity-scan", *bad, "--out", out)
+        assert proc.returncode == 2, bad
+        assert "error:" in proc.stderr
+    assert not os.path.exists(out)
+
+
+def test_scan_pairs_match_trial_by_trial_draws():
+    for colinear in (False, True):
+        for dim in (1, 3, 8):
+            rng = np.random.default_rng(31)
+            expected = np.empty((7, dim, 2), dtype=complex)
+            for trial in range(7):
+                mat = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+                if colinear:
+                    alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
+                    mat[:, 1] = alpha * mat[:, 0]
+                expected[trial] = mat
+            got = _scan_pairs(np.random.default_rng(31), 7, dim, colinear)
+            assert got.tobytes() == expected.tobytes(), (colinear, dim)
 
 
 def test_convexity_scan_colinear_mode(tmp_path):

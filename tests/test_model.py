@@ -311,6 +311,37 @@ def test_triangular_factor_gives_the_same_mse_quantities():
             assert (np.abs(eps_r - dense) <= np.abs(eps_h - dense) + tol * eps_h).all(), (name, snr)
 
 
+def test_resolvent_grams_on_a_channel_stack():
+    rng = np.random.default_rng(29)
+    config = SystemConfig(noise_variance=0.7, power_budget=20.0)
+    mats = np.stack([random_channels(rng, 3, 2).entries for _ in range(5)])
+    powers = np.stack([random_powers(rng, 2, config.power_budget) for _ in range(5)])
+    # every row is evaluated on its own: bitwise its single evaluation
+    stacked = resolvent_grams(mats, powers, config, second_order=True)
+    for row in range(5):
+        alone = resolvent_grams(mats[row], powers[row], config, second_order=True)
+        for gram, single in zip(stacked, alone):
+            assert gram[row].tobytes() == single.tobytes()
+    # and one shared matrix copied to every row gives the shared-matrix values
+    shared = resolvent_grams(mats[0], powers, config, second_order=True)
+    copied = resolvent_grams(np.repeat(mats[:1], 5, axis=0), powers, config, second_order=True)
+    for gram, ref in zip(copied, shared):
+        assert gram.tobytes() == ref.tobytes()
+
+    bad = mats.copy()
+    bad[3, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        resolvent_grams(bad, powers, config)
+    bad = mats.copy()
+    bad[4, :, 0] = 0.0
+    with pytest.raises(ValueError, match="all-zero"):
+        resolvent_grams(bad, powers, config)
+    with pytest.raises(ValueError):
+        resolvent_grams(mats, powers[:4], config)
+    with pytest.raises(ValueError):
+        resolvent_grams(mats, powers[0], config)
+
+
 def _oracle_cases():
     rng = np.random.default_rng(28)
     yield "random 4x3", random_channels(rng, 4, 3).entries, np.array([0.3, 0.5, 0.2])
