@@ -1,7 +1,7 @@
 """Weighted sum-MSE minimization over the power simplex.
 
 Solves min_p sum_k w_k eps_k(p) subject to p >= 0, sum(p) <= P with
-projected gradient descent, recovers the multipliers (lambda for the
+projected Newton steps, recovers the multipliers (lambda for the
 budget, mu_k for nonnegativity), and evaluates the stationarity system
 
     h_k^H X^{-1} (w_k X - S) X^{-1} h_k = lambda - mu_k,
@@ -11,8 +11,9 @@ as signed residuals.  The left-hand side equals the negative objective
 gradient, so stationarity reads gradient_k = mu_k - lambda.
 
 Every solve is a batch: all starts run as one (S, K) array through a
-single lockstep projected-gradient loop, whose rounds are each one
-batched `mse_jacobian` call on the channels' triangular factor
+single lockstep projected Newton loop, whose rounds are each one
+batched `weighted_mse_derivatives` call (value, gradient and Hessian
+from one Gram matrix) on the channels' triangular factor
 (`reduced_channels`, computed once per instance).  Rows are evaluated
 independently and weighted with `einsum` reductions, so a start's
 certificate is bitwise the same whether it ran alone or in a batch; a
@@ -37,11 +38,10 @@ from .model import (
     WeightVector,
     _power_rows,
     _weight_vector,
-    _weighted,
     ensure_feasible,
-    mse_jacobian,
     mse_tuple,
     reduced_channels,
+    weighted_mse_derivatives,
     weighted_mse_gradient,
 )
 from .simplex import projected_gradient, sample_budget_simplex
@@ -96,7 +96,8 @@ class KktResiduals:
 class KktCertificate:
     """A solver end point with its multipliers and residual replay.
 
-    `stalled` marks a run whose Armijo backtracking gave out before the
+    `backtracks` counts the solver's rejected trial steps; `stalled`
+    marks a run whose Armijo backtracking gave out before the
     projected-gradient test passed (see `projected_gradient`).
     """
 
@@ -107,14 +108,15 @@ class KktCertificate:
     residuals: KktResiduals
     converged: bool
     iterations: int
+    backtracks: int
     stalled: bool
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Stopping rule of the projected-gradient descent.
+    """Stopping rule of the projected Newton descent.
 
-    The Armijo step rule is fixed in `simplex`.
+    The step rule is fixed in `simplex`.
     """
 
     max_iters: int = 5000
@@ -182,16 +184,16 @@ def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
 
 def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.ndarray,
            opts: SolverOptions) -> list:
-    """One lockstep PGD batch from the rows of `starts`; a certificate per row.
+    """One lockstep projected Newton batch from the rows of `starts`; a
+    certificate per row.
 
     The multipliers and residuals are fitted to the gradient the descent
     ended with, which is the gradient at the returned powers.
     """
-    def value_and_grad(p):
-        eps, jac = mse_jacobian(chan, p, config)
-        return _weighted(eps, jac, w)
+    def derivatives(p):
+        return weighted_mse_derivatives(chan, p, config, w)
 
-    batch = projected_gradient(value_and_grad, starts, config.power_budget,
+    batch = projected_gradient(derivatives, starts, config.power_budget,
                                max_iters=opts.max_iters, tol_rel=opts.tol_grad)
     certs = []
     for run in batch.results:
@@ -205,6 +207,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
             residuals=res,
             converged=bool(run.converged and _residuals_pass(res, config)),
             iterations=run.iterations,
+            backtracks=run.backtracks,
             stalled=run.stalled,
         ))
     return certs
@@ -212,7 +215,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
 
 def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
                               options: Optional[SolverOptions] = None):
-    """Projected gradient descent from a feasible start.
+    """Projected Newton descent from a feasible start.
 
     `start` is one power vector, giving one certificate, or an (S, K)
     batch of them, giving a list with one certificate per row; each is

@@ -44,6 +44,7 @@ __all__ = [
     "mse_jacobian",
     "weighted_sum_mse",
     "weighted_mse_gradient",
+    "weighted_mse_derivatives",
     "sinr_from_mse",
     "rate_from_mse",
     "ensure_feasible",
@@ -376,14 +377,19 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     """
     mat = _channel_matrix(channels)
     pw = _power_rows(powers, mat.shape[1])
-    rows = np.atleast_2d(pw)
-    gram, = _grams(mat, rows, config.noise_variance)
+    _, eps, jac = _mse_terms(mat, np.atleast_2d(pw), config.noise_variance)
+    return (eps, jac) if pw.ndim == 2 else (eps[0], jac[0])
+
+
+def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
+    """(A, eps, J) for a validated (S, K) power batch: the one MSE and Jacobian formula."""
+    gram, = _grams(mat, rows, noise_variance)
     diag = np.diagonal(gram, axis1=1, axis2=2).real
     eps = 1.0 - rows * diag
     jac = rows[:, :, None] * (gram.real ** 2 + gram.imag ** 2)
     users = np.arange(mat.shape[1])
     jac[:, users, users] -= diag
-    return (eps, jac) if pw.ndim == 2 else (eps[0], jac[0])
+    return gram, eps, jac
 
 
 def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
@@ -419,6 +425,32 @@ def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np
     Evaluated like the solvers' gradient, so it replays it bitwise.
     """
     return _weighted_at(channels, powers, config, weights)[1]
+
+
+def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
+    """(f, grad f, Hessian of f) of the weighted sum MSE in the powers.
+
+    `powers` is one length-K vector, giving a float, a (K,) gradient and a
+    (K, K) Hessian, or an (S, K) batch, giving them row by row.  f and its
+    gradient come from the `mse_jacobian` terms, so they equal
+    `weighted_sum_mse` and `weighted_mse_gradient` bitwise.  With
+    dA/dp_j = -A e_j e_j^H A, the Hessian is
+
+        H[k, j] = (w_k + w_j) |a_kj|^2 - 2 Re(a_jk [A diag(w p) A]_kj),
+
+    formed from the same Gram matrix A and symmetrised.
+    """
+    chan = reduced_channels(channels)
+    w = _weight_vector(weights, chan.n_users)
+    pw = _power_rows(powers, chan.n_users)
+    rows = np.atleast_2d(pw)
+    gram, eps, jac = _mse_terms(chan.entries, rows, config.noise_variance)
+    value, grad = _weighted(eps, jac, w)
+    sandwich = np.einsum("skl,slj->skj", gram * (rows * w)[:, None, :], gram)   # A diag(w p) A
+    coupling = (np.swapaxes(gram, 1, 2) * sandwich).real
+    hess = (w[:, None] + w) * (gram.real ** 2 + gram.imag ** 2) - 2.0 * coupling
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    return (value, grad, hess) if pw.ndim == 2 else (float(value[0]), grad[0], hess[0])
 
 
 def sinr_from_mse(eps: float) -> float:

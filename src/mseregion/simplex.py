@@ -1,6 +1,6 @@
 """Power-simplex utilities: Euclidean projection, uniform sampling,
-lattice enumeration, and the projected-gradient loop shared by the
-solvers.  The feasible set everywhere is {p >= 0, sum(p) <= budget}.
+lattice enumeration, and the projected Newton loop of the weighted
+sum-MSE solver.  The feasible set everywhere is {p >= 0, sum(p) <= budget}.
 """
 
 from __future__ import annotations
@@ -22,18 +22,20 @@ __all__ = [
     "projected_gradient",
 ]
 
-# Armijo backtracking of `projected_gradient`.  A trial step t gives the
-# candidate c = proj(p - t grad), accepted when
+# Armijo backtracking of `projected_gradient`: a trial step t along the
+# direction d gives the candidate c = proj(p + t d), accepted when
 # f(c) <= f(p) + _ARMIJO_SLOPE * <grad, c - p>; a rejected step is
-# multiplied by _SHRINK.  The first iteration tries _INITIAL_STEP; each
-# later one starts from the last accepted step times _STEP_GROWTH, capped
-# at _STEP_CAP, which keeps iteration counts low on the flat objectives
-# this problem produces.
+# multiplied by _SHRINK.  Every iteration first tries t = 1.
 _ARMIJO_SLOPE = 1e-4
 _SHRINK = 0.5
-_INITIAL_STEP = 1.0
-_STEP_GROWTH = 2.0
-_STEP_CAP = 1e6
+# Projected Newton directions (`_newton_directions`): a user is held at
+# zero when the scaled gradient step sends it there and its power is at
+# most _ACTIVE_FRACTION of the budget; the budget face is tight when that
+# step's total is within _FACE_REL of the budget; Hessian eigenvalues are
+# floored at _EIGEN_FLOOR times the Hessian's scale.
+_ACTIVE_FRACTION = 1e-2
+_FACE_REL = 1e-12
+_EIGEN_FLOOR = 1e-10
 
 
 def project_onto_budget_simplex(point, budget: float) -> np.ndarray:
@@ -99,15 +101,17 @@ def lattice_size(k: int, resolution: int) -> int:
 class PgdResult:
     """Outcome of one start.
 
-    `stalled` marks a run whose backtracking fell below 1e-18 without an
-    accepted step; `converged` is then decided by the projected-gradient
-    test at the last accepted point.
+    `backtracks` counts the rejected trial steps.  `stalled` marks a run
+    whose backtracking fell below 1e-18 without an accepted step;
+    `converged` is then decided by the projected-gradient test at the
+    last accepted point.
     """
 
     point: np.ndarray
     value: float
     gradient: np.ndarray
     iterations: int
+    backtracks: int
     pg_norm: float
     converged: bool
     stalled: bool
@@ -130,9 +134,47 @@ class PgdBatch:
         return all(r.converged for r in self.results)
 
 
+def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                       budget: float) -> np.ndarray:
+    """Projected Newton directions at (S, K) accepted points, row by row.
+
+    Bertsekas, "Projected Newton methods for optimization problems with
+    simple constraints", SIAM J. Control Optim. 1982, adapted to the
+    budget simplex.  The gradient step x = proj(p - grad / s), with
+    s = K max|H| bounding the Hessian's spectral radius, picks the users
+    held at zero (x_k = 0 and p_k <= min(_ACTIVE_FRACTION * P, |p - x|));
+    they get d_k = -p_k.  The free users take a Newton step on their
+    coordinates or, when x is on the budget face, on the face
+    sum(d_free) = 0 plus an equal share of P - sum(p_free), which puts
+    p + d on the face.  The projected Hessian's eigenvalues are replaced
+    by their absolute values floored at _EIGEN_FLOOR * s, so every
+    direction descends on this nonconvex objective.
+    """
+    k = point.shape[1]
+    eye = np.eye(k)
+    scale = k * np.abs(hess).max(axis=(1, 2))
+    probe = project_onto_budget_simplex(point - grad / scale[:, None], budget)
+    gap = np.linalg.norm(point - probe, axis=1)
+    fixed = (probe == 0.0) & (point <= np.minimum(_ACTIVE_FRACTION * budget, gap)[:, None])
+    free = (~fixed).astype(np.float64)
+    tight = probe.sum(axis=1) >= budget * (1.0 - _FACE_REL)
+    share = np.where(tight, 1.0 / np.maximum(free.sum(axis=1), 1.0), 0.0)
+    # orthogonal projector onto the free coordinates (and the face when tight)
+    zmat = free[:, :, None] * eye - share[:, None, None] * free[:, :, None] * free[:, None, :]
+    reduced = np.einsum("sil,slm->sim", np.einsum("sij,sjl->sil", zmat, hess), zmat)
+    # the complement of zmat's range gets eigenvalue `scale`, so the
+    # modified inverse keeps zmat @ grad in the free subspace
+    lam, vec = np.linalg.eigh(reduced + scale[:, None, None] * (eye - zmat))
+    lam = np.maximum(np.abs(lam), _EIGEN_FLOOR * scale[:, None])
+    coeff = np.einsum("sji,sj->si", vec, np.einsum("sjl,sl->sj", zmat, grad)) / lam
+    step = -np.einsum("sij,sj->si", zmat, np.einsum("sjl,sl->sj", vec, coeff))
+    fill = share * (budget - np.einsum("sk,sk->s", free, point))
+    return np.where(fixed, -point, step + fill[:, None])
+
+
 def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 5000,
                        tol_rel: float = PGD_TOL_REL) -> PgdBatch:
-    """Projected gradient descent with the Armijo step rule of the module constants.
+    """Projected Newton descent with the Armijo step rule of the module constants.
 
     Convergence is declared when the unit projected-gradient norm drops
     below tol_rel * (1 + |f|).  A stall of the backtracking below 1e-18
@@ -140,24 +182,24 @@ def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 50
     projected-gradient test alone.
 
     `start` is an (S, K) batch of starts and `value_and_grad` maps an
-    (R, K) array of points to (R,) values and (R, K) gradients.  The
-    starts run in lockstep: every row keeps its own step, iteration count
-    and backtracking, and each round evaluates the pending candidate of
-    every running row in one call.  When `value_and_grad` evaluates rows
-    independently, a start's result does not depend on the batch it ran
-    in; a single start is a batch of one.
+    (R, K) array of points to (R,) values, (R, K) gradients and (R, K, K)
+    Hessians.  Each iteration searches along `_newton_directions` from
+    t = 1.  The starts run in lockstep: every row keeps its own step,
+    iteration count and backtracking, and each round evaluates the
+    pending candidate of every running row in one call.  When
+    `value_and_grad` evaluates rows independently, a start's result does
+    not depend on the batch it ran in; a single start is a batch of one.
     """
     starts = np.asarray(start, dtype=np.float64)
     if starts.ndim != 2:
         raise ValueError(f"starts must be an (S, K) batch, got shape {starts.shape}")
     point = project_onto_budget_simplex(starts, budget)
     count = point.shape[0]
-    value, grad = value_and_grad(point)
-    value = np.array(value, dtype=np.float64)
-    grad = np.array(grad, dtype=np.float64)
-    step = np.full(count, _INITIAL_STEP)          # last accepted step
+    value, grad, hess = (np.array(out, dtype=np.float64) for out in value_and_grad(point))
+    direction = np.zeros_like(point)
     trial = np.zeros(count)                       # step being tried
     iters = np.zeros(count, dtype=np.int64)
+    backtracks = np.zeros(count, dtype=np.int64)
     pg_norm = np.full(count, math.inf)
     converged = np.zeros(count, dtype=bool)
     stalled = np.zeros(count, dtype=bool)
@@ -176,21 +218,22 @@ def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 50
             running[top[done]] = False
             go = top[~done]
             iters[go] += 1
-            trial[go] = np.where(iters[go] == 1, _INITIAL_STEP,
-                                 np.minimum(step[go] * _STEP_GROWTH, _STEP_CAP))
+            trial[go] = 1.0
+            direction[go] = _newton_directions(point[go], grad[go], hess[go], budget)
         rows = np.flatnonzero(running)
         if not rows.size:
             break
         base = point[rows]
-        cand = project_onto_budget_simplex(base - trial[rows, None] * grad[rows], budget)
-        cand_val, cand_grad = value_and_grad(cand)
+        cand = project_onto_budget_simplex(base + trial[rows, None] * direction[rows], budget)
+        cand_val, cand_grad, cand_hess = value_and_grad(cand)
         decrease = np.einsum("sk,sk->s", grad[rows], cand - base)
         ok = cand_val <= value[rows] + _ARMIJO_SLOPE * decrease
         acc = rows[ok]
-        point[acc], value[acc], grad[acc] = cand[ok], cand_val[ok], cand_grad[ok]
-        step[acc] = trial[acc]
+        point[acc], value[acc] = cand[ok], cand_val[ok]
+        grad[acc], hess[acc] = cand_grad[ok], cand_hess[ok]
         fresh[acc] = True
         back = rows[~ok]
+        backtracks[back] += 1
         trial[back] *= _SHRINK
         stuck = back[trial[back] < 1e-18]
         stalled[stuck] = True
@@ -198,6 +241,6 @@ def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 50
 
     return PgdBatch(tuple(
         PgdResult(point[i].copy(), float(value[i]), grad[i].copy(), int(iters[i]),
-                  float(pg_norm[i]), bool(converged[i]), bool(stalled[i]))
+                  int(backtracks[i]), float(pg_norm[i]), bool(converged[i]), bool(stalled[i]))
         for i in range(count)
     ))

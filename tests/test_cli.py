@@ -185,6 +185,7 @@ def test_wsmse_cli(tmp_path, ref_channels_file):
     best = payload["clusters"][0]
     assert best["objective"] == pytest.approx(0.36078, abs=1e-4)
     assert best["converged"] is True
+    assert all(isinstance(c["backtracks"], int) for c in payload["clusters"])
 
     proc = run_cli("wsmse", "--channels", ref_channels_file, "--weights", "0.5,0.5")
     assert proc.returncode == 2

@@ -37,12 +37,13 @@ PUBLISHED = [
      "objective": 0.3828, "objective_tol": 5e-4, "mses": (1.0, 0.1977, 0.2335)},
 ]
 
-# solver outputs at starts=16, seed=0, frozen
+# the two stationary points, lam and mu to 12 digits (each replays to
+# <= 1e-10), and the objectives the multistart gave at starts=16, seed=0
 FROZEN = [
-    {"powers": (3.67526816, 6.32473184, 0.0), "objective": 0.36077895979873087,
-     "lam": 0.01006491938959961, "mu": (0.0, 0.0, 0.02661440)},
-    {"powers": (0.0, 7.07941252, 2.92058748), "objective": 0.38282780467228533,
-     "lam": 0.011515017379756121, "mu": (0.00703685, 0.0, 0.0)},
+    {"powers": (3.67526595471, 6.32473404529, 0.0), "objective": 0.36077895979873087,
+     "lam": 0.0100649133166, "mu": (0.0, 0.0, 0.0266143736400)},
+    {"powers": (0.0, 7.07941204111, 2.92058795889), "objective": 0.38282780467228533,
+     "lam": 0.0115150143182, "mu": (0.00703684844031, 0.0, 0.0)},
 ]
 
 
@@ -62,9 +63,22 @@ def test_reference_instance_two_clusters():
         np.testing.assert_allclose(cert.mu, frozen["mu"], atol=1e-6)
         mses = mse_tuple(REF_H, cert.powers, REF_CONFIG).values
         np.testing.assert_allclose(mses, pub["mses"], atol=1e-3)
+        pinned = kkt_residuals(REF_H, REF_CONFIG, REF_WEIGHTS, np.array(frozen["powers"]),
+                               frozen["lam"], np.array(frozen["mu"]))
+        assert pinned.max_abs() <= 1e-10
     # users 3 and 1 are shut off exactly by the projection
     assert clusters[0].powers[2] == 0.0
     assert clusters[1].powers[0] == 0.0
+
+
+def test_reference_starts_take_few_newton_steps():
+    starts = kkt._start_points(3, REF_CONFIG.power_budget, 16, 0)
+    certs = minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, starts)
+    assert len(certs) == 16 + 3 + 2
+    for cert in certs:
+        assert cert.converged
+        assert not cert.stalled
+        assert cert.iterations <= 15
 
 
 def test_published_variable_sets_replay():
@@ -253,6 +267,7 @@ def _same_certificate(a, b):
     np.testing.assert_array_equal(a.powers, b.powers)
     assert a.objective == b.objective
     assert a.iterations == b.iterations
+    assert a.backtracks == b.backtracks
     assert a.lam == b.lam
     np.testing.assert_array_equal(a.mu, b.mu)
     assert a.converged == b.converged

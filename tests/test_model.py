@@ -20,6 +20,7 @@ from mseregion import (
     reduced_channels,
     resolvent_grams,
     sinr_from_mse,
+    weighted_mse_derivatives,
     weighted_mse_gradient,
     weighted_sum_mse,
 )
@@ -151,12 +152,57 @@ def test_weighted_gradient_matches_finite_differences():
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-10)
 
 
+def _gradient_differences(channels, powers, config, weights, step):
+    cols = []
+    for j in range(powers.size):
+        delta = np.zeros(powers.size)
+        delta[j] = step
+        cols.append(weighted_mse_gradient(channels, powers + delta, config, weights)
+                    - weighted_mse_gradient(channels, powers - delta, config, weights))
+    return np.column_stack(cols) / (2.0 * step)
+
+
+def test_weighted_hessian_matches_gradient_differences():
+    # Richardson-extrapolated central differences of the gradient
+    rng = np.random.default_rng(10)
+    for k in range(2, 9):
+        for n in (1, 2, 8, 32):
+            channels = random_channels(rng, n, k)
+            weights = rng.uniform(0.05, 1.0, size=k)
+            for snr in (0.1, 1.0, 10.0, 1e2, 1e3):
+                config = SystemConfig(noise_variance=1.0, power_budget=snr)
+                powers = 0.9 * snr * (0.1 + rng.dirichlet(np.ones(k))) / (1.0 + 0.1 * k)
+                value, grad, hess = weighted_mse_derivatives(channels, powers, config, weights)
+                assert value == weighted_sum_mse(channels, powers, config, weights)
+                np.testing.assert_array_equal(
+                    grad, weighted_mse_gradient(channels, powers, config, weights))
+                np.testing.assert_array_equal(hess, hess.T)
+                step = 1e-3 * snr / k
+                fd = (4.0 * _gradient_differences(channels, powers, config, weights, step / 2)
+                      - _gradient_differences(channels, powers, config, weights, step)) / 3.0
+                assert np.abs(fd - hess).max() <= 1e-7 * np.abs(hess).max()
+
+
+def test_weighted_derivatives_batch_rows_are_single_points():
+    rng = np.random.default_rng(11)
+    channels = random_channels(rng, 3, 4)
+    config = random_config(rng)
+    weights = rng.uniform(0.05, 1.0, size=4)
+    batch = np.array([random_powers(rng, 4, config.power_budget) for _ in range(9)])
+    values, grads, hessians = weighted_mse_derivatives(channels, batch, config, weights)
+    for row, value, grad, hess in zip(batch, values, grads, hessians):
+        alone = weighted_mse_derivatives(channels, row, config, weights)
+        assert alone[0] == value
+        np.testing.assert_array_equal(alone[1], grad)
+        np.testing.assert_array_equal(alone[2], hess)
+
+
 def test_weighted_functions_reject_invalid_weights():
     channels = random_channels(np.random.default_rng(8), 2, 3)
     config = SystemConfig(noise_variance=1.0, power_budget=10.0)
     powers = np.array([1.0, 2.0, 3.0])
     for weights in ([np.nan, 1.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 0.0]):
-        for fn in (weighted_sum_mse, weighted_mse_gradient):
+        for fn in (weighted_sum_mse, weighted_mse_gradient, weighted_mse_derivatives):
             with pytest.raises(ValueError):
                 fn(channels, powers, config, weights)
 

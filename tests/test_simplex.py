@@ -1,5 +1,5 @@
 """Simplex geometry: projection, uniform sampling, lattices, and the
-projected-gradient engine on known convex problems."""
+projected Newton engine on known convex problems."""
 
 import math
 
@@ -93,10 +93,14 @@ def test_lattice_matches_recursive_reference(k):
         np.testing.assert_array_equal(grid, recursive_lattice(k, resolution))
 
 
+def _identities(p):
+    return np.broadcast_to(np.eye(p.shape[1]), (p.shape[0],) + (p.shape[1],) * 2)
+
+
 def _quad_rows(target):
     def quad(p):
         diff = p - target
-        return 0.5 * np.einsum("sk,sk->s", diff, diff), diff
+        return 0.5 * np.einsum("sk,sk->s", diff, diff), diff, _identities(p)
     return quad
 
 
@@ -130,12 +134,13 @@ def test_pgd_stall_is_reported():
     b = np.array([1.0, 1.0])
 
     def wrong_sign(p):
-        return 0.5 * np.einsum("sk,sk->s", p, p) + p @ b, -(p + b)
+        return 0.5 * np.einsum("sk,sk->s", p, p) + p @ b, -(p + b), _identities(p)
 
     result = projected_gradient(wrong_sign, np.zeros((1, 2)), budget=1.0).results[0]
     assert result.stalled
     assert not result.converged
     assert result.iterations == 1
+    assert result.backtracks == 60       # 2**-60 is the first step below 1e-18
     np.testing.assert_array_equal(result.point, np.zeros(2))
 
 
