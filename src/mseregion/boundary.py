@@ -116,9 +116,11 @@ class ConvexityReport:
 
 
 # peak bytes per (pair, split) row of one certificate block: the kernel's
-# stacked 2 x 2 complex matrices and the (T, G) arrays built from them
-# (529 measured with tracemalloc, N = 8, grid 101)
-_CERTIFY_ROW_BYTES = 544
+# (T, G, 2, 2) complex Cholesky factors and Gram matrices and the (T, G)
+# arrays built from them; the (T, 1, 2, 2) pair factors are not repeated
+# per split (tracemalloc, 1000 pairs, grid 101: 313 at N = 1, 385 at
+# N = 2 and N = 8)
+_CERTIFY_ROW_BYTES = 400
 
 
 def _pairs(pairs) -> np.ndarray:
@@ -169,7 +171,8 @@ class _SweepData:
     """Boundary quantities of T channel pairs over G power splits, as (T, G) arrays.
 
     Each pair is evaluated on its triangular factor, one kernel call for
-    all T x G rows; `summands` is (T, G, 3).
+    all T x G rows: the (T, 1, 2, 2) factors broadcast against the
+    (T, G, 2) power grid.  `summands` is (T, G, 3).
     """
 
     __slots__ = (
@@ -180,13 +183,9 @@ class _SweepData:
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
         budget = config.power_budget
-        factors = _triangular_factor(pairs)
-        trials, points = factors.shape[0], ps.size
-        powers = np.tile(np.column_stack([ps, budget - ps]), (trials, 1))
-        gram_a, gram_b = resolvent_grams(np.repeat(factors, points, axis=0), powers, config,
-                                         second_order=True)
-        gram_a = gram_a.reshape(trials, points, 2, 2)
-        gram_b = gram_b.reshape(trials, points, 2, 2)
+        factors = _triangular_factor(pairs)[:, None]
+        powers = np.broadcast_to(np.stack([ps, budget - ps], axis=-1), (len(pairs), ps.size, 2))
+        gram_a, gram_b = resolvent_grams(factors, powers, config, second_order=True)
         self.ps = ps
         self.a11 = gram_a[..., 0, 0].real
         self.a22 = gram_a[..., 1, 1].real

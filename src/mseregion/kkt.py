@@ -146,16 +146,10 @@ def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
     return lam, mu
 
 
-def _gradient_at(channels, config: SystemConfig, weights, powers):
-    """(p, gradient of the weighted sum at p) for one validated power vector."""
-    chan = reduced_channels(channels)
-    p = _power_rows(powers, chan.n_users)
-    return p, weighted_mse_gradient(chan, p, config, weights)
-
-
 def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, mu) -> KktResiduals:
     """Evaluate every first-order condition at (p, lambda, mu)."""
-    p, grad = _gradient_at(channels, config, weights, powers)
+    grad = weighted_mse_gradient(channels, powers, config, weights)
+    p = _power_rows(powers, grad.size)
     mu_vec = np.asarray(mu, dtype=np.float64).reshape(-1)
     if mu_vec.size != p.size:
         raise ValueError(f"{mu_vec.size} multipliers for {p.size} users")
@@ -170,7 +164,8 @@ def recover_multipliers(channels, config: SystemConfig, weights, powers):
     inactive users and 0 for active ones.  At a certificate's powers this
     returns its lam and mu exactly.
     """
-    p, grad = _gradient_at(channels, config, weights, powers)
+    grad = weighted_mse_gradient(channels, powers, config, weights)
+    p = _power_rows(powers, grad.size)
     return _multipliers(grad, p, config.power_budget)
 
 
@@ -227,6 +222,8 @@ def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
     chan = reduced_channels(channels)
     w = _weight_vector(weights, chan.n_users)
     starts = np.atleast_2d(_power_rows(start, chan.n_users))
+    if starts.ndim != 2:
+        raise ValueError(f"start must be one power vector or an (S, K) batch, got {starts.shape}")
     for row in starts:
         ensure_feasible(row, config)
     certs = _solve(chan, config, w, starts, options or SolverOptions())

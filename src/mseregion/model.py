@@ -17,8 +17,11 @@ matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
 They depend on H only through H^H H, so the solvers, the region
 sampler and the two-user boundary evaluate them on the triangular factor
 of H (`reduced_channels`), whose covariance is at most K x K whatever
-the antenna count.  The kernel takes either one channel matrix shared by
-every power row or a stack holding one matrix per power row.
+the antenna count.  The kernel follows one shape rule, plain numpy
+broadcasting: channels of shape (..., N, K) broadcast against powers of
+shape (..., K), and the powers set the output shape.  One shared matrix
+with an (S, K) batch, one matrix per row, and a (T, 1, N, K) stack with
+a (T, G, K) grid are the same evaluation.
 """
 
 from __future__ import annotations
@@ -188,11 +191,11 @@ def _weight_vector(weights, n_users: int) -> np.ndarray:
     return vec
 
 
-def _checked_channels(entries, ndim: int) -> np.ndarray:
-    """A validated complex copy: one (N, K) matrix (ndim 2) or an (S, N, K) stack (ndim 3)."""
+def _checked_channels(entries, ndim: int | None = None) -> np.ndarray:
+    """A validated complex copy of an (..., N, K) stack, with exactly `ndim` axes if given."""
     mat = np.array(entries, dtype=np.complex128)
-    if mat.ndim != ndim:
-        raise ValueError(f"channel matrix must be {ndim}-D, got shape {mat.shape}")
+    if mat.ndim < 2 or (ndim is not None and mat.ndim != ndim):
+        raise ValueError(f"channel matrix must be {ndim or 'at least 2'}-D, got {mat.shape}")
     if min(mat.shape) < 1:
         raise ValueError(f"channel matrix needs at least one antenna and one user, got {mat.shape}")
     if not np.isfinite(mat).all():
@@ -200,7 +203,7 @@ def _checked_channels(entries, ndim: int) -> np.ndarray:
     dead = np.argwhere(np.linalg.norm(mat, axis=-2) == 0.0)
     if dead.size:
         *stack, user = dead[0].tolist()
-        where = f" in matrix {stack[0]}" if stack else ""
+        where = f" in matrix {tuple(stack)}" if stack else ""
         raise ValueError(f"user {user}{where} has an all-zero channel (its MSE would be constant 1)")
     return mat
 
@@ -212,9 +215,9 @@ def _channel_matrix(channels) -> np.ndarray:
 
 
 def _power_rows(powers, n_users: int) -> np.ndarray:
-    """Validated float powers: one length-K vector or an (S, K) batch."""
+    """Validated float powers of shape (..., K): one vector, an (S, K) batch or a grid."""
     pw = np.asarray(powers, dtype=np.float64)
-    if pw.ndim not in (1, 2) or pw.shape[-1] != n_users:
+    if pw.ndim < 1 or pw.shape[-1] != n_users:
         raise ValueError(f"power shape {pw.shape} does not match {n_users} users")
     if not np.isfinite(pw).all() or (pw < 0.0).any():
         raise ValueError("powers must be finite and nonnegative")
@@ -236,10 +239,7 @@ def ensure_feasible(powers, config: SystemConfig) -> np.ndarray:
 def receive_covariance(channels, powers, config: SystemConfig) -> np.ndarray:
     """X = sigma^2 I + sum_k p_k h_k h_k^H, Hermitian positive definite (per row of a batch)."""
     mat = _channel_matrix(channels)
-    p = _power_rows(powers, mat.shape[1])
-    cov = (mat * p[..., None, :]) @ mat.conj().T
-    cov += config.noise_variance * np.eye(mat.shape[0])
-    return 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
+    return _covariance(mat, _power_rows(powers, mat.shape[1]), config.noise_variance)
 
 
 def _triangular_factor(mat: np.ndarray) -> np.ndarray:
@@ -265,57 +265,55 @@ def reduced_channels(channels) -> ChannelSet:
     return chan if factor is chan.entries else ChannelSet(factor)
 
 
-def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
-    """(L, L^{-1} H) with X = L L^H for a validated (S, K) power batch.
+def _covariance(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarray:
+    """X = sigma^2 I + H diag(p) H^H for (..., n, k) channels and (..., k) powers,
+    made exactly Hermitian: the one covariance construction."""
+    cov = np.einsum("...k,...ik,...jk->...ij", pw, mat, mat.conj())
+    cov += noise_variance * np.eye(mat.shape[-2])
+    return 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
 
-    `mat` is one (n, k) matrix shared by every power row or an (S, n, k)
-    stack with one matrix per row.  The one covariance construction;
-    rows are independent of each other.
+
+def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
+    """(L, L^{-1} H) with X = L L^H for validated powers of shape (..., k).
+
+    `mat` has shape (..., n, k) and broadcasts against `pw`, whose leading
+    shape is the output's: one shared (n, k) matrix, one matrix per power
+    row, or anything between.  Channels that do not broadcast to the
+    powers' leading shape raise ValueError.  Rows are independent of each
+    other.
     """
-    n, k = mat.shape[-2:]
-    subscripts = "sk,ik,jk->sij" if mat.ndim == 2 else "sk,sik,sjk->sij"
-    cov = np.einsum(subscripts, pw, mat, mat.conj())
-    cov += noise_variance * np.eye(n)
-    cov = 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
-    low = np.linalg.cholesky(cov)
-    return low, np.linalg.solve(low, np.broadcast_to(mat, (pw.shape[0], n, k)))
+    mat = np.broadcast_to(mat, pw.shape[:-1] + mat.shape[-2:])
+    low = np.linalg.cholesky(_covariance(mat, pw, noise_variance))
+    return low, np.linalg.solve(low, mat)
 
 
 def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool = False):
     """(A,) or (A, B): the Gram matrices of L^{-1} H and X^{-1} H = L^{-H} L^{-1} H.
 
-    `mat` is shared by every row of `pw` or stacks one matrix per row, as in `_whiten`.
+    Shapes broadcast as in `_whiten`.
     """
     low, half = _whiten(mat, pw, noise_variance)
     factors = [half]
     if second_order:
         factors.append(np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half))
-    return tuple(np.einsum("sni,snj->sij", f.conj(), f) for f in factors)
+    return tuple(np.einsum("...ni,...nj->...ij", f.conj(), f) for f in factors)
 
 
 def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
     """Gram matrices of the channels under X^{-1} (and optionally X^{-2}).
 
-    `powers` is one length-K vector or an (S, K) batch.  `channels` is one
-    N x K channel matrix for every power row, or an (S, N, K) stack with
-    one channel matrix per row of an (S, K) batch.  Returns A with
-    A[..., i, j] = h_i^H X^{-1} h_j; with second_order also
-    B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
+    Shapes broadcast: `channels` of shape (..., N, K) against `powers` of
+    shape (..., K), and the powers set the output shape.  So one N x K
+    matrix serves every row of an (S, K) batch, an (S, N, K) stack gives
+    each row its own matrix, and a (T, 1, N, K) stack serves a (T, G, K)
+    grid; channels that do not broadcast to the powers raise ValueError.
+    Returns A with A[..., i, j] = h_i^H X^{-1} h_j; with second_order
+    also B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
     L^{-1} H and X^{-1} H where X = L L^H, which keeps both matrices
     Hermitian positive semidefinite up to rounding.
     """
-    if np.ndim(channels) == 3:
-        mat = _checked_channels(channels, ndim=3)
-        pw = _power_rows(powers, mat.shape[2])
-        if pw.ndim != 2 or pw.shape[0] != mat.shape[0]:
-            raise ValueError(f"{mat.shape[0]} channel matrices need an ({mat.shape[0]}, K) "
-                             f"power batch, got shape {pw.shape}")
-    else:
-        mat = _channel_matrix(channels)
-        pw = _power_rows(powers, mat.shape[1])
-    grams = _grams(mat, np.atleast_2d(pw), config.noise_variance, second_order)
-    if pw.ndim == 1:
-        grams = tuple(gram[0] for gram in grams)
+    mat = channels.entries if isinstance(channels, ChannelSet) else _checked_channels(channels)
+    grams = _grams(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance, second_order)
     return grams if second_order else grams[0]
 
 
@@ -341,24 +339,21 @@ def _chunk_rows(n: int, k: int) -> int:
     return _budget_rows(16 * n * (n + k))
 
 
-def mse_tuples(channels, powers, config: SystemConfig, chunk: int | None = None) -> np.ndarray:
+def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     """MSE rows for an (S, K) batch of power vectors, evaluated in chunks.
 
     Each chunk goes through the same Cholesky whitening as every other
-    evaluation and reduces it to diag A = sum_n |L^{-1} H|^2 only.  By
-    default a chunk holds as many rows as fit a fixed working-set
-    budget, so memory stays bounded at large N; every row is computed
-    independently, so the output does not depend on the chunk size.
+    evaluation and reduces it to diag A = sum_n |L^{-1} H|^2 only.  A
+    chunk holds as many rows as fit a fixed working-set budget, so memory
+    stays bounded at large N; every row is computed independently, so the
+    output does not depend on the chunk size.
     """
     mat = _channel_matrix(channels)
     n, k = mat.shape
     pw = _power_rows(powers, k)
     if pw.ndim != 2:
         raise ValueError("mse_tuples takes an (S, K) batch; mse_tuple takes one power vector")
-    if chunk is None:
-        chunk = _chunk_rows(n, k)
-    elif chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    chunk = _chunk_rows(n, k)
     out = np.empty_like(pw)
     for lo in range(0, pw.shape[0], chunk):
         blk = pw[lo:lo + chunk]
@@ -371,50 +366,42 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     """Return (eps, J) with J[..., l, k] = d eps_l / d p_k.
 
     J[l, k] = -delta_{lk} a_kk + p_l |a_{lk}|^2 from the X^{-1} Gram matrix.
-    `powers` is one length-K vector or an (S, K) batch, giving (S, K)
-    MSEs and (S, K, K) Jacobians; every row is evaluated on its own, so
-    its values do not depend on the batch it came in.
+    `powers` is one length-K vector or a batch of shape (..., K), giving
+    (..., K) MSEs and (..., K, K) Jacobians; every row is evaluated on its
+    own, so its values do not depend on the batch it came in.
     """
     mat = _channel_matrix(channels)
     pw = _power_rows(powers, mat.shape[1])
     _, eps, jac = _mse_terms(mat, np.atleast_2d(pw), config.noise_variance)
-    return (eps, jac) if pw.ndim == 2 else (eps[0], jac[0])
+    return (eps, jac) if pw.ndim > 1 else (eps[0], jac[0])
 
 
 def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
-    """(A, eps, J) for a validated (S, K) power batch: the one MSE and Jacobian formula."""
+    """(A, eps, J) for a validated (..., K) power batch: the one MSE and Jacobian formula."""
     gram, = _grams(mat, rows, noise_variance)
-    diag = np.diagonal(gram, axis1=1, axis2=2).real
+    diag = np.diagonal(gram, axis1=-2, axis2=-1).real
     eps = 1.0 - rows * diag
-    jac = rows[:, :, None] * (gram.real ** 2 + gram.imag ** 2)
-    users = np.arange(mat.shape[1])
-    jac[:, users, users] -= diag
+    jac = rows[..., :, None] * (gram.real ** 2 + gram.imag ** 2)
+    users = np.arange(mat.shape[-1])
+    jac[..., users, users] -= diag
     return gram, eps, jac
 
 
 def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
-    """Weighted sums of (S, K) MSEs and (S, K, K) Jacobians, row by row.
+    """Weighted sums of (..., K) MSEs and (..., K, K) Jacobians, row by row.
 
     `einsum`, not BLAS, so a row's values do not depend on its batch.
     """
-    return np.einsum("sk,k->s", eps, w), np.einsum("slk,l->sk", jac, w)
-
-
-def _weighted_at(channels, powers, config: SystemConfig, weights):
-    """(f, grad f) at one power vector, evaluated like the solvers' batches."""
-    chan = reduced_channels(channels)
-    w = _weight_vector(weights, chan.n_users)
-    eps, jac = mse_jacobian(chan, powers, config)
-    value, grad = _weighted(eps[None], jac[None], w)
-    return float(value[0]), grad[0]
+    return np.einsum("...k,k->...", eps, w), np.einsum("...lk,l->...k", jac, w)
 
 
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:
     """f(p) = sum_k w_k eps_k(p).
 
-    Evaluated like the solvers' objective, so it replays it bitwise.
+    The value of `weighted_mse_derivatives`, so it replays the solvers'
+    objective bitwise.
     """
-    return _weighted_at(channels, powers, config, weights)[0]
+    return weighted_mse_derivatives(channels, powers, config, weights)[0]
 
 
 def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np.ndarray:
@@ -422,18 +409,19 @@ def weighted_mse_gradient(channels, powers, config: SystemConfig, weights) -> np
 
     d f / d p_k = -w_k a_kk + sum_l w_l p_l |a_{lk}|^2, equal to
     -h_k^H X^{-1} (w_k X - S) X^{-1} h_k with S = sum_l w_l p_l h_l h_l^H.
-    Evaluated like the solvers' gradient, so it replays it bitwise.
+    The gradient of `weighted_mse_derivatives`, so it replays the
+    solvers' gradient bitwise.
     """
-    return _weighted_at(channels, powers, config, weights)[1]
+    return weighted_mse_derivatives(channels, powers, config, weights)[1]
 
 
 def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
     """(f, grad f, Hessian of f) of the weighted sum MSE in the powers.
 
     `powers` is one length-K vector, giving a float, a (K,) gradient and a
-    (K, K) Hessian, or an (S, K) batch, giving them row by row.  f and its
-    gradient come from the `mse_jacobian` terms, so they equal
-    `weighted_sum_mse` and `weighted_mse_gradient` bitwise.  With
+    (K, K) Hessian, or a (..., K) batch, giving them row by row.  f and its
+    gradient come from the `mse_jacobian` terms; `weighted_sum_mse` and
+    `weighted_mse_gradient` return them.  With
     dA/dp_j = -A e_j e_j^H A, the Hessian is
 
         H[k, j] = (w_k + w_j) |a_kj|^2 - 2 Re(a_jk [A diag(w p) A]_kj),
@@ -446,11 +434,12 @@ def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
     rows = np.atleast_2d(pw)
     gram, eps, jac = _mse_terms(chan.entries, rows, config.noise_variance)
     value, grad = _weighted(eps, jac, w)
-    sandwich = np.einsum("skl,slj->skj", gram * (rows * w)[:, None, :], gram)   # A diag(w p) A
-    coupling = (np.swapaxes(gram, 1, 2) * sandwich).real
+    # A diag(w p) A
+    sandwich = np.einsum("...kl,...lj->...kj", gram * (rows * w)[..., None, :], gram)
+    coupling = (np.swapaxes(gram, -1, -2) * sandwich).real
     hess = (w[:, None] + w) * (gram.real ** 2 + gram.imag ** 2) - 2.0 * coupling
-    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    return (value, grad, hess) if pw.ndim == 2 else (float(value[0]), grad[0], hess[0])
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    return (value, grad, hess) if pw.ndim > 1 else (float(value[0]), grad[0], hess[0])
 
 
 def sinr_from_mse(eps: float) -> float:

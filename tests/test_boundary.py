@@ -367,10 +367,10 @@ def test_certificate_blocks_are_bitwise_invariant(monkeypatch):
 
     monkeypatch.setattr(boundary, "resolvent_grams", counted)
     default = convexity_certificates(pairs, config, grid=31)
-    assert calls == [(9 * 29, 2, 2)]
+    assert calls == [(9, 1, 2, 2)]
     monkeypatch.setattr(model, "_CHUNK_BYTES", 1)
     one_by_one = convexity_certificates(pairs, config, grid=31)
-    assert calls[1:] == [(29, 2, 2)] * 9
+    assert calls[1:] == [(1, 1, 2, 2)] * 9
     assert [_bits(r) for r in one_by_one] == [_bits(r) for r in default]
     for t in range(9):
         single = convexity_certificate(pairs[t, :, 0], pairs[t, :, 1], config, grid=31)

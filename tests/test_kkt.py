@@ -252,6 +252,8 @@ def test_infeasible_start_rejected():
         minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, [6.0, 6.0, 6.0])
     with pytest.raises(ValueError):
         minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, [-1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="batch"):
+        minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, np.ones((2, 2, 3)))
     with pytest.raises(ValueError):
         enumerate_stationary_points(REF_H, REF_CONFIG, REF_WEIGHTS, starts=-1)
 

@@ -24,6 +24,7 @@ from mseregion import (
     weighted_mse_gradient,
     weighted_sum_mse,
 )
+from mseregion import model
 from mseregion.model import _chunk_rows
 
 from helpers import dense_mse, random_channels, random_config, random_powers
@@ -78,7 +79,7 @@ def test_resolvent_grams_match_dense_inverse():
             assert gram_b[i, j] == pytest.approx(mat[:, i].conj() @ inv2 @ mat[:, j], abs=1e-11)
 
 
-def test_batched_powers_agree_with_loop():
+def test_batched_powers_agree_with_loop(monkeypatch):
     rng = np.random.default_rng(4)
     channels = random_channels(rng, 3, 4)
     config = random_config(rng)
@@ -88,12 +89,18 @@ def test_batched_powers_agree_with_loop():
     for row, powers in zip(eps_batch, batch):
         np.testing.assert_allclose(row, mse_tuple(channels, powers, config).values,
                                    rtol=1e-12, atol=1e-14)
-    # chunked evaluation takes the same values
-    eps_chunked = mse_tuples(channels, batch, config, chunk=5)
+    # a (4, 4, K) grid of rows takes the values of the same rows in an (S, K) batch
+    grid = mse_jacobian(channels, batch[:16].reshape(4, 4, 4), config)
+    for got, ref in zip(grid, mse_jacobian(channels, batch[:16], config)):
+        assert got.tobytes() == ref.tobytes() and got.shape[:2] == (4, 4)
+    # chunked evaluation takes the same values: a budget of 5 rows per chunk
+    monkeypatch.setattr(model, "_CHUNK_BYTES", 5 * 16 * 3 * (3 + 4))
+    assert _chunk_rows(3, 4) == 5
+    eps_chunked = mse_tuples(channels, batch, config)
     np.testing.assert_array_equal(eps_batch, eps_chunked)
 
 
-def test_default_chunking_is_bitwise_invariant():
+def test_default_chunking_is_bitwise_invariant(monkeypatch):
     # a batch spanning three default-sized chunks (about 3.9k rows each at
     # N=32, K=2), against one row per chunk and the whole batch in one chunk
     rng = np.random.default_rng(41)
@@ -102,12 +109,12 @@ def test_default_chunking_is_bitwise_invariant():
     rows = 2 * _chunk_rows(32, 2) + 101
     batch = rng.uniform(0.0, config.power_budget / 2, size=(rows, 2))
     eps_default = mse_tuples(channels, batch, config)
-    np.testing.assert_array_equal(eps_default, mse_tuples(channels, batch, config, chunk=1))
-    np.testing.assert_array_equal(eps_default,
-                                  mse_tuples(channels, batch, config, chunk=131072))
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="chunk"):
-            mse_tuples(channels, batch, config, chunk=bad)
+    monkeypatch.setattr(model, "_CHUNK_BYTES", 1)
+    assert _chunk_rows(32, 2) == 1
+    np.testing.assert_array_equal(eps_default, mse_tuples(channels, batch, config))
+    monkeypatch.setattr(model, "_CHUNK_BYTES", 16 * 32 * (32 + 2) * rows)
+    assert _chunk_rows(32, 2) == rows
+    np.testing.assert_array_equal(eps_default, mse_tuples(channels, batch, config))
     with pytest.raises(ValueError, match="mse_tuple"):
         mse_tuples(channels, batch[0], config)
 
@@ -131,6 +138,19 @@ def test_receive_covariance_hermitian_and_bounded_below():
     cov = receive_covariance(channels, powers, config)
     np.testing.assert_allclose(cov, cov.conj().T, atol=1e-14)
     assert np.linalg.eigvalsh(cov).min() >= 0.7 - 1e-12
+
+
+def test_receive_covariance_is_the_kernels_covariance():
+    # its Cholesky factor is the kernel's L bitwise, for a vector and a batch
+    rng = np.random.default_rng(7)
+    channels = random_channels(rng, 4, 3)
+    config = SystemConfig(noise_variance=0.7, power_budget=9.0)
+    batch = np.stack([random_powers(rng, 3, config.power_budget) for _ in range(6)])
+    for powers in (batch[0], batch):
+        low, _ = model._whiten(channels.entries, powers, config.noise_variance)
+        cov = receive_covariance(channels, powers, config)
+        assert cov.shape == powers.shape[:-1] + (4, 4)
+        assert np.linalg.cholesky(cov).tobytes() == low.tobytes()
 
 
 def test_weighted_gradient_matches_finite_differences():
@@ -386,6 +406,22 @@ def test_resolvent_grams_on_a_channel_stack():
         resolvent_grams(mats, powers[:4], config)
     with pytest.raises(ValueError):
         resolvent_grams(mats, powers[0], config)
+
+    # a (T, 1, n, k) stack broadcasts against a (T, G, k) grid: entry [t, g]
+    # is bitwise the shared-matrix evaluation of matrix t at powers[t, g]
+    grid = np.stack([np.stack([random_powers(rng, 2, config.power_budget) for _ in range(4)])
+                     for _ in range(5)])
+    broadcast = resolvent_grams(mats[:, None], grid, config, second_order=True)
+    for gram in broadcast:
+        assert gram.shape == (5, 4, 2, 2)
+    for t in range(5):
+        shared = resolvent_grams(mats[t], grid[t], config, second_order=True)
+        for gram, ref in zip(broadcast, shared):
+            assert gram[t].tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="broadcast"):
+        resolvent_grams(mats[:, None], grid[:4], config)
+    with pytest.raises(ValueError, match="broadcast"):
+        resolvent_grams(mats[:, None], grid[:, :1, None], config)
 
 
 def _oracle_cases():
