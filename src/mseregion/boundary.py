@@ -1,31 +1,48 @@
 """Two-user boundary calculus.
 
-With p1 = p and p2 = P - p the full budget stays active and the MSE pair
-(eps1, eps2) traces the lower-left boundary eps2 = g(eps1) of the
+With p1 = p and p2 = q = P - p the full budget stays active and the MSE
+pair (eps1, eps2) traces the lower-left boundary eps2 = g(eps1) of the
 two-user region as p sweeps [0, P].  This module evaluates the exact
 first and second derivatives of both MSEs in p, the convexity
 discriminant
 
     D(p) = eps2'' eps1' - eps1'' eps2',
 
-its three-term decomposition (each term nonpositive, which certifies
-g'' >= 0 and hence a convex region), the closed-form coupling ratios
-whose Cauchy-Schwarz bounds drive that sign argument, and the affine
-special case that arises for colinear channels h2 = alpha h1.
+its three-term decomposition (each term nonpositive), the closed-form
+coupling ratios whose Cauchy-Schwarz bounds drive that sign argument,
+and the affine special case that arises for colinear channels
+h2 = alpha h1.
 
-Every evaluation works on a (T, N, 2) stack of channel pairs, a single
-pair being a stack of one, and reduces each pair to its 2 x 2 triangular
-factor first (the rule of `model.reduced_channels`), so every covariance
-is at most 2 x 2 whatever N is.  Certificates are checked once over (T, G) arrays
-of T pairs and G power splits.
+Every evaluation takes a (T, N, 2) stack of channel pairs, a single pair
+being a stack of one, and depends on a pair only through four scalars
+of its triangular factor R (`model._triangular_factor`): n1 = |h1|^2,
+n2 = |h2|^2, c = h1^H h2 and d = |det R|^2, which is 0 at N = 1.  In
+exact arithmetic d = n1 n2 - |c|^2; taken from R it is >= 0 by
+construction.  With X(p) the receive covariance, a_ij = h_i^H X^{-1} h_j
+and b_ij = h_i^H X^{-2} h_j:
 
-Substitutions used throughout, with X(p) the receive covariance:
-
-    a_ij = h_i^H X^{-1} h_j      b_ij = h_i^H X^{-2} h_j
+    Delta  = sigma^4 + sigma^2 (p n1 + q n2) + p q d     (no term negative)
+    eps1   = sigma^2 (sigma^2 + q n2) / Delta
+    eps2   = sigma^2 (sigma^2 + p n1) / Delta
+    a11    = (sigma^2 n1 + q d) / Delta
+    a22    = (sigma^2 n2 + p d) / Delta
+    a12    = sigma^2 c / Delta
+    b11    = (sigma^4 n1 + 2 sigma^2 q d + q^2 n2 d) / Delta^2
+    b22    = (sigma^4 n2 + 2 sigma^2 p d + p^2 n1 d) / Delta^2
+    b12    = c (sigma^4 - p q d) / Delta^2
     eps1'  = -sigma^2 b11 - P |a12|^2
     eps2'  = +sigma^2 b22 + P |a12|^2
     eps1'' = 2 sigma^2 (a11 b11 - Re{a12 b21}) + 2 P |a12|^2 (a11 - a22)
     eps2'' = 2 sigma^2 (a22 b22 - Re{a12 b21}) + 2 P |a12|^2 (a22 - a11)
+    D      = -2 sigma^4 d (P n1 n2 + sigma^2 (n1 + n2)) / Delta^3
+
+So D <= 0 on all of [0, P] once d >= 0 and Delta > 0 there, and Delta is
+concave in p, so Delta > 0 at both ends covers the interval: that is the
+two-user convexity theorem, and it is what a certificate's `certified`
+checks.  D vanishes exactly for colinear pairs (d = 0).  The three
+summands, the Cauchy-Schwarz chain and monotonicity are checked on a
+grid of splits as report flags.  The K-user kernel
+`model.resolvent_grams` is the test suite's oracle for these forms.
 """
 
 from __future__ import annotations
@@ -36,14 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    SystemConfig,
-    _budget_rows,
-    _checked_channels,
-    _triangular_factor,
-    mse_tuple,
-    resolvent_grams,
-)
+from .model import SystemConfig, _checked_channels, _triangular_factor
 from .tolerances import CAUCHY_SCHWARZ_ATOL, COLINEARITY_RTOL, DISCRIMINANT_RTOL
 
 __all__ = [
@@ -115,14 +125,6 @@ class ConvexityReport:
     monotonicity_ok: bool
 
 
-# peak bytes per (pair, split) row of one certificate block: the kernel's
-# (T, G, 2, 2) complex Cholesky factors and Gram matrices and the (T, G)
-# arrays built from them; the (T, 1, 2, 2) pair factors are not repeated
-# per split (tracemalloc, 1000 pairs, grid 101: 313 at N = 1, 385 at
-# N = 2 and N = 8)
-_CERTIFY_ROW_BYTES = 400
-
-
 def _pairs(pairs) -> np.ndarray:
     """A validated (T, N, 2) complex stack of two-user channel pairs."""
     stack = _checked_channels(pairs, ndim=3)
@@ -138,6 +140,31 @@ def _pair(h1, h2) -> np.ndarray:
     if v1.size != v2.size:
         raise ValueError(f"channel length mismatch: {v1.size} vs {v2.size}")
     return _pairs(np.column_stack([v1, v2])[None])
+
+
+def _split(config: SystemConfig, p) -> np.ndarray:
+    """The one power split p as a grid of one; requires 0 <= p <= P."""
+    split = float(p)
+    if not 0.0 <= split <= config.power_budget:
+        raise ValueError(f"power split {split} outside [0, {config.power_budget}]")
+    return np.array([split])
+
+
+def _pair_scalars(pairs: np.ndarray):
+    """(n1, n2, c, d) of each pair of a validated (T, N, 2) stack.
+
+    Taken from the pair's triangular factor R, which is the pair itself
+    when N <= 2: n_k = |h_k|^2, c = h1^H h2 and d = |det R|^2, zero when
+    N = 1.  d is not formed as n1 n2 - |c|^2, which rounds to either sign
+    for colinear pairs.
+    """
+    fac = _triangular_factor(pairs)
+    n1, n2 = (fac.real ** 2 + fac.imag ** 2).sum(axis=1).T
+    c = np.einsum("tn,tn->t", fac[:, :, 0].conj(), fac[:, :, 1])
+    if fac.shape[1] == 1:
+        return n1, n2, c, np.zeros_like(n1)
+    det = fac[:, 0, 0] * fac[:, 1, 1] - fac[:, 0, 1] * fac[:, 1, 0]
+    return n1, n2, c, det.real ** 2 + det.imag ** 2
 
 
 def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
@@ -170,76 +197,68 @@ def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
 class _SweepData:
     """Boundary quantities of T channel pairs over G power splits, as (T, G) arrays.
 
-    Each pair is evaluated on its triangular factor, one kernel call for
-    all T x G rows: the (T, 1, 2, 2) factors broadcast against the
-    (T, G, 2) power grid.  `summands` is (T, G, 3).
+    Every entry comes from the closed forms of the module docstring on the
+    pairs' four scalars; `summands` is (T, G, 3), and `proven` is the (T,)
+    mask of pairs with d >= 0 and Delta > 0 at p = 0 and p = P, which
+    makes D <= 0 on all of [0, P].
     """
 
     __slots__ = (
-        "ps", "a11", "a22", "a12", "b11", "b22", "b12", "eps1", "eps2",
+        "a11", "a22", "a12", "b11", "b22", "b12", "eps1", "eps2",
         "deps1", "deps2", "ddeps1", "ddeps2", "disc", "summands", "scale",
-        "re_ab", "absa12sq", "absb12sq",
+        "re_ab", "absa12sq", "absb12sq", "proven",
     )
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
-        budget = config.power_budget
-        factors = _triangular_factor(pairs)[:, None]
-        powers = np.broadcast_to(np.stack([ps, budget - ps], axis=-1), (len(pairs), ps.size, 2))
-        gram_a, gram_b = resolvent_grams(factors, powers, config, second_order=True)
-        self.ps = ps
-        self.a11 = gram_a[..., 0, 0].real
-        self.a22 = gram_a[..., 1, 1].real
-        self.a12 = gram_a[..., 0, 1]
-        self.b11 = gram_b[..., 0, 0].real
-        self.b22 = gram_b[..., 1, 1].real
-        self.b12 = gram_b[..., 0, 1]
+        sig2, budget = config.noise_variance, config.power_budget
+        sig4 = sig2 ** 2
+        n1, n2, c, d = (v[:, None] for v in _pair_scalars(pairs))
+
+        def delta(p):
+            return sig4 + sig2 * (p * n1 + (budget - p) * n2) + p * (budget - p) * d
+
+        p, q = ps, budget - ps
+        den = delta(ps)
+        den2 = den ** 2
+        self.a11 = (sig2 * n1 + q * d) / den
+        self.a22 = (sig2 * n2 + p * d) / den
+        self.a12 = sig2 * c / den
+        self.b11 = (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den2
+        self.b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den2
+        self.b12 = c * (sig4 - p * q * d) / den2
+        self.eps1 = sig2 * (sig2 + q * n2) / den
+        self.eps2 = sig2 * (sig2 + p * n1) / den
         self.absa12sq = self.a12.real ** 2 + self.a12.imag ** 2
         self.absb12sq = self.b12.real ** 2 + self.b12.imag ** 2
         self.re_ab = (self.a12 * np.conj(self.b12)).real    # Re{a12 b21}
-        self.eps1 = 1.0 - ps * self.a11
-        self.eps2 = 1.0 - (budget - ps) * self.a22
-        self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc, summands = _derivatives(
-            self.a11, self.a22, self.a12, self.b11, self.b22, self.b12,
-            config.noise_variance, budget)
+        self.deps1, self.deps2, self.ddeps1, self.ddeps2, _, summands = _derivatives(
+            self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, budget)
+        self.disc = -2.0 * sig4 * d * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
         self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
         self.summands = np.stack(summands, axis=-1)
-
-
-def _gram_determinant(pairs: np.ndarray):
-    """(|h1|^2, |h2|^2, h1^H h2, det) of each raw pair's channel Gram matrix."""
-    norms = (pairs.real ** 2 + pairs.imag ** 2).sum(axis=1)
-    n1, n2 = norms[:, 0], norms[:, 1]
-    inner = np.einsum("tn,tn->t", pairs[:, :, 0].conj(), pairs[:, :, 1])
-    det = n1 * n2 - (inner.real ** 2 + inner.imag ** 2)
-    return n1, n2, inner, det
+        self.proven = ((d >= 0.0) & (delta(0.0) > 0.0) & (delta(budget) > 0.0))[:, 0]
 
 
 def _classify(pairs: np.ndarray) -> list:
     """Affine where the raw Gram determinant vanishes relative to |h1|^2 |h2|^2."""
-    n1, n2, _, det = _gram_determinant(pairs)
+    norms = (pairs.real ** 2 + pairs.imag ** 2).sum(axis=1)
+    n1, n2 = norms[:, 0], norms[:, 1]
+    inner = np.einsum("tn,tn->t", pairs[:, :, 0].conj(), pairs[:, :, 1])
+    det = n1 * n2 - (inner.real ** 2 + inner.imag ** 2)
     return [BoundaryClass.AFFINE if flat else BoundaryClass.STRICTLY_CONVEX
             for flat in det <= COLINEARITY_RTOL * n1 * n2]
 
 
 def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
     """(eps1, eps2) at powers (p, P - p); requires 0 <= p <= P."""
-    pair = _pair(h1, h2)
-    split = float(p)
-    if not 0.0 <= split <= config.power_budget:
-        raise ValueError(f"power split {split} outside [0, {config.power_budget}]")
-    vals = mse_tuple(pair[0], [split, config.power_budget - split], config).values
-    return float(vals[0]), float(vals[1])
+    data = _SweepData(_pair(h1, h2), config, _split(config, p))
+    return float(data.eps1[0, 0]), float(data.eps2[0, 0])
 
 
 def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     """Evaluate all coupling quantities at power split p; validates the
     Cauchy-Schwarz invariants of both Gram matrices on the way out."""
-    pair = _pair(h1, h2)
-    split = float(p)
-    budget = config.power_budget
-    if not 0.0 <= split <= budget:
-        raise ValueError(f"power split {split} outside [0, {budget}]")
-    data = _SweepData(pair, config, np.array([split]))
+    data = _SweepData(_pair(h1, h2), config, _split(config, p))
     a11 = float(data.a11[0, 0])
     a22 = float(data.a22[0, 0])
     a12 = complex(data.a12[0, 0])
@@ -252,10 +271,6 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-1} Gram matrix")
     if abs(b12) ** 2 > b11 * b22 + CAUCHY_SCHWARZ_ATOL:
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
-
-    n1, n2, _, det = (v[0] for v in _gram_determinant(pair))
-    if det < -COLINEARITY_RTOL * max(1.0, n1 * n2):
-        raise ArithmeticError(f"Gram determinant {det} significantly negative")
     return CouplingBundle(a11=a11, a22=a22, a12=a12, b11=b11, b22=b22, b12=b12)
 
 
@@ -301,29 +316,16 @@ def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
     ratio_b = h2^H h1 (sigma^4 - p (P - p) d)
               / (sigma^4 |h2|^2 + d p (2 sigma^2 + p |h1|^2))
 
-    Both are cross-checked against the directly computed Gram ratios to
-    1e-9 relative; the product is real with Re <= 1 + 1e-10.
+    with d = |det R|^2 as in the module docstring; the product is real
+    with Re <= 1 + 1e-10.
     """
-    pair = _pair(h1, h2)
-    split = float(p)
-    budget = config.power_budget
-    if not 0.0 <= split <= budget:
-        raise ValueError(f"power split {split} outside [0, {budget}]")
+    split = _split(config, p)[0]
     sig2 = config.noise_variance
-    rem = budget - split
-    n1, n2, inner, det_raw = (v[0] for v in _gram_determinant(pair))
-    det = max(det_raw, 0.0)
+    rem = config.power_budget - split
+    n1, n2, inner, det = (v[0] for v in _pair_scalars(_pair(h1, h2)))
     ratio_a = sig2 * inner / (sig2 * n1 + det * rem)
     ratio_b = np.conj(inner) * (sig2 ** 2 - split * rem * det) \
         / (sig2 ** 2 * n2 + det * split * (2.0 * sig2 + split * n1))
-
-    bundle = coupling_bundle(h1, h2, config, split)
-    direct_a = bundle.a12 / bundle.a11
-    direct_b = np.conj(bundle.b12) / bundle.b22
-    for closed, direct, tag in ((ratio_a, direct_a, "a12/a11"), (ratio_b, direct_b, "b21/b22")):
-        gap = abs(closed - direct)
-        if gap > 1e-9 * max(abs(closed), abs(direct)) + 1e-14:
-            raise ArithmeticError(f"closed form for {tag} deviates by {gap}")
     product = ratio_a * ratio_b
     if abs(product.imag) > 1e-10:
         raise ArithmeticError(f"ratio product has imaginary part {product.imag}")
@@ -393,12 +395,24 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
     return out
 
 
-def _certify(pairs: np.ndarray, config: SystemConfig, ps: np.ndarray, grid: int) -> list:
-    """One ConvexityReport per pair of a validated (T, N, 2) stack."""
-    data = _SweepData(pairs, config, ps)
+def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list:
+    """Certify convex boundary curvature of each channel pair of a (T, N, 2) stack.
+
+    Returns one ConvexityReport per pair.  `certified` is the closed-form
+    proof: d >= 0 and Delta > 0 at both ends of [0, P], so D <= 0 at
+    every split.  The worst discriminant is the largest D on the interior
+    points of the power grid, where the Cauchy-Schwarz chains, the
+    summand signs and monotonicity are checked as flags; violations are
+    reported in the flags rather than raised.
+    """
+    count = int(grid)
+    if count < 11:
+        raise ValueError(f"certification grid must have at least 11 points, got {count}")
+    stack = _pairs(pairs)
+    ps = np.linspace(0.0, config.power_budget, count)[1:-1]
+    data = _SweepData(stack, config, ps)
 
     slack = DISCRIMINANT_RTOL * data.scale
-    disc_ok = (data.disc <= slack).all(axis=1)
     summands_ok = (data.summands <= slack[..., None]).all(axis=(1, 2))
     mono_ok = (data.deps1 < 0.0).all(axis=1) & (data.deps2 > 0.0).all(axis=1)
 
@@ -417,45 +431,22 @@ def _certify(pairs: np.ndarray, config: SystemConfig, ps: np.ndarray, grid: int)
         & (link2 <= link3 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
     )
     cs_ok = cs_gram & chain_ok
-    certified = disc_ok & cs_ok
 
     worst = np.argmax(data.disc, axis=1)
     worst_disc = np.take_along_axis(data.disc, worst[:, None], axis=1)[:, 0]
     return [
         ConvexityReport(
-            certified=bool(certified[t]),
+            certified=bool(data.proven[t]),
             classification=label,
             worst_discriminant=float(worst_disc[t]),
             worst_p=float(ps[worst[t]]),
-            grid=grid,
+            grid=count,
             cauchy_schwarz_ok=bool(cs_ok[t]),
             summands_ok=bool(summands_ok[t]),
             monotonicity_ok=bool(mono_ok[t]),
         )
-        for t, label in enumerate(_classify(pairs))
+        for t, label in enumerate(_classify(stack))
     ]
-
-
-def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list:
-    """Certify convex boundary curvature of each channel pair of a (T, N, 2) stack.
-
-    Returns one ConvexityReport per pair: certified = discriminant
-    <= 1e-9 * scale at every interior point of the power grid and both
-    Gram Cauchy-Schwarz chains hold.  Violations are reported in the
-    flags rather than raised.  Pairs are certified in blocks whose
-    T x (grid - 2) rows fit the model's working-set budget, and every
-    report is independent of the block it came in.
-    """
-    count = int(grid)
-    if count < 11:
-        raise ValueError(f"certification grid must have at least 11 points, got {count}")
-    stack = _pairs(pairs)
-    ps = np.linspace(0.0, config.power_budget, count)[1:-1]
-    block = max(1, _budget_rows(_CERTIFY_ROW_BYTES) // ps.size)
-    reports = []
-    for lo in range(0, stack.shape[0], block):
-        reports.extend(_certify(stack[lo:lo + block], config, ps, count))
-    return reports
 
 
 def convexity_certificate(h1, h2, config: SystemConfig, grid: int = 101) -> ConvexityReport:

@@ -14,10 +14,11 @@ sampling) reduces to the Gram matrices A[i, j] = h_i^H X^{-1} h_j and
 B[i, j] = h_i^H X^{-2} h_j.  Every evaluation, batched MSE tuples
 included, goes through one Cholesky whitening X = L L^H: A is the Gram
 matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
-They depend on H only through H^H H, so the solvers, the region
-sampler and the two-user boundary evaluate them on the triangular factor
-of H (`reduced_channels`), whose covariance is at most K x K whatever
-the antenna count.  The kernel follows one shape rule, plain numpy
+They depend on H only through H^H H, so the solvers and the region
+sampler evaluate them on the triangular factor of H
+(`reduced_channels`), whose covariance is at most K x K whatever the
+antenna count; the two-user boundary takes them in closed form from
+four scalars of that factor.  The kernel follows one shape rule, plain numpy
 broadcasting: channels of shape (..., N, K) broadcast against powers of
 shape (..., K), and the powers set the output shape.  One shared matrix
 with an (S, K) batch, one matrix per row, and a (T, 1, N, K) stack with
@@ -329,14 +330,9 @@ def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
 _CHUNK_BYTES = 2 ** 26
 
 
-def _budget_rows(row_bytes: int) -> int:
-    """Rows of `row_bytes` each that keep a chunk's working set near _CHUNK_BYTES."""
-    return max(1, _CHUNK_BYTES // row_bytes)
-
-
 def _chunk_rows(n: int, k: int) -> int:
     """Rows per mse_tuples chunk: complex bytes of covariance plus whitened channels."""
-    return _budget_rows(16 * n * (n + k))
+    return max(1, _CHUNK_BYTES // (16 * n * (n + k)))
 
 
 def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:

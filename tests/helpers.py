@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 import csv
+import math
 
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
@@ -38,6 +39,40 @@ def dense_mse(mat, powers, sigma2: float) -> np.ndarray:
         1.0 - powers[k] * float((mat[:, k].conj() @ inv @ mat[:, k]).real)
         for k in range(mat.shape[1])
     ])
+
+
+def two_user_dominated(mat, config: SystemConfig, target) -> bool:
+    """Exact two-user membership from the closed-form boundary.
+
+    Spending the whole budget dominates, and with p1 = p, p2 = P - p,
+    eps1 falls and eps2 rises in p.  So t is dominated iff eps2(p0) <= t2,
+    p0 being the smallest p in [0, P] with eps1(p) <= t1, that is with
+    f(p) = t1 Delta(p) - sigma^2 (sigma^2 + (P - p) n2) >= 0, where
+    Delta(p) = sigma^4 + sigma^2 (p n1 + (P - p) n2) + p (P - p) d,
+    n_k = |h_k|^2 and d the Gram determinant.  f is a concave quadratic
+    in p; its smaller root is taken in the form without cancellation.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    gram = mat.conj().T @ mat
+    n1, n2 = gram[0, 0].real, gram[1, 1].real
+    d = max(float(np.linalg.det(gram).real), 0.0)
+    s2, budget = config.noise_variance, config.power_budget
+    t1, t2 = (float(v) for v in target)
+
+    def delta(p):
+        return s2 ** 2 + s2 * (p * n1 + (budget - p) * n2) + p * (budget - p) * d
+
+    const = (t1 - 1.0) * (s2 ** 2 + s2 * budget * n2)     # f(0)
+    if const >= 0.0:
+        p0 = 0.0
+    elif t1 * delta(budget) < s2 ** 2:                      # f(P) < 0
+        return False
+    else:
+        lead = -t1 * d
+        slope = t1 * (s2 * (n1 - n2) + budget * d) + s2 * n2
+        root = math.sqrt(max(slope ** 2 - 4.0 * lead * const, 0.0))
+        p0 = min(-2.0 * const / (slope + root), budget)
+    return s2 * (s2 + p0 * n1) / delta(p0) <= t2
 
 
 def minimax_margin_oracle(channels, config: SystemConfig, targets, resolution: int = 200):

@@ -280,12 +280,14 @@ def test_certificate_random_and_colinear():
         assert report.summands_ok
         assert report.monotonicity_ok
         assert report.grid == 51
+        assert report.worst_discriminant <= 0.0
         assert 0.0 < report.worst_p < config.power_budget
 
     h1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     report = convexity_certificate(h1, 1.5j * h1, UNIT, grid=25)
     assert report.certified
     assert report.classification is BoundaryClass.AFFINE
+    assert report.worst_discriminant <= 0.0
 
     as_dict = to_jsonable(report)
     assert as_dict["classification"] == "Affine"
@@ -355,54 +357,60 @@ def test_certificates_reject_invalid_stacks():
         convexity_certificate(pairs[0, :, 0], pairs[0, :2, 1], UNIT)
 
 
-def test_certificate_blocks_are_bitwise_invariant(monkeypatch):
+def test_certificate_blocks_are_bitwise_invariant():
+    # a pair's report does not depend on the stack it is certified in
     pairs = _mixed_pairs(np.random.default_rng(20), 9, 4)
     config = SystemConfig(noise_variance=0.5, power_budget=300.0)
-    calls = []
-    kernel = boundary.resolvent_grams
-
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(boundary, "resolvent_grams", counted)
-    default = convexity_certificates(pairs, config, grid=31)
-    assert calls == [(9, 1, 2, 2)]
-    monkeypatch.setattr(model, "_CHUNK_BYTES", 1)
-    one_by_one = convexity_certificates(pairs, config, grid=31)
-    assert calls[1:] == [(1, 1, 2, 2)] * 9
-    assert [_bits(r) for r in one_by_one] == [_bits(r) for r in default]
+    stacked = convexity_certificates(pairs, config, grid=31)
     for t in range(9):
         single = convexity_certificate(pairs[t, :, 0], pairs[t, :, 1], config, grid=31)
-        assert _bits(single) == _bits(default[t])
+        assert _bits(single) == _bits(stacked[t])
 
 
-def test_certificates_on_reduced_pairs_match_raw_grams(monkeypatch):
+def test_certificates_on_reduced_pairs_match_raw_grams():
+    # the closed forms against the K-user kernel on the raw N x 2 pairs,
+    # whose N x N covariances X lose up to cond(X) <= 1 + P max|h|^2 / sigma^2
+    # ulps: Gram entries agree within 16 cond(X) eps of sqrt(x_ii x_jj),
+    # MSEs within 16 cond(X) eps absolute (the kernel's 1 - p a cancels),
+    # and D within DISCRIMINANT_RTOL of the derivative scale (measured
+    # worst: 6 cond(X) eps, 1.5 cond(X) eps and 1.8e-10)
     rng = np.random.default_rng(21)
-    for dim in range(3, 9):
+    for dim in range(1, 9):
         pairs = _mixed_pairs(rng, 8, dim)
+        norms = (np.abs(pairs) ** 2).sum(axis=1).max(axis=1)
         for snr in 10.0 ** np.arange(-2, 7):
             config = SystemConfig(noise_variance=1.0, power_budget=float(snr))
-            reduced = convexity_certificates(pairs, config, grid=41)
-            with monkeypatch.context() as patch:
-                # evaluate on the raw N x 2 pairs: N x N covariances
-                patch.setattr(boundary, "_triangular_factor", lambda mat: mat)
-                raw = convexity_certificates(pairs, config, grid=41)
-                ps = np.linspace(0.0, config.power_budget, 41)[1:-1]
-                scale = boundary._SweepData(pairs, config, ps).scale.max(axis=1)
-            for t, (red, ref) in enumerate(zip(reduced, raw)):
-                where = (dim, snr, t)
-                assert red.certified and ref.certified, where
-                for flag in ("certified", "classification", "grid", "cauchy_schwarz_ok",
-                             "summands_ok", "monotonicity_ok"):
-                    assert getattr(red, flag) == getattr(ref, flag), (where, flag)
-                gap = abs(red.worst_discriminant - ref.worst_discriminant)
-                assert gap <= DISCRIMINANT_RTOL * scale[t], where
-            assert [r.classification for r in reduced[1::4]] == [BoundaryClass.AFFINE] * 2
+            ps = np.linspace(0.0, config.power_budget, 41)
+            data = boundary._SweepData(boundary._pairs(pairs), config, ps)
+            powers = np.broadcast_to(np.stack([ps, snr - ps], axis=-1), (8, 41, 2))
+            gram_a, gram_b = model.resolvent_grams(pairs[:, None], powers, config,
+                                                   second_order=True)
+            bound = 16.0 * np.finfo(float).eps * (1.0 + snr * norms[:, None])
+            where = (dim, snr)
+            for name, gram in (("a", gram_a), ("b", gram_b)):
+                d11, d22, off = (getattr(data, name + ij) for ij in ("11", "22", "12"))
+                assert (np.abs(d11 - gram[..., 0, 0].real) <= bound * d11).all(), (where, name)
+                assert (np.abs(d22 - gram[..., 1, 1].real) <= bound * d22).all(), (where, name)
+                assert (np.abs(off - gram[..., 0, 1])
+                        <= bound * np.sqrt(d11 * d22)).all(), (where, name)
+            assert (np.abs(data.eps1 - (1.0 - ps * gram_a[..., 0, 0].real)) <= bound).all(), where
+            assert (np.abs(data.eps2 - (1.0 - (snr - ps) * gram_a[..., 1, 1].real))
+                    <= bound).all(), where
+            disc = boundary._derivatives(
+                gram_a[..., 0, 0].real, gram_a[..., 1, 1].real, gram_a[..., 0, 1],
+                gram_b[..., 0, 0].real, gram_b[..., 1, 1].real, gram_b[..., 0, 1],
+                config.noise_variance, config.power_budget)[4]
+            inner = slice(1, -1)
+            assert (np.abs(data.disc - disc)[:, inner]
+                    <= DISCRIMINANT_RTOL * data.scale[:, inner]).all(), where
+            assert (data.disc <= 0.0).all(), where
+        reports = convexity_certificates(pairs, UNIT, grid=41)
+        assert [r.classification for r in reports[1::4]] == [BoundaryClass.AFFINE] * 2
 
 
-def _exact_discriminant(h1, h2, config, p):
-    """D at split p from a 60-digit dense inverse of the N x N covariance."""
+def _exact_boundary(h1, h2, config, p):
+    """(eps1, eps2, D, derivative scale) at split p from a 60-digit dense
+    inverse of the N x N covariance."""
     with mpmath.workdps(60):
         col1, col2 = mpmath.matrix(h1.tolist()), mpmath.matrix(h2.tolist())
         budget, split = mpmath.mpf(config.power_budget), mpmath.mpf(p)
@@ -413,8 +421,11 @@ def _exact_discriminant(h1, h2, config, p):
         grams = [(u.H * m * v)[0] for m in (inv, inv2) for u, v in
                  ((col1, col1), (col2, col2), (col1, col2))]
         a11, a22, a12, b11, b22, b12 = grams
-        return boundary._derivatives(a11.real, a22.real, a12, b11.real, b22.real, b12,
-                                     mpmath.mpf(config.noise_variance), budget)[4]
+        d1, d2, dd1, dd2, disc, _ = boundary._derivatives(
+            a11.real, a22.real, a12, b11.real, b22.real, b12,
+            mpmath.mpf(config.noise_variance), budget)
+        return (1 - split * a11.real, 1 - (budget - split) * a22.real, disc,
+                abs(dd2 * d1) + abs(dd1 * d2))
 
 
 def test_discriminant_on_reduced_pair_matches_high_precision_oracle():
@@ -430,4 +441,26 @@ def test_discriminant_on_reduced_pair_matches_high_precision_oracle():
         d1, d2 = mse_first_derivatives(bundle, config)
         dd1, dd2 = mse_second_derivatives(bundle, config)
         scale = abs(dd2 * d1) + abs(dd1 * d2)
-        assert abs(disc - float(_exact_discriminant(h1, h2, config, p))) <= 1e-12 * scale, p
+        assert abs(disc - float(_exact_boundary(h1, h2, config, p)[2])) <= 1e-12 * scale, p
+
+
+def test_closed_forms_match_high_precision_oracle_at_high_snr():
+    # 1 - p a cancels at high SNR: the kernel's MSEs are off by up to 1.0
+    # at P / sigma^2 = 1e15 (the random 4 x 2 pair's come out <= 0); the
+    # closed forms have no subtraction
+    pairs = {
+        "orthogonal 2x2": (E1, E2),
+        "random 4x2": random_pair(np.random.default_rng(21), 4),
+        "near-colinear": (E1, np.array([1.0, 1e-6], dtype=complex)),
+    }
+    for snr in (1e6, 1e9, 1e12, 1e15):
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        for name, (h1, h2) in pairs.items():
+            for s in boundary_sweep(h1, h2, config, samples=9):
+                where = (name, snr, s.p)
+                eps1, eps2, disc, scale = _exact_boundary(h1, h2, config, s.p)
+                assert mse_pair_at_power(h1, h2, config, s.p) == (s.eps1, s.eps2), where
+                assert abs(s.eps1 - eps1) <= 1e-14 * eps1, where
+                assert abs(s.eps2 - eps2) <= 1e-14 * eps2, where
+                if s.discriminant is not None:
+                    assert abs(s.discriminant - disc) <= 1e-12 * scale, where

@@ -27,6 +27,7 @@ from helpers import (
     random_channels,
     random_config,
     random_powers,
+    two_user_dominated,
 )
 
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
@@ -216,6 +217,10 @@ def test_membership_oracle_campaign(k):
         assert verdicts[0].dominated
         assert verdicts[1].dominated
         assert not verdicts[2].dominated
+        if k == 2:
+            # margin <= TOL_MEMBER iff t + TOL_MEMBER is dominated
+            for target, verdict in zip(targets, verdicts):
+                assert two_user_dominated(mat, config, target + TOL_MEMBER) == verdict.dominated
         assert verdicts[2].margin >= float((floor - unreachable).max()) - 1e-12
 
 
@@ -295,6 +300,8 @@ def test_two_user_segments_never_witness():
         b = np.asarray(mse_pair_at_power(mat[:, 0], mat[:, 1], cfg, pb))
         report = segment_test(mat, cfg, a, b, steps=1)
         assert not report.nonconvex_witness
+        for point in report.points:
+            assert two_user_dominated(mat, cfg, point.target)
 
 
 def test_embed_inactive_users_identity_and_padding():
