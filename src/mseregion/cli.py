@@ -81,10 +81,8 @@ def _segment_block(report) -> dict:
     """The JSON fields of a segment report, shared by `segment` and `counterexample`."""
     return {
         "endpoint_margins": [report.endpoint_a.margin, report.endpoint_b.margin],
-        "points": [
-            {"t": pt.t, "target": pt.target, "margin": pt.margin, "dominated": pt.dominated}
-            for pt in report.points
-        ],
+        "endpoints": [report.endpoint_a, report.endpoint_b],
+        "points": report.points,
         "nonconvex_witness": report.nonconvex_witness,
     }
 

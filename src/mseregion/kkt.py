@@ -17,7 +17,9 @@ from one Gram matrix) on the channels' triangular factor
 (`reduced_channels`, computed once per instance).  Rows are evaluated
 independently and weighted with `einsum` reductions, so a start's
 certificate is bitwise the same whether it ran alone or in a batch; a
-single start is a batch of one.
+single start is a batch of one.  The stopping rule is fixed: a start
+stops when its projected gradient passes the `PGD_TOL_REL` test or
+after `simplex._MAX_ITERS` iterations.
 
 The module also ships a reference three-user instance whose weighted
 problem has two distinct stationary points; `counterexample_suite`
@@ -47,7 +49,6 @@ from .model import (
 from .simplex import projected_gradient, sample_budget_simplex
 from .tolerances import (
     CLUSTER_REL_RADIUS,
-    PGD_TOL_REL,
     TOL_ACTIVE_REL,
     TOL_KKT,
 )
@@ -56,7 +57,6 @@ __all__ = [
     "WeightVector",
     "KktResiduals",
     "KktCertificate",
-    "SolverOptions",
     "CheckResult",
     "CounterexampleReport",
     "kkt_residuals",
@@ -110,17 +110,6 @@ class KktCertificate:
     iterations: int
     backtracks: int
     stalled: bool
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Stopping rule of the projected Newton descent.
-
-    The step rule is fixed in `simplex`.
-    """
-
-    max_iters: int = 5000
-    tol_grad: float = PGD_TOL_REL
 
 
 def _residuals(grad: np.ndarray, p: np.ndarray, budget: float, lam: float,
@@ -177,8 +166,7 @@ def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
     )
 
 
-def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.ndarray,
-           opts: SolverOptions) -> list:
+def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.ndarray) -> list:
     """One lockstep projected Newton batch from the rows of `starts`; a
     certificate per row.
 
@@ -188,8 +176,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
     def derivatives(p):
         return weighted_mse_derivatives(chan, p, config, w)
 
-    batch = projected_gradient(derivatives, starts, config.power_budget,
-                               max_iters=opts.max_iters, tol_rel=opts.tol_grad)
+    batch = projected_gradient(derivatives, starts, config.power_budget)
     certs = []
     for run in batch.results:
         lam, mu = _multipliers(run.gradient, run.point, config.power_budget)
@@ -208,8 +195,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
     return certs
 
 
-def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
-                              options: Optional[SolverOptions] = None):
+def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start):
     """Projected Newton descent from a feasible start.
 
     `start` is one power vector, giving one certificate, or an (S, K)
@@ -226,7 +212,7 @@ def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start,
         raise ValueError(f"start must be one power vector or an (S, K) batch, got {starts.shape}")
     for row in starts:
         ensure_feasible(row, config)
-    certs = _solve(chan, config, w, starts, options or SolverOptions())
+    certs = _solve(chan, config, w, starts)
     return certs if np.ndim(start) == 2 else certs[0]
 
 
@@ -261,7 +247,7 @@ def enumerate_stationary_points(channels, config: SystemConfig, weights,
     w = _weight_vector(weights, k)
     budget = config.power_budget
     points = _start_points(k, budget, starts, seed)
-    certs = _solve(chan, config, w, points, SolverOptions())
+    certs = _solve(chan, config, w, points)
 
     certs.sort(key=lambda c: (c.objective, tuple(c.powers), c.iterations))
     clusters: list[KktCertificate] = []

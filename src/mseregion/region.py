@@ -74,7 +74,9 @@ class MembershipVerdict:
 
     `seed_rank` is the lattice rank (0 = smallest lattice margin) of the
     seed whose point or refinement attained `margin`; `sqp_failures`
-    counts the refinements whose SLSQP run did not report success.
+    counts the refinements whose SLSQP run did not report success,
+    `sqp_iterations` sums their SLSQP iterations and `kernel_calls`
+    counts their `mse_jacobian` evaluations.
     """
 
     target: np.ndarray
@@ -83,15 +85,15 @@ class MembershipVerdict:
     dominated: bool
     seed_rank: int
     sqp_failures: int
+    sqp_iterations: int
+    kernel_calls: int
 
 
 @dataclass(frozen=True)
-class SegmentPoint:
+class SegmentPoint(MembershipVerdict):
+    """The verdict at chord position t."""
+
     t: float
-    target: np.ndarray
-    margin: float
-    dominated: bool
-    witness_powers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,12 @@ def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
     """SQP step on min {s : eps(p) - t <= s} over the power simplex.
 
     Returns the true margin max_k (eps_k - t_k) at the start, the refined
-    allocation re-projected onto the simplex with its true margin, and
-    whether SLSQP reported success.  SLSQP asks for the constraint values
-    and their Jacobian at the same iterate, so the last (eps, J) is kept,
-    keyed on the powers' bytes, and each point (the start and the
-    projected point included) is evaluated once; the cached arrays are
-    only read.
+    allocation re-projected onto the simplex with its true margin,
+    whether SLSQP reported success, its iteration count and the number of
+    `mse_jacobian` calls.  SLSQP asks for the constraint values and their
+    Jacobian at the same iterate, so the last (eps, J) is kept, keyed on
+    the powers' bytes, and each point (the start and the projected point
+    included) is evaluated once; the cached arrays are only read.
     """
     from scipy.optimize import minimize
 
@@ -129,10 +131,13 @@ def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
     grad_s = np.zeros(k + 1)
     grad_s[k] = 1.0
     cache = {}
+    calls = 0
 
     def evaluate(x):
+        nonlocal calls
         key = x[:k].tobytes()
         if key not in cache:
+            calls += 1
             cache.clear()
             cache[key] = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
         return cache[key]
@@ -166,7 +171,8 @@ def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
         options={"maxiter": _SQP_MAX_ITERS, "ftol": 1e-12},
     )
     point = project_onto_budget_simplex(result.x[:k], config.power_budget)
-    return start_margin, point, margin(point), bool(result.success)
+    point_margin = margin(point)
+    return start_margin, point, point_margin, bool(result.success), int(result.nit), calls
 
 
 def _coarse_seeds(chan: ChannelSet, config: SystemConfig, target: np.ndarray):
@@ -199,10 +205,13 @@ def dominated_membership(channels, config: SystemConfig, target) -> MembershipVe
     best_margin = math.inf
     best_point = np.zeros(k)
     best_rank = 0
-    failures = 0
+    failures = iterations = kernel_calls = 0
     for rank, seed in enumerate(_coarse_seeds(chan, config, tgt)):
-        seed_margin, refined, refined_margin, success = _epigraph_refine(chan, config, tgt, seed)
+        seed_margin, refined, refined_margin, success, nit, calls = \
+            _epigraph_refine(chan, config, tgt, seed)
         failures += not success
+        iterations += nit
+        kernel_calls += calls
         for point, margin in ((seed, seed_margin), (refined, refined_margin)):
             if margin < best_margin:
                 best_margin, best_point, best_rank = margin, point, rank
@@ -214,6 +223,8 @@ def dominated_membership(channels, config: SystemConfig, target) -> MembershipVe
         dominated=bool(best_margin <= TOL_MEMBER),
         seed_rank=best_rank,
         sqp_failures=failures,
+        sqp_iterations=iterations,
+        kernel_calls=kernel_calls,
     )
 
 
@@ -243,10 +254,7 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
         t = i / (steps + 1)
         target = (1.0 - t) * vec_a + t * vec_b
         verdict = dominated_membership(channels, config, target)
-        points.append(SegmentPoint(
-            t=t, target=target, margin=verdict.margin,
-            dominated=verdict.dominated, witness_powers=verdict.witness_powers,
-        ))
+        points.append(SegmentPoint(**vars(verdict), t=t))
     return SegmentReport(
         endpoint_a=end_a,
         endpoint_b=end_b,

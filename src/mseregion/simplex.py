@@ -36,6 +36,9 @@ _SHRINK = 0.5
 _ACTIVE_FRACTION = 1e-2
 _FACE_REL = 1e-12
 _EIGEN_FLOOR = 1e-10
+# Iteration cap of `projected_gradient`; with PGD_TOL_REL it is the fixed
+# stopping rule of every weighted sum-MSE solve.
+_MAX_ITERS = 5000
 
 
 def project_onto_budget_simplex(point, budget: float) -> np.ndarray:
@@ -172,14 +175,14 @@ def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     return np.where(fixed, -point, step + fill[:, None])
 
 
-def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 5000,
-                       tol_rel: float = PGD_TOL_REL) -> PgdBatch:
+def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
     """Projected Newton descent with the Armijo step rule of the module constants.
 
     Convergence is declared when the unit projected-gradient norm drops
-    below tol_rel * (1 + |f|).  A stall of the backtracking below 1e-18
-    exits with `stalled` set and converged determined by the
-    projected-gradient test alone.
+    below PGD_TOL_REL * (1 + |f|); a start that has not converged after
+    _MAX_ITERS iterations stops unconverged.  Both are read at call time.
+    A stall of the backtracking below 1e-18 exits with `stalled` set and
+    converged determined by the projected-gradient test alone.
 
     `start` is an (S, K) batch of starts and `value_and_grad` maps an
     (R, K) array of points to (R,) values, (R, K) gradients and (R, K, K)
@@ -212,9 +215,9 @@ def projected_gradient(value_and_grad, start, budget: float, max_iters: int = 50
             pts, grs = point[top], grad[top]
             pg = np.linalg.norm(pts - project_onto_budget_simplex(pts - grs, budget), axis=1)
             pg_norm[top] = pg
-            done = pg <= tol_rel * (1.0 + np.abs(value[top]))
+            done = pg <= PGD_TOL_REL * (1.0 + np.abs(value[top]))
             converged[top] = done
-            done |= iters[top] >= max_iters
+            done |= iters[top] >= _MAX_ITERS
             running[top[done]] = False
             go = top[~done]
             iters[go] += 1

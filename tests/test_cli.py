@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from mseregion import ChannelSet, SystemConfig, mse_tuples, save_channels
+import mseregion.region as region
+from mseregion import ChannelSet, SystemConfig, cli, mse_tuples, save_channels
 from mseregion.cli import _scan_pairs
 from mseregion.io import BOUNDARY_COLUMNS, read_region_csv
 
@@ -210,6 +211,50 @@ def test_segment_cli_exit_codes(tmp_path, ref_channels_file):
                    "--a", "0.01,0.01,0.01", "--b", "1,1,1")
     assert proc.returncode == 2
     assert "not achievable" in proc.stderr
+
+
+# the fields of a membership verdict; a segment point adds its position t
+VERDICT_KEYS = {"target", "margin", "witness_powers", "dominated", "seed_rank",
+                "sqp_failures", "sqp_iterations", "kernel_calls"}
+REF_CHORD = ("--a", "0.21389147,0.13652377,1.0", "--b", "1.0,0.19774107,0.23353177")
+
+
+def test_segment_json_writes_whole_verdicts(tmp_path, ref_channels_file):
+    seg, ce = tmp_path / "seg.json", tmp_path / "ce.json"
+    assert cli.main(["segment", "--channels", ref_channels_file, *REF_CHORD,
+                     "--steps", "1", "--out", str(seg)]) == 3
+    assert cli.main(["counterexample", "--starts", "8", "--seed", "0",
+                     "--out", str(ce)]) == 0
+    blocks = [json.loads(seg.read_text(encoding="utf-8")),
+              json.loads(ce.read_text(encoding="utf-8"))["segment"]]
+    for block in blocks:
+        assert len(block["endpoints"]) == 2
+        for end, margin in zip(block["endpoints"], block["endpoint_margins"]):
+            assert set(end) == VERDICT_KEYS
+            assert end["margin"] == margin
+        for pt in block["points"]:
+            assert set(pt) == VERDICT_KEYS | {"t"}
+            assert pt["kernel_calls"] > 2 * region._COARSE_STARTS
+
+
+def test_segment_json_reports_sqp_failures(monkeypatch, tmp_path, ref_channels_file):
+    # SLSQP reports failure on the interior point's refines only, so the
+    # endpoints stay achievable and the failures reach the point's JSON
+    refine = region._epigraph_refine
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        out = refine(*args)
+        return out if len(calls) <= 2 * region._COARSE_STARTS else out[:3] + (False,) + out[4:]
+
+    monkeypatch.setattr(region, "_epigraph_refine", failing)
+    out = tmp_path / "seg.json"
+    assert cli.main(["segment", "--channels", ref_channels_file, *REF_CHORD,
+                     "--steps", "1", "--out", str(out)]) == 3
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert [end["sqp_failures"] for end in payload["endpoints"]] == [0, 0]
+    assert [pt["sqp_failures"] for pt in payload["points"]] == [region._COARSE_STARTS]
 
 
 def test_region_cli_grid_round_trip(tmp_path, ref_channels_file):

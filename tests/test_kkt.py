@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from mseregion import (
-    SolverOptions,
     SystemConfig,
     WeightVector,
     enumerate_stationary_points,
@@ -18,7 +17,7 @@ from mseregion import (
     weighted_mse_gradient,
     weighted_sum_mse,
 )
-from mseregion import kkt
+from mseregion import kkt, simplex
 from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
 from mseregion.tolerances import TOL_KKT
 
@@ -139,10 +138,10 @@ def test_single_positive_weight_concentrates_power():
         assert (others <= 1e-6 * config.power_budget).all()
 
 
-def test_weight_scaling_law():
+def test_weight_scaling_law(monkeypatch):
     # scaling w by c scales the objective and multipliers by c and leaves
-    # the minimizer in place; tight options pin the endpoints down
-    opts = SolverOptions(tol_grad=1e-10)
+    # the minimizer in place; a tight stopping rule pins the endpoints down
+    monkeypatch.setattr(simplex, "PGD_TOL_REL", 1e-10)
     rng = np.random.default_rng(23)
     cases = [(REF_H, REF_CONFIG, REF_WEIGHTS, [4.0, 6.0, 0.0])]
     channels = random_channels(rng, 2, 3)
@@ -150,8 +149,8 @@ def test_weight_scaling_law():
     cases.append((channels.entries, config, rng.uniform(0.1, 1.0, size=3),
                   [config.power_budget / 4] * 3))
     for mat, cfg, w, start in cases:
-        base = minimize_weighted_sum_mse(mat, cfg, w, start, opts)
-        scaled = minimize_weighted_sum_mse(mat, cfg, 3.0 * np.asarray(w), start, opts)
+        base = minimize_weighted_sum_mse(mat, cfg, w, start)
+        scaled = minimize_weighted_sum_mse(mat, cfg, 3.0 * np.asarray(w), start)
         np.testing.assert_allclose(scaled.powers, base.powers, atol=1e-6)
         assert scaled.objective == pytest.approx(3.0 * base.objective, rel=1e-9)
         assert scaled.lam == pytest.approx(3.0 * base.lam, rel=1e-4, abs=1e-9)

@@ -177,6 +177,7 @@ def test_membership_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(region, "mse_jacobian", recorded)
     verdict = dominated_membership(REF_H, REF_CONFIG, target)
     assert len(calls) > 2 * region._COARSE_STARTS
+    assert verdict.kernel_calls == len(calls)
     for before, after in zip(calls, calls[1:]):
         assert not np.array_equal(before, after)
     assert len({powers.tobytes() for powers in calls}) == len(calls)
