@@ -48,7 +48,7 @@ grid of splits as report flags.  The K-user kernel
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -167,6 +167,11 @@ def _pair_scalars(pairs: np.ndarray):
     return n1, n2, c, det.real ** 2 + det.imag ** 2
 
 
+def _couplings(a12, b12):
+    """(|a12|^2, Re{a12 b21}): the two cross terms of every derivative."""
+    return a12.real ** 2 + a12.imag ** 2, (a12 * np.conj(b12)).real
+
+
 def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
     """(eps1', eps2', eps1'', eps2'', D, summands) from the Gram entries.
 
@@ -174,8 +179,7 @@ def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
     `summands` is the tuple of the three nonpositive terms that add up
     to D.
     """
-    cross = a12.real ** 2 + a12.imag ** 2          # |a12|^2
-    re_ab = (a12 * np.conj(b12)).real              # Re{a12 b21}
+    cross, re_ab = _couplings(a12, b12)
     deps1 = -sig2 * b11 - budget * cross
     deps2 = sig2 * b22 + budget * cross
     ddeps1 = 2.0 * sig2 * (a11 * b11 - re_ab) + 2.0 * budget * cross * (a11 - a22)
@@ -190,8 +194,13 @@ def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
 
 
 def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
-    return _derivatives(bundle.a11, bundle.a22, bundle.a12, bundle.b11, bundle.b22,
-                        bundle.b12, config.noise_variance, config.power_budget)
+    return _derivatives(*astuple(bundle), config.noise_variance, config.power_budget)
+
+
+def _cs_holds(lhs, rhs):
+    """lhs <= rhs up to rounding, the one Cauchy-Schwarz comparison: relative
+    slack, as the X^{-2} Gram entries scale like |h|^4 / sigma^8, plus an absolute one."""
+    return lhs <= rhs * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL
 
 
 class _SweepData:
@@ -228,15 +237,18 @@ class _SweepData:
         self.b12 = c * (sig4 - p * q * d) / den2
         self.eps1 = sig2 * (sig2 + q * n2) / den
         self.eps2 = sig2 * (sig2 + p * n1) / den
-        self.absa12sq = self.a12.real ** 2 + self.a12.imag ** 2
+        self.absa12sq, self.re_ab = _couplings(self.a12, self.b12)
         self.absb12sq = self.b12.real ** 2 + self.b12.imag ** 2
-        self.re_ab = (self.a12 * np.conj(self.b12)).real    # Re{a12 b21}
         self.deps1, self.deps2, self.ddeps1, self.ddeps2, _, summands = _derivatives(
             self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, budget)
         self.disc = -2.0 * sig4 * d * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
         self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
         self.summands = np.stack(summands, axis=-1)
         self.proven = ((d >= 0.0) & (delta(0.0) > 0.0) & (delta(budget) > 0.0))[:, 0]
+
+    def g_derivatives(self):
+        """(g', g'') = (eps2' / eps1', D / eps1'^3) of the boundary eps2 = g(eps1)."""
+        return self.deps2 / self.deps1, self.disc / self.deps1 ** 3
 
 
 def _classify(pairs: np.ndarray) -> list:
@@ -259,19 +271,14 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     """Evaluate all coupling quantities at power split p; validates the
     Cauchy-Schwarz invariants of both Gram matrices on the way out."""
     data = _SweepData(_pair(h1, h2), config, _split(config, p))
-    a11 = float(data.a11[0, 0])
-    a22 = float(data.a22[0, 0])
-    a12 = complex(data.a12[0, 0])
-    b11 = float(data.b11[0, 0])
-    b22 = float(data.b22[0, 0])
-    b12 = complex(data.b12[0, 0])
-    if min(a11, a22, b11, b22) <= 0.0:
+    bundle = CouplingBundle(*(getattr(data, f.name)[0, 0].item() for f in fields(CouplingBundle)))
+    if min(bundle.a11, bundle.a22, bundle.b11, bundle.b22) <= 0.0:
         raise ArithmeticError("diagonal quadratic forms must be positive")
-    if abs(a12) ** 2 > a11 * a22 + CAUCHY_SCHWARZ_ATOL:
+    if not _cs_holds(data.absa12sq[0, 0], bundle.a11 * bundle.a22):
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-1} Gram matrix")
-    if abs(b12) ** 2 > b11 * b22 + CAUCHY_SCHWARZ_ATOL:
+    if not _cs_holds(data.absb12sq[0, 0], bundle.b11 * bundle.b22):
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
-    return CouplingBundle(a11=a11, a22=a22, a12=a12, b11=b11, b22=b22, b12=b12)
+    return bundle
 
 
 def mse_first_derivatives(bundle: CouplingBundle, config: SystemConfig):
@@ -298,15 +305,16 @@ def convexity_discriminant(bundle: CouplingBundle, config: SystemConfig):
 def g_derivatives(h1, h2, config: SystemConfig, p: float):
     """(g', g'') of the boundary eps2 = g(eps1) at an interior split.
 
-    g' = eps2'/eps1' < 0 and g'' = D / eps1'^3 >= 0; endpoints are
+    g' = eps2'/eps1' < 0 and g'' = D / eps1'^3 >= 0, with D in closed form:
+    the values `boundary_sweep` reports at that split.  Endpoints are
     rejected because the parameterization derivative vanishes there in
     the chain rule denominators only up to one-sided limits.
     """
     split = float(p)
     if not 0.0 < split < config.power_budget:
         raise ValueError(f"g derivatives need an interior split, got p={split}")
-    d1, d2, _, _, value, _ = _bundle_derivatives(coupling_bundle(h1, h2, config, split), config)
-    return float(d2 / d1), float(value / d1 ** 3)
+    g_prime, g_dprime = _SweepData(_pair(h1, h2), config, np.array([split])).g_derivatives()
+    return float(g_prime[0, 0]), float(g_dprime[0, 0])
 
 
 def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
@@ -374,25 +382,14 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
         raise ValueError(f"sweep needs at least 3 samples, got {count}")
     ps = np.linspace(0.0, config.power_budget, count)
     data = _SweepData(_pair(h1, h2), config, ps)
-    g_prime = np.divide(data.deps2, data.deps1)[0]
-    g_dprime = np.divide(data.disc, data.deps1 ** 3)[0]
-    out = []
-    last = count - 1
-    for i in range(count):
-        interior = 0 < i < last
-        out.append(BoundarySample(
-            p=float(ps[i]),
-            eps1=float(data.eps1[0, i]),
-            eps2=float(data.eps2[0, i]),
-            deps1=float(data.deps1[0, i]) if interior else None,
-            deps2=float(data.deps2[0, i]) if interior else None,
-            ddeps1=float(data.ddeps1[0, i]) if interior else None,
-            ddeps2=float(data.ddeps2[0, i]) if interior else None,
-            discriminant=float(data.disc[0, i]) if interior else None,
-            g_prime=float(g_prime[i]) if interior else None,
-            g_double_prime=float(g_dprime[i]) if interior else None,
-        ))
-    return out
+    g_prime, g_dprime = data.g_derivatives()
+    interior = {"deps1": data.deps1, "deps2": data.deps2, "ddeps1": data.ddeps1,
+                "ddeps2": data.ddeps2, "discriminant": data.disc,
+                "g_prime": g_prime, "g_double_prime": g_dprime}
+    return [BoundarySample(p=float(p), eps1=float(data.eps1[0, i]), eps2=float(data.eps2[0, i]),
+                           **{key: float(v[0, i]) if 0 < i < count - 1 else None
+                              for key, v in interior.items()})
+            for i, p in enumerate(ps)]
 
 
 def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list:
@@ -418,19 +415,14 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
 
     prod_aa = data.a11 * data.a22
     prod_bb = data.b11 * data.b22
-    cs_gram = ((data.absa12sq <= prod_aa + CAUCHY_SCHWARZ_ATOL).all(axis=1)
-               & (data.absb12sq <= prod_bb + CAUCHY_SCHWARZ_ATOL).all(axis=1))
+    cs_gram = _cs_holds(data.absa12sq, prod_aa) & _cs_holds(data.absb12sq, prod_bb)
     # 4 Re^2{a21 b12} <= 4 |a21 b12|^2 <= 4 a11 a22 b11 b22 <= (a22 b11 + a11 b22)^2
     link0 = 4.0 * data.re_ab ** 2
     link1 = 4.0 * data.absa12sq * data.absb12sq
     link2 = 4.0 * prod_aa * prod_bb
     link3 = (data.a22 * data.b11 + data.a11 * data.b22) ** 2
-    chain_ok = (
-        (link0 <= link1 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
-        & (link1 <= link2 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
-        & (link2 <= link3 * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL).all(axis=1)
-    )
-    cs_ok = cs_gram & chain_ok
+    chain_ok = _cs_holds(link0, link1) & _cs_holds(link1, link2) & _cs_holds(link2, link3)
+    cs_ok = (cs_gram & chain_ok).all(axis=1)
 
     worst = np.argmax(data.disc, axis=1)
     worst_disc = np.take_along_axis(data.disc, worst[:, None], axis=1)[:, 0]

@@ -126,9 +126,7 @@ def cmd_boundary(args) -> int:
     classification = colinearity_classify(h1, h2)
     samples = boundary_sweep(h1, h2, config, samples=args.samples)
     write_boundary_csv(args.out, samples)
-    gamma = config.snr
-    eps_min1 = 1.0 / (1.0 + gamma * float(np.vdot(h1, h1).real))
-    eps_min2 = 1.0 / (1.0 + gamma * float(np.vdot(h2, h2).real))
+    eps_min1, eps_min2 = samples[-1].eps1, samples[0].eps2
     if args.plot:
         with open(args.plot, "w", encoding="utf-8") as handle:
             handle.write(_plot_script(args.out, eps_min1, eps_min2))
@@ -222,8 +220,6 @@ def cmd_counterexample(args) -> int:
 def cmd_wsmse(args) -> int:
     channels = load_channels(args.channels)
     weights = _parse_float_list(args.weights)
-    if weights.size != channels.n_users:
-        raise ValueError(f"{weights.size} weights for {channels.n_users} users")
     config = _config(args)
     seed = _resolve_seed(args)
     clusters = enumerate_stationary_points(channels, config, weights, starts=args.starts, seed=seed)
@@ -296,11 +292,12 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _add_common(parser, seed: bool = True) -> None:
-    parser.add_argument("--power", type=float, default=10.0,
-                        help="sum power budget (default 10)")
-    parser.add_argument("--sigma2", type=float, default=1.0,
-                        help="noise variance (default 1)")
+def _add_common(parser, config: bool = True, seed: bool = True) -> None:
+    if config:
+        parser.add_argument("--power", type=float, default=10.0,
+                            help="sum power budget (default 10)")
+        parser.add_argument("--sigma2", type=float, default=1.0,
+                            help="noise variance (default 1)")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="accepted for compatibility; has no effect (multistart "
                              "solves run as one batch) and never changes output bytes")
@@ -342,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.add_argument("--region-csv", help="also sample the region to this CSV")
     p.add_argument("--grid", type=int, help="grid resolution for --region-csv")
-    _add_common(p)
+    _add_common(p, config=False)
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("wsmse", help="minimize a weighted sum of MSEs")
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="comma-separated MSE tuple")
     p.add_argument("--steps", type=int, default=9)
     p.add_argument("--out", help="output JSON path (default stdout)")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("region", help="sample achievable MSE tuples to CSV")

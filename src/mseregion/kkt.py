@@ -46,6 +46,7 @@ from .model import (
     weighted_mse_derivatives,
     weighted_mse_gradient,
 )
+from .region import segment_test
 from .simplex import projected_gradient, sample_budget_simplex
 from .tolerances import (
     CLUSTER_REL_RADIUS,
@@ -329,8 +330,6 @@ def counterexample_suite(starts: int = 64, seed: int = 0) -> CounterexampleRepor
     triples must flag every interior point as not dominated, which is the
     numerical nonconvexity witness.
     """
-    from .region import segment_test  # deferred to keep module load acyclic
-
     config = SystemConfig(noise_variance=REFERENCE_NOISE_VARIANCE,
                           power_budget=REFERENCE_POWER_BUDGET)
     mat = REFERENCE_CHANNELS

@@ -14,6 +14,9 @@ sampling) reduces to the Gram matrices A[i, j] = h_i^H X^{-1} h_j and
 B[i, j] = h_i^H X^{-2} h_j.  Every evaluation, batched MSE tuples
 included, goes through one Cholesky whitening X = L L^H: A is the Gram
 matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
+One private function, `_mses`, forms every MSE from the whitened
+channels as eps = 1 - p * sum_n |L^{-1} h|^2: `mse_tuples`, `mse_tuple`
+(one row of it), `mse_jacobian` and `weighted_mse_derivatives`.
 They depend on H only through H^H H, so the solvers and the region
 sampler evaluate them on the triangular factor of H
 (`reduced_channels`), whose covariance is at most K x K whatever the
@@ -289,7 +292,8 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
 
 
 def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool = False):
-    """(A,) or (A, B): the Gram matrices of L^{-1} H and X^{-1} H = L^{-H} L^{-1} H.
+    """(L^{-1} H, A) or (L^{-1} H, A, B): A and B are the Gram matrices of
+    L^{-1} H and X^{-1} H = L^{-H} L^{-1} H.
 
     Shapes broadcast as in `_whiten`.
     """
@@ -297,7 +301,7 @@ def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order:
     factors = [half]
     if second_order:
         factors.append(np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half))
-    return tuple(np.einsum("...ni,...nj->...ij", f.conj(), f) for f in factors)
+    return (half, *(np.einsum("...ni,...nj->...ij", f.conj(), f) for f in factors))
 
 
 def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
@@ -315,15 +319,13 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     """
     mat = channels.entries if isinstance(channels, ChannelSet) else _checked_channels(channels)
     grams = _grams(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance, second_order)
-    return grams if second_order else grams[0]
+    return grams[1:] if second_order else grams[1]
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
-    """MMSE values eps_k = 1 - p_k h_k^H X^{-1} h_k at one power vector."""
-    if np.ndim(powers) != 1:
-        raise ValueError("mse_tuple takes one power vector; mse_tuples takes a batch")
-    eps, _ = mse_jacobian(channels, powers, config)
-    return MseTuple(eps)
+    """MMSE values eps_k = 1 - p_k h_k^H X^{-1} h_k at one power vector, as a
+    one-row `mse_tuples` batch."""
+    return MseTuple(mse_tuples(channels, np.asarray(powers)[None], config)[0])
 
 
 # working-set budget of one batch chunk, in bytes
@@ -353,8 +355,7 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     out = np.empty_like(pw)
     for lo in range(0, pw.shape[0], chunk):
         blk = pw[lo:lo + chunk]
-        _, half = _whiten(mat, blk, config.noise_variance)
-        out[lo:lo + chunk] = 1.0 - blk * (half.real ** 2 + half.imag ** 2).sum(axis=1)
+        out[lo:lo + chunk] = _mses(_whiten(mat, blk, config.noise_variance)[1], blk)[0]
     return out
 
 
@@ -372,11 +373,18 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     return (eps, jac) if pw.ndim > 1 else (eps[0], jac[0])
 
 
+def _mses(half: np.ndarray, rows: np.ndarray):
+    """(eps, diag A) from the whitened channels L^{-1} H of (..., K) powers:
+    eps = 1 - p * sum_n |L^{-1} h|^2, the one MSE formula."""
+    diag = (half.real ** 2 + half.imag ** 2).sum(axis=-2)
+    return 1.0 - rows * diag, diag
+
+
 def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
-    """(A, eps, J) for a validated (..., K) power batch: the one MSE and Jacobian formula."""
-    gram, = _grams(mat, rows, noise_variance)
-    diag = np.diagonal(gram, axis1=-2, axis2=-1).real
-    eps = 1.0 - rows * diag
+    """(A, eps, J) for a validated (..., K) power batch: eps from `_mses`, J by the one
+    Jacobian formula."""
+    half, gram = _grams(mat, rows, noise_variance)
+    eps, diag = _mses(half, rows)
     jac = rows[..., :, None] * (gram.real ** 2 + gram.imag ** 2)
     users = np.arange(mat.shape[-1])
     jac[..., users, users] -= diag

@@ -23,6 +23,7 @@ from mseregion import (
     mse_tuple,
 )
 from mseregion import boundary, model
+from mseregion.cli import _scan_pairs
 from mseregion.io import to_jsonable
 from mseregion.tolerances import DISCRIMINANT_RTOL
 
@@ -182,6 +183,33 @@ def test_g_derivative_signs_and_interior_requirement():
         g_derivatives(h1, h2, UNIT, UNIT.power_budget)
 
 
+def test_g_derivatives_are_the_sweep_values():
+    # at every interior split g_derivatives returns the sweep's (g', g'') bits
+    rng = np.random.default_rng(23)
+    for dim in range(1, 6):
+        pairs = _mixed_pairs(rng, 8, dim)
+        for t in range(8):
+            h1, h2 = pairs[t, :, 0], pairs[t, :, 1]
+            config = random_config(rng, sigma2=(1e-3, 10.0), power=(1e-2, 1e3))
+            for s in boundary_sweep(h1, h2, config, samples=11)[1:-1]:
+                got = g_derivatives(h1, h2, config, s.p)
+                assert got == (s.g_prime, s.g_double_prime), (dim, t, s.p)
+
+
+def test_low_noise_pairs_keep_cauchy_schwarz_and_convexity():
+    # sigma^2 = 1e-3, P = 0.02: the X^{-2} Gram entries reach |h|^4 / sigma^8,
+    # far above the absolute Cauchy-Schwarz slack, and scalar or colinear
+    # pairs hold Cauchy-Schwarz with equality
+    config = SystemConfig(noise_variance=1e-3, power_budget=0.02)
+    splits = np.linspace(0.0, config.power_budget, 11)[1:-1]
+    for dim, colinear in ((1, False), (4, True)):
+        pairs = _scan_pairs(np.random.default_rng(1), 200, dim, colinear)
+        for h1, h2 in zip(pairs[:, :, 0], pairs[:, :, 1]):
+            for p in splits:
+                coupling_bundle(h1, h2, config, p)
+                assert g_derivatives(h1, h2, config, p)[1] >= 0.0, (dim, p)
+
+
 def test_colinearity_classification():
     rng = np.random.default_rng(14)
     h1, h2 = random_pair(rng)
@@ -298,6 +326,13 @@ def test_certificate_random_and_colinear():
 
     with pytest.raises(ValueError):
         convexity_certificate(h1, h1, UNIT, grid=10)
+
+    # low noise, scalar channels: every flag holds with the relative slack
+    low_noise = SystemConfig(noise_variance=1e-3, power_budget=0.02)
+    pairs = _scan_pairs(np.random.default_rng(1), 1000, 1, False)
+    for report in convexity_certificates(pairs, low_noise):
+        assert report.certified and report.cauchy_schwarz_ok
+        assert report.summands_ok and report.monotonicity_ok
 
 
 def test_power_split_validation():

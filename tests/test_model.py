@@ -100,6 +100,23 @@ def test_batched_powers_agree_with_loop(monkeypatch):
     np.testing.assert_array_equal(eps_batch, eps_chunked)
 
 
+def test_single_batched_and_jacobian_mses_are_bitwise_equal():
+    # one MSE formula: mse_tuple is a row of mse_tuples, and mse_jacobian's
+    # eps (one vector or a batch) takes the same bits
+    rng = np.random.default_rng(42)
+    for k in range(1, 9):
+        for n in (1, 2, 4, 8, 32):
+            channels = random_channels(rng, n, k)
+            config = random_config(rng)
+            batch = np.stack([random_powers(rng, k, config.power_budget) for _ in range(60)])
+            rows = mse_tuples(channels, batch, config)
+            eps_batch, _ = mse_jacobian(channels, batch, config)
+            assert rows.tobytes() == eps_batch.tobytes(), (k, n)
+            for row, powers in zip(rows, batch):
+                assert mse_tuple(channels, powers, config).values.tobytes() == row.tobytes()
+                assert mse_jacobian(channels, powers, config)[0].tobytes() == row.tobytes()
+
+
 def test_default_chunking_is_bitwise_invariant(monkeypatch):
     # a batch spanning three default-sized chunks (about 3.9k rows each at
     # N=32, K=2), against one row per chunk and the whole batch in one chunk
