@@ -172,6 +172,8 @@ def manifest(command: str, inputs: dict, seed: Optional[int], config: SystemConf
 
 def to_jsonable(value):
     """Recursively convert results to JSON-ready structures."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -180,14 +182,6 @@ def to_jsonable(value):
         return [value.real, value.imag]
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
         return to_jsonable(value.tolist())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

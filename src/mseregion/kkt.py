@@ -13,8 +13,9 @@ gradient, so stationarity reads gradient_k = mu_k - lambda.
 Every solve is a batch: all starts run as one (S, K) array through a
 single lockstep projected Newton loop, whose rounds are each one
 batched `weighted_mse_derivatives` call (value, gradient and Hessian
-from one Gram matrix) on the channels' triangular factor
-(`reduced_channels`, computed once per instance).  Rows are evaluated
+from one Gram matrix) on one `ChannelSet`; the kernel evaluates on its
+triangular factor (`ChannelSet.factor`, one QR per set), and the module
+reduces nothing itself.  Rows are evaluated
 independently and weighted with `einsum` reductions, so a start's
 certificate is bitwise the same whether it ran alone or in a batch; a
 single start is a batch of one.  The stopping rule is fixed: a start
@@ -38,11 +39,11 @@ from .model import (
     ChannelSet,
     SystemConfig,
     WeightVector,
+    _channel_set,
     _power_rows,
     _weight_vector,
     ensure_feasible,
     mse_tuple,
-    reduced_channels,
     weighted_mse_derivatives,
     weighted_mse_gradient,
 )
@@ -206,7 +207,7 @@ def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start):
     passed and the recovered multipliers satisfy every residual within
     tol_kkt.
     """
-    chan = reduced_channels(channels)
+    chan = _channel_set(channels)
     w = _weight_vector(weights, chan.n_users)
     starts = np.atleast_2d(_power_rows(start, chan.n_users))
     if starts.ndim != 2:
@@ -234,16 +235,16 @@ def enumerate_stationary_points(channels, config: SystemConfig, weights,
 
     Start points: `starts` uniform draws from the solid simplex, plus all
     its vertices (origin and the single-user corners) and the centroid.
-    They descend together as one lockstep batch on the channels'
-    triangular factor, each start with its own step size and iteration
-    count.  Certificates within a power distance of 1e-3 * P collapse
-    into one cluster represented by the lowest objective (ties broken by
-    powers, then iterations), so the clusters do not depend on the order
-    of the starts; they are returned sorted by objective.
+    They descend together as one lockstep batch, each start with its own
+    step size and iteration count.  Certificates within a power distance
+    of 1e-3 * P collapse into one cluster represented by the lowest
+    objective (ties broken by powers, then iterations), so the clusters do
+    not depend on the order of the starts; they are returned sorted by
+    objective.
     """
     if starts < 0:
         raise ValueError(f"starts must be >= 0, got {starts}")
-    chan = reduced_channels(channels)
+    chan = _channel_set(channels)
     k = chan.n_users
     w = _weight_vector(weights, k)
     budget = config.power_budget

@@ -17,11 +17,13 @@ matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
 One private function, `_mses`, forms every MSE from the whitened
 channels as eps = 1 - p * sum_n |L^{-1} h|^2: `mse_tuples`, `mse_tuple`
 (one row of it), `mse_jacobian` and `weighted_mse_derivatives`.
-They depend on H only through H^H H, so the solvers and the region
-sampler evaluate them on the triangular factor of H
-(`reduced_channels`), whose covariance is at most K x K whatever the
-antenna count; the two-user boundary takes them in closed form from
-four scalars of that factor.  The kernel follows one shape rule, plain numpy
+They depend on H only through H^H H, so they evaluate on the triangular
+factor of H, `ChannelSet.factor`: the one place the reduction happens,
+computed once per set, with a covariance at most K x K whatever the
+antenna count.  `receive_covariance` (the N x N covariance of H) and
+`resolvent_grams` (the tests' unreduced oracle) evaluate exactly the
+channels they are given; the two-user boundary takes the MSEs in closed
+form from four scalars of the factor.  The kernel follows one shape rule, plain numpy
 broadcasting: channels of shape (..., N, K) broadcast against powers of
 shape (..., K), and the powers set the output shape.  One shared matrix
 with an (S, K) batch, one matrix per row, and a (T, 1, N, K) stack with
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +47,6 @@ __all__ = [
     "MseTuple",
     "WeightVector",
     "receive_covariance",
-    "reduced_channels",
     "resolvent_grams",
     "mse_tuple",
     "mse_tuples",
@@ -80,6 +82,14 @@ class ChannelSet:
     def user_channel(self, k: int) -> np.ndarray:
         return self.entries[:, k]
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """R of H = QR when N > K, else H (H^H H = R^H R): the read-only
+        matrix every MSE evaluation uses, computed once, on first use."""
+        fac = _triangular_factor(self.entries)
+        fac.setflags(write=False)
+        return fac
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -108,6 +118,19 @@ class SystemConfig:
         return TOL_FEAS_REL * self.power_budget
 
 
+def _freeze_vector(obj, field: str, name: str) -> np.ndarray:
+    """Set obj.<field> to a read-only float64 copy of it, flattened, after
+    checking it is nonempty and finite; `name` starts the error messages."""
+    vec = np.array(getattr(obj, field), dtype=np.float64).reshape(-1)
+    if vec.size < 1:
+        raise ValueError(f"{name} is empty")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    vec.setflags(write=False)
+    object.__setattr__(obj, field, vec)
+    return vec
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
     """Nonnegative per-user transmit powers."""
@@ -115,15 +138,9 @@ class PowerAllocation:
     powers: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.powers, dtype=np.float64).reshape(-1)
-        if vec.size < 1:
-            raise ValueError("power allocation is empty")
-        if not np.isfinite(vec).all():
-            raise ValueError("power allocation contains non-finite entries")
+        vec = _freeze_vector(self, "powers", "power allocation")
         if (vec < 0.0).any():
             raise ValueError(f"negative transmit power: {vec.min()}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "powers", vec)
 
     def total(self) -> float:
         return float(self.powers.sum())
@@ -142,15 +159,9 @@ class MseTuple:
     values: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.values, dtype=np.float64).reshape(-1)
-        if vec.size < 1:
-            raise ValueError("MSE tuple is empty")
-        if not np.isfinite(vec).all():
-            raise ValueError("MSE tuple contains non-finite entries")
+        vec = _freeze_vector(self, "values", "MSE tuple")
         if (vec <= 0.0).any() or (vec > 1.0).any():
             raise ValueError(f"MSE values must lie in (0, 1], got {vec}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "values", vec)
 
     def __len__(self) -> int:
         return self.values.size
@@ -169,17 +180,11 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.weights, dtype=np.float64).reshape(-1)
-        if vec.size < 1:
-            raise ValueError("weight vector is empty")
-        if not np.isfinite(vec).all():
-            raise ValueError("weights contain non-finite entries")
+        vec = _freeze_vector(self, "weights", "weight vector")
         if (vec < 0.0).any():
             raise ValueError(f"negative weight: {vec.min()}")
         if not (vec > 0.0).any():
             raise ValueError("at least one weight must be positive")
-        vec.setflags(write=False)
-        object.__setattr__(self, "weights", vec)
 
     def __len__(self) -> int:
         return self.weights.size
@@ -212,10 +217,8 @@ def _checked_channels(entries, ndim: int | None = None) -> np.ndarray:
     return mat
 
 
-def _channel_matrix(channels) -> np.ndarray:
-    if isinstance(channels, ChannelSet):
-        return channels.entries
-    return ChannelSet(channels).entries
+def _channel_set(channels) -> ChannelSet:
+    return channels if isinstance(channels, ChannelSet) else ChannelSet(channels)
 
 
 def _power_rows(powers, n_users: int) -> np.ndarray:
@@ -242,7 +245,7 @@ def ensure_feasible(powers, config: SystemConfig) -> np.ndarray:
 
 def receive_covariance(channels, powers, config: SystemConfig) -> np.ndarray:
     """X = sigma^2 I + sum_k p_k h_k h_k^H, Hermitian positive definite (per row of a batch)."""
-    mat = _channel_matrix(channels)
+    mat = _channel_set(channels).entries
     return _covariance(mat, _power_rows(powers, mat.shape[1]), config.noise_variance)
 
 
@@ -252,21 +255,6 @@ def _triangular_factor(mat: np.ndarray) -> np.ndarray:
     if mat.shape[-2] <= mat.shape[-1]:
         return mat
     return np.linalg.qr(mat, mode="r")
-
-
-def reduced_channels(channels) -> ChannelSet:
-    """An equivalent channel set with at most K rows.
-
-    The MSEs, the Gram matrices A and B and the Jacobian depend on H only
-    through H^H H.  With H = QR and Q having orthonormal columns,
-    H^H H = R^H R, so they are the same on the triangular factor R,
-    whose covariances are min(N, K) x min(N, K) instead of N x N.  When
-    N > K this returns R (computed once; call it once per instance),
-    otherwise the channels themselves, which are no larger.
-    """
-    chan = channels if isinstance(channels, ChannelSet) else ChannelSet(channels)
-    factor = _triangular_factor(chan.entries)
-    return chan if factor is chan.entries else ChannelSet(factor)
 
 
 def _covariance(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarray:
@@ -315,7 +303,10 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     Returns A with A[..., i, j] = h_i^H X^{-1} h_j; with second_order
     also B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
     L^{-1} H and X^{-1} H where X = L L^H, which keeps both matrices
-    Hermitian positive semidefinite up to rounding.
+    Hermitian positive semidefinite up to rounding.  Unlike the MSE
+    functions, it evaluates exactly the matrices it receives (a
+    `ChannelSet`'s entries, never its factor), so the tests use it as the
+    unreduced oracle.
     """
     mat = channels.entries if isinstance(channels, ChannelSet) else _checked_channels(channels)
     grams = _grams(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance, second_order)
@@ -346,7 +337,7 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     stays bounded at large N; every row is computed independently, so the
     output does not depend on the chunk size.
     """
-    mat = _channel_matrix(channels)
+    mat = _channel_set(channels).factor
     n, k = mat.shape
     pw = _power_rows(powers, k)
     if pw.ndim != 2:
@@ -367,7 +358,7 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     (..., K) MSEs and (..., K, K) Jacobians; every row is evaluated on its
     own, so its values do not depend on the batch it came in.
     """
-    mat = _channel_matrix(channels)
+    mat = _channel_set(channels).factor
     pw = _power_rows(powers, mat.shape[1])
     _, eps, jac = _mse_terms(mat, np.atleast_2d(pw), config.noise_variance)
     return (eps, jac) if pw.ndim > 1 else (eps[0], jac[0])
@@ -432,11 +423,11 @@ def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
 
     formed from the same Gram matrix A and symmetrised.
     """
-    chan = reduced_channels(channels)
-    w = _weight_vector(weights, chan.n_users)
-    pw = _power_rows(powers, chan.n_users)
+    mat = _channel_set(channels).factor
+    w = _weight_vector(weights, mat.shape[1])
+    pw = _power_rows(powers, mat.shape[1])
     rows = np.atleast_2d(pw)
-    gram, eps, jac = _mse_terms(chan.entries, rows, config.noise_variance)
+    gram, eps, jac = _mse_terms(mat, rows, config.noise_variance)
     value, grad = _weighted(eps, jac, w)
     # A diag(w p) A
     sandwich = np.einsum("...kl,...lj->...kj", gram * (rows * w)[..., None, :], gram)

@@ -12,6 +12,11 @@ margin seen at any lattice point or refined point.
 `segment_test` applies the membership test along the chord between two
 achievable tuples; an interior point that fails membership is a direct
 numerical witness that the region is not convex.
+
+The module reduces nothing itself: each entry point passes one
+`ChannelSet` to the kernel, which evaluates on its triangular factor
+(`ChannelSet.factor`), so a segment test shares one QR and the lattice
+and SQP cost do not grow with the antenna count.
 """
 
 from __future__ import annotations
@@ -26,10 +31,9 @@ from .model import (
     ChannelSet,
     MseTuple,
     SystemConfig,
-    _channel_matrix,
+    _channel_set,
     mse_jacobian,
     mse_tuples,
-    reduced_channels,
 )
 from .simplex import (
     budget_simplex_lattice,
@@ -192,11 +196,9 @@ def dominated_membership(channels, config: SystemConfig, target) -> MembershipVe
 
     Reports the smallest max_k (eps_k - t_k) found and the allocation
     attaining it; the verdict is dominated when that margin is at most
-    TOL_MEMBER.  Every evaluation runs on the channels' triangular factor
-    (`reduced_channels`), so the lattice and SQP cost do not grow with
-    the antenna count.
+    TOL_MEMBER.
     """
-    chan = reduced_channels(channels)
+    chan = _channel_set(channels)
     k = chan.n_users
     tgt = MseTuple(target).values
     if tgt.size != k:
@@ -241,11 +243,11 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
     vec_b = MseTuple(b).values
     if vec_a.size != vec_b.size:
         raise ValueError(f"endpoint sizes differ: {vec_a.size} vs {vec_b.size}")
-    channels = reduced_channels(channels)   # once for all the membership tests
-    end_a = dominated_membership(channels, config, vec_a)
+    chan = _channel_set(channels)   # one factor for all the membership tests
+    end_a = dominated_membership(chan, config, vec_a)
     if not end_a.dominated:
         raise ValueError(f"endpoint a is not achievable (margin {end_a.margin:.3e})")
-    end_b = dominated_membership(channels, config, vec_b)
+    end_b = dominated_membership(chan, config, vec_b)
     if not end_b.dominated:
         raise ValueError(f"endpoint b is not achievable (margin {end_b.margin:.3e})")
 
@@ -253,7 +255,7 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
     for i in range(1, steps + 1):
         t = i / (steps + 1)
         target = (1.0 - t) * vec_a + t * vec_b
-        verdict = dominated_membership(channels, config, target)
+        verdict = dominated_membership(chan, config, target)
         points.append(SegmentPoint(**vars(verdict), t=t))
     return SegmentReport(
         endpoint_a=end_a,
@@ -269,10 +271,9 @@ def sample_region(channels, config: SystemConfig, resolution: int,
 
     Grid mode enumerates the lattice {p : p = (P/resolution) m, m integer,
     sum(m) <= resolution}; random mode draws `resolution` allocations
-    uniformly from the solid simplex.  The MSEs are evaluated on the
-    channels' triangular factor (`reduced_channels`).
+    uniformly from the solid simplex.
     """
-    chan = reduced_channels(channels)
+    chan = _channel_set(channels)
     k = chan.n_users
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
@@ -308,8 +309,8 @@ def embed_inactive_users(channels, extra: int) -> ChannelSet:
     """
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
-    mat = _channel_matrix(channels)
+    chan = _channel_set(channels)
     if extra == 0:
-        return channels if isinstance(channels, ChannelSet) else ChannelSet(mat)
-    tail = np.repeat(mat[:, -1:], extra, axis=1)
-    return ChannelSet(np.hstack([mat, tail]))
+        return chan
+    tail = np.repeat(chan.entries[:, -1:], extra, axis=1)
+    return ChannelSet(np.hstack([chan.entries, tail]))

@@ -115,7 +115,6 @@ class PgdResult:
     gradient: np.ndarray
     iterations: int
     backtracks: int
-    pg_norm: float
     converged: bool
     stalled: bool
 
@@ -203,7 +202,6 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
     trial = np.zeros(count)                       # step being tried
     iters = np.zeros(count, dtype=np.int64)
     backtracks = np.zeros(count, dtype=np.int64)
-    pg_norm = np.full(count, math.inf)
     converged = np.zeros(count, dtype=bool)
     stalled = np.zeros(count, dtype=bool)
     running = np.ones(count, dtype=bool)
@@ -214,7 +212,6 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
             fresh[top] = False
             pts, grs = point[top], grad[top]
             pg = np.linalg.norm(pts - project_onto_budget_simplex(pts - grs, budget), axis=1)
-            pg_norm[top] = pg
             done = pg <= PGD_TOL_REL * (1.0 + np.abs(value[top]))
             converged[top] = done
             done |= iters[top] >= _MAX_ITERS
@@ -244,6 +241,6 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
 
     return PgdBatch(tuple(
         PgdResult(point[i].copy(), float(value[i]), grad[i].copy(), int(iters[i]),
-                  int(backtracks[i]), float(pg_norm[i]), bool(converged[i]), bool(stalled[i]))
+                  int(backtracks[i]), bool(converged[i]), bool(stalled[i]))
         for i in range(count)
     ))

@@ -17,7 +17,6 @@ from mseregion import (
     mse_tuples,
     rate_from_mse,
     receive_covariance,
-    reduced_channels,
     resolvent_grams,
     sinr_from_mse,
     weighted_mse_derivatives,
@@ -369,12 +368,19 @@ def _factor_cases():
         yield f"colinear {n}x2", np.column_stack([h1, h1 * (1 + 1e-6) + 1e-7 * g]), rng
 
 
+def _unreduced_mse_terms(gram, powers):
+    """(eps, J) from an unreduced X^{-1} Gram matrix A: eps = 1 - p diag A,
+    J[l, k] = p_l |a_lk|^2 - delta_lk a_kk."""
+    diag = gram.diagonal().real
+    return 1.0 - powers * diag, powers[:, None] * np.abs(gram) ** 2 - np.diag(diag)
+
+
 def test_triangular_factor_gives_the_same_mse_quantities():
     for name, mat, rng in _factor_cases():
         n, k = mat.shape
         factor = np.linalg.qr(mat, mode="r")
         assert factor.shape == (min(n, k), k)
-        reduced = reduced_channels(mat).entries
+        reduced = ChannelSet(mat).factor
         assert reduced.shape == (min(n, k), k)
         if n > k:
             np.testing.assert_array_equal(reduced, factor)
@@ -382,8 +388,10 @@ def test_triangular_factor_gives_the_same_mse_quantities():
             config = SystemConfig(noise_variance=1.0, power_budget=float(snr))
             powers = random_powers(rng, k, config.power_budget)
             tol = 1e-12 * (1.0 + snr)
-            on_h = resolvent_grams(mat, powers, config, second_order=True) \
-                + mse_jacobian(mat, powers, config)
+            # the MSE functions reduce H themselves, so the H side comes from
+            # the unreduced Gram matrices
+            grams_h = resolvent_grams(mat, powers, config, second_order=True)
+            on_h = grams_h + _unreduced_mse_terms(grams_h[0], powers)
             on_r = resolvent_grams(factor, powers, config, second_order=True) \
                 + mse_jacobian(factor, powers, config)
             for label, x_h, x_r in zip(("A", "B", "eps", "J"), on_h, on_r):
@@ -392,6 +400,61 @@ def test_triangular_factor_gives_the_same_mse_quantities():
             dense = dense_mse(mat, powers, config.noise_variance)
             eps_h, eps_r = on_h[2], on_r[2]
             assert (np.abs(eps_r - dense) <= np.abs(eps_h - dense) + tol * eps_h).all(), (name, snr)
+
+
+def test_mse_functions_evaluate_on_the_factor(monkeypatch):
+    rng = np.random.default_rng(31)
+    chan = random_channels(rng, 64, 8)
+    config = SystemConfig(noise_variance=0.5, power_budget=30.0)
+    batch = np.stack([random_powers(rng, 8, config.power_budget) for _ in range(5)])
+    w = rng.uniform(0.1, 1.0, 8)
+    calls = (
+        lambda ch: mse_tuples(ch, batch, config),
+        lambda ch: mse_jacobian(ch, batch[0], config),
+        lambda ch: weighted_mse_derivatives(ch, batch, config, w),
+    )
+    sizes = []
+    original = model._covariance
+
+    def recording(mat, pw, noise_variance):
+        sizes.append(mat.shape[-2])
+        return original(mat, pw, noise_variance)
+
+    monkeypatch.setattr(model, "_covariance", recording)
+    for call in calls:
+        sizes.clear()
+        on_set = call(chan)
+        assert sizes == [8], sizes      # 8 x 8 covariances only, never 64 x 64
+        on_factor = call(ChannelSet(chan.entries).factor)
+        if not isinstance(on_set, tuple):
+            on_set, on_factor = (on_set,), (on_factor,)
+        for x_set, x_fac in zip(on_set, on_factor, strict=True):
+            assert x_set.tobytes() == x_fac.tobytes()
+    # the exceptions evaluate what they are given
+    sizes.clear()
+    resolvent_grams(chan, batch, config)
+    assert receive_covariance(chan, batch[0], config).shape == (64, 64)
+    assert sizes == [64, 64]
+    assert chan.n_antennas == 64
+
+
+def test_one_qr_per_channel_set(monkeypatch):
+    from mseregion import enumerate_stationary_points, segment_test
+
+    counted = []
+    original = model._triangular_factor
+    monkeypatch.setattr(model, "_triangular_factor",
+                        lambda mat: counted.append(mat.shape) or original(mat))
+    rng = np.random.default_rng(37)
+    config = SystemConfig(noise_variance=1.0, power_budget=10.0)
+    mat = random_channels(rng, 6, 2).entries
+    ends = [mse_tuple(mat, p, config).values for p in ([7.0, 3.0], [2.0, 8.0])]
+    counted.clear()
+    segment_test(mat, config, *ends, steps=3)
+    assert counted == [(6, 2)]
+    counted.clear()
+    enumerate_stationary_points(random_channels(rng, 32, 8).entries, config, np.ones(8))
+    assert counted == [(32, 8)]
 
 
 def test_resolvent_grams_on_a_channel_stack():
