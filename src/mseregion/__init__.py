@@ -5,143 +5,25 @@ receivers under a sum power constraint, certifies convexity of the
 two-user region boundary, solves weighted sum-MSE problems with
 first-order optimality certificates, and tests region membership and
 segment convexity for three or more users.
+
+The package exports every public name of its modules: each module's
+`__all__` is the one list of its public names.
 """
 
 __version__ = "0.1.0"
 
-from .boundary import (
-    BoundaryClass,
-    BoundarySample,
-    ConvexityReport,
-    CouplingBundle,
-    affine_boundary,
-    boundary_sweep,
-    closed_form_ratios,
-    colinearity_classify,
-    convexity_certificate,
-    convexity_certificates,
-    convexity_discriminant,
-    coupling_bundle,
-    g_derivatives,
-    mse_first_derivatives,
-    mse_pair_at_power,
-    mse_second_derivatives,
-)
-from .io import (
-    load_channels,
-    manifest,
-    parse_channel_dict,
-    read_region_csv,
-    save_channels,
-    write_boundary_csv,
-    write_json,
-    write_region_csv,
-)
-from .kkt import (
-    CounterexampleReport,
-    KktCertificate,
-    KktResiduals,
-    WeightVector,
-    counterexample_suite,
-    enumerate_stationary_points,
-    kkt_residuals,
-    minimize_weighted_sum_mse,
-    recover_multipliers,
-)
-from .model import (
-    ChannelSet,
-    MseTuple,
-    PowerAllocation,
-    SystemConfig,
-    ensure_feasible,
-    mse_jacobian,
-    mse_tuple,
-    mse_tuples,
-    rate_from_mse,
-    receive_covariance,
-    resolvent_grams,
-    sinr_from_mse,
-    weighted_mse_derivatives,
-    weighted_mse_gradient,
-    weighted_sum_mse,
-)
-from .region import (
-    MembershipVerdict,
-    RegionSampleSet,
-    SegmentReport,
-    dominated_membership,
-    embed_inactive_users,
-    sample_region,
-    segment_test,
-)
-from .simplex import (
-    budget_simplex_lattice,
-    lattice_size,
-    project_onto_budget_simplex,
-    projected_gradient,
-    sample_budget_simplex,
-)
+from . import boundary, io, kkt, model, region, simplex
+from .boundary import *
+from .io import *
+from .kkt import *
+from .model import *
+from .region import *
+from .simplex import *
 
-__all__ = [
-    "__version__",
-    "BoundaryClass",
-    "BoundarySample",
-    "ChannelSet",
-    "ConvexityReport",
-    "CounterexampleReport",
-    "CouplingBundle",
-    "KktCertificate",
-    "KktResiduals",
-    "MembershipVerdict",
-    "MseTuple",
-    "PowerAllocation",
-    "RegionSampleSet",
-    "SegmentReport",
-    "SystemConfig",
-    "WeightVector",
-    "affine_boundary",
-    "boundary_sweep",
-    "budget_simplex_lattice",
-    "closed_form_ratios",
-    "colinearity_classify",
-    "convexity_certificate",
-    "convexity_certificates",
-    "convexity_discriminant",
-    "counterexample_suite",
-    "coupling_bundle",
-    "dominated_membership",
-    "embed_inactive_users",
-    "ensure_feasible",
-    "enumerate_stationary_points",
-    "g_derivatives",
-    "kkt_residuals",
-    "lattice_size",
-    "load_channels",
-    "manifest",
-    "minimize_weighted_sum_mse",
-    "mse_first_derivatives",
-    "mse_jacobian",
-    "mse_pair_at_power",
-    "mse_second_derivatives",
-    "mse_tuple",
-    "mse_tuples",
-    "parse_channel_dict",
-    "project_onto_budget_simplex",
-    "projected_gradient",
-    "rate_from_mse",
-    "read_region_csv",
-    "receive_covariance",
-    "recover_multipliers",
-    "resolvent_grams",
-    "sample_budget_simplex",
-    "sample_region",
-    "save_channels",
-    "segment_test",
-    "sinr_from_mse",
-    "weighted_mse_derivatives",
-    "weighted_mse_gradient",
-    "weighted_sum_mse",
-    "write_boundary_csv",
-    "write_json",
-    "write_region_csv",
-]
+__all__ = ["__version__"]
+__all__ += boundary.__all__
+__all__ += io.__all__
+__all__ += kkt.__all__
+__all__ += model.__all__
+__all__ += region.__all__
+__all__ += simplex.__all__

@@ -247,11 +247,6 @@ def cmd_segment(args) -> int:
     channels = load_channels(args.channels)
     vec_a = _parse_float_list(args.a)
     vec_b = _parse_float_list(args.b)
-    if vec_a.size != channels.n_users or vec_b.size != channels.n_users:
-        raise ValueError(
-            f"endpoints must list {channels.n_users} MSE values, "
-            f"got {vec_a.size} and {vec_b.size}"
-        )
     config = _config(args)
     report = segment_test(channels, config, vec_a, vec_b, steps=args.steps)
     payload = {

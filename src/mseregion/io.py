@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .boundary import BoundarySample
 from .model import ChannelSet, SystemConfig
 from .tolerances import TOLERANCES
 
@@ -42,10 +43,8 @@ __all__ = [
     "BOUNDARY_COLUMNS",
 ]
 
-BOUNDARY_COLUMNS = (
-    "p", "eps1", "eps2", "deps1", "deps2", "ddeps1", "ddeps2",
-    "discriminant", "g_prime", "g_double_prime",
-)
+# the boundary CSV header: the fields of a sweep sample, in order
+BOUNDARY_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundarySample))
 
 
 def parse_channel_dict(payload) -> ChannelSet:
@@ -108,12 +107,7 @@ def write_boundary_csv(path, samples) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(BOUNDARY_COLUMNS)
         for s in samples:
-            writer.writerow([
-                _cell(s.p), _cell(s.eps1), _cell(s.eps2),
-                _cell(s.deps1), _cell(s.deps2),
-                _cell(s.ddeps1), _cell(s.ddeps2),
-                _cell(s.discriminant), _cell(s.g_prime), _cell(s.g_double_prime),
-            ])
+            writer.writerow([_cell(getattr(s, name)) for name in BOUNDARY_COLUMNS])
 
 
 # Rows formatted per write.  Speed is flat from 32 to 1024 rows; a small

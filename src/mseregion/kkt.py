@@ -38,7 +38,6 @@ import numpy as np
 from .model import (
     ChannelSet,
     SystemConfig,
-    WeightVector,
     _channel_set,
     _power_rows,
     _weight_vector,
@@ -56,7 +55,6 @@ from .tolerances import (
 )
 
 __all__ = [
-    "WeightVector",
     "KktResiduals",
     "KktCertificate",
     "CheckResult",
@@ -77,7 +75,7 @@ __all__ = [
 _TIGHT_REL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KktResiduals:
     """Signed residuals of the stationarity system, no thresholding."""
 
@@ -94,7 +92,7 @@ class KktResiduals:
         ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KktCertificate:
     """A solver end point with its multipliers and residual replay.
 
@@ -298,7 +296,7 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CounterexampleReport:
     clusters: list
     checks: list

@@ -60,7 +60,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Records that hold arrays are eq=False across the package: they compare
+# and hash by identity, as field-wise == on arrays has no truth value.
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """Complex N x K channel matrix; column k is the channel of user k."""
 
@@ -131,7 +133,7 @@ def _freeze_vector(obj, field: str, name: str) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerAllocation:
     """Nonnegative per-user transmit powers."""
 
@@ -152,7 +154,7 @@ class PowerAllocation:
         return np.asarray(self.powers, dtype=dtype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MseTuple:
     """Per-user MSE values, each in (0, 1]."""
 
@@ -173,7 +175,7 @@ class MseTuple:
         return np.asarray(self.values, dtype=dtype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Nonnegative MSE weights, not all zero."""
 

@@ -72,7 +72,7 @@ _COARSE_STARTS = 3
 _SQP_MAX_ITERS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipVerdict:
     """Best margin found and how it was found.
 
@@ -93,14 +93,14 @@ class MembershipVerdict:
     kernel_calls: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentPoint(MembershipVerdict):
     """The verdict at chord position t."""
 
     t: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentReport:
     endpoint_a: MembershipVerdict
     endpoint_b: MembershipVerdict
@@ -108,7 +108,7 @@ class SegmentReport:
     nonconvex_witness: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionSampleSet:
     powers: np.ndarray
     mses: np.ndarray
@@ -270,14 +270,14 @@ def sample_region(channels, config: SystemConfig, resolution: int,
     """Sample achievable MSE tuples over the power simplex.
 
     Grid mode enumerates the lattice {p : p = (P/resolution) m, m integer,
-    sum(m) <= resolution}; random mode draws `resolution` allocations
-    uniformly from the solid simplex.
+    sum(m) <= resolution}, resolution >= 2; random mode draws `resolution`
+    >= 1 allocations uniformly from the solid simplex.
     """
     chan = _channel_set(channels)
     k = chan.n_users
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
     if mode == "grid":
+        if resolution < 2:
+            raise ValueError(f"resolution must be >= 2, got {resolution}")
         count = lattice_size(k, resolution)
         if count > GRID_LIMIT:
             raise ValueError(
@@ -287,6 +287,8 @@ def sample_region(channels, config: SystemConfig, resolution: int,
             )
         powers = budget_simplex_lattice(k, resolution) * (config.power_budget / resolution)
     elif mode == "random":
+        if resolution < 1:
+            raise ValueError(f"sample count must be >= 1, got {resolution}")
         rng = np.random.default_rng(0 if seed is None else seed)
         powers = sample_budget_simplex(rng, k, config.power_budget, resolution)
     else:

@@ -100,7 +100,7 @@ def lattice_size(k: int, resolution: int) -> int:
     return math.comb(resolution + k, k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PgdResult:
     """Outcome of one start.
 
@@ -119,7 +119,7 @@ class PgdResult:
     stalled: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PgdBatch:
     """Per-start outcomes of one lockstep run, in start order."""
 

@@ -213,6 +213,18 @@ def test_segment_cli_exit_codes(tmp_path, ref_channels_file):
     assert "not achievable" in proc.stderr
 
 
+def test_segment_cli_size_errors(ref_channels_file):
+    """Endpoint sizes are checked once, by the region module."""
+    proc = run_cli("segment", "--channels", ref_channels_file,
+                   "--a", "0.9,0.9", "--b", "0.8,0.8")
+    assert proc.returncode == 2
+    assert "target has 2 entries for 3 users" in proc.stderr
+    proc = run_cli("segment", "--channels", ref_channels_file,
+                   "--a", "0.9,0.9,0.9", "--b", "0.8,0.8")
+    assert proc.returncode == 2
+    assert "endpoint sizes differ: 3 vs 2" in proc.stderr
+
+
 # the fields of a membership verdict; a segment point adds its position t
 VERDICT_KEYS = {"target", "margin", "witness_powers", "dominated", "seed_rank",
                 "sqp_failures", "sqp_iterations", "kernel_calls"}
@@ -285,6 +297,21 @@ def test_region_cli_random_reproducible(tmp_path, ref_channels_file):
     assert run_cli(*base, "--threads", "4", "--out", str(outs[2])).returncode == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert outs[0].read_bytes() == outs[2].read_bytes()
+
+
+def test_region_cli_count_bounds(tmp_path, ref_channels_file):
+    out = tmp_path / "one.csv"
+    proc = run_cli("region", "--channels", ref_channels_file, "--random", "1",
+                   "--out", str(out))
+    assert proc.returncode == 0
+    powers, mses = read_region_csv(out)
+    assert powers.shape == mses.shape == (1, 3)
+    for flag, value, message in (("--random", "0", "sample count must be >= 1, got 0"),
+                                 ("--grid", "1", "resolution must be >= 2, got 1")):
+        proc = run_cli("region", "--channels", ref_channels_file, flag, value,
+                       "--out", str(tmp_path / "bad.csv"))
+        assert proc.returncode == 2
+        assert message in proc.stderr
 
 
 def test_region_cli_oversize_grid(tmp_path, ref_channels_file):

@@ -91,8 +91,16 @@ def test_random_mode_determinism_and_default_seed():
     assert not np.array_equal(a.powers, other.powers)
 
 
+def test_random_mode_takes_any_positive_count():
+    one = sample_region(REF_H, REF_CONFIG, resolution=1, mode="random", seed=3)
+    assert one.powers.shape == one.mses.shape == (1, 3)
+    np.testing.assert_array_equal(one.mses, mse_tuples(REF_H, one.powers, REF_CONFIG))
+    with pytest.raises(ValueError, match="sample count must be >= 1, got 0"):
+        sample_region(REF_H, REF_CONFIG, resolution=0, mode="random")
+
+
 def test_sample_region_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
         sample_region(REF_H, REF_CONFIG, resolution=1)
     with pytest.raises(ValueError):
         sample_region(REF_H, REF_CONFIG, resolution=10, mode="sobol")
