@@ -313,10 +313,10 @@ def _check_scalar(name, expected, computed, tol):
 def _check_vector(name, expected, computed, tol):
     exp = np.asarray(expected, dtype=float)
     if computed is None:
-        return CheckResult(name, exp.tolist(), None, tol, False)
+        return CheckResult(name, tuple(exp.tolist()), None, tol, False)
     com = np.asarray(computed, dtype=float)
     passed = com.size == exp.size and float(np.abs(com - exp).max()) <= tol
-    return CheckResult(name, exp.tolist(), com.tolist(), tol, bool(passed))
+    return CheckResult(name, tuple(exp.tolist()), tuple(com.tolist()), tol, bool(passed))
 
 
 def counterexample_suite(starts: int = 64, seed: int = 0) -> CounterexampleReport:

@@ -1,46 +1,36 @@
 """Region membership, segment witnesses, sampling, and user embedding.
 
-A target MSE tuple t is counted as achievable when some feasible power
-allocation p satisfies eps_k(p) <= t_k for every user, i.e. membership is
-tested against the dominated (coordinatewise-relaxed) region.  The inner
-problem min_p max_k (eps_k(p) - t_k) is nonsmooth, so the solver takes it
-in its epigraph form min {s : eps(p) - t <= s, p feasible}, which is
-smooth, and runs a sequential quadratic program (SLSQP) on it from each
-of the best points of a coarse power lattice, keeping the best true
-margin seen at any lattice point or refined point.
+A target MSE tuple t is achievable when some allocation p >= 0 with
+sum(p) <= P meets eps_k(p) <= t_k for every user (the dominated region).
+Membership is decided exactly from the margin s* = min_p max_k (eps_k - t_k).
+With MMSE receivers eps_k <= tau_k is SINR_k >= gamma_k = 1/tau_k - 1, and
+the least powers meeting SINR targets are the fixed point p*(gamma) of the
+standard interference function I_k(p) = gamma_k eps_k / a_kk (Yates, IEEE
+JSAC 1995; it does not depend on p_k).  Every allocation meeting the
+targets lies above p*, so s* is the root of the decreasing
+F(s) = sum p*(gamma(t + s)) - P; users with t_k + s >= 1 stay silent.
+`_solve` takes a stack of targets in lockstep, one kernel call per round
+for all of them: p* by Newton on p - I(p), s* by a safeguarded Newton on
+1/sum p* - 1/P over the bracket (-min t, max(1 - t)).  The witness is p* at
+the feasible end of the bracket, so it spends at most P, and the margin is
+max_k (eps_k - t_k) at the witness itself.
 
 `segment_test` applies the membership test along the chord between two
 achievable tuples; an interior point that fails membership is a direct
-numerical witness that the region is not convex.
-
-The module reduces nothing itself: each entry point passes one
-`ChannelSet` to the kernel, which evaluates on its triangular factor
-(`ChannelSet.factor`), so a segment test shares one QR and the lattice
-and SQP cost do not grow with the antenna count.
+numerical witness that the region is not convex.  Every evaluation runs
+on the channel set's triangular factor (`ChannelSet.factor`), so a
+segment test shares one QR whatever the antenna count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import (
-    ChannelSet,
-    MseTuple,
-    SystemConfig,
-    _channel_set,
-    mse_jacobian,
-    mse_tuples,
-)
-from .simplex import (
-    budget_simplex_lattice,
-    lattice_size,
-    project_onto_budget_simplex,
-    sample_budget_simplex,
-)
+from .model import ChannelSet, MseTuple, SystemConfig, _channel_set, _mse_terms, mse_tuples
+from .simplex import budget_simplex_lattice, lattice_size, sample_budget_simplex
 from .tolerances import TOL_MEMBER
 
 __all__ = [
@@ -58,38 +48,31 @@ __all__ = [
 # hard cap on grid-mode sample counts; beyond this, use random mode
 GRID_LIMIT = 10_000_000
 
-# Membership evaluates every point of a budget-simplex lattice of
-# _COARSE_RESOLUTION steps (coarsened until it holds at most _COARSE_LIMIT
-# points), takes the _COARSE_STARTS points of smallest margin and runs one
-# SLSQP refinement of the epigraph program from each, capped at
-# _SQP_MAX_ITERS iterations.  These values are part of the published
-# output contract: changing them changes witness powers and the last
-# digits of margins, so they stay pinned here rather than being derived
-# from the instance.
-_COARSE_LIMIT = 100_000
-_COARSE_RESOLUTION = 12
-_COARSE_STARTS = 3
-_SQP_MAX_ITERS = 200
+# A membership solve tries at most _MAX_ROUNDS values of s per target and
+# _MAX_STEPS Newton steps per p*; either cap leaves it unconverged.  It
+# ends once the bracket on s, or the Newton step on s from its feasible
+# end, is within _S_TOL (MSE units: far below TOL_MEMBER, a few ulps of 1).
+_MAX_ROUNDS = 64
+_MAX_STEPS = 32
+_S_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
 class MembershipVerdict:
-    """Best margin found and how it was found.
+    """Exact margin, its witness and how the solve went.
 
-    `seed_rank` is the lattice rank (0 = smallest lattice margin) of the
-    seed whose point or refinement attained `margin`; `sqp_failures`
-    counts the refinements whose SLSQP run did not report success,
-    `sqp_iterations` sums their SLSQP iterations and `kernel_calls`
-    counts their `mse_jacobian` evaluations.
+    `rounds` counts the values of s tried and `kernel_calls` the kernel
+    evaluations of this target.  `converged` is False when the bracket on
+    s did not close or an inner solve for p* hit its cap; the margin is
+    the witness's own either way.
     """
 
     target: np.ndarray
     margin: float
     witness_powers: np.ndarray
     dominated: bool
-    seed_rank: int
-    sqp_failures: int
-    sqp_iterations: int
+    converged: bool
+    rounds: int
     kernel_calls: int
 
 
@@ -117,117 +100,123 @@ class RegionSampleSet:
     seed: Optional[int]
 
 
-def _epigraph_refine(chan: ChannelSet, config: SystemConfig, target: np.ndarray,
-                     start: np.ndarray):
-    """SQP step on min {s : eps(p) - t <= s} over the power simplex.
+def _newton(gram, eps, tgt, s, powers):
+    """Row by row, for the SINR targets of t + s at `powers`: I(p), dp*/ds,
+    the Newton step on p - I(p), its size, and whether p + step is >= 0.
 
-    Returns the true margin max_k (eps_k - t_k) at the start, the refined
-    allocation re-projected onto the simplex with its true margin,
-    whether SLSQP reported success, its iteration count and the number of
-    `mse_jacobian` calls.  SLSQP asks for the constraint values and their
-    Jacobian at the same iterate, so the last (eps, J) is kept, keyed on
-    the powers' bytes, and each point (the start and the projected point
-    included) is evaluated once; the cached arrays are only read.
+    The step solves (1 - M) d = I(p) - p with M[k, j] = gamma_k |a_kj|^2 /
+    a_kk^2 (j != k), and dp*/ds = -(1 - M)^{-1} (eps / a) / tau^2 at p*.
     """
-    from scipy.optimize import minimize
-
-    k = chan.n_users
-    grad_s = np.zeros(k + 1)
-    grad_s[k] = 1.0
-    cache = {}
-    calls = 0
-
-    def evaluate(x):
-        nonlocal calls
-        key = x[:k].tobytes()
-        if key not in cache:
-            calls += 1
-            cache.clear()
-            cache[key] = mse_jacobian(chan, np.maximum(x[:k], 0.0), config)
-        return cache[key]
-
-    def cons_val(x):
-        eps, _ = evaluate(x)
-        return x[k] - (eps - target)
-
-    def cons_jac(x):
-        _, jac = evaluate(x)
-        out = np.zeros((k, k + 1))
-        out[:, :k] = -jac
-        out[:, k] = 1.0
-        return out
-
-    def margin(x):
-        eps, _ = evaluate(x)
-        return float((eps - target).max())
-
-    start_margin = margin(start)
-    x0 = np.append(start, start_margin)
-    result = minimize(
-        lambda x: x[k], x0, jac=lambda x: grad_s, method="SLSQP",
-        bounds=[(0.0, None)] * k + [(None, None)],
-        constraints=[
-            {"type": "ineq", "fun": cons_val, "jac": cons_jac},
-            {"type": "ineq",
-             "fun": lambda x: config.power_budget - x[:k].sum(),
-             "jac": lambda x: np.append(-np.ones(k), 0.0)},
-        ],
-        options={"maxiter": _SQP_MAX_ITERS, "ftol": 1e-12},
-    )
-    point = project_onto_budget_simplex(result.x[:k], config.power_budget)
-    point_margin = margin(point)
-    return start_margin, point, point_margin, bool(result.success), int(result.nit), calls
+    users = np.arange(tgt.shape[1])
+    tau = tgt + s[:, None]
+    gamma = np.where(tau < 1.0, 1.0 / tau - 1.0, 0.0)
+    diag = gram[:, users, users].real
+    inv_c = eps / diag
+    interf = gamma * inv_c
+    coupling = (gram.real ** 2 + gram.imag ** 2) * (gamma / diag ** 2)[:, :, None]
+    coupling[:, users, users] = 0.0
+    rhs = np.stack([interf - powers, np.where(tau <= 1.0, inv_c / tau ** 2, 0.0)], axis=-1)
+    sol = np.linalg.solve(np.eye(users.size) - coupling, rhs)
+    trial = np.where(interf > 0.0, powers + sol[..., 0], 0.0)
+    valid = np.isfinite(trial).all(axis=1) & (trial >= 0.0).all(axis=1)
+    return interf, -sol[..., 1], trial, np.abs(sol[..., 0]).max(axis=1), valid
 
 
-def _coarse_seeds(chan: ChannelSet, config: SystemConfig, target: np.ndarray):
-    """Best lattice points by true margin, best first, as SQP seeds."""
-    k = chan.n_users
-    res = _COARSE_RESOLUTION
-    while res > 1 and lattice_size(k, res) > _COARSE_LIMIT:
-        res -= 1
-    grid = budget_simplex_lattice(k, res) * (config.power_budget / res)
-    margins = (mse_tuples(chan, grid, config) - target).max(axis=1)
-    order = np.argsort(margins, kind="stable")[:_COARSE_STARTS]
-    return [grid[i] for i in order]
+def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
+    """Verdicts for a (B, K) stack of targets, solved in lockstep.
+
+    A live target holds a bracket lo < s* <= hi, the witness p*(hi), a
+    trial s and an iterate p.  p*(hi) is a subsolution (p <= I(p)) below
+    hi and p*(lo) a supersolution above lo.  As p - I(p) is convex, a
+    nonnegative Newton step lands on a supersolution, from where Newton
+    falls monotonically to p*; where it would not, p <- I(p) rises towards
+    p*, and a rise past P makes the trial infeasible.  An inner solve stops
+    when its step reaches the rounding of p through eps = 1 - p a, or stops
+    shrinking; the Gram matrices at p* then start the next trial.
+    """
+    budget, (count, k) = config.power_budget, tgt.shape
+    verdicts = [None] * count
+    rows = np.arange(count)
+    lo = -tgt.min(axis=1)                        # some tau_k = 0: beyond any power
+    hi = (1.0 - tgt).max(axis=1)                 # every tau_k >= 1: all silent
+    trial_s, margin = hi.copy(), hi.copy()
+    powers, witness = np.zeros((count, k)), np.zeros((count, k))
+    sub, failed = np.zeros(count, bool), np.zeros(count, bool)
+    prev = np.full(count, np.inf)                # the last inner step taken
+    steps, rounds, calls = (np.zeros(count, int) for _ in range(3))
+    while rows.size:
+        gram, eps, _ = _mse_terms(chan.factor, powers, config.noise_variance)
+        calls += 1
+        steps += 1
+        interf, dpds, trial, step, valid = _newton(gram, eps, tgt, trial_s, powers)
+        floor = np.finfo(float).eps * powers.max(axis=1) / eps.min(axis=1)
+        found = ~sub & ((step <= floor) | (step >= prev))
+        over = sub & ~valid & (interf.sum(axis=1) > budget)
+        stuck = ~found & ~over & (steps >= _MAX_STEPS)
+        failed |= stuck
+        hold = over | stuck                      # trial ends without p*
+        closed = np.zeros(rows.size, bool)
+        if (found | hold).any():
+            ended = found | hold
+            total = powers.sum(axis=1)
+            feasible = found & (total <= budget)
+            lo = np.where(ended & ~feasible, trial_s, lo)
+            hi = np.where(feasible, trial_s, hi)
+            witness = np.where(feasible[:, None], powers, witness)
+            margin = np.where(feasible, (eps - tgt).max(axis=1), margin)
+            # Newton on 1/sum p* - 1/P, which stays feasible where it is
+            # convex; plain Newton on F from the all-silent start
+            with np.errstate(divide="ignore", invalid="ignore"):
+                move = np.where(total > 0.0, total * (1.0 - total / budget),
+                                budget - total) / dpds.sum(axis=1)
+            nxt = trial_s + move
+            nxt = np.where(found & (lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            closed = ended & ((hi - lo <= _S_TOL) | (feasible & (-move <= _S_TOL)))
+            rounds += ended
+            trial_s = np.where(ended, nxt, trial_s)
+            sub = np.where(ended, feasible | hold, sub)
+            powers = np.where(hold[:, None], witness, powers)
+            steps = np.where(ended, 0, steps)
+            interf, _, trial, step, valid = _newton(gram, eps, tgt, trial_s, powers)
+        take = ~hold & valid
+        walk = ~hold & sub & ~valid              # fixed-point step from a subsolution
+        reset = ~hold & ~sub & ~valid            # supersolution lost: restart at the witness
+        powers = np.where(take[:, None], trial, np.where(
+            walk[:, None], interf, np.where(reset[:, None], witness, powers)))
+        prev = np.where(take, step, np.inf)
+        sub = (sub & ~take) | reset
+        done = closed | (rounds >= _MAX_ROUNDS)
+        for i in np.flatnonzero(done):
+            verdicts[rows[i]] = MembershipVerdict(
+                target=tgt[i], margin=float(margin[i]), witness_powers=witness[i],
+                dominated=bool(margin[i] <= TOL_MEMBER),
+                converged=bool(closed[i] and not failed[i]),
+                rounds=int(rounds[i]), kernel_calls=int(calls[i]))
+        if done.any():
+            keep = ~done
+            (rows, tgt, lo, hi, trial_s, margin, powers, witness, sub, failed, prev, steps,
+             rounds, calls) = (a[keep] for a in (rows, tgt, lo, hi, trial_s, margin, powers,
+                                                 witness, sub, failed, prev, steps, rounds, calls))
+    return verdicts
+
+
+def _target_stack(chan: ChannelSet, *targets) -> np.ndarray:
+    """Validated targets of the channel set's users, one per row."""
+    stack = np.array([MseTuple(t).values for t in targets])
+    if stack.shape[1] != chan.n_users:
+        raise ValueError(f"target has {stack.shape[1]} entries for {chan.n_users} users")
+    return stack
 
 
 def dominated_membership(channels, config: SystemConfig, target) -> MembershipVerdict:
     """Decide whether some feasible allocation meets the target componentwise.
 
-    Reports the smallest max_k (eps_k - t_k) found and the allocation
-    attaining it; the verdict is dominated when that margin is at most
-    TOL_MEMBER.
+    Reports the exact margin s* = min_p max_k (eps_k - t_k), as attained
+    by the witness allocation; the verdict is dominated when that margin
+    is at most TOL_MEMBER.
     """
     chan = _channel_set(channels)
-    k = chan.n_users
-    tgt = MseTuple(target).values
-    if tgt.size != k:
-        raise ValueError(f"target has {tgt.size} entries for {k} users")
-
-    best_margin = math.inf
-    best_point = np.zeros(k)
-    best_rank = 0
-    failures = iterations = kernel_calls = 0
-    for rank, seed in enumerate(_coarse_seeds(chan, config, tgt)):
-        seed_margin, refined, refined_margin, success, nit, calls = \
-            _epigraph_refine(chan, config, tgt, seed)
-        failures += not success
-        iterations += nit
-        kernel_calls += calls
-        for point, margin in ((seed, seed_margin), (refined, refined_margin)):
-            if margin < best_margin:
-                best_margin, best_point, best_rank = margin, point, rank
-
-    return MembershipVerdict(
-        target=tgt,
-        margin=best_margin,
-        witness_powers=best_point,
-        dominated=bool(best_margin <= TOL_MEMBER),
-        seed_rank=best_rank,
-        sqp_failures=failures,
-        sqp_iterations=iterations,
-        kernel_calls=kernel_calls,
-    )
+    return _solve(chan, config, _target_stack(chan, target))[0]
 
 
 def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> SegmentReport:
@@ -235,7 +224,8 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
 
     Both endpoints must pass the membership test themselves; interior
     points sit at t = i / (steps + 1).  Any interior failure makes the
-    report a nonconvexity witness.
+    report a nonconvexity witness.  The endpoints and the interior points
+    are solved as one batch.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -243,20 +233,15 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
     vec_b = MseTuple(b).values
     if vec_a.size != vec_b.size:
         raise ValueError(f"endpoint sizes differ: {vec_a.size} vs {vec_b.size}")
-    chan = _channel_set(channels)   # one factor for all the membership tests
-    end_a = dominated_membership(chan, config, vec_a)
+    chan = _channel_set(channels)
+    ts = [i / (steps + 1) for i in range(1, steps + 1)]
+    stack = _target_stack(chan, vec_a, vec_b, *[(1.0 - t) * vec_a + t * vec_b for t in ts])
+    end_a, end_b, *interior = _solve(chan, config, stack)
     if not end_a.dominated:
         raise ValueError(f"endpoint a is not achievable (margin {end_a.margin:.3e})")
-    end_b = dominated_membership(chan, config, vec_b)
     if not end_b.dominated:
         raise ValueError(f"endpoint b is not achievable (margin {end_b.margin:.3e})")
-
-    points = []
-    for i in range(1, steps + 1):
-        t = i / (steps + 1)
-        target = (1.0 - t) * vec_a + t * vec_b
-        verdict = dominated_membership(chan, config, target)
-        points.append(SegmentPoint(**vars(verdict), t=t))
+    points = [SegmentPoint(**vars(verdict), t=t) for verdict, t in zip(interior, ts)]
     return SegmentReport(
         endpoint_a=end_a,
         endpoint_b=end_b,

@@ -226,8 +226,8 @@ def test_segment_cli_size_errors(ref_channels_file):
 
 
 # the fields of a membership verdict; a segment point adds its position t
-VERDICT_KEYS = {"target", "margin", "witness_powers", "dominated", "seed_rank",
-                "sqp_failures", "sqp_iterations", "kernel_calls"}
+VERDICT_KEYS = {"target", "margin", "witness_powers", "dominated", "converged", "rounds",
+                "kernel_calls"}
 REF_CHORD = ("--a", "0.21389147,0.13652377,1.0", "--b", "1.0,0.19774107,0.23353177")
 
 
@@ -244,29 +244,60 @@ def test_segment_json_writes_whole_verdicts(tmp_path, ref_channels_file):
         for end, margin in zip(block["endpoints"], block["endpoint_margins"]):
             assert set(end) == VERDICT_KEYS
             assert end["margin"] == margin
+        for verdict in block["endpoints"] + block["points"]:
+            assert verdict["converged"] is True
+            assert 1 <= verdict["rounds"] <= verdict["kernel_calls"]
         for pt in block["points"]:
             assert set(pt) == VERDICT_KEYS | {"t"}
-            assert pt["kernel_calls"] > 2 * region._COARSE_STARTS
 
 
-def test_segment_json_reports_sqp_failures(monkeypatch, tmp_path, ref_channels_file):
-    # SLSQP reports failure on the interior point's refines only, so the
-    # endpoints stay achievable and the failures reach the point's JSON
-    refine = region._epigraph_refine
-    calls = []
-
-    def failing(*args):
-        calls.append(None)
-        out = refine(*args)
-        return out if len(calls) <= 2 * region._COARSE_STARTS else out[:3] + (False,) + out[4:]
-
-    monkeypatch.setattr(region, "_epigraph_refine", failing)
+def test_segment_json_reports_unconverged_solves(monkeypatch, tmp_path, ref_channels_file):
+    # seven values of s put both endpoints within tol_member but close no
+    # bracket: every verdict reaches the JSON as unconverged, with a
+    # witness that spends at most P and replays its margin
+    monkeypatch.setattr(region, "_MAX_ROUNDS", 7)
     out = tmp_path / "seg.json"
     assert cli.main(["segment", "--channels", ref_channels_file, *REF_CHORD,
                      "--steps", "1", "--out", str(out)]) == 3
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert [end["sqp_failures"] for end in payload["endpoints"]] == [0, 0]
-    assert [pt["sqp_failures"] for pt in payload["points"]] == [region._COARSE_STARTS]
+    config = SystemConfig(noise_variance=1.0, power_budget=10.0)
+    for verdict in payload["endpoints"] + payload["points"]:
+        assert verdict["converged"] is False
+        assert verdict["rounds"] == 7
+        witness = np.array(verdict["witness_powers"])
+        assert witness.sum() <= config.power_budget
+        replay = mse_tuples(REF_H, witness[None], config)[0] - verdict["target"]
+        assert float(replay.max()) == verdict["margin"]
+
+
+# every subcommand, run in one process that must not import scipy
+NO_SCIPY_SCRIPT = """
+import json, sys
+from mseregion import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path, ref_channels_file):
+    argvs = [
+        ["boundary", "--h1", "1+0i,0+1i", "--h2", "1+0i,0+0i", "--samples", "11",
+         "--out", str(tmp_path / "b.csv")],
+        ["convexity-scan", "--trials", "5", "--out", str(tmp_path / "scan.json")],
+        ["counterexample", "--starts", "8", "--out", str(tmp_path / "ce.json")],
+        ["wsmse", "--channels", ref_channels_file, "--weights", "0.22,0.54,0.24",
+         "--starts", "4", "--out", str(tmp_path / "w.json")],
+        ["segment", "--channels", ref_channels_file, *REF_CHORD, "--steps", "1",
+         "--out", str(tmp_path / "seg.json")],
+        ["region", "--channels", ref_channels_file, "--grid", "4",
+         "--out", str(tmp_path / "r.csv")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 3, 0], "scipy": []}
 
 
 def test_region_cli_grid_round_trip(tmp_path, ref_channels_file):

@@ -1,6 +1,8 @@
 """Weighted sum-MSE solver: reference three-user instance, KKT residual
 replays, multiplier recovery, multistart clustering, scaling laws."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -18,6 +20,7 @@ from mseregion import (
     weighted_sum_mse,
 )
 from mseregion import kkt, simplex
+from mseregion.io import to_jsonable
 from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
 from mseregion.tolerances import TOL_KKT
 
@@ -304,3 +307,18 @@ def test_enumerate_invariant_under_start_permutation(monkeypatch):
         assert len(shuffled) == len(plain)
         for a, b in zip(plain, shuffled):
             _same_certificate(a, b)
+
+
+def test_counterexample_checks_are_hashable_values():
+    # vector checks hold tuples, so every check is a hashable value record;
+    # JSON still writes them as lists
+    checks = kkt.counterexample_suite(starts=8).checks
+    vectors = [c for c in checks if isinstance(c.expected, tuple)]
+    assert {c.name for c in vectors} == {f"{kind}_{i}" for kind in ("powers", "mu", "mse")
+                                         for i in (1, 2)}
+    for check in checks:
+        assert hash(check) == hash(copy.deepcopy(check))
+        assert check in {check}
+    for check in vectors:
+        assert to_jsonable(check)["expected"] == list(check.expected)
+        assert to_jsonable(check)["computed"] == list(check.computed)

@@ -152,46 +152,55 @@ def test_membership_published_midpoint_outside():
     assert verdict.margin > 100 * TOL_MEMBER
 
 
-def test_membership_reports_sqp_failures(monkeypatch):
-    # one SLSQP iteration cannot converge: every refine stops at its
-    # iteration limit, and the verdict still holds a replayable witness
-    target = [0.60695, 0.1671, 0.61675]
-    converged = dominated_membership(REF_H, REF_CONFIG, target)
-    assert converged.sqp_failures == 0
-    assert 0 <= converged.seed_rank < region._COARSE_STARTS
-
-    monkeypatch.setattr(region, "_SQP_MAX_ITERS", 1)
-    verdict = dominated_membership(REF_H, REF_CONFIG, target)
-    assert verdict.sqp_failures == region._COARSE_STARTS
-    assert 0 <= verdict.seed_rank < region._COARSE_STARTS
-    eps = mse_tuple(REF_H, verdict.witness_powers, REF_CONFIG).values
-    assert float((eps - verdict.target).max()) == pytest.approx(verdict.margin, abs=1e-9)
-
-
-def test_membership_evaluates_each_point_once(monkeypatch):
-    # SLSQP asks for the constraint values and their Jacobian at the same
-    # iterate, and the margins of the seeds and refined points come from
-    # the refine's own evaluations: the kernel runs once per point and the
-    # verdict keeps its bits
+def test_membership_counts_its_kernel_calls(monkeypatch):
+    # each round evaluates every live target in one kernel call; a target
+    # counts the calls it took part in, so a batch of one counts them all
     target = [0.60695, 0.1671, 0.61675]
     plain = dominated_membership(REF_H, REF_CONFIG, target)
-    kernel = region.mse_jacobian
-    calls = []
+    kernel = region._mse_terms
+    rows = []
 
-    def recorded(channels, powers, config):
-        calls.append(np.array(powers, dtype=np.float64))
-        return kernel(channels, powers, config)
+    def recorded(mat, powers, noise_variance):
+        rows.append(powers.shape[0])
+        return kernel(mat, powers, noise_variance)
 
-    monkeypatch.setattr(region, "mse_jacobian", recorded)
+    monkeypatch.setattr(region, "_mse_terms", recorded)
     verdict = dominated_membership(REF_H, REF_CONFIG, target)
-    assert len(calls) > 2 * region._COARSE_STARTS
-    assert verdict.kernel_calls == len(calls)
-    for before, after in zip(calls, calls[1:]):
-        assert not np.array_equal(before, after)
-    assert len({powers.tobytes() for powers in calls}) == len(calls)
+    assert verdict.converged
+    assert 1 <= verdict.rounds <= verdict.kernel_calls == len(rows)
     for field in dataclasses.fields(verdict):
         got = np.asarray(getattr(verdict, field.name))
         assert got.tobytes() == np.asarray(getattr(plain, field.name)).tobytes()
+
+    rows.clear()
+    report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=3)
+    verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
+    assert len(rows) == max(v.kernel_calls for v in verdicts)
+    assert sum(rows) == sum(v.kernel_calls for v in verdicts)
+
+
+def test_membership_batch_rows_are_single_solves():
+    # lockstep rows do not see each other: a segment's verdicts are the
+    # verdicts of its targets solved one at a time, bit for bit
+    report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=3)
+    for verdict in (report.endpoint_a, report.endpoint_b, *report.points):
+        alone = dominated_membership(REF_H, REF_CONFIG, verdict.target)
+        for field in dataclasses.fields(alone):
+            got = np.asarray(getattr(verdict, field.name))
+            assert got.tobytes() == np.asarray(getattr(alone, field.name)).tobytes()
+
+
+def test_membership_capped_solve_is_reported_unconverged(monkeypatch):
+    # two values of s cannot close the bracket: the verdict says so and
+    # still holds a feasible witness whose margin replays
+    target = [0.60695, 0.1671, 0.61675]
+    monkeypatch.setattr(region, "_MAX_ROUNDS", 2)
+    verdict = dominated_membership(REF_H, REF_CONFIG, target)
+    assert not verdict.converged
+    assert verdict.rounds == 2
+    assert verdict.witness_powers.sum() <= REF_CONFIG.power_budget
+    eps = mse_tuple(REF_H, verdict.witness_powers, REF_CONFIG).values
+    assert float((eps - verdict.target).max()) == verdict.margin
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -245,6 +254,30 @@ def test_membership_many_antennas_reachable_target():
     assert verdict.dominated
     replay = dense_mse(channels.entries, verdict.witness_powers, config.noise_variance)
     assert float((replay - target).max()) == pytest.approx(verdict.margin, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", (3, 5, 8))
+def test_membership_high_snr_targets_of_known_allocations(k):
+    # t = eps(p0) * {1.05, 1.001} for an interior p0, so p0 itself meets t
+    # with power to spare: every such target is dominated.  At N < K and
+    # high SNR the inner fixed-point solves may hit their cap, but the
+    # verdict must then say so rather than report a confident "not dominated"
+    rng = np.random.default_rng([7, k])
+    for n in (2, 8, 64):
+        for snr in (1e3, 1e5):
+            channels = random_channels(rng, n, k)
+            config = SystemConfig(noise_variance=1.0, power_budget=snr)
+            inner = mse_tuple(channels, random_powers(rng, k, snr), config).values
+            for scale in (1.05, 1.001):
+                target = np.minimum(1.0, inner * scale)
+                verdict = dominated_membership(channels, config, target)
+                assert verdict.witness_powers.sum() <= config.power_budget
+                replay = dense_mse(channels.entries, verdict.witness_powers, 1.0)
+                assert float((replay - target).max()) == pytest.approx(verdict.margin, abs=1e-9)
+                if n >= k:
+                    assert verdict.dominated and verdict.converged, (n, snr, scale)
+                else:
+                    assert verdict.dominated or not verdict.converged, (n, snr, scale)
 
 
 def test_membership_matches_bruteforce_oracle():
