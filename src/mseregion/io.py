@@ -8,9 +8,11 @@ with `entries` holding n rows of k [re, im] pairs.  All JSON output is
 byte-stable: keys sorted, two-space indent, no timestamps, complex
 numbers as [re, im] pairs.  CSV floats use repr(), which round-trips
 exactly through float().  Region CSVs are formatted a block of rows at a
-time with one `%r` line template; `%r` of a float is its repr, and a
-float's repr holds no delimiter, quote or newline, so the bytes are
-those a `csv.writer` of repr() cells would write.
+time with one line template: each distinct power bit pattern of a block
+is repr'd once and its text reused through `%s`, and each MSE goes
+through `%r`.  Both give a float's repr, which holds no delimiter, quote
+or newline, so the bytes are those a `csv.writer` of repr() cells would
+write.
 """
 
 from __future__ import annotations
@@ -110,29 +112,44 @@ def write_boundary_csv(path, samples) -> None:
             writer.writerow([_cell(getattr(s, name)) for name in BOUNDARY_COLUMNS])
 
 
-# Rows formatted per write.  Speed is flat from 32 to 1024 rows; a small
-# block keeps each block's text, list and array at a few kB, which the
-# allocator serves from its free lists.  Blocks of 256 or 1024 rows raised
-# the peak RSS of a run of region commands by 1.5-3%; 64 rows did not.
-_REGION_BLOCK_ROWS = 64
+# Rows formatted per write, and the span over which equal powers share
+# one repr.  A grid block of 1024 rows holds at most a few hundred distinct
+# powers, so nearly every power cell reuses a text.  Each block's table is
+# dropped with the block.  In region-lattice runs on a 2-core VM, 1024-row
+# blocks kept peak RSS at the 92 MB of the former per-cell `%r` writer;
+# one table over the whole sample set (which in random mode holds the
+# text of every power at once) read 94-96 MB, and 2048- or 4096-row blocks
+# 92.5-95 MB, all at the same speed.
+_REGION_BLOCK_ROWS = 1024
 
 
 def write_region_csv(path, sample_set) -> None:
     """Header p_1..p_K, eps_1..eps_K, then one row of repr() floats per sample.
 
-    Rows are formatted _REGION_BLOCK_ROWS at a time: the block's powers
-    and MSEs become one flat list of Python floats, filled into the
-    line template repeated once per row, and written in one call.
+    Rows are formatted _REGION_BLOCK_ROWS at a time.  Powers repeat (a
+    grid's powers take at most resolution + 1 values in all K columns),
+    so each distinct power bit pattern of a block is repr'd once and its
+    text reused; a bit-pattern key keeps 0.0 and -0.0 apart, where a
+    value key would merge them.  MSEs are nearly all distinct and go
+    through `%r`.  The block's power texts and MSEs fill one reused
+    object array, whose cells fill the line template repeated once per
+    row, written in one call.
     """
-    powers = np.asarray(sample_set.powers, dtype=np.float64)
+    powers = np.ascontiguousarray(sample_set.powers, dtype=np.float64)
     mses = np.asarray(sample_set.mses, dtype=np.float64)
-    k = powers.shape[1]
+    n, k = powers.shape
     header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
-    line = ",".join(["%r"] * (2 * k)) + "\n"
+    line = ",".join(["%s"] * k + ["%r"] * k) + "\n"
+    cells = np.empty((_REGION_BLOCK_ROWS, 2 * k), dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for lo in range(0, powers.shape[0], _REGION_BLOCK_ROWS):
-            block = np.hstack([powers[lo:lo + _REGION_BLOCK_ROWS], mses[lo:lo + _REGION_BLOCK_ROWS]])
+        for lo in range(0, n, _REGION_BLOCK_ROWS):
+            bits, index = np.unique(powers[lo:lo + _REGION_BLOCK_ROWS].view(np.int64),
+                                    return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            block = cells[:min(_REGION_BLOCK_ROWS, n - lo)]
+            block[:, :k] = texts[index.reshape(-1, k)]
+            block[:, k:] = mses[lo:lo + _REGION_BLOCK_ROWS]
             handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 

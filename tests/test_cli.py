@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import mseregion.region as region
-from mseregion import ChannelSet, SystemConfig, cli, mse_tuples, save_channels
+from mseregion import ChannelSet, SystemConfig, cli, kkt, mse_tuples, save_channels
 from mseregion.cli import _scan_pairs
 from mseregion.io import BOUNDARY_COLUMNS, read_region_csv
+
+from helpers import reference_region_csv
 
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
 
@@ -167,6 +169,12 @@ def test_counterexample_cli_full_pass(tmp_path):
 
     lines = region_csv.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + math.comb(33, 3)
+    config = SystemConfig(noise_variance=kkt.REFERENCE_NOISE_VARIANCE,
+                          power_budget=kkt.REFERENCE_POWER_BUDGET)
+    samples = region.sample_region(kkt.REFERENCE_CHANNELS, config, 30, mode="grid")
+    reference = tmp_path / "ce_region_reference.csv"
+    reference_region_csv(reference, samples.powers, samples.mses)
+    assert region_csv.read_bytes() == reference.read_bytes()
     sidecar = json.loads((tmp_path / "ce_region.csv.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["command"] == "counterexample"
 

@@ -29,8 +29,9 @@ from mseregion.io import (
     to_jsonable,
 )
 from mseregion.region import RegionSampleSet
+from mseregion.simplex import lattice_size
 
-from helpers import reference_region_csv
+from helpers import random_channels, random_config, reference_region_csv
 
 CONFIG = SystemConfig(noise_variance=1.0, power_budget=10.0)
 
@@ -126,6 +127,59 @@ def test_region_csv_bytes_match_reference_writer(tmp_path, k):
     write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses, 50, "grid", None))
     reference_region_csv(ref, ints.astype(np.float64), mses)
     assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes()
+
+
+def _straddling_resolutions(k):
+    """The lattice resolutions whose sizes sit just below and at or above a block."""
+    res = 2
+    while lattice_size(k, res + 1) < _REGION_BLOCK_ROWS:
+        res += 1
+    return res, res + 1
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_region_csv_lattice_bytes_match_reference_writer(tmp_path, k):
+    rng = np.random.default_rng(200 + k)
+    below, above = _straddling_resolutions(k)
+    assert lattice_size(k, below) < _REGION_BLOCK_ROWS <= lattice_size(k, above)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    for n in (1, 3):
+        channels, config = random_channels(rng, n, k), random_config(rng)
+        for resolution in (2, below, above):
+            samples = sample_region(channels, config, resolution, mode="grid")
+            write_region_csv(ours, samples)
+            reference_region_csv(ref, samples.powers, samples.mses)
+            assert ours.read_bytes() == ref.read_bytes(), (n, resolution)
+
+
+def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path):
+    rng = np.random.default_rng(300)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    for samples in (
+        sample_region(random_channels(rng, 8, 3), random_config(rng), 91, mode="grid"),
+        sample_region(random_channels(rng, 8, 4), random_config(rng), 3000,
+                      mode="random", seed=7),
+    ):
+        write_region_csv(ours, samples)
+        reference_region_csv(ref, samples.powers, samples.mses)
+        assert ours.read_bytes() == ref.read_bytes(), samples.mode
+
+
+def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path):
+    # a few power values repeated over 3000 rows, with 0.0 and -0.0 (equal
+    # as values, distinct as bits) and the subnormals +-5e-324 in every
+    # column of every block
+    rng = np.random.default_rng(400)
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5, 1e16])
+    powers = rng.choice(values, size=(3000, 3))
+    powers[:len(values)] = values[:, None]
+    mses = rng.uniform(0.0, 1.0, size=(3000, 3))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
+    reference_region_csv(ref, powers, mses)
+    assert ours.read_bytes() == ref.read_bytes()
+    written, _ = read_region_csv(ours)
+    assert np.array_equal(np.signbit(written), np.signbit(powers))
 
 
 def test_manifest_contents():
