@@ -1,5 +1,7 @@
 """Model layer: closed forms, dense-inverse oracles, batching, validation."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from mseregion import (
 )
 from mseregion import model
 from mseregion.model import _chunk_rows
+from mseregion.simplex import budget_simplex_lattice
 
 from helpers import dense_mse, random_channels, random_config, random_powers
 
@@ -117,8 +120,8 @@ def test_single_batched_and_jacobian_mses_are_bitwise_equal():
 
 
 def test_default_chunking_is_bitwise_invariant(monkeypatch):
-    # a batch spanning three default-sized chunks (about 3.9k rows each at
-    # N=32, K=2), against one row per chunk and the whole batch in one chunk
+    # a batch spanning three default-sized chunks (240 rows each at N=32,
+    # K=2), against one row per chunk and the whole batch in one chunk
     rng = np.random.default_rng(41)
     channels = random_channels(rng, 32, 2)
     config = random_config(rng)
@@ -133,6 +136,54 @@ def test_default_chunking_is_bitwise_invariant(monkeypatch):
     np.testing.assert_array_equal(eps_default, mse_tuples(channels, batch, config))
     with pytest.raises(ValueError, match="mse_tuple"):
         mse_tuples(channels, batch[0], config)
+
+
+def test_region_lattice_working_set_is_a_few_chunks():
+    # the K = 3, N = 8, grid-91 lattice (134 044 rows): mse_tuples holds a
+    # chunk's intermediates, never the whole batch's
+    rng = np.random.default_rng(5)
+    channels = random_channels(rng, 8, 3)
+    config = SystemConfig(noise_variance=1.0, power_budget=30.0)
+    batch = budget_simplex_lattice(3, 91) * (30.0 / 91)
+    assert batch.shape == (134044, 3)
+    channels.factor                     # the set's QR, made before the measured call
+    tracemalloc.start()
+    try:
+        mse_tuples(channels, batch, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+def test_mse_path_never_lu_solves(monkeypatch):
+    rng = np.random.default_rng(43)
+    config = SystemConfig(noise_variance=0.7, power_budget=20.0)
+    channels = random_channels(rng, 6, 4)
+    batch = np.stack([random_powers(rng, 4, config.power_budget) for _ in range(7)])
+
+    def evaluate():
+        return (mse_tuples(channels, batch, config), *mse_jacobian(channels, batch, config),
+                *weighted_mse_derivatives(channels, batch, config, np.ones(4)))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called on the MSE path")
+
+    expected = evaluate()
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    for ref, got in zip(expected, evaluate(), strict=True):
+        assert ref.tobytes() == got.tobytes()
+
+    # forward substitution inverts L: L (L^{-1} H) is H, broadcast to the powers
+    mats = np.stack([random_channels(rng, 3, 2).entries for _ in range(5)])
+    grid = np.stack([np.stack([random_powers(rng, 2, config.power_budget) for _ in range(4)])
+                     for _ in range(5)])
+    for mat, pw in ((channels.entries, batch), (mats, grid[:, 0]), (mats[:, None], grid)):
+        low, half = model._whiten(mat, pw, config.noise_variance)
+        full = np.broadcast_to(mat, pw.shape[:-1] + mat.shape[-2:])
+        assert half.shape == full.shape
+        err = np.linalg.norm(low @ half - full, axis=(-2, -1))
+        assert (err <= 1e-14 * np.linalg.norm(full, axis=(-2, -1))).all(), err.max()
 
 
 def test_mse_values_in_unit_interval():
