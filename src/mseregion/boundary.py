@@ -39,10 +39,12 @@ and b_ij = h_i^H X^{-2} h_j:
 So D <= 0 on all of [0, P] once d >= 0 and Delta > 0 there, and Delta is
 concave in p, so Delta > 0 at both ends covers the interval: that is the
 two-user convexity theorem, and it is what a certificate's `certified`
-checks.  D vanishes exactly for colinear pairs (d = 0).  The three
-summands, the Cauchy-Schwarz chain and monotonicity are checked on a
-grid of splits as report flags.  The K-user kernel
-`model.resolvent_grams` is the test suite's oracle for these forms.
+checks.  D vanishes exactly for colinear pairs (d = 0), and is taken as
+-0.0 where d is within its rounding floor (4 N eps)^2 n1 n2; a pair is
+labelled affine where d <= COLINEARITY_RTOL n1 n2.  The three summands,
+the Cauchy-Schwarz chain and monotonicity are checked on a grid of
+splits as report flags.  The K-user kernel `model.resolvent_grams` is
+the test suite's oracle for these forms.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ import numpy as np
 
 from .model import SystemConfig, _checked_channels, _triangular_factor
 from .tolerances import CAUCHY_SCHWARZ_ATOL, COLINEARITY_RTOL, DISCRIMINANT_RTOL
+
+# d = |det R|^2 of N-antenna pairs is rounding below (4 N eps)^2 n1 n2: colinear
+# pairs (d = 0) reach 24 eps^2 n1 n2 at N = 2..32, random ones stay above
+# 1e-4 n1 n2 (5000 scan trials per N)
+_DET_ROUNDING = 4.0 * np.finfo(float).eps
 
 __all__ = [
     "BoundaryClass",
@@ -167,6 +174,12 @@ def _pair_scalars(pairs: np.ndarray):
     return n1, n2, c, det.real ** 2 + det.imag ** 2
 
 
+def _classes(n1, n2, d) -> list:
+    """Affine where d = |det R|^2 vanishes relative to n1 n2, else strictly convex."""
+    return [BoundaryClass.AFFINE if flat else BoundaryClass.STRICTLY_CONVEX
+            for flat in (d <= COLINEARITY_RTOL * n1 * n2).ravel()]
+
+
 def _couplings(a12, b12):
     """(|a12|^2, Re{a12 b21}): the two cross terms of every derivative."""
     return a12.real ** 2 + a12.imag ** 2, (a12 * np.conj(b12)).real
@@ -207,15 +220,15 @@ class _SweepData:
     """Boundary quantities of T channel pairs over G power splits, as (T, G) arrays.
 
     Every entry comes from the closed forms of the module docstring on the
-    pairs' four scalars; `summands` is (T, G, 3), and `proven` is the (T,)
+    pairs' four scalars; `summands` is (T, G, 3), `proven` is the (T,)
     mask of pairs with d >= 0 and Delta > 0 at p = 0 and p = P, which
-    makes D <= 0 on all of [0, P].
+    makes D <= 0 on all of [0, P], and `classes` the pairs' labels.
     """
 
     __slots__ = (
         "a11", "a22", "a12", "b11", "b22", "b12", "eps1", "eps2",
         "deps1", "deps2", "ddeps1", "ddeps2", "disc", "summands", "scale",
-        "re_ab", "absa12sq", "absb12sq", "proven",
+        "re_ab", "absa12sq", "absb12sq", "proven", "classes",
     )
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
@@ -241,24 +254,16 @@ class _SweepData:
         self.absb12sq = self.b12.real ** 2 + self.b12.imag ** 2
         self.deps1, self.deps2, self.ddeps1, self.ddeps2, _, summands = _derivatives(
             self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, budget)
-        self.disc = -2.0 * sig4 * d * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
+        resolved = np.where(d > (_DET_ROUNDING * pairs.shape[1]) ** 2 * n1 * n2, d, 0.0)
+        self.disc = -2.0 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
         self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
         self.summands = np.stack(summands, axis=-1)
         self.proven = ((d >= 0.0) & (delta(0.0) > 0.0) & (delta(budget) > 0.0))[:, 0]
+        self.classes = _classes(n1, n2, d)
 
     def g_derivatives(self):
         """(g', g'') = (eps2' / eps1', D / eps1'^3) of the boundary eps2 = g(eps1)."""
         return self.deps2 / self.deps1, self.disc / self.deps1 ** 3
-
-
-def _classify(pairs: np.ndarray) -> list:
-    """Affine where the raw Gram determinant vanishes relative to |h1|^2 |h2|^2."""
-    norms = (pairs.real ** 2 + pairs.imag ** 2).sum(axis=1)
-    n1, n2 = norms[:, 0], norms[:, 1]
-    inner = np.einsum("tn,tn->t", pairs[:, :, 0].conj(), pairs[:, :, 1])
-    det = n1 * n2 - (inner.real ** 2 + inner.imag ** 2)
-    return [BoundaryClass.AFFINE if flat else BoundaryClass.STRICTLY_CONVEX
-            for flat in det <= COLINEARITY_RTOL * n1 * n2]
 
 
 def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
@@ -318,35 +323,26 @@ def g_derivatives(h1, h2, config: SystemConfig, p: float):
 
 
 def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
-    """Closed forms of a12/a11 and b21/b22 plus their real product.
-
-    ratio_a = sigma^2 h1^H h2 / (sigma^2 |h1|^2 + d (P - p))
-    ratio_b = h2^H h1 (sigma^4 - p (P - p) d)
-              / (sigma^4 |h2|^2 + d p (2 sigma^2 + p |h1|^2))
-
-    with d = |det R|^2 as in the module docstring; the product is real
-    with Re <= 1 + 1e-10.
-    """
-    split = _split(config, p)[0]
-    sig2 = config.noise_variance
-    rem = config.power_budget - split
-    n1, n2, inner, det = (v[0] for v in _pair_scalars(_pair(h1, h2)))
-    ratio_a = sig2 * inner / (sig2 * n1 + det * rem)
-    ratio_b = np.conj(inner) * (sig2 ** 2 - split * rem * det) \
-        / (sig2 ** 2 * n2 + det * split * (2.0 * sig2 + split * n1))
+    """a12/a11 and b21/b22 at split p, from the closed forms of the module
+    docstring, plus their real product, which is checked to be real with
+    Re <= 1 + 1e-10."""
+    data = _SweepData(_pair(h1, h2), config, _split(config, p))
+    a11, a12, b22, b12 = (v[0, 0].item() for v in (data.a11, data.a12, data.b22, data.b12))
+    ratio_a, ratio_b = a12 / a11, b12.conjugate() / b22
     product = ratio_a * ratio_b
     if abs(product.imag) > 1e-10:
         raise ArithmeticError(f"ratio product has imaginary part {product.imag}")
     product_check = float(product.real)
     if product_check > 1.0 + 1e-10:
         raise ArithmeticError(f"ratio product {product_check} exceeds 1")
-    return complex(ratio_a), complex(ratio_b), product_check
+    return ratio_a, ratio_b, product_check
 
 
 def colinearity_classify(h1, h2) -> BoundaryClass:
-    """Affine iff the raw channel Gram determinant vanishes relative to
-    |h1|^2 |h2|^2 (threshold 1e-12), else strictly convex."""
-    return _classify(_pair(h1, h2))[0]
+    """Affine iff d = |det R|^2 vanishes relative to |h1|^2 |h2|^2
+    (threshold 1e-12), else strictly convex."""
+    n1, n2, _, d = _pair_scalars(_pair(h1, h2))
+    return _classes(n1, n2, d)[0]
 
 
 def affine_boundary(h1, alpha, config: SystemConfig):
@@ -437,7 +433,7 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
             summands_ok=bool(summands_ok[t]),
             monotonicity_ok=bool(mono_ok[t]),
         )
-        for t, label in enumerate(_classify(stack))
+        for t, label in enumerate(data.classes)
     ]
 
 

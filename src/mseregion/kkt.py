@@ -31,6 +31,7 @@ that shows the three-user region is not convex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional
 
 import numpy as np
@@ -336,36 +337,26 @@ def counterexample_suite(starts: int = 64, seed: int = 0) -> CounterexampleRepor
     clusters = enumerate_stationary_points(mat, config, w, starts=starts, seed=seed)
     checks = [CheckResult("cluster_count", 2, len(clusters), None, len(clusters) == 2)]
 
-    matched = clusters[:2] if len(clusters) >= 2 else clusters
     triples = []
-    for idx, ref in enumerate(REFERENCE_POINTS, start=1):
-        cert = matched[idx - 1] if len(matched) >= idx else None
-        powers = cert.powers if cert else None
-        objective = cert.objective if cert else None
-        lam = cert.lam if cert else None
-        mu = cert.mu if cert else None
+    for idx, (ref, cert) in enumerate(zip_longest(REFERENCE_POINTS, clusters[:2]), start=1):
+        if cert is None:
+            objective = powers = lam = mu = mse = None
+        else:
+            objective, powers, lam, mu = cert.objective, cert.powers, cert.lam, cert.mu
+            mse = mse_tuple(mat, powers, config).values
+            triples.append(mse)
         checks.append(_check_scalar(f"objective_{idx}", ref.objective, objective, ref.objective_tol))
         checks.append(_check_vector(f"powers_{idx}", ref.powers, powers, 1e-3))
         checks.append(_check_scalar(f"lambda_{idx}", ref.lam, lam, 1e-3))
         checks.append(_check_vector(f"mu_{idx}", ref.mu, mu, 1e-3))
-        if cert is not None:
-            mse = mse_tuple(mat, cert.powers, config).values
-            triples.append(mse)
-        else:
-            mse = None
         checks.append(_check_vector(f"mse_{idx}", ref.mses, mse, 1e-3))
         # replay the reference variable set through the residual evaluator
         ref_res = kkt_residuals(mat, config, w, np.array(ref.powers), ref.lam, np.array(ref.mu))
         checks.append(_check_scalar(f"reference_residuals_{idx}", 0.0, ref_res.max_abs(), 5e-4))
 
-    if len(triples) == 2:
-        segment = segment_test(mat, config, triples[0], triples[1], steps=9)
-        witness = bool(segment.nonconvex_witness)
-        all_interior = all(not pt.dominated for pt in segment.points)
-    else:
-        segment = None
-        witness = False
-        all_interior = False
+    segment = segment_test(mat, config, *triples, steps=9) if len(triples) == 2 else None
+    witness = segment is not None and bool(segment.nonconvex_witness)
+    all_interior = segment is not None and all(not pt.dominated for pt in segment.points)
     checks.append(CheckResult("segment_witness", True, witness, None, witness and all_interior))
 
     return CounterexampleReport(

@@ -298,19 +298,9 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
     return low, half
 
 
-def _grams(mat: np.ndarray, pw: np.ndarray, noise_variance: float, second_order: bool = False):
-    """(L^{-1} H, A) or (L^{-1} H, A, B): A and B are the Gram matrices of
-    L^{-1} H and X^{-1} H = L^{-H} L^{-1} H.
-
-    Shapes broadcast as in `_whiten`.  L^{-H} is applied by
-    `np.linalg.solve`: only `resolvent_grams(second_order=True)`, the
-    tests' oracle, asks for B.
-    """
-    low, half = _whiten(mat, pw, noise_variance)
-    factors = [half]
-    if second_order:
-        factors.append(np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half))
-    return (half, *(np.einsum("...ni,...nj->...ij", f.conj(), f) for f in factors))
+def _gram(vecs: np.ndarray) -> np.ndarray:
+    """The Gram matrix V^H V of each (..., n, k) matrix V."""
+    return np.einsum("...ni,...nj->...ij", vecs.conj(), vecs)
 
 
 def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
@@ -323,15 +313,18 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     grid; channels that do not broadcast to the powers raise ValueError.
     Returns A with A[..., i, j] = h_i^H X^{-1} h_j; with second_order
     also B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
-    L^{-1} H and X^{-1} H where X = L L^H, which keeps both matrices
+    L^{-1} H and X^{-1} H = L^{-H} L^{-1} H where X = L L^H (L^{-H}
+    applied here by `np.linalg.solve`), which keeps both matrices
     Hermitian positive semidefinite up to rounding.  Unlike the MSE
     functions, it evaluates exactly the matrices it receives (a
     `ChannelSet`'s entries, never its factor), so the tests use it as the
     unreduced oracle.
     """
     mat = channels.entries if isinstance(channels, ChannelSet) else _checked_channels(channels)
-    grams = _grams(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance, second_order)
-    return grams[1:] if second_order else grams[1]
+    low, half = _whiten(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance)
+    if not second_order:
+        return _gram(half)
+    return _gram(half), _gram(np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half))
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
@@ -400,20 +393,13 @@ def _mses(half: np.ndarray, rows: np.ndarray):
 def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
     """(A, eps, J) for a validated (..., K) power batch: eps from `_mses`, J by the one
     Jacobian formula."""
-    half, gram = _grams(mat, rows, noise_variance)
+    half = _whiten(mat, rows, noise_variance)[1]
+    gram = _gram(half)
     eps, diag = _mses(half, rows)
     jac = rows[..., :, None] * (gram.real ** 2 + gram.imag ** 2)
     users = np.arange(mat.shape[-1])
     jac[..., users, users] -= diag
     return gram, eps, jac
-
-
-def _weighted(eps: np.ndarray, jac: np.ndarray, w: np.ndarray):
-    """Weighted sums of (..., K) MSEs and (..., K, K) Jacobians, row by row.
-
-    `einsum`, not BLAS, so a row's values do not depend on its batch.
-    """
-    return np.einsum("...k,k->...", eps, w), np.einsum("...lk,l->...k", jac, w)
 
 
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:
@@ -454,7 +440,8 @@ def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
     pw = _power_rows(powers, mat.shape[1])
     rows = np.atleast_2d(pw)
     gram, eps, jac = _mse_terms(mat, rows, config.noise_variance)
-    value, grad = _weighted(eps, jac, w)
+    # einsum, not BLAS, so a row's values do not depend on its batch
+    value, grad = np.einsum("...k,k->...", eps, w), np.einsum("...lk,l->...k", jac, w)
     # A diag(w p) A
     sandwich = np.einsum("...kl,...lj->...kj", gram * (rows * w)[..., None, :], gram)
     coupling = (np.swapaxes(gram, -1, -2) * sandwich).real

@@ -15,14 +15,5 @@ CAUCHY_SCHWARZ_ATOL = 1e-10
 CLUSTER_REL_RADIUS = 1e-3  # stationary-point clustering radius, x budget
 PGD_TOL_REL = 1e-8         # projected-gradient stopping rule, x (1 + |objective|)
 
-TOLERANCES = {
-    "tol_feas_rel": TOL_FEAS_REL,
-    "tol_active_rel": TOL_ACTIVE_REL,
-    "tol_kkt": TOL_KKT,
-    "tol_member": TOL_MEMBER,
-    "discriminant_rtol": DISCRIMINANT_RTOL,
-    "colinearity_rtol": COLINEARITY_RTOL,
-    "cauchy_schwarz_atol": CAUCHY_SCHWARZ_ATOL,
-    "cluster_rel_radius": CLUSTER_REL_RADIUS,
-    "pgd_tol_rel": PGD_TOL_REL,
-}
+# every constant above under its lower-case name, in the order declared
+TOLERANCES = {name.lower(): value for name, value in list(globals().items()) if name.isupper()}

@@ -155,8 +155,9 @@ def test_closed_form_ratios():
         p = float(rng.uniform(0.01, 0.99) * config.power_budget)
         ratio_a, ratio_b, product = closed_form_ratios(h1, h2, config, p)
         bundle = coupling_bundle(h1, h2, config, p)
-        assert ratio_a == pytest.approx(bundle.a12 / bundle.a11, rel=1e-9)
-        assert ratio_b == pytest.approx(np.conj(bundle.b12) / bundle.b22, rel=1e-9)
+        # the ratios of the bundle's own entries, bit for bit
+        assert ratio_a == bundle.a12 / bundle.a11
+        assert ratio_b == bundle.b12.conjugate() / bundle.b22
         combined = ratio_a * ratio_b
         assert abs(combined.imag) <= 1e-10
         assert product == pytest.approx(combined.real, abs=1e-12)
@@ -370,6 +371,25 @@ def _mixed_pairs(rng, trials: int, dim: int) -> np.ndarray:
     pairs[2::4, :, 1] = pairs[2::4, :, 0] * (1 + 1e-6) + 1e-7 * pairs[2::4, :, 1]
     pairs[3::4, :, 1] *= 1e-2
     return pairs
+
+
+def _unitary(rng, dim: int) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+def test_labels_agree_and_are_rotation_invariant():
+    # one rule labels a pair: colinearity_classify and the certificates read
+    # the same d of R, and Q H has the same d for every unitary Q
+    rng = np.random.default_rng(24)
+    for dim in range(1, 9):
+        pairs = _mixed_pairs(rng, 12, dim)
+        labels = [r.classification for r in convexity_certificates(pairs, UNIT, grid=11)]
+        assert labels == [colinearity_classify(h[:, 0], h[:, 1]) for h in pairs], dim
+        rotated = convexity_certificates(_unitary(rng, dim) @ pairs, UNIT, grid=11)
+        assert [r.classification for r in rotated] == labels, dim
+        # the colinear and near-colinear rows, and every scalar pair
+        affine = [t for t, label in enumerate(labels) if label is BoundaryClass.AFFINE]
+        assert affine == [t for t in range(12) if dim == 1 or t % 4 in (1, 2)], dim
 
 
 def test_certificates_reject_invalid_stacks():

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 
 import mseregion.region as region
-from mseregion import ChannelSet, SystemConfig, cli, kkt, mse_tuples, save_channels
+from mseregion import (
+    BoundaryClass,
+    ChannelSet,
+    SystemConfig,
+    cli,
+    convexity_certificates,
+    kkt,
+    mse_tuples,
+    save_channels,
+)
 from mseregion.cli import _scan_pairs
 from mseregion.io import BOUNDARY_COLUMNS, read_region_csv
 
@@ -146,6 +155,30 @@ def test_convexity_scan_colinear_mode(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert all(t["classification"] == "Affine" for t in payload["trials"])
+
+
+def test_colinear_scan_summary_is_not_picked_from_rounding(tmp_path):
+    # D of a colinear pair is exactly zero: the worst trial is the first and
+    # its discriminant -0.0, also when the pairs are rotated by a unitary Q
+    rng = np.random.default_rng(42)
+    config = SystemConfig(noise_variance=1.0, power_budget=10.0)
+    for seed in (1, 2, 3):
+        for dim in (2, 3, 8):
+            out = tmp_path / f"scan-{seed}-{dim}.json"
+            assert cli.main(["convexity-scan", "--trials", "200", "--dim", str(dim), "--colinear",
+                             "--seed", str(seed), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text(encoding="utf-8"))
+            where = (seed, dim)
+            assert payload["worst_trial"] == 0, where
+            assert repr(payload["worst_discriminant"]) == "-0.0", where
+            pairs = _scan_pairs(np.random.default_rng(seed), 200, dim, True)
+            unitary = np.linalg.qr(rng.standard_normal((dim, dim))
+                                   + 1j * rng.standard_normal((dim, dim)))[0]
+            rotated = convexity_certificates(unitary @ pairs, config)
+            worst = [r.worst_discriminant for r in rotated]
+            assert int(np.argmax(worst)) == 0 and repr(worst[0]) == "-0.0", where
+            assert rotated[0].worst_p == payload["trials"][0]["worst_p"], where
+            assert all(r.classification is BoundaryClass.AFFINE for r in rotated), where
 
 
 def test_counterexample_cli_full_pass(tmp_path):

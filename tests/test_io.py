@@ -30,6 +30,7 @@ from mseregion.io import (
 )
 from mseregion.region import RegionSampleSet
 from mseregion.simplex import lattice_size
+from mseregion.tolerances import TOLERANCES
 
 from helpers import random_channels, random_config, reference_region_csv
 
@@ -192,6 +193,21 @@ def test_manifest_contents():
     assert block["tolerances"]["tol_member"] == 1e-6
     assert "timestamp" not in block
     assert "threads" not in block
+
+
+def test_tolerance_table_is_every_constant_in_order():
+    # manifests serialise the table in this order
+    assert list(TOLERANCES.items()) == [
+        ("tol_feas_rel", 1e-9),
+        ("tol_active_rel", 1e-8),
+        ("tol_kkt", 1e-7),
+        ("tol_member", 1e-6),
+        ("discriminant_rtol", 1e-9),
+        ("colinearity_rtol", 1e-12),
+        ("cauchy_schwarz_atol", 1e-10),
+        ("cluster_rel_radius", 1e-3),
+        ("pgd_tol_rel", 1e-8),
+    ]
 
 
 def test_to_jsonable_conversions():

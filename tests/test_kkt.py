@@ -322,3 +322,23 @@ def test_counterexample_checks_are_hashable_values():
     for check in vectors:
         assert to_jsonable(check)["expected"] == list(check.expected)
         assert to_jsonable(check)["computed"] == list(check.computed)
+
+
+def test_counterexample_checks_missing_clusters(monkeypatch):
+    # each reference point is paired with the cluster of its rank; a missing
+    # cluster fails that point's checks and the witness, in the same order
+    found = kkt.enumerate_stationary_points(kkt.REFERENCE_CHANNELS, SystemConfig(1.0, 10.0),
+                                            np.array(kkt.REFERENCE_WEIGHTS), starts=8)
+    assert len(found) == 2
+    per_point = ("objective", "powers", "lambda", "mu", "mse", "reference_residuals")
+    names = ["cluster_count", *(f"{n}_{i}" for i in (1, 2) for n in per_point), "segment_witness"]
+    for keep in (0, 1, 3):
+        monkeypatch.setattr(kkt, "enumerate_stationary_points",
+                            lambda *args, **kwargs: (found + found)[:keep])
+        report = kkt.counterexample_suite(starts=8)
+        assert [c.name for c in report.checks] == names
+        missing = {f"{n}_{i}" for i in (1, 2)[keep:] for n in per_point[:-1]}
+        failed = {"cluster_count"} | missing | ({"segment_witness"} if keep < 2 else set())
+        assert {c.name for c in report.checks if not c.passed} == failed, keep
+        assert all(c.computed is None for c in report.checks if c.name in missing)
+        assert (report.segment is None) == (keep < 2)
