@@ -12,15 +12,22 @@ time with one line template: each distinct power bit pattern of a block
 is repr'd once and its text reused through `%s`, and each MSE goes
 through `%r`.  Both give a float's repr, which holds no delimiter, quote
 or newline, so the bytes are those a `csv.writer` of repr() cells would
-write.
+write.  Large region CSVs are formatted on every CPU of the affinity
+mask: forked workers format contiguous row ranges into temporary files,
+which are appended in row order, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import enum
 import json
+import os
+import shutil
+import signal
+import tempfile
 from typing import Optional
 
 import numpy as np
@@ -57,7 +64,8 @@ def parse_channel_dict(payload) -> ChannelSet:
         if key not in payload:
             raise ValueError(f"channel payload is missing {key!r}")
     n, k = payload["n"], payload["k"]
-    if not isinstance(n, int) or not isinstance(k, int) or n < 1 or k < 1:
+    # JSON true and false load as bool, a subclass of int: reject them
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (n, k)):
         raise ValueError(f"n and k must be positive integers, got n={n!r} k={k!r}")
     entries = payload["entries"]
     if not isinstance(entries, list) or len(entries) != n:
@@ -70,7 +78,7 @@ def parse_channel_dict(payload) -> ChannelSet:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ValueError(f"entries[{i}][{j}] must be an [re, im] pair")
             re, im = cell
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in (re, im)):
                 raise ValueError(f"entries[{i}][{j}] must hold two numbers")
             mat[i, j] = complex(re, im)
     return ChannelSet(mat)
@@ -122,6 +130,73 @@ def write_boundary_csv(path, samples) -> None:
 # 92.5-95 MB, all at the same speed.
 _REGION_BLOCK_ROWS = 1024
 
+# The fewest rows a range needs to be worth a worker of its own.  On a
+# 2-core VM, forking, reaping and copying one worker's spill cost 5-8 ms
+# in an 80-130 MB process; two ranges broke even at about 3072 rows for
+# K = 3 and 8192 rows for K = 1 (the fewest cells per row), and at 8192
+# rows saved 28% of the write for K = 3.  So no split loses at K = 1.
+_MIN_RANGE_ROWS = 4096
+
+
+def _range_count(rows: int) -> int:
+    """How many contiguous row ranges to format at once.
+
+    One per CPU of the affinity mask, each of at least _MIN_RANGE_ROWS
+    rows; one where the platform has no fork or affinity mask.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_RANGE_ROWS))
+
+
+def _write_region_rows(handle, powers, mses, lo, hi) -> None:
+    """Write rows lo..hi - 1, _REGION_BLOCK_ROWS at a time."""
+    k = powers.shape[1]
+    line = ",".join(["%s"] * k + ["%r"] * k) + "\n"
+    cells = np.empty((_REGION_BLOCK_ROWS, 2 * k), dtype=object)
+    for start in range(lo, hi, _REGION_BLOCK_ROWS):
+        stop = min(start + _REGION_BLOCK_ROWS, hi)
+        bits, index = np.unique(powers[start:stop].view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        block = cells[:stop - start]
+        block[:, :k] = texts[index.reshape(-1, k)]
+        block[:, k:] = mses[start:stop]
+        handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
+def _spill_rows(spill, powers, mses, lo, hi) -> None:
+    """Write rows lo..hi - 1 as text into the binary file `spill`."""
+    with open(spill.fileno(), "w", encoding="utf-8", newline="", closefd=False) as text:
+        _write_region_rows(text, powers, mses, lo, hi)
+
+
+def _start_worker(spill, powers, mses, lo, hi) -> Optional[int]:
+    """Fork a worker that spills rows lo..hi - 1 and exits; its pid.
+
+    None when the fork fails: this process has then spilled them itself.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        _spill_rows(spill, powers, mses, lo, hi)
+        return None
+    if pid == 0:
+        # The parent may hold OpenBLAS threads (Python 3.12 warns about
+        # forking it).  The worker only sorts, fills object arrays and
+        # formats floats: it makes no BLAS or LAPACK call, so it never
+        # waits on a lock that a thread absent from the child held at the
+        # fork.  It leaves through os._exit, which runs no exit handler
+        # and flushes none of the parent's buffers.
+        status = 1
+        try:
+            _spill_rows(spill, powers, mses, lo, hi)
+            status = 0
+        except BaseException as err:
+            os.write(2, f"region CSV worker, rows {lo}-{hi}: {err!r}\n".encode())
+        finally:
+            os._exit(status)
+    return pid
+
 
 def write_region_csv(path, sample_set) -> None:
     """Header p_1..p_K, eps_1..eps_K, then one row of repr() floats per sample.
@@ -134,23 +209,48 @@ def write_region_csv(path, sample_set) -> None:
     through `%r`.  The block's power texts and MSEs fill one reused
     object array, whose cells fill the line template repeated once per
     row, written in one call.
+
+    The rows are split into contiguous ranges, one per CPU of the
+    affinity mask (see _range_count).  This process formats the first;
+    a forked worker formats each other range into an unlinked temporary
+    file, which is appended to the output in row order once the worker
+    has exited.  Every cell is the repr of its own bits, so the bytes do
+    not depend on the split.  A range whose fork fails is formatted here;
+    a worker that fails raises OSError.
     """
     powers = np.ascontiguousarray(sample_set.powers, dtype=np.float64)
     mses = np.asarray(sample_set.mses, dtype=np.float64)
     n, k = powers.shape
+    count = _range_count(n)
+    bounds = [n * i // count for i in range(count + 1)]
     header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
-    line = ",".join(["%s"] * k + ["%r"] * k) + "\n"
-    cells = np.empty((_REGION_BLOCK_ROWS, 2 * k), dtype=object)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for lo in range(0, n, _REGION_BLOCK_ROWS):
-            bits, index = np.unique(powers[lo:lo + _REGION_BLOCK_ROWS].view(np.int64),
-                                    return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            block = cells[:min(_REGION_BLOCK_ROWS, n - lo)]
-            block[:, :k] = texts[index.reshape(-1, k)]
-            block[:, k:] = mses[lo:lo + _REGION_BLOCK_ROWS]
-            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+    running = {}                # pid -> its range, until reaped
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle, \
+                contextlib.ExitStack() as stack:
+            handle.write(",".join(header) + "\n")
+            spills = []
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                spill = stack.enter_context(tempfile.TemporaryFile())
+                pid = _start_worker(spill, powers, mses, lo, hi)
+                if pid is not None:
+                    running[pid] = (lo, hi)
+                spills.append((pid, spill))
+            _write_region_rows(handle, powers, mses, 0, bounds[1])
+            handle.flush()
+            for pid, spill in spills:
+                if pid is not None:
+                    status = os.waitpid(pid, 0)[1]
+                    lo, hi = running.pop(pid)
+                    if status:
+                        raise OSError(f"region CSV worker for rows {lo}-{hi} exited with "
+                                      f"status {os.waitstatus_to_exitcode(status)}")
+                spill.seek(0)
+                shutil.copyfileobj(spill, handle.buffer)
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def read_region_csv(path):

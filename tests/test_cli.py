@@ -233,6 +233,17 @@ def test_wsmse_cli(tmp_path, ref_channels_file):
     assert proc.returncode == 2
 
 
+def test_channel_file_booleans_are_input_errors(tmp_path):
+    # JSON true loads as a bool, which is an int to isinstance
+    for payload in ({"n": True, "k": 1, "entries": [[[1.0, 0.0]]]},
+                    {"n": 1, "k": 1, "entries": [[[True, 0]]]}):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_cli("wsmse", "--channels", str(path), "--weights", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_segment_cli_exit_codes(tmp_path, ref_channels_file):
     proc = run_cli("segment", "--channels", ref_channels_file,
                    "--a", "1,1,1", "--b", "1,1,1", "--steps", "1")

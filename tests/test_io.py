@@ -2,11 +2,13 @@
 recursive JSON conversion."""
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import mseregion.io as io_module
 from mseregion import (
     BoundaryClass,
     SystemConfig,
@@ -21,6 +23,7 @@ from mseregion import (
     write_region_csv,
 )
 from mseregion.io import (
+    _MIN_RANGE_ROWS,
     _REGION_BLOCK_ROWS,
     BOUNDARY_COLUMNS,
     channel_dict,
@@ -60,12 +63,20 @@ def test_channel_schema_errors(tmp_path):
         parse_channel_dict({**good, "n": 0})
     with pytest.raises(ValueError, match="positive integers"):
         parse_channel_dict({**good, "k": "2"})
+    with pytest.raises(ValueError, match="positive integers"):
+        parse_channel_dict({**good, "n": True})
+    with pytest.raises(ValueError, match="positive integers"):
+        parse_channel_dict({**good, "k": True})
     with pytest.raises(ValueError, match="rows"):
         parse_channel_dict({**good, "entries": [[[1.0, 0.0]], [[1.0, 0.0]]]})
     with pytest.raises(ValueError, match="pair"):
         parse_channel_dict({**good, "entries": [[[1.0, 0.0, 2.0]]]})
     with pytest.raises(ValueError, match="numbers"):
         parse_channel_dict({**good, "entries": [[["1", 0.0]]]})
+    with pytest.raises(ValueError, match="numbers"):
+        parse_channel_dict({**good, "entries": [[[True, 0]]]})
+    with pytest.raises(ValueError, match="numbers"):
+        parse_channel_dict({**good, "entries": [[[1.0, False]]]})
     with pytest.raises(ValueError, match="object"):
         parse_channel_dict([1, 2])
 
@@ -107,9 +118,25 @@ def test_region_csv_round_trip(tmp_path):
 
 EDGE_VALUES = (0.0, -0.0, 1e-5, 9.999e-5, 1e16, 5e-324, 1e300)
 
+# Row ranges a region CSV is split into; 1 forks no worker.  Each count
+# leaves some of the tests' row counts not divisible by it, and all of
+# their ranges shorter than _MIN_RANGE_ROWS (some empty).
+WORKER_COUNTS = (1, 2, 3, 5)
+
+
+@pytest.fixture(params=WORKER_COUNTS)
+def workers(request, monkeypatch):
+    monkeypatch.setattr(io_module, "_range_count", lambda rows: request.param)
+    return request.param
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_region_csv_bytes_match_reference_writer(tmp_path, k):
+def test_region_csv_bytes_match_reference_writer(tmp_path, k, workers):
     rng = np.random.default_rng(100 + k)
     for rows in (1, _REGION_BLOCK_ROWS - 1, _REGION_BLOCK_ROWS, _REGION_BLOCK_ROWS + 1, 3000):
         powers = rng.uniform(0.0, 10.0, size=(rows, k))
@@ -128,6 +155,7 @@ def test_region_csv_bytes_match_reference_writer(tmp_path, k):
     write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses, 50, "grid", None))
     reference_region_csv(ref, ints.astype(np.float64), mses)
     assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes()
+    assert_no_child_left()
 
 
 def _straddling_resolutions(k):
@@ -139,7 +167,7 @@ def _straddling_resolutions(k):
 
 
 @pytest.mark.parametrize("k", range(1, 5))
-def test_region_csv_lattice_bytes_match_reference_writer(tmp_path, k):
+def test_region_csv_lattice_bytes_match_reference_writer(tmp_path, k, workers):
     rng = np.random.default_rng(200 + k)
     below, above = _straddling_resolutions(k)
     assert lattice_size(k, below) < _REGION_BLOCK_ROWS <= lattice_size(k, above)
@@ -151,6 +179,7 @@ def test_region_csv_lattice_bytes_match_reference_writer(tmp_path, k):
             write_region_csv(ours, samples)
             reference_region_csv(ref, samples.powers, samples.mses)
             assert ours.read_bytes() == ref.read_bytes(), (n, resolution)
+    assert_no_child_left()
 
 
 def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path):
@@ -166,7 +195,7 @@ def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path)
         assert ours.read_bytes() == ref.read_bytes(), samples.mode
 
 
-def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path):
+def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, workers):
     # a few power values repeated over 3000 rows, with 0.0 and -0.0 (equal
     # as values, distinct as bits) and the subnormals +-5e-324 in every
     # column of every block
@@ -181,6 +210,51 @@ def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path):
     assert ours.read_bytes() == ref.read_bytes()
     written, _ = read_region_csv(ours)
     assert np.array_equal(np.signbit(written), np.signbit(powers))
+    assert_no_child_left()
+
+
+def _region_rows(rows, k=3, seed=500):
+    rng = np.random.default_rng(seed)
+    powers, mses = rng.uniform(0.0, 10.0, size=(rows, k)), rng.uniform(0.0, 1.0, size=(rows, k))
+    return RegionSampleSet(powers, mses, 0, "grid", None)
+
+
+def test_region_csv_ranges_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert io_module._range_count(_MIN_RANGE_ROWS - 1) == 1
+    assert io_module._range_count(2 * _MIN_RANGE_ROWS + 1) == 2
+    assert io_module._range_count(64 * _MIN_RANGE_ROWS) == 3
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert io_module._range_count(64 * _MIN_RANGE_ROWS) == 1
+
+
+def test_region_csv_failing_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
+    write_rows = io_module._write_region_rows
+
+    def failing(handle, powers, mses, lo, hi):
+        if lo > 0:                      # a worker's range
+            raise RuntimeError("worker failure")
+        write_rows(handle, powers, mses, lo, hi)
+
+    monkeypatch.setattr(io_module, "_write_region_rows", failing)
+    monkeypatch.setattr(io_module, "_range_count", lambda rows: 3)
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_region_csv(tmp_path / "ours.csv", _region_rows(3000))
+    assert_no_child_left()
+
+
+def test_region_csv_failed_fork_writes_the_range_itself(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError("fork refused")
+
+    samples = _region_rows(3000)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(io_module, "_range_count", lambda rows: 3)
+    write_region_csv(ours, samples)
+    reference_region_csv(ref, samples.powers, samples.mses)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert_no_child_left()
 
 
 def test_manifest_contents():
