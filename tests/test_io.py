@@ -124,10 +124,11 @@ EDGE_VALUES = (0.0, -0.0, 1e-5, 9.999e-5, 1e16, 5e-324, 1e300)
 WORKER_COUNTS = (1, 2, 3, 5)
 
 
-@pytest.fixture(params=WORKER_COUNTS)
-def workers(request, monkeypatch):
-    monkeypatch.setattr(io_module, "_range_count", lambda rows: request.param)
-    return request.param
+def each_split(monkeypatch):
+    """Yield each of WORKER_COUNTS with write_region_csv patched to use that many ranges."""
+    for count in WORKER_COUNTS:
+        monkeypatch.setattr(io_module, "_range_count", lambda rows, count=count: count)
+        yield count
 
 
 def assert_no_child_left():
@@ -136,26 +137,27 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_region_csv_bytes_match_reference_writer(tmp_path, k, workers):
-    rng = np.random.default_rng(100 + k)
-    for rows in (1, _REGION_BLOCK_ROWS - 1, _REGION_BLOCK_ROWS, _REGION_BLOCK_ROWS + 1, 3000):
-        powers = rng.uniform(0.0, 10.0, size=(rows, k))
-        mses = rng.uniform(0.0, 1.0, size=(rows, k))
-        cells = np.concatenate([powers.ravel(), mses.ravel()])
-        cells[:len(EDGE_VALUES)] = EDGE_VALUES[:cells.size]
-        powers, mses = cells[:rows * k].reshape(rows, k), cells[rows * k:].reshape(rows, k)
-        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
-        reference_region_csv(ref, powers, mses)
-        assert ours.read_bytes() == ref.read_bytes(), (k, rows)
+def test_region_csv_bytes_match_reference_writer(tmp_path, k, monkeypatch):
+    for workers in each_split(monkeypatch):
+        rng = np.random.default_rng(100 + k)
+        for rows in (1, _REGION_BLOCK_ROWS - 1, _REGION_BLOCK_ROWS, _REGION_BLOCK_ROWS + 1, 3000):
+            powers = rng.uniform(0.0, 10.0, size=(rows, k))
+            mses = rng.uniform(0.0, 1.0, size=(rows, k))
+            cells = np.concatenate([powers.ravel(), mses.ravel()])
+            cells[:len(EDGE_VALUES)] = EDGE_VALUES[:cells.size]
+            powers, mses = cells[:rows * k].reshape(rows, k), cells[rows * k:].reshape(rows, k)
+            ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+            write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
+            reference_region_csv(ref, powers, mses)
+            assert ours.read_bytes() == ref.read_bytes(), (workers, rows)
 
-    # integer powers print as floats, exactly as their float64 values do
-    ints = rng.integers(0, 50, size=(40, k))
-    mses = rng.uniform(0.0, 1.0, size=(40, k))
-    write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses, 50, "grid", None))
-    reference_region_csv(ref, ints.astype(np.float64), mses)
-    assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes()
-    assert_no_child_left()
+        # integer powers print as floats, exactly as their float64 values do
+        ints = rng.integers(0, 50, size=(40, k))
+        mses = rng.uniform(0.0, 1.0, size=(40, k))
+        write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses, 50, "grid", None))
+        reference_region_csv(ref, ints.astype(np.float64), mses)
+        assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes(), workers
+        assert_no_child_left()
 
 
 def _straddling_resolutions(k):
@@ -167,19 +169,20 @@ def _straddling_resolutions(k):
 
 
 @pytest.mark.parametrize("k", range(1, 5))
-def test_region_csv_lattice_bytes_match_reference_writer(tmp_path, k, workers):
-    rng = np.random.default_rng(200 + k)
+def test_region_csv_lattice_bytes_match_reference_writer(tmp_path, k, monkeypatch):
     below, above = _straddling_resolutions(k)
     assert lattice_size(k, below) < _REGION_BLOCK_ROWS <= lattice_size(k, above)
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    for n in (1, 3):
-        channels, config = random_channels(rng, n, k), random_config(rng)
-        for resolution in (2, below, above):
-            samples = sample_region(channels, config, resolution, mode="grid")
-            write_region_csv(ours, samples)
-            reference_region_csv(ref, samples.powers, samples.mses)
-            assert ours.read_bytes() == ref.read_bytes(), (n, resolution)
-    assert_no_child_left()
+    for workers in each_split(monkeypatch):
+        rng = np.random.default_rng(200 + k)
+        for n in (1, 3):
+            channels, config = random_channels(rng, n, k), random_config(rng)
+            for resolution in (2, below, above):
+                samples = sample_region(channels, config, resolution, mode="grid")
+                write_region_csv(ours, samples)
+                reference_region_csv(ref, samples.powers, samples.mses)
+                assert ours.read_bytes() == ref.read_bytes(), (workers, n, resolution)
+        assert_no_child_left()
 
 
 def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path):
@@ -195,7 +198,7 @@ def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path)
         assert ours.read_bytes() == ref.read_bytes(), samples.mode
 
 
-def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, workers):
+def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, monkeypatch):
     # a few power values repeated over 3000 rows, with 0.0 and -0.0 (equal
     # as values, distinct as bits) and the subnormals +-5e-324 in every
     # column of every block
@@ -205,12 +208,13 @@ def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, w
     powers[:len(values)] = values[:, None]
     mses = rng.uniform(0.0, 1.0, size=(3000, 3))
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
     reference_region_csv(ref, powers, mses)
-    assert ours.read_bytes() == ref.read_bytes()
-    written, _ = read_region_csv(ours)
-    assert np.array_equal(np.signbit(written), np.signbit(powers))
-    assert_no_child_left()
+    for workers in each_split(monkeypatch):
+        write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
+        assert ours.read_bytes() == ref.read_bytes(), workers
+        written, _ = read_region_csv(ours)
+        assert np.array_equal(np.signbit(written), np.signbit(powers))
+        assert_no_child_left()
 
 
 def _region_rows(rows, k=3, seed=500):
