@@ -6,15 +6,27 @@ Channel sets travel as
 
 with `entries` holding n rows of k [re, im] pairs.  All JSON output is
 byte-stable: keys sorted, two-space indent, no timestamps, complex
-numbers as [re, im] pairs.  CSV floats use repr(), which round-trips
-exactly through float().  Region CSVs are formatted a block of rows at a
-time with one line template: each distinct power bit pattern of a block
-is repr'd once and its text reused through `%s`, and each MSE goes
-through `%r`.  Both give a float's repr, which holds no delimiter, quote
-or newline, so the bytes are those a `csv.writer` of repr() cells would
-write.  Large region CSVs are formatted on every CPU of the affinity
-mask: forked workers format contiguous row ranges into temporary files,
-which are appended in row order, so the bytes do not depend on the split.
+numbers as [re, im] pairs.
+
+JSON is written in one recursive pass straight from the result objects,
+with the bytes `json.dumps(to_jsonable(x), sort_keys=True, indent=2)`
+would write.  That call walked each report twice: to_jsonable built a
+converted copy, and with `indent` the json module encodes in pure
+Python, one generator per container.  to_jsonable and the writer share
+one per-node conversion rule (`_node`); each dataclass's field names are
+sorted once per class, and leaves are written with float.__repr__ (NaN
+and ±Infinity spelled as json spells them), int.__repr__, json's
+encode_basestring_ascii, and true/false/null.
+
+CSV floats use repr(), which round-trips exactly through float().
+Region CSVs are formatted a block of rows at a time with one line
+template: each distinct power bit pattern of a block is repr'd once and
+its text reused through `%s`, and each MSE goes through `%r`.  Both give
+a float's repr, which holds no delimiter, quote or newline, so the bytes
+are those a `csv.writer` of repr() cells would write.  Large region CSVs
+are formatted on every CPU of the affinity mask: forked workers format
+contiguous row ranges into temporary files, which are appended in row
+order, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -23,11 +35,14 @@ import contextlib
 import csv
 import dataclasses
 import enum
+import functools
 import json
 import os
 import shutil
 import signal
 import tempfile
+from json.encoder import encode_basestring_ascii
+from types import NoneType
 from typing import Optional
 
 import numpy as np
@@ -281,31 +296,109 @@ def manifest(command: str, inputs: dict, seed: Optional[int], config: SystemConf
     }
 
 
-def to_jsonable(value):
-    """Recursively convert results to JSON-ready structures."""
+@functools.cache
+def _field_names(cls) -> tuple:
+    """A dataclass's field names, sorted once per class."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _node(value):
+    """One step of the conversion to JSON, shared by to_jsonable and json_text.
+
+    Returns (node, convert): `node` is a leaf (None, bool, int, str,
+    float), a list or tuple of items, or a dict of items under sorted str
+    keys; `convert` says whether the items still need this conversion.  An
+    Enum's value is taken as it is, with convert False, so it is written
+    as the json module writes it.
+    """
     if isinstance(value, np.generic):
         value = value.item()
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
+    if value is None or isinstance(value, (bool, int, str, float)):
+        return value, False
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [value.real, value.imag], False
     if isinstance(value, enum.Enum):
-        return value.value
+        return value.value, False
     if isinstance(value, np.ndarray):
-        return to_jsonable(value.tolist())
+        return _node(value.tolist())
+    # mappings come out sorted by key, as json_text writes them
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {name: getattr(value, name) for name in _field_names(type(value))}, True
     if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
+        return dict(sorted({str(k): v for k, v in value.items()}.items())), True
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
+        return value, True
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def to_jsonable(value):
+    """Recursively convert results to JSON-ready structures.
+
+    Dicts and dataclasses come out with their keys in sorted order, the
+    order json_text writes them in.
+    """
+    node, convert = _node(value)
+    if not convert:
+        return node
+    if isinstance(node, dict):
+        return {k: to_jsonable(v) for k, v in node.items()}
+    return [to_jsonable(v) for v in node]
+
+
+def _key_text(key) -> str:
+    """A dict key as the json module writes it: quoted, after its scalar text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _text(key, "", False)
+    return encode_basestring_ascii(key)
+
+
+def _text(value, indent: str, convert: bool = True) -> str:
+    """`value` as json.dumps(to_jsonable(value), sort_keys=True, indent=2)
+    writes it at nesting `indent`; without `convert`, as json.dumps(value, ...).
+
+    _node is not asked about exact JSON scalars, which it returns as they
+    are.  Leaves are tested in the json module's order, except that the
+    singletons come first and float before str and int (no float is a
+    str or an int).
+    """
+    if convert and type(value) not in (float, bool, int, str, NoneType):
+        value, convert = _node(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        if text[-1] in "nf":        # nan, inf, -inf: a finite repr ends in a digit
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+        return text
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_text(v, inner, convert) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        key_text = encode_basestring_ascii if convert else _key_text   # converted keys are str
+        pairs = value.items() if convert else sorted(value.items())
+        items = [f"{key_text(k)}: {_text(v, inner, convert)}" for k, v in pairs]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def json_text(payload) -> str:
-    return json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    """The report text: json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"."""
+    return _text(payload, "") + "\n"
 
 
 def write_json(path, payload) -> None:

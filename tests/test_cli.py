@@ -1,6 +1,8 @@
 """End-to-end CLI checks through subprocess: artifacts, exit codes,
 stderr summaries, seeds, and byte-level reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -423,3 +425,53 @@ def test_version_and_missing_subcommand():
     assert proc.returncode == 0
     assert "mseregion" in proc.stdout
     assert run_cli().returncode == 2
+
+
+def test_main_reuses_one_parser_and_leaks_nothing(monkeypatch, tmp_path, ref_channels_file):
+    """One process runs an interleaved sequence through cli.main: the parser
+    is built once, and every call's exit code, stdout, stderr and files equal
+    those of a fresh `python -m mseregion` run of the same argv."""
+    real_build = cli.build_parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    monkeypatch.delenv("MSEREGION_SEED", raising=False)
+    cli._parser.cache_clear()
+    work = tmp_path / "work"
+    work.mkdir()
+    wsmse = ["wsmse", "--channels", ref_channels_file, "--weights", "0.22,0.54,0.24", "--starts", "8"]
+    region_args = ["region", "--channels", ref_channels_file]
+    sequence = [
+        wsmse + ["--seed", "3"],
+        wsmse,                                                      # manifest seed 0
+        region_args + ["--grid", "6", "--out", str(work / "region.csv")],
+        region_args + ["--random", "40", "--out", str(work / "region.csv")],
+        ["convexity-scan", "--trials", "0"],                        # input error: 2
+        ["convexity-scan", "--trials", "6", "--dim", "2", "--out", str(work / "scan.json")],
+        region_args + ["--grid", "3", "--random", "5", "--out", str(work / "x.csv")],  # usage error
+        region_args + ["--random", "40", "--seed", "4", "--out", str(work / "region.csv")],
+        ["--version"],
+        ["convexity-scan", "--trials", "6", "--dim", "2", "--colinear"],
+    ]
+
+    def outputs():
+        files = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+        for f in work.iterdir():
+            f.unlink()
+        return files
+
+    results = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exit_:
+                rc = exit_.code or 0
+        results.append((rc, out.getvalue(), err.getvalue(), outputs()))
+        proc = run_cli(*argv, drop_env=("MSEREGION_SEED",))
+        assert results[-1] == (proc.returncode, proc.stdout, proc.stderr, outputs()), argv
+    assert len(builds) == 1
+    assert [rc for rc, *_ in results] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+    assert [json.loads(results[i][1])["manifest"]["seed"] for i in (0, 1)] == [3, 0]
+    region_seeds = [json.loads(results[i][3]["region.csv.manifest.json"])["seed"] for i in (2, 3, 7)]
+    assert region_seeds == [0, 0, 4]

@@ -1,12 +1,18 @@
 """Serialization: channel JSON schema, CSV writers, manifests, and the
 recursive JSON conversion."""
 
+import dataclasses
+import enum
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mseregion.io as io_module
 from mseregion import (
@@ -324,3 +330,176 @@ def test_json_text_is_canonical(tmp_path):
     path = tmp_path / "out.json"
     write_json(path, {"b": 1, "a": 0.1})
     assert path.read_text(encoding="utf-8") == json_text({"a": 0.1, "b": 1})
+
+
+def _former_to_jsonable(value):
+    """The conversion json_text used to feed to json.dumps, kept as the reference."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return _former_to_jsonable(value.tolist())
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _former_to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _former_to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_former_to_jsonable(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _dumps_text(payload) -> str:
+    """The bytes json_text promises: the json module's, after the former conversion."""
+    return json.dumps(_former_to_jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _assert_same_text(payload):
+    expected = _dumps_text(payload)
+    assert json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n" == expected
+    assert json_text(payload) == expected
+
+
+class _Plain(enum.Enum):
+    WORD = "wérd"
+    NUMBER = 7
+    FRACTION = -0.0
+    NOTHING = None
+    PAIR = (1, "two")             # values are written as the json module writes them
+    COUNTS = {10: "ten", 2: [0.5, "two"]}
+    FLAGS = {True: 1, False: None, 0.5: "half"}
+
+
+class _Label(str, enum.Enum):
+    QUOTE = 'say "hi"\\'
+    ACCENT = "é "
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2 ** 80
+
+
+@dataclass
+class _Node:                      # fields declared out of name order
+    zeta: object
+    alpha: object
+    mid: object
+
+
+@dataclass(frozen=True)
+class _Leaf:
+    value: object
+    label: str = "leaf"
+
+
+@dataclass(frozen=True)
+class _Child(_Leaf):
+    extra: object = None
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
+                1e308, 1.7976931348623157e308, 0.1, 1e16, 1e-7, 123456789.0]
+_STRINGS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\bé \ud800\U0001f600')),
+                   max_size=8)
+_NUMPY_SCALARS = st.one_of(
+    st.booleans().map(np.bool_),
+    *[st.integers(np.iinfo(t).min, np.iinfo(t).max).map(t)
+      for t in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)],
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.complex_numbers(width=64).map(np.complex64),
+    st.complex_numbers().map(np.complex128),
+    _STRINGS.map(np.str_),
+)
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.complex128, np.int64, np.bool_]),
+                     hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.sampled_from(_EDGE_FLOATS),
+    _STRINGS, st.complex_numbers(),
+    _NUMPY_SCALARS, _ARRAYS,
+    st.sampled_from(list(_Plain) + list(_Label) + list(_Level)),
+)
+_KEYS = st.one_of(_STRINGS, st.integers(-20, 20), st.sampled_from(list(_Plain) + list(_Label) + list(_Level)))
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.builds(_Node, children, children, children),
+        st.builds(_Leaf, children, _STRINGS),
+        st.builds(_Child, children, _STRINGS, children),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_PAYLOADS)
+def test_json_text_matches_json_dumps(payload):
+    _assert_same_text(payload)
+
+
+def test_json_text_edge_values():
+    _assert_same_text({"floats": _EDGE_FLOATS, "empty": [{}, [], (), {"": ""}],
+                       "keys": {3: "int", 10: "int", _Level.LOW: "enum", _Plain.WORD: "enum", "3": "str"},
+                       "ints": [2 ** 100, -2 ** 100, True, False, None],
+                       "arrays": [np.array(2.5), np.array(1 - 2j), np.arange(3), np.eye(2) * (1 + 1j)],
+                       "enums": list(_Plain) + list(_Label) + list(_Level)})
+    assert json_text(float("nan")) == "NaN\n"
+    assert json_text([]) == "[]\n" and json_text({}) == "{}\n"
+
+
+@pytest.mark.parametrize("payload", [
+    object(), [1, object()], {"a": {"b": b"bytes"}}, {1j}, np.datetime64("2020-01-01T00:00"),
+    np.array(["x"], dtype=object).astype("S1"),
+])
+def test_json_text_rejects_what_to_jsonable_rejects(payload):
+    with pytest.raises(TypeError):
+        _dumps_text(payload)
+    with pytest.raises(TypeError):
+        json_text(payload)
+
+
+def test_json_text_matches_json_dumps_on_command_payloads(monkeypatch, tmp_path):
+    """The payloads the commands write, captured on their way to the writer."""
+    from mseregion import cli, kkt
+
+    payloads = []
+
+    def capture(path, payload):
+        payloads.append(payload)
+        write_json(path, payload)
+
+    monkeypatch.setattr(cli, "write_json", capture)
+    monkeypatch.delenv("MSEREGION_SEED", raising=False)
+    channels = str(tmp_path / "reference.json")
+    save_channels(channels, kkt.REFERENCE_CHANNELS)
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["convexity-scan", "--trials", "40", "--dim", "3", "--seed", "2"],
+        ["convexity-scan", "--trials", "40", "--dim", "3", "--colinear", "--seed", "2"],
+        ["wsmse", "--channels", channels, "--weights", "0.22,0.54,0.24", "--starts", "8"],
+        ["segment", "--channels", channels, "--a", "0.21389147,0.13652377,1.0",
+         "--b", "1.0,0.19774107,0.23353177", "--steps", "1"],
+        ["counterexample", "--starts", "8", "--region-csv", str(tmp_path / "ce.csv"), "--grid", "6"],
+        ["region", "--channels", channels, "--grid", "4", "--out", str(tmp_path / "region.csv")],
+    ]
+    for argv in commands:
+        if argv[0] != "region":
+            argv = argv + ["--out", out]
+        assert cli.main(argv) in (0, 3)
+    # counterexample writes its region manifest and its report; region its manifest
+    assert len(payloads) == 7
+    for payload in payloads:
+        _assert_same_text(payload)
