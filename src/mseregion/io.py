@@ -8,15 +8,16 @@ with `entries` holding n rows of k [re, im] pairs.  All JSON output is
 byte-stable: keys sorted, two-space indent, no timestamps, complex
 numbers as [re, im] pairs.
 
-JSON is written in one recursive pass straight from the result objects,
-with the bytes `json.dumps(to_jsonable(x), sort_keys=True, indent=2)`
-would write.  That call walked each report twice: to_jsonable built a
-converted copy, and with `indent` the json module encodes in pure
-Python, one generator per container.  to_jsonable and the writer share
-one per-node conversion rule (`_node`); each dataclass's field names are
-sorted once per class, and leaves are written with float.__repr__ (NaN
-and ±Infinity spelled as json spells them), int.__repr__, json's
-encode_basestring_ascii, and true/false/null.
+JSON is written by one rule in one recursive pass straight from the
+result objects (`_text`): it converts each node (numpy scalars, complex
+numbers, Enums, arrays, dataclasses, dicts, tuples) and writes it, with
+leaves written by float.__repr__ (NaN and ±Infinity spelled as json
+spells them), int.__repr__, json's encode_basestring_ascii, and
+true/false/null.  The bytes are those json.dumps(..., sort_keys=True,
+indent=2) writes, which with `indent` encodes in pure Python, one
+generator per container.  to_jsonable reads the text back with
+json.loads, so json_text(x) is json.dumps(to_jsonable(x),
+sort_keys=True, indent=2) + "\n" by construction.
 
 CSV floats use repr(), which round-trips exactly through float().
 Region CSVs are formatted a block of rows at a time with one line
@@ -42,7 +43,6 @@ import shutil
 import signal
 import tempfile
 from json.encoder import encode_basestring_ascii
-from types import NoneType
 from typing import Optional
 
 import numpy as np
@@ -95,7 +95,10 @@ def parse_channel_dict(payload) -> ChannelSet:
             re, im = cell
             if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in (re, im)):
                 raise ValueError(f"entries[{i}][{j}] must hold two numbers")
-            mat[i, j] = complex(re, im)
+            try:
+                mat[i, j] = complex(re, im)
+            except OverflowError as err:    # an int beyond the float range
+                raise ValueError(f"entries[{i}][{j}] holds a number too large for a float") from err
     return ChannelSet(mat)
 
 
@@ -272,7 +275,9 @@ def read_region_csv(path):
     """Return (powers, mses) arrays from a region CSV."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty region CSV: {path}")
         if len(header) % 2 != 0 or not header[0].startswith("p_"):
             raise ValueError(f"unrecognized region CSV header: {header}")
         k = len(header) // 2
@@ -302,69 +307,21 @@ def _field_names(cls) -> tuple:
     return tuple(sorted(f.name for f in dataclasses.fields(cls)))
 
 
-def _node(value):
-    """One step of the conversion to JSON, shared by to_jsonable and json_text.
+def _text(value, indent: str) -> str:
+    """`value` as JSON text at nesting `indent`, two spaces a level.
 
-    Returns (node, convert): `node` is a leaf (None, bool, int, str,
-    float), a list or tuple of items, or a dict of items under sorted str
-    keys; `convert` says whether the items still need this conversion.  An
-    Enum's value is taken as it is, with convert False, so it is written
-    as the json module writes it.
+    This is the one conversion rule.  A numpy scalar is taken as its
+    .item() first: an np.str_ is a str, but its .item() drops trailing
+    NULs.  Leaves are tested in the json module's order, except that the
+    singletons come first and float before str and int (no float is a
+    str or an int); a subclass of a leaf type, such as a str-valued Enum,
+    is written as its base value.  Any other node is converted in this
+    order: a complex is written as [re, im], an Enum as its value, an
+    ndarray as its .tolist(); a dataclass's fields and a dict's items
+    under str(key) are written sorted by key, a tuple as a list.
     """
     if isinstance(value, np.generic):
         value = value.item()
-    if value is None or isinstance(value, (bool, int, str, float)):
-        return value, False
-    if isinstance(value, complex):
-        return [value.real, value.imag], False
-    if isinstance(value, enum.Enum):
-        return value.value, False
-    if isinstance(value, np.ndarray):
-        return _node(value.tolist())
-    # mappings come out sorted by key, as json_text writes them
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {name: getattr(value, name) for name in _field_names(type(value))}, True
-    if isinstance(value, dict):
-        return dict(sorted({str(k): v for k, v in value.items()}.items())), True
-    if isinstance(value, (list, tuple)):
-        return value, True
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def to_jsonable(value):
-    """Recursively convert results to JSON-ready structures.
-
-    Dicts and dataclasses come out with their keys in sorted order, the
-    order json_text writes them in.
-    """
-    node, convert = _node(value)
-    if not convert:
-        return node
-    if isinstance(node, dict):
-        return {k: to_jsonable(v) for k, v in node.items()}
-    return [to_jsonable(v) for v in node]
-
-
-def _key_text(key) -> str:
-    """A dict key as the json module writes it: quoted, after its scalar text."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _text(key, "", False)
-    return encode_basestring_ascii(key)
-
-
-def _text(value, indent: str, convert: bool = True) -> str:
-    """`value` as json.dumps(to_jsonable(value), sort_keys=True, indent=2)
-    writes it at nesting `indent`; without `convert`, as json.dumps(value, ...).
-
-    _node is not asked about exact JSON scalars, which it returns as they
-    are.  Leaves are tested in the json module's order, except that the
-    singletons come first and float before str and int (no float is a
-    str or an int).
-    """
-    if convert and type(value) not in (float, bool, int, str, NoneType):
-        value, convert = _node(value)
     if value is True:
         return "true"
     if value is False:
@@ -380,25 +337,44 @@ def _text(value, indent: str, convert: bool = True) -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, complex):
+        return _text([value.real, value.imag], indent)
+    if isinstance(value, enum.Enum):
+        return _text(value.value, indent)
+    if isinstance(value, np.ndarray):
+        return _text(value.tolist(), indent)
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        pairs = [(name, getattr(value, name)) for name in _field_names(type(value))]
+    elif isinstance(value, dict):
+        pairs = sorted({str(k): v for k, v in value.items()}.items())
+    elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_text(v, inner, convert) for v in value]
+        items = [_text(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        key_text = encode_basestring_ascii if convert else _key_text   # converted keys are str
-        pairs = value.items() if convert else sorted(value.items())
-        items = [f"{key_text(k)}: {_text(v, inner, convert)}" for k, v in pairs]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    if not pairs:
+        return "{}"
+    items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in pairs]
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
 
 
 def json_text(payload) -> str:
-    """The report text: json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n"."""
+    """The report text: keys sorted, two-space indent, a final newline.
+
+    It equals json.dumps(to_jsonable(payload), sort_keys=True, indent=2) + "\n".
+    """
     return _text(payload, "") + "\n"
+
+
+def to_jsonable(value):
+    """`value` as the JSON-ready structure json_text writes, read back from it.
+
+    Dicts and dataclasses come out with their keys in sorted order.
+    """
+    return json.loads(json_text(value))
 
 
 def write_json(path, payload) -> None:

@@ -246,6 +246,16 @@ def test_channel_file_booleans_are_input_errors(tmp_path):
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
 
 
+def test_channel_file_huge_integers_are_input_errors(tmp_path):
+    # an int beyond the float range cannot become a complex entry
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 1, "k": 1, "entries": [[[10 ** 400, 0]]]}), encoding="utf-8")
+    proc = run_cli("wsmse", "--channels", str(path), "--weights", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
+    assert "entries[0][0]" in proc.stderr, proc.stderr
+
+
 def test_segment_cli_exit_codes(tmp_path, ref_channels_file):
     proc = run_cli("segment", "--channels", ref_channels_file,
                    "--a", "1,1,1", "--b", "1,1,1", "--steps", "1")

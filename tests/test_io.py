@@ -83,6 +83,8 @@ def test_channel_schema_errors(tmp_path):
         parse_channel_dict({**good, "entries": [[[True, 0]]]})
     with pytest.raises(ValueError, match="numbers"):
         parse_channel_dict({**good, "entries": [[[1.0, False]]]})
+    with pytest.raises(ValueError, match=r"entries\[0\]\[0\].*too large"):
+        parse_channel_dict({**good, "entries": [[[10 ** 400, 0]]]})
     with pytest.raises(ValueError, match="object"):
         parse_channel_dict([1, 2])
 
@@ -90,6 +92,13 @@ def test_channel_schema_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="invalid JSON"):
         load_channels(bad)
+
+
+def test_empty_region_csv_is_a_value_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty region CSV"):
+        read_region_csv(path)
 
 
 def test_boundary_csv_layout(tmp_path):
@@ -343,7 +352,7 @@ def _former_to_jsonable(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, enum.Enum):
-        return value.value
+        return _former_to_jsonable(value.value)
     if isinstance(value, np.ndarray):
         return _former_to_jsonable(value.tolist())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -448,6 +457,34 @@ _PAYLOADS = st.recursive(
 @given(_PAYLOADS)
 def test_json_text_matches_json_dumps(payload):
     _assert_same_text(payload)
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: float
+    y: complex
+
+
+class _Rich(enum.Enum):           # values that are no JSON value as they are
+    CPLX = 1 - 2j
+    RECORD = _Point(0.5, 2j)
+    SPARSE = {10: "ten", 2: [0.5, 3j]}
+
+
+class _Array(enum.Enum):          # alone: an array value is compared to no other member's
+    X = np.array([1j, 2.0])
+
+
+def test_enum_members_are_written_as_their_values():
+    expected = {_Rich.CPLX: [1.0, -2.0],
+                _Rich.RECORD: {"x": 0.5, "y": [0.0, 2.0]},
+                _Rich.SPARSE: {"10": "ten", "2": [0.5, [0.0, 3.0]]},
+                _Array.X: [[0.0, 1.0], [2.0, 0.0]]}
+    for member, value in expected.items():
+        assert json_text({"e": member}) == json_text({"e": member.value})
+        assert to_jsonable(member) == value
+    # dict keys are written as text, sorted as text
+    assert list(to_jsonable(_Rich.SPARSE)) == ["10", "2"]
 
 
 def test_json_text_edge_values():
