@@ -333,11 +333,14 @@ def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
     return MseTuple(mse_tuples(channels, np.asarray(powers)[None], config)[0])
 
 
-# working-set budget of one batch chunk, in bytes.  4 MiB: on a K = 3,
+# working-set budget of one batch chunk, in bytes.  1 MiB: on a K = 3,
 # N = 8 grid-91 lattice (134 044 rows) the tracemalloc peak of mse_tuples
-# is 9.6 MB against 61 MB at 64 MiB, and the call is no slower (median
-# 169 ms against 192 ms, 15 alternating runs; 2-core VM, 2 MiB L2 per core)
-_CHUNK_BYTES = 2 ** 22
+# is 4.7 MB against 9.2 MB at 4 MiB and 61 MB at 64 MiB, and the call is
+# no slower (median 184 ms against 189 ms at 4 MiB, 15 alternating runs;
+# 2-core VM, 2 MiB L2 per core).  A process that runs many region
+# commands keeps less freed heap between them: at 4 MiB its resident
+# size after a command varied by about 7 MB from run to run.
+_CHUNK_BYTES = 2 ** 20
 
 
 def _chunk_rows(n: int, k: int) -> int:
@@ -352,7 +355,7 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     Each chunk goes through the same Cholesky whitening as every other
     evaluation (one factorization per row, then forward substitution)
     and reduces it to diag A = sum_n |L^{-1} H|^2 only.  A chunk holds as
-    many rows as fit a 4 MiB working-set budget, so the intermediates stay
+    many rows as fit a 1 MiB working-set budget, so the intermediates stay
     a few MB at any batch size or N; every row is computed independently,
     so the output does not depend on the chunk size.
     """
