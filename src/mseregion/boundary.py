@@ -45,6 +45,11 @@ labelled affine where d <= COLINEARITY_RTOL n1 n2.  The three summands,
 the Cauchy-Schwarz chain and monotonicity are checked on a grid of
 splits as report flags.  The K-user kernel `model.resolvent_grams` is
 the test suite's oracle for these forms.
+
+Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
+one factor at a time; where a value still leaves the float64 range
+(from P/sigma^2 ~ 1e153 for unit-variance channel entries) every evaluation
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -223,6 +228,7 @@ class _SweepData:
     pairs' four scalars; `summands` is (T, G, 3), `proven` is the (T,)
     mask of pairs with d >= 0 and Delta > 0 at p = 0 and p = P, which
     makes D <= 0 on all of [0, P], and `classes` the pairs' labels.
+    Raises ValueError where Delta, D or a derivative is not finite.
     """
 
     __slots__ = (
@@ -241,13 +247,14 @@ class _SweepData:
 
         p, q = ps, budget - ps
         den = delta(ps)
-        den2 = den ** 2
+        # one factor of Delta at a time: Delta^2 and Delta^3 overflow from
+        # P/sigma^2 ~ 1e77 and ~ 1e52, Delta itself only near 1e154
         self.a11 = (sig2 * n1 + q * d) / den
         self.a22 = (sig2 * n2 + p * d) / den
         self.a12 = sig2 * c / den
-        self.b11 = (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den2
-        self.b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den2
-        self.b12 = c * (sig4 - p * q * d) / den2
+        self.b11 = (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den / den
+        self.b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den
+        self.b12 = c * (sig4 - p * q * d) / den / den
         self.eps1 = sig2 * (sig2 + q * n2) / den
         self.eps2 = sig2 * (sig2 + p * n1) / den
         self.absa12sq, self.re_ab = _couplings(self.a12, self.b12)
@@ -255,8 +262,12 @@ class _SweepData:
         self.deps1, self.deps2, self.ddeps1, self.ddeps2, _, summands = _derivatives(
             self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, budget)
         resolved = np.where(d > (_DET_ROUNDING * pairs.shape[1]) ** 2 * n1 * n2, d, 0.0)
-        self.disc = -2.0 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
+        self.disc = -2.0 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den / den / den
         self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
+        if not (np.isfinite(den).all() and np.isfinite(self.scale).all()
+                and np.isfinite(self.disc).all()):
+            raise ValueError(f"boundary closed forms leave the float64 range at "
+                             f"P/sigma^2 = {config.snr:g}")
         self.summands = np.stack(summands, axis=-1)
         self.proven = ((d >= 0.0) & (delta(0.0) > 0.0) & (delta(budget) > 0.0))[:, 0]
         self.classes = _classes(n1, n2, d)

@@ -8,9 +8,12 @@ three-user instance end to end.
 
 Exit codes: 0 success or no witness, 2 input error, 3 nonconvexity
 witness (and `counterexample` uses 1 when any reference check fails).
-Every JSON output embeds a manifest with the command, inputs, resolved
-seed, tolerances, assumed noise variance, and tool version; outputs are
-byte-identical across reruns and across --threads settings.
+Every JSON report embeds a manifest (`_report`) with the command, its
+options as parsed except --out, --threads and --seed, the resolved
+seed, tolerances, assumed noise variance, and tool version.  The CSV
+sidecar manifests list their inputs by hand: `region` its mode and
+resolution or count, `counterexample --region-csv` the CSV and grid.
+Outputs are byte-identical across reruns and across --threads settings.
 """
 
 from __future__ import annotations
@@ -88,7 +91,17 @@ def _segment_block(report) -> dict:
     }
 
 
-def _emit(args, payload) -> None:
+def _report(args, seed, config, body: dict, **parsed) -> None:
+    """Write a JSON report: `body` under the manifest of this run.
+
+    The manifest's inputs are the command's options as parsed, except
+    --out, --threads and --seed (the resolved seed has its own field);
+    `parsed` gives the values that replace an option's text, such as the
+    weight vector of --weights.  The report goes to --out, else stdout.
+    """
+    inputs = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "out", "threads", "seed")}
+    payload = {"manifest": manifest(args.command, {**inputs, **parsed}, seed, config), **body}
     if args.out:
         write_json(args.out, payload)
     else:
@@ -161,31 +174,17 @@ def cmd_convexity_scan(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     config = _config(args)
     seed = _resolve_seed(args)
-    pairs = _scan_pairs(np.random.default_rng(seed), args.trials, args.dim, bool(args.colinear))
+    pairs = _scan_pairs(np.random.default_rng(seed), args.trials, args.dim, args.colinear)
     reports = convexity_certificates(pairs, config, grid=args.grid)
     discriminants = [report.worst_discriminant for report in reports]
     worst_trial = int(np.argmax(discriminants))
     all_certified = all(report.certified for report in reports)
-    payload = {
-        "manifest": manifest(
-            "convexity-scan",
-            {
-                "trials": args.trials,
-                "dim": args.dim,
-                "grid": args.grid,
-                "colinear": bool(args.colinear),
-                "power": config.power_budget,
-                "sigma2": config.noise_variance,
-            },
-            seed,
-            config,
-        ),
+    _report(args, seed, config, {
         "all_certified": all_certified,
         "worst_discriminant": discriminants[worst_trial],
         "worst_trial": worst_trial,
         "trials": reports,
-    }
-    _emit(args, payload)
+    })
     return 0 if all_certified else 3
 
 
@@ -203,18 +202,13 @@ def cmd_counterexample(args) -> int:
             args.region_csv + ".manifest.json",
             manifest("counterexample", {"region_csv": args.region_csv, "grid": args.grid}, seed, config),
         )
-    payload = {
-        "manifest": manifest(
-            "counterexample", {"starts": args.starts, "region_csv": args.region_csv, "grid": args.grid},
-            seed, config,
-        ),
+    _report(args, seed, config, {
         "sigma2_assumed": report.sigma2_assumed,
         "all_passed": report.all_passed,
         "checks": report.checks,
         "clusters": report.clusters,
         "segment": None if report.segment is None else _segment_block(report.segment),
-    }
-    _emit(args, payload)
+    })
     return 0 if report.all_passed else 1
 
 
@@ -224,23 +218,8 @@ def cmd_wsmse(args) -> int:
     config = _config(args)
     seed = _resolve_seed(args)
     clusters = enumerate_stationary_points(channels, config, weights, starts=args.starts, seed=seed)
-    payload = {
-        "manifest": manifest(
-            "wsmse",
-            {
-                "channels": args.channels,
-                "weights": weights,
-                "power": config.power_budget,
-                "sigma2": config.noise_variance,
-                "starts": args.starts,
-            },
-            seed,
-            config,
-        ),
-        "cluster_count": len(clusters),
-        "clusters": clusters,
-    }
-    _emit(args, payload)
+    _report(args, seed, config, {"cluster_count": len(clusters), "clusters": clusters},
+            weights=weights)
     return 0
 
 
@@ -250,23 +229,7 @@ def cmd_segment(args) -> int:
     vec_b = _parse_float_list(args.b)
     config = _config(args)
     report = segment_test(channels, config, vec_a, vec_b, steps=args.steps)
-    payload = {
-        "manifest": manifest(
-            "segment",
-            {
-                "channels": args.channels,
-                "a": vec_a,
-                "b": vec_b,
-                "steps": args.steps,
-                "power": config.power_budget,
-                "sigma2": config.noise_variance,
-            },
-            _resolve_seed(args),
-            config,
-        ),
-        **_segment_block(report),
-    }
-    _emit(args, payload)
+    _report(args, _resolve_seed(args), config, _segment_block(report), a=vec_a, b=vec_b)
     return 3 if report.nonconvex_witness else 0
 
 

@@ -1,6 +1,8 @@
 """Two-user boundary calculus: frozen worked example, finite-difference
 cross-checks, discriminant decomposition, closed forms, affine case."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -519,3 +521,39 @@ def test_closed_forms_match_high_precision_oracle_at_high_snr():
                 assert abs(s.eps2 - eps2) <= 1e-14 * eps2, where
                 if s.discriminant is not None:
                     assert abs(s.discriminant - disc) <= 1e-12 * scale, where
+
+
+def test_extreme_snr_scans_stay_in_float_range():
+    # Delta grows like (P/sigma^2)^2: Delta^3 leaves float64 from ~1e52 and
+    # Delta^2 from ~1e77, Delta itself only near 1e154, past which the
+    # closed forms raise
+    pairs = _scan_pairs(np.random.default_rng(1), 200, 4, False)
+    for snr in (1e60, 1e75, 1e100, 1e140):
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = convexity_certificates(pairs, config)
+        for name in ("certified", "cauchy_schwarz_ok", "summands_ok", "monotonicity_ok"):
+            assert all(getattr(r, name) for r in reports), (snr, name)
+
+    config = SystemConfig(noise_variance=1.0, power_budget=1e60)
+    reports = convexity_certificates(pairs, config)
+    worst = max(range(len(reports)), key=lambda t: reports[t].worst_discriminant)
+    with mpmath.workdps(60):
+        h1, h2 = (mpmath.matrix(col.tolist()) for col in pairs[worst].T)
+        n1, n2, c = (h1.H * h1)[0].real, (h2.H * h2)[0].real, (h1.H * h2)[0]
+        d = n1 * n2 - abs(c) ** 2
+        budget, p = mpmath.mpf(config.power_budget), mpmath.mpf(reports[worst].worst_p)
+        delta = 1 + p * n1 + (budget - p) * n2 + p * (budget - p) * d
+        exact = -2 * d * (budget * n1 * n2 + n1 + n2) / delta ** 3
+    assert reports[worst].worst_discriminant < 0.0
+    assert abs(reports[worst].worst_discriminant - float(exact)) <= 1e-12 * abs(float(exact))
+
+    h1, h2 = pairs[0].T
+    for snr in (1e160, 1e200):
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="P/sigma\\^2"):
+                convexity_certificates(pairs, config)
+            with pytest.raises(ValueError, match="P/sigma\\^2"):
+                boundary_sweep(h1, h2, config)

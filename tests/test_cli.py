@@ -128,10 +128,11 @@ def test_convexity_scan_reproducible(tmp_path):
 
 def test_convexity_scan_input_errors(tmp_path):
     out = str(tmp_path / "scan.json")
-    for bad in (("--dim", "0"), ("--grid", "5"), ("--trials", "0")):
+    for bad in (("--dim", "0"), ("--grid", "5"), ("--trials", "0"), ("--power", "1e200")):
         proc = run_cli("convexity-scan", *bad, "--out", out)
         assert proc.returncode == 2, bad
         assert "error:" in proc.stderr
+    assert "P/sigma^2 = 1e+200" in proc.stderr
     assert not os.path.exists(out)
 
 
@@ -414,6 +415,45 @@ def test_region_cli_oversize_grid(tmp_path, ref_channels_file):
                    "--grid", "400", "--out", str(tmp_path / "big.csv"))
     assert proc.returncode == 2
     assert "random" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["convexity-scan", "--trials", "2", "--dim", "2", "--grid", "11", "--colinear",
+      "--power", "3", "--sigma2", "0.5", "--seed", "5"],
+     {"trials": 2, "dim": 2, "grid": 11, "colinear": True, "power": 3.0, "sigma2": 0.5}),
+    (["counterexample", "--starts", "4", "--seed", "5", "--region-csv", "{d}/cloud.csv",
+      "--grid", "5"],
+     {"starts": 4, "region_csv": "{d}/cloud.csv", "grid": 5}),
+    (["counterexample", "--starts", "4"], {"starts": 4, "region_csv": None, "grid": None}),
+    (["wsmse", "--channels", "{ref}", "--weights", "0.22,0.54,0.24", "--starts", "4",
+      "--seed", "5"],
+     {"channels": "{ref}", "weights": [0.22, 0.54, 0.24], "starts": 4,
+      "power": 10.0, "sigma2": 1.0}),
+    (["segment", "--channels", "{ref}", "--a", "0.21389147,0.13652377,1.0",
+      "--b", "1.0,0.19774107,0.23353177", "--steps", "1", "--power", "20"],
+     {"channels": "{ref}", "a": [0.21389147, 0.13652377, 1.0],
+      "b": [1.0, 0.19774107, 0.23353177], "steps": 1, "power": 20.0, "sigma2": 1.0}),
+], ids=["convexity-scan", "counterexample-region-csv", "counterexample", "wsmse", "segment"])
+def test_json_report_inputs_are_the_parsed_options(monkeypatch, tmp_path, ref_channels_file,
+                                                  argv, expected):
+    """A JSON report's manifest inputs are exactly its command's options as
+    parsed, with --weights, --a and --b as numbers; --out, --threads and
+    --seed are not inputs, the resolved seed has its own field."""
+    monkeypatch.delenv("MSEREGION_SEED", raising=False)
+    def fill(value):
+        if isinstance(value, str):
+            return value.replace("{d}", str(tmp_path)).replace("{ref}", ref_channels_file)
+        return value
+
+    argv = [fill(cell) for cell in argv] + ["--threads", "3", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) in (0, 3)
+    block = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["manifest"]
+    assert block["command"] == argv[0]
+    assert block["inputs"] == {key: fill(value) for key, value in expected.items()}
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert all(block["inputs"][key] == parsed[key]
+               for key in expected.keys() - {"weights", "a", "b"})
+    assert block["seed"] == (5 if "--seed" in argv else 0)
 
 
 def test_seed_env_fallback(tmp_path, ref_channels_file):
