@@ -36,6 +36,13 @@ and b_ij = h_i^H X^{-2} h_j:
     eps2'' = 2 sigma^2 (a22 b22 - Re{a12 b21}) + 2 P |a12|^2 (a22 - a11)
     D      = -2 sigma^4 d (P n1 n2 + sigma^2 (n1 + n2)) / Delta^3
 
+a12 and b12 share the phase of c, so the couplings are real and read c
+only through |c|^2: with alpha = sigma^2 / Delta and beta = (sigma^4 -
+p q d) / Delta^2, |a12|^2 = |c|^2 alpha^2, Re{a12 b21} = |c|^2 alpha beta
+and |b12|^2 = |c|^2 beta^2.  Certificates evaluate in this real arithmetic
+and reduce each quantity over the grid as soon as it is formed; the
+complex a12 and b12 are formed only for the single-split readers.
+
 So D <= 0 on all of [0, P] once d >= 0 and Delta > 0 there, and Delta is
 concave in p, so Delta > 0 at both ends covers the interval: that is the
 two-user convexity theorem, and it is what a certificate's `certified`
@@ -47,9 +54,10 @@ splits as report flags.  The K-user kernel `model.resolvent_grams` is
 the test suite's oracle for these forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
-one factor at a time; where a value still leaves the float64 range
-(from P/sigma^2 ~ 1e153 for unit-variance channel entries) every evaluation
-raises ValueError.
+one factor at a time, and g'' = D / eps1'^3 divides by eps1' one factor
+at a time; where a value still leaves the float64 range (from P/sigma^2
+~ 1e153 for unit-variance channel entries) every evaluation raises
+ValueError, with numpy's overflow and invalid-value warnings silenced.
 """
 
 from __future__ import annotations
@@ -186,29 +194,47 @@ def _classes(n1, n2, d) -> list:
 
 
 def _couplings(a12, b12):
-    """(|a12|^2, Re{a12 b21}): the two cross terms of every derivative."""
+    """(|a12|^2, Re{a12 b21}) of complex Gram entries, as a bundle holds them."""
     return a12.real ** 2 + a12.imag ** 2, (a12 * np.conj(b12)).real
 
 
-def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
-    """(eps1', eps2', eps1'', eps2'', D, summands) from the Gram entries.
+# The derivative formulas below take the real Gram terms (a11, a22, b11,
+# b22, |a12|^2, Re{a12 b21}) and work elementwise on arrays of power splits
+# and on scalars alike; each quantity is its own function so that a caller
+# can reduce it before forming the next.
 
-    Works elementwise on arrays of power splits and on scalars alike;
-    `summands` is the tuple of the three nonpositive terms that add up
-    to D.
-    """
+def _slopes(b11, b22, cross, sig2, budget):
+    """(eps1', eps2')."""
+    return -sig2 * b11 - budget * cross, sig2 * b22 + budget * cross
+
+
+def _curvatures(a11, a22, b11, b22, cross, re_ab, sig2, budget):
+    """(eps1'', eps2'')."""
+    return (2.0 * sig2 * (a11 * b11 - re_ab) + 2.0 * budget * cross * (a11 - a22),
+            2.0 * sig2 * (a22 * b22 - re_ab) + 2.0 * budget * cross * (a22 - a11))
+
+
+def _summands(a11, a22, b11, b22, cross, re_ab, sig2, budget):
+    """The three nonpositive terms that add up to D, formed one at a time."""
+    yield 2.0 * sig2 * budget * cross * (2.0 * re_ab - a22 * b11 - a11 * b22)
+    yield 2.0 * sig2 ** 2 * b11 * (re_ab - a11 * b22)
+    yield 2.0 * sig2 ** 2 * b22 * (re_ab - a22 * b11)
+
+
+def _scale(deps1, deps2, ddeps1, ddeps2):
+    """|eps2'' eps1'| + |eps1'' eps2'|: the size of D's two products."""
+    return np.abs(ddeps2 * deps1) + np.abs(ddeps1 * deps2)
+
+
+def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
+    """(eps1', eps2', eps1'', eps2'', D, summands) from the Gram entries,
+    a12 and b12 complex; D is the direct product difference and
+    `summands` the tuple of its three nonpositive terms."""
     cross, re_ab = _couplings(a12, b12)
-    deps1 = -sig2 * b11 - budget * cross
-    deps2 = sig2 * b22 + budget * cross
-    ddeps1 = 2.0 * sig2 * (a11 * b11 - re_ab) + 2.0 * budget * cross * (a11 - a22)
-    ddeps2 = 2.0 * sig2 * (a22 * b22 - re_ab) + 2.0 * budget * cross * (a22 - a11)
-    disc = ddeps2 * deps1 - ddeps1 * deps2
-    summands = (
-        2.0 * sig2 * budget * cross * (2.0 * re_ab - a22 * b11 - a11 * b22),
-        2.0 * sig2 ** 2 * b11 * (re_ab - a11 * b22),
-        2.0 * sig2 ** 2 * b22 * (re_ab - a22 * b11),
-    )
-    return deps1, deps2, ddeps1, ddeps2, disc, summands
+    terms = (a11, a22, b11, b22, cross, re_ab, sig2, budget)
+    deps1, deps2 = _slopes(b11, b22, cross, sig2, budget)
+    ddeps1, ddeps2 = _curvatures(*terms)
+    return deps1, deps2, ddeps1, ddeps2, ddeps2 * deps1 - ddeps1 * deps2, tuple(_summands(*terms))
 
 
 def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
@@ -221,60 +247,133 @@ def _cs_holds(lhs, rhs):
     return lhs <= rhs * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL
 
 
-class _SweepData:
-    """Boundary quantities of T channel pairs over G power splits, as (T, G) arrays.
+def _quiet_overflow():
+    """Closed forms evaluated past the float64 range give inf or nan
+    silently; the finiteness checks report them."""
+    return np.errstate(over="ignore", invalid="ignore")
 
-    Every entry comes from the closed forms of the module docstring on the
-    pairs' four scalars; `summands` is (T, G, 3), `proven` is the (T,)
-    mask of pairs with d >= 0 and Delta > 0 at p = 0 and p = P, which
-    makes D <= 0 on all of [0, P], and `classes` the pairs' labels.
-    Raises ValueError where Delta, D or a derivative is not finite.
+
+class _ClosedForms:
+    """The closed forms of the module docstring for T channel pairs over G power splits.
+
+    Holds each pair's four scalars as (T, 1) columns and Delta as a (T, G)
+    array, and forms every other (T, G) quantity when a method is called,
+    so a caller holds only what it still reads.  a12 = sigma^2 c / Delta
+    and b12 = c (sigma^4 - p q d) / Delta^2 share the phase of c, so the
+    couplings are real: |a12|^2, Re{a12 b21} and |b12|^2 are |c|^2 alpha^2,
+    |c|^2 alpha beta and |c|^2 beta^2, with alpha = sigma^2 / Delta and
+    beta = (sigma^4 - p q d) / Delta^2.  Raises ValueError where Delta is
+    not finite; `check` raises it for any other value.
     """
 
-    __slots__ = (
-        "a11", "a22", "a12", "b11", "b22", "b12", "eps1", "eps2",
-        "deps1", "deps2", "ddeps1", "ddeps2", "disc", "summands", "scale",
-        "re_ab", "absa12sq", "absb12sq", "proven", "classes",
-    )
+    __slots__ = ("sig2", "budget", "snr", "floor", "p", "q", "n1", "n2", "c", "d", "den")
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
-        sig2, budget = config.noise_variance, config.power_budget
-        sig4 = sig2 ** 2
-        n1, n2, c, d = (v[:, None] for v in _pair_scalars(pairs))
+        self.sig2, self.budget, self.snr = config.noise_variance, config.power_budget, config.snr
+        self.floor = (_DET_ROUNDING * pairs.shape[1]) ** 2
+        self.n1, self.n2, self.c, self.d = (v[:, None] for v in _pair_scalars(pairs))
+        self.p, self.q = ps, self.budget - ps
+        self.den = self.delta(ps)
+        self.check(self.den)
 
-        def delta(p):
-            return sig4 + sig2 * (p * n1 + (budget - p) * n2) + p * (budget - p) * d
-
-        p, q = ps, budget - ps
-        den = delta(ps)
-        # one factor of Delta at a time: Delta^2 and Delta^3 overflow from
-        # P/sigma^2 ~ 1e77 and ~ 1e52, Delta itself only near 1e154
-        self.a11 = (sig2 * n1 + q * d) / den
-        self.a22 = (sig2 * n2 + p * d) / den
-        self.a12 = sig2 * c / den
-        self.b11 = (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den / den
-        self.b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den
-        self.b12 = c * (sig4 - p * q * d) / den / den
-        self.eps1 = sig2 * (sig2 + q * n2) / den
-        self.eps2 = sig2 * (sig2 + p * n1) / den
-        self.absa12sq, self.re_ab = _couplings(self.a12, self.b12)
-        self.absb12sq = self.b12.real ** 2 + self.b12.imag ** 2
-        self.deps1, self.deps2, self.ddeps1, self.ddeps2, _, summands = _derivatives(
-            self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, budget)
-        resolved = np.where(d > (_DET_ROUNDING * pairs.shape[1]) ** 2 * n1 * n2, d, 0.0)
-        self.disc = -2.0 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den / den / den
-        self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
-        if not (np.isfinite(den).all() and np.isfinite(self.scale).all()
-                and np.isfinite(self.disc).all()):
+    def check(self, *values):
+        """Raise ValueError unless every value is finite."""
+        if not all(np.isfinite(value).all() for value in values):
             raise ValueError(f"boundary closed forms leave the float64 range at "
-                             f"P/sigma^2 = {config.snr:g}")
-        self.summands = np.stack(summands, axis=-1)
-        self.proven = ((d >= 0.0) & (delta(0.0) > 0.0) & (delta(budget) > 0.0))[:, 0]
-        self.classes = _classes(n1, n2, d)
+                             f"P/sigma^2 = {self.snr:g}")
+
+    def delta(self, p):
+        sig2 = self.sig2
+        return sig2 ** 2 + sig2 * (p * self.n1 + (self.budget - p) * self.n2) \
+            + p * (self.budget - p) * self.d
+
+    def grams(self):
+        """(a11, a22, b11, b22), the real diagonal Gram entries.
+
+        Every closed form divides by Delta one factor at a time: Delta^2
+        and Delta^3 overflow from P/sigma^2 ~ 1e77 and ~ 1e52, Delta
+        itself only near 1e154.
+        """
+        sig2, p, q, n1, n2, d, den = self.sig2, self.p, self.q, self.n1, self.n2, self.d, self.den
+        sig4 = sig2 ** 2
+        return ((sig2 * n1 + q * d) / den,
+                (sig2 * n2 + p * d) / den,
+                (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den / den,
+                (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den)
+
+    def alpha(self):
+        return self.sig2 / self.den
+
+    def beta(self):
+        return (self.sig2 ** 2 - self.p * self.q * self.d) / self.den / self.den
+
+    def couplings(self):
+        """(|a12|^2, Re{a12 b21}, |b12|^2) through |c|^2."""
+        csq = self.c.real ** 2 + self.c.imag ** 2
+        alpha, beta = self.alpha(), self.beta()
+        return csq * alpha ** 2, csq * (alpha * beta), csq * beta ** 2
+
+    def discriminant(self):
+        """D in closed form, -0.0 where d is within its rounding floor."""
+        sig2, n1, n2, d, den = self.sig2, self.n1, self.n2, self.d, self.den
+        resolved = np.where(d > self.floor * n1 * n2, d, 0.0)
+        return -2.0 * sig2 ** 2 * resolved * (self.budget * n1 * n2 + sig2 * (n1 + n2)) / den / den / den
+
+    def proven(self):
+        """The (T,) mask of pairs with d >= 0 and Delta > 0 at p = 0 and
+        p = P, which makes D <= 0 on all of [0, P]."""
+        return ((self.d >= 0.0) & (self.delta(0.0) > 0.0) & (self.delta(self.budget) > 0.0))[:, 0]
+
+
+class _SweepData(_ClosedForms):
+    """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
+
+    The sweep and single-split readers' view: the Gram entries, couplings,
+    derivatives, D and the derivative scale are formed once, a12, b12 and
+    the MSEs when read.  Raises ValueError where Delta, D or a derivative
+    is not finite.
+    """
+
+    __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab", "absb12sq",
+                 "deps1", "deps2", "ddeps1", "ddeps2", "disc", "scale")
+
+    def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
+        with _quiet_overflow():
+            super().__init__(pairs, config, ps)
+            self.a11, self.a22, self.b11, self.b22 = self.grams()
+            self.absa12sq, self.re_ab, self.absb12sq = self.couplings()
+            terms = (self.a11, self.a22, self.b11, self.b22, self.absa12sq, self.re_ab,
+                     self.sig2, self.budget)
+            self.deps1, self.deps2 = _slopes(self.b11, self.b22, self.absa12sq,
+                                             self.sig2, self.budget)
+            self.ddeps1, self.ddeps2 = _curvatures(*terms)
+            self.disc = self.discriminant()
+            self.scale = _scale(self.deps1, self.deps2, self.ddeps1, self.ddeps2)
+            self.check(self.scale, self.disc)
+
+    @property
+    def a12(self):
+        return self.c * self.alpha()
+
+    @property
+    def b12(self):
+        return self.c * self.beta()
+
+    @property
+    def eps1(self):
+        return self.sig2 * (self.sig2 + self.q * self.n2) / self.den
+
+    @property
+    def eps2(self):
+        return self.sig2 * (self.sig2 + self.p * self.n1) / self.den
 
     def g_derivatives(self):
-        """(g', g'') = (eps2' / eps1', D / eps1'^3) of the boundary eps2 = g(eps1)."""
-        return self.deps2 / self.deps1, self.disc / self.deps1 ** 3
+        """(g', g'') = (eps2' / eps1', D / eps1'^3) of the boundary eps2 = g(eps1).
+
+        D is divided by eps1' one factor at a time: eps1' ~ (P/sigma^2)^-2,
+        so eps1'^3 underflows from P/sigma^2 ~ 1e54.
+        """
+        return self.deps2 / self.deps1, self.disc / self.deps1 / self.deps1 / self.deps1
 
 
 def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
@@ -393,7 +492,8 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
     interior = {"deps1": data.deps1, "deps2": data.deps2, "ddeps1": data.ddeps1,
                 "ddeps2": data.ddeps2, "discriminant": data.disc,
                 "g_prime": g_prime, "g_double_prime": g_dprime}
-    return [BoundarySample(p=float(p), eps1=float(data.eps1[0, i]), eps2=float(data.eps2[0, i]),
+    eps1, eps2 = data.eps1, data.eps2
+    return [BoundarySample(p=float(p), eps1=float(eps1[0, i]), eps2=float(eps2[0, i]),
                            **{key: float(v[0, i]) if 0 < i < count - 1 else None
                               for key, v in interior.items()})
             for i, p in enumerate(ps)]
@@ -407,45 +507,50 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
     every split.  The worst discriminant is the largest D on the interior
     points of the power grid, where the Cauchy-Schwarz chains, the
     summand signs and monotonicity are checked as flags; violations are
-    reported in the flags rather than raised.
+    reported in the flags rather than raised.  Each (T, G) quantity is
+    reduced to its per-pair flag as soon as it is formed.
     """
     count = int(grid)
     if count < 11:
         raise ValueError(f"certification grid must have at least 11 points, got {count}")
     stack = _pairs(pairs)
     ps = np.linspace(0.0, config.power_budget, count)[1:-1]
-    data = _SweepData(stack, config, ps)
+    with _quiet_overflow():
+        forms = _ClosedForms(stack, config, ps)
+        disc = forms.discriminant()
+        forms.check(disc)
+        worst = np.argmax(disc, axis=1)
+        worst_disc = np.take_along_axis(disc, worst[:, None], axis=1)[:, 0]
+        del disc
 
-    slack = DISCRIMINANT_RTOL * data.scale
-    summands_ok = (data.summands <= slack[..., None]).all(axis=(1, 2))
-    mono_ok = (data.deps1 < 0.0).all(axis=1) & (data.deps2 > 0.0).all(axis=1)
+        a11, a22, b11, b22 = forms.grams()
+        cross, re_ab, absb12sq = forms.couplings()
+        terms = (a11, a22, b11, b22, cross, re_ab, forms.sig2, forms.budget)
+        deps1, deps2 = _slopes(b11, b22, cross, forms.sig2, forms.budget)
+        mono_ok = (deps1 < 0.0).all(axis=1) & (deps2 > 0.0).all(axis=1)
+        scale = _scale(deps1, deps2, *_curvatures(*terms))
+        del deps1, deps2
+        forms.check(scale)
+        slack = DISCRIMINANT_RTOL * scale
+        del scale
+        summands_ok = np.logical_and.reduce([(s <= slack).all(axis=1) for s in _summands(*terms)])
+        del slack
 
-    prod_aa = data.a11 * data.a22
-    prod_bb = data.b11 * data.b22
-    cs_gram = _cs_holds(data.absa12sq, prod_aa) & _cs_holds(data.absb12sq, prod_bb)
-    # 4 Re^2{a21 b12} <= 4 |a21 b12|^2 <= 4 a11 a22 b11 b22 <= (a22 b11 + a11 b22)^2
-    link0 = 4.0 * data.re_ab ** 2
-    link1 = 4.0 * data.absa12sq * data.absb12sq
-    link2 = 4.0 * prod_aa * prod_bb
-    link3 = (data.a22 * data.b11 + data.a11 * data.b22) ** 2
-    chain_ok = _cs_holds(link0, link1) & _cs_holds(link1, link2) & _cs_holds(link2, link3)
-    cs_ok = (cs_gram & chain_ok).all(axis=1)
+        cs_ok = _cs_holds(cross, a11 * a22).all(axis=1) & _cs_holds(absb12sq, b11 * b22).all(axis=1)
+        # 4 Re^2{a21 b12} <= 4 |a21 b12|^2 <= 4 a11 a22 b11 b22 <= (a22 b11 + a11 b22)^2
+        lower, upper = 4.0 * re_ab ** 2, 4.0 * cross * absb12sq
+        cs_ok &= _cs_holds(lower, upper).all(axis=1)
+        lower, upper = upper, 4.0 * (a11 * a22) * (b11 * b22)
+        cs_ok &= _cs_holds(lower, upper).all(axis=1)
+        cs_ok &= _cs_holds(upper, (a22 * b11 + a11 * b22) ** 2).all(axis=1)
 
-    worst = np.argmax(data.disc, axis=1)
-    worst_disc = np.take_along_axis(data.disc, worst[:, None], axis=1)[:, 0]
-    return [
-        ConvexityReport(
-            certified=bool(data.proven[t]),
-            classification=label,
-            worst_discriminant=float(worst_disc[t]),
-            worst_p=float(ps[worst[t]]),
-            grid=count,
-            cauchy_schwarz_ok=bool(cs_ok[t]),
-            summands_ok=bool(summands_ok[t]),
-            monotonicity_ok=bool(mono_ok[t]),
-        )
-        for t, label in enumerate(data.classes)
-    ]
+    columns = zip(forms.proven().tolist(), _classes(forms.n1, forms.n2, forms.d),
+                  worst_disc.tolist(), ps[worst].tolist(),
+                  cs_ok.tolist(), summands_ok.tolist(), mono_ok.tolist())
+    return [ConvexityReport(certified=certified, classification=label,
+                            worst_discriminant=value, worst_p=split, grid=count,
+                            cauchy_schwarz_ok=cs, summands_ok=summands, monotonicity_ok=mono)
+            for certified, label, value, split, cs, summands, mono in columns]
 
 
 def convexity_certificate(h1, h2, config: SystemConfig, grid: int = 101) -> ConvexityReport:

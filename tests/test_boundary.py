@@ -1,6 +1,7 @@
 """Two-user boundary calculus: frozen worked example, finite-difference
 cross-checks, discriminant decomposition, closed forms, affine case."""
 
+import tracemalloc
 import warnings
 
 import mpmath
@@ -466,8 +467,8 @@ def test_certificates_on_reduced_pairs_match_raw_grams():
 
 
 def _exact_boundary(h1, h2, config, p):
-    """(eps1, eps2, D, derivative scale) at split p from a 60-digit dense
-    inverse of the N x N covariance."""
+    """(eps1, eps2, D, derivative scale, g'') at split p from a 60-digit
+    dense inverse of the N x N covariance."""
     with mpmath.workdps(60):
         col1, col2 = mpmath.matrix(h1.tolist()), mpmath.matrix(h2.tolist())
         budget, split = mpmath.mpf(config.power_budget), mpmath.mpf(p)
@@ -482,7 +483,7 @@ def _exact_boundary(h1, h2, config, p):
             a11.real, a22.real, a12, b11.real, b22.real, b12,
             mpmath.mpf(config.noise_variance), budget)
         return (1 - split * a11.real, 1 - (budget - split) * a22.real, disc,
-                abs(dd2 * d1) + abs(dd1 * d2))
+                abs(dd2 * d1) + abs(dd1 * d2), disc / d1 ** 3)
 
 
 def test_discriminant_on_reduced_pair_matches_high_precision_oracle():
@@ -515,7 +516,7 @@ def test_closed_forms_match_high_precision_oracle_at_high_snr():
         for name, (h1, h2) in pairs.items():
             for s in boundary_sweep(h1, h2, config, samples=9):
                 where = (name, snr, s.p)
-                eps1, eps2, disc, scale = _exact_boundary(h1, h2, config, s.p)
+                eps1, eps2, disc, scale, _ = _exact_boundary(h1, h2, config, s.p)
                 assert mse_pair_at_power(h1, h2, config, s.p) == (s.eps1, s.eps2), where
                 assert abs(s.eps1 - eps1) <= 1e-14 * eps1, where
                 assert abs(s.eps2 - eps2) <= 1e-14 * eps2, where
@@ -557,3 +558,103 @@ def test_extreme_snr_scans_stay_in_float_range():
                 convexity_certificates(pairs, config)
             with pytest.raises(ValueError, match="P/sigma\\^2"):
                 boundary_sweep(h1, h2, config)
+
+
+def test_g_double_prime_stays_in_float_range_at_extreme_snr():
+    # eps1' ~ (P/sigma^2)^-2, so eps1'^3 underflows from P/sigma^2 ~ 1e54:
+    # g'' divides D by eps1' one factor at a time, in the sweep as at one split
+    h1, h2 = np.array([1.0, 0.3], dtype=complex), np.array([0.2, 1.0], dtype=complex)
+    config = SystemConfig(noise_variance=1.0, power_budget=1e60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = boundary_sweep(h1, h2, config, samples=5)
+        singles = [g_derivatives(h1, h2, config, s.p)[1] for s in sweep[1:-1]]
+    for s, single in zip(sweep[1:-1], singles):
+        exact = float(_exact_boundary(h1, h2, config, s.p)[4])
+        assert np.isfinite(s.g_double_prime) and single == s.g_double_prime, s.p
+        assert abs(s.g_double_prime - exact) <= 1e-12 * exact, s.p
+
+
+def _former_certificates(pairs, config, grid):
+    """The reports of the former all-at-once sweep, kept as the reference:
+    complex a12 and b12, every (T, G) quantity held at once."""
+    sig2, budget = config.noise_variance, config.power_budget
+    sig4 = sig2 ** 2
+    ps = np.linspace(0.0, budget, grid)[1:-1]
+    n1, n2, c, d = (v[:, None] for v in boundary._pair_scalars(pairs))
+
+    def delta(p):
+        return sig4 + sig2 * (p * n1 + (budget - p) * n2) + p * (budget - p) * d
+
+    p, q = ps, budget - ps
+    den = delta(ps)
+    a11 = (sig2 * n1 + q * d) / den
+    a22 = (sig2 * n2 + p * d) / den
+    a12 = sig2 * c / den
+    b11 = (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den / den
+    b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den
+    b12 = c * (sig4 - p * q * d) / den / den
+    absa12sq, re_ab = a12.real ** 2 + a12.imag ** 2, (a12 * np.conj(b12)).real
+    absb12sq = b12.real ** 2 + b12.imag ** 2
+    deps1 = -sig2 * b11 - budget * absa12sq
+    deps2 = sig2 * b22 + budget * absa12sq
+    ddeps1 = 2.0 * sig2 * (a11 * b11 - re_ab) + 2.0 * budget * absa12sq * (a11 - a22)
+    ddeps2 = 2.0 * sig2 * (a22 * b22 - re_ab) + 2.0 * budget * absa12sq * (a22 - a11)
+    summands = np.stack([
+        2.0 * sig2 * budget * absa12sq * (2.0 * re_ab - a22 * b11 - a11 * b22),
+        2.0 * sig2 ** 2 * b11 * (re_ab - a11 * b22),
+        2.0 * sig2 ** 2 * b22 * (re_ab - a22 * b11),
+    ], axis=-1)
+    floor = (4.0 * np.finfo(float).eps * pairs.shape[1]) ** 2 * n1 * n2
+    resolved = np.where(d > floor, d, 0.0)
+    disc = -2.0 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den / den / den
+    scale = np.abs(ddeps2 * deps1) + np.abs(ddeps1 * deps2)
+    assert np.isfinite(den).all() and np.isfinite(scale).all() and np.isfinite(disc).all()
+    proven = ((d >= 0.0) & (delta(0.0) > 0.0) & (delta(budget) > 0.0))[:, 0]
+
+    slack = DISCRIMINANT_RTOL * scale
+    summands_ok = (summands <= slack[..., None]).all(axis=(1, 2))
+    mono_ok = (deps1 < 0.0).all(axis=1) & (deps2 > 0.0).all(axis=1)
+    holds = boundary._cs_holds
+    cs_gram = holds(absa12sq, a11 * a22) & holds(absb12sq, b11 * b22)
+    link0, link1 = 4.0 * re_ab ** 2, 4.0 * absa12sq * absb12sq
+    link2, link3 = 4.0 * (a11 * a22) * (b11 * b22), (a22 * b11 + a11 * b22) ** 2
+    cs_ok = (cs_gram & holds(link0, link1) & holds(link1, link2) & holds(link2, link3)).all(axis=1)
+    worst = np.argmax(disc, axis=1)
+    worst_disc = np.take_along_axis(disc, worst[:, None], axis=1)[:, 0]
+    return [boundary.ConvexityReport(bool(proven[t]), label, float(worst_disc[t]), float(ps[worst[t]]),
+                                     grid, bool(cs_ok[t]), bool(summands_ok[t]), bool(mono_ok[t]))
+            for t, label in enumerate(boundary._classes(n1, n2, d))]
+
+
+def test_certificates_match_the_former_sweep_bitwise():
+    # the real couplings move Gram products by ulps; every report field,
+    # flags and worst D and p alike, keeps the former sweep's bits
+    configs = [SystemConfig(noise_variance=1.0, power_budget=snr)
+               for snr in (1e-2, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e9, 1e15, 1e40, 1e60, 1e100, 1e140)]
+    configs.append(SystemConfig(noise_variance=1e-3, power_budget=0.02))
+    for dim in range(1, 9):
+        for colinear in (False, True):
+            pairs = _scan_pairs(np.random.default_rng(dim), 120, dim, colinear)
+            for config in configs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = convexity_certificates(pairs, config, grid=41)
+                expected = _former_certificates(pairs, config, 41)
+                assert [_bits(r) for r in got] == [_bits(r) for r in expected], \
+                    (dim, colinear, config)
+
+
+def test_certificate_working_set_is_a_few_arrays():
+    # a (300, 8, 2) stack at grid 101 is 300 x 99 splits, 0.24 MB per (T, G)
+    # float array: each quantity is reduced to its per-pair flag as soon as
+    # it is formed (the former sweep held all of them, 7.75 MB at its peak)
+    pairs = _scan_pairs(np.random.default_rng(1), 300, 8, False)
+    config = SystemConfig(noise_variance=1.0, power_budget=100.0)
+    tracemalloc.start()
+    try:
+        convexity_certificates(pairs, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6, peak
