@@ -39,6 +39,7 @@ import numpy as np
 from .model import (
     ChannelSet,
     SystemConfig,
+    WeightVector,
     _channel_set,
     _power_rows,
     _weight_vector,
@@ -174,8 +175,10 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
     The multipliers and residuals are fitted to the gradient the descent
     ended with, which is the gradient at the returned powers.
     """
+    weights = WeightVector(w)       # validated here, not again every round
+
     def derivatives(p):
-        return weighted_mse_derivatives(chan, p, config, w)
+        return weighted_mse_derivatives(chan, p, config, weights)
 
     batch = projected_gradient(derivatives, starts, config.power_budget)
     certs = []

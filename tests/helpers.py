@@ -6,8 +6,13 @@ import math
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
-from mseregion import ChannelSet, SystemConfig, mse_jacobian, mse_tuples
-from mseregion.simplex import budget_simplex_lattice
+from mseregion import ChannelSet, SystemConfig, mse_jacobian, mse_tuples, simplex
+from mseregion.simplex import (
+    PgdBatch,
+    PgdResult,
+    budget_simplex_lattice,
+    project_onto_budget_simplex,
+)
 
 
 def random_channels(rng, n_antennas: int, n_users: int) -> ChannelSet:
@@ -155,3 +160,80 @@ def reference_region_csv(path, powers, mses) -> None:
         writer.writerow(header)
         for p_row, e_row in zip(powers, mses):
             writer.writerow([repr(float(v)) for v in p_row] + [repr(float(v)) for v in e_row])
+
+
+def sequential_projected_gradient(value_and_grad, start, budget: float):
+    """Reference projected Newton loop: one trial step per start per round.
+
+    The same iteration as `simplex.projected_gradient` with its Armijo
+    backtracking done one rejection at a time: each round evaluates the
+    pending candidate of every running row, and a rejected step is
+    halved for the next round.  Returns the `PgdBatch` and, per start,
+    the most steps it had rejected within one iteration.
+    """
+    point = project_onto_budget_simplex(np.asarray(start, dtype=np.float64), budget)
+    count = point.shape[0]
+    value, grad, hess = (np.array(out, dtype=np.float64) for out in value_and_grad(point))
+    direction = np.zeros_like(point)
+    trial = np.zeros(count)
+    iters = np.zeros(count, dtype=np.int64)
+    backtracks = np.zeros(count, dtype=np.int64)
+    run = np.zeros(count, dtype=np.int64)            # rejections in this iteration
+    longest = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    stalled = np.zeros(count, dtype=bool)
+    running = np.ones(count, dtype=bool)
+    fresh = np.ones(count, dtype=bool)
+    while True:
+        top = np.flatnonzero(fresh)
+        if top.size:
+            fresh[top] = False
+            pts, grs = point[top], grad[top]
+            pg = np.linalg.norm(pts - project_onto_budget_simplex(pts - grs, budget), axis=1)
+            done = pg <= simplex.PGD_TOL_REL * (1.0 + np.abs(value[top]))
+            converged[top] = done
+            done |= iters[top] >= simplex._MAX_ITERS
+            running[top[done]] = False
+            go = top[~done]
+            iters[go] += 1
+            trial[go] = 1.0
+            run[go] = 0
+            direction[go] = simplex._newton_directions(point[go], grad[go], hess[go], budget)
+        rows = np.flatnonzero(running)
+        if not rows.size:
+            break
+        base = point[rows]
+        cand = project_onto_budget_simplex(base + trial[rows, None] * direction[rows], budget)
+        cand_val, cand_grad, cand_hess = value_and_grad(cand)
+        decrease = np.einsum("sk,sk->s", grad[rows], cand - base)
+        ok = cand_val <= value[rows] + simplex._ARMIJO_SLOPE * decrease
+        acc = rows[ok]
+        point[acc], value[acc] = cand[ok], cand_val[ok]
+        grad[acc], hess[acc] = cand_grad[ok], cand_hess[ok]
+        fresh[acc] = True
+        back = rows[~ok]
+        backtracks[back] += 1
+        run[back] += 1
+        longest[back] = np.maximum(longest[back], run[back])
+        trial[back] *= simplex._SHRINK
+        stuck = back[trial[back] < 1e-18]
+        stalled[stuck] = True
+        running[stuck] = False
+
+    batch = PgdBatch(tuple(
+        PgdResult(point[i].copy(), float(value[i]), grad[i].copy(), int(iters[i]),
+                  int(backtracks[i]), bool(converged[i]), bool(stalled[i]))
+        for i in range(count)
+    ))
+    return batch, longest
+
+
+def assert_pgd_batches_equal(batch, reference) -> None:
+    """Every field of every start bitwise equal, floats compared by their bytes."""
+    assert len(batch.results) == len(reference.results)
+    for row, ref in zip(batch.results, reference.results):
+        assert row.point.tobytes() == ref.point.tobytes()
+        assert row.gradient.tobytes() == ref.gradient.tobytes()
+        assert np.float64(row.value).tobytes() == np.float64(ref.value).tobytes()
+        assert (row.iterations, row.backtracks, row.converged, row.stalled) \
+            == (ref.iterations, ref.backtracks, ref.converged, ref.stalled)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mseregion import SystemConfig, WeightVector, kkt, simplex, weighted_mse_derivatives
 from mseregion.simplex import (
     budget_simplex_lattice,
     lattice_size,
@@ -16,7 +17,12 @@ from mseregion.simplex import (
     sample_budget_simplex,
 )
 
-from helpers import recursive_lattice
+from helpers import (
+    assert_pgd_batches_equal,
+    random_channels,
+    recursive_lattice,
+    sequential_projected_gradient,
+)
 
 
 def test_projection_frozen_case():
@@ -133,7 +139,12 @@ def test_pgd_stall_is_reported():
     # gradient: every candidate raises f, so backtracking gives out
     b = np.array([1.0, 1.0])
 
+    # the direction from 0 is (1/2, 1/2), so a candidate's sum is its step
+    steps, sizes = [], []
+
     def wrong_sign(p):
+        steps.extend(p.sum(axis=1).tolist())
+        sizes.append(p.shape[0])
         return 0.5 * np.einsum("sk,sk->s", p, p) + p @ b, -(p + b), _identities(p)
 
     result = projected_gradient(wrong_sign, np.zeros((1, 2)), budget=1.0).results[0]
@@ -142,6 +153,12 @@ def test_pgd_stall_is_reported():
     assert result.iterations == 1
     assert result.backtracks == 60       # 2**-60 is the first step below 1e-18
     np.testing.assert_array_equal(result.point, np.zeros(2))
+    # the start, then each step halving would try, once, and none below 1e-18
+    assert steps == [0.0] + [2.0 ** -j for j in range(60)]
+    assert min(steps[1:]) >= 1e-18
+    # t = 1 goes alone; the 59 halvings go _LADDER to a call
+    rungs = simplex._LADDER
+    assert sizes == [1, 1] + [rungs] * (59 // rungs) + [59 % rungs] * (59 % rungs > 0)
 
 
 def test_pgd_batch_rows_match_single_runs():
@@ -165,3 +182,54 @@ def test_projection_batch_rows_match_single_points():
         batch = project_onto_budget_simplex(points, 2.0)
         for point, row in zip(points, batch):
             np.testing.assert_array_equal(row, project_onto_budget_simplex(point, 2.0))
+
+
+def _wsmse_panel(k: int):
+    """Weighted sum-MSE problems with K = k users and the multistart points
+    of `kkt`: N in {1, 2, 8, 32} antennas, P/sigma^2 from 0.1 to 1e5."""
+    rng = np.random.default_rng(2025 + k)
+    for n in (1, 2, 8, 32):
+        for snr in (0.1, 10.0, 1e3, 1e5):
+            chan = random_channels(rng, n, k)
+            config = SystemConfig(noise_variance=1.0, power_budget=snr)
+            weights = WeightVector(rng.uniform(0.05, 1.0, k))
+            starts = kkt._start_points(k, snr, 16, int(rng.integers(1000)))
+
+            def derivatives(p, chan=chan, config=config, weights=weights):
+                return weighted_mse_derivatives(chan, p, config, weights)
+            yield derivatives, starts, snr
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_pgd_ladder_is_bitwise_one_step_per_round(k, monkeypatch):
+    # a few N = 32 starts at P/sigma^2 = 0.1 run to the iteration cap; a
+    # lower cap, read by both loops at call time, keeps them cheap
+    monkeypatch.setattr(simplex, "_MAX_ITERS", 100)
+    longest = 0
+    for derivatives, starts, budget in _wsmse_panel(k):
+        reference, runs = sequential_projected_gradient(derivatives, starts, budget)
+        assert_pgd_batches_equal(projected_gradient(derivatives, starts, budget), reference)
+        longest = max(longest, int(runs.max()))
+    # some start rejected more steps in one iteration than one round sends
+    assert longest > simplex._LADDER
+
+
+def test_pgd_ladder_needs_fewer_rounds():
+    rng = np.random.default_rng(2008)
+    chan = random_channels(rng, 4, 5)
+    config = SystemConfig(noise_variance=1.0, power_budget=18.5)
+    weights = WeightVector(rng.uniform(0.05, 1.0, 5))
+    starts = kkt._start_points(5, 18.5, 16, 3)
+    calls = []
+
+    def derivatives(p):
+        calls.append(p.shape[0])
+        return weighted_mse_derivatives(chan, p, config, weights)
+
+    batch = projected_gradient(derivatives, starts, 18.5)
+    ladder = len(calls)
+    calls.clear()
+    reference, runs = sequential_projected_gradient(derivatives, starts, 18.5)
+    assert_pgd_batches_equal(batch, reference)
+    assert runs.max() > simplex._LADDER
+    assert ladder < len(calls)
