@@ -39,25 +39,31 @@ and b_ij = h_i^H X^{-2} h_j:
 a12 and b12 share the phase of c, so the couplings are real and read c
 only through |c|^2: with alpha = sigma^2 / Delta and beta = (sigma^4 -
 p q d) / Delta^2, |a12|^2 = |c|^2 alpha^2, Re{a12 b21} = |c|^2 alpha beta
-and |b12|^2 = |c|^2 beta^2.  Certificates evaluate in this real arithmetic
-and reduce each quantity over the grid as soon as it is formed; the
-complex a12 and b12 are formed only for the single-split readers.
+and |b12|^2 = |c|^2 beta^2.  The sweep evaluates in this real arithmetic;
+the complex a12 and b12 are formed only for the single-split readers, and
+certificates form only Delta and D on their grid of splits.
 
 So D <= 0 on all of [0, P] once d >= 0 and Delta > 0 there, and Delta is
 concave in p, so Delta > 0 at both ends covers the interval: that is the
 two-user convexity theorem, and it is what a certificate's `certified`
 checks.  D vanishes exactly for colinear pairs (d = 0), and is taken as
 -0.0 where d is within its rounding floor (4 N eps)^2 n1 n2; a pair is
-labelled affine where d <= COLINEARITY_RTOL n1 n2.  The three summands,
-the Cauchy-Schwarz chain and monotonicity are checked on a grid of
-splits as report flags.  The K-user kernel `model.resolvent_grams` is
-the test suite's oracle for these forms.
+labelled affine where d <= COLINEARITY_RTOL n1 n2.  The same proof
+gives the paper's corollaries, so a certificate's other flags are that
+proof too: a11 a22 - |a12|^2 = d / Delta and b11 b22 - |b12|^2 =
+d / Delta^2 (Cauchy-Schwarz), each of D's three summands is -d times
+nonnegative factors (their signs), and -eps1' = sigma^2 E1 /
+Delta^2 with E1 = sigma^4 n1 + 2 sigma^2 q d + q^2 n2 d + P sigma^2
+|c|^2, no term negative (monotonicity).  The tests check these
+identities in exact rational arithmetic, and the K-user kernel
+`model.resolvent_grams` is their oracle for the closed forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
-one factor at a time, and g'' = D / eps1'^3 divides by eps1' one factor
-at a time; where a value still leaves the float64 range (from P/sigma^2
-~ 1e153 for unit-variance channel entries) every evaluation raises
-ValueError, with numpy's overflow and invalid-value warnings silenced.
+one factor at a time, and g'' = D / eps1'^3 is formed as (2 d W /
+sigma^2) (Delta / E1)^3, with W = P n1 n2 + sigma^2 (n1 + n2); where a
+value still leaves the float64 range (from P/sigma^2 ~ 1e153 for
+unit-variance channel entries) every evaluation raises ValueError, with
+numpy's overflow and invalid-value warnings silenced.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SystemConfig, _checked_channels, _triangular_factor
-from .tolerances import CAUCHY_SCHWARZ_ATOL, COLINEARITY_RTOL, DISCRIMINANT_RTOL
+from .tolerances import CAUCHY_SCHWARZ_ATOL, COLINEARITY_RTOL
 
 # d = |det R|^2 of N-antenna pairs is rounding below (4 N eps)^2 n1 n2: colinear
 # pairs (d = 0) reach 24 eps^2 n1 n2 at N = 2..32, random ones stay above
@@ -200,8 +206,7 @@ def _couplings(a12, b12):
 
 # The derivative formulas below take the real Gram terms (a11, a22, b11,
 # b22, |a12|^2, Re{a12 b21}) and work elementwise on arrays of power splits
-# and on scalars alike; each quantity is its own function so that a caller
-# can reduce it before forming the next.
+# and on scalars alike, exact rationals included.
 
 def _slopes(b11, b22, cross, sig2, budget):
     """(eps1', eps2')."""
@@ -210,20 +215,15 @@ def _slopes(b11, b22, cross, sig2, budget):
 
 def _curvatures(a11, a22, b11, b22, cross, re_ab, sig2, budget):
     """(eps1'', eps2'')."""
-    return (2.0 * sig2 * (a11 * b11 - re_ab) + 2.0 * budget * cross * (a11 - a22),
-            2.0 * sig2 * (a22 * b22 - re_ab) + 2.0 * budget * cross * (a22 - a11))
+    return (2 * sig2 * (a11 * b11 - re_ab) + 2 * budget * cross * (a11 - a22),
+            2 * sig2 * (a22 * b22 - re_ab) + 2 * budget * cross * (a22 - a11))
 
 
 def _summands(a11, a22, b11, b22, cross, re_ab, sig2, budget):
-    """The three nonpositive terms that add up to D, formed one at a time."""
-    yield 2.0 * sig2 * budget * cross * (2.0 * re_ab - a22 * b11 - a11 * b22)
-    yield 2.0 * sig2 ** 2 * b11 * (re_ab - a11 * b22)
-    yield 2.0 * sig2 ** 2 * b22 * (re_ab - a22 * b11)
-
-
-def _scale(deps1, deps2, ddeps1, ddeps2):
-    """|eps2'' eps1'| + |eps1'' eps2'|: the size of D's two products."""
-    return np.abs(ddeps2 * deps1) + np.abs(ddeps1 * deps2)
+    """The three nonpositive terms that add up to D."""
+    return (2 * sig2 * budget * cross * (2 * re_ab - a22 * b11 - a11 * b22),
+            2 * sig2 ** 2 * b11 * (re_ab - a11 * b22),
+            2 * sig2 ** 2 * b22 * (re_ab - a22 * b11))
 
 
 def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
@@ -234,7 +234,7 @@ def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
     terms = (a11, a22, b11, b22, cross, re_ab, sig2, budget)
     deps1, deps2 = _slopes(b11, b22, cross, sig2, budget)
     ddeps1, ddeps2 = _curvatures(*terms)
-    return deps1, deps2, ddeps1, ddeps2, ddeps2 * deps1 - ddeps1 * deps2, tuple(_summands(*terms))
+    return deps1, deps2, ddeps1, ddeps2, ddeps2 * deps1 - ddeps1 * deps2, _summands(*terms)
 
 
 def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
@@ -254,16 +254,12 @@ def _quiet_overflow():
 
 
 class _ClosedForms:
-    """The closed forms of the module docstring for T channel pairs over G power splits.
+    """Delta and D of the module docstring for T channel pairs over G power splits.
 
     Holds each pair's four scalars as (T, 1) columns and Delta as a (T, G)
-    array, and forms every other (T, G) quantity when a method is called,
-    so a caller holds only what it still reads.  a12 = sigma^2 c / Delta
-    and b12 = c (sigma^4 - p q d) / Delta^2 share the phase of c, so the
-    couplings are real: |a12|^2, Re{a12 b21} and |b12|^2 are |c|^2 alpha^2,
-    |c|^2 alpha beta and |c|^2 beta^2, with alpha = sigma^2 / Delta and
-    beta = (sigma^4 - p q d) / Delta^2.  Raises ValueError where Delta is
-    not finite; `check` raises it for any other value.
+    array, and forms D when asked: all a certificate reads.  Raises
+    ValueError where Delta is not finite; `check` raises it for any other
+    value.
     """
 
     __slots__ = ("sig2", "budget", "snr", "floor", "p", "q", "n1", "n2", "c", "d", "den")
@@ -287,13 +283,58 @@ class _ClosedForms:
         return sig2 ** 2 + sig2 * (p * self.n1 + (self.budget - p) * self.n2) \
             + p * (self.budget - p) * self.d
 
-    def grams(self):
-        """(a11, a22, b11, b22), the real diagonal Gram entries.
+    def resolved(self):
+        """d, taken as 0.0 where it is within its rounding floor."""
+        return np.where(self.d > self.floor * self.n1 * self.n2, self.d, 0.0)
 
-        Every closed form divides by Delta one factor at a time: Delta^2
-        and Delta^3 overflow from P/sigma^2 ~ 1e77 and ~ 1e52, Delta
-        itself only near 1e154.
-        """
+    def weight(self):
+        """W = P n1 n2 + sigma^2 (n1 + n2), D's numerator over d."""
+        return self.budget * self.n1 * self.n2 + self.sig2 * (self.n1 + self.n2)
+
+    def discriminant(self):
+        """D in closed form, -0.0 where d is within its rounding floor; it
+        divides by Delta one factor at a time, as Delta^3 overflows from
+        P/sigma^2 ~ 1e52 and Delta itself only near 1e154."""
+        den = self.den
+        return -2.0 * self.sig2 ** 2 * self.resolved() * self.weight() / den / den / den
+
+    def proven(self):
+        """The (T,) mask of pairs with d >= 0 and Delta > 0 at p = 0 and
+        p = P, which makes D <= 0 on all of [0, P]."""
+        return ((self.d >= 0.0) & (self.delta(0.0) > 0.0) & (self.delta(self.budget) > 0.0))[:, 0]
+
+
+class _SweepData(_ClosedForms):
+    """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
+
+    The sweep and single-split readers' view: the Gram entries, the real
+    couplings (through |c|^2, as in the module docstring), derivatives, D
+    and the derivative scale are formed once, a12, b12 and the MSEs when
+    read.  Raises ValueError where Delta, D or a derivative is not finite.
+    """
+
+    __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab", "absb12sq",
+                 "deps1", "deps2", "ddeps1", "ddeps2", "disc", "scale")
+
+    def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
+        with _quiet_overflow():
+            super().__init__(pairs, config, ps)
+            self.a11, self.a22, self.b11, self.b22 = self.grams()
+            self.absa12sq, self.re_ab, self.absb12sq = self.couplings()
+            terms = (self.a11, self.a22, self.b11, self.b22, self.absa12sq, self.re_ab,
+                     self.sig2, self.budget)
+            self.deps1, self.deps2 = _slopes(self.b11, self.b22, self.absa12sq,
+                                             self.sig2, self.budget)
+            self.ddeps1, self.ddeps2 = _curvatures(*terms)
+            self.disc = self.discriminant()
+            # |eps2'' eps1'| + |eps1'' eps2'|: the size of D's two products
+            self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
+            self.check(self.scale, self.disc)
+
+    def grams(self):
+        """(a11, a22, b11, b22), the real diagonal Gram entries; the b
+        entries divide by Delta one factor at a time, as Delta^2 overflows
+        from P/sigma^2 ~ 1e77."""
         sig2, p, q, n1, n2, d, den = self.sig2, self.p, self.q, self.n1, self.n2, self.d, self.den
         sig4 = sig2 ** 2
         return ((sig2 * n1 + q * d) / den,
@@ -312,44 +353,6 @@ class _ClosedForms:
         csq = self.c.real ** 2 + self.c.imag ** 2
         alpha, beta = self.alpha(), self.beta()
         return csq * alpha ** 2, csq * (alpha * beta), csq * beta ** 2
-
-    def discriminant(self):
-        """D in closed form, -0.0 where d is within its rounding floor."""
-        sig2, n1, n2, d, den = self.sig2, self.n1, self.n2, self.d, self.den
-        resolved = np.where(d > self.floor * n1 * n2, d, 0.0)
-        return -2.0 * sig2 ** 2 * resolved * (self.budget * n1 * n2 + sig2 * (n1 + n2)) / den / den / den
-
-    def proven(self):
-        """The (T,) mask of pairs with d >= 0 and Delta > 0 at p = 0 and
-        p = P, which makes D <= 0 on all of [0, P]."""
-        return ((self.d >= 0.0) & (self.delta(0.0) > 0.0) & (self.delta(self.budget) > 0.0))[:, 0]
-
-
-class _SweepData(_ClosedForms):
-    """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
-
-    The sweep and single-split readers' view: the Gram entries, couplings,
-    derivatives, D and the derivative scale are formed once, a12, b12 and
-    the MSEs when read.  Raises ValueError where Delta, D or a derivative
-    is not finite.
-    """
-
-    __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab", "absb12sq",
-                 "deps1", "deps2", "ddeps1", "ddeps2", "disc", "scale")
-
-    def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
-        with _quiet_overflow():
-            super().__init__(pairs, config, ps)
-            self.a11, self.a22, self.b11, self.b22 = self.grams()
-            self.absa12sq, self.re_ab, self.absb12sq = self.couplings()
-            terms = (self.a11, self.a22, self.b11, self.b22, self.absa12sq, self.re_ab,
-                     self.sig2, self.budget)
-            self.deps1, self.deps2 = _slopes(self.b11, self.b22, self.absa12sq,
-                                             self.sig2, self.budget)
-            self.ddeps1, self.ddeps2 = _curvatures(*terms)
-            self.disc = self.discriminant()
-            self.scale = _scale(self.deps1, self.deps2, self.ddeps1, self.ddeps2)
-            self.check(self.scale, self.disc)
 
     @property
     def a12(self):
@@ -370,10 +373,16 @@ class _SweepData(_ClosedForms):
     def g_derivatives(self):
         """(g', g'') = (eps2' / eps1', D / eps1'^3) of the boundary eps2 = g(eps1).
 
-        D is divided by eps1' one factor at a time: eps1' ~ (P/sigma^2)^-2,
-        so eps1'^3 underflows from P/sigma^2 ~ 1e54.
+        g'' is formed as (2 d W / sigma^2) (Delta / E1)^3, from -eps1' =
+        sigma^2 E1 / Delta^2 and D = -2 sigma^4 d W / Delta^3, with the d
+        that D uses: eps1'^3 underflows from P/sigma^2 ~ 1e54 and D from
+        ~ 1e65, while g'' itself is in range wherever Delta and E1 are.
         """
-        return self.deps2 / self.deps1, self.disc / self.deps1 / self.deps1 / self.deps1
+        sig2, q, d = self.sig2, self.q, self.d
+        e1 = sig2 ** 2 * self.n1 + 2.0 * sig2 * q * d + q ** 2 * self.n2 * d \
+            + self.budget * sig2 * (self.c.real ** 2 + self.c.imag ** 2)
+        return (self.deps2 / self.deps1,
+                2.0 * self.resolved() * self.weight() / sig2 * (self.den / e1) ** 3)
 
 
 def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
@@ -504,11 +513,12 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
 
     Returns one ConvexityReport per pair.  `certified` is the closed-form
     proof: d >= 0 and Delta > 0 at both ends of [0, P], so D <= 0 at
-    every split.  The worst discriminant is the largest D on the interior
-    points of the power grid, where the Cauchy-Schwarz chains, the
-    summand signs and monotonicity are checked as flags; violations are
-    reported in the flags rather than raised.  Each (T, G) quantity is
-    reduced to its per-pair flag as soon as it is formed.
+    every split.  The Cauchy-Schwarz, summand-sign and monotonicity flags
+    follow from the same proof through the factored identities of the
+    module docstring, so each of them is that proof too.  Only Delta and
+    D are formed on the interior points of the power grid: the worst
+    discriminant is the largest D there, at its first grid point, and a
+    value that leaves the float64 range raises ValueError.
     """
     count = int(grid)
     if count < 11:
@@ -521,36 +531,13 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
         forms.check(disc)
         worst = np.argmax(disc, axis=1)
         worst_disc = np.take_along_axis(disc, worst[:, None], axis=1)[:, 0]
-        del disc
-
-        a11, a22, b11, b22 = forms.grams()
-        cross, re_ab, absb12sq = forms.couplings()
-        terms = (a11, a22, b11, b22, cross, re_ab, forms.sig2, forms.budget)
-        deps1, deps2 = _slopes(b11, b22, cross, forms.sig2, forms.budget)
-        mono_ok = (deps1 < 0.0).all(axis=1) & (deps2 > 0.0).all(axis=1)
-        scale = _scale(deps1, deps2, *_curvatures(*terms))
-        del deps1, deps2
-        forms.check(scale)
-        slack = DISCRIMINANT_RTOL * scale
-        del scale
-        summands_ok = np.logical_and.reduce([(s <= slack).all(axis=1) for s in _summands(*terms)])
-        del slack
-
-        cs_ok = _cs_holds(cross, a11 * a22).all(axis=1) & _cs_holds(absb12sq, b11 * b22).all(axis=1)
-        # 4 Re^2{a21 b12} <= 4 |a21 b12|^2 <= 4 a11 a22 b11 b22 <= (a22 b11 + a11 b22)^2
-        lower, upper = 4.0 * re_ab ** 2, 4.0 * cross * absb12sq
-        cs_ok &= _cs_holds(lower, upper).all(axis=1)
-        lower, upper = upper, 4.0 * (a11 * a22) * (b11 * b22)
-        cs_ok &= _cs_holds(lower, upper).all(axis=1)
-        cs_ok &= _cs_holds(upper, (a22 * b11 + a11 * b22) ** 2).all(axis=1)
 
     columns = zip(forms.proven().tolist(), _classes(forms.n1, forms.n2, forms.d),
-                  worst_disc.tolist(), ps[worst].tolist(),
-                  cs_ok.tolist(), summands_ok.tolist(), mono_ok.tolist())
-    return [ConvexityReport(certified=certified, classification=label,
+                  worst_disc.tolist(), ps[worst].tolist())
+    return [ConvexityReport(certified=proof, classification=label,
                             worst_discriminant=value, worst_p=split, grid=count,
-                            cauchy_schwarz_ok=cs, summands_ok=summands, monotonicity_ok=mono)
-            for certified, label, value, split, cs, summands, mono in columns]
+                            cauchy_schwarz_ok=proof, summands_ok=proof, monotonicity_ok=proof)
+            for proof, label, value, split in columns]
 
 
 def convexity_certificate(h1, h2, config: SystemConfig, grid: int = 101) -> ConvexityReport:

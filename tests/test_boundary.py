@@ -3,6 +3,7 @@ cross-checks, discriminant decomposition, closed forms, affine case."""
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -126,6 +127,78 @@ def test_second_derivatives_match_finite_differences():
         fd2 = (hi[1] - 2 * mid[1] + lo[1]) / step ** 2
         assert dd1 == pytest.approx(fd1, rel=1e-4)
         assert dd2 == pytest.approx(fd2, rel=1e-4)
+
+
+def _exact_grams(n1, n2, csq, sig2, budget, p):
+    """(a11, a22, b11, b22, |a12|^2, Re{a12 b21}, |b12|^2) and Delta of the
+    module docstring's closed forms, in the arithmetic of the arguments."""
+    q, d = budget - p, n1 * n2 - csq
+    delta = sig2 ** 2 + sig2 * (p * n1 + q * n2) + p * q * d
+    alpha, beta = sig2 / delta, (sig2 ** 2 - p * q * d) / delta ** 2
+    return ((sig2 * n1 + q * d) / delta, (sig2 * n2 + p * d) / delta,
+            (sig2 ** 2 * n1 + 2 * sig2 * q * d + q ** 2 * n2 * d) / delta ** 2,
+            (sig2 ** 2 * n2 + 2 * sig2 * p * d + p ** 2 * n1 * d) / delta ** 2,
+            csq * alpha ** 2, csq * alpha * beta, csq * beta ** 2), delta
+
+
+def test_factored_identities_hold_in_exact_arithmetic():
+    # the proof the certificate flags rest on: at random rational points with
+    # d = n1 n2 - |c|^2 >= 0 (colinear at |c|^2 = n1 n2), both Cauchy-Schwarz
+    # gaps are d over a power of Delta, each of D's three summands is a
+    # product of nonnegative factors and -d, -eps1' = sigma^2 E1 / Delta^2
+    # with no term of E1 negative, and D = -2 sigma^4 d W / Delta^3
+    rng = np.random.default_rng(26)
+
+    def ratio(top, bottom=1000):
+        return Fraction(int(rng.integers(1, top)), int(rng.integers(1, bottom)))
+
+    for _ in range(300):
+        n1, n2, sig2, budget = ratio(10 ** 6), ratio(10 ** 6), ratio(10 ** 4), ratio(10 ** 8)
+        csq = n1 * n2 * Fraction(int(rng.integers(0, 1001)), 1000)
+        p = budget * Fraction(int(rng.integers(0, 1001)), 1000)
+        q, d = budget - p, n1 * n2 - csq
+        grams, delta = _exact_grams(n1, n2, csq, sig2, budget, p)
+        a11, a22, b11, b22, cross, re_ab, absb12sq = grams
+        terms = (a11, a22, b11, b22, cross, re_ab, sig2, budget)
+        assert a11 * a22 - cross == d / delta
+        assert b11 * b22 - absb12sq == d / delta ** 2
+        assert a11 * b22 - re_ab == d * (n1 * p + sig2) / delta ** 2
+        assert a22 * b11 - re_ab == d * (n2 * q + sig2) / delta ** 2
+        assert boundary._summands(*terms) == (
+            -2 * sig2 * budget * cross * d * (n1 * p + n2 * q + 2 * sig2) / delta ** 2,
+            -2 * sig2 ** 2 * b11 * d * (n1 * p + sig2) / delta ** 2,
+            -2 * sig2 ** 2 * b22 * d * (n2 * q + sig2) / delta ** 2)
+        deps1, deps2 = boundary._slopes(b11, b22, cross, sig2, budget)
+        e1 = sig2 ** 2 * n1 + 2 * sig2 * q * d + q ** 2 * n2 * d + budget * sig2 * csq
+        assert -deps1 == sig2 * e1 / delta ** 2
+        ddeps1, ddeps2 = boundary._curvatures(*terms)
+        weight = budget * n1 * n2 + sig2 * (n1 + n2)
+        assert ddeps2 * deps1 - ddeps1 * deps2 == -2 * sig2 ** 2 * d * weight / delta ** 3
+
+    # the closed forms are the X^{-1} and X^{-2} Gram entries of an exactly
+    # inverted covariance X = sigma^2 I + p h1 h1^T + q h2 h2^T of rational
+    # real 2 x 2 channels
+    for _ in range(100):
+        (u1, u2), (v1, v2) = [[ratio(2000) - 1 for _ in range(2)] for _ in range(2)]
+        sig2, budget = ratio(10 ** 4), ratio(10 ** 6)
+        p = budget * Fraction(int(rng.integers(0, 1001)), 1000)
+        q = budget - p
+        x11, x12, x22 = sig2 + p * u1 * u1 + q * v1 * v1, p * u1 * u2 + q * v1 * v2, \
+            sig2 + p * u2 * u2 + q * v2 * v2
+        det = x11 * x22 - x12 ** 2
+        inv = ((x22 / det, -x12 / det), (-x12 / det, x11 / det))
+        inv2 = [[sum(inv[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+        def form(m, g, h):
+            return sum(g[i] * m[i][j] * h[j] for i in range(2) for j in range(2))
+
+        h1, h2 = (u1, u2), (v1, v2)
+        a12, b12 = form(inv, h1, h2), form(inv2, h1, h2)
+        expected = (form(inv, h1, h1), form(inv, h2, h2), form(inv2, h1, h1), form(inv2, h2, h2),
+                    a12 ** 2, a12 * b12, b12 ** 2)
+        grams, _ = _exact_grams(u1 * u1 + u2 * u2, v1 * v1 + v2 * v2, (u1 * v1 + u2 * v2) ** 2,
+                                sig2, budget, p)
+        assert grams == expected
 
 
 def test_discriminant_decomposition_and_sign():
@@ -467,8 +540,8 @@ def test_certificates_on_reduced_pairs_match_raw_grams():
 
 
 def _exact_boundary(h1, h2, config, p):
-    """(eps1, eps2, D, derivative scale, g'') at split p from a 60-digit
-    dense inverse of the N x N covariance."""
+    """(eps1, eps2, D, derivative scale) at split p from a 60-digit dense
+    inverse of the N x N covariance."""
     with mpmath.workdps(60):
         col1, col2 = mpmath.matrix(h1.tolist()), mpmath.matrix(h2.tolist())
         budget, split = mpmath.mpf(config.power_budget), mpmath.mpf(p)
@@ -483,7 +556,7 @@ def _exact_boundary(h1, h2, config, p):
             a11.real, a22.real, a12, b11.real, b22.real, b12,
             mpmath.mpf(config.noise_variance), budget)
         return (1 - split * a11.real, 1 - (budget - split) * a22.real, disc,
-                abs(dd2 * d1) + abs(dd1 * d2), disc / d1 ** 3)
+                abs(dd2 * d1) + abs(dd1 * d2))
 
 
 def test_discriminant_on_reduced_pair_matches_high_precision_oracle():
@@ -516,7 +589,7 @@ def test_closed_forms_match_high_precision_oracle_at_high_snr():
         for name, (h1, h2) in pairs.items():
             for s in boundary_sweep(h1, h2, config, samples=9):
                 where = (name, snr, s.p)
-                eps1, eps2, disc, scale, _ = _exact_boundary(h1, h2, config, s.p)
+                eps1, eps2, disc, scale = _exact_boundary(h1, h2, config, s.p)
                 assert mse_pair_at_power(h1, h2, config, s.p) == (s.eps1, s.eps2), where
                 assert abs(s.eps1 - eps1) <= 1e-14 * eps1, where
                 assert abs(s.eps2 - eps2) <= 1e-14 * eps2, where
@@ -560,19 +633,39 @@ def test_extreme_snr_scans_stay_in_float_range():
                 boundary_sweep(h1, h2, config)
 
 
+def _scalar_g_double_prime(h1, h2, config, p):
+    """g'' = D / eps1'^3 at split p in 400-digit arithmetic from the pair's
+    scalars: the Gram entries of the module docstring's closed forms, and D
+    the product difference eps2'' eps1' - eps1'' eps2' (a 60-digit dense
+    inverse of an N > 2 covariance is singular at these SNRs)."""
+    with mpmath.workdps(400):
+        u, v = mpmath.matrix(h1.tolist()), mpmath.matrix(h2.tolist())
+        n1, n2, csq = (u.H * u)[0].real, (v.H * v)[0].real, abs((u.H * v)[0]) ** 2
+        sig2, budget, split = (mpmath.mpf(x) for x in (config.noise_variance, config.power_budget, p))
+        (a11, a22, b11, b22, cross, re_ab, _), _ = _exact_grams(n1, n2, csq, sig2, budget, split)
+        d1, d2 = boundary._slopes(b11, b22, cross, sig2, budget)
+        dd1, dd2 = boundary._curvatures(a11, a22, b11, b22, cross, re_ab, sig2, budget)
+        return (dd2 * d1 - dd1 * d2) / d1 ** 3
+
+
 def test_g_double_prime_stays_in_float_range_at_extreme_snr():
-    # eps1' ~ (P/sigma^2)^-2, so eps1'^3 underflows from P/sigma^2 ~ 1e54:
-    # g'' divides D by eps1' one factor at a time, in the sweep as at one split
-    h1, h2 = np.array([1.0, 0.3], dtype=complex), np.array([0.2, 1.0], dtype=complex)
-    config = SystemConfig(noise_variance=1.0, power_budget=1e60)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sweep = boundary_sweep(h1, h2, config, samples=5)
-        singles = [g_derivatives(h1, h2, config, s.p)[1] for s in sweep[1:-1]]
-    for s, single in zip(sweep[1:-1], singles):
-        exact = float(_exact_boundary(h1, h2, config, s.p)[4])
-        assert np.isfinite(s.g_double_prime) and single == s.g_double_prime, s.p
-        assert abs(s.g_double_prime - exact) <= 1e-12 * exact, s.p
+    # eps1'^3 underflows from P/sigma^2 ~ 1e54 and D from ~ 1e65, while g''
+    # grows like P/sigma^2: it is formed as (2 d W / sigma^2) (Delta / E1)^3,
+    # in the sweep as at one split (the low SNRs check every term of E1)
+    pairs = {"2x2": (np.array([1.0, 0.3], dtype=complex), np.array([0.2, 1.0], dtype=complex)),
+             "random 4x2": random_pair(np.random.default_rng(21), 4)}
+    for snr in (1e-2, 1.0, 1e3, 1e60, 1e65, 1e100, 1e150):
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        for name, (h1, h2) in pairs.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sweep = boundary_sweep(h1, h2, config, samples=5)
+                singles = [g_derivatives(h1, h2, config, s.p)[1] for s in sweep[1:-1]]
+            for s, single in zip(sweep[1:-1], singles):
+                where = (name, snr, s.p)
+                exact = float(_scalar_g_double_prime(h1, h2, config, s.p))
+                assert np.isfinite(s.g_double_prime) and single == s.g_double_prime, where
+                assert abs(s.g_double_prime - exact) <= 1e-13 * exact, where
 
 
 def _former_certificates(pairs, config, grid):
@@ -628,27 +721,32 @@ def _former_certificates(pairs, config, grid):
 
 
 def test_certificates_match_the_former_sweep_bitwise():
-    # the real couplings move Gram products by ulps; every report field,
-    # flags and worst D and p alike, keeps the former sweep's bits
-    configs = [SystemConfig(noise_variance=1.0, power_budget=snr)
-               for snr in (1e-2, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e9, 1e15, 1e40, 1e60, 1e100, 1e140)]
+    # the flags are the closed-form proof and only Delta and D are formed on
+    # the grid; every report field, flags and worst D and p alike, keeps the
+    # bits of the former sweep, which checked every flag on the grid
+    snrs = (1e-2, 1e-1, 1.0, 1e2, 1e4, 1e6, 1e9, 1e15, 1e40, 1e60, 1e100, 1e140)
+    configs = [SystemConfig(noise_variance=1.0, power_budget=snr) for snr in snrs]
     configs.append(SystemConfig(noise_variance=1e-3, power_budget=0.02))
+    scaled = [SystemConfig(noise_variance=sig2, power_budget=sig2 * snr)
+              for sig2 in (1e-3, 10.0) for snr in (1e-2, 1.0, 1e6, 1e15, 1e140)]
     for dim in range(1, 9):
-        for colinear in (False, True):
-            pairs = _scan_pairs(np.random.default_rng(dim), 120, dim, colinear)
-            for config in configs:
+        stacks = [(_scan_pairs(np.random.default_rng(dim), 120, dim, colinear), configs + scaled)
+                  for colinear in (False, True)]
+        stacks.append((_mixed_pairs(np.random.default_rng(100 + dim), 32, dim), configs + scaled))
+        for pairs, panel in stacks:
+            for config in panel:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = convexity_certificates(pairs, config, grid=41)
                 expected = _former_certificates(pairs, config, 41)
-                assert [_bits(r) for r in got] == [_bits(r) for r in expected], \
-                    (dim, colinear, config)
+                assert [_bits(r) for r in got] == [_bits(r) for r in expected], (dim, config)
 
 
 def test_certificate_working_set_is_a_few_arrays():
     # a (300, 8, 2) stack at grid 101 is 300 x 99 splits, 0.24 MB per (T, G)
-    # float array: each quantity is reduced to its per-pair flag as soon as
-    # it is formed (the former sweep held all of them, 7.75 MB at its peak)
+    # float array: only Delta, D and their temporaries are formed (0.81 MB
+    # at the peak; checking the flags on the grid took 3.66 MB, and the
+    # sweep that held every quantity at once 7.75 MB)
     pairs = _scan_pairs(np.random.default_rng(1), 300, 8, False)
     config = SystemConfig(noise_variance=1.0, power_budget=100.0)
     tracemalloc.start()
@@ -657,4 +755,4 @@ def test_certificate_working_set_is_a_few_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5e6, peak
+    assert peak < 1.5e6, peak
