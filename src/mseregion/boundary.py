@@ -48,15 +48,12 @@ concave in p, so Delta > 0 at both ends covers the interval: that is the
 two-user convexity theorem, and it is what a certificate's `certified`
 checks.  D vanishes exactly for colinear pairs (d = 0), and is taken as
 -0.0 where d is within its rounding floor (4 N eps)^2 n1 n2; a pair is
-labelled affine where d <= COLINEARITY_RTOL n1 n2.  The same proof
-gives the paper's corollaries, so a certificate's other flags are that
-proof too: a11 a22 - |a12|^2 = d / Delta and b11 b22 - |b12|^2 =
-d / Delta^2 (Cauchy-Schwarz), each of D's three summands is -d times
-nonnegative factors (their signs), and -eps1' = sigma^2 E1 /
-Delta^2 with E1 = sigma^4 n1 + 2 sigma^2 q d + q^2 n2 d + P sigma^2
-|c|^2, no term negative (monotonicity).  The tests check these
-identities in exact rational arithmetic, and the K-user kernel
-`model.resolvent_grams` is their oracle for the closed forms.
+labelled affine where d <= COLINEARITY_RTOL n1 n2.  The paper's
+Cauchy-Schwarz, summand-sign and monotonicity corollaries follow from
+the same d >= 0 through factored identities, which
+`test_factored_identities_hold_in_exact_arithmetic` checks in exact
+rational arithmetic; the K-user kernel `model.resolvent_grams` is the
+oracle for the closed forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
 one factor at a time, and g'' = D / eps1'^3 is formed as (2 d W /
@@ -146,9 +143,6 @@ class ConvexityReport:
     worst_discriminant: float
     worst_p: float
     grid: int
-    cauchy_schwarz_ok: bool
-    summands_ok: bool
-    monotonicity_ok: bool
 
 
 def _pairs(pairs) -> np.ndarray:
@@ -276,7 +270,8 @@ class _ClosedForms:
         """Raise ValueError unless every value is finite."""
         if not all(np.isfinite(value).all() for value in values):
             raise ValueError(f"boundary closed forms leave the float64 range at "
-                             f"P/sigma^2 = {self.snr:g}")
+                             f"P/sigma^2 = {self.snr:g} (sigma^2 = {self.sig2:g}, "
+                             f"P = {self.budget:g})")
 
     def delta(self, p):
         sig2 = self.sig2
@@ -308,13 +303,13 @@ class _SweepData(_ClosedForms):
     """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
 
     The sweep and single-split readers' view: the Gram entries, the real
-    couplings (through |c|^2, as in the module docstring), derivatives, D
-    and the derivative scale are formed once, a12, b12 and the MSEs when
-    read.  Raises ValueError where Delta, D or a derivative is not finite.
+    couplings (through |c|^2, as in the module docstring), derivatives and
+    D are formed once, a12, b12 and the MSEs when read.  Raises ValueError
+    where Delta, D or a derivative is not finite.
     """
 
     __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab", "absb12sq",
-                 "deps1", "deps2", "ddeps1", "ddeps2", "disc", "scale")
+                 "deps1", "deps2", "ddeps1", "ddeps2", "disc")
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
         with _quiet_overflow():
@@ -327,9 +322,7 @@ class _SweepData(_ClosedForms):
                                              self.sig2, self.budget)
             self.ddeps1, self.ddeps2 = _curvatures(*terms)
             self.disc = self.discriminant()
-            # |eps2'' eps1'| + |eps1'' eps2'|: the size of D's two products
-            self.scale = np.abs(self.ddeps2 * self.deps1) + np.abs(self.ddeps1 * self.deps2)
-            self.check(self.scale, self.disc)
+            self.check(self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc)
 
     def grams(self):
         """(a11, a22, b11, b22), the real diagonal Gram entries; the b
@@ -513,12 +506,11 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
 
     Returns one ConvexityReport per pair.  `certified` is the closed-form
     proof: d >= 0 and Delta > 0 at both ends of [0, P], so D <= 0 at
-    every split.  The Cauchy-Schwarz, summand-sign and monotonicity flags
-    follow from the same proof through the factored identities of the
-    module docstring, so each of them is that proof too.  Only Delta and
-    D are formed on the interior points of the power grid: the worst
-    discriminant is the largest D there, at its first grid point, and a
-    value that leaves the float64 range raises ValueError.
+    every split, and the corollaries of the module docstring hold with
+    it.  Only Delta and D are formed on the interior points of the power
+    grid: the worst discriminant is the largest D there, at its first
+    grid point, and a value that leaves the float64 range raises
+    ValueError.
     """
     count = int(grid)
     if count < 11:
@@ -535,8 +527,7 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
     columns = zip(forms.proven().tolist(), _classes(forms.n1, forms.n2, forms.d),
                   worst_disc.tolist(), ps[worst].tolist())
     return [ConvexityReport(certified=proof, classification=label,
-                            worst_discriminant=value, worst_p=split, grid=count,
-                            cauchy_schwarz_ok=proof, summands_ok=proof, monotonicity_ok=proof)
+                            worst_discriminant=value, worst_p=split, grid=count)
             for proof, label, value, split in columns]
 
 

@@ -129,12 +129,10 @@ def test_criterion_5_two_user_convexity_campaign():
                                   power_budget=float(rng.uniform(1.0, 100.0)))
             report = convexity_certificate(h1, h2, config, grid=101)
             assert report.certified
-            assert report.summands_ok
-            assert report.cauchy_schwarz_ok
-            assert report.monotonicity_ok
             assert report.worst_discriminant <= 1e-9
 
             for s in boundary_sweep(h1, h2, config, samples=101)[1:-1]:
+                assert s.deps1 < 0.0 < s.deps2
                 scale = (abs(s.ddeps2 * s.deps1) + abs(s.ddeps1 * s.deps2)) \
                     / abs(s.deps1) ** 3
                 assert s.g_double_prime >= -1e-9 * scale

@@ -110,6 +110,18 @@ def test_boundary_input_errors(tmp_path, ref_channels_file):
     assert proc.returncode == 2
 
 
+def test_boundary_range_error_names_sigma2_and_power(tmp_path):
+    # P/sigma^2 = 1 is in range: sigma^2 itself is what leaves it
+    out = tmp_path / "b.csv"
+    proc = run_cli("boundary", "--h1", "1+0i,0.3+0i", "--h2", "0.2+0i,1+0i", "--samples", "5",
+                   "--sigma2", "1e-110", "--power", "1e-110", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: boundary closed forms leave the float64 range at P/sigma^2 = 1 "
+        "(sigma^2 = 1e-110, P = 1e-110)"]
+    assert not out.exists()
+
+
 def test_convexity_scan_reproducible(tmp_path):
     out1, out2 = tmp_path / "scan1.json", tmp_path / "scan2.json"
     args = ("convexity-scan", "--trials", "5", "--dim", "3", "--grid", "21",
