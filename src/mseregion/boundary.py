@@ -52,15 +52,18 @@ labelled affine where d <= COLINEARITY_RTOL n1 n2.  The paper's
 Cauchy-Schwarz, summand-sign and monotonicity corollaries follow from
 the same d >= 0 through factored identities, which
 `test_factored_identities_hold_in_exact_arithmetic` checks in exact
-rational arithmetic; the K-user kernel `model.resolvent_grams` is the
+rational arithmetic; the single-split readers' guards only detect X^{-2}
+values that left the normal float64 range, where the closed forms lose
+their accuracy.  The K-user kernel `model.resolvent_grams` is the
 oracle for the closed forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
 one factor at a time, and g'' = D / eps1'^3 is formed as (2 d W /
 sigma^2) (Delta / E1)^3, with W = P n1 n2 + sigma^2 (n1 + n2); where a
 value still leaves the float64 range (from P/sigma^2 ~ 1e153 for
-unit-variance channel entries) every evaluation raises ValueError, with
-numpy's overflow and invalid-value warnings silenced.
+unit-variance channel entries, and from sigma^2 ~ 1.3e154, where sigma^4
+overflows) every evaluation raises ValueError, with numpy's overflow and
+invalid-value warnings silenced.
 """
 
 from __future__ import annotations
@@ -236,7 +239,7 @@ def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
 
 
 def _cs_holds(lhs, rhs):
-    """lhs <= rhs up to rounding, the one Cauchy-Schwarz comparison: relative
+    """lhs <= rhs up to rounding, the X^{-2} Cauchy-Schwarz guard: relative
     slack, as the X^{-2} Gram entries scale like |h|^4 / sigma^8, plus an absolute one."""
     return lhs <= rhs * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL
 
@@ -259,7 +262,9 @@ class _ClosedForms:
     __slots__ = ("sig2", "budget", "snr", "floor", "p", "q", "n1", "n2", "c", "d", "den")
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
-        self.sig2, self.budget, self.snr = config.noise_variance, config.power_budget, config.snr
+        # a numpy scalar, so sigma^4 past the float64 range is inf, not OverflowError
+        self.sig2 = np.float64(config.noise_variance)
+        self.budget, self.snr = config.power_budget, config.snr
         self.floor = (_DET_ROUNDING * pairs.shape[1]) ** 2
         self.n1, self.n2, self.c, self.d = (v[:, None] for v in _pair_scalars(pairs))
         self.p, self.q = ps, self.budget - ps
@@ -385,14 +390,15 @@ def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
 
 
 def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
-    """Evaluate all coupling quantities at power split p; validates the
-    Cauchy-Schwarz invariants of both Gram matrices on the way out."""
+    """Evaluate all coupling quantities at power split p.  Cauchy-Schwarz
+    holds by the factored identities of the module docstring; the guards
+    raise ArithmeticError where the X^{-2} entries or |b12|^2 leave the
+    normal float64 range (a zero diagonal, or |b12|^2 > b11 b22 beyond
+    rounding)."""
     data = _SweepData(_pair(h1, h2), config, _split(config, p))
     bundle = CouplingBundle(*(getattr(data, f.name)[0, 0].item() for f in fields(CouplingBundle)))
     if min(bundle.a11, bundle.a22, bundle.b11, bundle.b22) <= 0.0:
         raise ArithmeticError("diagonal quadratic forms must be positive")
-    if not _cs_holds(data.absa12sq[0, 0], bundle.a11 * bundle.a22):
-        raise ArithmeticError("Cauchy-Schwarz violated for the X^{-1} Gram matrix")
     if not _cs_holds(data.absb12sq[0, 0], bundle.b11 * bundle.b22):
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
     return bundle
@@ -436,8 +442,9 @@ def g_derivatives(h1, h2, config: SystemConfig, p: float):
 
 def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
     """a12/a11 and b21/b22 at split p, from the closed forms of the module
-    docstring, plus their real product, which is checked to be real with
-    Re <= 1 + 1e-10."""
+    docstring, plus their product's real part: real and at most 1 by the
+    factored identities, so an imaginary part or excess above 1e-10 means
+    b12 or b22 fell below the normal float64 range (ArithmeticError)."""
     data = _SweepData(_pair(h1, h2), config, _split(config, p))
     a11, a12, b22, b12 = (v[0, 0].item() for v in (data.a11, data.a12, data.b22, data.b12))
     ratio_a, ratio_b = a12 / a11, b12.conjugate() / b22

@@ -9,10 +9,11 @@ three-user instance end to end.
 Exit codes: 0 success or no witness, 2 input error, 3 nonconvexity
 witness (and `counterexample` uses 1 when any reference check fails).
 Every JSON report embeds a manifest (`_report`) with the command, its
-options as parsed except --out, --threads and --seed, the resolved
-seed, tolerances, assumed noise variance, and tool version.  The CSV
-sidecar manifests list their inputs by hand: `region` its mode and
-resolution or count, `counterexample --region-csv` the CSV and grid.
+options as parsed except --out, --threads and --seed, the seed (0 for
+`segment`, which draws none), tolerances, assumed noise variance, and
+tool version.  The CSV sidecar manifests list their inputs by hand:
+`region` its mode and resolution or count, `counterexample --region-csv`
+the CSV and grid.
 Outputs are byte-identical across reruns and across --threads settings.
 """
 
@@ -41,8 +42,6 @@ from .region import sample_region, segment_test
 
 __all__ = ["main"]
 
-_SEED_ENV = "MSEREGION_SEED"
-
 
 def _parse_complex_list(text: str) -> np.ndarray:
     """Comma-separated scalars in "re+imi" form, e.g. "1+2i,0,3-1i"."""
@@ -65,18 +64,6 @@ def _parse_float_list(text: str) -> np.ndarray:
         raise ValueError(f"cannot parse {text!r} as a comma-separated float list") from err
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as err:
-            raise ValueError(f"{_SEED_ENV} must be an integer, got {env!r}") from err
-    return 0
-
-
 def _config(args) -> SystemConfig:
     return SystemConfig(noise_variance=args.sigma2, power_budget=args.power)
 
@@ -95,7 +82,7 @@ def _report(args, seed, config, body: dict, **parsed) -> None:
     """Write a JSON report: `body` under the manifest of this run.
 
     The manifest's inputs are the command's options as parsed, except
-    --out, --threads and --seed (the resolved seed has its own field);
+    --out, --threads and --seed (the seed has its own field);
     `parsed` gives the values that replace an option's text, such as the
     weight vector of --weights.  The report goes to --out, else stdout.
     """
@@ -173,13 +160,12 @@ def cmd_convexity_scan(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     config = _config(args)
-    seed = _resolve_seed(args)
-    pairs = _scan_pairs(np.random.default_rng(seed), args.trials, args.dim, args.colinear)
+    pairs = _scan_pairs(np.random.default_rng(args.seed), args.trials, args.dim, args.colinear)
     reports = convexity_certificates(pairs, config, grid=args.grid)
     discriminants = [report.worst_discriminant for report in reports]
     worst_trial = int(np.argmax(discriminants))
     all_certified = all(report.certified for report in reports)
-    _report(args, seed, config, {
+    _report(args, args.seed, config, {
         "all_certified": all_certified,
         "worst_discriminant": discriminants[worst_trial],
         "worst_trial": worst_trial,
@@ -191,8 +177,7 @@ def cmd_convexity_scan(args) -> int:
 def cmd_counterexample(args) -> int:
     if (args.region_csv is None) != (args.grid is None):
         raise ValueError("--region-csv and --grid must be given together")
-    seed = _resolve_seed(args)
-    report = counterexample_suite(starts=args.starts, seed=seed)
+    report = counterexample_suite(starts=args.starts, seed=args.seed)
     config = SystemConfig(noise_variance=kkt.REFERENCE_NOISE_VARIANCE,
                           power_budget=kkt.REFERENCE_POWER_BUDGET)
     if args.region_csv is not None:
@@ -200,9 +185,10 @@ def cmd_counterexample(args) -> int:
         write_region_csv(args.region_csv, samples)
         write_json(
             args.region_csv + ".manifest.json",
-            manifest("counterexample", {"region_csv": args.region_csv, "grid": args.grid}, seed, config),
+            manifest("counterexample", {"region_csv": args.region_csv, "grid": args.grid},
+                     args.seed, config),
         )
-    _report(args, seed, config, {
+    _report(args, args.seed, config, {
         "sigma2_assumed": report.sigma2_assumed,
         "all_passed": report.all_passed,
         "checks": report.checks,
@@ -216,9 +202,9 @@ def cmd_wsmse(args) -> int:
     channels = load_channels(args.channels)
     weights = _parse_float_list(args.weights)
     config = _config(args)
-    seed = _resolve_seed(args)
-    clusters = enumerate_stationary_points(channels, config, weights, starts=args.starts, seed=seed)
-    _report(args, seed, config, {"cluster_count": len(clusters), "clusters": clusters},
+    clusters = enumerate_stationary_points(channels, config, weights, starts=args.starts,
+                                           seed=args.seed)
+    _report(args, args.seed, config, {"cluster_count": len(clusters), "clusters": clusters},
             weights=weights)
     return 0
 
@@ -229,24 +215,24 @@ def cmd_segment(args) -> int:
     vec_b = _parse_float_list(args.b)
     config = _config(args)
     report = segment_test(channels, config, vec_a, vec_b, steps=args.steps)
-    _report(args, _resolve_seed(args), config, _segment_block(report), a=vec_a, b=vec_b)
+    # segment draws no random numbers; its manifest records seed 0
+    _report(args, 0, config, _segment_block(report), a=vec_a, b=vec_b)
     return 3 if report.nonconvex_witness else 0
 
 
 def cmd_region(args) -> int:
     channels = load_channels(args.channels)
     config = _config(args)
-    seed = _resolve_seed(args)
     if args.grid is not None:
         samples = sample_region(channels, config, args.grid, mode="grid")
         inputs = {"channels": args.channels, "mode": "grid", "resolution": args.grid,
                   "power": config.power_budget, "sigma2": config.noise_variance}
     else:
-        samples = sample_region(channels, config, args.random, mode="random", seed=seed)
+        samples = sample_region(channels, config, args.random, mode="random", seed=args.seed)
         inputs = {"channels": args.channels, "mode": "random", "count": args.random,
                   "power": config.power_budget, "sigma2": config.noise_variance}
     write_region_csv(args.out, samples)
-    write_json(args.out + ".manifest.json", manifest("region", inputs, seed, config))
+    write_json(args.out + ".manifest.json", manifest("region", inputs, args.seed, config))
     print(f"wrote {samples.powers.shape[0]} rows to {args.out}", file=sys.stderr)
     return 0
 
@@ -261,8 +247,7 @@ def _add_common(parser, config: bool = True, seed: bool = True) -> None:
                         help="accepted for compatibility; has no effect (multistart "
                              "solves run as one batch) and never changes output bytes")
     if seed:
-        parser.add_argument("--seed", type=int, default=None,
-                            help=f"RNG seed (default: ${_SEED_ENV} or 0)")
+        parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:

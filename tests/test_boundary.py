@@ -277,16 +277,46 @@ def test_g_derivatives_are_the_sweep_values():
 
 def test_low_noise_pairs_keep_cauchy_schwarz_and_convexity():
     # sigma^2 = 1e-3, P = 0.02: the X^{-2} Gram entries reach |h|^4 / sigma^8,
-    # far above the absolute Cauchy-Schwarz slack, and scalar or colinear
-    # pairs hold Cauchy-Schwarz with equality
+    # and scalar or colinear pairs hold Cauchy-Schwarz with equality, so
+    # both Gram inequalities are asserted with a relative slack only
     config = SystemConfig(noise_variance=1e-3, power_budget=0.02)
     splits = np.linspace(0.0, config.power_budget, 11)[1:-1]
     for dim, colinear in ((1, False), (4, True)):
         pairs = _scan_pairs(np.random.default_rng(1), 200, dim, colinear)
         for h1, h2 in zip(pairs[:, :, 0], pairs[:, :, 1]):
             for p in splits:
-                coupling_bundle(h1, h2, config, p)
+                b = coupling_bundle(h1, h2, config, p)
+                assert abs(b.a12) ** 2 <= b.a11 * b.a22 * (1.0 + 1e-12), (dim, p)
+                assert abs(b.b12) ** 2 <= b.b11 * b.b22 * (1.0 + 1e-12), (dim, p)
                 assert g_derivatives(h1, h2, config, p)[1] >= 0.0, (dim, p)
+
+
+@pytest.mark.parametrize("h1, h2, sig2, budget, reader, message", [
+    # sigma^4 n1 and sigma^4 n2 are subnormal: b11 and b22 keep 5 digits
+    (1e-10, 5e-11, 1e-150, 1e-60, coupling_bundle, r"Cauchy-Schwarz violated for the X\^\{-2\}"),
+    (1e-10, 5e-11, 1e-150, 1e-60, closed_form_ratios, "ratio product .* exceeds 1"),
+    # b11, b22 and b12 are subnormal
+    (1e-10, 5e-11 + 3e-11j, 1e150, 1e150, closed_form_ratios, "ratio product has imaginary part"),
+    # b11 and b22 underflow to 0
+    (1e-20, 5e-21, 1e-150, 1e-60, coupling_bundle, "diagonal quadratic forms must be positive"),
+], ids=["cauchy-schwarz", "product", "imaginary", "positivity"])
+def test_reader_guards_fire_where_the_x2_closed_forms_lose_accuracy(h1, h2, sig2, budget,
+                                                                     reader, message):
+    # the sweep's finiteness check passes at these one-antenna pairs, yet
+    # b11 and b22 are off by more than 1e-6 against 60-digit closed forms
+    # from the same inputs: the readers' float-range guards report it
+    h1, h2 = np.array([h1], dtype=complex), np.array([h2], dtype=complex)
+    config = SystemConfig(noise_variance=sig2, power_budget=budget)
+    with pytest.raises(ArithmeticError, match=message):
+        reader(h1, h2, config, budget / 2)
+    data = boundary._SweepData(boundary._pair(h1, h2), config, np.array([budget / 2]))
+    with mpmath.workdps(60):
+        n1, n2 = abs(mpmath.mpc(h1[0])) ** 2, abs(mpmath.mpc(h2[0])) ** 2
+        split = mpmath.mpf(budget) / 2
+        (_, _, b11, b22, *_), _ = _exact_grams(n1, n2, n1 * n2, mpmath.mpf(sig2),
+                                               mpmath.mpf(budget), split)
+        errors = [abs(got[0, 0] - want) / want for got, want in ((data.b11, b11), (data.b22, b22))]
+    assert max(errors) > 1e-6, errors
 
 
 def test_colinearity_classification():

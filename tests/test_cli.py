@@ -31,14 +31,9 @@ from helpers import reference_region_csv
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
 
 
-def run_cli(*args, env_extra=None, drop_env=()):
-    env = dict(os.environ)
-    for key in drop_env:
-        env.pop(key, None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "mseregion", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -119,6 +114,23 @@ def test_boundary_range_error_names_sigma2_and_power(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: boundary closed forms leave the float64 range at P/sigma^2 = 1 "
         "(sigma^2 = 1e-110, P = 1e-110)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convexity-scan", "--trials", "3", "--sigma2", "1e160", "--power", "1e160"],
+    ["boundary", "--h1", "1+0i,0.3+0i", "--h2", "0.2+0i,1+0i", "--sigma2", "1e155",
+     "--power", "1e155"],
+], ids=["convexity-scan", "boundary"])
+def test_sigma4_past_the_float64_range_is_an_input_error(tmp_path, argv):
+    # sigma^4 overflows: the one range error line, not an OverflowError traceback
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 2
+    sig2 = argv[argv.index("--sigma2") + 1]
+    assert proc.stderr.splitlines() == [
+        "error: boundary closed forms leave the float64 range at P/sigma^2 = 1 "
+        f"(sigma^2 = {float(sig2):g}, P = {float(sig2):g})"]
     assert not out.exists()
 
 
@@ -446,12 +458,10 @@ def test_region_cli_oversize_grid(tmp_path, ref_channels_file):
      {"channels": "{ref}", "a": [0.21389147, 0.13652377, 1.0],
       "b": [1.0, 0.19774107, 0.23353177], "steps": 1, "power": 20.0, "sigma2": 1.0}),
 ], ids=["convexity-scan", "counterexample-region-csv", "counterexample", "wsmse", "segment"])
-def test_json_report_inputs_are_the_parsed_options(monkeypatch, tmp_path, ref_channels_file,
-                                                  argv, expected):
+def test_json_report_inputs_are_the_parsed_options(tmp_path, ref_channels_file, argv, expected):
     """A JSON report's manifest inputs are exactly its command's options as
     parsed, with --weights, --a and --b as numbers; --out, --threads and
-    --seed are not inputs, the resolved seed has its own field."""
-    monkeypatch.delenv("MSEREGION_SEED", raising=False)
+    --seed are not inputs, the seed has its own field."""
     def fill(value):
         if isinstance(value, str):
             return value.replace("{d}", str(tmp_path)).replace("{ref}", ref_channels_file)
@@ -468,20 +478,6 @@ def test_json_report_inputs_are_the_parsed_options(monkeypatch, tmp_path, ref_ch
     assert block["seed"] == (5 if "--seed" in argv else 0)
 
 
-def test_seed_env_fallback(tmp_path, ref_channels_file):
-    def manifest_seed(name, *extra, **kw):
-        out = tmp_path / name
-        proc = run_cli("region", "--channels", ref_channels_file, "--random", "5",
-                       "--out", str(out), *extra, **kw)
-        assert proc.returncode == 0
-        return json.loads((tmp_path / (name + ".manifest.json")).read_text(encoding="utf-8"))["seed"]
-
-    assert manifest_seed("env.csv", env_extra={"MSEREGION_SEED": "9"}) == 9
-    assert manifest_seed("flag.csv", "--seed", "3",
-                         env_extra={"MSEREGION_SEED": "9"}) == 3
-    assert manifest_seed("none.csv", drop_env=("MSEREGION_SEED",)) == 0
-
-
 def test_version_and_missing_subcommand():
     proc = run_cli("--version")
     assert proc.returncode == 0
@@ -496,7 +492,6 @@ def test_main_reuses_one_parser_and_leaks_nothing(monkeypatch, tmp_path, ref_cha
     real_build = cli.build_parser
     builds = []
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
-    monkeypatch.delenv("MSEREGION_SEED", raising=False)
     cli._parser.cache_clear()
     work = tmp_path / "work"
     work.mkdir()
@@ -530,7 +525,7 @@ def test_main_reuses_one_parser_and_leaks_nothing(monkeypatch, tmp_path, ref_cha
             except SystemExit as exit_:
                 rc = exit_.code or 0
         results.append((rc, out.getvalue(), err.getvalue(), outputs()))
-        proc = run_cli(*argv, drop_env=("MSEREGION_SEED",))
+        proc = run_cli(*argv)
         assert results[-1] == (proc.returncode, proc.stdout, proc.stderr, outputs()), argv
     assert len(builds) == 1
     assert [rc for rc, *_ in results] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]

@@ -518,7 +518,6 @@ def test_json_text_matches_json_dumps_on_command_payloads(monkeypatch, tmp_path)
         write_json(path, payload)
 
     monkeypatch.setattr(cli, "write_json", capture)
-    monkeypatch.delenv("MSEREGION_SEED", raising=False)
     channels = str(tmp_path / "reference.json")
     save_channels(channels, kkt.REFERENCE_CHANNELS)
     out = str(tmp_path / "out.json")
