@@ -394,12 +394,19 @@ def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     holds by the factored identities of the module docstring; the guards
     raise ArithmeticError where the X^{-2} entries or |b12|^2 leave the
     normal float64 range (a zero diagonal, or |b12|^2 > b11 b22 beyond
-    rounding)."""
+    rounding).  Where only |b12|^2 overflows, |b12| is held against
+    sqrt(b11 b22) instead."""
     data = _SweepData(_pair(h1, h2), config, _split(config, p))
     bundle = CouplingBundle(*(getattr(data, f.name)[0, 0].item() for f in fields(CouplingBundle)))
     if min(bundle.a11, bundle.a22, bundle.b11, bundle.b22) <= 0.0:
         raise ArithmeticError("diagonal quadratic forms must be positive")
-    if not _cs_holds(data.absb12sq[0, 0], bundle.b11 * bundle.b22):
+    b12sq, product = data.absb12sq[0, 0], bundle.b11 * bundle.b22
+    if not np.isfinite(b12sq) and np.isfinite(bundle.b12) and np.isfinite(product):
+        # |c|^2 beta^2 left the float range where b12 = c beta did not
+        held = abs(bundle.b12) <= np.sqrt(product * (1.0 + 1e-12))
+    else:
+        held = _cs_holds(b12sq, product)
+    if not held:
         raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
     return bundle
 

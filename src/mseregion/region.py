@@ -6,14 +6,17 @@ Membership is decided exactly from the margin s* = min_p max_k (eps_k - t_k).
 With MMSE receivers eps_k <= tau_k is SINR_k >= gamma_k = 1/tau_k - 1, and
 the least powers meeting SINR targets are the fixed point p*(gamma) of the
 standard interference function I_k(p) = gamma_k eps_k / a_kk (Yates, IEEE
-JSAC 1995; it does not depend on p_k).  Every allocation meeting the
-targets lies above p*, so s* is the root of the decreasing
-F(s) = sum p*(gamma(t + s)) - P; users with t_k + s >= 1 stay silent.
-`_solve` takes a stack of targets in lockstep, one kernel call per round
-for all of them: p* by Newton on p - I(p), s* by a safeguarded Newton on
-1/sum p* - 1/P over the bracket (-min t, max(1 - t)).  The witness is p* at
-the feasible end of the bracket, so it spends at most P, and the margin is
-max_k (eps_k - t_k) at the witness itself.
+JSAC 1995).  So at s* the allocation p*(t + s*) spends the whole budget,
+users with t_k + s* < 1 meet t_k + s* exactly, and the others are silent.
+`_solve` finds that point by Newton on G(p, s) = [eps(p) - t - s; sum p - P],
+whose Jacobian [[J, -1], [1^T, 0]] takes J from the kernel: one kernel call
+per round for a whole stack of targets in lockstep, plus one batched
+(K+1) x (K+1) solve.  Every iterate tightens a bracket lo <= s* <= margin.
+One that spends at most P is a witness of its own max_k (eps_k - t_k),
+the reported margin.  One that spends at least P proves s* >= the least
+eps_k - t_k of its transmitting users: below that level it is a strict
+subsolution (p <= I(p), strictly where p_k > 0), so p* lies above it and
+spends more than P.  The verdict is converged when the bracket closes.
 
 `segment_test` applies the membership test along the chord between two
 achievable tuples; an interior point that fails membership is a direct
@@ -48,23 +51,28 @@ __all__ = [
 # hard cap on grid-mode sample counts; beyond this, use random mode
 GRID_LIMIT = 10_000_000
 
-# A membership solve tries at most _MAX_ROUNDS values of s per target and
-# _MAX_STEPS Newton steps per p*; either cap leaves it unconverged.  It
-# ends once the bracket on s, or the Newton step on s from its feasible
-# end, is within _S_TOL (MSE units: far below TOL_MEMBER, a few ulps of 1).
+# A membership solve takes at most _MAX_ROUNDS Newton steps per target and
+# ends once its bracket on s is within _S_TOL (MSE units: far below
+# TOL_MEMBER, a few ulps of 1); the cap leaves it unconverged.  eps_k is
+# convex and decreasing in p_k, so a linearised cut overshoots: a step
+# leaves a transmitting user at least _SHRINK of its power unless the user
+# goes silent.  Up to _NUDGES one-ulp moves carry a new iterate's float sum
+# across P (see `_solve`).
 _MAX_ROUNDS = 64
-_MAX_STEPS = 32
 _S_TOL = 1e-14
+_SHRINK = 0.25
+_NUDGES = 8
 
 
 @dataclass(frozen=True, eq=False)
 class MembershipVerdict:
     """Exact margin, its witness and how the solve went.
 
-    `rounds` counts the values of s tried and `kernel_calls` the kernel
-    evaluations of this target.  `converged` is False when the bracket on
-    s did not close or an inner solve for p* hit its cap; the margin is
-    the witness's own either way.
+    `witness_powers` is the best iterate that spends at most P, and
+    `margin` its own max_k (eps_k - t_k).  `rounds` counts the Newton
+    iterations and `kernel_calls` the kernel evaluations of this target
+    (one per iteration).  `converged` is True when the proven bracket on
+    s* closed within the round cap.
     """
 
     target: np.ndarray
@@ -100,104 +108,72 @@ class RegionSampleSet:
     seed: Optional[int]
 
 
-def _newton(gram, eps, tgt, s, powers):
-    """Row by row, for the SINR targets of t + s at `powers`: I(p), dp*/ds,
-    the Newton step on p - I(p), its size, and whether p + step is >= 0.
-
-    The step solves (1 - M) d = I(p) - p with M[k, j] = gamma_k |a_kj|^2 /
-    a_kk^2 (j != k), and dp*/ds = -(1 - M)^{-1} (eps / a) / tau^2 at p*.
-    """
-    users = np.arange(tgt.shape[1])
-    tau = tgt + s[:, None]
-    gamma = np.where(tau < 1.0, 1.0 / tau - 1.0, 0.0)
-    diag = gram[:, users, users].real
-    inv_c = eps / diag
-    interf = gamma * inv_c
-    coupling = (gram.real ** 2 + gram.imag ** 2) * (gamma / diag ** 2)[:, :, None]
-    coupling[:, users, users] = 0.0
-    rhs = np.stack([interf - powers, np.where(tau <= 1.0, inv_c / tau ** 2, 0.0)], axis=-1)
-    sol = np.linalg.solve(np.eye(users.size) - coupling, rhs)
-    trial = np.where(interf > 0.0, powers + sol[..., 0], 0.0)
-    valid = np.isfinite(trial).all(axis=1) & (trial >= 0.0).all(axis=1)
-    return interf, -sol[..., 1], trial, np.abs(sol[..., 0]).max(axis=1), valid
-
-
 def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
     """Verdicts for a (B, K) stack of targets, solved in lockstep.
 
-    A live target holds a bracket lo < s* <= hi, the witness p*(hi), a
-    trial s and an iterate p.  p*(hi) is a subsolution (p <= I(p)) below
-    hi and p*(lo) a supersolution above lo.  As p - I(p) is convex, a
-    nonnegative Newton step lands on a supersolution, from where Newton
-    falls monotonically to p*; where it would not, p <- I(p) rises towards
-    p*, and a rise past P makes the trial infeasible.  An inner solve stops
-    when its step reaches the rounding of p through eps = 1 - p a, or stops
-    shrinking; the Gram matrices at p* then start the next trial.
+    Each target starts at p = P/K with the all-silent witness (margin
+    max(1 - t)) and lo = -min t (some tau_k = 0 is beyond any power).  A
+    user is held silent, its row replaced by p_k + dp_k = 0, once
+    1 - t_k <= lo proves it silent, or while it is at zero power and its
+    silent MSE meets the last Newton level.  A step that would take a
+    user's power to zero or below silences it if 1 - t_k <= margin;
+    otherwise no step leaves a user less than _SHRINK of its power.  The
+    iterate is then scaled back to the budget.  Where the float sum of an
+    iterate misses P, the next one is nudged to the other side, so that
+    both ends of the bracket keep moving once the steps fall below
+    rounding.
     """
     budget, (count, k) = config.power_budget, tgt.shape
     verdicts = [None] * count
     rows = np.arange(count)
-    lo = -tgt.min(axis=1)                        # some tau_k = 0: beyond any power
-    hi = (1.0 - tgt).max(axis=1)                 # every tau_k >= 1: all silent
-    trial_s, margin = hi.copy(), hi.copy()
-    powers, witness = np.zeros((count, k)), np.zeros((count, k))
-    sub, failed = np.zeros(count, bool), np.zeros(count, bool)
-    prev = np.full(count, np.inf)                # the last inner step taken
-    steps, rounds, calls = (np.zeros(count, int) for _ in range(3))
-    while rows.size:
-        gram, eps, _ = _mse_terms(chan.factor, powers, config.noise_variance)
-        calls += 1
-        steps += 1
-        interf, dpds, trial, step, valid = _newton(gram, eps, tgt, trial_s, powers)
-        floor = np.finfo(float).eps * powers.max(axis=1) / eps.min(axis=1)
-        found = ~sub & ((step <= floor) | (step >= prev))
-        over = sub & ~valid & (interf.sum(axis=1) > budget)
-        stuck = ~found & ~over & (steps >= _MAX_STEPS)
-        failed |= stuck
-        hold = over | stuck                      # trial ends without p*
-        closed = np.zeros(rows.size, bool)
-        if (found | hold).any():
-            ended = found | hold
-            total = powers.sum(axis=1)
-            feasible = found & (total <= budget)
-            lo = np.where(ended & ~feasible, trial_s, lo)
-            hi = np.where(feasible, trial_s, hi)
-            witness = np.where(feasible[:, None], powers, witness)
-            margin = np.where(feasible, (eps - tgt).max(axis=1), margin)
-            # Newton on 1/sum p* - 1/P, which stays feasible where it is
-            # convex; plain Newton on F from the all-silent start
-            with np.errstate(divide="ignore", invalid="ignore"):
-                move = np.where(total > 0.0, total * (1.0 - total / budget),
-                                budget - total) / dpds.sum(axis=1)
-            nxt = trial_s + move
-            nxt = np.where(found & (lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            closed = ended & ((hi - lo <= _S_TOL) | (feasible & (-move <= _S_TOL)))
-            rounds += ended
-            trial_s = np.where(ended, nxt, trial_s)
-            sub = np.where(ended, feasible | hold, sub)
-            powers = np.where(hold[:, None], witness, powers)
-            steps = np.where(ended, 0, steps)
-            interf, _, trial, step, valid = _newton(gram, eps, tgt, trial_s, powers)
-        take = ~hold & valid
-        walk = ~hold & sub & ~valid              # fixed-point step from a subsolution
-        reset = ~hold & ~sub & ~valid            # supersolution lost: restart at the witness
-        powers = np.where(take[:, None], trial, np.where(
-            walk[:, None], interf, np.where(reset[:, None], witness, powers)))
-        prev = np.where(take, step, np.inf)
-        sub = (sub & ~take) | reset
+    lo = -tgt.min(axis=1)
+    margin = level = (1.0 - tgt).max(axis=1)
+    powers, witness = np.full((count, k), budget / k), np.zeros((count, k))
+    rounds = np.zeros(count, int)
+    while True:
+        _, eps, jac = _mse_terms(chan.factor, powers, config.noise_variance)
+        rounds += 1
+        gap, total = eps - tgt, powers.sum(axis=1)
+        top = gap.max(axis=1)
+        better = (total <= budget) & (top < margin)
+        margin = np.where(better, top, margin)
+        witness = np.where(better[:, None], powers, witness)
+        least = np.where(powers > 0.0, gap, np.inf).min(axis=1)
+        lo = np.where(total >= budget, np.maximum(lo, least), lo)
+        closed = margin - lo <= _S_TOL
         done = closed | (rounds >= _MAX_ROUNDS)
         for i in np.flatnonzero(done):
             verdicts[rows[i]] = MembershipVerdict(
                 target=tgt[i], margin=float(margin[i]), witness_powers=witness[i],
-                dominated=bool(margin[i] <= TOL_MEMBER),
-                converged=bool(closed[i] and not failed[i]),
-                rounds=int(rounds[i]), kernel_calls=int(calls[i]))
+                dominated=bool(margin[i] <= TOL_MEMBER), converged=bool(closed[i]),
+                rounds=int(rounds[i]), kernel_calls=int(rounds[i]))
+        if done.all():
+            return verdicts
         if done.any():
             keep = ~done
-            (rows, tgt, lo, hi, trial_s, margin, powers, witness, sub, failed, prev, steps,
-             rounds, calls) = (a[keep] for a in (rows, tgt, lo, hi, trial_s, margin, powers,
-                                                 witness, sub, failed, prev, steps, rounds, calls))
-    return verdicts
+            rows, tgt, lo, margin, level, powers, witness, rounds, gap, jac, total = (
+                a[keep] for a in (rows, tgt, lo, margin, level, powers, witness, rounds,
+                                  gap, jac, total))
+        proven = 1.0 - tgt <= lo[:, None]
+        silent = proven | ((powers == 0.0) & (1.0 - tgt <= level[:, None]))
+        silent &= proven | ~silent.all(axis=1, keepdims=True)    # someone transmits
+        system = np.zeros((rows.size, k + 1, k + 1))
+        system[:, :k, :k] = np.where(silent[:, :, None], np.eye(k), jac)
+        system[:, :k, k] = np.where(silent, 0.0, -1.0)
+        system[:, k, :k] = 1.0
+        rhs = np.concatenate([np.where(silent, -powers, -gap), (budget - total)[:, None]], axis=1)
+        step = np.linalg.solve(system, rhs[..., None])[..., 0]
+        level, trial = step[:, k], powers + step[:, :k]
+        quiet = silent | ((trial <= 0.0) & (1.0 - tgt <= margin[:, None]))
+        powers = np.where(quiet, 0.0, np.maximum(trial, _SHRINK * powers))
+        powers *= budget / powers.sum(axis=1, keepdims=True)
+        side = np.sign(total - budget)
+        away = np.where(side > 0.0, -np.inf, np.inf)[:, None]
+        for _ in range(_NUDGES):
+            same = (side != 0.0) & (np.sign(powers.sum(axis=1) - budget) == side)
+            if not same.any():
+                break
+            powers = np.where(same[:, None] & (powers > 0.0), np.nextafter(powers, away), powers)
 
 
 def _target_stack(chan: ChannelSet, *targets) -> np.ndarray:

@@ -319,6 +319,30 @@ def test_reader_guards_fire_where_the_x2_closed_forms_lose_accuracy(h1, h2, sig2
     assert max(errors) > 1e-6, errors
 
 
+@pytest.mark.parametrize("h1, h2", [([1e-20], [5e-21]), ([1e-20, 0.0], [0.0, 5e-21])],
+                         ids=["colinear-inf", "orthogonal-nan"])
+def test_x2_cauchy_schwarz_guard_compares_unsquared_where_the_square_overflows(h1, h2):
+    # |b12|^2 = |c|^2 beta^2 is inf (or 0 * inf = nan for an orthogonal
+    # pair) while b12 = c beta, b11 and b22 are finite and hold
+    # Cauchy-Schwarz: the guard compares |b12| with sqrt(b11 b22), and the
+    # bundle is returned
+    h1, h2 = np.array(h1, dtype=complex), np.array(h2, dtype=complex)
+    config = SystemConfig(noise_variance=1e-100, power_budget=1e-55)
+    split = 1e-58
+    data = boundary._SweepData(boundary._pair(h1, h2), config, np.array([split]))
+    assert not np.isfinite(data.absb12sq[0, 0])
+    bundle = coupling_bundle(h1, h2, config, split)
+    with mpmath.workdps(60):
+        n1, n2 = (sum(abs(mpmath.mpc(x)) ** 2 for x in h) for h in (h1, h2))
+        csq = abs(sum(mpmath.conj(mpmath.mpc(x)) * mpmath.mpc(y) for x, y in zip(h1, h2))) ** 2
+        (_, _, b11, b22, _, _, absb12sq), _ = _exact_grams(
+            n1, n2, csq, mpmath.mpf(config.noise_variance),
+            mpmath.mpf(config.power_budget), mpmath.mpf(split))
+        for got, want in ((bundle.b11, b11), (bundle.b22, b22),
+                          (abs(bundle.b12), mpmath.sqrt(absb12sq))):
+            assert abs(got - want) <= 1e-12 * want
+
+
 def test_colinearity_classification():
     rng = np.random.default_rng(14)
     h1, h2 = random_pair(rng)

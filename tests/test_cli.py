@@ -341,10 +341,11 @@ def test_segment_json_writes_whole_verdicts(tmp_path, ref_channels_file):
 
 
 def test_segment_json_reports_unconverged_solves(monkeypatch, tmp_path, ref_channels_file):
-    # seven values of s put both endpoints within tol_member but close no
-    # bracket: every verdict reaches the JSON as unconverged, with a
+    # seven Newton steps put both endpoints within tol_member, and no bracket
+    # may close: every verdict reaches the JSON as unconverged, with a
     # witness that spends at most P and replays its margin
     monkeypatch.setattr(region, "_MAX_ROUNDS", 7)
+    monkeypatch.setattr(region, "_S_TOL", -1.0)
     out = tmp_path / "seg.json"
     assert cli.main(["segment", "--channels", ref_channels_file, *REF_CHORD,
                      "--steps", "1", "--out", str(out)]) == 3

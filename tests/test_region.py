@@ -2,6 +2,7 @@
 and the zero-power user embedding."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -179,6 +180,15 @@ def test_membership_counts_its_kernel_calls(monkeypatch):
     assert sum(rows) == sum(v.kernel_calls for v in verdicts)
 
 
+def test_reference_chord_takes_few_kernel_calls():
+    # one Newton system in (p, s): no verdict of the reference chord takes
+    # more than 16 kernel calls
+    report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=9)
+    verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
+    assert all(v.converged for v in verdicts)
+    assert max(v.kernel_calls for v in verdicts) <= 16
+
+
 def test_membership_batch_rows_are_single_solves():
     # lockstep rows do not see each other: a segment's verdicts are the
     # verdicts of its targets solved one at a time, bit for bit
@@ -191,7 +201,7 @@ def test_membership_batch_rows_are_single_solves():
 
 
 def test_membership_capped_solve_is_reported_unconverged(monkeypatch):
-    # two values of s cannot close the bracket: the verdict says so and
+    # two Newton steps cannot close the bracket: the verdict says so and
     # still holds a feasible witness whose margin replays
     target = [0.60695, 0.1671, 0.61675]
     monkeypatch.setattr(region, "_MAX_ROUNDS", 2)
@@ -203,28 +213,32 @@ def test_membership_capped_solve_is_reported_unconverged(monkeypatch):
     assert float((eps - verdict.target).max()) == verdict.margin
 
 
-@pytest.mark.parametrize("k", range(2, 7))
-def test_membership_oracle_campaign(k):
-    # N = 1..8 antennas; per instance a reachable target, the exact MSE
-    # tuple of a full-budget allocation (on the boundary), and a target
-    # that puts one user below its single-user floor
+def _oracle_campaign(k):
+    """(channels, config, targets, single-user floors) for N = 1..8 antennas;
+    the targets are a reachable one, the exact MSE tuple of a full-budget
+    allocation (on the boundary), and one that puts a user below its floor."""
     rng = np.random.default_rng(100 + k)
-    resolution = 1
-    while lattice_size(k, resolution + 1) <= 200_000:
-        resolution += 1
     for n in range(1, 9):
         channels = random_channels(rng, n, k)
         config = random_config(rng)
-        mat = channels.entries
         inner = random_powers(rng, k, config.power_budget)
         reachable = np.minimum(1.0, mse_tuple(channels, inner, config).values + 0.02)
         full = random_powers(rng, k, 1.0)
         tight = mse_tuple(channels, full * (config.power_budget / full.sum()), config).values
-        floor = 1.0 / (1.0 + config.snr * np.linalg.norm(mat, axis=0) ** 2)
+        floor = 1.0 / (1.0 + config.snr * np.linalg.norm(channels.entries, axis=0) ** 2)
         unreachable = reachable.copy()
         low = int(rng.integers(k))
         unreachable[low] = 0.5 * floor[low]
-        targets = [reachable, tight, unreachable]
+        yield channels, config, [reachable, tight, unreachable], floor
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_membership_oracle_campaign(k):
+    resolution = 1
+    while lattice_size(k, resolution + 1) <= 200_000:
+        resolution += 1
+    for channels, config, targets, floor in _oracle_campaign(k):
+        mat = channels.entries
         _, lattice_min = minimax_margin_oracle(channels, config, targets, resolution)
 
         verdicts = [dominated_membership(channels, config, t) for t in targets]
@@ -239,7 +253,25 @@ def test_membership_oracle_campaign(k):
             # margin <= TOL_MEMBER iff t + TOL_MEMBER is dominated
             for target, verdict in zip(targets, verdicts):
                 assert two_user_dominated(mat, config, target + TOL_MEMBER) == verdict.dominated
-        assert verdicts[2].margin >= float((floor - unreachable).max()) - 1e-12
+        assert verdicts[2].margin >= float((floor - targets[2]).max()) - 1e-12
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_full_budget_allocations_bound_the_margin_from_below(k):
+    # the stop rule's lower end: at any p >= 0 spending P, s* is at least the
+    # least eps_k - t_k of the users with p_k > 0, so that value never
+    # exceeds the margin of a verdict (an upper bound on s*); 200 random
+    # allocations per target, some with silent users
+    rng = np.random.default_rng([200, k])
+    for channels, config, targets, _ in _oracle_campaign(k):
+        raw = rng.exponential(size=(200, k)) * (rng.random((200, k)) < 0.7)
+        raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+        powers = raw * (config.power_budget / raw.sum(axis=1, keepdims=True))
+        eps = mse_tuples(channels, powers, config)
+        for target in targets:
+            least = np.where(powers > 0.0, eps - target, np.inf).min(axis=1)
+            margin = dominated_membership(channels, config, target).margin
+            assert least.max() <= margin + 1e-12, (channels.n_antennas, target)
 
 
 def test_membership_many_antennas_reachable_target():
@@ -259,12 +291,11 @@ def test_membership_many_antennas_reachable_target():
 @pytest.mark.parametrize("k", (3, 5, 8))
 def test_membership_high_snr_targets_of_known_allocations(k):
     # t = eps(p0) * {1.05, 1.001} for an interior p0, so p0 itself meets t
-    # with power to spare: every such target is dominated.  At N < K and
-    # high SNR the inner fixed-point solves may hit their cap, but the
-    # verdict must then say so rather than report a confident "not dominated"
-    rng = np.random.default_rng([7, k])
-    for n in (2, 8, 64):
-        for snr in (1e3, 1e5):
+    # with power to spare: every such target is dominated, and its bracket
+    # closes, at N < K too
+    for seed in (7, 8, 9):
+        rng = np.random.default_rng([seed, k])
+        for n, snr in itertools.product((2, 8, 64), (1e3, 1e5)):
             channels = random_channels(rng, n, k)
             config = SystemConfig(noise_variance=1.0, power_budget=snr)
             inner = mse_tuple(channels, random_powers(rng, k, snr), config).values
@@ -274,10 +305,7 @@ def test_membership_high_snr_targets_of_known_allocations(k):
                 assert verdict.witness_powers.sum() <= config.power_budget
                 replay = dense_mse(channels.entries, verdict.witness_powers, 1.0)
                 assert float((replay - target).max()) == pytest.approx(verdict.margin, abs=1e-9)
-                if n >= k:
-                    assert verdict.dominated and verdict.converged, (n, snr, scale)
-                else:
-                    assert verdict.dominated or not verdict.converged, (n, snr, scale)
+                assert verdict.dominated and verdict.converged, (seed, n, snr, scale)
 
 
 def test_membership_matches_bruteforce_oracle():
