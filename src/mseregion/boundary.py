@@ -52,10 +52,9 @@ labelled affine where d <= COLINEARITY_RTOL n1 n2.  The paper's
 Cauchy-Schwarz, summand-sign and monotonicity corollaries follow from
 the same d >= 0 through factored identities, which
 `test_factored_identities_hold_in_exact_arithmetic` checks in exact
-rational arithmetic; the single-split readers' guards only detect X^{-2}
-values that left the normal float64 range, where the closed forms lose
-their accuracy.  The K-user kernel `model.resolvent_grams` is the
-oracle for the closed forms.
+rational arithmetic, so the sweep and single-split readers re-check none
+of them.  The K-user kernel `model.resolvent_grams` is the oracle for
+the closed forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
 one factor at a time, and g'' = D / eps1'^3 is formed as (2 d W /
@@ -63,7 +62,11 @@ sigma^2) (Delta / E1)^3, with W = P n1 n2 + sigma^2 (n1 + n2); where a
 value still leaves the float64 range (from P/sigma^2 ~ 1e153 for
 unit-variance channel entries, and from sigma^2 ~ 1.3e154, where sigma^4
 overflows) every evaluation raises ValueError, with numpy's overflow and
-invalid-value warnings silenced.
+invalid-value warnings silenced.  The sweep and single-split readers
+also raise it where sigma^2 n_k, sigma^4 n_k, Delta, a11, a22, b11 or
+b22, all positive in exact arithmetic, falls below the smallest normal
+float64 and so has lost digits; terms that carry d, legitimately tiny
+for near-colinear pairs, are exempt.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SystemConfig, _checked_channels, _triangular_factor
-from .tolerances import CAUCHY_SCHWARZ_ATOL, COLINEARITY_RTOL
+from .tolerances import COLINEARITY_RTOL
 
 # d = |det R|^2 of N-antenna pairs is rounding below (4 N eps)^2 n1 n2: colinear
 # pairs (d = 0) reach 24 eps^2 n1 n2 at N = 2..32, random ones stay above
@@ -238,12 +241,6 @@ def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
     return _derivatives(*astuple(bundle), config.noise_variance, config.power_budget)
 
 
-def _cs_holds(lhs, rhs):
-    """lhs <= rhs up to rounding, the X^{-2} Cauchy-Schwarz guard: relative
-    slack, as the X^{-2} Gram entries scale like |h|^4 / sigma^8, plus an absolute one."""
-    return lhs <= rhs * (1.0 + 1e-12) + CAUCHY_SCHWARZ_ATOL
-
-
 def _quiet_overflow():
     """Closed forms evaluated past the float64 range give inf or nan
     silently; the finiteness checks report them."""
@@ -310,17 +307,18 @@ class _SweepData(_ClosedForms):
     The sweep and single-split readers' view: the Gram entries, the real
     couplings (through |c|^2, as in the module docstring), derivatives and
     D are formed once, a12, b12 and the MSEs when read.  Raises ValueError
-    where Delta, D or a derivative is not finite.
+    where Delta, D or a derivative is not finite, or where a value positive
+    in exact arithmetic is below the smallest normal float64.
     """
 
-    __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab", "absb12sq",
+    __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab",
                  "deps1", "deps2", "ddeps1", "ddeps2", "disc")
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
         with _quiet_overflow():
             super().__init__(pairs, config, ps)
             self.a11, self.a22, self.b11, self.b22 = self.grams()
-            self.absa12sq, self.re_ab, self.absb12sq = self.couplings()
+            self.absa12sq, self.re_ab = self.couplings()
             terms = (self.a11, self.a22, self.b11, self.b22, self.absa12sq, self.re_ab,
                      self.sig2, self.budget)
             self.deps1, self.deps2 = _slopes(self.b11, self.b22, self.absa12sq,
@@ -328,6 +326,13 @@ class _SweepData(_ClosedForms):
             self.ddeps1, self.ddeps2 = _curvatures(*terms)
             self.disc = self.discriminant()
             self.check(self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc)
+            # positive in exact arithmetic: below the smallest normal float64
+            # they have lost digits, and count as out of range
+            sig4 = self.sig2 ** 2
+            positive = (self.sig2 * self.n1, self.sig2 * self.n2, sig4 * self.n1, sig4 * self.n2,
+                        self.den, self.a11, self.a22, self.b11, self.b22)
+            tiny = np.finfo(float).tiny
+            self.check(*(np.where(value >= tiny, value, np.nan) for value in positive))
 
     def grams(self):
         """(a11, a22, b11, b22), the real diagonal Gram entries; the b
@@ -347,10 +352,10 @@ class _SweepData(_ClosedForms):
         return (self.sig2 ** 2 - self.p * self.q * self.d) / self.den / self.den
 
     def couplings(self):
-        """(|a12|^2, Re{a12 b21}, |b12|^2) through |c|^2."""
+        """(|a12|^2, Re{a12 b21}) through |c|^2."""
         csq = self.c.real ** 2 + self.c.imag ** 2
         alpha, beta = self.alpha(), self.beta()
-        return csq * alpha ** 2, csq * (alpha * beta), csq * beta ** 2
+        return csq * alpha ** 2, csq * (alpha * beta)
 
     @property
     def a12(self):
@@ -391,24 +396,11 @@ def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
 
 def coupling_bundle(h1, h2, config: SystemConfig, p: float) -> CouplingBundle:
     """Evaluate all coupling quantities at power split p.  Cauchy-Schwarz
-    holds by the factored identities of the module docstring; the guards
-    raise ArithmeticError where the X^{-2} entries or |b12|^2 leave the
-    normal float64 range (a zero diagonal, or |b12|^2 > b11 b22 beyond
-    rounding).  Where only |b12|^2 overflows, |b12| is held against
-    sqrt(b11 b22) instead."""
+    holds by the factored identities of the module docstring.  Raises the
+    sweep's ValueError where a closed form leaves the float64 range, which
+    includes a positive value falling below the smallest normal float64."""
     data = _SweepData(_pair(h1, h2), config, _split(config, p))
-    bundle = CouplingBundle(*(getattr(data, f.name)[0, 0].item() for f in fields(CouplingBundle)))
-    if min(bundle.a11, bundle.a22, bundle.b11, bundle.b22) <= 0.0:
-        raise ArithmeticError("diagonal quadratic forms must be positive")
-    b12sq, product = data.absb12sq[0, 0], bundle.b11 * bundle.b22
-    if not np.isfinite(b12sq) and np.isfinite(bundle.b12) and np.isfinite(product):
-        # |c|^2 beta^2 left the float range where b12 = c beta did not
-        held = abs(bundle.b12) <= np.sqrt(product * (1.0 + 1e-12))
-    else:
-        held = _cs_holds(b12sq, product)
-    if not held:
-        raise ArithmeticError("Cauchy-Schwarz violated for the X^{-2} Gram matrix")
-    return bundle
+    return CouplingBundle(*(getattr(data, f.name)[0, 0].item() for f in fields(CouplingBundle)))
 
 
 def mse_first_derivatives(bundle: CouplingBundle, config: SystemConfig):
@@ -449,19 +441,13 @@ def g_derivatives(h1, h2, config: SystemConfig, p: float):
 
 def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
     """a12/a11 and b21/b22 at split p, from the closed forms of the module
-    docstring, plus their product's real part: real and at most 1 by the
-    factored identities, so an imaginary part or excess above 1e-10 means
-    b12 or b22 fell below the normal float64 range (ArithmeticError)."""
+    docstring, plus their product's real part, which the factored
+    identities make the whole product and at most 1.  Raises the sweep's
+    ValueError where a closed form leaves the float64 range."""
     data = _SweepData(_pair(h1, h2), config, _split(config, p))
     a11, a12, b22, b12 = (v[0, 0].item() for v in (data.a11, data.a12, data.b22, data.b12))
     ratio_a, ratio_b = a12 / a11, b12.conjugate() / b22
-    product = ratio_a * ratio_b
-    if abs(product.imag) > 1e-10:
-        raise ArithmeticError(f"ratio product has imaginary part {product.imag}")
-    product_check = float(product.real)
-    if product_check > 1.0 + 1e-10:
-        raise ArithmeticError(f"ratio product {product_check} exceeds 1")
-    return ratio_a, ratio_b, product_check
+    return ratio_a, ratio_b, float((ratio_a * ratio_b).real)
 
 
 def colinearity_classify(h1, h2) -> BoundaryClass:

@@ -70,9 +70,8 @@ class MembershipVerdict:
 
     `witness_powers` is the best iterate that spends at most P, and
     `margin` its own max_k (eps_k - t_k).  `rounds` counts the Newton
-    iterations and `kernel_calls` the kernel evaluations of this target
-    (one per iteration).  `converged` is True when the proven bracket on
-    s* closed within the round cap.
+    iterations of this target, one kernel evaluation each.  `converged`
+    is True when the proven bracket on s* closed within the round cap.
     """
 
     target: np.ndarray
@@ -81,7 +80,6 @@ class MembershipVerdict:
     dominated: bool
     converged: bool
     rounds: int
-    kernel_calls: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +144,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
             verdicts[rows[i]] = MembershipVerdict(
                 target=tgt[i], margin=float(margin[i]), witness_powers=witness[i],
                 dominated=bool(margin[i] <= TOL_MEMBER), converged=bool(closed[i]),
-                rounds=int(rounds[i]), kernel_calls=int(rounds[i]))
+                rounds=int(rounds[i]))
         if done.all():
             return verdicts
         if done.any():

@@ -10,7 +10,6 @@ TOL_ACTIVE_REL = 1e-8      # active-set threshold in multiplier recovery, x budg
 TOL_KKT = 1e-7             # stationarity / complementarity residual bound
 TOL_MEMBER = 1e-6          # dominated-membership margin threshold (MSE units)
 COLINEARITY_RTOL = 1e-12   # Gram determinant threshold, x ||h1||^2 ||h2||^2
-CAUCHY_SCHWARZ_ATOL = 1e-10
 CLUSTER_REL_RADIUS = 1e-3  # stationary-point clustering radius, x budget
 PGD_TOL_REL = 1e-8         # projected-gradient stopping rule, x (1 + |objective|)
 

@@ -121,9 +121,13 @@ def test_boundary_range_error_names_sigma2_and_power(tmp_path):
     ["convexity-scan", "--trials", "3", "--sigma2", "1e160", "--power", "1e160"],
     ["boundary", "--h1", "1+0i,0.3+0i", "--h2", "0.2+0i,1+0i", "--sigma2", "1e155",
      "--power", "1e155"],
-], ids=["convexity-scan", "boundary"])
-def test_sigma4_past_the_float64_range_is_an_input_error(tmp_path, argv):
-    # sigma^4 overflows: the one range error line, not an OverflowError traceback
+    ["boundary", "--h1", "1e-10+0i", "--h2", "5e-11+3e-11i", "--sigma2", "1e150",
+     "--power", "1e150", "--samples", "5"],
+], ids=["convexity-scan", "boundary", "boundary-subnormal"])
+def test_closed_forms_past_the_float64_range_are_an_input_error(tmp_path, argv):
+    # sigma^4 overflows, or the X^{-2} entries of weak channels fall below
+    # the smallest normal float64: the one range error line, not an
+    # OverflowError traceback or silently wrong cells
     out = tmp_path / "out"
     proc = run_cli(*argv, "--out", str(out))
     assert proc.returncode == 2
@@ -315,8 +319,7 @@ def test_segment_cli_size_errors(ref_channels_file):
 
 
 # the fields of a membership verdict; a segment point adds its position t
-VERDICT_KEYS = {"target", "margin", "witness_powers", "dominated", "converged", "rounds",
-                "kernel_calls"}
+VERDICT_KEYS = {"target", "margin", "witness_powers", "dominated", "converged", "rounds"}
 REF_CHORD = ("--a", "0.21389147,0.13652377,1.0", "--b", "1.0,0.19774107,0.23353177")
 
 
@@ -335,7 +338,7 @@ def test_segment_json_writes_whole_verdicts(tmp_path, ref_channels_file):
             assert end["margin"] == margin
         for verdict in block["endpoints"] + block["points"]:
             assert verdict["converged"] is True
-            assert 1 <= verdict["rounds"] <= verdict["kernel_calls"]
+            assert verdict["rounds"] >= 1
         for pt in block["points"]:
             assert set(pt) == VERDICT_KEYS | {"t"}
 

@@ -296,7 +296,6 @@ def test_tolerance_table_is_every_constant_in_order():
         ("tol_kkt", 1e-7),
         ("tol_member", 1e-6),
         ("colinearity_rtol", 1e-12),
-        ("cauchy_schwarz_atol", 1e-10),
         ("cluster_rel_radius", 1e-3),
         ("pgd_tol_rel", 1e-8),
     ]

@@ -154,8 +154,8 @@ def test_membership_published_midpoint_outside():
 
 
 def test_membership_counts_its_kernel_calls(monkeypatch):
-    # each round evaluates every live target in one kernel call; a target
-    # counts the calls it took part in, so a batch of one counts them all
+    # each round evaluates every live target in one kernel call; a target's
+    # rounds are the calls it took part in, so a batch of one counts them all
     target = [0.60695, 0.1671, 0.61675]
     plain = dominated_membership(REF_H, REF_CONFIG, target)
     kernel = region._mse_terms
@@ -168,7 +168,7 @@ def test_membership_counts_its_kernel_calls(monkeypatch):
     monkeypatch.setattr(region, "_mse_terms", recorded)
     verdict = dominated_membership(REF_H, REF_CONFIG, target)
     assert verdict.converged
-    assert 1 <= verdict.rounds <= verdict.kernel_calls == len(rows)
+    assert 1 <= verdict.rounds == len(rows)
     for field in dataclasses.fields(verdict):
         got = np.asarray(getattr(verdict, field.name))
         assert got.tobytes() == np.asarray(getattr(plain, field.name)).tobytes()
@@ -176,17 +176,17 @@ def test_membership_counts_its_kernel_calls(monkeypatch):
     rows.clear()
     report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=3)
     verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
-    assert len(rows) == max(v.kernel_calls for v in verdicts)
-    assert sum(rows) == sum(v.kernel_calls for v in verdicts)
+    assert len(rows) == max(v.rounds for v in verdicts)
+    assert sum(rows) == sum(v.rounds for v in verdicts)
 
 
 def test_reference_chord_takes_few_kernel_calls():
     # one Newton system in (p, s): no verdict of the reference chord takes
-    # more than 16 kernel calls
+    # more than 16 rounds, one kernel call each
     report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=9)
     verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
     assert all(v.converged for v in verdicts)
-    assert max(v.kernel_calls for v in verdicts) <= 16
+    assert max(v.rounds for v in verdicts) <= 16
 
 
 def test_membership_batch_rows_are_single_solves():
