@@ -437,18 +437,25 @@ _LEAVES = st.one_of(
     st.sampled_from(list(_Plain) + list(_Label) + list(_Level)),
 )
 _KEYS = st.one_of(_STRINGS, st.integers(-20, 20), st.sampled_from(list(_Plain) + list(_Label) + list(_Level)))
-_PAYLOADS = st.recursive(
-    _LEAVES,
-    lambda children: st.one_of(
+
+
+def _containers(children):
+    records = [st.builds(_Node, children, children, children),
+               st.builds(_Leaf, children, _STRINGS),
+               st.builds(_Child, children, _STRINGS, children)]
+    # 2-6 records of one class: from io._MIN_RECORDS on, the writer's template path
+    runs = [st.lists(record, min_size=2, max_size=6) for record in records]
+    return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_KEYS, children, max_size=4),
-        st.builds(_Node, children, children, children),
-        st.builds(_Leaf, children, _STRINGS),
-        st.builds(_Child, children, _STRINGS, children),
-    ),
-    max_leaves=24,
-)
+        *records,
+        *runs,
+        *[run.map(tuple) for run in runs],
+    )
+
+
+_PAYLOADS = st.recursive(_LEAVES, _containers, max_leaves=24)
 
 
 @settings(deadline=None, max_examples=400)
@@ -493,6 +500,81 @@ def test_json_text_edge_values():
                        "enums": list(_Plain) + list(_Label) + list(_Level)})
     assert json_text(float("nan")) == "NaN\n"
     assert json_text([]) == "[]\n" and json_text({}) == "{}\n"
+
+
+class _Unhashable(enum.Enum):      # __eq__ without __hash__: members are unhashable
+    A = 1
+    B = 2
+
+    def __eq__(self, other):
+        return self is other
+
+
+# Field columns of a record sequence, each at least io._MIN_RECORDS long
+# (the fewest records that take the writer's template).  Values that
+# compare equal, such as -0.0 and 0.0 or True, 1, 1.0 and _Level.LOW, must
+# still be written each as itself: a writer that reuses a float's or a
+# mixed column's text by value fails here.
+_COLUMNS = {
+    "floats": [0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 1e308],
+    "finite floats": [-0.0, 0.0, 0.1, 1e16],
+    "mixed": [-0.0, 0.0, -0j, 0j, math.nan, math.inf, -math.inf, 5e-324,
+              np.float64(-0.0), np.float64(0.0), np.float32(0.1), np.complex128(-0j), np.complex128(0j),
+              True, 1, 1.0, _Level.LOW, _Label.QUOTE, _Label.ACCENT, "say \"hi\"\\", None,
+              np.array([-0.0, 1j]), np.arange(3), _Leaf(-0.0, "inner"), [_Leaf(0.0), _Leaf(-0.0)],
+              _Node(_Child(-0j), None, [True, 1])],
+    "bools": [True, False, True, True],
+    "bools and ints": [True, 1, False, 0, 1, True, None, None],
+    "ints": [1, 2 ** 80, 1, 0, -1],
+    "levels": [_Level.LOW, _Level.HUGE, _Level.LOW, _Level.LOW],
+    "labels": [_Label.QUOTE, _Label.ACCENT, _Label.QUOTE, _Label.ACCENT],
+    "plain": [_Plain.FRACTION, _Plain.COUNTS, _Plain.FRACTION, _Plain.PAIR],
+    "unhashable": [_Unhashable.A, _Unhashable.B, _Unhashable.A, _Unhashable.A],
+    "strings": ["a", "é", "a", ""],
+    "nones": [None, None, None, None],
+    "numpy floats": [np.float64(-0.0), np.float64(0.0), np.float64(math.nan), np.float32(-0.0)],
+    "complex": [-0j, 0j, complex(-0.0, -0.0), 1 - 2j],
+}
+
+
+@pytest.mark.parametrize("column", list(_COLUMNS))
+def test_record_sequences_match_json_dumps(monkeypatch, column):
+    written = []
+    records = io_module._records
+    monkeypatch.setattr(io_module, "_records", lambda *args: written.append(args) or records(*args))
+    values = _COLUMNS[column]
+    assert len(values) >= io_module._MIN_RECORDS
+    leaves = [_Leaf(v, f"leaf {i}") for i, v in enumerate(values)]
+    nodes = [_Node(v, w, [v]) for v, w in zip(values, values[::-1])]
+    children = [_Child(v, "child", {"v": v}) for v in values]
+    for run in (leaves, nodes, children):
+        _assert_same_text(run)
+        # two records are written one at a time, the full run through the template
+        _assert_same_text({"run": tuple(run), "nested": [run, run[:2]]})
+    assert written
+    # a _Child is not a _Leaf: a sequence of both must not share _Leaf's template
+    _assert_same_text([leaves[0], children[0], *leaves[1:]])
+    _assert_same_text(tuple(children[:1] + leaves))
+
+
+@dataclass(frozen=True)
+class _Length(float):             # a dataclass that is a float: written as the float
+    unit: str = "m"
+
+
+def test_record_sequences_of_a_leaf_type_are_written_as_leaves():
+    lengths = [_Length(v) for v in (0.5, -0.0, math.nan, 2.0, 1e300)]
+    assert json_text(lengths[0]) == "0.5\n"
+    _assert_same_text(lengths)
+    _assert_same_text({"run": tuple(lengths)})
+
+
+def test_write_json_keeps_the_old_file_when_the_payload_fails(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(path, {"old": 1})
+    with pytest.raises(TypeError):
+        write_json(path, {"a": object()})
+    assert path.read_text(encoding="utf-8") == json_text({"old": 1})
 
 
 @pytest.mark.parametrize("payload", [
