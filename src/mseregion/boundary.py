@@ -41,7 +41,7 @@ only through |c|^2: with alpha = sigma^2 / Delta and beta = (sigma^4 -
 p q d) / Delta^2, |a12|^2 = |c|^2 alpha^2, Re{a12 b21} = |c|^2 alpha beta
 and |b12|^2 = |c|^2 beta^2.  The sweep evaluates in this real arithmetic;
 the complex a12 and b12 are formed only for the single-split readers, and
-certificates form only Delta and D on their grid of splits.
+certificates form only Delta and D on a fixed grid of 101 splits.
 
 So D <= 0 on all of [0, P] once d >= 0 and Delta > 0 there, and Delta is
 concave in p, so Delta > 0 at both ends covers the interval: that is the
@@ -84,6 +84,8 @@ from .tolerances import COLINEARITY_RTOL
 # pairs (d = 0) reach 24 eps^2 n1 n2 at N = 2..32, random ones stay above
 # 1e-4 n1 n2 (5000 scan trials per N)
 _DET_ROUNDING = 4.0 * np.finfo(float).eps
+# certificates form Delta and D only at the interior points of this grid of [0, P]
+_CERTIFICATE_GRID = 101
 
 __all__ = [
     "BoundaryClass",
@@ -148,7 +150,6 @@ class ConvexityReport:
     classification: BoundaryClass
     worst_discriminant: float
     worst_p: float
-    grid: int
 
 
 def _pairs(pairs) -> np.ndarray:
@@ -501,22 +502,19 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
             for i, p in enumerate(ps)]
 
 
-def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list:
+def convexity_certificates(pairs, config: SystemConfig) -> list:
     """Certify convex boundary curvature of each channel pair of a (T, N, 2) stack.
 
     Returns one ConvexityReport per pair.  `certified` is the closed-form
     proof: d >= 0 and Delta > 0 at both ends of [0, P], so D <= 0 at
     every split, and the corollaries of the module docstring hold with
-    it.  Only Delta and D are formed on the interior points of the power
-    grid: the worst discriminant is the largest D there, at its first
-    grid point, and a value that leaves the float64 range raises
-    ValueError.
+    it; it reads no grid.  Only Delta and D are formed, at the 99
+    interior points of the fixed 101-point grid of [0, P]: the worst
+    discriminant is the largest D there, at its first grid point, and a
+    value that leaves the float64 range raises ValueError.
     """
-    count = int(grid)
-    if count < 11:
-        raise ValueError(f"certification grid must have at least 11 points, got {count}")
     stack = _pairs(pairs)
-    ps = np.linspace(0.0, config.power_budget, count)[1:-1]
+    ps = np.linspace(0.0, config.power_budget, _CERTIFICATE_GRID)[1:-1]
     with _quiet_overflow():
         forms = _ClosedForms(stack, config, ps)
         disc = forms.discriminant()
@@ -527,10 +525,10 @@ def convexity_certificates(pairs, config: SystemConfig, grid: int = 101) -> list
     columns = zip(forms.proven().tolist(), _classes(forms.n1, forms.n2, forms.d),
                   worst_disc.tolist(), ps[worst].tolist())
     return [ConvexityReport(certified=proof, classification=label,
-                            worst_discriminant=value, worst_p=split, grid=count)
+                            worst_discriminant=value, worst_p=split)
             for proof, label, value, split in columns]
 
 
-def convexity_certificate(h1, h2, config: SystemConfig, grid: int = 101) -> ConvexityReport:
+def convexity_certificate(h1, h2, config: SystemConfig) -> ConvexityReport:
     """`convexity_certificates` for the one pair (h1, h2)."""
-    return convexity_certificates(_pair(h1, h2), config, grid)[0]
+    return convexity_certificates(_pair(h1, h2), config)[0]

@@ -161,7 +161,7 @@ def cmd_convexity_scan(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     config = _config(args)
     pairs = _scan_pairs(np.random.default_rng(args.seed), args.trials, args.dim, args.colinear)
-    reports = convexity_certificates(pairs, config, grid=args.grid)
+    reports = convexity_certificates(pairs, config)
     discriminants = [report.worst_discriminant for report in reports]
     worst_trial = int(np.argmax(discriminants))
     all_certified = all(report.certified for report in reports)
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convexity-scan", help="certify random two-user instances")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dim", type=int, default=4, help="antenna count (default 4)")
-    p.add_argument("--grid", type=int, default=101, help="certificate grid (default 101)")
     p.add_argument("--colinear", action="store_true",
                    help="force h2 = alpha * h1 in every trial")
     p.add_argument("--out", help="output JSON path (default stdout)")

@@ -20,14 +20,15 @@ json.loads, so json_text(x) is json.dumps(to_jsonable(x),
 sort_keys=True, indent=2) + "\n" by construction.  A list or tuple of
 four or more records of one dataclass, such as a scan's trials, is
 written through one template per (class, indent), cached, with the
-sorted field names baked in and a `%s` per value.  The records are
-filled one field column at a time: an all-float column in one map of
-float.__repr__, any other value through `_text` itself, written once per
-distinct value where the column is all bool, all int, all str, all None
-or all one Enum (never for floats or complexes: -0.0 == 0.0).  The
-filled records are joined in one `%`, as the region CSV's line template
-is filled.  Shorter lists are written a record at a time, which costs
-less there.
+sorted field names baked in and a `%s` per value; that cache is the one
+record test, and a lone record fills its template value by value.  The
+records of a list are filled one field column at a time: an all-float
+column in one map of float.__repr__, any other value through `_text`
+itself, written once per distinct value where the column is all bool,
+all int, all str, all None or all one Enum (never for floats or
+complexes: -0.0 == 0.0).  The filled records are joined in one `%`, as
+the region CSV's line template is filled.  Shorter lists are written a
+record at a time, which costs less there.
 
 CSV floats use repr(), which round-trips exactly through float().
 Region CSVs are formatted a block of rows at a time with one line
@@ -98,10 +99,11 @@ def parse_channel_dict(payload) -> ChannelSet:
     entries = payload["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise ValueError(f"entries must list {n} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    mat = np.zeros((n, k), dtype=np.complex128)
+    rows = []       # every row is checked before the array is formed: k may be huge
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != k:
             raise ValueError(f"entries row {i} must list {k} [re, im] pairs")
+        cells = []
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
                 raise ValueError(f"entries[{i}][{j}] must be an [re, im] pair")
@@ -109,10 +111,11 @@ def parse_channel_dict(payload) -> ChannelSet:
             if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in (re, im)):
                 raise ValueError(f"entries[{i}][{j}] must hold two numbers")
             try:
-                mat[i, j] = complex(re, im)
+                cells.append(complex(re, im))
             except OverflowError as err:    # an int beyond the float range
                 raise ValueError(f"entries[{i}][{j}] holds a number too large for a float") from err
-    return ChannelSet(mat)
+        rows.append(cells)
+    return ChannelSet(np.array(rows, dtype=np.complex128))
 
 
 def channel_dict(channels: ChannelSet) -> dict:
@@ -314,12 +317,6 @@ def manifest(command: str, inputs: dict, seed: Optional[int], config: SystemConf
     }
 
 
-@functools.cache
-def _field_names(cls) -> tuple:
-    """A dataclass's field names, sorted once per class."""
-    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
-
-
 # The fewest records a list needs to take its class's template.  The
 # template costs a few steps per field column and saves a few per record.
 # On a 2-core VM (Python 3.11), lists of two or three records with array
@@ -347,11 +344,12 @@ def _record_template(cls, indent: str) -> Optional[tuple]:
     and a getter per field, both in sorted field order.
 
     Field names are written as _text writes keys.  None when _text does
-    not write `cls` as a record.
+    not write `cls` as a record: no dataclass (a subclass of one is one),
+    or one of _NOT_RECORDS.
     """
-    if issubclass(cls, _NOT_RECORDS):
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, _NOT_RECORDS):
         return None
-    names = _field_names(cls)
+    names = sorted(f.name for f in dataclasses.fields(cls))
     inner = indent + "  "
     slots = [f"{encode_basestring_ascii(name)}: %s" for name in names]
     text = "{\n" + inner + (",\n" + inner).join(slots) + "\n" + indent + "}" if names else "{}"
@@ -404,15 +402,15 @@ def _text(value, indent: str) -> str:
     str or an int); a subclass of a leaf type, such as a str-valued Enum,
     is written as its base value.  Any other node is converted in this
     order: a complex is written as [re, im], an Enum as its value, an
-    ndarray as its .tolist(); a dataclass's fields and a dict's items
-    under str(key) are written sorted by key, a tuple as a list.
+    ndarray as its .tolist(); a record (a dataclass, _record_template) by
+    its sorted fields in its template, a dict's items under str(key)
+    sorted by key, a tuple as a list.
 
-    A list or tuple of _MIN_RECORDS or more items of exactly one
-    dataclass is written through that class's template
-    (_record_template), one field column at a time (_column).  Every
-    value that is not a float is written by this rule, and a float as
-    the float leaf above, so the bytes are those of writing each record
-    on its own.
+    A list or tuple of _MIN_RECORDS or more items of exactly one record
+    class is written through that class's template, one field column at
+    a time (_column).  Every value that is not a float is written by
+    this rule, and a float as the float leaf above, so the bytes are
+    those of writing each record on its own.
     """
     if isinstance(value, np.generic):
         value = value.item()
@@ -438,16 +436,17 @@ def _text(value, indent: str) -> str:
     if isinstance(value, np.ndarray):
         return _text(value.tolist(), indent)
     inner = indent + "  "
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        pairs = [(name, getattr(value, name)) for name in _field_names(type(value))]
-    elif isinstance(value, dict):
+    template = _record_template(type(value), indent)
+    if template:
+        text, getters = template
+        return text % tuple([_text(getter(value), inner) for getter in getters])
+    if isinstance(value, dict):
         pairs = sorted({str(k): v for k, v in value.items()}.items())
     elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         cls = type(value[0])
-        template = (len(value) >= _MIN_RECORDS and "__dataclass_fields__" in cls.__dict__
-                    and _record_template(cls, inner))
+        template = len(value) >= _MIN_RECORDS and _record_template(cls, inner)
         if template and set(map(type, value)) == {cls}:
             body = _records(value, template, inner)
         else:

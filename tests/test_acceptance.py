@@ -127,7 +127,7 @@ def test_criterion_5_two_user_convexity_campaign():
             h2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             config = SystemConfig(noise_variance=float(rng.uniform(0.1, 10.0)),
                                   power_budget=float(rng.uniform(1.0, 100.0)))
-            report = convexity_certificate(h1, h2, config, grid=101)
+            report = convexity_certificate(h1, h2, config)
             assert report.certified
             assert report.worst_discriminant <= 1e-9
 
@@ -259,7 +259,7 @@ def test_criterion_10_byte_determinism(tmp_path):
                      "--samples", "21", "--out", "{d}/sweep.csv",
                      "--plot", "{d}/sweep.gp"],
         "convexity-scan": ["convexity-scan", "--trials", "5", "--dim", "3",
-                           "--grid", "21", "--seed", "1", "--out", "{d}/scan.json"],
+                           "--seed", "1", "--out", "{d}/scan.json"],
         "counterexample": ["counterexample", "--starts", "8", "--seed", "0",
                            "--out", "{d}/ce.json", "--region-csv", "{d}/ce.csv",
                            "--grid", "25"],

@@ -439,25 +439,21 @@ def test_certificate_random_and_colinear():
     for _ in range(10):
         h1, h2 = random_pair(rng, int(rng.integers(1, 4)))
         config = random_config(rng)
-        report = convexity_certificate(h1, h2, config, grid=51)
+        report = convexity_certificate(h1, h2, config)
         assert report.certified
         assert report.classification is BoundaryClass.STRICTLY_CONVEX
-        assert report.grid == 51
         assert report.worst_discriminant <= 0.0
         assert 0.0 < report.worst_p < config.power_budget
 
     h1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    report = convexity_certificate(h1, 1.5j * h1, UNIT, grid=25)
+    report = convexity_certificate(h1, 1.5j * h1, UNIT)
     assert report.certified
     assert report.classification is BoundaryClass.AFFINE
     assert report.worst_discriminant <= 0.0
 
     as_dict = to_jsonable(report)
     assert as_dict["classification"] == "Affine"
-    assert set(as_dict) == {"certified", "classification", "worst_discriminant", "worst_p", "grid"}
-
-    with pytest.raises(ValueError):
-        convexity_certificate(h1, h1, UNIT, grid=10)
+    assert set(as_dict) == {"certified", "classification", "worst_discriminant", "worst_p"}
 
     # low noise, scalar channels
     low_noise = SystemConfig(noise_variance=1e-3, power_budget=0.02)
@@ -512,9 +508,9 @@ def test_labels_agree_and_are_rotation_invariant():
     rng = np.random.default_rng(24)
     for dim in range(1, 9):
         pairs = _mixed_pairs(rng, 12, dim)
-        labels = [r.classification for r in convexity_certificates(pairs, UNIT, grid=11)]
+        labels = [r.classification for r in convexity_certificates(pairs, UNIT)]
         assert labels == [colinearity_classify(h[:, 0], h[:, 1]) for h in pairs], dim
-        rotated = convexity_certificates(_unitary(rng, dim) @ pairs, UNIT, grid=11)
+        rotated = convexity_certificates(_unitary(rng, dim) @ pairs, UNIT)
         assert [r.classification for r in rotated] == labels, dim
         # the colinear and near-colinear rows, and every scalar pair
         affine = [t for t, label in enumerate(labels) if label is BoundaryClass.AFFINE]
@@ -531,8 +527,6 @@ def test_certificates_reject_invalid_stacks():
     bad[3, :, 1] = 0.0
     with pytest.raises(ValueError, match="all-zero"):
         convexity_certificates(bad, UNIT)
-    with pytest.raises(ValueError, match="at least 11"):
-        convexity_certificates(pairs, UNIT, grid=10)
     with pytest.raises(ValueError):
         convexity_certificates(pairs[:, :, :1], UNIT)
     with pytest.raises(ValueError):
@@ -545,9 +539,9 @@ def test_certificate_blocks_are_bitwise_invariant():
     # a pair's report does not depend on the stack it is certified in
     pairs = _mixed_pairs(np.random.default_rng(20), 9, 4)
     config = SystemConfig(noise_variance=0.5, power_budget=300.0)
-    stacked = convexity_certificates(pairs, config, grid=31)
+    stacked = convexity_certificates(pairs, config)
     for t in range(9):
-        single = convexity_certificate(pairs[t, :, 0], pairs[t, :, 1], config, grid=31)
+        single = convexity_certificate(pairs[t, :, 0], pairs[t, :, 1], config)
         assert _bits(single) == _bits(stacked[t])
 
 
@@ -589,7 +583,7 @@ def test_certificates_on_reduced_pairs_match_raw_grams():
             assert (np.abs(data.disc - disc)[:, inner]
                     <= DISCRIMINANT_SLACK * scale[:, inner]).all(), where
             assert (data.disc <= 0.0).all(), where
-        reports = convexity_certificates(pairs, UNIT, grid=41)
+        reports = convexity_certificates(pairs, UNIT)
         assert [r.classification for r in reports[1::4]] == [BoundaryClass.AFFINE] * 2
 
 
@@ -776,7 +770,7 @@ def _former_certificates(pairs, config, grid):
     worst = np.argmax(disc, axis=1)
     worst_disc = np.take_along_axis(disc, worst[:, None], axis=1)[:, 0]
     reports = [boundary.ConvexityReport(bool(proven[t]), label, float(worst_disc[t]),
-                                        float(ps[worst[t]]), grid)
+                                        float(ps[worst[t]]))
                for t, label in enumerate(boundary._classes(n1, n2, d))]
     return reports, list(zip(cs_ok.tolist(), summands_ok.tolist(), mono_ok.tolist()))
 
@@ -799,8 +793,8 @@ def test_certificates_match_the_former_sweep_bitwise():
             for config in panel:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    got = convexity_certificates(pairs, config, grid=41)
-                expected, flags = _former_certificates(pairs, config, 41)
+                    got = convexity_certificates(pairs, config)
+                expected, flags = _former_certificates(pairs, config, 101)
                 assert [_bits(r) for r in got] == [_bits(r) for r in expected], (dim, config)
                 assert flags == [(r.certified,) * 3 for r in got], (dim, config)
 

@@ -140,8 +140,7 @@ def test_closed_forms_past_the_float64_range_are_an_input_error(tmp_path, argv):
 
 def test_convexity_scan_reproducible(tmp_path):
     out1, out2 = tmp_path / "scan1.json", tmp_path / "scan2.json"
-    args = ("convexity-scan", "--trials", "5", "--dim", "3", "--grid", "21",
-            "--seed", "1")
+    args = ("convexity-scan", "--trials", "5", "--dim", "3", "--seed", "1")
     assert run_cli(*args, "--out", str(out1)).returncode == 0
     assert run_cli(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -156,7 +155,7 @@ def test_convexity_scan_reproducible(tmp_path):
 
 def test_convexity_scan_input_errors(tmp_path):
     out = str(tmp_path / "scan.json")
-    for bad in (("--dim", "0"), ("--grid", "5"), ("--trials", "0"), ("--power", "1e200")):
+    for bad in (("--dim", "0"), ("--trials", "0"), ("--power", "1e200")):
         proc = run_cli("convexity-scan", *bad, "--out", out)
         assert proc.returncode == 2, bad
         assert "error:" in proc.stderr
@@ -283,6 +282,16 @@ def test_channel_file_huge_integers_are_input_errors(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, proc.stderr
     assert "entries[0][0]" in proc.stderr, proc.stderr
+
+
+def test_channel_file_with_a_huge_declared_k_is_an_input_error(tmp_path):
+    # the rows are checked before any (n, k) array is formed
+    path = tmp_path / "huge-k.json"
+    path.write_text(json.dumps({"n": 1, "k": 10 ** 15, "entries": [[[1, 0]]]}), encoding="utf-8")
+    proc = run_cli("wsmse", "--channels", str(path), "--weights", "1")
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "row 0" in lines[0], lines
 
 
 def test_segment_cli_exit_codes(tmp_path, ref_channels_file):
@@ -446,9 +455,9 @@ def test_region_cli_oversize_grid(tmp_path, ref_channels_file):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["convexity-scan", "--trials", "2", "--dim", "2", "--grid", "11", "--colinear",
+    (["convexity-scan", "--trials", "2", "--dim", "2", "--colinear",
       "--power", "3", "--sigma2", "0.5", "--seed", "5"],
-     {"trials": 2, "dim": 2, "grid": 11, "colinear": True, "power": 3.0, "sigma2": 0.5}),
+     {"trials": 2, "dim": 2, "colinear": True, "power": 3.0, "sigma2": 0.5}),
     (["counterexample", "--starts", "4", "--seed", "5", "--region-csv", "{d}/cloud.csv",
       "--grid", "5"],
      {"starts": 4, "region_csv": "{d}/cloud.csv", "grid": 5}),

@@ -94,6 +94,18 @@ def test_channel_schema_errors(tmp_path):
         load_channels(bad)
 
 
+def test_channel_rows_are_checked_before_the_array_is_formed():
+    # a declared k far beyond the rows given is a row error, not an allocation
+    huge = {"n": 1, "k": 10 ** 15, "entries": [[[1, 0]]]}
+    with pytest.raises(ValueError, match="row 0 must list 1000000000000000"):
+        parse_channel_dict(huge)
+    # the first bad row is named, whatever follows it
+    with pytest.raises(ValueError, match="row 1 must list 2"):
+        parse_channel_dict({"n": 3, "k": 2, "entries": [[[1, 0], [0, 1]], [[1, 0]], [[10 ** 400, 0]]]})
+    with pytest.raises(ValueError, match=r"entries\[0\]\[1\] must be"):
+        parse_channel_dict({"n": 2, "k": 2, "entries": [[[1, 0], [0]], [[1, 0]]]})
+
+
 def test_empty_region_csv_is_a_value_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
@@ -555,6 +567,45 @@ def test_record_sequences_match_json_dumps(monkeypatch, column):
     # a _Child is not a _Leaf: a sequence of both must not share _Leaf's template
     _assert_same_text([leaves[0], children[0], *leaves[1:]])
     _assert_same_text(tuple(children[:1] + leaves))
+
+
+@dataclass
+class _Mapping(dict):             # a dataclass that is a dict: written by its fields
+    alpha: object
+    beta: object = "mapping"
+
+
+@dataclass
+class _Sequence(list):            # a dataclass that is a list: written by its fields
+    alpha: object
+
+
+class _Undecorated(_Child):       # no decorator of its own: a record of _Child's fields
+    pass
+
+
+def _record_kinds():
+    mapping = _Mapping(-0.0, [1j, None])
+    mapping.update({"not": "a field"})
+    sequence = _Sequence(_Level.LOW)
+    sequence.extend([1.5, "not a field"])
+    return {"mapping": mapping, "sequence": sequence,
+            "undecorated": _Undecorated(math.nan, "undecorated", {"v": -0j})}
+
+
+@pytest.mark.parametrize("kind", ["mapping", "sequence", "undecorated"])
+def test_records_that_subclass_a_container_or_a_dataclass(monkeypatch, kind):
+    written = []
+    records = io_module._records
+    monkeypatch.setattr(io_module, "_records", lambda *args: written.append(args) or records(*args))
+    record = _record_kinds()[kind]
+    _assert_same_text(record)
+    _assert_same_text({"one": record, "pair": [record, record]})
+    assert not written
+    run = [record] * io_module._MIN_RECORDS
+    _assert_same_text(run)
+    _assert_same_text({"run": tuple(run), "mixed": [_record_kinds()[kind], *run]})
+    assert written
 
 
 @dataclass(frozen=True)
