@@ -11,16 +11,19 @@ as signed residuals.  The left-hand side equals the negative objective
 gradient, so stationarity reads gradient_k = mu_k - lambda.
 
 Every solve is a batch: all starts run as one (S, K) array through a
-single lockstep projected Newton loop, whose rounds are each one
-batched `weighted_mse_derivatives` call (value, gradient and Hessian
-from one Gram matrix) on one `ChannelSet`; the kernel evaluates on its
-triangular factor (`ChannelSet.factor`, one QR per set), and the module
-reduces nothing itself.  Rows are evaluated
-independently and weighted with `einsum` reductions, so a start's
-certificate is bitwise the same whether it ran alone or in a batch; a
-single start is a batch of one.  The stopping rule is fixed: a start
-stops when its projected gradient passes the `PGD_TOL_REL` test or
-after `simplex._MAX_ITERS` iterations.
+single lockstep projected Newton loop on one `ChannelSet`, evaluated on
+its triangular factor (`ChannelSet.factor`, one QR per set) with the
+weights validated once per solve; the module reduces nothing itself.
+Each round is one call of the kernel's two phases (`model`'s
+`_weighted_terms`, of which `weighted_mse_derivatives` is the all-rows
+case): the weighted value at every trial step, then the gradient and
+Hessian from the Gram matrix only at the steps the round accepts.  Rows
+are evaluated independently and weighted with `einsum` reductions, and
+the multipliers and residuals of all starts are formed row by row in
+one array pass, so a start's certificate is bitwise the same whether it
+ran alone or in a batch; a single start is a batch of one.  The
+stopping rule is fixed: a start stops when its projected gradient
+passes the `PGD_TOL_REL` test or after `simplex._MAX_ITERS` iterations.
 
 The module also ships a reference three-user instance whose weighted
 problem has two distinct stationary points; `counterexample_suite`
@@ -39,13 +42,12 @@ import numpy as np
 from .model import (
     ChannelSet,
     SystemConfig,
-    WeightVector,
     _channel_set,
     _power_rows,
     _weight_vector,
+    _weighted_terms,
     ensure_feasible,
     mse_tuple,
-    weighted_mse_derivatives,
     weighted_mse_gradient,
 )
 from .region import segment_test
@@ -114,26 +116,22 @@ class KktCertificate:
     stalled: bool
 
 
-def _residuals(grad: np.ndarray, p: np.ndarray, budget: float, lam: float,
-               mu: np.ndarray) -> KktResiduals:
-    stationarity = -grad - (lam - mu)
-    total = float(p.sum())
-    return KktResiduals(
-        stationarity=stationarity,
-        complementarity=p * mu,
-        budget_slack=budget - total,
-        budget_complementarity=lam * (total - budget),
-    )
+def _residuals(grad: np.ndarray, p: np.ndarray, budget: float, lam, mu: np.ndarray):
+    """Signed residual terms row by row for (..., K) gradients and powers
+    with (...) lambdas and (..., K) mus: stationarity, complementarity,
+    budget slack and budget complementarity."""
+    lam = np.asarray(lam)
+    total = p.sum(axis=-1)
+    return -grad - (lam[..., None] - mu), p * mu, budget - total, lam * (total - budget)
 
 
 def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
+    """(lambda, mu) fitted row by row to (..., K) gradients at (..., K) powers."""
     active = p > TOL_ACTIVE_REL * budget
-    tight = p.sum() >= budget * (1.0 - _TIGHT_REL)
-    if tight and active.any():
-        lam = max(0.0, float((-grad[active]).max()))
-    else:
-        lam = 0.0
-    mu = np.where(active, 0.0, np.maximum(0.0, lam + grad))
+    tight = p.sum(axis=-1) >= budget * (1.0 - _TIGHT_REL)
+    top = np.where(active, -grad, -np.inf).max(axis=-1)
+    lam = np.where(tight & active.any(axis=-1), np.maximum(0.0, top), 0.0)
+    mu = np.where(active, 0.0, np.maximum(0.0, lam[..., None] + grad))
     return lam, mu
 
 
@@ -144,7 +142,9 @@ def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, m
     mu_vec = np.asarray(mu, dtype=np.float64).reshape(-1)
     if mu_vec.size != p.size:
         raise ValueError(f"{mu_vec.size} multipliers for {p.size} users")
-    return _residuals(grad, p, config.power_budget, float(lam), mu_vec)
+    stationarity, complementarity, slack, budget_comp = _residuals(
+        grad, p, config.power_budget, float(lam), mu_vec)
+    return KktResiduals(stationarity, complementarity, float(slack), float(budget_comp))
 
 
 def recover_multipliers(channels, config: SystemConfig, weights, powers):
@@ -157,15 +157,18 @@ def recover_multipliers(channels, config: SystemConfig, weights, powers):
     """
     grad = weighted_mse_gradient(channels, powers, config, weights)
     p = _power_rows(powers, grad.size)
-    return _multipliers(grad, p, config.power_budget)
+    lam, mu = _multipliers(grad, p, config.power_budget)
+    return float(lam), mu
 
 
-def _residuals_pass(res: KktResiduals, config: SystemConfig) -> bool:
-    return (
-        float(np.abs(res.stationarity).max()) <= TOL_KKT
-        and float(np.abs(res.complementarity).max()) <= TOL_KKT
-        and abs(res.budget_complementarity) <= TOL_KKT * config.power_budget
-    )
+def _evaluator(chan: ChannelSet, config: SystemConfig, w: np.ndarray):
+    """The solver's `projected_gradient` callback: the two-phase weighted
+    kernel on the channels' factor, with weights `w` already validated."""
+    mat = chan.factor
+
+    def evaluate(p):
+        return _weighted_terms(mat, p, config.noise_variance, w)
+    return evaluate
 
 
 def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.ndarray) -> list:
@@ -173,30 +176,33 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
     certificate per row.
 
     The multipliers and residuals are fitted to the gradient the descent
-    ended with, which is the gradient at the returned powers.
+    ended with, which is the gradient at the returned powers, for every
+    start in one pass.  `w` holds weights already validated.
     """
-    weights = WeightVector(w)       # validated here, not again every round
-
-    def derivatives(p):
-        return weighted_mse_derivatives(chan, p, config, weights)
-
-    batch = projected_gradient(derivatives, starts, config.power_budget)
-    certs = []
-    for run in batch.results:
-        lam, mu = _multipliers(run.gradient, run.point, config.power_budget)
-        res = _residuals(run.gradient, run.point, config.power_budget, lam, mu)
-        certs.append(KktCertificate(
+    budget = config.power_budget
+    runs = projected_gradient(_evaluator(chan, config, w), starts, budget).results
+    points = np.array([run.point for run in runs]).reshape(starts.shape)
+    grads = np.array([run.gradient for run in runs]).reshape(starts.shape)
+    lam, mu = _multipliers(grads, points, budget)
+    stationarity, complementarity, slack, budget_comp = _residuals(grads, points, budget, lam, mu)
+    passed = ((np.abs(stationarity).max(axis=1) <= TOL_KKT)
+              & (np.abs(complementarity).max(axis=1) <= TOL_KKT)
+              & (np.abs(budget_comp) <= TOL_KKT * budget))
+    return [
+        KktCertificate(
             powers=run.point,
-            lam=lam,
-            mu=mu,
+            lam=float(lam[i]),
+            mu=mu[i],
             objective=run.value,
-            residuals=res,
-            converged=bool(run.converged and _residuals_pass(res, config)),
+            residuals=KktResiduals(stationarity[i], complementarity[i],
+                                   float(slack[i]), float(budget_comp[i])),
+            converged=bool(run.converged and passed[i]),
             iterations=run.iterations,
             backtracks=run.backtracks,
             stalled=run.stalled,
-        ))
-    return certs
+        )
+        for i, run in enumerate(runs)
+    ]
 
 
 def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start):

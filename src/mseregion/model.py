@@ -429,9 +429,11 @@ def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
     """(f, grad f, Hessian of f) of the weighted sum MSE in the powers.
 
     `powers` is one length-K vector, giving a float, a (K,) gradient and a
-    (K, K) Hessian, or a (..., K) batch, giving them row by row.  f and its
-    gradient come from the `mse_jacobian` terms; `weighted_sum_mse` and
-    `weighted_mse_gradient` return them.  With
+    (K, K) Hessian, or a (..., K) batch, giving them row by row.  It is
+    the all-rows case of `_weighted_terms`, the two-phase evaluation the
+    weighted solver runs: f from the MSEs of every row, then the gradient
+    and Hessian from the Gram matrix A; `weighted_sum_mse` and
+    `weighted_mse_gradient` return the first two.  With
     dA/dp_j = -A e_j e_j^H A, the Hessian is
 
         H[k, j] = (w_k + w_j) |a_kj|^2 - 2 Re(a_jk [A diag(w p) A]_kj),
@@ -441,16 +443,40 @@ def weighted_mse_derivatives(channels, powers, config: SystemConfig, weights):
     mat = _channel_set(channels).factor
     w = _weight_vector(weights, mat.shape[1])
     pw = _power_rows(powers, mat.shape[1])
-    rows = np.atleast_2d(pw)
-    gram, eps, jac = _mse_terms(mat, rows, config.noise_variance)
-    # einsum, not BLAS, so a row's values do not depend on its batch
-    value, grad = np.einsum("...k,k->...", eps, w), np.einsum("...lk,l->...k", jac, w)
-    # A diag(w p) A
-    sandwich = np.einsum("...kl,...lj->...kj", gram * (rows * w)[..., None, :], gram)
-    coupling = (np.swapaxes(gram, -1, -2) * sandwich).real
-    hess = (w[:, None] + w) * (gram.real ** 2 + gram.imag ** 2) - 2.0 * coupling
-    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    value, derive = _weighted_terms(mat, np.atleast_2d(pw), config.noise_variance, w)
+    grad, hess = derive(...)
     return (value, grad, hess) if pw.ndim > 1 else (float(value[0]), grad[0], hess[0])
+
+
+def _weighted_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float, w: np.ndarray):
+    """(f, derive) of the weighted sum MSE at validated (..., K) power rows
+    on the factor `mat`, with validated weights `w`.
+
+    The value phase runs here on every row: f = sum_k w_k eps_k from the
+    whitened channels (`_whiten`, `_mses`).  `derive(index)` forms the
+    Gram matrix, the Jacobian (`_mse_terms`' formula), the gradient and
+    the Hessian for `rows[index]` only and returns (grad, Hessian).
+    Every reduction is an `einsum` over one row, not BLAS, so a derived
+    row is bitwise the same whichever rows are derived with it.
+    """
+    half = _whiten(mat, rows, noise_variance)[1]
+    eps, diag = _mses(half, rows)
+    value = np.einsum("...k,k->...", eps, w)
+
+    def derive(index):
+        pw, gram = rows[index], _gram(half[index])
+        mag = gram.real ** 2 + gram.imag ** 2
+        jac = pw[..., :, None] * mag
+        users = np.arange(pw.shape[-1])
+        jac[..., users, users] -= diag[index]
+        grad = np.einsum("...lk,l->...k", jac, w)
+        # A diag(w p) A
+        sandwich = np.einsum("...kl,...lj->...kj", gram * (pw * w)[..., None, :], gram)
+        coupling = (np.swapaxes(gram, -1, -2) * sandwich).real
+        hess = (w[:, None] + w) * mag - 2.0 * coupling
+        return grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+    return value, derive
 
 
 def sinr_from_mse(eps: float) -> float:

@@ -6,6 +6,9 @@ The loop runs a batch of starts in lockstep rounds of one
 `value_and_grad` call each.  A start that is backtracking sends several
 trial steps of its Armijo ladder in the same call, so a round serves
 every running start and a start needs fewer rounds than rejected steps.
+The call returns the values of every trial step and a `derive` closure;
+the loop asks it for gradients and Hessians only at the steps it
+accepts, the only points a direction is computed from.
 """
 
 from __future__ import annotations
@@ -156,25 +159,22 @@ class PgdBatch:
 
 
 def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
-                       budget: float) -> np.ndarray:
+                       budget: float, probe: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Projected Newton directions at (S, K) accepted points, row by row.
 
     Bertsekas, "Projected Newton methods for optimization problems with
     simple constraints", SIAM J. Control Optim. 1982, adapted to the
-    budget simplex.  The gradient step x = proj(p - grad / s), with
-    s = K max|H| bounding the Hessian's spectral radius, picks the users
-    held at zero (x_k = 0 and p_k <= min(_ACTIVE_FRACTION * P, |p - x|));
-    they get d_k = -p_k.  The free users take a Newton step on their
+    budget simplex.  The gradient step x = proj(p - grad / s) (`probe`),
+    with s = K max|H| (`scale`) bounding the Hessian's spectral radius,
+    both formed by the caller, picks the users held at zero (x_k = 0 and
+    p_k <= min(_ACTIVE_FRACTION * P, |p - x|)); they get d_k = -p_k.  The free users take a Newton step on their
     coordinates or, when x is on the budget face, on the face
     sum(d_free) = 0 plus an equal share of P - sum(p_free), which puts
     p + d on the face.  The projected Hessian's eigenvalues are replaced
     by their absolute values floored at _EIGEN_FLOOR * s, so every
     direction descends on this nonconvex objective.
     """
-    k = point.shape[1]
-    eye = np.eye(k)
-    scale = k * np.abs(hess).max(axis=(1, 2))
-    probe = project_onto_budget_simplex(point - grad / scale[:, None], budget)
+    eye = np.eye(point.shape[1])
     gap = np.linalg.norm(point - probe, axis=1)
     fixed = (probe == 0.0) & (point <= np.minimum(_ACTIVE_FRACTION * budget, gap)[:, None])
     free = (~fixed).astype(np.float64)
@@ -202,9 +202,12 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
     A stall of the backtracking below 1e-18 exits with `stalled` set and
     converged determined by the projected-gradient test alone.
 
-    `start` is an (S, K) batch of starts and `value_and_grad` maps an
-    (R, K) array of points to (R,) values, (R, K) gradients and (R, K, K)
-    Hessians.  Each iteration searches along `_newton_directions` from
+    `start` is an (S, K) batch of starts.  `value_and_grad` maps an
+    (R, K) array of points to (values, derive): the (R,) values, and a
+    callable that maps an integer array of row indices into those points
+    to the rows' (M, K) gradients and (M, K, K) Hessians.  The loop
+    derives every start and, in each round, only the trial steps it
+    accepts.  Each iteration searches along `_newton_directions` from
     t = 1.  The starts run in lockstep: every row keeps its own step,
     iteration count and backtracking, and each round is one call on the
     trial steps of every running row.  A row on the first try of an
@@ -214,15 +217,17 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
     These are exactly the steps that halving one rejection per round
     would try, and `backtracks` counts the rejected ones the same way, so
     only the number of rounds differs.  When `value_and_grad` evaluates
-    rows independently, a start's result does not depend on the batch it
-    ran in; a single start is a batch of one.
+    and derives rows independently, a start's result does not depend on
+    the batch it ran in; a single start is a batch of one.
     """
     starts = np.asarray(start, dtype=np.float64)
     if starts.ndim != 2:
         raise ValueError(f"starts must be an (S, K) batch, got shape {starts.shape}")
     point = project_onto_budget_simplex(starts, budget)
-    count = point.shape[0]
-    value, grad, hess = (np.array(out, dtype=np.float64) for out in value_and_grad(point))
+    count, k = point.shape
+    value, derive = value_and_grad(point)
+    value = np.array(value, dtype=np.float64)
+    grad, hess = (np.array(out, dtype=np.float64) for out in derive(np.arange(count)))
     direction = np.zeros_like(point)
     trial = np.zeros(count)                       # step being tried
     iters = np.zeros(count, dtype=np.int64)
@@ -235,16 +240,23 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
         top = np.flatnonzero(fresh)
         if top.size:
             fresh[top] = False
-            pts, grs = point[top], grad[top]
-            pg = np.linalg.norm(pts - project_onto_budget_simplex(pts - grs, budget), axis=1)
+            pts, grs, hss = point[top], grad[top], hess[top]
+            # one projection serves the convergence test, proj(p - grad),
+            # and the Newton probe, proj(p - grad / scale), of every row
+            scale = k * np.abs(hss).max(axis=(1, 2))
+            both = project_onto_budget_simplex(
+                np.concatenate((pts - grs, pts - grs / scale[:, None])), budget)
+            pg = np.linalg.norm(pts - both[:top.size], axis=1)
             done = pg <= PGD_TOL_REL * (1.0 + np.abs(value[top]))
             converged[top] = done
             done |= iters[top] >= _MAX_ITERS
             running[top[done]] = False
-            go = top[~done]
+            keep = ~done
+            go = top[keep]
             iters[go] += 1
             trial[go] = 1.0
-            direction[go] = _newton_directions(point[go], grad[go], hess[go], budget)
+            direction[go] = _newton_directions(pts[keep], grs[keep], hss[keep], budget,
+                                               both[top.size:][keep], scale[keep])
         rows = np.flatnonzero(running)
         if not rows.size:
             break
@@ -258,18 +270,19 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
         rep = rows[owner]
         base = point[rep]
         cand = project_onto_budget_simplex(base + steps[sent][:, None] * direction[rep], budget)
-        cand_val, cand_grad, cand_hess = value_and_grad(cand)
+        cand_val, cand_derive = value_and_grad(cand)
         decrease = np.einsum("sk,sk->s", grad[rep], cand - base)
         passed = np.flatnonzero(cand_val <= value[rep] + _ARMIJO_SLOPE * decrease)
         # each row takes its first passing rung, the largest passing step;
         # `owner` ascends, so that is where the owner changes
         owners = owner[passed]
         pick = passed[np.concatenate((owners[:1] >= 0, owners[1:] > owners[:-1]))]
-        acc = rep[pick]
-        point[acc], value[acc] = cand[pick], cand_val[pick]
-        grad[acc], hess[acc] = cand_grad[pick], cand_hess[pick]
-        fresh[acc] = True
-        backtracks[acc] += rung[pick]
+        if pick.size:
+            acc = rep[pick]
+            point[acc], value[acc] = cand[pick], cand_val[pick]
+            grad[acc], hess[acc] = cand_derive(pick)
+            fresh[acc] = True
+            backtracks[acc] += rung[pick]
         failed = np.ones(rows.size, dtype=bool)
         failed[owner[pick]] = False
         back = rows[failed]

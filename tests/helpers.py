@@ -167,13 +167,18 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
 
     The same iteration as `simplex.projected_gradient` with its Armijo
     backtracking done one rejection at a time: each round evaluates the
-    pending candidate of every running row, and a rejected step is
-    halved for the next round.  Returns the `PgdBatch` and, per start,
-    the most steps it had rejected within one iteration.
+    pending candidate of every running row, derives every one of them
+    (`value_and_grad` returns values and a `derive` callable, as for
+    `projected_gradient`), and a rejected step is halved for the next
+    round.  The convergence test and the Newton probe are projected in
+    separate calls.  Returns the `PgdBatch` and, per start, the most
+    steps it had rejected within one iteration.
     """
     point = project_onto_budget_simplex(np.asarray(start, dtype=np.float64), budget)
-    count = point.shape[0]
-    value, grad, hess = (np.array(out, dtype=np.float64) for out in value_and_grad(point))
+    count, k = point.shape
+    value, derive = value_and_grad(point)
+    value = np.array(value, dtype=np.float64)
+    grad, hess = (np.array(out, dtype=np.float64) for out in derive(np.arange(count)))
     direction = np.zeros_like(point)
     trial = np.zeros(count)
     iters = np.zeros(count, dtype=np.int64)
@@ -198,13 +203,17 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
             iters[go] += 1
             trial[go] = 1.0
             run[go] = 0
-            direction[go] = simplex._newton_directions(point[go], grad[go], hess[go], budget)
+            scale = k * np.abs(hess[go]).max(axis=(1, 2))
+            probe = project_onto_budget_simplex(point[go] - grad[go] / scale[:, None], budget)
+            direction[go] = simplex._newton_directions(point[go], grad[go], hess[go], budget,
+                                                       probe, scale)
         rows = np.flatnonzero(running)
         if not rows.size:
             break
         base = point[rows]
         cand = project_onto_budget_simplex(base + trial[rows, None] * direction[rows], budget)
-        cand_val, cand_grad, cand_hess = value_and_grad(cand)
+        cand_val, cand_derive = value_and_grad(cand)
+        cand_grad, cand_hess = cand_derive(np.arange(rows.size))
         decrease = np.einsum("sk,sk->s", grad[rows], cand - base)
         ok = cand_val <= value[rows] + simplex._ARMIJO_SLOPE * decrease
         acc = rows[ok]

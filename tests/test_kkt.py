@@ -22,7 +22,7 @@ from mseregion import (
 from mseregion import kkt, simplex
 from mseregion.io import to_jsonable
 from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
-from mseregion.tolerances import TOL_KKT
+from mseregion.tolerances import TOL_ACTIVE_REL, TOL_KKT
 
 from helpers import random_channels, random_config
 
@@ -342,3 +342,50 @@ def test_counterexample_checks_missing_clusters(monkeypatch):
         assert {c.name for c in report.checks if not c.passed} == failed, keep
         assert all(c.computed is None for c in report.checks if c.name in missing)
         assert (report.segment is None) == (keep < 2)
+
+
+def _per_start_certificate(run, budget):
+    """The former certificate of one start: multipliers, residuals and
+    the residual test formed for that start alone."""
+    grad, p = run.gradient, run.point
+    active = p > TOL_ACTIVE_REL * budget
+    tight = p.sum() >= budget * (1.0 - kkt._TIGHT_REL)
+    lam = max(0.0, float((-grad[active]).max())) if tight and active.any() else 0.0
+    mu = np.where(active, 0.0, np.maximum(0.0, lam + grad))
+    total = float(p.sum())
+    stationarity, complementarity = -grad - (lam - mu), p * mu
+    slack, budget_comp = budget - total, lam * (total - budget)
+    passed = (float(np.abs(stationarity).max()) <= TOL_KKT
+              and float(np.abs(complementarity).max()) <= TOL_KKT
+              and abs(budget_comp) <= TOL_KKT * budget)
+    return lam, mu, stationarity, complementarity, slack, budget_comp, run.converged and passed
+
+
+@pytest.mark.parametrize("max_iters", [0, 5000])
+def test_one_pass_certificates_match_per_start_fits_bitwise(max_iters, monkeypatch):
+    # with no iterations every start is its own end point: the origin (no
+    # active user), the vertices, the centroid and interior draws, whose
+    # budgets are not tight
+    monkeypatch.setattr(simplex, "_MAX_ITERS", max_iters)
+    rng = np.random.default_rng(33)
+    untight = 0
+    for n, k, snr in ((1, 3, 0.5), (2, 4, 30.0), (8, 5, 1e3), (32, 3, 1e4)):
+        chan = random_channels(rng, n, k)
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        w = rng.uniform(0.05, 1.0, k)
+        starts = kkt._start_points(k, snr, 16, int(rng.integers(1000)))
+        runs = simplex.projected_gradient(kkt._evaluator(chan, config, w), starts, snr).results
+        certs = kkt._solve(chan, config, w, starts)
+        for run, cert in zip(runs, certs):
+            lam, mu, stat, comp, slack, budget_comp, converged = _per_start_certificate(run, snr)
+            assert np.float64(cert.lam).tobytes() == np.float64(lam).tobytes()
+            assert cert.mu.tobytes() == mu.tobytes()
+            assert cert.residuals.stationarity.tobytes() == stat.tobytes()
+            assert cert.residuals.complementarity.tobytes() == comp.tobytes()
+            assert np.float64(cert.residuals.budget_slack).tobytes() == np.float64(slack).tobytes()
+            assert np.float64(cert.residuals.budget_complementarity).tobytes() \
+                == np.float64(budget_comp).tobytes()
+            assert cert.converged == converged
+            untight += slack > kkt._TIGHT_REL * snr
+    if max_iters == 0:
+        assert untight > 0

@@ -592,3 +592,20 @@ def test_kernel_against_high_precision_oracle():
                 assert (np.abs(eps - eps_mp) <= tol * eps_mp).all(), (name, snr, label)
             gram = resolvent_grams(mat, powers, config)
             assert np.abs(gram - gram_mp).max() <= tol * np.abs(gram_mp).max(), (name, snr)
+
+
+def test_weighted_terms_derive_rows_bitwise_as_evaluated_alone():
+    rng = np.random.default_rng(12)
+    for n, k in ((1, 3), (4, 5), (32, 8)):
+        chan = random_channels(rng, n, k)
+        config = random_config(rng)
+        w = rng.uniform(0.05, 1.0, size=k)
+        batch = np.array([random_powers(rng, k, config.power_budget) for _ in range(11)])
+        values, derive = model._weighted_terms(chan.factor, batch, config.noise_variance, w)
+        # a vector, the whole batch, and a permuted subset of its rows
+        for index in (3, np.arange(11), rng.permutation(11)[:6]):
+            value, grad, hess = weighted_mse_derivatives(chan, batch[index], config, w)
+            assert np.float64(value).tobytes() == values[index].tobytes()
+            got = derive(index)
+            assert got[0].tobytes() == grad.tobytes()
+            assert got[1].tobytes() == hess.tobytes()

@@ -80,8 +80,10 @@ def _array_records():
 
     def quad(points):
         diff = points - 0.5
-        hess = np.broadcast_to(2.0 * np.eye(2), (points.shape[0], 2, 2))
-        return (diff ** 2).sum(axis=1), 2.0 * diff, hess
+
+        def derive(index):
+            return 2.0 * diff[index], np.broadcast_to(2.0 * np.eye(2), (len(index), 2, 2))
+        return (diff ** 2).sum(axis=1), derive
 
     batch = projected_gradient(quad, np.zeros((1, 2)), budget=2.0)
     seg = segment_test(chan, CONFIG, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], steps=1)

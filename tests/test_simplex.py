@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mseregion import SystemConfig, WeightVector, kkt, simplex, weighted_mse_derivatives
+from mseregion import SystemConfig, WeightVector, kkt, simplex
 from mseregion.simplex import (
     budget_simplex_lattice,
     lattice_size,
@@ -106,7 +106,10 @@ def _identities(p):
 def _quad_rows(target):
     def quad(p):
         diff = p - target
-        return 0.5 * np.einsum("sk,sk->s", diff, diff), diff, _identities(p)
+
+        def derive(index):
+            return diff[index], _identities(p)[index]
+        return 0.5 * np.einsum("sk,sk->s", diff, diff), derive
     return quad
 
 
@@ -140,12 +143,16 @@ def test_pgd_stall_is_reported():
     b = np.array([1.0, 1.0])
 
     # the direction from 0 is (1/2, 1/2), so a candidate's sum is its step
-    steps, sizes = [], []
+    steps, sizes, derived = [], [], []
 
     def wrong_sign(p):
         steps.extend(p.sum(axis=1).tolist())
         sizes.append(p.shape[0])
-        return 0.5 * np.einsum("sk,sk->s", p, p) + p @ b, -(p + b), _identities(p)
+
+        def derive(index):
+            derived.append(len(index))
+            return -(p + b)[index], _identities(p)[index]
+        return 0.5 * np.einsum("sk,sk->s", p, p) + p @ b, derive
 
     result = projected_gradient(wrong_sign, np.zeros((1, 2)), budget=1.0).results[0]
     assert result.stalled
@@ -159,6 +166,8 @@ def test_pgd_stall_is_reported():
     # t = 1 goes alone; the 59 halvings go _LADDER to a call
     rungs = simplex._LADDER
     assert sizes == [1, 1] + [rungs] * (59 // rungs) + [59 % rungs] * (59 % rungs > 0)
+    # no step was accepted, so only the start was derived
+    assert derived == [1]
 
 
 def test_pgd_batch_rows_match_single_runs():
@@ -194,10 +203,7 @@ def _wsmse_panel(k: int):
             config = SystemConfig(noise_variance=1.0, power_budget=snr)
             weights = WeightVector(rng.uniform(0.05, 1.0, k))
             starts = kkt._start_points(k, snr, 16, int(rng.integers(1000)))
-
-            def derivatives(p, chan=chan, config=config, weights=weights):
-                return weighted_mse_derivatives(chan, p, config, weights)
-            yield derivatives, starts, snr
+            yield kkt._evaluator(chan, config, weights.weights), starts, snr
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -221,10 +227,11 @@ def test_pgd_ladder_needs_fewer_rounds():
     weights = WeightVector(rng.uniform(0.05, 1.0, 5))
     starts = kkt._start_points(5, 18.5, 16, 3)
     calls = []
+    evaluate = kkt._evaluator(chan, config, weights.weights)
 
     def derivatives(p):
         calls.append(p.shape[0])
-        return weighted_mse_derivatives(chan, p, config, weights)
+        return evaluate(p)
 
     batch = projected_gradient(derivatives, starts, 18.5)
     ladder = len(calls)
@@ -233,3 +240,32 @@ def test_pgd_ladder_needs_fewer_rounds():
     assert_pgd_batches_equal(batch, reference)
     assert runs.max() > simplex._LADDER
     assert ladder < len(calls)
+
+
+def test_pgd_derives_only_starts_and_accepted_steps():
+    rng = np.random.default_rng(2008)
+    chan = random_channels(rng, 4, 5)
+    config = SystemConfig(noise_variance=1.0, power_budget=18.5)
+    weights = WeightVector(rng.uniform(0.05, 1.0, 5))
+    starts = kkt._start_points(5, 18.5, 16, 3)
+    evaluate = kkt._evaluator(chan, config, weights.weights)
+    valued, derived = [], []
+
+    def counted(p):
+        valued.append(p.shape[0])
+        values, derive = evaluate(p)
+
+        def counted_derive(index):
+            derived.append(len(index))
+            return derive(index)
+        return values, counted_derive
+
+    batch = projected_gradient(counted, starts, 18.5)
+    # one derived row per start and per accepted step: every iteration
+    # but a stalled one ends in an accepted step
+    accepted = sum(r.iterations - r.stalled for r in batch.results)
+    assert sum(derived) == len(starts) + accepted == 23 + 218
+    # the trial steps are those of deriving every row: 18 calls on 325
+    # rows, as counted with the Gram, Jacobian and Hessian at every row
+    assert (len(valued), sum(valued)) == (18, 325)
+    assert sum(derived) < sum(valued)
