@@ -26,19 +26,20 @@ records of a list are filled one field column at a time: an all-float
 column in one map of float.__repr__, any other value through `_text`
 itself, written once per distinct value where the column is all bool,
 all int, all str, all None or all one Enum (never for floats or
-complexes: -0.0 == 0.0).  The filled records are joined in one `%`, as
-the region CSV's line template is filled.  Shorter lists are written a
-record at a time, which costs less there.
+complexes: -0.0 == 0.0).  The filled records are joined in one `%`.
+Shorter lists are written a record at a time, which costs less there.
 
 CSV floats use repr(), which round-trips exactly through float().
-Region CSVs are formatted a block of rows at a time with one line
-template: each distinct power bit pattern of a block is repr'd once and
-its text reused through `%s`, and each MSE goes through `%r`.  Both give
-a float's repr, which holds no delimiter, quote or newline, so the bytes
-are those a `csv.writer` of repr() cells would write.  Large region CSVs
-are formatted on every CPU of the affinity mask: forked workers format
-contiguous row ranges into temporary files, which are appended in row
-order, so the bytes do not depend on the split.
+Region CSVs are written as bytes a block of rows at a time, every cell
+formatted in numpy (_cells_text): where 1e-4 <= x < 2**52 and x is no
+power of two, repr's shortest round-trip digits come from exact integer
+arithmetic and are laid out as repr lays them out; every other cell goes
+through repr, once per distinct bit pattern of the block.  A repr holds
+no delimiter, quote or newline, so the bytes are those a `csv.writer` of
+repr() cells would write.  Large region CSVs are formatted on every CPU
+of the affinity mask: forked workers format contiguous row ranges into
+temporary files, which are appended in row order, so the bytes do not
+depend on the split.
 """
 
 from __future__ import annotations
@@ -154,22 +155,167 @@ def write_boundary_csv(path, samples) -> None:
             writer.writerow([_cell(getattr(s, name)) for name in BOUNDARY_COLUMNS])
 
 
-# Rows formatted per write, and the span over which equal powers share
-# one repr.  A grid block of 1024 rows holds at most a few hundred distinct
-# powers, so nearly every power cell reuses a text.  Each block's table is
-# dropped with the block.  In region-lattice runs on a 2-core VM, 1024-row
-# blocks kept peak RSS at the 92 MB of the former per-cell `%r` writer;
-# one table over the whole sample set (which in random mode holds the
-# text of every power at once) read 94-96 MB, and 2048- or 4096-row blocks
-# 92.5-95 MB, all at the same speed.
+# Region CSV cells: repr() text from exact integer arithmetic, in numpy.
+#
+# repr(x) writes the shortest digit string that reads back as x, the one
+# nearest x where two of that length do (a tie takes the even last digit),
+# positionally for 1e-4 <= x < 1e16 (the search of Steele & White and Gay;
+# Ryu, Adams, PLDI 2018, finds the same digits).  For 1e-4 <= x < 2**52,
+# x not a power of two, the digits come from integers.  With x = m 2**e
+# (2**52 < m < 2**53), k = floor(log10 x) and q = 16 - k in 1..20,
+# V = x 10**q = m 5**q / 2**s lies in [1e16, 1e17), s = -(q + e) in
+# 0..46.  A float product estimates V to within 12; m 5**q - estimate 2**s,
+# exact modulo 2**64 in unsigned products and below 2**51 in size, gives
+# floor(V) and the fraction's 2**s-ths.  The numbers that read back as x
+# are those within half an ulp: V +- 5**q / 2**(s + 1), whose ends are odd
+# multiples of 2**-(s + 1), so no integer is at an end (whether ends count
+# never matters).  The interval is under 23 wide.  Let g be 100, 10 or 1,
+# the largest with a multiple in the interval (at most one of 100).  The
+# multiple of g nearest V is in the interval too, and it is repr's digit
+# string followed by exactly as many zeros as the shortest string drops.
+# The doubles 1e-5..1e17 are each at least the power of ten they name, so
+# x >= 1e(k + 1) is exact, and V's interval never reaches 1e17 (1e(k + 1)
+# does not round down to x).  Every other cell (zero, a negative, a power
+# of two, an exponent form, NaN, an infinity, x >= 2**52) goes through
+# repr itself.
+_I64, _U64 = np.int64, np.uint64
+
+
+_FAST_LOW, _FAST_HIGH = 1e-4, 2.0 ** 52
+_MANTISSA = _I64((1 << 52) - 1)
+# per biased exponent b: k0 = floor((b - 1023) log10 2), so floor(log10 x)
+# is k0 + 1 for x of that exponent where x >= _NEXT_TEN[b] = 1e(k0 + 1),
+# and k0 elsewhere
+_K0 = ((np.arange(2048, dtype=_I64) - _I64(1023)) * _I64(78913)) >> _I64(18)
+_NEXT_TEN = np.array([float(f"1e{p}") for p in range(-5, 18)])[np.clip(_K0 + _I64(6), 0, 22)]
+_POW5 = np.array([5 ** q for q in range(21)], dtype=_I64)
+_TENS = np.array([float(f"1e{q}") for q in range(21)])
+
+
+def _shortest_digits(values):
+    """(fast, digits, point) for a float64 array, repr's digits for fast cells.
+
+    Where `fast` (1e-4 <= value < 2**52, not a power of two), repr(value)
+    writes the significant digits of the 17-digit int64 `digits`, with the
+    decimal point `point` (int64) places after the first: value is about
+    0.digits * 10**point.  Other cells hold arbitrary numbers.
+    """
+    fraction = values.view(_I64) & _MANTISSA
+    fast = (values >= _FAST_LOW) & (values < _FAST_HIGH) & (fraction != _I64(0))
+    x = np.where(fast, values, 1.5)
+    biased = x.view(_I64) >> _I64(52)
+    m = fraction | _I64(1 << 52)
+    k = _K0[biased] + (x >= _NEXT_TEN[biased])
+    q = _I64(16) - k
+    s = _I64(1075) - biased - q
+    five = _POW5[q]
+    estimate = (x * _TENS[q]).astype(_I64)
+    rest = (m.view(_U64) * five.view(_U64) - (estimate.view(_U64) << s.view(_U64))).view(_I64)
+    carry = rest >> s
+    whole = estimate + carry                            # floor(V)
+    frac2 = (rest - (carry << s)) << _I64(1)            # 2 (V - whole) 2**s
+    s1 = s + _I64(1)
+    upper = whole + ((five + frac2) >> s1)
+    width = upper - whole + ((five - frac2) >> s1)
+    tens = upper // _I64(10)
+    step = np.where(upper - tens // _I64(10) * _I64(100) <= width, _I64(100),
+                    np.where(upper - tens * _I64(10) <= width, _I64(10), _I64(1)))
+    below = whole // step
+    digits = below * step
+    twice = ((whole - digits) << s1) + frac2            # 2 (V - digits) 2**s
+    unit = step << s
+    digits += step * ((twice > unit) | ((twice == unit) & (below & _I64(1)).astype(bool)))
+    return fast, digits, k + _I64(1)
+
+
+# A fast cell's text is laid out in five 64-bit words (40 bytes) and
+# stripped of its NULs: the "0.", "0.0", "0.00" or "0.000" of a point at
+# or before the first digit, a NUL, then the 17 digits, each followed by a
+# slot holding "." where the point follows that digit, the cell's
+# separator after its last written digit, and NUL otherwise.  A digit is
+# written up to the last significant one or to the one after the point.
+# The tables are built on first use, so that a command that writes no
+# region CSV neither builds nor holds them.
+@functools.cache
+def _text_tables():
+    digit_byte = 6 + 2 * np.arange(17)
+    slot = digit_byte + 1
+    groups = np.arange(10000)
+    four = np.zeros((10000, 8), dtype=np.uint8)
+    four[:, 0::2] = 48 + groups[:, None] // np.array([1000, 100, 10, 1]) % 10
+    first = np.zeros((10, 8), dtype=np.uint8)
+    first[:, 6] = 48 + np.arange(10)
+    zeros = ((groups % 10 == 0).astype(_I64) + (groups % 100 == 0) + (groups % 1000 == 0)
+             + (groups == 0))
+    keep = np.zeros((18, 40), dtype=np.uint8)
+    keep[:, digit_byte] = 255 * (np.arange(17) < np.arange(18)[:, None])
+    point = np.zeros((20, 40), dtype=np.uint8)
+    end = np.zeros((36, 40), dtype=np.uint8)
+    for p in range(-3, 17):
+        if p > 0:
+            point[p + 3, slot[p - 1]] = ord(".")
+        else:
+            point[p + 3, :2 - p] = np.frombuffer(b"0." + b"0" * -p, dtype=np.uint8)
+    for count in range(1, 18):
+        end[count, slot[count - 1]] = ord(",")
+        end[count + 18, slot[count - 1]] = ord("\n")
+    return (first.view(_U64).ravel(), four.view(_U64).ravel(), zeros,
+            keep.view(_U64), point.view(_U64), end.view(_U64))
+
+
+
+def _cells_text(values, newline) -> bytes:
+    """repr(float) of each cell of `values`, followed by "," or, where
+    `newline` is 1, by "\n"; one bytes object.
+
+    Fast cells (_shortest_digits) are written from their digits; each
+    distinct bit pattern among the others is repr'd once.
+    """
+    first_table, four_table, group_zeros, keep_table, point_table, end_table = _text_tables()
+    fast, digits, point = _shortest_digits(values)
+    first = digits // _I64(10 ** 16)
+    rest = digits - first * _I64(10 ** 16)
+    high = rest // _I64(10 ** 8)
+    low = rest - high * _I64(10 ** 8)
+    h1, l1 = high // _I64(10 ** 4), low // _I64(10 ** 4)
+    h2, l2 = high - h1 * _I64(10 ** 4), low - l1 * _I64(10 ** 4)
+    zeros = group_zeros[l2] + (l2 == 0) * (
+        group_zeros[l1] + (l1 == 0) * (group_zeros[h2] + (h2 == 0) * group_zeros[h1]))
+    written = np.maximum(_I64(17) - zeros, point + _I64(1))
+    words = np.empty((values.size, 5), dtype=_U64)
+    words[:, 0] = first_table[first]
+    for column, group in enumerate((h1, h2, l1, l2), 1):
+        words[:, column] = four_table[group]
+    words &= np.take(keep_table, written, axis=0)
+    words |= np.take(point_table, point + _I64(3), axis=0)
+    words |= np.take(end_table, written + _I64(18) * newline, axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        keys, inverse = np.unique(values[slow].view(_U64), return_inverse=True)
+        texts = [repr(value).encode() for value in keys.view(np.float64).tolist()]
+        table = np.frombuffer(b"".join(text.ljust(40, b"\0") for text in texts),
+                              dtype=np.uint8).reshape(-1, 40)[inverse]
+        lengths = np.array(list(map(len, texts)), dtype=np.intp)[inverse]
+        table[np.arange(slow.size), lengths] = np.where(newline[slow] == 1, ord("\n"), ord(","))
+        words[slow] = table.view(_U64)
+    return words.tobytes().translate(None, b"\0")
+
+
+# Rows formatted per write.  A block's working arrays are a few dozen
+# int64 temporaries per cell, dropped with the block.  On a 2-core VM a
+# fresh `region` process (K = 3, N = 8, grid 91; K = 4, N = 8, 28000
+# random rows) peaked at 45.9 and 41.8 MB RSS with 1024-row blocks, as
+# with the former repr writer (45.6, 41.8); 2048-row blocks read 47.4 and
+# 44.1 MB and 4096-row blocks 50.4 and 48.1 MB, none of them faster.
 _REGION_BLOCK_ROWS = 1024
 
 # The fewest rows a range needs to be worth a worker of its own.  On a
-# 2-core VM, forking, reaping and copying one worker's spill cost 5-8 ms
-# in an 80-130 MB process; two ranges broke even at about 3072 rows for
-# K = 3 and 8192 rows for K = 1 (the fewest cells per row), and at 8192
-# rows saved 28% of the write for K = 3.  So no split loses at K = 1.
-_MIN_RANGE_ROWS = 4096
+# 2-core VM, in a process with 64 MB resident, a second range (fork,
+# reap, the spill written and copied back) broke even at about 24576 rows
+# for K = 1 (the fewest cells per row) and 16384-24576 rows for K = 2..4;
+# at 49152 rows it saved 5% of the write for K = 1 and 24-35% for
+# K = 2..4.  Splits start at twice this, where K = 1 is at par.
+_MIN_RANGE_ROWS = 12288
 
 
 def _range_count(rows: int) -> int:
@@ -184,46 +330,36 @@ def _range_count(rows: int) -> int:
 
 
 def _write_region_rows(handle, powers, mses, lo, hi) -> None:
-    """Write rows lo..hi - 1, _REGION_BLOCK_ROWS at a time."""
-    k = powers.shape[1]
-    line = ",".join(["%s"] * k + ["%r"] * k) + "\n"
-    cells = np.empty((_REGION_BLOCK_ROWS, 2 * k), dtype=object)
+    """Write rows lo..hi - 1 to the binary file `handle`, _REGION_BLOCK_ROWS at a time."""
+    newline = np.zeros((_REGION_BLOCK_ROWS, 2 * powers.shape[1]), dtype=_I64)
+    newline[:, -1] = 1
     for start in range(lo, hi, _REGION_BLOCK_ROWS):
         stop = min(start + _REGION_BLOCK_ROWS, hi)
-        bits, index = np.unique(powers[start:stop].view(np.int64), return_inverse=True)
-        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        block = cells[:stop - start]
-        block[:, :k] = texts[index.reshape(-1, k)]
-        block[:, k:] = mses[start:stop]
-        handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
-
-
-def _spill_rows(spill, powers, mses, lo, hi) -> None:
-    """Write rows lo..hi - 1 as text into the binary file `spill`."""
-    with open(spill.fileno(), "w", encoding="utf-8", newline="", closefd=False) as text:
-        _write_region_rows(text, powers, mses, lo, hi)
+        cells = np.concatenate((powers[start:stop], mses[start:stop]), axis=1)
+        handle.write(_cells_text(cells.ravel(), newline[:stop - start].ravel()))
 
 
 def _start_worker(spill, powers, mses, lo, hi) -> Optional[int]:
-    """Fork a worker that spills rows lo..hi - 1 and exits; its pid.
+    """Fork a worker that writes rows lo..hi - 1 to `spill` and exits; its pid.
 
-    None when the fork fails: this process has then spilled them itself.
+    None when the fork fails: this process has then written them itself.
     """
     try:
         pid = os.fork()
     except OSError:
-        _spill_rows(spill, powers, mses, lo, hi)
+        _write_region_rows(spill, powers, mses, lo, hi)
         return None
     if pid == 0:
         # The parent may hold OpenBLAS threads (Python 3.12 warns about
-        # forking it).  The worker only sorts, fills object arrays and
-        # formats floats: it makes no BLAS or LAPACK call, so it never
-        # waits on a lock that a thread absent from the child held at the
-        # fork.  It leaves through os._exit, which runs no exit handler
-        # and flushes none of the parent's buffers.
+        # forking it).  The worker only does elementwise numpy arithmetic,
+        # sorts and formats floats: it makes no BLAS or LAPACK call, so it
+        # never waits on a lock that a thread absent from the child held
+        # at the fork.  It leaves through os._exit, which runs no exit
+        # handler and flushes none of the parent's buffers.
         status = 1
         try:
-            _spill_rows(spill, powers, mses, lo, hi)
+            _write_region_rows(spill, powers, mses, lo, hi)
+            spill.flush()
             status = 0
         except BaseException as err:
             os.write(2, f"region CSV worker, rows {lo}-{hi}: {err!r}\n".encode())
@@ -235,14 +371,11 @@ def _start_worker(spill, powers, mses, lo, hi) -> Optional[int]:
 def write_region_csv(path, sample_set) -> None:
     """Header p_1..p_K, eps_1..eps_K, then one row of repr() floats per sample.
 
-    Rows are formatted _REGION_BLOCK_ROWS at a time.  Powers repeat (a
-    grid's powers take at most resolution + 1 values in all K columns),
-    so each distinct power bit pattern of a block is repr'd once and its
-    text reused; a bit-pattern key keeps 0.0 and -0.0 apart, where a
-    value key would merge them.  MSEs are nearly all distinct and go
-    through `%r`.  The block's power texts and MSEs fill one reused
-    object array, whose cells fill the line template repeated once per
-    row, written in one call.
+    Rows are formatted _REGION_BLOCK_ROWS at a time, every cell by
+    _cells_text: from exact integer arithmetic where that settles repr's
+    text, through repr once per distinct bit pattern of the block
+    elsewhere.  A repr holds no delimiter, quote or newline, so the bytes
+    are those a `csv.writer` of repr() cells writes.
 
     The rows are split into contiguous ranges, one per CPU of the
     affinity mask (see _range_count).  This process formats the first;
@@ -260,9 +393,8 @@ def write_region_csv(path, sample_set) -> None:
     header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
     running = {}                # pid -> its range, until reaped
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle, \
-                contextlib.ExitStack() as stack:
-            handle.write(",".join(header) + "\n")
+        with open(path, "wb") as handle, contextlib.ExitStack() as stack:
+            handle.write((",".join(header) + "\n").encode())
             spills = []
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 spill = stack.enter_context(tempfile.TemporaryFile())
@@ -271,7 +403,6 @@ def write_region_csv(path, sample_set) -> None:
                     running[pid] = (lo, hi)
                 spills.append((pid, spill))
             _write_region_rows(handle, powers, mses, 0, bounds[1])
-            handle.flush()
             for pid, spill in spills:
                 if pid is not None:
                     status = os.waitpid(pid, 0)[1]
@@ -280,7 +411,7 @@ def write_region_csv(path, sample_set) -> None:
                         raise OSError(f"region CSV worker for rows {lo}-{hi} exited with "
                                       f"status {os.waitstatus_to_exitcode(status)}")
                 spill.seek(0)
-                shutil.copyfileobj(spill, handle.buffer)
+                shutil.copyfileobj(spill, handle)
     finally:
         for pid in running:
             os.kill(pid, signal.SIGKILL)

@@ -288,6 +288,70 @@ def test_region_csv_failed_fork_writes_the_range_itself(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+def _cells_text_is_repr(values):
+    """_cells_text of `values` against repr() cells, a newline after every third."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    newline = (np.arange(values.size) % 3 == 2).astype(np.int64)
+    expected = "".join(repr(v) + ("\n" if end else ",")
+                       for v, end in zip(values.tolist(), newline.tolist()))
+    assert io_module._cells_text(values, newline) == expected.encode()
+
+
+def test_cells_text_matches_repr_on_a_fixed_corpus():
+    rng = np.random.default_rng(700)
+    # random mantissas in every binade, subnormals included
+    exponents = np.repeat(np.arange(-1074, 1024), 8)
+    binades = np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents)
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    # the 40 doubles on each side of 1e-5, 1e-4, ..., 1e17
+    tens = np.array([float(f"1e{p}") for p in range(-5, 18)])
+    neighbours = (tens.view(np.int64)[:, None] + np.arange(-40, 41)).view(np.float64)
+    # values of 1 to 17 significant digits, 1e-7 to 1e18
+    short = [float(f"{rng.integers(10 ** (d - 1), 10 ** d)}e{rng.integers(-6, 19) - d}")
+             for d in range(1, 18) for _ in range(300)]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.0, 0.1, 1e-4, 2.0 ** 52, 2.0 ** 52 - 1.0,
+             2.0 ** 49 + 0.25, 2.0 ** 49 + 0.75, 1e16, 9999999999999998.0]
+    uniform = np.concatenate([rng.uniform(0.0, 1.0, 5000), 10.0 ** rng.uniform(-6.0, 18.0, 5000)])
+    corpus = np.concatenate([binades, powers_of_two, neighbours.ravel(), short, edges, uniform])
+    _cells_text_is_repr(np.concatenate([corpus, -corpus[::7]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(1e-4, 2.0 ** 52))))
+def test_cells_text_matches_repr_for_finite_floats(values):
+    _cells_text_is_repr(values)
+
+
+def test_shortest_digits_keep_integer_dtypes():
+    # numpy 1.x promotes uint64 with int64 to float64; every integer step
+    # stays int64 (or uint64 where it wraps), so digits and point are int64
+    values = np.array([0.1, 1e-4, 123.456, 2.0 ** 52 - 1.0, 0.0, -0.1, 5e-324, 1.0, 1e16])
+    fast, digits, point = io_module._shortest_digits(values)
+    assert (fast.dtype, digits.dtype, point.dtype) == (np.bool_, np.int64, np.int64)
+    assert fast.tolist() == [True] * 4 + [False] * 5
+    assert digits[:4].tolist() == [10 ** 16, 10 ** 16, 12345600000000000, 45035996273704950]
+    assert point[:4].tolist() == [0, -3, 3, 16]
+
+
+def test_powers_of_ten_do_not_round_down():
+    # the formatter compares x with the doubles 1e-5..1e17 as with the exact
+    # powers of ten, and relies on none of them rounding down
+    for p in range(-5, 18):
+        num, den = float(f"1e{p}").as_integer_ratio()
+        assert num * 10 ** max(-p, 0) >= den * 10 ** max(p, 0), p
+
+
+def test_region_csv_fallback_cells_on_a_lattice():
+    # K = 3, N = 4, grid 40: 12341 rows.  Only the 2583 zero powers and the
+    # 2583 MSEs of 1.0 of their silent users are written through repr().
+    samples = sample_region(random_channels(np.random.default_rng(800), 4, 3),
+                            SystemConfig(noise_variance=1.0, power_budget=30.0), 40, mode="grid")
+    cells = np.concatenate((samples.powers, samples.mses), axis=1).ravel()
+    fast = io_module._shortest_digits(cells)[0]
+    assert (cells.size, int((~fast).sum())) == (74046, 5166)
+
+
 def test_manifest_contents():
     block = manifest("region", {"grid": 40}, 7, CONFIG)
     assert block["command"] == "region"
