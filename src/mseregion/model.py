@@ -15,8 +15,10 @@ B[i, j] = h_i^H X^{-2} h_j.  Every evaluation, batched MSE tuples
 included, goes through one Cholesky whitening X = L L^H: A is the Gram
 matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
 X is built from the outer products h_i h_j^H of each channel matrix,
-formed once and contracted with every power row, and L^{-1} H comes from
-L by forward substitution, so each covariance is factored exactly once.
+formed once and contracted with every power row, and one elimination of
+the stacked block [X; H^H], run on every power row at once, turns its
+bottom block into (L^{-1} H)^H: each covariance is factored exactly once,
+with no per-matrix LAPACK call and no triangular solve.
 One private function, `_mses`, forms every MSE from the whitened
 channels as eps = 1 - p * sum_n |L^{-1} h|^2: `mse_tuples`, `mse_tuple`
 (one row of it), `mse_jacobian` and `weighted_mse_derivatives`.
@@ -249,9 +251,11 @@ def ensure_feasible(powers, config: SystemConfig) -> np.ndarray:
 
 
 def receive_covariance(channels, powers, config: SystemConfig) -> np.ndarray:
-    """X = sigma^2 I + sum_k p_k h_k h_k^H, Hermitian positive definite (per row of a batch)."""
+    """X = sigma^2 I + sum_k p_k h_k h_k^H, exactly Hermitian and positive
+    definite, per row of a batch: the matrix the kernel factors."""
     mat = _channel_set(channels).entries
-    return _covariance(mat, _power_rows(powers, mat.shape[1]), config.noise_variance)
+    cov = _covariance(mat, _power_rows(powers, mat.shape[1]), config.noise_variance)
+    return np.moveaxis(cov, (0, 1), (-2, -1))
 
 
 def _triangular_factor(mat: np.ndarray) -> np.ndarray:
@@ -264,38 +268,91 @@ def _triangular_factor(mat: np.ndarray) -> np.ndarray:
 
 def _covariance(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarray:
     """X = sigma^2 I + H diag(p) H^H for (..., n, k) channels and (..., k) powers,
-    made exactly Hermitian: the one covariance construction.
+    exactly Hermitian: the one covariance construction.
 
-    The outer products h_i h_j^H are formed once per channel matrix, on
-    the channels as given (one (n, n, k) array for a shared matrix), and
-    contracted with every power row in one einsum.
+    The rows sit on the trailing axes: X has shape (n, n) + the powers'
+    leading shape, C-contiguous, so that the elimination in `_whiten`
+    works on every row with one elementwise operation.  The outer products
+    h_i h_j^H are formed once per channel matrix, on the channels as given,
+    and averaged with their conjugate transposes, which fused multiply-adds
+    can round apart; that makes X Hermitian to the bit, with a real
+    diagonal.  One einsum contracts them with every power row, its
+    innermost reduction the contiguous k axis for any batch size.
     """
+    n = mat.shape[-2]
     outer = mat[..., :, None, :] * mat[..., None, :, :].conj()
-    cov = np.einsum("...k,...ijk->...ij", pw, outer)
-    cov += noise_variance * np.eye(mat.shape[-2])
-    return 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
+    outer = 0.5 * (outer + np.conj(np.swapaxes(outer, -2, -3)))
+    cov = np.einsum("...k,...ijk->ij...", pw, outer, order="C")
+    cov.reshape((n * n,) + cov.shape[2:])[::n + 1] += noise_variance
+    return cov
 
 
-def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float):
-    """(L, L^{-1} H) with X = L L^H for validated powers of shape (..., k).
+def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarray:
+    """The Cholesky elimination of [X; H^H] for validated powers of shape (..., k).
 
     `mat` has shape (..., n, k) and broadcasts against `pw`, whose leading
     shape is the output's: one shared (n, k) matrix, one matrix per power
     row, or anything between.  Channels that do not broadcast to the
-    powers' leading shape raise ValueError.  Rows are independent of each
-    other.  L^{-1} H comes from L by forward substitution over its n rows
-    (backward stable, and no second factorization of L); a shared matrix
-    is never copied to every row.
+    powers' leading shape raise ValueError.  Returns the (n + k, n) + lead
+    work array, rows on the trailing axes: its bottom block is
+    (L^{-1} H)^H with X = L L^H, and its top block holds L D^{1/2} in the
+    lower triangle, with the pivots D on the diagonal (real parts; see
+    `_lower`), and the pivot rows in the strict upper triangle.
+
+    The elimination is the right-looking (outer-product) form of the
+    square-root-free Cholesky factorization X = L' D^{-1} L'^H (Golub and
+    Van Loan, Matrix Computations, sections 4.1-4.2), run on the stacked
+    block: pivot j subtracts column j times row j over the pivot from the
+    trailing columns, one rank-one update of every row at once.  On the
+    bottom block these are the column operations of a forward
+    substitution, so after the last pivot it holds H^H L'^{-H} D, and one
+    scaling of column j by 1/sqrt(pivot j) leaves (L^{-1} H)^H, with no
+    triangular solve.  Reading the pivot row from the upper triangle
+    spares a conjugation per pivot and deferring the square roots spares
+    one more: a solver's batches of about 20 rows cost what their numpy
+    calls cost, four per pivot.  Every step is elementwise across rows,
+    so a row's bytes do not depend on the batch it came in.  A pivot that
+    is not positive and finite raises LinAlgError, a ValueError, and no
+    NaN leaves the kernel.
     """
     lead = pw.shape[:-1]
-    if np.broadcast_shapes(mat.shape[:-2], lead) != lead:
+    if mat.ndim > 2 and np.broadcast_shapes(mat.shape[:-2], lead) != lead:
         raise ValueError(f"channels of shape {mat.shape} do not broadcast to powers of shape {pw.shape}")
-    low = np.linalg.cholesky(_covariance(mat, pw, noise_variance))
-    half = np.empty(lead + mat.shape[-2:], dtype=np.complex128)
-    for j in range(mat.shape[-2]):
-        row = mat[..., j, :] - np.einsum("...m,...mk->...k", low[..., j, :j], half[..., :j, :])
-        half[..., j, :] = row / low[..., j, j, None]
-    return low, half
+    n, k = mat.shape[-2:]
+    work = np.empty((n + k, n) + lead, dtype=np.complex128)
+    work[:n] = _covariance(mat, pw, noise_variance)
+    np.conjugate(mat, out=_rows_first(work[n:]))
+    # 1/pivot, later 1/sqrt(pivot): complex with a zero imaginary part,
+    # so that scaling a complex row needs no cast
+    scale = np.zeros((n,) + lead, dtype=np.complex128)
+    recip = scale.real
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(n):
+            np.divide(1.0, work[j, j].real, out=recip[j, ...])
+            if j + 1 < n:
+                row = work[j, j + 1:] * scale[j]
+                work[j + 1:, j + 1:] -= work[j + 1:, j, None] * row[None]
+        np.sqrt(recip, out=recip)
+    if not (recip.min(initial=np.inf) > 0.0 and recip.max(initial=0.0) < np.inf):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    work[n:] *= scale
+    return work
+
+
+def _whitened_gram(work: np.ndarray, index=...) -> np.ndarray:
+    """A = (L^{-1} H)^H L^{-1} H of the rows `index` of a `_whiten` work array.
+
+    The bottom block read rows first is conj(L^{-1} H); its C-contiguous
+    copy is made only for the rows asked for, and the einsum reduces over
+    n exactly as `_gram` does on L^{-1} H.
+    """
+    conj_half = np.ascontiguousarray(_rows_first(work[work.shape[1]:])[index])
+    return np.einsum("...ni,...nj->...ij", conj_half, conj_half.conj())
+
+
+def _rows_first(block: np.ndarray) -> np.ndarray:
+    """The (..., b, a) view of an (a, b, ...) rows-last block."""
+    return block.transpose(tuple(range(2, block.ndim)) + (1, 0))
 
 
 def _gram(vecs: np.ndarray) -> np.ndarray:
@@ -313,18 +370,33 @@ def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool =
     grid; channels that do not broadcast to the powers raise ValueError.
     Returns A with A[..., i, j] = h_i^H X^{-1} h_j; with second_order
     also B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
-    L^{-1} H and X^{-1} H = L^{-H} L^{-1} H where X = L L^H (L^{-H}
-    applied here by `np.linalg.solve`), which keeps both matrices
-    Hermitian positive semidefinite up to rounding.  Unlike the MSE
-    functions, it evaluates exactly the matrices it receives (a
-    `ChannelSet`'s entries, never its factor), so the tests use it as the
-    unreduced oracle.
+    L^{-1} H and X^{-1} H = L^{-H} L^{-1} H where X = L L^H (L^{-1} H
+    from the kernel's elimination; L^{-H} applied here by
+    `np.linalg.solve` to L, which only the second order forms), which
+    keeps both matrices Hermitian positive semidefinite up to rounding.
+    Unlike the MSE functions, it evaluates exactly the matrices it
+    receives (a `ChannelSet`'s entries, never its factor), so the tests
+    use it as the unreduced oracle.
     """
     mat = channels.entries if isinstance(channels, ChannelSet) else _checked_channels(channels)
-    low, half = _whiten(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance)
+    work = _whiten(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance)
+    gram = _whitened_gram(work)
     if not second_order:
-        return _gram(half)
-    return _gram(half), _gram(np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), half))
+        return gram
+    half = np.conj(_rows_first(work[mat.shape[-2]:]))
+    return gram, _gram(np.linalg.solve(np.conj(np.swapaxes(_lower(work), -1, -2)), half))
+
+
+def _lower(work: np.ndarray) -> np.ndarray:
+    """L of a `_whiten` work array, rows first: its top block's lower
+    triangle over the square roots of the pivots, with those roots as its
+    real diagonal.  Only `resolvent_grams`' second order forms it."""
+    n = work.shape[1]
+    low = np.tril(np.moveaxis(work[:n], (0, 1), (-2, -1)))
+    root = np.sqrt(np.einsum("...ii->...i", low).real)
+    low /= root[..., None, :]
+    np.einsum("...ii->...i", low)[...] = root
+    return low
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
@@ -333,31 +405,33 @@ def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:
     return MseTuple(mse_tuples(channels, np.asarray(powers)[None], config)[0])
 
 
-# working-set budget of one batch chunk, in bytes.  1 MiB: on a K = 3,
-# N = 8 grid-91 lattice (134 044 rows) the tracemalloc peak of mse_tuples
-# is 4.7 MB against 9.2 MB at 4 MiB and 61 MB at 64 MiB, and the call is
-# no slower (median 184 ms against 189 ms at 4 MiB, 15 alternating runs;
-# 2-core VM, 2 MiB L2 per core).  A process that runs many region
-# commands keeps less freed heap between them: at 4 MiB its resident
-# size after a command varied by about 7 MB from run to run.
+# budget of one batch chunk's work array, in bytes.  1 MiB: on a K = 3,
+# N = 8 grid-91 lattice (134 044 rows) mse_tuples is 6-23% faster than at
+# 0.5 MiB, 6-16% faster than at 2 MiB and 22-40% faster than at 4 MiB
+# (medians of 16 calls per size, sizes alternating, four processes; 2-core
+# VM, 2 MiB L2 per core), with a tracemalloc peak of 5.3 MB against 4.4,
+# 7.1 and 10.9 MB.  From 2 MiB on, every call in a warmed process takes
+# page faults (about 850 minor faults at 2 MiB and 1800 at 4 MiB, none at
+# 1 MiB or below).
 _CHUNK_BYTES = 2 ** 20
 
 
 def _chunk_rows(n: int, k: int) -> int:
-    """Rows per mse_tuples chunk: the complex bytes of each row's n x n
-    covariance and n x k whitened channels, within `_CHUNK_BYTES`."""
+    """Rows per mse_tuples chunk: the complex bytes of each row's
+    (n + k) x n `_whiten` work array, within `_CHUNK_BYTES`."""
     return max(1, _CHUNK_BYTES // (16 * n * (n + k)))
 
 
 def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     """MSE rows for an (S, K) batch of power vectors, evaluated in chunks.
 
-    Each chunk goes through the same Cholesky whitening as every other
-    evaluation (one factorization per row, then forward substitution)
-    and reduces it to diag A = sum_n |L^{-1} H|^2 only.  A chunk holds as
-    many rows as fit a 1 MiB working-set budget, so the intermediates stay
-    a few MB at any batch size or N; every row is computed independently,
-    so the output does not depend on the chunk size.
+    Each chunk goes through the same elimination as every other
+    evaluation (`_whiten`, all of the chunk's rows at once) and reduces
+    its bottom block to diag A = sum_n |L^{-1} H|^2 only; L itself is
+    never formed.  A chunk's work array fits a 1 MiB budget, so the
+    intermediates stay a few MB at any batch size or N; every row is
+    computed independently, so the output does not depend on the chunk
+    size.
     """
     mat = _channel_set(channels).factor
     n, k = mat.shape
@@ -368,7 +442,7 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     out = np.empty_like(pw)
     for lo in range(0, pw.shape[0], chunk):
         blk = pw[lo:lo + chunk]
-        out[lo:lo + chunk] = _mses(_whiten(mat, blk, config.noise_variance)[1], blk)[0]
+        out[lo:lo + chunk] = _mses(_whiten(mat, blk, config.noise_variance), blk)[0]
     return out
 
 
@@ -386,19 +460,33 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     return (eps, jac) if pw.ndim > 1 else (eps[0], jac[0])
 
 
-def _mses(half: np.ndarray, rows: np.ndarray):
-    """(eps, diag A) from the whitened channels L^{-1} H of (..., K) powers:
-    eps = 1 - p * sum_n |L^{-1} h|^2, the one MSE formula."""
-    diag = (half.real ** 2 + half.imag ** 2).sum(axis=-2)
-    return 1.0 - rows * diag, diag
+def _mses(work: np.ndarray, rows: np.ndarray):
+    """(eps, diag A) from a `_whiten` work array of (..., K) powers:
+    eps = 1 - p * sum_n |L^{-1} h|^2, the one MSE formula.
+
+    The sum over n runs on the rows-last bottom block as one fixed
+    pairwise tree (halves added elementwise, an odd term into the first),
+    the same order whatever the batch size.
+    """
+    bottom = work[work.shape[1]:]
+    parts = np.square(bottom.view(np.float64)).reshape(bottom.shape + (2,))
+    square = parts[..., 0] + parts[..., 1]
+    while square.shape[1] > 1:
+        half, odd = divmod(square.shape[1], 2)
+        summed = square[:, :half] + square[:, half:2 * half]
+        if odd:
+            summed[:, 0] += square[:, -1]
+        square = summed
+    diag = square[:, 0].transpose(tuple(range(1, rows.ndim)) + (0,))
+    return 1.0 - np.multiply(rows, diag, order="C"), diag
 
 
 def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
     """(A, eps, J) for a validated (..., K) power batch: eps from `_mses`, J by the one
     Jacobian formula."""
-    half = _whiten(mat, rows, noise_variance)[1]
-    gram = _gram(half)
-    eps, diag = _mses(half, rows)
+    work = _whiten(mat, rows, noise_variance)
+    gram = _whitened_gram(work)
+    eps, diag = _mses(work, rows)
     jac = rows[..., :, None] * (gram.real ** 2 + gram.imag ** 2)
     users = np.arange(mat.shape[-1])
     jac[..., users, users] -= diag
@@ -459,12 +547,12 @@ def _weighted_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float, w:
     Every reduction is an `einsum` over one row, not BLAS, so a derived
     row is bitwise the same whichever rows are derived with it.
     """
-    half = _whiten(mat, rows, noise_variance)[1]
-    eps, diag = _mses(half, rows)
+    work = _whiten(mat, rows, noise_variance)
+    eps, diag = _mses(work, rows)
     value = np.einsum("...k,k->...", eps, w)
 
     def derive(index):
-        pw, gram = rows[index], _gram(half[index])
+        pw, gram = rows[index], _whitened_gram(work, index)
         mag = gram.real ** 2 + gram.imag ** 2
         jac = pw[..., :, None] * mag
         users = np.arange(pw.shape[-1])

@@ -421,6 +421,32 @@ def test_region_cli_grid_round_trip(tmp_path, ref_channels_file):
     assert sidecar["seed"] == 0
 
 
+_INDEFINITE_CLI = """
+import sys
+from mseregion import cli, model
+original = model._covariance
+
+def indefinite(mat, pw, noise_variance):
+    cov = original(mat, pw, noise_variance)
+    cov[0, 0] = -1.0
+    return cov
+
+model._covariance = indefinite
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_region_cli_covariance_not_positive_definite_is_one_error_line(tmp_path, ref_channels_file):
+    # a process whose covariances are all indefinite: exit 2, one error line
+    # on stderr (no warning), no output files
+    proc = subprocess.run([sys.executable, "-c", _INDEFINITE_CLI, "region", "--channels",
+                           ref_channels_file, "--grid", "6", "--out", str(tmp_path / "region.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: Matrix is not positive definite\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "ref.json"]
+
+
 def test_region_cli_random_reproducible(tmp_path, ref_channels_file):
     outs = [tmp_path / f"r{i}.csv" for i in range(3)]
     base = ("region", "--channels", ref_channels_file, "--random", "100",

@@ -1,6 +1,7 @@
 """Model layer: closed forms, dense-inverse oracles, batching, validation."""
 
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -138,6 +139,87 @@ def test_default_chunking_is_bitwise_invariant(monkeypatch):
         mse_tuples(channels, batch[0], config)
 
 
+def test_rows_are_bitwise_alone_in_a_small_chunk_and_in_a_default_chunk(monkeypatch):
+    # n = 1..8, the factor square (N >= K) and wide (N < K): rows of a batch
+    # larger than one default chunk take the same bytes alone, inside a
+    # 5-row chunk and inside the default chunk, where numpy's loops run
+    # over thousands of rows
+    rng = np.random.default_rng(47)
+    for n in range(1, 9):
+        for n_ant, k in ((n + 3, n), (n, n + 1)):
+            channels = random_channels(rng, n_ant, k)
+            config = random_config(rng)
+            rows = _chunk_rows(n, k) + 37
+            batch = rng.uniform(0.0, config.power_budget / k, size=(rows, k))
+            picks = [0, 1, rows // 2, _chunk_rows(n, k) - 1, _chunk_rows(n, k), rows - 1]
+            default = mse_tuples(channels, batch, config)
+            eps_batch, jac_batch = mse_jacobian(channels, batch, config)
+            assert default.tobytes() == eps_batch.tobytes(), (n, k)
+            for i in picks:
+                alone = mse_tuples(channels, batch[i:i + 1], config)
+                assert alone.tobytes() == default[i:i + 1].tobytes(), (n, k, i)
+                eps, jac = mse_jacobian(channels, batch[i], config)
+                assert eps.tobytes() == eps_batch[i].tobytes(), (n, k, i)
+                assert jac.tobytes() == jac_batch[i].tobytes(), (n, k, i)
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_CHUNK_BYTES", 5 * 16 * n * (n + k))
+                assert _chunk_rows(n, k) == 5
+                assert mse_tuples(channels, batch, config).tobytes() == default.tobytes(), (n, k)
+
+    # a (T, 1, N, K) stack against a (T, G, K) grid, through the second order
+    config = SystemConfig(noise_variance=0.8, power_budget=40.0)
+    for n_ant, k in ((6, 4), (3, 5)):
+        mats = np.stack([random_channels(rng, n_ant, k).entries for _ in range(3)])
+        grid = rng.uniform(0.0, 10.0, size=(3, 700, k))
+        grams = resolvent_grams(mats[:, None], grid, config, second_order=True)
+        for t, g in ((0, 0), (1, 350), (2, 699)):
+            alone = resolvent_grams(mats[t], grid[t, g], config, second_order=True)
+            for gram, single in zip(grams, alone, strict=True):
+                assert gram[t, g].tobytes() == single.tobytes(), (n_ant, k, t, g)
+
+
+def _poison(monkeypatch, value, pivot, call, row):
+    """Make `_covariance` put `value` at X[pivot, pivot] of batch row `row`
+    on its call number `call`."""
+    original = model._covariance
+    calls = []
+
+    def covariance(mat, pw, noise_variance):
+        cov = original(mat, pw, noise_variance)
+        if len(calls) == call:
+            cov[pivot, pivot, row] = value
+        calls.append(pw.shape)
+        return cov
+    monkeypatch.setattr(model, "_covariance", covariance)
+
+
+def test_a_bad_pivot_raises_and_nothing_warns(monkeypatch):
+    # LAPACK raised LinAlgError, a ValueError, on an X that is not positive
+    # definite; the elimination raises it too, warns nothing and passes on
+    # no NaN: for a 1-row batch, and for one row of a multi-chunk batch
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    rng = np.random.default_rng(53)
+    channels = random_channels(rng, 5, 3)
+    config = SystemConfig(noise_variance=0.5, power_budget=12.0)
+    chunk = _chunk_rows(3, 3)
+    batch = rng.uniform(0.0, 4.0, size=(3 * chunk + 11, 3))
+    evaluations = (
+        (lambda pw: mse_tuples(channels, pw, config), 1),       # the second of four chunks
+        (lambda pw: mse_jacobian(channels, pw, config), 0),
+        (lambda pw: weighted_mse_derivatives(channels, pw, config, np.ones(3)), 0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate, call in evaluations:
+            for value in (-1.0, 0.0, np.inf, np.nan):
+                for pivot in (0, -1):
+                    for pw, at in ((batch[:1], (0, 0)), (batch, (call, 17))):
+                        with monkeypatch.context() as patch:
+                            _poison(patch, value, pivot, *at)
+                            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                                evaluate(pw)
+
+
 def test_region_lattice_working_set_is_a_few_chunks():
     # the K = 3, N = 8, grid-91 lattice (134 044 rows): mse_tuples holds a
     # chunk's intermediates, never the whole batch's
@@ -166,20 +248,24 @@ def test_mse_path_never_lu_solves(monkeypatch):
         return (mse_tuples(channels, batch, config), *mse_jacobian(channels, batch, config),
                 *weighted_mse_derivatives(channels, batch, config, np.ones(4)))
 
-    def no_solve(*args, **kwargs):
-        raise AssertionError("np.linalg.solve called on the MSE path")
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called on the MSE path")
+        return call
 
     expected = evaluate()
-    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(np.linalg, "solve", refuse("solve"))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse("cholesky"))
     for ref, got in zip(expected, evaluate(), strict=True):
         assert ref.tobytes() == got.tobytes()
 
-    # forward substitution inverts L: L (L^{-1} H) is H, broadcast to the powers
+    # the elimination inverts L: L (L^{-1} H) is H, broadcast to the powers
     mats = np.stack([random_channels(rng, 3, 2).entries for _ in range(5)])
     grid = np.stack([np.stack([random_powers(rng, 2, config.power_budget) for _ in range(4)])
                      for _ in range(5)])
     for mat, pw in ((channels.entries, batch), (mats, grid[:, 0]), (mats[:, None], grid)):
-        low, half = model._whiten(mat, pw, config.noise_variance)
+        work = model._whiten(mat, pw, config.noise_variance)
+        low, half = model._lower(work), np.conj(model._rows_first(work[mat.shape[-2]:]))
         full = np.broadcast_to(mat, pw.shape[:-1] + mat.shape[-2:])
         assert half.shape == full.shape
         err = np.linalg.norm(low @ half - full, axis=(-2, -1))
@@ -207,17 +293,35 @@ def test_receive_covariance_hermitian_and_bounded_below():
     assert np.linalg.eigvalsh(cov).min() >= 0.7 - 1e-12
 
 
-def test_receive_covariance_is_the_kernels_covariance():
-    # its Cholesky factor is the kernel's L bitwise, for a vector and a batch
+def test_receive_covariance_is_the_kernels_covariance(monkeypatch):
+    # the kernel factors exactly the X that receive_covariance returns (which
+    # is Hermitian to the bit), into a lower triangular L with a real
+    # positive diagonal and L L^H = X to a few ulps, for a vector and a batch
     rng = np.random.default_rng(7)
     channels = random_channels(rng, 4, 3)
     config = SystemConfig(noise_variance=0.7, power_budget=9.0)
     batch = np.stack([random_powers(rng, 3, config.power_budget) for _ in range(6)])
+    factored = []
+    original = model._covariance
+
+    def recording(*args):
+        factored.append(original(*args))
+        return factored[-1]
+
+    monkeypatch.setattr(model, "_covariance", recording)
     for powers in (batch[0], batch):
-        low, _ = model._whiten(channels.entries, powers, config.noise_variance)
+        factored.clear()
+        low = model._lower(model._whiten(channels.entries, powers, config.noise_variance))
         cov = receive_covariance(channels, powers, config)
-        assert cov.shape == powers.shape[:-1] + (4, 4)
-        assert np.linalg.cholesky(cov).tobytes() == low.tobytes()
+        assert cov.shape == low.shape == powers.shape[:-1] + (4, 4)
+        assert len(factored) == 2
+        assert np.moveaxis(factored[0], (0, 1), (-2, -1)).tobytes() == cov.tobytes()
+        assert (cov == np.conj(np.swapaxes(cov, -1, -2))).all()
+        assert (np.triu(low, 1) == 0).all()
+        diag = np.einsum("...ii->...i", low)
+        assert (diag.imag == 0).all() and (diag.real > 0).all()
+        err = np.linalg.norm(low @ np.conj(np.swapaxes(low, -1, -2)) - cov, axis=(-2, -1))
+        assert (err <= 8 * np.finfo(float).eps * np.linalg.norm(cov, axis=(-2, -1))).all()
 
 
 def test_weighted_gradient_matches_finite_differences():
