@@ -36,12 +36,11 @@ and b_ij = h_i^H X^{-2} h_j:
     eps2'' = 2 sigma^2 (a22 b22 - Re{a12 b21}) + 2 P |a12|^2 (a22 - a11)
     D      = -2 sigma^4 d (P n1 n2 + sigma^2 (n1 + n2)) / Delta^3
 
-a12 and b12 share the phase of c, so the couplings are real and read c
-only through |c|^2: with alpha = sigma^2 / Delta and beta = (sigma^4 -
-p q d) / Delta^2, |a12|^2 = |c|^2 alpha^2, Re{a12 b21} = |c|^2 alpha beta
-and |b12|^2 = |c|^2 beta^2.  The sweep evaluates in this real arithmetic;
-the complex a12 and b12 are formed only for the single-split readers, and
-certificates form only Delta and D on a fixed grid of 101 splits.
+The sweep forms all six Gram entries, c and n_k entering each numerator
+before any division, and takes its derivatives from them as a coupling
+bundle's are taken, with |a12|^2 and Re{a12 b21} formed by one rule
+(`_couplings`); certificates form only Delta and D on a fixed grid of
+101 splits.
 
 So D <= 0 on all of [0, P] once d >= 0 and Delta > 0 there, and Delta is
 concave in p, so Delta > 0 at both ends covers the interval: that is the
@@ -305,26 +304,22 @@ class _ClosedForms:
 class _SweepData(_ClosedForms):
     """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
 
-    The sweep and single-split readers' view: the Gram entries, the real
-    couplings (through |c|^2, as in the module docstring), derivatives and
-    D are formed once, a12, b12 and the MSEs when read.  Raises ValueError
-    where Delta, D or a derivative is not finite, or where a value positive
-    in exact arithmetic is below the smallest normal float64.
+    The sweep and single-split readers' view: the six Gram entries, their
+    derivatives (by `_derivatives`, as for a bundle) and D in closed form
+    are formed once, the MSEs when read.  Raises ValueError where Delta, D or
+    a derivative is not finite, or where a value positive in exact
+    arithmetic is below the smallest normal float64.
     """
 
-    __slots__ = ("a11", "a22", "b11", "b22", "absa12sq", "re_ab",
+    __slots__ = ("a11", "a22", "a12", "b11", "b22", "b12",
                  "deps1", "deps2", "ddeps1", "ddeps2", "disc")
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
         with _quiet_overflow():
             super().__init__(pairs, config, ps)
-            self.a11, self.a22, self.b11, self.b22 = self.grams()
-            self.absa12sq, self.re_ab = self.couplings()
-            terms = (self.a11, self.a22, self.b11, self.b22, self.absa12sq, self.re_ab,
-                     self.sig2, self.budget)
-            self.deps1, self.deps2 = _slopes(self.b11, self.b22, self.absa12sq,
-                                             self.sig2, self.budget)
-            self.ddeps1, self.ddeps2 = _curvatures(*terms)
+            self.a11, self.a22, self.a12, self.b11, self.b22, self.b12 = self.grams()
+            self.deps1, self.deps2, self.ddeps1, self.ddeps2, *_ = _derivatives(
+                self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, self.sig2, self.budget)
             self.disc = self.discriminant()
             self.check(self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc)
             # positive in exact arithmetic: below the smallest normal float64
@@ -336,35 +331,18 @@ class _SweepData(_ClosedForms):
             self.check(*(np.where(value >= tiny, value, np.nan) for value in positive))
 
     def grams(self):
-        """(a11, a22, b11, b22), the real diagonal Gram entries; the b
-        entries divide by Delta one factor at a time, as Delta^2 overflows
-        from P/sigma^2 ~ 1e77."""
-        sig2, p, q, n1, n2, d, den = self.sig2, self.p, self.q, self.n1, self.n2, self.d, self.den
+        """(a11, a22, a12, b11, b22, b12), the Gram entries: n_k and c enter
+        each numerator before any division, and the b entries divide by
+        Delta one factor at a time, as Delta^2 overflows from P/sigma^2 ~ 1e77."""
+        sig2, p, q, n1, n2, c, d, den = (self.sig2, self.p, self.q, self.n1, self.n2, self.c,
+                                         self.d, self.den)
         sig4 = sig2 ** 2
         return ((sig2 * n1 + q * d) / den,
                 (sig2 * n2 + p * d) / den,
+                sig2 * c / den,
                 (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den / den,
-                (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den)
-
-    def alpha(self):
-        return self.sig2 / self.den
-
-    def beta(self):
-        return (self.sig2 ** 2 - self.p * self.q * self.d) / self.den / self.den
-
-    def couplings(self):
-        """(|a12|^2, Re{a12 b21}) through |c|^2."""
-        csq = self.c.real ** 2 + self.c.imag ** 2
-        alpha, beta = self.alpha(), self.beta()
-        return csq * alpha ** 2, csq * (alpha * beta)
-
-    @property
-    def a12(self):
-        return self.c * self.alpha()
-
-    @property
-    def b12(self):
-        return self.c * self.beta()
+                (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den,
+                c * (sig4 - p * q * d) / den / den)
 
     @property
     def eps1(self):

@@ -45,7 +45,6 @@ depend on the split.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import enum
 import functools
@@ -149,10 +148,9 @@ def _cell(value) -> str:
 def write_boundary_csv(path, samples) -> None:
     """One row per sweep sample; derivative columns are empty at endpoints."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(BOUNDARY_COLUMNS)
+        handle.write(",".join(BOUNDARY_COLUMNS) + "\n")
         for s in samples:
-            writer.writerow([_cell(getattr(s, name)) for name in BOUNDARY_COLUMNS])
+            handle.write(",".join(_cell(getattr(s, name)) for name in BOUNDARY_COLUMNS) + "\n")
 
 
 # Region CSV cells: repr() text from exact integer arithmetic, in numpy.
@@ -419,21 +417,28 @@ def write_region_csv(path, sample_set) -> None:
 
 
 def read_region_csv(path):
-    """Return (powers, mses) arrays from a region CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
+    """Return (powers, mses) arrays from a region CSV, each of shape (rows, K).
+
+    Raises ValueError for an empty file, an unrecognized header, or rows
+    that do not all hold the header's 2K cells.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        line = handle.readline()
+        if not line:
             raise ValueError(f"empty region CSV: {path}")
+        header = line.rstrip("\r\n").split(",")
         if len(header) % 2 != 0 or not header[0].startswith("p_"):
             raise ValueError(f"unrecognized region CSV header: {header}")
         k = len(header) // 2
-        powers, mses = [], []
-        for row in reader:
-            values = [float(v) for v in row]
-            powers.append(values[:k])
-            mses.append(values[k:])
-    return np.array(powers), np.array(mses)
+        start = handle.tell()
+        if not handle.read(1):
+            return np.empty((0, k)), np.empty((0, k))
+        handle.seek(start)
+        values = np.loadtxt(handle, delimiter=",", ndmin=2)
+    if values.shape[1] != 2 * k:
+        raise ValueError(f"region CSV rows hold {values.shape[1]} cells, "
+                         f"the header {2 * k}: {path}")
+    return values[:, :k], values[:, k:]
 
 
 def manifest(command: str, inputs: dict, seed: Optional[int], config: SystemConfig) -> dict:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from mseregion import (
     BoundaryClass,
     ChannelSet,
     SystemConfig,
+    boundary,
     cli,
     convexity_certificates,
     kkt,
@@ -136,6 +138,34 @@ def test_closed_forms_past_the_float64_range_are_an_input_error(tmp_path, argv):
         "error: boundary closed forms leave the float64 range at P/sigma^2 = 1 "
         f"(sigma^2 = {float(sig2):g}, P = {float(sig2):g})"]
     assert not out.exists()
+
+
+def test_boundary_couplings_keep_their_digits_where_alpha_squared_is_subnormal(tmp_path):
+    # N = 1, |h1| = |h2| = 1e10, sigma^2 = 1e-50, P = 1e140: alpha = sigma^2 /
+    # Delta ~ 1e-160, so alpha^2 and beta are subnormal while |a12|^2 ~ 1e-300
+    # and b12 are normal; eps1' = -eps2' = -1/(1 + sigma^2/(P n)) / P
+    out = tmp_path / "sweep.csv"
+    proc = run_cli("boundary", "--h1", "1e10+0i", "--h2", "6e9+8e9i", "--sigma2", "1e-50",
+                   "--power", "1e140", "--samples", "5", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 5
+    budget = mpmath.mpf(1e140)
+    with mpmath.workdps(60):
+        # every input is exact: n1 = n2 = 1e20, c = 6e19 + 8e19i, d = 0
+        exact = 1 / (1 + mpmath.mpf(1e-50) / (budget * mpmath.mpf(1e20))) / budget
+        for row in rows[1:-1]:
+            deps1, deps2 = (float(cell) for cell in row.split(",")[3:5])
+            assert abs(deps1 + exact) <= 1e-13 * exact, row
+            assert abs(deps2 - exact) <= 1e-13 * exact, row
+
+    config = SystemConfig(noise_variance=1e-50, power_budget=1e140)
+    bundle = boundary.coupling_bundle([1e10 + 0j], [6e9 + 8e9j], config, 1e140 / 4)
+    with mpmath.workdps(60):
+        sig2, c = mpmath.mpf(1e-50), mpmath.mpc(6e19, 8e19)
+        delta = sig2 ** 2 + sig2 * budget * mpmath.mpf(1e20)
+        b12 = c * sig2 ** 2 / delta ** 2
+        assert abs(mpmath.mpc(bundle.b12) - b12) <= 1e-13 * abs(b12), bundle.b12
 
 
 def test_convexity_scan_reproducible(tmp_path):

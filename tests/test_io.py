@@ -6,6 +6,7 @@ import enum
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,25 @@ def test_empty_region_csv_is_a_value_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty region CSV"):
+        read_region_csv(path)
+
+
+def test_header_only_region_csv_is_two_empty_tables(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("p_1,p_2,p_3,eps_1,eps_2,eps_3\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers, mses = read_region_csv(path)
+    assert powers.shape == mses.shape == (0, 3)
+
+
+def test_region_csv_rows_must_hold_the_header_cells(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("p_1,p_2,eps_1,eps_2\n1.0,0.0,0.5,1.0\n0.5,0.5,0.7\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_region_csv(path)
+    path.write_text("p_1,p_2,eps_1,eps_2\n1.0,0.0,0.5\n0.5,0.5,0.7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="rows hold 3 cells, the header 4"):
         read_region_csv(path)
 
 
