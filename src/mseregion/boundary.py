@@ -56,14 +56,15 @@ of them.  The K-user kernel `model.resolvent_grams` is the oracle for
 the closed forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
-one factor at a time, and g'' = D / eps1'^3 is formed as (2 d W /
-sigma^2) (Delta / E1)^3, with W = P n1 n2 + sigma^2 (n1 + n2); where a
-value still leaves the float64 range (from P/sigma^2 ~ 1e153 for
-unit-variance channel entries, and from sigma^2 ~ 1.3e154, where sigma^4
-overflows) every evaluation raises ValueError, with numpy's overflow and
-invalid-value warnings silenced.  The sweep and single-split readers
-also raise it where sigma^2 n_k, sigma^4 n_k, Delta, a11, a22, b11 or
-b22, all positive in exact arithmetic, falls below the smallest normal
+one factor at a time, and g'' = D / eps1'^3 is formed in the order
+2 d (Delta / E1)^3 W / sigma^2 (`_SweepData`).  Every sweep value, g' =
+eps2' / eps1' and g'' included, passes one check: where a value leaves
+the float64 range (from P/sigma^2 ~ 1e153 for unit-variance channel
+entries, and from sigma^2 ~ 1.3e154, where sigma^4 overflows) every
+evaluation raises ValueError, with numpy's overflow, invalid-value and
+divide warnings silenced.  The sweep and single-split readers also raise
+it where sigma^2 n_k, sigma^4 n_k, Delta, a11, a22, b11, b22, -eps1' or
+eps2', all positive in exact arithmetic, falls below the smallest normal
 float64 and so has lost digits; terms that carry d, legitimately tiny
 for near-colinear pairs, are exempt.
 """
@@ -244,7 +245,7 @@ def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
 def _quiet_overflow():
     """Closed forms evaluated past the float64 range give inf or nan
     silently; the finiteness checks report them."""
-    return np.errstate(over="ignore", invalid="ignore")
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class _ClosedForms:
@@ -305,14 +306,20 @@ class _SweepData(_ClosedForms):
     """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
 
     The sweep and single-split readers' view: the six Gram entries, their
-    derivatives (by `_derivatives`, as for a bundle) and D in closed form
-    are formed once, the MSEs when read.  Raises ValueError where Delta, D or
-    a derivative is not finite, or where a value positive in exact
-    arithmetic is below the smallest normal float64.
+    derivatives (by `_derivatives`, as for a bundle), D in closed form, g'
+    = eps2' / eps1' and g'' = D / eps1'^3 are formed once, the MSEs when
+    read.  Raises ValueError where one of them is not finite, or where a
+    value positive in exact arithmetic is below the smallest normal float64.
+
+    g'' is formed as 2 d (Delta / E1)^3 W / sigma^2, from -eps1' =
+    sigma^2 E1 / Delta^2 and D = -2 sigma^4 d W / Delta^3, with the d that
+    D uses: eps1'^3 underflows from P/sigma^2 ~ 1e54 and D from ~ 1e65,
+    and 2 d W / sigma^2 alone, up to 2 (n1 n2)^2 P / sigma^2, can overflow,
+    while g'' is in range wherever Delta and E1 are.
     """
 
     __slots__ = ("a11", "a22", "a12", "b11", "b22", "b12",
-                 "deps1", "deps2", "ddeps1", "ddeps2", "disc")
+                 "deps1", "deps2", "ddeps1", "ddeps2", "disc", "g_prime", "g_double_prime")
 
     def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
         with _quiet_overflow():
@@ -321,12 +328,17 @@ class _SweepData(_ClosedForms):
             self.deps1, self.deps2, self.ddeps1, self.ddeps2, *_ = _derivatives(
                 self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, self.sig2, self.budget)
             self.disc = self.discriminant()
-            self.check(self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc)
+            sig2, sig4, q, d = self.sig2, self.sig2 ** 2, self.q, self.d
+            e1 = sig4 * self.n1 + 2.0 * sig2 * q * d + q ** 2 * self.n2 * d \
+                + self.budget * sig2 * (self.c.real ** 2 + self.c.imag ** 2)
+            self.g_prime = self.deps2 / self.deps1
+            self.g_double_prime = 2.0 * self.resolved() * (self.den / e1) ** 3 * self.weight() / sig2
+            self.check(self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc,
+                       self.g_prime, self.g_double_prime)
             # positive in exact arithmetic: below the smallest normal float64
             # they have lost digits, and count as out of range
-            sig4 = self.sig2 ** 2
-            positive = (self.sig2 * self.n1, self.sig2 * self.n2, sig4 * self.n1, sig4 * self.n2,
-                        self.den, self.a11, self.a22, self.b11, self.b22)
+            positive = (sig2 * self.n1, sig2 * self.n2, sig4 * self.n1, sig4 * self.n2,
+                        self.den, self.a11, self.a22, self.b11, self.b22, -self.deps1, self.deps2)
             tiny = np.finfo(float).tiny
             self.check(*(np.where(value >= tiny, value, np.nan) for value in positive))
 
@@ -351,20 +363,6 @@ class _SweepData(_ClosedForms):
     @property
     def eps2(self):
         return self.sig2 * (self.sig2 + self.p * self.n1) / self.den
-
-    def g_derivatives(self):
-        """(g', g'') = (eps2' / eps1', D / eps1'^3) of the boundary eps2 = g(eps1).
-
-        g'' is formed as (2 d W / sigma^2) (Delta / E1)^3, from -eps1' =
-        sigma^2 E1 / Delta^2 and D = -2 sigma^4 d W / Delta^3, with the d
-        that D uses: eps1'^3 underflows from P/sigma^2 ~ 1e54 and D from
-        ~ 1e65, while g'' itself is in range wherever Delta and E1 are.
-        """
-        sig2, q, d = self.sig2, self.q, self.d
-        e1 = sig2 ** 2 * self.n1 + 2.0 * sig2 * q * d + q ** 2 * self.n2 * d \
-            + self.budget * sig2 * (self.c.real ** 2 + self.c.imag ** 2)
-        return (self.deps2 / self.deps1,
-                2.0 * self.resolved() * self.weight() / sig2 * (self.den / e1) ** 3)
 
 
 def mse_pair_at_power(h1, h2, config: SystemConfig, p: float):
@@ -414,8 +412,8 @@ def g_derivatives(h1, h2, config: SystemConfig, p: float):
     split = float(p)
     if not 0.0 < split < config.power_budget:
         raise ValueError(f"g derivatives need an interior split, got p={split}")
-    g_prime, g_dprime = _SweepData(_pair(h1, h2), config, np.array([split])).g_derivatives()
-    return float(g_prime[0, 0]), float(g_dprime[0, 0])
+    data = _SweepData(_pair(h1, h2), config, np.array([split]))
+    return float(data.g_prime[0, 0]), float(data.g_double_prime[0, 0])
 
 
 def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
@@ -469,10 +467,9 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
         raise ValueError(f"sweep needs at least 3 samples, got {count}")
     ps = np.linspace(0.0, config.power_budget, count)
     data = _SweepData(_pair(h1, h2), config, ps)
-    g_prime, g_dprime = data.g_derivatives()
     interior = {"deps1": data.deps1, "deps2": data.deps2, "ddeps1": data.ddeps1,
                 "ddeps2": data.ddeps2, "discriminant": data.disc,
-                "g_prime": g_prime, "g_double_prime": g_dprime}
+                "g_prime": data.g_prime, "g_double_prime": data.g_double_prime}
     eps1, eps2 = data.eps1, data.eps2
     return [BoundarySample(p=float(p), eps1=float(eps1[0, i]), eps2=float(eps2[0, i]),
                            **{key: float(v[0, i]) if 0 < i < count - 1 else None

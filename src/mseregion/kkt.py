@@ -14,10 +14,11 @@ Every solve is a batch: all starts run as one (S, K) array through a
 single lockstep projected Newton loop on one `ChannelSet`, evaluated on
 its triangular factor (`ChannelSet.factor`, one QR per set) with the
 weights validated once per solve; the module reduces nothing itself.
-Each round is one call of the kernel's two phases (`model`'s
-`_weighted_terms`, of which `weighted_mse_derivatives` is the all-rows
-case): the weighted value at every trial step, then the gradient and
-Hessian from the Gram matrix only at the steps the round accepts.  Rows
+Each round is one call of `model`'s `_weighted_terms`, which weights the
+kernel's one evaluation `_mse_terms` (`weighted_mse_derivatives` is its
+all-rows case): the weighted value from the MSEs of every trial step,
+then the gradient and Hessian from the Gram matrix and Jacobian that
+`_mse_terms` derives only at the steps the round accepts.  Rows
 are evaluated independently and weighted with `einsum` reductions, and
 the multipliers and residuals of all starts are formed row by row in
 one array pass, so a start's certificate is bitwise the same whether it

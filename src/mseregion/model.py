@@ -19,20 +19,23 @@ formed once and contracted with every power row, and one elimination of
 the stacked block [X; H^H], run on every power row at once, turns its
 bottom block into (L^{-1} H)^H: each covariance is factored exactly once,
 with no per-matrix LAPACK call and no triangular solve.
-One private function, `_mses`, forms every MSE from the whitened
-channels as eps = 1 - p * sum_n |L^{-1} h|^2: `mse_tuples`, `mse_tuple`
-(one row of it), `mse_jacobian` and `weighted_mse_derivatives`.
-They depend on H only through H^H H, so they evaluate on the triangular
-factor of H, `ChannelSet.factor`: the one place the reduction happens,
-computed once per set, with a covariance at most K x K whatever the
-antenna count.  `receive_covariance` (the N x N covariance of H) and
-`resolvent_grams` (the tests' unreduced oracle) evaluate exactly the
-channels they are given; the two-user boundary takes the MSEs in closed
-form from four scalars of the factor.  The kernel follows one shape rule, plain numpy
-broadcasting: channels of shape (..., N, K) broadcast against powers of
-shape (..., K), and the powers set the output shape.  One shared matrix
-with an (S, K) batch, one matrix per row, and a (T, 1, N, K) stack with
-a (T, G, K) grid are the same evaluation.
+One private function, `_mse_terms`, is the one evaluation: it whitens
+once and returns eps = 1 - p * sum_n |L^{-1} h|^2 for every row, with a
+`derive(index)` that forms the Gram matrix A and the Jacobian only for
+the rows asked.  `mse_tuples` (in chunks), `mse_tuple` (one row of it),
+`mse_jacobian`, `weighted_mse_derivatives` and `region`'s membership
+solve all call it.  They depend on H only through H^H H, so they
+evaluate on the triangular factor of H, `ChannelSet.factor`: the one
+place the reduction happens, computed once per set, with a covariance at
+most K x K whatever the antenna count.  `receive_covariance` (the N x N
+covariance of H) and `resolvent_grams` (the tests' unreduced oracle)
+evaluate exactly the channels they are given; the two-user boundary
+takes the MSEs in closed form from four scalars of the factor.  The
+kernel follows one shape rule, plain numpy broadcasting: channels of
+shape (..., N, K) broadcast against powers of shape (..., K), and the
+powers set the output shape.  One shared matrix with an (S, K) batch,
+one matrix per row, and a (T, 1, N, K) stack with a (T, G, K) grid are
+the same evaluation.
 """
 
 from __future__ import annotations
@@ -425,10 +428,9 @@ def _chunk_rows(n: int, k: int) -> int:
 def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     """MSE rows for an (S, K) batch of power vectors, evaluated in chunks.
 
-    Each chunk goes through the same elimination as every other
-    evaluation (`_whiten`, all of the chunk's rows at once) and reduces
-    its bottom block to diag A = sum_n |L^{-1} H|^2 only; L itself is
-    never formed.  A chunk's work array fits a 1 MiB budget, so the
+    Each chunk is one `_mse_terms` evaluation of all of the chunk's rows
+    at once, of which only the MSEs are read: neither A nor L is formed.
+    A chunk's work array fits a 1 MiB budget, so the
     intermediates stay a few MB at any batch size or N; every row is
     computed independently, so the output does not depend on the chunk
     size.
@@ -441,8 +443,7 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     chunk = _chunk_rows(n, k)
     out = np.empty_like(pw)
     for lo in range(0, pw.shape[0], chunk):
-        blk = pw[lo:lo + chunk]
-        out[lo:lo + chunk] = _mses(_whiten(mat, blk, config.noise_variance), blk)[0]
+        out[lo:lo + chunk] = _mse_terms(mat, pw[lo:lo + chunk], config.noise_variance)[0]
     return out
 
 
@@ -456,18 +457,25 @@ def mse_jacobian(channels, powers, config: SystemConfig):
     """
     mat = _channel_set(channels).factor
     pw = _power_rows(powers, mat.shape[1])
-    _, eps, jac = _mse_terms(mat, np.atleast_2d(pw), config.noise_variance)
+    eps, derive = _mse_terms(mat, np.atleast_2d(pw), config.noise_variance)
+    jac = derive(...)[2]
     return (eps, jac) if pw.ndim > 1 else (eps[0], jac[0])
 
 
-def _mses(work: np.ndarray, rows: np.ndarray):
-    """(eps, diag A) from a `_whiten` work array of (..., K) powers:
-    eps = 1 - p * sum_n |L^{-1} h|^2, the one MSE formula.
+def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
+    """(eps, derive) at validated (..., K) power rows on the factor `mat`:
+    the one kernel evaluation.
 
-    The sum over n runs on the rows-last bottom block as one fixed
-    pairwise tree (halves added elementwise, an odd term into the first),
-    the same order whatever the batch size.
+    Every row is whitened once (`_whiten`) and gets eps = 1 - p * diag A,
+    diag A = sum_n |L^{-1} h|^2, the one MSE formula; the sum over n runs
+    on the rows-last bottom block as one fixed pairwise tree (halves
+    added elementwise, an odd term into the first), the same order
+    whatever the batch size.  `derive(index)` returns (A, |A|^2, J) for
+    `rows[index]` only, with J[..., l, k] = p_l |a_lk|^2 - delta_lk a_kk,
+    the one Jacobian formula.  Every reduction runs over one row, so a
+    derived row is bitwise the same whichever rows are derived with it.
     """
+    work = _whiten(mat, rows, noise_variance)
     bottom = work[work.shape[1]:]
     parts = np.square(bottom.view(np.float64)).reshape(bottom.shape + (2,))
     square = parts[..., 0] + parts[..., 1]
@@ -478,19 +486,16 @@ def _mses(work: np.ndarray, rows: np.ndarray):
             summed[:, 0] += square[:, -1]
         square = summed
     diag = square[:, 0].transpose(tuple(range(1, rows.ndim)) + (0,))
-    return 1.0 - np.multiply(rows, diag, order="C"), diag
 
+    def derive(index):
+        gram = _whitened_gram(work, index)
+        mag = gram.real ** 2 + gram.imag ** 2
+        jac = rows[index][..., :, None] * mag
+        users = np.arange(mat.shape[-1])
+        jac[..., users, users] -= diag[index]
+        return gram, mag, jac
 
-def _mse_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float):
-    """(A, eps, J) for a validated (..., K) power batch: eps from `_mses`, J by the one
-    Jacobian formula."""
-    work = _whiten(mat, rows, noise_variance)
-    gram = _whitened_gram(work)
-    eps, diag = _mses(work, rows)
-    jac = rows[..., :, None] * (gram.real ** 2 + gram.imag ** 2)
-    users = np.arange(mat.shape[-1])
-    jac[..., users, users] -= diag
-    return gram, eps, jac
+    return 1.0 - np.multiply(rows, diag, order="C"), derive
 
 
 def weighted_sum_mse(channels, powers, config: SystemConfig, weights) -> float:
@@ -541,22 +546,16 @@ def _weighted_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float, w:
     on the factor `mat`, with validated weights `w`.
 
     The value phase runs here on every row: f = sum_k w_k eps_k from the
-    whitened channels (`_whiten`, `_mses`).  `derive(index)` forms the
-    Gram matrix, the Jacobian (`_mse_terms`' formula), the gradient and
-    the Hessian for `rows[index]` only and returns (grad, Hessian).
-    Every reduction is an `einsum` over one row, not BLAS, so a derived
-    row is bitwise the same whichever rows are derived with it.
+    MSEs of `_mse_terms`.  `derive(index)` weights its terms for
+    `rows[index]` only into (grad, Hessian).  Every reduction is an
+    `einsum` over one row, not BLAS, so a derived row is bitwise the same
+    whichever rows are derived with it.
     """
-    work = _whiten(mat, rows, noise_variance)
-    eps, diag = _mses(work, rows)
+    eps, terms = _mse_terms(mat, rows, noise_variance)
     value = np.einsum("...k,k->...", eps, w)
 
     def derive(index):
-        pw, gram = rows[index], _whitened_gram(work, index)
-        mag = gram.real ** 2 + gram.imag ** 2
-        jac = pw[..., :, None] * mag
-        users = np.arange(pw.shape[-1])
-        jac[..., users, users] -= diag[index]
+        pw, (gram, mag, jac) = rows[index], terms(index)
         grad = np.einsum("...lk,l->...k", jac, w)
         # A diag(w p) A
         sandwich = np.einsum("...kl,...lj->...kj", gram * (pw * w)[..., None, :], gram)

@@ -10,8 +10,9 @@ JSAC 1995).  So at s* the allocation p*(t + s*) spends the whole budget,
 users with t_k + s* < 1 meet t_k + s* exactly, and the others are silent.
 `_solve` finds that point by Newton on G(p, s) = [eps(p) - t - s; sum p - P],
 whose Jacobian [[J, -1], [1^T, 0]] takes J from the kernel: one kernel call
-per round for a whole stack of targets in lockstep, plus one batched
-(K+1) x (K+1) solve.  Every iterate tightens a bracket lo <= s* <= margin.
+per round for a whole stack of targets in lockstep, J derived only for the
+targets still open, plus one batched (K+1) x (K+1) solve.  Every iterate
+tightens a bracket lo <= s* <= margin.
 One that spends at most P is a witness of its own max_k (eps_k - t_k),
 the reported margin.  One that spends at least P proves s* >= the least
 eps_k - t_k of its transmitting users: below that level it is a strict
@@ -129,7 +130,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
     powers, witness = np.full((count, k), budget / k), np.zeros((count, k))
     rounds = np.zeros(count, int)
     while True:
-        _, eps, jac = _mse_terms(chan.factor, powers, config.noise_variance)
+        eps, derive = _mse_terms(chan.factor, powers, config.noise_variance)
         rounds += 1
         gap, total = eps - tgt, powers.sum(axis=1)
         top = gap.max(axis=1)
@@ -147,11 +148,12 @@ def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
                 rounds=int(rounds[i]))
         if done.all():
             return verdicts
+        keep = ~done
+        jac = derive(keep)[2]
         if done.any():
-            keep = ~done
-            rows, tgt, lo, margin, level, powers, witness, rounds, gap, jac, total = (
+            rows, tgt, lo, margin, level, powers, witness, rounds, gap, total = (
                 a[keep] for a in (rows, tgt, lo, margin, level, powers, witness, rounds,
-                                  gap, jac, total))
+                                  gap, total))
         proven = 1.0 - tgt <= lo[:, None]
         silent = proven | ((powers == 0.0) & (1.0 - tgt <= level[:, None]))
         silent &= proven | ~silent.all(axis=1, keepdims=True)    # someone transmits

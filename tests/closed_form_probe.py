@@ -22,7 +22,10 @@ rounds it.  a11, a22, b11, b22, eps1' and eps2' are held relative to
 themselves, a12 relative to sqrt(a11 a22) and b12 relative to
 sqrt(b11 b22); eps'' is measured relative to |eps1''| + |eps2''| and
 reported, not gated, since it cancels for near-colinear pairs (and
-not measured where both eps'' vanish).
+not measured where both eps'' vanish).  g' = eps2' / eps1' and g'' =
+D / eps1'^3 are held relative to themselves, with D's closed form taken
+from the d the sweep uses (`resolved()`, 0 within its rounding floor);
+a g' or g'' that is not finite counts as off by inf.
 
 `PROBE_CASES` lists extra cases outside the table: the pair h1 = 1e10,
 h2 = 6e9 + 8e9i at sigma^2 = 1e-50 and P = 1e140, where alpha^2 =
@@ -117,11 +120,13 @@ def table_slice(stride: int = SLICE_STRIDE):
         + [(f"x{i}", case) for i, case in enumerate(PROBE_CASES)]
 
 
-def reference(n1, n2, c, d, sig2, budget, p, q):
+def reference(n1, n2, c, d, sig2, budget, p, q, resolved):
     """The closed forms in 60-digit arithmetic from float inputs: a dict of
-    a11, a22, a12, b11, b22, b12, deps1, deps2, ddeps1, ddeps2."""
+    a11, a22, a12, b11, b22, b12, deps1, deps2, ddeps1, ddeps2, g_prime and
+    g_double_prime, whose D takes d as `resolved`."""
     with mpmath.workdps(60):
-        n1, n2, d, sig2, budget, p, q = map(mpmath.mpf, (n1, n2, d, sig2, budget, p, q))
+        n1, n2, d, sig2, budget, p, q, resolved = map(
+            mpmath.mpf, (n1, n2, d, sig2, budget, p, q, resolved))
         c = mpmath.mpc(c.real, c.imag)
         sig4 = sig2 * sig2
         den = sig4 + sig2 * (p * n1 + q * n2) + p * q * d
@@ -133,14 +138,17 @@ def reference(n1, n2, c, d, sig2, budget, p, q):
         cross, re_ab = csq * alpha ** 2, csq * alpha * beta
         deps1, deps2 = boundary._slopes(b11, b22, cross, sig2, budget)
         ddeps1, ddeps2 = boundary._curvatures(a11, a22, b11, b22, cross, re_ab, sig2, budget)
+        disc = -2 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
         return {"a11": a11, "a22": a22, "a12": c * alpha, "b11": b11, "b22": b22,
                 "b12": c * beta, "deps1": deps1, "deps2": deps2,
-                "ddeps1": ddeps1, "ddeps2": ddeps2}
+                "ddeps1": ddeps1, "ddeps2": ddeps2,
+                "g_prime": deps2 / deps1, "g_double_prime": disc / deps1 ** 3}
 
 
 def run_case(case):
     """None where `_SweepData` raises the range ValueError, else a dict of
-    each gated value's error relative to its scale, and 'ddeps' for eps''."""
+    each gated value's error relative to its scale, 'ddeps' for eps'', and
+    'g_prime' and 'g_double_prime' for g' and g''."""
     (h1, h2), sig2, budget, frac = case
     pair = boundary._pair(h1, h2)
     config = SystemConfig(noise_variance=sig2, power_budget=budget)
@@ -152,7 +160,7 @@ def run_case(case):
             raise
         return None
     n1, n2, c, d = (v[0] for v in boundary._pair_scalars(pair))
-    want = reference(n1, n2, c, d, sig2, budget, split, budget - split)
+    want = reference(n1, n2, c, d, sig2, budget, split, budget - split, data.resolved()[0, 0])
     got = {name: getattr(data, name)[0, 0] for name in want}
     with mpmath.workdps(60):
         scale = {name: abs(want[name]) for name in want}
@@ -165,6 +173,11 @@ def run_case(case):
         errors["ddeps"] = float(max(abs(mpmath.mpf(float(got[k])) - want[k])
                                     for k in ("ddeps1", "ddeps2")) / curvature) \
             if curvature else 0.0
+        for name in ("g_prime", "g_double_prime"):
+            value = float(got[name])
+            # g'' = 0 exactly where D's d is resolved to 0
+            error = abs(value - want[name]) / abs(want[name]) if want[name] else abs(value)
+            errors[name] = float(error) if math.isfinite(value) else math.inf
     return errors
 
 
@@ -172,7 +185,7 @@ def tally(selected):
     """(returned, raised labels, worst error per name, [(label, errors) off by
     > RTOL]) over (label, case) items."""
     returned, raised = 0, []
-    worst, off = dict.fromkeys(GATED + ("ddeps",), 0.0), []
+    worst, off = dict.fromkeys(GATED + ("ddeps", "g_prime", "g_double_prime"), 0.0), []
     for label, case in selected:
         errors = run_case(case)
         if errors is None:

@@ -816,19 +816,12 @@ def test_certificate_working_set_is_a_few_arrays():
     assert peak < 1.5e6, peak
 
 
-# eps' of the probe slice that the sweep returns off by more than 1e-12.
-# In all but one eps' itself is below the smallest normal float64 (the
-# range rule does not list eps'); in 372798 |a12|^2 is, while P |a12|^2 is
-# normal and keeps 11 digits
-SLICE_LOSSES = {
-    115475: ("deps1", "deps2"), 186548: ("deps1",), 229460: ("deps1", "deps2"),
-    233036: ("deps1",), 240188: ("deps1",), 253449: ("deps1", "deps2"), 293828: ("deps1",),
-    310218: ("deps1", "deps2"), 320946: ("deps1",), 348064: ("deps1",), 372798: ("deps1",),
-    374586: ("deps1",), 401704: ("deps1",), 428822: ("deps1",), 455344: ("deps1",),
-    495723: ("deps1", "deps2"), 536102: ("deps1",),
-}
+# eps' of the probe slice that the sweep returns off by more than 1e-12:
+# in 372798 |a12|^2 is below the smallest normal float64, while P |a12|^2
+# is normal and keeps 11 digits (eps' below it raises, by the range rule)
+SLICE_LOSSES = {372798: ("deps1",)}
 # cases of the slice on which the closed forms raise the range ValueError
-SLICE_RAISED = 1510
+SLICE_RAISED = 1536
 
 
 def test_closed_forms_hold_twelve_digits_on_the_probe_slice():
@@ -842,3 +835,32 @@ def test_closed_forms_hold_twelve_digits_on_the_probe_slice():
                          if errors[name] > closed_form_probe.RTOL) for label, errors in off}
     assert lost == SLICE_LOSSES, lost
     assert returned + len(raised) == 3619
+
+
+def test_probe_slice_returns_finite_g_derivatives_within_twelve_digits():
+    # g' and g'' are checked sweep values: every case of the slice that
+    # returns has both finite, and g'' within 1e-12 of its 60-digit closed
+    # form with the d the sweep uses
+    _, _, worst, _ = closed_form_probe.tally(closed_form_probe.table_slice())
+    assert worst["g_prime"] < np.inf, worst
+    assert worst["g_double_prime"] <= closed_form_probe.RTOL, worst
+
+
+def test_g_double_prime_stays_finite_where_two_d_w_over_sigma2_overflows():
+    # the probe's general N = 2 pair at |h1| = |h2| = 1e20, sigma^2 = 1e-70,
+    # P = 1e80: 2 d W / sigma^2 ~ 1e310 alone, while g'' ~ 1e199
+    probe = closed_form_probe
+    row = probe.DIMS.index(2) * len(probe.KINDS) + probe.KINDS.index("general")
+    h1, h2 = probe.pairs()[row * len(probe.SCALES) + probe.SCALES.index((1e20, 1e20))]
+    config = SystemConfig(noise_variance=1e-70, power_budget=1e80)
+    split = 0.999 * config.power_budget
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = g_derivatives(h1, h2, config, split)
+    n1, n2, c, d = (v[0] for v in boundary._pair_scalars(boundary._pair(h1, h2)))
+    want = probe.reference(n1, n2, c, d, config.noise_variance, config.power_budget, split,
+                           config.power_budget - split, d)
+    for value, name in zip(got, ("g_prime", "g_double_prime")):
+        assert np.isfinite(value), name
+        with mpmath.workdps(60):
+            assert abs(value - want[name]) <= 1e-13 * abs(want[name]), (name, value)

@@ -140,6 +140,20 @@ def test_closed_forms_past_the_float64_range_are_an_input_error(tmp_path, argv):
     assert not out.exists()
 
 
+def test_boundary_with_underflowing_slopes_is_a_range_error(tmp_path):
+    # orthogonal pair, |h1| = 1e10, |h2| = 1e-10, P/sigma^2 = 1e185: eps1'
+    # ~ -1e-338 underflows, so g' = eps2' / eps1' would be -inf; the one
+    # range error line, with no RuntimeWarning and no CSV
+    out = tmp_path / "sweep.csv"
+    proc = run_cli("boundary", "--h1", "1e10+0i,0+0i", "--h2", "0+0i,1e-10+0i",
+                   "--sigma2", "1e-50", "--power", "1e135", "--samples", "5", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: boundary closed forms leave the float64 range at P/sigma^2 = 1e+185 "
+        "(sigma^2 = 1e-50, P = 1e+135)"]
+    assert not out.exists()
+
+
 def test_boundary_couplings_keep_their_digits_where_alpha_squared_is_subnormal(tmp_path):
     # N = 1, |h1| = |h2| = 1e10, sigma^2 = 1e-50, P = 1e140: alpha = sigma^2 /
     # Delta ~ 1e-160, so alpha^2 and beta are subnormal while |a12|^2 ~ 1e-300

@@ -180,6 +180,37 @@ def test_membership_counts_its_kernel_calls(monkeypatch):
     assert sum(rows) == sum(v.rounds for v in verdicts)
 
 
+def test_membership_derives_only_the_targets_it_keeps(monkeypatch):
+    # a round evaluates the MSEs of every live target and derives J only
+    # for the targets still open after it, so a target's last round
+    # derives nothing: the 11 verdicts of the reference chord as `segment`
+    # takes it from 8-digit endpoints, same bytes
+    ends = ([0.21389147, 0.13652377, 1.0], [1.0, 0.19774107, 0.23353177])
+    plain = segment_test(REF_H, REF_CONFIG, *ends, steps=9)
+    kernel = region._mse_terms
+    evaluated, derived = [], []
+
+    def recorded(mat, powers, noise_variance):
+        eps, derive = kernel(mat, powers, noise_variance)
+        evaluated.append(len(powers))
+
+        def counted(index):
+            terms = derive(index)
+            derived.append(len(terms[2]))
+            return terms
+        return eps, counted
+
+    monkeypatch.setattr(region, "_mse_terms", recorded)
+    report = segment_test(REF_H, REF_CONFIG, *ends, steps=9)
+    verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
+    assert sum(evaluated) == sum(v.rounds for v in verdicts) == 81
+    assert sum(derived) == sum(v.rounds - 1 for v in verdicts) == 70
+    for verdict, alone in zip(verdicts, [plain.endpoint_a, plain.endpoint_b, *plain.points]):
+        for field in dataclasses.fields(verdict):
+            got = np.asarray(getattr(verdict, field.name))
+            assert got.tobytes() == np.asarray(getattr(alone, field.name)).tobytes()
+
+
 def test_reference_chord_takes_few_kernel_calls():
     # one Newton system in (p, s): no verdict of the reference chord takes
     # more than 16 rounds, one kernel call each
