@@ -57,16 +57,16 @@ the closed forms.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
 one factor at a time, and g'' = D / eps1'^3 is formed in the order
-2 d (Delta / E1)^3 W / sigma^2 (`_SweepData`).  Every sweep value, g' =
-eps2' / eps1' and g'' included, passes one check: where a value leaves
-the float64 range (from P/sigma^2 ~ 1e153 for unit-variance channel
-entries, and from sigma^2 ~ 1.3e154, where sigma^4 overflows) every
-evaluation raises ValueError, with numpy's overflow, invalid-value and
-divide warnings silenced.  The sweep and single-split readers also raise
-it where sigma^2 n_k, sigma^4 n_k, Delta, a11, a22, b11, b22, -eps1' or
-eps2', all positive in exact arithmetic, falls below the smallest normal
-float64 and so has lost digits; terms that carry d, legitimately tiny
-for near-colinear pairs, are exempt.
+2 d (Delta / E1)^3 W / sigma^2 (`_SweepData`), at interior splits only.
+Every value, g' = eps2' / eps1' and g'' included, passes one check: where
+one leaves the float64 range (from P/sigma^2 ~ 1e153 for unit-variance
+channel entries, and from sigma^2 ~ 1.3e154, where sigma^4 overflows)
+every evaluation raises ValueError, with numpy's overflow, invalid-value
+and divide warnings silenced.  It also raises where sigma^2 n_k, sigma^4
+n_k, Delta, a11, a22, b11, b22 or a returned -eps1' or eps2', all
+positive in exact arithmetic, falls below the smallest normal float64
+and so has lost digits; terms that carry d, legitimately tiny for
+near-colinear pairs, are exempt.
 """
 
 from __future__ import annotations
@@ -306,55 +306,53 @@ class _SweepData(_ClosedForms):
     """The closed forms of T channel pairs over G power splits, held as (T, G) arrays.
 
     The sweep and single-split readers' view: the six Gram entries, their
-    derivatives (by `_derivatives`, as for a bundle), D in closed form, g'
-    = eps2' / eps1' and g'' = D / eps1'^3 are formed once, the MSEs when
-    read.  Raises ValueError where one of them is not finite, or where a
-    value positive in exact arithmetic is below the smallest normal float64.
+    derivatives (by `_derivatives`, as for a bundle) and D in closed form
+    are formed once, the MSEs when read, and g' and g'' only at the columns
+    `slopes` (interior splits) whose slopes a reader returns, where -eps1'
+    and eps2' join the positive values.  Raises ValueError where a formed
+    value is not finite, or a positive one is below the smallest normal float64.
 
-    g'' is formed as 2 d (Delta / E1)^3 W / sigma^2, from -eps1' =
-    sigma^2 E1 / Delta^2 and D = -2 sigma^4 d W / Delta^3, with the d that
-    D uses: eps1'^3 underflows from P/sigma^2 ~ 1e54 and D from ~ 1e65,
-    and 2 d W / sigma^2 alone, up to 2 (n1 n2)^2 P / sigma^2, can overflow,
-    while g'' is in range wherever Delta and E1 are.
+    g'' = D / eps1'^3 is formed as 2 d (Delta / E1)^3 W / sigma^2, with
+    -eps1' = sigma^2 E1 / Delta^2 and D's d: eps1'^3 underflows from
+    P/sigma^2 ~ 1e54, D from ~ 1e65, and 2 d W / sigma^2 can overflow, while
+    g'' is in range wherever Delta and E1 are, except at p = P, where E1 =
+    sigma^4 n1 + P sigma^2 |c|^2.
     """
 
     __slots__ = ("a11", "a22", "a12", "b11", "b22", "b12",
                  "deps1", "deps2", "ddeps1", "ddeps2", "disc", "g_prime", "g_double_prime")
 
-    def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray):
+    def __init__(self, pairs: np.ndarray, config: SystemConfig, ps: np.ndarray, slopes=slice(0)):
         with _quiet_overflow():
             super().__init__(pairs, config, ps)
-            self.a11, self.a22, self.a12, self.b11, self.b22, self.b12 = self.grams()
+            sig2, p, q, n1, n2, c, d, den = (self.sig2, self.p, self.q, self.n1, self.n2,
+                                             self.c, self.d, self.den)
+            sig4 = sig2 ** 2
+            # n_k and c enter each numerator (head11 is b11's) before any division; the b
+            # entries divide by Delta one factor at a time (Delta^2 overflows from P/sigma^2 ~ 1e77)
+            head11 = sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d
+            self.a11 = (sig2 * n1 + q * d) / den
+            self.a22 = (sig2 * n2 + p * d) / den
+            self.a12 = sig2 * c / den
+            self.b11 = head11 / den / den
+            self.b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den
+            self.b12 = c * (sig4 - p * q * d) / den / den
             self.deps1, self.deps2, self.ddeps1, self.ddeps2, *_ = _derivatives(
-                self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, self.sig2, self.budget)
+                self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, self.budget)
             self.disc = self.discriminant()
-            sig2, sig4, q, d = self.sig2, self.sig2 ** 2, self.q, self.d
-            e1 = sig4 * self.n1 + 2.0 * sig2 * q * d + q ** 2 * self.n2 * d \
-                + self.budget * sig2 * (self.c.real ** 2 + self.c.imag ** 2)
-            self.g_prime = self.deps2 / self.deps1
-            self.g_double_prime = 2.0 * self.resolved() * (self.den / e1) ** 3 * self.weight() / sig2
+            deps1, deps2 = self.deps1[:, slopes], self.deps2[:, slopes]
+            e1 = head11[:, slopes] + self.budget * sig2 * (c.real ** 2 + c.imag ** 2)
+            self.g_prime = deps2 / deps1
+            self.g_double_prime = 2.0 * self.resolved() * (den[:, slopes] / e1) ** 3 \
+                * self.weight() / sig2
             self.check(self.deps1, self.deps2, self.ddeps1, self.ddeps2, self.disc,
                        self.g_prime, self.g_double_prime)
             # positive in exact arithmetic: below the smallest normal float64
             # they have lost digits, and count as out of range
-            positive = (sig2 * self.n1, sig2 * self.n2, sig4 * self.n1, sig4 * self.n2,
-                        self.den, self.a11, self.a22, self.b11, self.b22, -self.deps1, self.deps2)
+            positive = (sig2 * n1, sig2 * n2, sig4 * n1, sig4 * n2,
+                        den, self.a11, self.a22, self.b11, self.b22, -deps1, deps2)
             tiny = np.finfo(float).tiny
             self.check(*(np.where(value >= tiny, value, np.nan) for value in positive))
-
-    def grams(self):
-        """(a11, a22, a12, b11, b22, b12), the Gram entries: n_k and c enter
-        each numerator before any division, and the b entries divide by
-        Delta one factor at a time, as Delta^2 overflows from P/sigma^2 ~ 1e77."""
-        sig2, p, q, n1, n2, c, d, den = (self.sig2, self.p, self.q, self.n1, self.n2, self.c,
-                                         self.d, self.den)
-        sig4 = sig2 ** 2
-        return ((sig2 * n1 + q * d) / den,
-                (sig2 * n2 + p * d) / den,
-                sig2 * c / den,
-                (sig4 * n1 + 2.0 * sig2 * q * d + q ** 2 * n2 * d) / den / den,
-                (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den,
-                c * (sig4 - p * q * d) / den / den)
 
     @property
     def eps1(self):
@@ -412,7 +410,7 @@ def g_derivatives(h1, h2, config: SystemConfig, p: float):
     split = float(p)
     if not 0.0 < split < config.power_budget:
         raise ValueError(f"g derivatives need an interior split, got p={split}")
-    data = _SweepData(_pair(h1, h2), config, np.array([split]))
+    data = _SweepData(_pair(h1, h2), config, np.array([split]), slopes=slice(None))
     return float(data.g_prime[0, 0]), float(data.g_double_prime[0, 0])
 
 
@@ -466,13 +464,14 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
     if count < 3:
         raise ValueError(f"sweep needs at least 3 samples, got {count}")
     ps = np.linspace(0.0, config.power_budget, count)
-    data = _SweepData(_pair(h1, h2), config, ps)
-    interior = {"deps1": data.deps1, "deps2": data.deps2, "ddeps1": data.ddeps1,
-                "ddeps2": data.ddeps2, "discriminant": data.disc,
-                "g_prime": data.g_prime, "g_double_prime": data.g_double_prime}
+    data = _SweepData(_pair(h1, h2), config, ps, slopes=slice(1, -1))
+    interior = {"deps1": data.deps1[0, 1:-1], "deps2": data.deps2[0, 1:-1],
+                "ddeps1": data.ddeps1[0, 1:-1], "ddeps2": data.ddeps2[0, 1:-1],
+                "discriminant": data.disc[0, 1:-1],
+                "g_prime": data.g_prime[0], "g_double_prime": data.g_double_prime[0]}
     eps1, eps2 = data.eps1, data.eps2
     return [BoundarySample(p=float(p), eps1=float(eps1[0, i]), eps2=float(eps2[0, i]),
-                           **{key: float(v[0, i]) if 0 < i < count - 1 else None
+                           **{key: float(v[i - 1]) if 0 < i < count - 1 else None
                               for key, v in interior.items()})
             for i, p in enumerate(ps)]
 

@@ -42,6 +42,7 @@ tallies and every case off by more than `RTOL`.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -154,7 +155,7 @@ def run_case(case):
     config = SystemConfig(noise_variance=sig2, power_budget=budget)
     split = frac * budget
     try:
-        data = boundary._SweepData(pair, config, np.array([split]))
+        data = boundary._SweepData(pair, config, np.array([split]), slopes=slice(None))
     except ValueError as err:
         if "leave the float64 range" not in str(err):
             raise
@@ -197,6 +198,13 @@ def tally(selected):
         if max(errors[name] for name in GATED) > RTOL:
             off.append((label, errors))
     return returned, raised, worst, off
+
+
+@functools.cache
+def slice_tally():
+    """`tally` of the Tier-1 slice, formed once per process for the tests
+    that read it."""
+    return tally(table_slice())
 
 
 def describe(case) -> str:

@@ -1,6 +1,7 @@
 """Two-user boundary calculus: frozen worked example, finite-difference
 cross-checks, discriminant decomposition, closed forms, affine case."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -829,7 +830,7 @@ def test_closed_forms_hold_twelve_digits_on_the_probe_slice():
     # the five of PROBE_CASES): every returned a11, a22, b11, b22, a12 and
     # b12 within 1e-12 of 60-digit closed forms from the same floats, and
     # eps' too, except the pinned losses; the raise edge is pinned as a count
-    returned, raised, _, off = closed_form_probe.tally(closed_form_probe.table_slice())
+    returned, raised, _, off = closed_form_probe.slice_tally()
     assert len(raised) == SLICE_RAISED, len(raised)
     lost = {label: tuple(name for name in closed_form_probe.GATED
                          if errors[name] > closed_form_probe.RTOL) for label, errors in off}
@@ -841,7 +842,7 @@ def test_probe_slice_returns_finite_g_derivatives_within_twelve_digits():
     # g' and g'' are checked sweep values: every case of the slice that
     # returns has both finite, and g'' within 1e-12 of its 60-digit closed
     # form with the d the sweep uses
-    _, _, worst, _ = closed_form_probe.tally(closed_form_probe.table_slice())
+    _, _, worst, _ = closed_form_probe.slice_tally()
     assert worst["g_prime"] < np.inf, worst
     assert worst["g_double_prime"] <= closed_form_probe.RTOL, worst
 
@@ -864,3 +865,41 @@ def test_g_double_prime_stays_finite_where_two_d_w_over_sigma2_overflows():
         assert np.isfinite(value), name
         with mpmath.workdps(60):
             assert abs(value - want[name]) <= 1e-13 * abs(want[name]), (name, value)
+
+
+def test_endpoint_splits_form_no_slopes():
+    # orthogonal unit pair at sigma^2 = 1, P = 1e80: at p = P, E1 = sigma^4 n1
+    # and g'' ~ 2 d (P / sigma^2)^4 would overflow, but no reader returns a
+    # slope there, so the sweep's interior cells and the split readers at
+    # both ends return finite values, with warnings as errors
+    config = SystemConfig(noise_variance=1.0, power_budget=1e80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = boundary_sweep(E1, E2, config)
+        ends = [(mse_pair_at_power(E1, E2, config, p), coupling_bundle(E1, E2, config, p),
+                 closed_form_ratios(E1, E2, config, p)) for p in (0.0, config.power_budget)]
+    assert ends[1][0] == (1e-80, 1.0)
+    assert ends[0][0] == (1.0, 1e-80)
+    cells = [getattr(s, f.name) for s in samples[1:-1] for f in dataclasses.fields(s)]
+    assert np.isfinite(cells).all()
+
+
+def test_readers_without_slopes_keep_the_slopes_range_rule_out():
+    # the probe's general N = 2 unit pair at sigma^2 = 1e-100, P = 1e120:
+    # eps1' ~ -1e-340 is subnormal, so the sweep and g_derivatives raise,
+    # while the MSEs, ratios and Gram entries are normal and return
+    probe = closed_form_probe
+    row = probe.DIMS.index(2) * len(probe.KINDS) + probe.KINDS.index("general")
+    h1, h2 = probe.pairs()[row * len(probe.SCALES) + probe.SCALES.index((1.0, 1.0))]
+    config = SystemConfig(noise_variance=1e-100, power_budget=1e120)
+    split = 0.5 * config.power_budget
+    tiny = np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min(mse_pair_at_power(h1, h2, config, split)) >= tiny
+        assert closed_form_ratios(h1, h2, config, split)[2] <= 1.0
+        assert coupling_bundle(h1, h2, config, split).b11 >= tiny
+        for reader in (lambda: g_derivatives(h1, h2, config, split),
+                       lambda: boundary_sweep(h1, h2, config, samples=5)):
+            with pytest.raises(ValueError, match="leave the float64 range"):
+                reader()

@@ -154,6 +154,21 @@ def test_boundary_with_underflowing_slopes_is_a_range_error(tmp_path):
     assert not out.exists()
 
 
+def test_boundary_endpoints_leave_slopes_unformed(tmp_path):
+    # orthogonal unit pair, sigma^2 = 1, P = 1e80: g'' at p = P would
+    # overflow, but endpoint rows carry no slope; every interior cell is
+    # finite and stderr holds only the summary line, no RuntimeWarning
+    out = tmp_path / "sweep.csv"
+    proc = run_cli("boundary", "--h1", "1+0i,0+0i", "--h2", "0+0i,1+0i", "--sigma2", "1",
+                   "--power", "1e80", "--samples", "5", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "classification: StrictlyConvex  samples: 5  eps_min: (1e-80, 1e-80)"]
+    rows = out.read_text().splitlines()[2:-1]
+    assert len(rows) == 3
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
 def test_boundary_couplings_keep_their_digits_where_alpha_squared_is_subnormal(tmp_path):
     # N = 1, |h1| = |h2| = 1e10, sigma^2 = 1e-50, P = 1e140: alpha = sigma^2 /
     # Delta ~ 1e-160, so alpha^2 and beta are subnormal while |a12|^2 ~ 1e-300
