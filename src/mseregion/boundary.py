@@ -47,9 +47,12 @@ concave in p, so Delta > 0 at both ends covers the interval: that is the
 two-user convexity theorem, and it is what a certificate's `certified`
 checks.  D vanishes exactly for colinear pairs (d = 0), and is taken as
 -0.0 where d is within its rounding floor (4 N eps)^2 n1 n2; a pair is
-labelled affine where d <= COLINEARITY_RTOL n1 n2.  The paper's
-Cauchy-Schwarz, summand-sign and monotonicity corollaries follow from
-the same d >= 0 through factored identities, which
+labelled affine where d <= COLINEARITY_RTOL n1 n2.  Certificates are
+returned as a `ConvexityScan`: (T,) columns of the flag, the affine
+mask, the worst D and its split, which `io` writes without forming a
+report per pair.  The paper's Cauchy-Schwarz, summand-sign and
+monotonicity corollaries follow from the same d >= 0 through factored
+identities, which
 `test_factored_identities_hold_in_exact_arithmetic` checks in exact
 rational arithmetic, so the sweep and single-split readers re-check none
 of them.  The K-user kernel `model.resolvent_grams` is the oracle for
@@ -72,6 +75,8 @@ near-colinear pairs, are exempt.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
@@ -92,6 +97,7 @@ __all__ = [
     "CouplingBundle",
     "BoundarySample",
     "ConvexityReport",
+    "ConvexityScan",
     "mse_pair_at_power",
     "coupling_bundle",
     "mse_first_derivatives",
@@ -110,6 +116,10 @@ __all__ = [
 class BoundaryClass(enum.Enum):
     STRICTLY_CONVEX = "StrictlyConvex"
     AFFINE = "Affine"
+
+
+# a pair's label, indexed by its affine flag
+_LABELS = (BoundaryClass.STRICTLY_CONVEX, BoundaryClass.AFFINE)
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,50 @@ class ConvexityReport:
     classification: BoundaryClass
     worst_discriminant: float
     worst_p: float
+
+
+class ConvexityScan(Sequence):
+    """The certificates of T channel pairs, held as (T,) read-only columns.
+
+    `certified` and `affine` are bool, `worst_discriminant` and `worst_p`
+    float64: the fields of each pair's ConvexityReport, whose label is
+    AFFINE where `affine` holds.  As a Sequence of ConvexityReport it
+    builds reports on demand, for an index, a slice or an iteration.
+    `io` writes it as the list of its reports, a column at a time from
+    `column` (a record table: `record_type` names the record class), with
+    no report formed.  It compares and hashes by identity.
+    """
+
+    __slots__ = ("certified", "affine", "worst_discriminant", "worst_p")
+    record_type = ConvexityReport
+
+    def __init__(self, certified, affine, worst_discriminant, worst_p):
+        columns = (certified, affine, worst_discriminant, worst_p)
+        kinds = (bool, bool, np.float64, np.float64)
+        for name, column, kind in zip(self.__slots__, columns, kinds):
+            column = np.array(column, dtype=kind)
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.certified)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[t] for t in range(*index.indices(len(self)))]
+        t = operator.index(index)
+        return ConvexityReport(certified=bool(self.certified[t]),
+                               classification=_LABELS[bool(self.affine[t])],
+                               worst_discriminant=float(self.worst_discriminant[t]),
+                               worst_p=float(self.worst_p[t]))
+
+    def column(self, name: str) -> list:
+        """The values of ConvexityReport field `name` in trial order, the
+        labels as their Enum values."""
+        if name == "classification":
+            values = tuple(label.value for label in _LABELS)
+            return list(map(values.__getitem__, self.affine.tolist()))
+        return getattr(self, name).tolist()
 
 
 def _pairs(pairs) -> np.ndarray:
@@ -194,10 +248,14 @@ def _pair_scalars(pairs: np.ndarray):
     return n1, n2, c, det.real ** 2 + det.imag ** 2
 
 
+def _affine(n1, n2, d) -> np.ndarray:
+    """The flat mask of pairs whose d = |det R|^2 vanishes relative to n1 n2."""
+    return (d <= COLINEARITY_RTOL * n1 * n2).ravel()
+
+
 def _classes(n1, n2, d) -> list:
     """Affine where d = |det R|^2 vanishes relative to n1 n2, else strictly convex."""
-    return [BoundaryClass.AFFINE if flat else BoundaryClass.STRICTLY_CONVEX
-            for flat in (d <= COLINEARITY_RTOL * n1 * n2).ravel()]
+    return [_LABELS[flat] for flat in _affine(n1, n2, d).tolist()]
 
 
 def _couplings(a12, b12):
@@ -476,16 +534,17 @@ def boundary_sweep(h1, h2, config: SystemConfig, samples: int = 101):
             for i, p in enumerate(ps)]
 
 
-def convexity_certificates(pairs, config: SystemConfig) -> list:
+def convexity_certificates(pairs, config: SystemConfig) -> ConvexityScan:
     """Certify convex boundary curvature of each channel pair of a (T, N, 2) stack.
 
-    Returns one ConvexityReport per pair.  `certified` is the closed-form
-    proof: d >= 0 and Delta > 0 at both ends of [0, P], so D <= 0 at
-    every split, and the corollaries of the module docstring hold with
-    it; it reads no grid.  Only Delta and D are formed, at the 99
-    interior points of the fixed 101-point grid of [0, P]: the worst
-    discriminant is the largest D there, at its first grid point, and a
-    value that leaves the float64 range raises ValueError.
+    Returns the ConvexityScan of the T pairs, its columns taken straight
+    from the closed forms.  `certified` is the closed-form proof: d >= 0
+    and Delta > 0 at both ends of [0, P], so D <= 0 at every split, and
+    the corollaries of the module docstring hold with it; it reads no
+    grid.  Only Delta and D are formed, at the 99 interior points of the
+    fixed 101-point grid of [0, P]: the worst discriminant is the largest
+    D there, at its first grid point, and a value that leaves the float64
+    range raises ValueError.
     """
     stack = _pairs(pairs)
     ps = np.linspace(0.0, config.power_budget, _CERTIFICATE_GRID)[1:-1]
@@ -495,12 +554,8 @@ def convexity_certificates(pairs, config: SystemConfig) -> list:
         forms.check(disc)
         worst = np.argmax(disc, axis=1)
         worst_disc = np.take_along_axis(disc, worst[:, None], axis=1)[:, 0]
-
-    columns = zip(forms.proven().tolist(), _classes(forms.n1, forms.n2, forms.d),
-                  worst_disc.tolist(), ps[worst].tolist())
-    return [ConvexityReport(certified=proof, classification=label,
-                            worst_discriminant=value, worst_p=split)
-            for proof, label, value, split in columns]
+    return ConvexityScan(forms.proven(), _affine(forms.n1, forms.n2, forms.d), worst_disc,
+                         ps[worst])
 
 
 def convexity_certificate(h1, h2, config: SystemConfig) -> ConvexityReport:

@@ -161,15 +161,14 @@ def cmd_convexity_scan(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     config = _config(args)
     pairs = _scan_pairs(np.random.default_rng(args.seed), args.trials, args.dim, args.colinear)
-    reports = convexity_certificates(pairs, config)
-    discriminants = [report.worst_discriminant for report in reports]
-    worst_trial = int(np.argmax(discriminants))
-    all_certified = all(report.certified for report in reports)
+    scan = convexity_certificates(pairs, config)
+    worst_trial = int(np.argmax(scan.worst_discriminant))
+    all_certified = bool(scan.certified.all())
     _report(args, args.seed, config, {
         "all_certified": all_certified,
-        "worst_discriminant": discriminants[worst_trial],
+        "worst_discriminant": scan.worst_discriminant[worst_trial].item(),
         "worst_trial": worst_trial,
-        "trials": reports,
+        "trials": scan,
     })
     return 0 if all_certified else 3
 

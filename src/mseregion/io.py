@@ -18,14 +18,17 @@ indent=2) writes, which with `indent` encodes in pure Python, one
 generator per container.  to_jsonable reads the text back with
 json.loads, so json_text(x) is json.dumps(to_jsonable(x),
 sort_keys=True, indent=2) + "\n" by construction.  A list or tuple of
-four or more records of one dataclass, such as a scan's trials, is
-written through one template per (class, indent), cached, with the
-sorted field names baked in and a `%s` per value; that cache is the one
-record test, and a lone record fills its template value by value.  The
-records of a list are filled one field column at a time: an all-float
-column in one map of float.__repr__, any other value through `_text`
-itself, written once per distinct value where the column is all bool,
-all int, all str, all None or all one Enum (never for floats or
+four or more records of one dataclass is written through one template
+per (class, indent), cached, with the sorted field names baked in and a
+`%s` per value; that cache is the one record test, and a lone record
+fills its template value by value.  A record table, such as a scan's
+trials (`boundary.ConvexityScan`, whose class names its record class as
+`record_type`), is written in the same template as the list of its
+records, its columns read from the table (`column(name)`) instead of
+from records.  The records are filled one field column at a time: an
+all-float column in one map of float.__repr__, any other value through
+`_text` itself, written once per distinct value where the column is all
+bool, all int, all str, all None or all one Enum (never for floats or
 complexes: -0.0 == 0.0).  The filled records are joined in one `%`.
 Shorter lists are written a record at a time, which costs less there.
 
@@ -477,7 +480,7 @@ _MEMO_TYPES = frozenset((bool, int, str, type(None)))
 @functools.cache
 def _record_template(cls, indent: str) -> Optional[tuple]:
     """A `cls` record's text at nesting `indent`, with `%s` for each value,
-    and a getter per field, both in sorted field order.
+    its field names and a getter per field, all in sorted field order.
 
     Field names are written as _text writes keys.  None when _text does
     not write `cls` as a record: no dataclass (a subclass of one is one),
@@ -489,7 +492,7 @@ def _record_template(cls, indent: str) -> Optional[tuple]:
     inner = indent + "  "
     slots = [f"{encode_basestring_ascii(name)}: %s" for name in names]
     text = "{\n" + inner + (",\n" + inner).join(slots) + "\n" + indent + "}" if names else "{}"
-    return text, tuple(map(operator.attrgetter, names))
+    return text, tuple(names), tuple(map(operator.attrgetter, names))
 
 
 def _column(values: list, indent: str) -> list:
@@ -518,13 +521,20 @@ def _column(values: list, indent: str) -> list:
 def _records(records, template: tuple, indent: str) -> str:
     """Records of one class at nesting `indent`, as list items.
 
-    Each field is written a column at a time (_column), and every record
-    fills the template in one `%` over the joined copies.
+    `records` is a list or tuple of records, whose field columns the
+    template's getters read, or a record table, which gives each column
+    itself (`column(name)`).  Each field is written a column at a time
+    (_column), and every record fills the template in one `%` over the
+    joined copies.
     """
-    text, getters = template
+    text, names, getters = template
     inner = indent + "  "
-    columns = [_column(list(map(getter, records)), inner) for getter in getters]
-    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    if isinstance(records, (list, tuple)):
+        columns = [list(map(getter, records)) for getter in getters]
+    else:
+        columns = map(records.column, names)
+    texts = [_column(values, inner) for values in columns]
+    cells = tuple(itertools.chain.from_iterable(zip(*texts)))
     return (",\n" + indent).join([text] * len(records)) % cells
 
 
@@ -546,7 +556,10 @@ def _text(value, indent: str) -> str:
     class is written through that class's template, one field column at
     a time (_column).  Every value that is not a float is written by
     this rule, and a float as the float leaf above, so the bytes are
-    those of writing each record on its own.
+    those of writing each record on its own.  A record table, a sequence
+    whose class names its record class as `record_type` (a
+    `boundary.ConvexityScan`), is written as the list of its records, in
+    the same template, from the columns it holds.
     """
     if isinstance(value, np.generic):
         value = value.item()
@@ -574,7 +587,7 @@ def _text(value, indent: str) -> str:
     inner = indent + "  "
     template = _record_template(type(value), indent)
     if template:
-        text, getters = template
+        text, _, getters = template
         return text % tuple([_text(getter(value), inner) for getter in getters])
     if isinstance(value, dict):
         pairs = sorted({str(k): v for k, v in value.items()}.items())
@@ -589,7 +602,12 @@ def _text(value, indent: str) -> str:
             body = (",\n" + inner).join([_text(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + indent + "]"
     else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        template = _record_template(getattr(type(value), "record_type", None), inner)
+        if not template:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+        if not len(value):
+            return "[]"
+        return "[\n" + inner + _records(value, template, inner) + "\n" + indent + "]"
     if not pairs:
         return "{}"
     items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in pairs]

@@ -316,7 +316,8 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarra
     calls cost, four per pivot.  Every step is elementwise across rows,
     so a row's bytes do not depend on the batch it came in.  A pivot that
     is not positive and finite raises LinAlgError, a ValueError, and no
-    NaN leaves the kernel.
+    NaN leaves the kernel; the loop warns of no overflow, invalid value
+    or division by zero on the way (a subnormal pivot's 1/pivot is inf).
     """
     lead = pw.shape[:-1]
     if mat.ndim > 2 and np.broadcast_shapes(mat.shape[:-2], lead) != lead:
@@ -329,7 +330,7 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarra
     # so that scaling a complex row needs no cast
     scale = np.zeros((n,) + lead, dtype=np.complex128)
     recip = scale.real
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(n):
             np.divide(1.0, work[j, j].real, out=recip[j, ...])
             if j + 1 < n:

@@ -547,6 +547,27 @@ def test_certificate_blocks_are_bitwise_invariant():
         assert _bits(single) == _bits(stacked[t])
 
 
+def test_scan_is_the_sequence_of_its_reports():
+    # the certificates are (T,) read-only columns; length, indices, slices
+    # and iteration build the reports the former sweep returned, bitwise
+    pairs = _mixed_pairs(np.random.default_rng(22), 9, 3)
+    config = SystemConfig(noise_variance=0.5, power_budget=300.0)
+    scan = convexity_certificates(pairs, config)
+    former, _ = _former_certificates(pairs, config, 101)
+    assert isinstance(scan, boundary.ConvexityScan) and len(scan) == 9
+    for name in ("certified", "affine", "worst_discriminant", "worst_p"):
+        column = getattr(scan, name)
+        assert column.shape == (9,) and not column.flags.writeable, name
+    assert list(scan) == former
+    assert [_bits(r) for r in scan] == [_bits(r) for r in former]
+    assert [_bits(scan[t]) for t in range(-9, 9)] == [_bits(r) for r in former + former]
+    for part in (slice(2, 7, 2), slice(None, None, -1), slice(-3, None), slice(9, None)):
+        assert [_bits(r) for r in scan[part]] == [_bits(r) for r in former[part]], part
+    for index in (9, -10):
+        with pytest.raises(IndexError):
+            scan[index]
+
+
 def test_certificates_on_reduced_pairs_match_raw_grams():
     # the closed forms against the K-user kernel on the raw N x 2 pairs,
     # whose N x N covariances X lose up to cond(X) <= 1 + P max|h|^2 / sigma^2

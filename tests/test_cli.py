@@ -26,7 +26,7 @@ from mseregion import (
     save_channels,
 )
 from mseregion.cli import _scan_pairs
-from mseregion.io import BOUNDARY_COLUMNS, read_region_csv
+from mseregion.io import BOUNDARY_COLUMNS, read_region_csv, to_jsonable
 
 from helpers import reference_region_csv
 
@@ -235,6 +235,27 @@ def test_scan_pairs_match_trial_by_trial_draws():
                 expected[trial] = mat
             got = _scan_pairs(np.random.default_rng(31), 7, dim, colinear)
             assert got.tobytes() == expected.tobytes(), (colinear, dim)
+
+
+def test_convexity_scan_forms_no_report(monkeypatch, tmp_path):
+    # the scan's columns go from the closed forms to the JSON text with no
+    # ConvexityReport in between; reading the scan as a sequence forms them
+    made = []
+    init = boundary.ConvexityReport.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(boundary.ConvexityReport, "__init__", counted)
+    out = tmp_path / "scan.json"
+    assert cli.main(["convexity-scan", "--trials", "1000", "--dim", "8", "--seed", "1",
+                     "--out", str(out)]) == 0
+    assert not made
+    scan = convexity_certificates(_scan_pairs(np.random.default_rng(1), 1000, 8, False),
+                                  SystemConfig(noise_variance=1.0, power_budget=10.0))
+    assert json.loads(out.read_text())["trials"] == [to_jsonable(r) for r in scan]
+    assert len(made) == 1000
 
 
 def test_convexity_scan_colinear_mode(tmp_path):
@@ -504,6 +525,17 @@ def test_region_cli_covariance_not_positive_definite_is_one_error_line(tmp_path,
     assert proc.returncode == 2
     assert (proc.stdout, proc.stderr) == ("", "error: Matrix is not positive definite\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "ref.json"]
+
+
+def test_wsmse_on_a_subnormal_pivot_is_one_error_line(tmp_path):
+    # the reference channels x 1e-160 at sigma^2 = 1e-320: exit 2 with the
+    # one error line, no overflow warning from the elimination before it
+    path = tmp_path / "tiny.json"
+    save_channels(path, ChannelSet(kkt.REFERENCE_CHANNELS.entries * 1e-160))
+    proc = run_cli("wsmse", "--channels", str(path), "--weights", "0.22,0.54,0.24",
+                   "--sigma2", "1e-320")
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", "error: Matrix is not positive definite\n")
 
 
 def test_region_cli_random_reproducible(tmp_path, ref_channels_file):

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 import mseregion.io as io_module
 from mseregion import (
     BoundaryClass,
+    ConvexityScan,
     SystemConfig,
     boundary_sweep,
     load_channels,
@@ -455,6 +456,8 @@ def _former_to_jsonable(value):
         return {str(k): _former_to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_former_to_jsonable(v) for v in value]
+    if isinstance(value, ConvexityScan):        # a record table is the list of its records
+        return [_former_to_jsonable(value[t]) for t in range(len(value))]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -754,3 +757,36 @@ def test_json_text_matches_json_dumps_on_command_payloads(monkeypatch, tmp_path)
     assert len(payloads) == 7
     for payload in payloads:
         _assert_same_text(payload)
+
+
+# the convexity scans CI runs (trials, dim, colinear, sigma^2, P), and P = 1e140
+_SCAN_SETTINGS = {
+    "plain": (1000, 8, False, 1.0, 10.0),
+    "colinear": (1000, 8, True, 1.0, 10.0),
+    "high snr": (1000, 4, False, 1.0, 1e15),
+    "low noise": (1000, 1, False, 1e-3, 0.02),
+    "extreme snr": (200, 4, False, 1.0, 1e100),
+    "snr 1e140": (200, 4, False, 1.0, 1e140),
+}
+
+
+@pytest.mark.parametrize("setting", list(_SCAN_SETTINGS))
+def test_scan_tables_are_written_as_their_report_lists(setting):
+    from mseregion import convexity_certificates
+    from mseregion.cli import _scan_pairs
+
+    trials, dim, colinear, sig2, power = _SCAN_SETTINGS[setting]
+    pairs = _scan_pairs(np.random.default_rng(1), trials, dim, colinear)
+    scan = convexity_certificates(pairs, SystemConfig(noise_variance=sig2, power_budget=power))
+    reports = list(scan)
+    if colinear:                # -0.0 in every trial, which must not print as 0.0
+        assert all(math.copysign(1.0, r.worst_discriminant) == -1.0 for r in reports)
+        assert not any(r.worst_discriminant for r in reports)
+    assert json_text({"trials": scan}) == json_text({"trials": reports})
+    _assert_same_text({"trials": scan})
+    # tables shorter than a templated list, and an empty one
+    names = ("certified", "affine", "worst_discriminant", "worst_p")
+    for count in (0, 1, 3):
+        short = ConvexityScan(*(getattr(scan, name)[:count] for name in names))
+        assert json_text(short) == json_text(reports[:count]), count
+        _assert_same_text({"trials": short})

@@ -220,6 +220,22 @@ def test_a_bad_pivot_raises_and_nothing_warns(monkeypatch):
                                 evaluate(pw)
 
 
+def test_a_subnormal_pivot_raises_before_any_warning():
+    # the reference channels x 1e-160 at sigma^2 = 1e-320: the first pivot
+    # is subnormal and 1/pivot overflows, which the elimination must not
+    # report as a RuntimeWarning before its LinAlgError
+    from mseregion import kkt
+
+    channels = ChannelSet(kkt.REFERENCE_CHANNELS.entries * 1e-160)
+    config = SystemConfig(noise_variance=1e-320, power_budget=kkt.REFERENCE_POWER_BUDGET)
+    powers = np.array([[3.0, 3.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (mse_tuples, mse_jacobian):
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                evaluate(channels, powers, config)
+
+
 def test_region_lattice_working_set_is_a_few_chunks():
     # the K = 3, N = 8, grid-91 lattice (134 044 rows): mse_tuples holds a
     # chunk's intermediates, never the whole batch's

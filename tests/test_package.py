@@ -15,6 +15,7 @@ from mseregion import (
     boundary,
     boundary_sweep,
     convexity_certificate,
+    convexity_certificates,
     coupling_bundle,
     io,
     kkt,
@@ -101,6 +102,7 @@ def _array_records():
         seg.points[0],
         seg,
         sample_region(chan, CONFIG, 2),
+        convexity_certificates(REF_H[None, :, :2], CONFIG),
     ]
 
 
@@ -110,7 +112,7 @@ def test_array_records_compare_and_hash_by_identity():
         "ChannelSet", "PowerAllocation", "MseTuple", "WeightVector",
         "KktResiduals", "KktCertificate", "CounterexampleReport",
         "PgdResult", "PgdBatch", "MembershipVerdict", "SegmentPoint",
-        "SegmentReport", "RegionSampleSet",
+        "SegmentReport", "RegionSampleSet", "ConvexityScan",
     ])
     for record in records:
         twin = copy.copy(record)
