@@ -74,7 +74,9 @@ near-colinear pairs, are exempt.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
@@ -306,6 +308,12 @@ def _quiet_overflow():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
+def _range_error(snr, sig2, budget) -> ValueError:
+    """The ValueError of a closed form that leaves the float64 range."""
+    return ValueError(f"boundary closed forms leave the float64 range at "
+                      f"P/sigma^2 = {snr:g} (sigma^2 = {sig2:g}, P = {budget:g})")
+
+
 class _ClosedForms:
     """Delta and D of the module docstring for T channel pairs over G power splits.
 
@@ -330,9 +338,7 @@ class _ClosedForms:
     def check(self, *values):
         """Raise ValueError unless every value is finite."""
         if not all(np.isfinite(value).all() for value in values):
-            raise ValueError(f"boundary closed forms leave the float64 range at "
-                             f"P/sigma^2 = {self.snr:g} (sigma^2 = {self.sig2:g}, "
-                             f"P = {self.budget:g})")
+            raise _range_error(self.snr, self.sig2, self.budget)
 
     def delta(self, p):
         sig2 = self.sig2
@@ -494,21 +500,29 @@ def affine_boundary(h1, alpha, config: SystemConfig):
     """(slope, intercept, eps_min1) of the boundary line for h2 = alpha h1.
 
     g(eps1) = slope * eps1 + intercept over [eps_min1, 1], with
-    g(1) = eps_min2 and g(eps_min1) = 1.
+    g(1) = eps_min2 and g(eps_min1) = 1.  Raises ValueError for a
+    non-finite h1 or alpha, and the closed forms' range ValueError where
+    a returned value is not finite.
     """
     vec = np.asarray(h1, dtype=np.complex128).reshape(-1)
     scalar = complex(alpha)
+    if not (np.isfinite(vec).all() and cmath.isfinite(scalar)):
+        raise ValueError("h1 and alpha must be finite")
     if scalar == 0:
         raise ValueError("colinearity factor alpha must be nonzero")
-    n1 = float(np.linalg.norm(vec) ** 2)
+    # numpy squares, so one past the float64 range is inf, not OverflowError
+    with _quiet_overflow():
+        n1 = float(np.linalg.norm(vec) ** 2)
+        mag = float(np.float64(abs(scalar)) ** 2)
     if n1 == 0.0:
         raise ValueError("h1 must be nonzero")
     gamma = config.snr
-    mag = abs(scalar) ** 2
     den = 1.0 + mag * gamma * n1
     slope = -(mag + mag * gamma * n1) / den
     intercept = 1.0 + mag / den
     eps_min1 = 1.0 / (1.0 + gamma * n1)
+    if not all(map(math.isfinite, (slope, intercept, eps_min1))):
+        raise _range_error(gamma, config.noise_variance, config.power_budget)
     return slope, intercept, eps_min1
 
 

@@ -17,20 +17,18 @@ true/false/null.  The bytes are those json.dumps(..., sort_keys=True,
 indent=2) writes, which with `indent` encodes in pure Python, one
 generator per container.  to_jsonable reads the text back with
 json.loads, so json_text(x) is json.dumps(to_jsonable(x),
-sort_keys=True, indent=2) + "\n" by construction.  A list or tuple of
-four or more records of one dataclass is written through one template
-per (class, indent), cached, with the sorted field names baked in and a
-`%s` per value; that cache is the one record test, and a lone record
-fills its template value by value.  A record table, such as a scan's
-trials (`boundary.ConvexityScan`, whose class names its record class as
-`record_type`), is written in the same template as the list of its
-records, its columns read from the table (`column(name)`) instead of
-from records.  The records are filled one field column at a time: an
-all-float column in one map of float.__repr__, any other value through
-`_text` itself, written once per distinct value where the column is all
-bool, all int, all str, all None or all one Enum (never for floats or
+sort_keys=True, indent=2) + "\n" by construction.  A record is written
+through one template per (class, indent), cached, with the sorted field
+names baked in and a `%s` per value; that cache is the one record test.
+A list or tuple is written item by item, so each of its records fills
+its template value by value.  A record table, such as a scan's trials
+(`boundary.ConvexityScan`, whose class names its record class as
+`record_type`), is written as the list of its records in the same
+template, its columns read from the table (`column(name)`) one at a
+time: an all-float column in one map of float.__repr__, any other value
+through `_text` itself, written once per distinct value where the column
+is all bool, all int, all str or all None (never for floats or
 complexes: -0.0 == 0.0).  The filled records are joined in one `%`.
-Shorter lists are written a record at a time, which costs less there.
 
 CSV floats use repr(), which round-trips exactly through float().
 Region CSVs are written as bytes a block of rows at a time, every cell
@@ -456,14 +454,6 @@ def manifest(command: str, inputs: dict, seed: Optional[int], config: SystemConf
     }
 
 
-# The fewest records a list needs to take its class's template.  The
-# template costs a few steps per field column and saves a few per record.
-# On a 2-core VM (Python 3.11), lists of two or three records with array
-# fields (kkt certificates, membership verdicts) were written 3-14%
-# slower through it than one record at a time, and four at par; scan
-# reports were 5% slower at two, 16% faster at three, 30% faster at four.
-_MIN_RECORDS = 4
-
 # json's spelling of the float reprs that are no JSON number
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -496,11 +486,11 @@ def _record_template(cls, indent: str) -> Optional[tuple]:
 
 
 def _column(values: list, indent: str) -> list:
-    """The texts of one field's values across a sequence of records.
+    """The texts of one field's values across a record table.
 
     An all-float column is repr'd in one map.  A column of one of
-    _MEMO_TYPES, or of one hashable Enum, is written once per distinct
-    value; any other column goes through _text value by value.
+    _MEMO_TYPES is written once per distinct value; any other column
+    goes through _text value by value.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
@@ -508,34 +498,26 @@ def _column(values: list, indent: str) -> list:
         if not math.isfinite(sum(values)):      # some value is NaN or infinite
             texts = [_NONFINITE.get(text, text) for text in texts]
         return texts
-    if len(kinds) == 1:
-        kind, = kinds
-        if kind in _MEMO_TYPES or (issubclass(kind, enum.Enum) and kind.__hash__ is not None):
-            table = dict.fromkeys(values)
-            for value in table:
-                table[value] = _text(value, indent)
-            return list(map(table.__getitem__, values))
+    if len(kinds) == 1 and kinds <= _MEMO_TYPES:
+        table = dict.fromkeys(values)
+        for value in table:
+            table[value] = _text(value, indent)
+        return list(map(table.__getitem__, values))
     return [_text(value, indent) for value in values]
 
 
-def _records(records, template: tuple, indent: str) -> str:
-    """Records of one class at nesting `indent`, as list items.
+def _records(table, template: tuple, indent: str) -> str:
+    """A record table's records at nesting `indent`, as list items.
 
-    `records` is a list or tuple of records, whose field columns the
-    template's getters read, or a record table, which gives each column
-    itself (`column(name)`).  Each field is written a column at a time
-    (_column), and every record fills the template in one `%` over the
-    joined copies.
+    The table gives each field's column (`column(name)`), which is
+    written a column at a time (_column); every record fills the
+    template in one `%` over the joined copies.
     """
-    text, names, getters = template
+    text, names, _ = template
     inner = indent + "  "
-    if isinstance(records, (list, tuple)):
-        columns = [list(map(getter, records)) for getter in getters]
-    else:
-        columns = map(records.column, names)
-    texts = [_column(values, inner) for values in columns]
+    texts = [_column(table.column(name), inner) for name in names]
     cells = tuple(itertools.chain.from_iterable(zip(*texts)))
-    return (",\n" + indent).join([text] * len(records)) % cells
+    return (",\n" + indent).join([text] * len(table)) % cells
 
 
 def _text(value, indent: str) -> str:
@@ -550,16 +532,14 @@ def _text(value, indent: str) -> str:
     order: a complex is written as [re, im], an Enum as its value, an
     ndarray as its .tolist(); a record (a dataclass, _record_template) by
     its sorted fields in its template, a dict's items under str(key)
-    sorted by key, a tuple as a list.
+    sorted by key, a list or tuple item by item.
 
-    A list or tuple of _MIN_RECORDS or more items of exactly one record
-    class is written through that class's template, one field column at
-    a time (_column).  Every value that is not a float is written by
-    this rule, and a float as the float leaf above, so the bytes are
-    those of writing each record on its own.  A record table, a sequence
-    whose class names its record class as `record_type` (a
-    `boundary.ConvexityScan`), is written as the list of its records, in
-    the same template, from the columns it holds.
+    A record table, a sequence whose class names its record class as
+    `record_type` (a `boundary.ConvexityScan`), is written as the list
+    of its records, in that class's template, one field column at a
+    time (_records).  Every value that is not a float is written by this
+    rule, and a float as the float leaf above, so the bytes are those of
+    writing each record on its own.
     """
     if isinstance(value, np.generic):
         value = value.item()
@@ -591,27 +571,18 @@ def _text(value, indent: str) -> str:
         return text % tuple([_text(getter(value), inner) for getter in getters])
     if isinstance(value, dict):
         pairs = sorted({str(k): v for k, v in value.items()}.items())
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        cls = type(value[0])
-        template = len(value) >= _MIN_RECORDS and _record_template(cls, inner)
-        if template and set(map(type, value)) == {cls}:
-            body = _records(value, template, inner)
-        else:
-            body = (",\n" + inner).join([_text(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
+        if not pairs:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in pairs]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        body = (",\n" + inner).join([_text(v, inner) for v in value])
     else:
         template = _record_template(getattr(type(value), "record_type", None), inner)
         if not template:
             raise TypeError(f"cannot serialize {type(value).__name__}")
-        if not len(value):
-            return "[]"
-        return "[\n" + inner + _records(value, template, inner) + "\n" + indent + "]"
-    if not pairs:
-        return "{}"
-    items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in pairs]
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        body = _records(value, template, inner)
+    return "[\n" + inner + body + "\n" + indent + "]" if body else "[]"
 
 
 def json_text(payload) -> str:

@@ -242,10 +242,12 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
             fresh[top] = False
             pts, grs, hss = point[top], grad[top], hess[top]
             # one projection serves the convergence test, proj(p - grad),
-            # and the Newton probe, proj(p - grad / scale), of every row
+            # and the Newton probe, proj(p - grad / scale), of every row.  A
+            # zero Hessian comes with a flat objective, whose row passes the
+            # test: its probe is proj(p - grad), and it is never read
             scale = k * np.abs(hss).max(axis=(1, 2))
-            both = project_onto_budget_simplex(
-                np.concatenate((pts - grs, pts - grs / scale[:, None])), budget)
+            both = project_onto_budget_simplex(np.concatenate(
+                (pts - grs, pts - grs / np.where(scale > 0.0, scale, 1.0)[:, None])), budget)
             pg = np.linalg.norm(pts - both[:top.size], axis=1)
             done = pg <= PGD_TOL_REL * (1.0 + np.abs(value[top]))
             converged[top] = done

@@ -31,12 +31,23 @@ a g' or g'' that is not finite counts as off by inf.
 h2 = 6e9 + 8e9i at sigma^2 = 1e-50 and P = 1e140, where alpha^2 =
 (sigma^2 / Delta)^2 is subnormal while |a12|^2 is normal.
 
+The endpoint table holds the same pairs and (sigma^2, P) at the splits
+p = 0 and p = P, which no interior split reaches: 160 x 673 x 2 = 215 360
+cases, tallied apart, so the interior table's indices stay as they are.
+Each is read through the split readers `mse_pair_at_power`,
+`coupling_bundle` and `closed_form_ratios`, which raise the range
+ValueError together or return together.  eps1, eps2, a11, a22, b11 and
+b22 are held relative to themselves, a12 and b12 as above, a12/a11
+relative to sqrt(a22/a11), b21/b22 relative to sqrt(b11/b22) and their
+product's real part relative to the product of those two.
+
 Run the whole table with
 
     PYTHONPATH=src python tests/closed_form_probe.py
 
-(a few minutes; `--stride S` takes every S-th case), which prints the
-tallies and every case off by more than `RTOL`.
+(a few minutes; `--stride S` takes every S-th case, `--endpoints` runs
+the endpoint table instead), which prints the tallies and every case off
+by more than `RTOL`.
 """
 
 from __future__ import annotations
@@ -64,6 +75,10 @@ SPLITS = (0.001, 0.25, 0.5, 0.75, 0.999)
 # the Tier-1 slice: every SLICE_STRIDE-th case of the table, plus PROBE_CASES
 SLICE_STRIDE = 149
 GATED = ("a11", "a22", "b11", "b22", "deps1", "deps2", "a12", "b12")
+# the endpoint table's splits, and the values its readers return
+ENDPOINTS = (0.0, 1.0)
+ENDPOINT_GATED = ("eps1", "eps2", "a11", "a22", "b11", "b22", "a12", "b12",
+                  "ratio_a", "ratio_b", "product")
 
 PROBE_CASES = tuple(
     ((np.array([1e10 + 0j]), np.array([6e9 + 8e9j])), 1e-50, 1e140, frac)
@@ -108,10 +123,11 @@ def budgets():
             for r in SNR_EXPONENTS if math.isfinite(sig2 * float(f"1e{r}"))]
 
 
-def cases():
-    """Every (pair, sigma^2, P, split fraction) of the table, in order."""
+def cases(splits=SPLITS):
+    """Every (pair, sigma^2, P, split fraction) of the table, in order; the
+    endpoint table's with `splits` ENDPOINTS."""
     return ((pair, sig2, budget, frac)
-            for pair, (sig2, budget), frac in itertools.product(pairs(), budgets(), SPLITS))
+            for pair, (sig2, budget), frac in itertools.product(pairs(), budgets(), splits))
 
 
 def table_slice(stride: int = SLICE_STRIDE):
@@ -123,8 +139,8 @@ def table_slice(stride: int = SLICE_STRIDE):
 
 def reference(n1, n2, c, d, sig2, budget, p, q, resolved):
     """The closed forms in 60-digit arithmetic from float inputs: a dict of
-    a11, a22, a12, b11, b22, b12, deps1, deps2, ddeps1, ddeps2, g_prime and
-    g_double_prime, whose D takes d as `resolved`."""
+    eps1, eps2, a11, a22, a12, b11, b22, b12, deps1, deps2, ddeps1, ddeps2,
+    g_prime and g_double_prime, whose D takes d as `resolved`."""
     with mpmath.workdps(60):
         n1, n2, d, sig2, budget, p, q, resolved = map(
             mpmath.mpf, (n1, n2, d, sig2, budget, p, q, resolved))
@@ -140,7 +156,8 @@ def reference(n1, n2, c, d, sig2, budget, p, q, resolved):
         deps1, deps2 = boundary._slopes(b11, b22, cross, sig2, budget)
         ddeps1, ddeps2 = boundary._curvatures(a11, a22, b11, b22, cross, re_ab, sig2, budget)
         disc = -2 * sig4 * resolved * (budget * n1 * n2 + sig2 * (n1 + n2)) / den ** 3
-        return {"a11": a11, "a22": a22, "a12": c * alpha, "b11": b11, "b22": b22,
+        return {"eps1": sig2 * (sig2 + q * n2) / den, "eps2": sig2 * (sig2 + p * n1) / den,
+                "a11": a11, "a22": a22, "a12": c * alpha, "b11": b11, "b22": b22,
                 "b12": c * beta, "deps1": deps1, "deps2": deps2,
                 "ddeps1": ddeps1, "ddeps2": ddeps2,
                 "g_prime": deps2 / deps1, "g_double_prime": disc / deps1 ** 3}
@@ -182,20 +199,56 @@ def run_case(case):
     return errors
 
 
-def tally(selected):
+def run_endpoint_case(case):
+    """None where the split readers raise the range ValueError, else a dict
+    of each ENDPOINT_GATED value's error relative to its scale."""
+    (h1, h2), sig2, budget, frac = case
+    config = SystemConfig(noise_variance=sig2, power_budget=budget)
+    split = frac * budget
+    readers = (boundary.mse_pair_at_power, boundary.coupling_bundle, boundary.closed_form_ratios)
+    outs = []
+    for reader in readers:
+        try:
+            outs.append(reader(h1, h2, config, split))
+        except ValueError as err:
+            if "leave the float64 range" not in str(err):
+                raise
+    if not outs:
+        return None
+    if len(outs) != len(readers):
+        raise AssertionError(f"the split readers disagree on the range at {describe(case)}")
+    (eps1, eps2), bundle, (ratio_a, ratio_b, product) = outs
+    n1, n2, c, d = (v[0] for v in boundary._pair_scalars(boundary._pair(h1, h2)))
+    want = reference(n1, n2, c, d, sig2, budget, split, budget - split, d)
+    got = {"eps1": eps1, "eps2": eps2, "ratio_a": ratio_a, "ratio_b": ratio_b, "product": product,
+           **{name: getattr(bundle, name) for name in ("a11", "a22", "a12", "b11", "b22", "b12")}}
+    with mpmath.workdps(60):
+        want["ratio_a"] = want["a12"] / want["a11"]
+        want["ratio_b"] = mpmath.conj(want["b12"]) / want["b22"]
+        want["product"] = (want["ratio_a"] * want["ratio_b"]).real
+        scale = {name: abs(want[name]) for name in ENDPOINT_GATED}
+        scale["a12"] = mpmath.sqrt(want["a11"] * want["a22"])
+        scale["b12"] = mpmath.sqrt(want["b11"] * want["b22"])
+        scale["ratio_a"] = mpmath.sqrt(want["a22"] / want["a11"])
+        scale["ratio_b"] = mpmath.sqrt(want["b11"] / want["b22"])
+        scale["product"] = scale["ratio_a"] * scale["ratio_b"]
+        return {name: float(abs(mpmath.mpc(complex(got[name])) - want[name]) / scale[name])
+                for name in ENDPOINT_GATED}
+
+
+def tally(selected, run=run_case, gated=GATED):
     """(returned, raised labels, worst error per name, [(label, errors) off by
-    > RTOL]) over (label, case) items."""
-    returned, raised = 0, []
-    worst, off = dict.fromkeys(GATED + ("ddeps", "g_prime", "g_double_prime"), 0.0), []
+    > RTOL in a `gated` value]) of `run` over (label, case) items."""
+    returned, raised, worst, off = 0, [], {}, []
     for label, case in selected:
-        errors = run_case(case)
+        errors = run(case)
         if errors is None:
             raised.append(label)
             continue
         returned += 1
         for name, value in errors.items():
-            worst[name] = max(worst[name], value)
-        if max(errors[name] for name in GATED) > RTOL:
+            worst[name] = max(worst.get(name, 0.0), value)
+        if max(errors[name] for name in gated) > RTOL:
             off.append((label, errors))
     return returned, raised, worst, off
 
@@ -205,6 +258,12 @@ def slice_tally():
     """`tally` of the Tier-1 slice, formed once per process for the tests
     that read it."""
     return tally(table_slice())
+
+
+def endpoint_slice_tally():
+    """`tally` of every SLICE_STRIDE-th case of the endpoint table."""
+    return tally(itertools.islice(enumerate(cases(ENDPOINTS)), 0, None, SLICE_STRIDE),
+                 run_endpoint_case, ENDPOINT_GATED)
 
 
 def describe(case) -> str:
@@ -218,22 +277,28 @@ def main(argv=None) -> int:
     parser.add_argument("--stride", type=int, default=1, help="take every S-th table case")
     parser.add_argument("--offset", type=int, default=0, help="starting at table case O")
     parser.add_argument("--raised", help="write the labels of the raising cases to this file")
+    parser.add_argument("--endpoints", action="store_true",
+                        help="run the endpoint table (p = 0 and p = P) instead")
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    selected = list(itertools.islice(enumerate(cases()), args.offset, None, args.stride)) \
-        + [(f"x{i}", case) for i, case in enumerate(PROBE_CASES)]
-    returned, raised, worst, off = tally(selected)
-    counts = dict.fromkeys(GATED, 0)
+    if args.endpoints:
+        run, gated, table, extra = run_endpoint_case, ENDPOINT_GATED, cases(ENDPOINTS), []
+    else:
+        run, gated, table = run_case, GATED, cases()
+        extra = [(f"x{i}", case) for i, case in enumerate(PROBE_CASES)]
+    selected = list(itertools.islice(enumerate(table), args.offset, None, args.stride)) + extra
+    returned, raised, worst, off = tally(selected, run, gated)
+    counts = dict.fromkeys(gated, 0)
     for _, errors in off:
-        for name in GATED:
+        for name in gated:
             counts[name] += errors[name] > RTOL
-    print(f"cases {len(selected)} ({len(PROBE_CASES)} outside the table): "
+    print(f"cases {len(selected)} ({len(extra)} outside the table): "
           f"returned {returned}, raised {len(raised)}")
     print(f"off by > {RTOL:g}: {len(off)} cases; per value {counts}")
     print("worst: " + ", ".join(f"{name} {value:.3g}" for name, value in worst.items()))
     cases_by_label = dict(selected)
     for label, errors in off:
-        bad = {name: f"{errors[name]:.3g}" for name in GATED if errors[name] > RTOL}
+        bad = {name: f"{errors[name]:.3g}" for name in gated if errors[name] > RTOL}
         print(f"  {label}: {describe(cases_by_label[label])}: {bad}")
     if args.raised:
         with open(args.raised, "w") as handle:

@@ -388,6 +388,18 @@ def test_affine_sweep_stays_on_line():
         affine_boundary(E1, 0.0, UNIT)
 
 
+@pytest.mark.parametrize("h1, alpha", [
+    ([np.inf], 1.0), ([complex(1.0, np.nan)], 1.0), ([1.0], np.nan), ([1.0], complex(1.0, -np.inf)),
+    ([1e200], 1.0), ([1.0], 1e200), ([1e100], 1e100),
+], ids=["inf h1", "nan h1", "nan alpha", "inf alpha", "huge h1", "huge alpha", "huge product"])
+def test_affine_boundary_raises_where_its_line_is_not_finite(h1, alpha):
+    # non-finite inputs, and finite ones whose line leaves the float64 range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            affine_boundary(h1, alpha, SystemConfig(1.0, 10.0))
+
+
 def test_orthogonal_sweep_endpoints_and_monotonicity():
     sweep = boundary_sweep(E1, E2, UNIT, samples=11)
     assert len(sweep) == 11
@@ -857,6 +869,22 @@ def test_closed_forms_hold_twelve_digits_on_the_probe_slice():
                          if errors[name] > closed_form_probe.RTOL) for label, errors in off}
     assert lost == SLICE_LOSSES, lost
     assert returned + len(raised) == 3619
+
+
+# cases of the endpoint slice (every SLICE_STRIDE-th case of the probe's
+# p = 0 and p = P table) on which the split readers raise the range ValueError
+ENDPOINT_SLICE_RAISED = 730
+
+
+def test_split_readers_hold_twelve_digits_at_the_endpoint_splits():
+    # the probe's endpoint slice, 1446 cases: mse_pair_at_power,
+    # coupling_bundle and closed_form_ratios raise together or return
+    # together, and every value they return is within 1e-12 of its 60-digit
+    # closed form; the raise edge is pinned as a count
+    returned, raised, _, off = closed_form_probe.endpoint_slice_tally()
+    assert len(raised) == ENDPOINT_SLICE_RAISED, len(raised)
+    assert off == [], [label for label, _ in off]
+    assert returned + len(raised) == 1446
 
 
 def test_probe_slice_returns_finite_g_derivatives_within_twelve_digits():

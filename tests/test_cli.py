@@ -538,6 +538,19 @@ def test_wsmse_on_a_subnormal_pivot_is_one_error_line(tmp_path):
     assert (proc.stdout, proc.stderr) == ("", "error: Matrix is not positive definite\n")
 
 
+def test_wsmse_on_a_flat_objective_warns_nothing(tmp_path):
+    # the reference channels x 1e-160 at sigma^2 = 1: every Hessian is zero
+    # and every gradient subnormal, so each start converges where it begins
+    path = tmp_path / "flat.json"
+    save_channels(path, ChannelSet(kkt.REFERENCE_CHANNELS.entries * 1e-160))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "mseregion", "wsmse", "--channels",
+                           str(path), "--weights", "0.22,0.54,0.24"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert payload["cluster_count"] == len(payload["clusters"]) == 21
+    assert all(c["converged"] and c["objective"] == 1.0 for c in payload["clusters"])
+
+
 def test_region_cli_random_reproducible(tmp_path, ref_channels_file):
     outs = [tmp_path / f"r{i}.csv" for i in range(3)]
     base = ("region", "--channels", ref_channels_file, "--random", "100",

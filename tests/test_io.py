@@ -456,7 +456,7 @@ def _former_to_jsonable(value):
         return {str(k): _former_to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_former_to_jsonable(v) for v in value]
-    if isinstance(value, ConvexityScan):        # a record table is the list of its records
+    if isinstance(value, (ConvexityScan, _Table)):      # a record table is the list of its records
         return [_former_to_jsonable(value[t]) for t in range(len(value))]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -510,6 +510,29 @@ class _Child(_Leaf):
     extra: object = None
 
 
+class _Table:
+    """A record table of the test's own: it gives its records' field
+    columns as `boundary.ConvexityScan` gives a scan's."""
+
+    def __init__(self, records):
+        self.records = list(records)
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, t):
+        return self.records[t]
+
+    def column(self, name):
+        return [getattr(record, name) for record in self.records]
+
+
+def _table(records):
+    """The records, all of one class, as a table of that class."""
+    cls = type(records[0])
+    return type(f"{cls.__name__}Table", (_Table,), {"record_type": cls})(records)
+
+
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
                 1e308, 1.7976931348623157e308, 0.1, 1e16, 1e-7, 123456789.0]
 _STRINGS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\bé \ud800\U0001f600')),
@@ -542,7 +565,7 @@ def _containers(children):
     records = [st.builds(_Node, children, children, children),
                st.builds(_Leaf, children, _STRINGS),
                st.builds(_Child, children, _STRINGS, children)]
-    # 2-6 records of one class: from io._MIN_RECORDS on, the writer's template path
+    # 2-6 records of one class, as a list, a tuple and a record table
     runs = [st.lists(record, min_size=2, max_size=6) for record in records]
     return st.one_of(
         st.lists(children, max_size=4),
@@ -551,6 +574,7 @@ def _containers(children):
         *records,
         *runs,
         *[run.map(tuple) for run in runs],
+        *[run.map(_table) for run in runs],
     )
 
 
@@ -609,11 +633,10 @@ class _Unhashable(enum.Enum):      # __eq__ without __hash__: members are unhash
         return self is other
 
 
-# Field columns of a record sequence, each at least io._MIN_RECORDS long
-# (the fewest records that take the writer's template).  Values that
-# compare equal, such as -0.0 and 0.0 or True, 1, 1.0 and _Level.LOW, must
-# still be written each as itself: a writer that reuses a float's or a
-# mixed column's text by value fails here.
+# Field columns of a record table, each written a column at a time.
+# Values that compare equal, such as -0.0 and 0.0 or True, 1, 1.0 and
+# _Level.LOW, must still be written each as itself: a writer that reuses
+# a float's or a mixed column's text by value fails here.
 _COLUMNS = {
     "floats": [0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 1e308],
     "finite floats": [-0.0, 0.0, 0.1, 1e16],
@@ -637,20 +660,18 @@ _COLUMNS = {
 
 
 @pytest.mark.parametrize("column", list(_COLUMNS))
-def test_record_sequences_match_json_dumps(monkeypatch, column):
-    written = []
-    records = io_module._records
-    monkeypatch.setattr(io_module, "_records", lambda *args: written.append(args) or records(*args))
+def test_record_sequences_match_json_dumps(column):
     values = _COLUMNS[column]
-    assert len(values) >= io_module._MIN_RECORDS
     leaves = [_Leaf(v, f"leaf {i}") for i, v in enumerate(values)]
     nodes = [_Node(v, w, [v]) for v, w in zip(values, values[::-1])]
     children = [_Child(v, "child", {"v": v}) for v in values]
     for run in (leaves, nodes, children):
         _assert_same_text(run)
-        # two records are written one at a time, the full run through the template
         _assert_same_text({"run": tuple(run), "nested": [run, run[:2]]})
-    assert written
+        # a table is written a column at a time, as the list of its records
+        table = _table(run)
+        assert json_text(table) == json_text(run)
+        _assert_same_text({"table": table, "nested": [table, _table(run[:2]), _table(run[:1])]})
     # a _Child is not a _Leaf: a sequence of both must not share _Leaf's template
     _assert_same_text([leaves[0], children[0], *leaves[1:]])
     _assert_same_text(tuple(children[:1] + leaves))
@@ -681,18 +702,15 @@ def _record_kinds():
 
 
 @pytest.mark.parametrize("kind", ["mapping", "sequence", "undecorated"])
-def test_records_that_subclass_a_container_or_a_dataclass(monkeypatch, kind):
-    written = []
-    records = io_module._records
-    monkeypatch.setattr(io_module, "_records", lambda *args: written.append(args) or records(*args))
+def test_records_that_subclass_a_container_or_a_dataclass(kind):
     record = _record_kinds()[kind]
     _assert_same_text(record)
     _assert_same_text({"one": record, "pair": [record, record]})
-    assert not written
-    run = [record] * io_module._MIN_RECORDS
+    run = [record] * 4
     _assert_same_text(run)
     _assert_same_text({"run": tuple(run), "mixed": [_record_kinds()[kind], *run]})
-    assert written
+    assert json_text(_table(run)) == json_text(run)
+    _assert_same_text({"table": _table(run)})
 
 
 @dataclass(frozen=True)
@@ -784,7 +802,7 @@ def test_scan_tables_are_written_as_their_report_lists(setting):
         assert not any(r.worst_discriminant for r in reports)
     assert json_text({"trials": scan}) == json_text({"trials": reports})
     _assert_same_text({"trials": scan})
-    # tables shorter than a templated list, and an empty one
+    # short tables and an empty one
     names = ("certified", "affine", "worst_discriminant", "worst_p")
     for count in (0, 1, 3):
         short = ConvexityScan(*(getattr(scan, name)[:count] for name in names))
