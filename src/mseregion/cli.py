@@ -8,12 +8,10 @@ three-user instance end to end.
 
 Exit codes: 0 success or no witness, 2 input error, 3 nonconvexity
 witness (and `counterexample` uses 1 when any reference check fails).
-Every JSON report embeds a manifest (`_report`) with the command, its
-options as parsed except --out, --threads and --seed, the seed (0 for
-`segment`, which draws none), tolerances, assumed noise variance, and
-tool version.  The CSV sidecar manifests list their inputs by hand:
-`region` its mode and resolution or count, `counterexample --region-csv`
-the CSV and grid.
+Every JSON report and every region CSV's `.manifest.json` sidecar holds
+one manifest (`_manifest`): the command, its options as parsed except
+--out, --threads and --seed, the seed (0 for `segment`, which has no
+--seed), tolerances, assumed noise variance, and tool version.
 Outputs are byte-identical across reruns and across --threads settings.
 """
 
@@ -78,17 +76,23 @@ def _segment_block(report) -> dict:
     }
 
 
-def _report(args, seed, config, body: dict, **parsed) -> None:
-    """Write a JSON report: `body` under the manifest of this run.
+def _manifest(args, config, **parsed) -> dict:
+    """The manifest of this run.
 
-    The manifest's inputs are the command's options as parsed, except
-    --out, --threads and --seed (the seed has its own field);
-    `parsed` gives the values that replace an option's text, such as the
-    weight vector of --weights.  The report goes to --out, else stdout.
+    Its inputs are the command's options as parsed, except --out,
+    --threads and --seed; `parsed` gives the values that replace an
+    option's text, such as the weight vector of --weights.  Its seed is
+    --seed, or 0 for a command that has none.
     """
     inputs = {key: value for key, value in vars(args).items()
               if key not in ("command", "func", "out", "threads", "seed")}
-    payload = {"manifest": manifest(args.command, {**inputs, **parsed}, seed, config), **body}
+    return manifest(args.command, {**inputs, **parsed}, getattr(args, "seed", 0), config)
+
+
+def _report(args, config, body: dict, **parsed) -> None:
+    """Write a JSON report: `body` under the manifest of this run
+    (`parsed` as for `_manifest`), to --out, else stdout."""
+    payload = {"manifest": _manifest(args, config, **parsed), **body}
     if args.out:
         write_json(args.out, payload)
     else:
@@ -114,14 +118,15 @@ def _plot_script(csv_path: str, eps_min1: float, eps_min2: float) -> str:
 
 
 def cmd_boundary(args) -> int:
+    given = [value is not None for value in (args.channels, args.h1, args.h2)]
+    if given not in ([True, False, False], [False, True, True]):
+        raise ValueError("provide either --channels or both --h1 and --h2")
     if args.channels is not None:
         channels = load_channels(args.channels)
         if channels.n_users != 2:
             raise ValueError(f"boundary needs exactly 2 users, got {channels.n_users}")
         h1, h2 = channels.user_channel(0), channels.user_channel(1)
     else:
-        if args.h1 is None or args.h2 is None:
-            raise ValueError("provide either --channels or both --h1 and --h2")
         h1, h2 = _parse_complex_list(args.h1), _parse_complex_list(args.h2)
     config = _config(args)
     classification = colinearity_classify(h1, h2)
@@ -164,7 +169,7 @@ def cmd_convexity_scan(args) -> int:
     scan = convexity_certificates(pairs, config)
     worst_trial = int(np.argmax(scan.worst_discriminant))
     all_certified = bool(scan.certified.all())
-    _report(args, args.seed, config, {
+    _report(args, config, {
         "all_certified": all_certified,
         "worst_discriminant": scan.worst_discriminant[worst_trial].item(),
         "worst_trial": worst_trial,
@@ -182,12 +187,8 @@ def cmd_counterexample(args) -> int:
     if args.region_csv is not None:
         samples = sample_region(kkt.REFERENCE_CHANNELS, config, args.grid, mode="grid")
         write_region_csv(args.region_csv, samples)
-        write_json(
-            args.region_csv + ".manifest.json",
-            manifest("counterexample", {"region_csv": args.region_csv, "grid": args.grid},
-                     args.seed, config),
-        )
-    _report(args, args.seed, config, {
+        write_json(args.region_csv + ".manifest.json", _manifest(args, config))
+    _report(args, config, {
         "sigma2_assumed": report.sigma2_assumed,
         "all_passed": report.all_passed,
         "checks": report.checks,
@@ -203,7 +204,7 @@ def cmd_wsmse(args) -> int:
     config = _config(args)
     clusters = enumerate_stationary_points(channels, config, weights, starts=args.starts,
                                            seed=args.seed)
-    _report(args, args.seed, config, {"cluster_count": len(clusters), "clusters": clusters},
+    _report(args, config, {"cluster_count": len(clusters), "clusters": clusters},
             weights=weights)
     return 0
 
@@ -214,8 +215,7 @@ def cmd_segment(args) -> int:
     vec_b = _parse_float_list(args.b)
     config = _config(args)
     report = segment_test(channels, config, vec_a, vec_b, steps=args.steps)
-    # segment draws no random numbers; its manifest records seed 0
-    _report(args, 0, config, _segment_block(report), a=vec_a, b=vec_b)
+    _report(args, config, _segment_block(report), a=vec_a, b=vec_b)
     return 3 if report.nonconvex_witness else 0
 
 
@@ -224,14 +224,10 @@ def cmd_region(args) -> int:
     config = _config(args)
     if args.grid is not None:
         samples = sample_region(channels, config, args.grid, mode="grid")
-        inputs = {"channels": args.channels, "mode": "grid", "resolution": args.grid,
-                  "power": config.power_budget, "sigma2": config.noise_variance}
     else:
         samples = sample_region(channels, config, args.random, mode="random", seed=args.seed)
-        inputs = {"channels": args.channels, "mode": "random", "count": args.random,
-                  "power": config.power_budget, "sigma2": config.noise_variance}
     write_region_csv(args.out, samples)
-    write_json(args.out + ".manifest.json", manifest("region", inputs, args.seed, config))
+    write_json(args.out + ".manifest.json", _manifest(args, config))
     print(f"wrote {samples.powers.shape[0]} rows to {args.out}", file=sys.stderr)
     return 0
 

@@ -2,6 +2,7 @@
 stderr summaries, seeds, and byte-level reproducibility."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -105,6 +106,22 @@ def test_boundary_input_errors(tmp_path, ref_channels_file):
 
     proc = run_cli("boundary", "--h1", "1+0i", "--out", out)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("inline", [
+    ["--h1", "5+0i,5+0i", "--h2", "1+0i,2+0i"],
+    ["--h1", "5+0i,5+0i"],
+    ["--h2", "1+0i,2+0i"],
+], ids=["both", "h1", "h2"])
+def test_boundary_rejects_a_channel_file_with_inline_channels(tmp_path, capsys,
+                                                              pair_channels_file, inline):
+    # a file and inline channels name two pairs: neither is swept
+    out = tmp_path / "b.csv"
+    assert cli.main(["boundary", "--channels", pair_channels_file, *inline,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: provide either --channels or both --h1 and --h2"]
+    assert not out.exists()
 
 
 def test_boundary_range_error_names_sigma2_and_power(tmp_path):
@@ -497,7 +514,8 @@ def test_region_cli_grid_round_trip(tmp_path, ref_channels_file):
 
     sidecar = json.loads((tmp_path / "region.csv.manifest.json").read_text(encoding="utf-8"))
     assert sidecar["command"] == "region"
-    assert sidecar["inputs"]["resolution"] == 12
+    assert sidecar["inputs"]["grid"] == 12
+    assert sidecar["inputs"]["random"] is None
     assert sidecar["seed"] == 0
 
 
@@ -584,6 +602,14 @@ def test_region_cli_oversize_grid(tmp_path, ref_channels_file):
     assert "random" in proc.stderr
 
 
+def _fill(value, tmp_path, ref):
+    """An argv or expected cell with {d} set to the test directory and {ref}
+    to the reference channel file."""
+    if isinstance(value, str):
+        return value.replace("{d}", str(tmp_path)).replace("{ref}", ref)
+    return value
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["convexity-scan", "--trials", "2", "--dim", "2", "--colinear",
       "--power", "3", "--sigma2", "0.5", "--seed", "5"],
@@ -605,11 +631,7 @@ def test_json_report_inputs_are_the_parsed_options(tmp_path, ref_channels_file, 
     """A JSON report's manifest inputs are exactly its command's options as
     parsed, with --weights, --a and --b as numbers; --out, --threads and
     --seed are not inputs, the seed has its own field."""
-    def fill(value):
-        if isinstance(value, str):
-            return value.replace("{d}", str(tmp_path)).replace("{ref}", ref_channels_file)
-        return value
-
+    fill = functools.partial(_fill, tmp_path=tmp_path, ref=ref_channels_file)
     argv = [fill(cell) for cell in argv] + ["--threads", "3", "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) in (0, 3)
     block = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["manifest"]
@@ -619,6 +641,33 @@ def test_json_report_inputs_are_the_parsed_options(tmp_path, ref_channels_file, 
     assert all(block["inputs"][key] == parsed[key]
                for key in expected.keys() - {"weights", "a", "b"})
     assert block["seed"] == (5 if "--seed" in argv else 0)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["region", "--channels", "{ref}", "--grid", "4", "--power", "20", "--out", "{d}/r.csv"],
+     {"channels": "{ref}", "grid": 4, "random": None, "power": 20.0, "sigma2": 1.0}),
+    (["region", "--channels", "{ref}", "--random", "40", "--seed", "5", "--sigma2", "0.5",
+      "--out", "{d}/r.csv"],
+     {"channels": "{ref}", "grid": None, "random": 40, "power": 10.0, "sigma2": 0.5}),
+    (["counterexample", "--starts", "4", "--seed", "5", "--region-csv", "{d}/r.csv",
+      "--grid", "5", "--out", "{d}/r.json"],
+     {"starts": 4, "region_csv": "{d}/r.csv", "grid": 5}),
+], ids=["region-grid", "region-random", "counterexample-region-csv"])
+def test_csv_sidecar_inputs_are_the_parsed_options(tmp_path, ref_channels_file, argv, expected):
+    """A region CSV's sidecar manifest follows the JSON reports' rule: its
+    inputs are the command's options as parsed, without --out, --threads
+    and --seed; `counterexample`'s sidecar is its report's manifest."""
+    fill = functools.partial(_fill, tmp_path=tmp_path, ref=ref_channels_file)
+    argv = [fill(cell) for cell in argv] + ["--threads", "3"]
+    assert cli.main(argv) == 0
+    sidecar = json.loads((tmp_path / "r.csv.manifest.json").read_text(encoding="utf-8"))
+    assert sidecar["command"] == argv[0]
+    assert sidecar["inputs"] == {key: fill(value) for key, value in expected.items()}
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert all(sidecar["inputs"][key] == parsed[key] for key in expected)
+    assert sidecar["seed"] == (5 if "--seed" in argv else 0)
+    if argv[0] == "counterexample":
+        assert sidecar == json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["manifest"]
 
 
 def test_version_and_missing_subcommand():
