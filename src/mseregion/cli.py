@@ -181,11 +181,13 @@ def cmd_convexity_scan(args) -> int:
 def cmd_counterexample(args) -> int:
     if (args.region_csv is None) != (args.grid is None):
         raise ValueError("--region-csv and --grid must be given together")
-    report = counterexample_suite(starts=args.starts, seed=args.seed)
     config = SystemConfig(noise_variance=kkt.REFERENCE_NOISE_VARIANCE,
                           power_budget=kkt.REFERENCE_POWER_BUDGET)
+    # sampled before the suite runs, so that a bad --grid fails first
     if args.region_csv is not None:
         samples = sample_region(kkt.REFERENCE_CHANNELS, config, args.grid, mode="grid")
+    report = counterexample_suite(starts=args.starts, seed=args.seed)
+    if args.region_csv is not None:
         write_region_csv(args.region_csv, samples)
         write_json(args.region_csv + ".manifest.json", _manifest(args, config))
     _report(args, config, {

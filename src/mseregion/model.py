@@ -152,9 +152,6 @@ class PowerAllocation:
         if (vec < 0.0).any():
             raise ValueError(f"negative transmit power: {vec.min()}")
 
-    def total(self) -> float:
-        return float(self.powers.sum())
-
     def __len__(self) -> int:
         return self.powers.size
 

@@ -29,7 +29,6 @@ segment test shares one QR whatever the antenna count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -100,11 +99,10 @@ class SegmentReport:
 
 @dataclass(frozen=True, eq=False)
 class RegionSampleSet:
+    """Sampled allocations and their MSE tuples, one row each."""
+
     powers: np.ndarray
     mses: np.ndarray
-    resolution: int
-    mode: str
-    seed: Optional[int]
 
 
 def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
@@ -227,12 +225,14 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
 
 
 def sample_region(channels, config: SystemConfig, resolution: int,
-                  mode: str = "grid", seed: Optional[int] = None) -> RegionSampleSet:
+                  mode: str = "grid", seed: int = 0) -> RegionSampleSet:
     """Sample achievable MSE tuples over the power simplex.
 
     Grid mode enumerates the lattice {p : p = (P/resolution) m, m integer,
     sum(m) <= resolution}, resolution >= 2; random mode draws `resolution`
-    >= 1 allocations uniformly from the solid simplex.
+    >= 1 allocations uniformly from the solid simplex, from the generator
+    seeded with the int `seed`.  The record holds the allocations and
+    their MSE tuples, row by row.
     """
     chan = _channel_set(channels)
     k = chan.n_users
@@ -250,17 +250,11 @@ def sample_region(channels, config: SystemConfig, resolution: int,
     elif mode == "random":
         if resolution < 1:
             raise ValueError(f"sample count must be >= 1, got {resolution}")
-        rng = np.random.default_rng(0 if seed is None else seed)
+        rng = np.random.default_rng(seed)
         powers = sample_budget_simplex(rng, k, config.power_budget, resolution)
     else:
         raise ValueError(f"unknown sampling mode: {mode!r}")
-    return RegionSampleSet(
-        powers=powers,
-        mses=mse_tuples(chan, powers, config),
-        resolution=resolution,
-        mode=mode,
-        seed=seed,
-    )
+    return RegionSampleSet(powers, mse_tuples(chan, powers, config))
 
 
 def embed_inactive_users(channels, extra: int) -> ChannelSet:

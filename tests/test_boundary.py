@@ -24,8 +24,10 @@ from mseregion import (
     g_derivatives,
     mse_first_derivatives,
     mse_pair_at_power,
+    mse_jacobian,
     mse_second_derivatives,
     mse_tuple,
+    weighted_mse_derivatives,
 )
 from mseregion import boundary, model
 from mseregion.cli import _scan_pairs
@@ -620,6 +622,29 @@ def test_certificates_on_reduced_pairs_match_raw_grams():
             assert (data.disc <= 0.0).all(), where
         reports = convexity_certificates(pairs, UNIT)
         assert [r.classification for r in reports[1::4]] == [BoundaryClass.AFFINE] * 2
+
+
+def test_k_user_kernel_reproduces_the_two_user_discriminant():
+    # along the face direction z = (1, -1) at the split (p, P - p) the kernel
+    # gives eps' = J z, and with the boundary normal w = (eps2', -eps1') >= 0
+    # z^T H_w z = eps2' eps1'' - eps1' eps2'' = -D: the sweep's D from the
+    # K-user Jacobian and weighted Hessian, sharing no code with `boundary`.
+    # N = 1 pairs have D = -0.0, so the bound scales with the two products
+    # (measured worst: 1.3e-12 of them)
+    rng = np.random.default_rng(18)
+    face = np.array([1.0, -1.0])
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        mat = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        config = SystemConfig(noise_variance=1.0, power_budget=float(10.0 ** rng.uniform(-1, 3)))
+        for sample in boundary_sweep(mat[:, 0], mat[:, 1], config, samples=5)[1:-1]:
+            powers = np.array([sample.p, config.power_budget - sample.p])
+            deps1, deps2 = mse_jacobian(mat, powers, config)[1] @ face
+            assert deps1 < 0.0 < deps2, (dim, config, sample.p)
+            hess = weighted_mse_derivatives(mat, powers, config, [deps2, -deps1])[2]
+            scale = abs(sample.deps2 * sample.ddeps1) + abs(sample.deps1 * sample.ddeps2)
+            assert abs(face @ hess @ face + sample.discriminant) <= 1e-10 * scale, \
+                (dim, config, sample.p)
 
 
 def _exact_boundary(h1, h2, config, p):

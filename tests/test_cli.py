@@ -343,6 +343,18 @@ def test_counterexample_cli_full_pass(tmp_path):
     assert "together" in proc.stderr
 
 
+def test_counterexample_rejects_a_bad_grid_before_the_suite(monkeypatch, tmp_path, capsys):
+    def suite(**kwargs):
+        raise AssertionError("the suite ran before --grid was checked")
+
+    monkeypatch.setattr(cli, "counterexample_suite", suite)
+    region_csv, out = tmp_path / "r.csv", tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--starts", "4000", "--region-csv", str(region_csv),
+                     "--grid", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: resolution must be >= 2, got 1\n"
+    assert not region_csv.exists() and not out.exists()
+
+
 def test_wsmse_cli(tmp_path, ref_channels_file):
     out = tmp_path / "wsmse.json"
     proc = run_cli("wsmse", "--channels", ref_channels_file,

@@ -195,14 +195,14 @@ def test_region_csv_bytes_match_reference_writer(tmp_path, k, monkeypatch):
             cells[:len(EDGE_VALUES)] = EDGE_VALUES[:cells.size]
             powers, mses = cells[:rows * k].reshape(rows, k), cells[rows * k:].reshape(rows, k)
             ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-            write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
+            write_region_csv(ours, RegionSampleSet(powers, mses))
             reference_region_csv(ref, powers, mses)
             assert ours.read_bytes() == ref.read_bytes(), (workers, rows)
 
         # integer powers print as floats, exactly as their float64 values do
         ints = rng.integers(0, 50, size=(40, k))
         mses = rng.uniform(0.0, 1.0, size=(40, k))
-        write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses, 50, "grid", None))
+        write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses))
         reference_region_csv(ref, ints.astype(np.float64), mses)
         assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes(), workers
         assert_no_child_left()
@@ -243,7 +243,7 @@ def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path)
     ):
         write_region_csv(ours, samples)
         reference_region_csv(ref, samples.powers, samples.mses)
-        assert ours.read_bytes() == ref.read_bytes(), samples.mode
+        assert ours.read_bytes() == ref.read_bytes(), samples.powers.shape
 
 
 def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, monkeypatch):
@@ -258,7 +258,7 @@ def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, m
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     reference_region_csv(ref, powers, mses)
     for workers in each_split(monkeypatch):
-        write_region_csv(ours, RegionSampleSet(powers, mses, 0, "grid", None))
+        write_region_csv(ours, RegionSampleSet(powers, mses))
         assert ours.read_bytes() == ref.read_bytes(), workers
         written, _ = read_region_csv(ours)
         assert np.array_equal(np.signbit(written), np.signbit(powers))
@@ -268,7 +268,7 @@ def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, m
 def _region_rows(rows, k=3, seed=500):
     rng = np.random.default_rng(seed)
     powers, mses = rng.uniform(0.0, 10.0, size=(rows, k)), rng.uniform(0.0, 1.0, size=(rows, k))
-    return RegionSampleSet(powers, mses, 0, "grid", None)
+    return RegionSampleSet(powers, mses)
 
 
 def test_region_csv_ranges_follow_the_affinity_mask(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 import mseregion.region as region
 from mseregion import (
+    ChannelSet,
     SystemConfig,
     dominated_membership,
     embed_inactive_users,
@@ -19,7 +20,7 @@ from mseregion import (
     segment_test,
 )
 from mseregion.boundary import boundary_sweep, mse_pair_at_power
-from mseregion.simplex import lattice_size
+from mseregion.simplex import budget_simplex_lattice, lattice_size
 from mseregion.tolerances import TOL_MEMBER
 
 from helpers import (
@@ -49,8 +50,6 @@ def test_grid_sample_counts_and_feasibility():
     assert samples.mses.shape == samples.powers.shape
     assert (samples.powers >= 0.0).all()
     assert (samples.powers.sum(axis=1) <= 10.0 * (1 + 1e-12)).all()
-    assert samples.mode == "grid"
-    assert samples.resolution == 8
 
     single = sample_region(np.array([[1.0 + 0j]]), REF_CONFIG, resolution=2)
     assert single.powers.shape == (3, 1)
@@ -403,6 +402,48 @@ def test_two_user_segments_never_witness():
         assert not report.nonconvex_witness
         for point in report.points:
             assert two_user_dominated(mat, cfg, point.target)
+
+
+def _face_chord_midpoints(chan, config, grid):
+    """Powers of the full-budget face lattice (m P / grid, sum m = grid),
+    and the lattice pairs i < j with the midpoints of their MSE tuples."""
+    lattice = budget_simplex_lattice(chan.n_users, grid)
+    powers = lattice[lattice.sum(axis=1) == grid] * (config.power_budget / grid)
+    mses = mse_tuples(chan, powers, config)
+    first, second = np.triu_indices(len(powers), 1)
+    return powers, first, second, 0.5 * (mses[first] + mses[second])
+
+
+def test_batched_membership_checks_both_claims():
+    # K = 2 (N = 4, P / sigma^2 = 10^U(-1, 3)): every chord midpoint of the
+    # face is dominated, as the two-user theorem says (measured worst margin
+    # -1.6e-7).  Convergence is not required: one target of instance 1 ends
+    # its 64 rounds with the bracket open, yet its witness, spending at most
+    # P, replays a margin that proves dominance
+    rng = np.random.default_rng(7)
+    for instance in range(20):
+        chan = ChannelSet(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        config = SystemConfig(noise_variance=1.0, power_budget=float(10.0 ** rng.uniform(-1, 3)))
+        mids = _face_chord_midpoints(chan, config, 40)[3]
+        verdicts = region._solve(chan, config, mids)
+        witness = np.array([v.witness_powers for v in verdicts])
+        replay = (mse_tuples(chan, witness, config) - mids).max(axis=1)
+        assert (witness.sum(axis=1) <= config.power_budget).all(), instance
+        assert (replay == [v.margin for v in verdicts]).all(), instance
+        assert (replay <= TOL_MEMBER).all(), (instance, replay.max())
+    # the reference instance: the deepest midpoint of face grid 12 lies
+    # deeper outside the region than the published chord's midpoint
+    chan = ChannelSet(REF_H)
+    powers, first, second, mids = _face_chord_midpoints(chan, REF_CONFIG, 12)
+    verdicts = region._solve(chan, REF_CONFIG, mids)
+    assert len(verdicts) == 4095 and all(v.converged for v in verdicts)
+    deepest = max(range(len(verdicts)), key=lambda i: verdicts[i].margin)
+    np.testing.assert_allclose([powers[first[deepest]], powers[second[deepest]]],
+                               [[0.0, 10 / 3, 20 / 3], [10 / 3, 0.0, 20 / 3]], rtol=1e-15)
+    assert verdicts[deepest].margin == pytest.approx(0.016106, abs=1e-6)
+    published = dominated_membership(REF_H, REF_CONFIG, 0.5 * (TRIPLE_A + TRIPLE_B))
+    assert published.margin == pytest.approx(0.012157, abs=1e-6)
+    assert verdicts[deepest].margin > published.margin + 3e-3
 
 
 def test_embed_inactive_users_identity_and_padding():
