@@ -52,11 +52,11 @@ returned as a `ConvexityScan`: (T,) columns of the flag, the affine
 mask, the worst D and its split, which `io` writes without forming a
 report per pair.  The paper's Cauchy-Schwarz, summand-sign and
 monotonicity corollaries follow from the same d >= 0 through factored
-identities, which
-`test_factored_identities_hold_in_exact_arithmetic` checks in exact
-rational arithmetic, so the sweep and single-split readers re-check none
-of them.  The K-user kernel `model.resolvent_grams` is the oracle for
-the closed forms.
+identities.  Every line of the table above and those identities are
+proven symbolically (`tests/test_boundary_identities.py`, which runs
+this module's formula helpers on rational functions of R's entries), so
+the sweep and single-split readers re-check none of them; the raw N x N
+evaluation `helpers.second_order_grams` is their float cross-check.
 
 Delta grows like (P/sigma^2)^2, so the b entries and D divide by Delta
 one factor at a time, and g'' = D / eps1'^3 is formed in the order

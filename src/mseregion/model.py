@@ -13,7 +13,7 @@ Everything downstream (boundary calculus, stationarity conditions, region
 sampling) reduces to the Gram matrices A[i, j] = h_i^H X^{-1} h_j and
 B[i, j] = h_i^H X^{-2} h_j.  Every evaluation, batched MSE tuples
 included, goes through one Cholesky whitening X = L L^H: A is the Gram
-matrix of L^{-1} H and B that of L^{-H} L^{-1} H; X^{-1} is never formed.
+matrix of L^{-1} H, and X^{-1} is never formed.
 X is built from the outer products h_i h_j^H of each channel matrix,
 formed once and contracted with every power row, and one elimination of
 the stacked block [X; H^H], run on every power row at once, turns its
@@ -28,10 +28,10 @@ solve all call it.  They depend on H only through H^H H, so they
 evaluate on the triangular factor of H, `ChannelSet.factor`: the one
 place the reduction happens, computed once per set, with a covariance at
 most K x K whatever the antenna count.  `receive_covariance` (the N x N
-covariance of H) and `resolvent_grams` (the tests' unreduced oracle)
-evaluate exactly the channels they are given; the two-user boundary
-takes the MSEs in closed form from four scalars of the factor.  The
-kernel follows one shape rule, plain numpy broadcasting: channels of
+covariance of H) and `resolvent_grams` (the A of `_mse_terms`, the
+tests' unreduced oracle) evaluate exactly the channels they are given;
+the two-user boundary takes the MSEs in closed form from four scalars of
+the factor.  The kernel follows one shape rule, plain numpy broadcasting: channels of
 shape (..., N, K) broadcast against powers of shape (..., K), and the
 powers set the output shape.  One shared matrix with an (S, K) batch,
 one matrix per row, and a (T, 1, N, K) stack with a (T, G, K) grid are
@@ -296,8 +296,10 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarra
     powers' leading shape raise ValueError.  Returns the (n + k, n) + lead
     work array, rows on the trailing axes: its bottom block is
     (L^{-1} H)^H with X = L L^H, and its top block holds L D^{1/2} in the
-    lower triangle, with the pivots D on the diagonal (real parts; see
-    `_lower`), and the pivot rows in the strict upper triangle.
+    lower triangle, with the pivots D on the diagonal (real parts), and
+    the pivot rows in the strict upper triangle; only the tests read it
+    (`helpers.lower_factor` forms L from it).  `_mse_terms` is its one
+    caller in the package.
 
     The elimination is the right-looking (outer-product) form of the
     square-root-free Cholesky factorization X = L' D^{-1} L'^H (Golub and
@@ -340,12 +342,12 @@ def _whiten(mat: np.ndarray, pw: np.ndarray, noise_variance: float) -> np.ndarra
     return work
 
 
-def _whitened_gram(work: np.ndarray, index=...) -> np.ndarray:
+def _whitened_gram(work: np.ndarray, index) -> np.ndarray:
     """A = (L^{-1} H)^H L^{-1} H of the rows `index` of a `_whiten` work array.
 
     The bottom block read rows first is conj(L^{-1} H); its C-contiguous
     copy is made only for the rows asked for, and the einsum reduces over
-    n exactly as `_gram` does on L^{-1} H.
+    n within each row.
     """
     conj_half = np.ascontiguousarray(_rows_first(work[work.shape[1]:])[index])
     return np.einsum("...ni,...nj->...ij", conj_half, conj_half.conj())
@@ -356,48 +358,22 @@ def _rows_first(block: np.ndarray) -> np.ndarray:
     return block.transpose(tuple(range(2, block.ndim)) + (1, 0))
 
 
-def _gram(vecs: np.ndarray) -> np.ndarray:
-    """The Gram matrix V^H V of each (..., n, k) matrix V."""
-    return np.einsum("...ni,...nj->...ij", vecs.conj(), vecs)
-
-
-def resolvent_grams(channels, powers, config: SystemConfig, second_order: bool = False):
-    """Gram matrices of the channels under X^{-1} (and optionally X^{-2}).
+def resolvent_grams(channels, powers, config: SystemConfig) -> np.ndarray:
+    """The Gram matrix A of the channels under X^{-1}, A[..., i, j] = h_i^H X^{-1} h_j.
 
     Shapes broadcast: `channels` of shape (..., N, K) against `powers` of
     shape (..., K), and the powers set the output shape.  So one N x K
     matrix serves every row of an (S, K) batch, an (S, N, K) stack gives
     each row its own matrix, and a (T, 1, N, K) stack serves a (T, G, K)
     grid; channels that do not broadcast to the powers raise ValueError.
-    Returns A with A[..., i, j] = h_i^H X^{-1} h_j; with second_order
-    also B[..., i, j] = h_i^H X^{-2} h_j.  Computed as Gram products of
-    L^{-1} H and X^{-1} H = L^{-H} L^{-1} H where X = L L^H (L^{-1} H
-    from the kernel's elimination; L^{-H} applied here by
-    `np.linalg.solve` to L, which only the second order forms), which
-    keeps both matrices Hermitian positive semidefinite up to rounding.
-    Unlike the MSE functions, it evaluates exactly the matrices it
-    receives (a `ChannelSet`'s entries, never its factor), so the tests
+    It is the A of the one evaluation, `_mse_terms`: the Gram matrix of
+    L^{-1} H where X = L L^H, Hermitian positive semidefinite up to
+    rounding.  Unlike the MSE functions, it evaluates exactly the matrices
+    it receives (a `ChannelSet`'s entries, never its factor), so the tests
     use it as the unreduced oracle.
     """
     mat = channels.entries if isinstance(channels, ChannelSet) else _checked_channels(channels)
-    work = _whiten(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance)
-    gram = _whitened_gram(work)
-    if not second_order:
-        return gram
-    half = np.conj(_rows_first(work[mat.shape[-2]:]))
-    return gram, _gram(np.linalg.solve(np.conj(np.swapaxes(_lower(work), -1, -2)), half))
-
-
-def _lower(work: np.ndarray) -> np.ndarray:
-    """L of a `_whiten` work array, rows first: its top block's lower
-    triangle over the square roots of the pivots, with those roots as its
-    real diagonal.  Only `resolvent_grams`' second order forms it."""
-    n = work.shape[1]
-    low = np.tril(np.moveaxis(work[:n], (0, 1), (-2, -1)))
-    root = np.sqrt(np.einsum("...ii->...i", low).real)
-    low /= root[..., None, :]
-    np.einsum("...ii->...i", low)[...] = root
-    return low
+    return _mse_terms(mat, _power_rows(powers, mat.shape[-1]), config.noise_variance)[1](...)[0]
 
 
 def mse_tuple(channels, powers, config: SystemConfig) -> MseTuple:

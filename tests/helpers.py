@@ -6,7 +6,15 @@ import math
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
-from mseregion import ChannelSet, SystemConfig, mse_jacobian, mse_tuples, simplex
+from mseregion import (
+    ChannelSet,
+    SystemConfig,
+    model,
+    mse_jacobian,
+    mse_tuples,
+    resolvent_grams,
+    simplex,
+)
 from mseregion.simplex import (
     PgdBatch,
     PgdResult,
@@ -44,6 +52,36 @@ def dense_mse(mat, powers, sigma2: float) -> np.ndarray:
         1.0 - powers[k] * float((mat[:, k].conj() @ inv @ mat[:, k]).real)
         for k in range(mat.shape[1])
     ])
+
+
+def lower_factor(work) -> np.ndarray:
+    """L of a `model._whiten` work array, rows first: its top block's lower
+    triangle over the square roots of the pivots, with those roots as its
+    real diagonal."""
+    n = work.shape[1]
+    low = np.tril(np.moveaxis(work[:n], (0, 1), (-2, -1)))
+    root = np.sqrt(np.einsum("...ii->...i", low).real)
+    low /= root[..., None, :]
+    np.einsum("...ii->...i", low)[...] = root
+    return low
+
+
+def second_order_grams(channels, powers, config: SystemConfig):
+    """(A, B) of the matrices as given, B[..., i, j] = h_i^H X^{-2} h_j: the
+    raw N x N oracle for the X^{-1} and X^{-2} Gram entries.
+
+    A is `resolvent_grams`.  B is the Gram matrix of X^{-1} H =
+    L^{-H} L^{-1} H, with L^{-1} H from the kernel's elimination and L^{-H}
+    applied by `np.linalg.solve` to `lower_factor`, which keeps it
+    Hermitian positive semidefinite up to rounding.  Shapes broadcast as
+    in `resolvent_grams`.
+    """
+    gram = resolvent_grams(channels, powers, config)
+    mat = channels.entries if isinstance(channels, ChannelSet) else np.asarray(channels, complex)
+    work = model._whiten(mat, model._power_rows(powers, mat.shape[-1]), config.noise_variance)
+    half = np.conj(model._rows_first(work[mat.shape[-2]:]))
+    inv_h = np.linalg.solve(np.conj(np.swapaxes(lower_factor(work), -1, -2)), half)
+    return gram, np.einsum("...ni,...nj->...ij", inv_h.conj(), inv_h)
 
 
 def two_user_dominated(mat, config: SystemConfig, target) -> bool:

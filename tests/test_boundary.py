@@ -4,7 +4,6 @@ cross-checks, discriminant decomposition, closed forms, affine case."""
 import dataclasses
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -29,12 +28,12 @@ from mseregion import (
     mse_tuple,
     weighted_mse_derivatives,
 )
-from mseregion import boundary, model
+from mseregion import boundary
 from mseregion.cli import _scan_pairs
 from mseregion.io import to_jsonable
 
 import closed_form_probe
-from helpers import random_config
+from helpers import random_config, second_order_grams
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -146,67 +145,6 @@ def _exact_grams(n1, n2, csq, sig2, budget, p):
             (sig2 ** 2 * n1 + 2 * sig2 * q * d + q ** 2 * n2 * d) / delta ** 2,
             (sig2 ** 2 * n2 + 2 * sig2 * p * d + p ** 2 * n1 * d) / delta ** 2,
             csq * alpha ** 2, csq * alpha * beta, csq * beta ** 2), delta
-
-
-def test_factored_identities_hold_in_exact_arithmetic():
-    # the proof that `certified` carries the paper's corollaries: at random
-    # rational points with d = n1 n2 - |c|^2 >= 0 (colinear at |c|^2 =
-    # n1 n2), both Cauchy-Schwarz gaps are d over a power of Delta, each of
-    # D's three summands is a product of nonnegative factors and -d, -eps1' =
-    # sigma^2 E1 / Delta^2 with no term of E1 negative, and D = -2 sigma^4 d
-    # W / Delta^3
-    rng = np.random.default_rng(26)
-
-    def ratio(top, bottom=1000):
-        return Fraction(int(rng.integers(1, top)), int(rng.integers(1, bottom)))
-
-    for _ in range(300):
-        n1, n2, sig2, budget = ratio(10 ** 6), ratio(10 ** 6), ratio(10 ** 4), ratio(10 ** 8)
-        csq = n1 * n2 * Fraction(int(rng.integers(0, 1001)), 1000)
-        p = budget * Fraction(int(rng.integers(0, 1001)), 1000)
-        q, d = budget - p, n1 * n2 - csq
-        grams, delta = _exact_grams(n1, n2, csq, sig2, budget, p)
-        a11, a22, b11, b22, cross, re_ab, absb12sq = grams
-        terms = (a11, a22, b11, b22, cross, re_ab, sig2, budget)
-        assert a11 * a22 - cross == d / delta
-        assert b11 * b22 - absb12sq == d / delta ** 2
-        assert a11 * b22 - re_ab == d * (n1 * p + sig2) / delta ** 2
-        assert a22 * b11 - re_ab == d * (n2 * q + sig2) / delta ** 2
-        assert boundary._summands(*terms) == (
-            -2 * sig2 * budget * cross * d * (n1 * p + n2 * q + 2 * sig2) / delta ** 2,
-            -2 * sig2 ** 2 * b11 * d * (n1 * p + sig2) / delta ** 2,
-            -2 * sig2 ** 2 * b22 * d * (n2 * q + sig2) / delta ** 2)
-        deps1, deps2 = boundary._slopes(b11, b22, cross, sig2, budget)
-        e1 = sig2 ** 2 * n1 + 2 * sig2 * q * d + q ** 2 * n2 * d + budget * sig2 * csq
-        assert -deps1 == sig2 * e1 / delta ** 2
-        ddeps1, ddeps2 = boundary._curvatures(*terms)
-        weight = budget * n1 * n2 + sig2 * (n1 + n2)
-        assert ddeps2 * deps1 - ddeps1 * deps2 == -2 * sig2 ** 2 * d * weight / delta ** 3
-
-    # the closed forms are the X^{-1} and X^{-2} Gram entries of an exactly
-    # inverted covariance X = sigma^2 I + p h1 h1^T + q h2 h2^T of rational
-    # real 2 x 2 channels
-    for _ in range(100):
-        (u1, u2), (v1, v2) = [[ratio(2000) - 1 for _ in range(2)] for _ in range(2)]
-        sig2, budget = ratio(10 ** 4), ratio(10 ** 6)
-        p = budget * Fraction(int(rng.integers(0, 1001)), 1000)
-        q = budget - p
-        x11, x12, x22 = sig2 + p * u1 * u1 + q * v1 * v1, p * u1 * u2 + q * v1 * v2, \
-            sig2 + p * u2 * u2 + q * v2 * v2
-        det = x11 * x22 - x12 ** 2
-        inv = ((x22 / det, -x12 / det), (-x12 / det, x11 / det))
-        inv2 = [[sum(inv[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-
-        def form(m, g, h):
-            return sum(g[i] * m[i][j] * h[j] for i in range(2) for j in range(2))
-
-        h1, h2 = (u1, u2), (v1, v2)
-        a12, b12 = form(inv, h1, h2), form(inv2, h1, h2)
-        expected = (form(inv, h1, h1), form(inv, h2, h2), form(inv2, h1, h1), form(inv2, h2, h2),
-                    a12 ** 2, a12 * b12, b12 ** 2)
-        grams, _ = _exact_grams(u1 * u1 + u2 * u2, v1 * v1 + v2 * v2, (u1 * v1 + u2 * v2) ** 2,
-                                sig2, budget, p)
-        assert grams == expected
 
 
 def test_discriminant_decomposition_and_sign():
@@ -598,8 +536,7 @@ def test_certificates_on_reduced_pairs_match_raw_grams():
             ps = np.linspace(0.0, config.power_budget, 41)
             data = boundary._SweepData(boundary._pairs(pairs), config, ps)
             powers = np.broadcast_to(np.stack([ps, snr - ps], axis=-1), (8, 41, 2))
-            gram_a, gram_b = model.resolvent_grams(pairs[:, None], powers, config,
-                                                   second_order=True)
+            gram_a, gram_b = second_order_grams(pairs[:, None], powers, config)
             bound = 16.0 * np.finfo(float).eps * (1.0 + snr * norms[:, None])
             where = (dim, snr)
             for name, gram in (("a", gram_a), ("b", gram_b)):

@@ -481,13 +481,15 @@ def test_segment_json_reports_unconverged_solves(monkeypatch, tmp_path, ref_chan
         assert float(replay.max()) == verdict["margin"]
 
 
-# every subcommand, run in one process that must not import scipy
-NO_SCIPY_SCRIPT = """
+# every subcommand, run in one process that must import no test-only
+# dependency: not scipy, sympy, mpmath or hypothesis
+NO_TEST_DEPS_SCRIPT = """
 import json, sys
 from mseregion import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+test_only = ("scipy", "sympy", "mpmath", "hypothesis")
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[0] in test_only)}))
 """
 
 
@@ -504,11 +506,11 @@ def test_cli_runs_without_scipy(tmp_path, ref_channels_file):
         ["region", "--channels", ref_channels_file, "--grid", "4",
          "--out", str(tmp_path / "r.csv")],
     ]
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", NO_TEST_DEPS_SCRIPT, json.dumps(argvs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0, 3, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0, 0, 3, 0], "loaded": []}
 
 
 def test_region_cli_grid_round_trip(tmp_path, ref_channels_file):

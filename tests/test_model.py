@@ -30,7 +30,14 @@ from mseregion import model
 from mseregion.model import _chunk_rows
 from mseregion.simplex import budget_simplex_lattice
 
-from helpers import dense_mse, random_channels, random_config, random_powers
+from helpers import (
+    dense_mse,
+    lower_factor,
+    random_channels,
+    random_config,
+    random_powers,
+    second_order_grams,
+)
 
 
 def test_single_user_closed_form():
@@ -71,7 +78,7 @@ def test_resolvent_grams_match_dense_inverse():
     channels = random_channels(rng, 4, 3)
     config = random_config(rng)
     powers = random_powers(rng, 3, config.power_budget)
-    gram_a, gram_b = resolvent_grams(channels, powers, config, second_order=True)
+    gram_a, gram_b = second_order_grams(channels, powers, config)
     mat = channels.entries
     cov = config.noise_variance * np.eye(4, dtype=complex) + (mat * powers) @ mat.conj().T
     inv = np.linalg.inv(cov)
@@ -171,9 +178,9 @@ def test_rows_are_bitwise_alone_in_a_small_chunk_and_in_a_default_chunk(monkeypa
     for n_ant, k in ((6, 4), (3, 5)):
         mats = np.stack([random_channels(rng, n_ant, k).entries for _ in range(3)])
         grid = rng.uniform(0.0, 10.0, size=(3, 700, k))
-        grams = resolvent_grams(mats[:, None], grid, config, second_order=True)
+        grams = second_order_grams(mats[:, None], grid, config)
         for t, g in ((0, 0), (1, 350), (2, 699)):
-            alone = resolvent_grams(mats[t], grid[t, g], config, second_order=True)
+            alone = second_order_grams(mats[t], grid[t, g], config)
             for gram, single in zip(grams, alone, strict=True):
                 assert gram[t, g].tobytes() == single.tobytes(), (n_ant, k, t, g)
 
@@ -281,7 +288,7 @@ def test_mse_path_never_lu_solves(monkeypatch):
                      for _ in range(5)])
     for mat, pw in ((channels.entries, batch), (mats, grid[:, 0]), (mats[:, None], grid)):
         work = model._whiten(mat, pw, config.noise_variance)
-        low, half = model._lower(work), np.conj(model._rows_first(work[mat.shape[-2]:]))
+        low, half = lower_factor(work), np.conj(model._rows_first(work[mat.shape[-2]:]))
         full = np.broadcast_to(mat, pw.shape[:-1] + mat.shape[-2:])
         assert half.shape == full.shape
         err = np.linalg.norm(low @ half - full, axis=(-2, -1))
@@ -327,7 +334,7 @@ def test_receive_covariance_is_the_kernels_covariance(monkeypatch):
     monkeypatch.setattr(model, "_covariance", recording)
     for powers in (batch[0], batch):
         factored.clear()
-        low = model._lower(model._whiten(channels.entries, powers, config.noise_variance))
+        low = lower_factor(model._whiten(channels.entries, powers, config.noise_variance))
         cov = receive_covariance(channels, powers, config)
         assert cov.shape == low.shape == powers.shape[:-1] + (4, 4)
         assert len(factored) == 2
@@ -561,9 +568,9 @@ def test_triangular_factor_gives_the_same_mse_quantities():
             tol = 1e-12 * (1.0 + snr)
             # the MSE functions reduce H themselves, so the H side comes from
             # the unreduced Gram matrices
-            grams_h = resolvent_grams(mat, powers, config, second_order=True)
+            grams_h = second_order_grams(mat, powers, config)
             on_h = grams_h + _unreduced_mse_terms(grams_h[0], powers)
-            on_r = resolvent_grams(factor, powers, config, second_order=True) \
+            on_r = second_order_grams(factor, powers, config) \
                 + mse_jacobian(factor, powers, config)
             for label, x_h, x_r in zip(("A", "B", "eps", "J"), on_h, on_r):
                 scale = np.abs(x_h) if label == "eps" else np.abs(x_h).max()
@@ -634,14 +641,14 @@ def test_resolvent_grams_on_a_channel_stack():
     mats = np.stack([random_channels(rng, 3, 2).entries for _ in range(5)])
     powers = np.stack([random_powers(rng, 2, config.power_budget) for _ in range(5)])
     # every row is evaluated on its own: bitwise its single evaluation
-    stacked = resolvent_grams(mats, powers, config, second_order=True)
+    stacked = second_order_grams(mats, powers, config)
     for row in range(5):
-        alone = resolvent_grams(mats[row], powers[row], config, second_order=True)
+        alone = second_order_grams(mats[row], powers[row], config)
         for gram, single in zip(stacked, alone):
             assert gram[row].tobytes() == single.tobytes()
     # and one shared matrix copied to every row gives the shared-matrix values
-    shared = resolvent_grams(mats[0], powers, config, second_order=True)
-    copied = resolvent_grams(np.repeat(mats[:1], 5, axis=0), powers, config, second_order=True)
+    shared = second_order_grams(mats[0], powers, config)
+    copied = second_order_grams(np.repeat(mats[:1], 5, axis=0), powers, config)
     for gram, ref in zip(copied, shared):
         assert gram.tobytes() == ref.tobytes()
 
@@ -662,11 +669,11 @@ def test_resolvent_grams_on_a_channel_stack():
     # is bitwise the shared-matrix evaluation of matrix t at powers[t, g]
     grid = np.stack([np.stack([random_powers(rng, 2, config.power_budget) for _ in range(4)])
                      for _ in range(5)])
-    broadcast = resolvent_grams(mats[:, None], grid, config, second_order=True)
+    broadcast = second_order_grams(mats[:, None], grid, config)
     for gram in broadcast:
         assert gram.shape == (5, 4, 2, 2)
     for t in range(5):
-        shared = resolvent_grams(mats[t], grid[t], config, second_order=True)
+        shared = second_order_grams(mats[t], grid[t], config)
         for gram, ref in zip(broadcast, shared):
             assert gram[t].tobytes() == ref.tobytes()
     with pytest.raises(ValueError, match="broadcast"):
