@@ -230,7 +230,7 @@ def cmd_region(args) -> int:
         samples = sample_region(channels, config, args.random, mode="random", seed=args.seed)
     write_region_csv(args.out, samples)
     write_json(args.out + ".manifest.json", _manifest(args, config))
-    print(f"wrote {samples.powers.shape[0]} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {len(samples)} rows to {args.out}", file=sys.stderr)
     return 0
 
 

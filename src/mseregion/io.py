@@ -37,10 +37,12 @@ power of two, repr's shortest round-trip digits come from exact integer
 arithmetic and are laid out as repr lays them out; every other cell goes
 through repr, once per distinct bit pattern of the block.  A repr holds
 no delimiter, quote or newline, so the bytes are those a `csv.writer` of
-repr() cells would write.  Large region CSVs are formatted on every CPU
-of the affinity mask: forked workers format contiguous row ranges into
-temporary files, which are appended in row order, so the bytes do not
-depend on the split.
+repr() cells would write.  A grid of two or more users copies its power
+cells from the texts of its resolution + 1 levels, formatted once per
+write.  Large region CSVs are evaluated and formatted on every CPU of
+the affinity mask: forked workers evaluate the MSE rows of contiguous
+row ranges and format them into temporary files, which are appended in
+row order, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import shutil
 import signal
 import tempfile
@@ -263,9 +266,10 @@ def _text_tables():
 
 
 
-def _cells_text(values, newline) -> bytes:
-    """repr(float) of each cell of `values`, followed by "," or, where
-    `newline` is 1, by "\n"; one bytes object.
+def _cell_words(values, newline):
+    """The (size, 5) uint64 words of the cells of `values`: each cell's
+    repr(float), followed by "," or, where `newline` is 1, by "\n", in
+    40 bytes padded with NULs.
 
     Fast cells (_shortest_digits) are written from their digits; each
     distinct bit pattern among the others is repr'd once.
@@ -297,7 +301,13 @@ def _cells_text(values, newline) -> bytes:
         lengths = np.array(list(map(len, texts)), dtype=np.intp)[inverse]
         table[np.arange(slow.size), lengths] = np.where(newline[slow] == 1, ord("\n"), ord(","))
         words[slow] = table.view(_U64)
-    return words.tobytes().translate(None, b"\0")
+    return words
+
+
+def _cells_text(values, newline) -> bytes:
+    """repr(float) of each cell of `values`, followed by "," or, where
+    `newline` is 1, by "\n"; one bytes object (_cell_words)."""
+    return _cell_words(values, newline).tobytes().translate(None, b"\0")
 
 
 # Rows formatted per write.  A block's working arrays are a few dozen
@@ -308,17 +318,25 @@ def _cells_text(values, newline) -> bytes:
 # 44.1 MB and 4096-row blocks 50.4 and 48.1 MB, none of them faster.
 _REGION_BLOCK_ROWS = 1024
 
-# The fewest rows a range needs to be worth a worker of its own.  On a
-# 2-core VM, in a process with 64 MB resident, a second range (fork,
-# reap, the spill written and copied back) broke even at about 24576 rows
-# for K = 1 (the fewest cells per row) and 16384-24576 rows for K = 2..4;
-# at 49152 rows it saved 5% of the write for K = 1 and 24-35% for
-# K = 2..4.  Splits start at twice this, where K = 1 is at par.
+# The fewest rows a range needs to be worth a worker of its own; a range
+# carries its kernel evaluation as well as its formatting.  On a 2-core
+# VM, in a process with 64 MB resident, a second range (fork, report,
+# reap, the spill written and copied back) broke even on grids at about
+# these row counts (medians of 41 writes a side; runs spread about 10%):
+#
+#            K = 1          K = 2          K = 3          K = 4
+#   N = 1    32768          16384-24576    12288-32768    12288
+#   N = 8    16384-24576    12288-16384    12288          8192-12288
+#
+# Splits start at twice this, 24576 rows, where a second range saved
+# 15-25% of the write for K = 2..4 (N = 1, K = 3: -12%), 6% for K = 1 at
+# N = 8 and -65% at N = 1, the cheapest kernel; at 49152 rows it saved
+# 15-32% in every case.
 _MIN_RANGE_ROWS = 12288
 
 
 def _range_count(rows: int) -> int:
-    """How many contiguous row ranges to format at once.
+    """How many contiguous row ranges to evaluate and format at once.
 
     One per CPU of the affinity mask, each of at least _MIN_RANGE_ROWS
     rows; one where the platform has no fork or affinity mask.
@@ -328,93 +346,150 @@ def _range_count(rows: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_RANGE_ROWS))
 
 
-def _write_region_rows(handle, powers, mses, lo, hi) -> None:
-    """Write rows lo..hi - 1 to the binary file `handle`, _REGION_BLOCK_ROWS at a time."""
-    newline = np.zeros((_REGION_BLOCK_ROWS, 2 * powers.shape[1]), dtype=_I64)
+def _write_region_rows(handle, points, levels, mses, lo, hi) -> None:
+    """Write rows lo..hi - 1 to the binary file `handle`, _REGION_BLOCK_ROWS at a time.
+
+    `mses` holds the MSE rows of that range.  Where `levels` holds the
+    words of a grid's level texts (_cell_words), `points` is its integer
+    lattice and every power cell is copied from its level's words;
+    elsewhere `points` holds the float powers, formatted with the MSEs.
+    """
+    k = points.shape[1]
+    newline = np.zeros((_REGION_BLOCK_ROWS, 2 * k), dtype=_I64)
     newline[:, -1] = 1
+    last = newline[:, k:].ravel()
     for start in range(lo, hi, _REGION_BLOCK_ROWS):
         stop = min(start + _REGION_BLOCK_ROWS, hi)
-        cells = np.concatenate((powers[start:stop], mses[start:stop]), axis=1)
-        handle.write(_cells_text(cells.ravel(), newline[:stop - start].ravel()))
+        block = mses[start - lo:stop - lo]
+        if levels is None:
+            cells = np.concatenate((points[start:stop], block), axis=1)
+            handle.write(_cells_text(cells.ravel(), newline[:stop - start].ravel()))
+        else:
+            words = np.empty((stop - start, 2 * k, 5), dtype=_U64)
+            words[:, :k] = levels[points[start:stop]]
+            words[:, k:] = _cell_words(block.ravel(), last[:block.size]).reshape(-1, k, 5)
+            handle.write(words.tobytes().translate(None, b"\0"))
 
 
-def _start_worker(spill, powers, mses, lo, hi) -> Optional[int]:
-    """Fork a worker that writes rows lo..hi - 1 to `spill` and exits; its pid.
+def _start_worker(spill, sample_set, points, levels, lo, hi):
+    """Fork a worker for rows lo..hi - 1; its pid and the read end of its pipe.
 
-    None when the fork fails: this process has then written them itself.
+    The worker evaluates its MSE rows (`sample_set.mse_rows`) and sends
+    b"ok" through the pipe, or its pickled exception if the evaluation
+    raised; after "ok" it writes its rows to `spill` and exits.  (None,
+    None) when the fork fails: this process then does the range itself.
     """
+    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        _write_region_rows(spill, powers, mses, lo, hi)
-        return None
+        os.close(read_fd)
+        os.close(write_fd)
+        return None, None
     if pid == 0:
         # The parent may hold OpenBLAS threads (Python 3.12 warns about
-        # forking it).  The worker only does elementwise numpy arithmetic,
-        # sorts and formats floats: it makes no BLAS or LAPACK call, so it
-        # never waits on a lock that a thread absent from the child held
-        # at the fork.  It leaves through os._exit, which runs no exit
-        # handler and flushes none of the parent's buffers.
+        # forking it).  The worker runs the kernel's elementwise numpy and
+        # einsum on the channels' factor, formed before the fork, sorts and
+        # formats floats: it makes no BLAS or LAPACK call, so it never
+        # waits on a lock that a thread absent from the child held at the
+        # fork.  It leaves through os._exit, which runs no exit handler and
+        # flushes none of the parent's buffers.
         status = 1
         try:
-            _write_region_rows(spill, powers, mses, lo, hi)
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                try:
+                    mses = sample_set.mse_rows(lo, hi)
+                except Exception as err:
+                    pipe.write(pickle.dumps(err))
+                    pipe.flush()
+                    os._exit(1)
+                pipe.write(b"ok")
+            _write_region_rows(spill, points, levels, mses, lo, hi)
             spill.flush()
             status = 0
         except BaseException as err:
             os.write(2, f"region CSV worker, rows {lo}-{hi}: {err!r}\n".encode())
         finally:
             os._exit(status)
-    return pid
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
 
 
 def write_region_csv(path, sample_set) -> None:
     """Header p_1..p_K, eps_1..eps_K, then one row of repr() floats per sample.
 
     Rows are formatted _REGION_BLOCK_ROWS at a time, every cell by
-    _cells_text: from exact integer arithmetic where that settles repr's
+    _cell_words: from exact integer arithmetic where that settles repr's
     text, through repr once per distinct bit pattern of the block
-    elsewhere.  A repr holds no delimiter, quote or newline, so the bytes
-    are those a `csv.writer` of repr() cells writes.
+    elsewhere.  For K >= 2 a grid's power cells are copied from the texts
+    of its resolution + 1 levels, formatted once per write.  A repr holds
+    no delimiter, quote or newline, so the bytes are those a `csv.writer`
+    of repr() cells writes.
 
     The rows are split into contiguous ranges, one per CPU of the
-    affinity mask (see _range_count).  This process formats the first;
-    a forked worker formats each other range into an unlinked temporary
-    file, which is appended to the output in row order once the worker
-    has exited.  Every cell is the repr of its own bits, so the bytes do
-    not depend on the split.  A range whose fork fails is formatted here;
-    a worker that fails raises OSError.
+    affinity mask (see _range_count), and each process evaluates the MSE
+    rows it formats (`sample_set.mse_rows`).  Forked workers take every
+    range but the first, which this process evaluates meanwhile; each
+    worker reports its evaluation through a pipe before it formats its
+    range into an unlinked temporary file.  The output is opened only
+    once every range has evaluated, so an error of the kernel in any
+    range is raised here, as raised (the first range's in row order),
+    before any file exists.  This process then formats the first range,
+    and appends each worker's file in row order once the worker has
+    exited.  Every cell is the repr of its own bits, so the bytes do not
+    depend on the split.  A range whose fork fails is evaluated and
+    formatted here; a worker that fails otherwise raises OSError.
     """
-    powers = np.ascontiguousarray(sample_set.powers, dtype=np.float64)
-    mses = np.asarray(sample_set.mses, dtype=np.float64)
-    n, k = powers.shape
+    if sample_set.lattice is None or sample_set.lattice.shape[1] == 1:
+        # a K = 1 grid uses each level once: its powers are cells like any others
+        points, levels = np.ascontiguousarray(sample_set.powers, dtype=np.float64), None
+    else:
+        points = sample_set.lattice
+        levels = _cell_words(sample_set.levels, np.zeros(sample_set.levels.size, dtype=_I64))
+    n, k = points.shape
     count = _range_count(n)
     bounds = [n * i // count for i in range(count + 1)]
     header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
-    running = {}                # pid -> its range, until reaped
-    try:
-        with open(path, "wb") as handle, contextlib.ExitStack() as stack:
-            handle.write((",".join(header) + "\n").encode())
-            spills = []
+    with contextlib.ExitStack() as stack:
+        # pids until reaped.  Workers left running when this block fails
+        # are stopped before their pipes close, so that none writes to a
+        # closed pipe.
+        running = set()
+        try:
+            workers = []
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 spill = stack.enter_context(tempfile.TemporaryFile())
-                pid = _start_worker(spill, powers, mses, lo, hi)
+                pid, pipe = _start_worker(spill, sample_set, points, levels, lo, hi)
                 if pid is not None:
-                    running[pid] = (lo, hi)
-                spills.append((pid, spill))
-            _write_region_rows(handle, powers, mses, 0, bounds[1])
-            for pid, spill in spills:
-                if pid is not None:
-                    status = os.waitpid(pid, 0)[1]
-                    lo, hi = running.pop(pid)
-                    if status:
-                        raise OSError(f"region CSV worker for rows {lo}-{hi} exited with "
-                                      f"status {os.waitstatus_to_exitcode(status)}")
-                spill.seek(0)
-                shutil.copyfileobj(spill, handle)
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+                    running.add(pid)
+                    stack.enter_context(pipe)
+                workers.append((pid, pipe, spill, lo, hi))
+            mses = sample_set.mse_rows(0, bounds[1])
+            for pid, pipe, spill, lo, hi in workers:
+                if pid is None:
+                    _write_region_rows(spill, points, levels, sample_set.mse_rows(lo, hi), lo, hi)
+                    continue
+                report = pipe.read()
+                if report != b"ok":
+                    raise pickle.loads(report) if report else OSError(
+                        f"region CSV worker for rows {lo}-{hi} stopped before its report")
+            with open(path, "wb") as handle:
+                handle.write((",".join(header) + "\n").encode())
+                _write_region_rows(handle, points, levels, mses, 0, bounds[1])
+                for pid, pipe, spill, lo, hi in workers:
+                    if pid is not None:
+                        status = os.waitpid(pid, 0)[1]
+                        running.remove(pid)
+                        if status:
+                            raise OSError(f"region CSV worker for rows {lo}-{hi} exited with "
+                                          f"status {os.waitstatus_to_exitcode(status)}")
+                    spill.seek(0)
+                    shutil.copyfileobj(spill, handle)
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def read_region_csv(path):

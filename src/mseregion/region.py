@@ -97,12 +97,56 @@ class SegmentReport:
     nonconvex_witness: bool
 
 
-@dataclass(frozen=True, eq=False)
 class RegionSampleSet:
-    """Sampled allocations and their MSE tuples, one row each."""
+    """Sampled allocations and their MSE tuples, one row each.
 
-    powers: np.ndarray
-    mses: np.ndarray
+    RegionSampleSet(powers, mses) holds two (S, K) tables.  A set from
+    `sample_region` holds the powers and evaluates its MSE rows by row
+    range on demand (`mse_rows`), through `mse_tuples` on the channel
+    set's factor, formed at sampling time; `mses` is the whole table,
+    evaluated once.  A grid's set holds its integer `lattice` and its
+    `levels`, arange(resolution + 1) * step (the power of each lattice
+    coordinate, with the bits of lattice * step), and forms the float
+    `powers` only when they are read; both are None for any other set.
+    Like the other records that hold arrays, it compares and hashes by
+    identity.
+    """
+
+    def __init__(self, powers, mses):
+        self._powers, self._mses = powers, mses
+        self.lattice = self.levels = self._chan = self._config = None
+
+    @classmethod
+    def _evaluated_on(cls, chan: ChannelSet, config: SystemConfig, powers=None,
+                      lattice=None, levels=None) -> "RegionSampleSet":
+        """The set of `powers`, or of `levels[lattice]`, whose MSE rows are
+        evaluated on `chan` when asked for."""
+        chan.factor     # its QR is the one LAPACK call: made here, before any writer forks
+        samples = cls(powers, None)
+        samples.lattice, samples.levels, samples._chan, samples._config = lattice, levels, chan, config
+        return samples
+
+    def __len__(self) -> int:
+        return len(self._powers if self.lattice is None else self.lattice)
+
+    @property
+    def powers(self) -> np.ndarray:
+        if self._powers is None:
+            self._powers = self.levels[self.lattice]
+        return self._powers
+
+    def mse_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The MSE rows lo..hi - 1, evaluated unless the set holds its table."""
+        if self._mses is not None:
+            return self._mses[lo:hi]
+        rows = self.powers[lo:hi] if self.lattice is None else self.levels[self.lattice[lo:hi]]
+        return mse_tuples(self._chan, rows, self._config)
+
+    @property
+    def mses(self) -> np.ndarray:
+        if self._mses is None:
+            self._mses = self.mse_rows(0, len(self))
+        return self._mses
 
 
 def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
@@ -231,8 +275,11 @@ def sample_region(channels, config: SystemConfig, resolution: int,
     Grid mode enumerates the lattice {p : p = (P/resolution) m, m integer,
     sum(m) <= resolution}, resolution >= 2; random mode draws `resolution`
     >= 1 allocations uniformly from the solid simplex, from the generator
-    seeded with the int `seed`.  The record holds the allocations and
-    their MSE tuples, row by row.
+    seeded with the int `seed`.  The set holds the allocations (a grid's
+    as its integer lattice and its levels) and evaluates their
+    MSE tuples by row range when they are read or written: the sampling
+    itself runs no kernel.  The channels are factored here, and a grid is
+    validated here, so a bad resolution fails before any work.
     """
     chan = _channel_set(channels)
     k = chan.n_users
@@ -246,15 +293,16 @@ def sample_region(channels, config: SystemConfig, resolution: int,
                 f"{GRID_LIMIT} cap; rerun in random mode with an "
                 f"explicit sample count"
             )
-        powers = budget_simplex_lattice(k, resolution) * (config.power_budget / resolution)
-    elif mode == "random":
+        levels = np.arange(resolution + 1) * (config.power_budget / resolution)
+        return RegionSampleSet._evaluated_on(chan, config, lattice=budget_simplex_lattice(k, resolution),
+                                             levels=levels)
+    if mode == "random":
         if resolution < 1:
             raise ValueError(f"sample count must be >= 1, got {resolution}")
         rng = np.random.default_rng(seed)
         powers = sample_budget_simplex(rng, k, config.power_budget, resolution)
-    else:
-        raise ValueError(f"unknown sampling mode: {mode!r}")
-    return RegionSampleSet(powers, mse_tuples(chan, powers, config))
+        return RegionSampleSet._evaluated_on(chan, config, powers=powers)
+    raise ValueError(f"unknown sampling mode: {mode!r}")
 
 
 def embed_inactive_users(channels, extra: int) -> ChannelSet:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mseregion.io as io_module
+import mseregion.model as model
 from mseregion import (
     BoundaryClass,
     ConvexityScan,
@@ -30,6 +31,7 @@ from mseregion import (
     write_json,
     write_region_csv,
 )
+from mseregion.cli import main as cli_main
 from mseregion.io import (
     _MIN_RANGE_ROWS,
     _REGION_BLOCK_ROWS,
@@ -40,7 +42,7 @@ from mseregion.io import (
     to_jsonable,
 )
 from mseregion.region import RegionSampleSet
-from mseregion.simplex import lattice_size
+from mseregion.simplex import budget_simplex_lattice, lattice_size
 from mseregion.tolerances import TOLERANCES
 
 from helpers import random_channels, random_config, reference_region_csv
@@ -246,6 +248,31 @@ def test_region_csv_large_grid_and_random_bytes_match_reference_writer(tmp_path)
         assert ours.read_bytes() == ref.read_bytes(), samples.powers.shape
 
 
+# Grid resolutions per K: over a block of rows and, for K = 1, steps of
+# 1e-6 / 3000 and 1e17 / 3000
+OUTSIDE_DIGIT_PATH_GRIDS = {1: 3000, 2: 100, 3: 30, 4: 15}
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_region_csv_grid_levels_outside_the_digit_path_match_reference_writer(tmp_path, k, monkeypatch):
+    # at P = 1e-6 every nonzero level is below 1e-4, in exponent form; at
+    # P = 1e17 the levels reach 2**52 and beyond.  N = 1 keeps the kernel
+    # finite at either end.
+    resolution = OUTSIDE_DIGIT_PATH_GRIDS[k]
+    channels = random_channels(np.random.default_rng(950 + k), 1, k)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    for workers in each_split(monkeypatch):
+        for power in (1e-6, 1e17):
+            samples = sample_region(channels, SystemConfig(noise_variance=1.0, power_budget=power),
+                                    resolution, mode="grid")
+            levels = samples.levels[1:]
+            assert (levels < 1e-4).all() if power < 1.0 else (levels[-1] >= 2.0 ** 52)
+            write_region_csv(ours, samples)
+            reference_region_csv(ref, samples.powers, samples.mses)
+            assert ours.read_bytes() == ref.read_bytes(), (workers, power)
+        assert_no_child_left()
+
+
 def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, monkeypatch):
     # a few power values repeated over 3000 rows, with 0.0 and -0.0 (equal
     # as values, distinct as bits) and the subnormals +-5e-324 in every
@@ -283,10 +310,10 @@ def test_region_csv_ranges_follow_the_affinity_mask(monkeypatch):
 def test_region_csv_failing_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
     write_rows = io_module._write_region_rows
 
-    def failing(handle, powers, mses, lo, hi):
+    def failing(handle, points, levels, mses, lo, hi):
         if lo > 0:                      # a worker's range
             raise RuntimeError("worker failure")
-        write_rows(handle, powers, mses, lo, hi)
+        write_rows(handle, points, levels, mses, lo, hi)
 
     monkeypatch.setattr(io_module, "_write_region_rows", failing)
     monkeypatch.setattr(io_module, "_range_count", lambda rows: 3)
@@ -306,6 +333,38 @@ def test_region_csv_failed_fork_writes_the_range_itself(tmp_path, monkeypatch):
     write_region_csv(ours, samples)
     reference_region_csv(ref, samples.powers, samples.mses)
     assert ours.read_bytes() == ref.read_bytes()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("first_bad_range", (1, 2))
+def test_region_kernel_error_in_a_worker_range_writes_nothing(tmp_path, monkeypatch, capfd,
+                                                               first_bad_range):
+    # K = 3, grid 40: 12341 rows in three ranges.  Lattice rows come in
+    # lexicographic order, so the rows whose p_1 exceeds every p_1 before
+    # range `first_bad_range` all lie in it or after it: their covariance
+    # is made negative definite, in the workers that inherit the patch.
+    channels = tmp_path / "h.json"
+    save_channels(channels, random_channels(np.random.default_rng(900), 2, 3))
+    lattice = budget_simplex_lattice(3, 40)
+    cut = lattice[len(lattice) * first_bad_range // 3 - 1, 0] * (CONFIG.power_budget / 40)
+    covariance = model._covariance
+
+    def indefinite(mat, pw, noise_variance):
+        cov = covariance(mat, pw, noise_variance)
+        return np.where(pw[..., 0] > cut, -cov, cov)
+
+    monkeypatch.setattr(model, "_covariance", indefinite)
+    monkeypatch.setattr(io_module, "_range_count", lambda rows: 3)
+    out, sidecar = tmp_path / "region.csv", tmp_path / "region.csv.manifest.json"
+    argv = ["region", "--channels", str(channels), "--grid", "40", "--out", str(out)]
+    assert cli_main(argv) == 2
+    assert capfd.readouterr() == ("", "error: Matrix is not positive definite\n")
+    assert not out.exists() and not sidecar.exists()
+    assert_no_child_left()
+    out.write_bytes(b"p_1\n1.0\n")
+    assert cli_main(argv) == 2
+    assert capfd.readouterr() == ("", "error: Matrix is not positive definite\n")
+    assert out.read_bytes() == b"p_1\n1.0\n" and not sidecar.exists()
     assert_no_child_left()
 
 

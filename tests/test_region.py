@@ -99,6 +99,29 @@ def test_random_mode_takes_any_positive_count():
         sample_region(REF_H, REF_CONFIG, resolution=0, mode="random")
 
 
+def test_sampled_mses_are_evaluated_by_row_range_on_demand(monkeypatch):
+    rows = []
+    evaluate = region.mse_tuples
+    monkeypatch.setattr(region, "mse_tuples",
+                        lambda chan, powers, config: rows.append(len(powers)) or evaluate(chan, powers, config))
+    grid = sample_region(REF_H, REF_CONFIG, resolution=30)
+    draws = sample_region(REF_H, REF_CONFIG, resolution=500, mode="random", seed=4)
+    assert rows == []                           # sampling evaluates nothing
+    lattice = budget_simplex_lattice(3, 30)
+    assert grid.lattice.tobytes() == lattice.tobytes()
+    assert grid.powers.tobytes() == (lattice * (REF_CONFIG.power_budget / 30)).tobytes()
+    assert draws.lattice is None and draws.levels is None
+    for samples in (grid, draws):
+        rows.clear()
+        count = len(samples)
+        pieces = [samples.mse_rows(lo, hi) for lo, hi in ((0, 7), (7, 200), (200, count))]
+        whole = samples.mses
+        assert samples.mses is whole            # evaluated once
+        assert rows == [7, 193, count - 200, count]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        assert whole.tobytes() == evaluate(REF_H, samples.powers, REF_CONFIG).tobytes()
+
+
 def test_sample_region_validation():
     with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
         sample_region(REF_H, REF_CONFIG, resolution=1)
