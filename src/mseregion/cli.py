@@ -331,6 +331,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:     # MemoryError: a size past any memory
         print(f"error: {err}", file=sys.stderr)
         return 2

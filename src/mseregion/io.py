@@ -37,12 +37,13 @@ power of two, repr's shortest round-trip digits come from exact integer
 arithmetic and are laid out as repr lays them out; every other cell goes
 through repr, once per distinct bit pattern of the block.  A repr holds
 no delimiter, quote or newline, so the bytes are those a `csv.writer` of
-repr() cells would write.  A grid of two or more users copies its power
-cells from the texts of its resolution + 1 levels, formatted once per
-write.  Large region CSVs are evaluated and formatted on every CPU of
-the affinity mask: forked workers evaluate the MSE rows of contiguous
-row ranges and format them into temporary files, which are appended in
-row order, so the bytes do not depend on the split.
+repr() cells would write.  A sample set with fewer levels than power
+cells (a grid of two or more users) copies its power cells from the
+texts of its levels, formatted once per write.  Large region CSVs are
+evaluated and formatted on every CPU of the affinity mask: forked
+workers evaluate the MSE rows of contiguous row ranges and format them
+into temporary files, which are appended in row order, so the bytes do
+not depend on the split.
 """
 
 from __future__ import annotations
@@ -346,38 +347,41 @@ def _range_count(rows: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), rows // _MIN_RANGE_ROWS))
 
 
-def _write_region_rows(handle, points, levels, mses, lo, hi) -> None:
+def _write_region_rows(handle, sample_set, level_words, mses, lo, hi) -> None:
     """Write rows lo..hi - 1 to the binary file `handle`, _REGION_BLOCK_ROWS at a time.
 
-    `mses` holds the MSE rows of that range.  Where `levels` holds the
-    words of a grid's level texts (_cell_words), `points` is its integer
-    lattice and every power cell is copied from its level's words;
-    elsewhere `points` holds the float powers, formatted with the MSEs.
+    `mses` holds the MSE rows of that range.  Where `level_words` holds
+    the words of the set's level texts (_cell_words), every power cell is
+    copied from its level's words; where it is None, the power cells are
+    formatted with the MSEs.
     """
-    k = points.shape[1]
+    lattice, levels = sample_set.lattice, sample_set.levels
+    k = lattice.shape[1]
     newline = np.zeros((_REGION_BLOCK_ROWS, 2 * k), dtype=_I64)
     newline[:, -1] = 1
     last = newline[:, k:].ravel()
     for start in range(lo, hi, _REGION_BLOCK_ROWS):
         stop = min(start + _REGION_BLOCK_ROWS, hi)
         block = mses[start - lo:stop - lo]
-        if levels is None:
-            cells = np.concatenate((points[start:stop], block), axis=1)
+        if level_words is None:
+            cells = np.concatenate((levels[lattice[start:stop]], block), axis=1)
             handle.write(_cells_text(cells.ravel(), newline[:stop - start].ravel()))
         else:
             words = np.empty((stop - start, 2 * k, 5), dtype=_U64)
-            words[:, :k] = levels[points[start:stop]]
+            words[:, :k] = level_words[lattice[start:stop]]
             words[:, k:] = _cell_words(block.ravel(), last[:block.size]).reshape(-1, k, 5)
             handle.write(words.tobytes().translate(None, b"\0"))
 
 
-def _start_worker(spill, sample_set, points, levels, lo, hi):
+def _start_worker(spill, sample_set, level_words, lo, hi):
     """Fork a worker for rows lo..hi - 1; its pid and the read end of its pipe.
 
     The worker evaluates its MSE rows (`sample_set.mse_rows`) and sends
     b"ok" through the pipe, or its pickled exception if the evaluation
-    raised; after "ok" it writes its rows to `spill` and exits.  (None,
-    None) when the fork fails: this process then does the range itself.
+    raised; after "ok" it writes its rows to `spill` and exits, copying
+    its power cells from `level_words` where the set has fewer levels
+    than power cells (_write_region_rows).  (None, None) when the fork
+    fails: this process then does the range itself.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -405,7 +409,7 @@ def _start_worker(spill, sample_set, points, levels, lo, hi):
                     pipe.flush()
                     os._exit(1)
                 pipe.write(b"ok")
-            _write_region_rows(spill, points, levels, mses, lo, hi)
+            _write_region_rows(spill, sample_set, level_words, mses, lo, hi)
             spill.flush()
             status = 0
         except BaseException as err:
@@ -422,10 +426,13 @@ def write_region_csv(path, sample_set) -> None:
     Rows are formatted _REGION_BLOCK_ROWS at a time, every cell by
     _cell_words: from exact integer arithmetic where that settles repr's
     text, through repr once per distinct bit pattern of the block
-    elsewhere.  For K >= 2 a grid's power cells are copied from the texts
-    of its resolution + 1 levels, formatted once per write.  A repr holds
-    no delimiter, quote or newline, so the bytes are those a `csv.writer`
-    of repr() cells writes.
+    elsewhere.  Row i's powers are `levels[lattice[i]]`.  Where the set
+    has fewer levels than power cells (a grid of two or more users), the
+    power cells are copied from the texts of its levels, formatted once
+    per write; otherwise (a random draw, a one-user grid) they are
+    formatted block by block with the MSEs.  A repr holds no delimiter,
+    quote or newline, so the bytes are those a `csv.writer` of repr()
+    cells writes.
 
     The rows are split into contiguous ranges, one per CPU of the
     affinity mask (see _range_count), and each process evaluates the MSE
@@ -441,13 +448,10 @@ def write_region_csv(path, sample_set) -> None:
     depend on the split.  A range whose fork fails is evaluated and
     formatted here; a worker that fails otherwise raises OSError.
     """
-    if sample_set.lattice is None or sample_set.lattice.shape[1] == 1:
-        # a K = 1 grid uses each level once: its powers are cells like any others
-        points, levels = np.ascontiguousarray(sample_set.powers, dtype=np.float64), None
-    else:
-        points = sample_set.lattice
-        levels = _cell_words(sample_set.levels, np.zeros(sample_set.levels.size, dtype=_I64))
-    n, k = points.shape
+    levels = sample_set.levels
+    n, k = sample_set.lattice.shape
+    level_words = (_cell_words(levels, np.zeros(levels.size, dtype=_I64))
+                   if levels.size < n * k else None)
     count = _range_count(n)
     bounds = [n * i // count for i in range(count + 1)]
     header = [f"p_{i}" for i in range(1, k + 1)] + [f"eps_{i}" for i in range(1, k + 1)]
@@ -460,7 +464,7 @@ def write_region_csv(path, sample_set) -> None:
             workers = []
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 spill = stack.enter_context(tempfile.TemporaryFile())
-                pid, pipe = _start_worker(spill, sample_set, points, levels, lo, hi)
+                pid, pipe = _start_worker(spill, sample_set, level_words, lo, hi)
                 if pid is not None:
                     running.add(pid)
                     stack.enter_context(pipe)
@@ -468,7 +472,8 @@ def write_region_csv(path, sample_set) -> None:
             mses = sample_set.mse_rows(0, bounds[1])
             for pid, pipe, spill, lo, hi in workers:
                 if pid is None:
-                    _write_region_rows(spill, points, levels, sample_set.mse_rows(lo, hi), lo, hi)
+                    _write_region_rows(spill, sample_set, level_words, sample_set.mse_rows(lo, hi),
+                                       lo, hi)
                     continue
                 report = pipe.read()
                 if report != b"ok":
@@ -476,7 +481,7 @@ def write_region_csv(path, sample_set) -> None:
                         f"region CSV worker for rows {lo}-{hi} stopped before its report")
             with open(path, "wb") as handle:
                 handle.write((",".join(header) + "\n").encode())
-                _write_region_rows(handle, points, levels, mses, 0, bounds[1])
+                _write_region_rows(handle, sample_set, level_words, mses, 0, bounds[1])
                 for pid, pipe, spill, lo, hi in workers:
                     if pid is not None:
                         status = os.waitpid(pid, 0)[1]

@@ -29,6 +29,8 @@ segment test shares one QR whatever the antenna count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -97,56 +99,34 @@ class SegmentReport:
     nonconvex_witness: bool
 
 
+@dataclass(frozen=True, eq=False)
 class RegionSampleSet:
-    """Sampled allocations and their MSE tuples, one row each.
+    """Sampled allocations, one row each, and their MSE tuples on demand.
 
-    RegionSampleSet(powers, mses) holds two (S, K) tables.  A set from
-    `sample_region` holds the powers and evaluates its MSE rows by row
-    range on demand (`mse_rows`), through `mse_tuples` on the channel
-    set's factor, formed at sampling time; `mses` is the whole table,
-    evaluated once.  A grid's set holds its integer `lattice` and its
-    `levels`, arange(resolution + 1) * step (the power of each lattice
-    coordinate, with the bits of lattice * step), and forms the float
-    `powers` only when they are read; both are None for any other set.
-    Like the other records that hold arrays, it compares and hashes by
-    identity.
+    Row i's powers are `levels[lattice[i]]`: a grid's `lattice` is its
+    integer lattice and its `levels` are arange(resolution + 1) * step,
+    with the bits of lattice * step; a random draw's `levels` are its
+    S * K powers in row order and its `lattice` numbers them.  Where there
+    are fewer levels than power cells, `io.write_region_csv` formats each
+    level once and copies its text into the cells.  `mse_rows(lo, hi)`
+    evaluates the MSE rows lo..hi - 1; `mses` is the whole table,
+    evaluated once.
     """
 
-    def __init__(self, powers, mses):
-        self._powers, self._mses = powers, mses
-        self.lattice = self.levels = self._chan = self._config = None
-
-    @classmethod
-    def _evaluated_on(cls, chan: ChannelSet, config: SystemConfig, powers=None,
-                      lattice=None, levels=None) -> "RegionSampleSet":
-        """The set of `powers`, or of `levels[lattice]`, whose MSE rows are
-        evaluated on `chan` when asked for."""
-        chan.factor     # its QR is the one LAPACK call: made here, before any writer forks
-        samples = cls(powers, None)
-        samples.lattice, samples.levels, samples._chan, samples._config = lattice, levels, chan, config
-        return samples
+    lattice: np.ndarray
+    levels: np.ndarray
+    mse_rows: Callable[[int, int], np.ndarray]
 
     def __len__(self) -> int:
-        return len(self._powers if self.lattice is None else self.lattice)
+        return len(self.lattice)
 
     @property
     def powers(self) -> np.ndarray:
-        if self._powers is None:
-            self._powers = self.levels[self.lattice]
-        return self._powers
+        return self.levels[self.lattice]
 
-    def mse_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The MSE rows lo..hi - 1, evaluated unless the set holds its table."""
-        if self._mses is not None:
-            return self._mses[lo:hi]
-        rows = self.powers[lo:hi] if self.lattice is None else self.levels[self.lattice[lo:hi]]
-        return mse_tuples(self._chan, rows, self._config)
-
-    @property
+    @cached_property
     def mses(self) -> np.ndarray:
-        if self._mses is None:
-            self._mses = self.mse_rows(0, len(self))
-        return self._mses
+        return self.mse_rows(0, len(self))
 
 
 def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
@@ -275,11 +255,13 @@ def sample_region(channels, config: SystemConfig, resolution: int,
     Grid mode enumerates the lattice {p : p = (P/resolution) m, m integer,
     sum(m) <= resolution}, resolution >= 2; random mode draws `resolution`
     >= 1 allocations uniformly from the solid simplex, from the generator
-    seeded with the int `seed`.  The set holds the allocations (a grid's
-    as its integer lattice and its levels) and evaluates their
-    MSE tuples by row range when they are read or written: the sampling
-    itself runs no kernel.  The channels are factored here, and a grid is
-    validated here, so a bad resolution fails before any work.
+    seeded with the int `seed`.  The set holds the allocations as levels
+    and a lattice of indices into them: a grid's resolution + 1 levels,
+    fewer than its power cells where K >= 2, or a draw's S * K powers, one
+    level per cell.  It evaluates their MSE tuples by row range when they
+    are read or written: the sampling itself runs no kernel.  The channels
+    are factored here, and a grid is validated here, so a bad resolution
+    fails before any work.
     """
     chan = _channel_set(channels)
     k = chan.n_users
@@ -293,16 +275,19 @@ def sample_region(channels, config: SystemConfig, resolution: int,
                 f"{GRID_LIMIT} cap; rerun in random mode with an "
                 f"explicit sample count"
             )
+        lattice = budget_simplex_lattice(k, resolution)
         levels = np.arange(resolution + 1) * (config.power_budget / resolution)
-        return RegionSampleSet._evaluated_on(chan, config, lattice=budget_simplex_lattice(k, resolution),
-                                             levels=levels)
-    if mode == "random":
+    elif mode == "random":
         if resolution < 1:
             raise ValueError(f"sample count must be >= 1, got {resolution}")
-        rng = np.random.default_rng(seed)
-        powers = sample_budget_simplex(rng, k, config.power_budget, resolution)
-        return RegionSampleSet._evaluated_on(chan, config, powers=powers)
-    raise ValueError(f"unknown sampling mode: {mode!r}")
+        levels = sample_budget_simplex(np.random.default_rng(seed), k, config.power_budget,
+                                       resolution).ravel()
+        lattice = np.arange(levels.size).reshape(resolution, k)
+    else:
+        raise ValueError(f"unknown sampling mode: {mode!r}")
+    chan.factor     # its QR is the one LAPACK call: made here, before any writer forks
+    return RegionSampleSet(lattice, levels,
+                           lambda lo, hi: mse_tuples(chan, levels[lattice[lo:hi]], config))
 
 
 def embed_inactive_users(channels, extra: int) -> ChannelSet:

@@ -8,6 +8,7 @@ from scipy.optimize import minimize as sp_minimize
 
 from mseregion import (
     ChannelSet,
+    RegionSampleSet,
     SystemConfig,
     model,
     mse_jacobian,
@@ -187,6 +188,14 @@ def recursive_lattice(k: int, resolution: int) -> np.ndarray:
         tail = recursive_lattice(k - 1, resolution - lead)
         blocks.append(np.column_stack([np.full(tail.shape[0], lead, dtype=np.int64), tail]))
     return np.vstack(blocks)
+
+
+def held_region_set(powers, mses) -> RegionSampleSet:
+    """A region sample set of float64 (S, K) `powers` and `mses` as given:
+    its levels are the powers in row order, its MSE rows slices of `mses`."""
+    levels = np.ravel(powers)
+    return RegionSampleSet(np.arange(levels.size).reshape(np.shape(powers)), levels,
+                           lambda lo, hi: mses[lo:hi])
 
 
 def reference_region_csv(path, powers, mses) -> None:

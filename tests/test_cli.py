@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -237,6 +238,35 @@ def test_convexity_scan_input_errors(tmp_path):
         assert "error:" in proc.stderr
     assert "P/sigma^2 = 1e+200" in proc.stderr
     assert not os.path.exists(out)
+
+
+def _address_space_cap():
+    # each size below asks numpy for petabytes at once; the cap makes that
+    # allocation fail whatever the host's overcommit policy
+    cap = 1 << 34
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--random", "1000000000000000"],
+    ["convexity-scan", "--trials", "1000000000000000"],
+    ["boundary", "--h1", "1+0i,0+0i", "--h2", "0+0i,1+0i", "--samples", "1000000000000000"],
+], ids=["region", "convexity-scan", "boundary"])
+def test_sizes_past_any_memory_are_an_input_error(tmp_path, ref_channels_file, argv):
+    # numpy's MemoryError: exit 2 with one error line, not a traceback and
+    # not exit 1, counterexample's "a reference check failed"
+    out = tmp_path / "out"
+    channels = ["--channels", ref_channels_file] if argv[0] == "region" else []
+    proc = subprocess.run([sys.executable, "-m", "mseregion", *argv, *channels, "--out", str(out)],
+                          capture_output=True, text=True, preexec_fn=_address_space_cap)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: Unable to allocate ")
+    assert not out.exists()
 
 
 def test_scan_pairs_match_trial_by_trial_draws():

@@ -41,11 +41,10 @@ from mseregion.io import (
     read_region_csv,
     to_jsonable,
 )
-from mseregion.region import RegionSampleSet
 from mseregion.simplex import budget_simplex_lattice, lattice_size
 from mseregion.tolerances import TOLERANCES
 
-from helpers import random_channels, random_config, reference_region_csv
+from helpers import held_region_set, random_channels, random_config, reference_region_csv
 
 CONFIG = SystemConfig(noise_variance=1.0, power_budget=10.0)
 
@@ -197,14 +196,14 @@ def test_region_csv_bytes_match_reference_writer(tmp_path, k, monkeypatch):
             cells[:len(EDGE_VALUES)] = EDGE_VALUES[:cells.size]
             powers, mses = cells[:rows * k].reshape(rows, k), cells[rows * k:].reshape(rows, k)
             ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-            write_region_csv(ours, RegionSampleSet(powers, mses))
+            write_region_csv(ours, held_region_set(powers, mses))
             reference_region_csv(ref, powers, mses)
             assert ours.read_bytes() == ref.read_bytes(), (workers, rows)
 
         # integer powers print as floats, exactly as their float64 values do
         ints = rng.integers(0, 50, size=(40, k))
         mses = rng.uniform(0.0, 1.0, size=(40, k))
-        write_region_csv(tmp_path / "ints.csv", RegionSampleSet(ints, mses))
+        write_region_csv(tmp_path / "ints.csv", held_region_set(ints.astype(np.float64), mses))
         reference_region_csv(ref, ints.astype(np.float64), mses)
         assert (tmp_path / "ints.csv").read_bytes() == ref.read_bytes(), workers
         assert_no_child_left()
@@ -273,6 +272,34 @@ def test_region_csv_grid_levels_outside_the_digit_path_match_reference_writer(tm
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("k, mode, resolution, table", [
+    (3, "grid", 40, 41), (2, "grid", 200, 201), (1, "grid", 3000, None), (4, "random", 3000, None),
+], ids=["grid-k3", "grid-k2", "grid-k1", "random-k4"])
+def test_region_csv_formats_a_level_table_only_where_levels_are_fewer_than_cells(
+        tmp_path, monkeypatch, k, mode, resolution, table):
+    # the sizes of this process's _cell_words calls: a grid of K >= 2 users
+    # formats its resolution + 1 levels once per write, then each block's
+    # MSE cells; a one-user grid and a random draw format each block's
+    # power and MSE cells together, and no level table
+    sizes = []
+    cell_words = io_module._cell_words
+    monkeypatch.setattr(io_module, "_cell_words",
+                        lambda values, newline: sizes.append(values.size) or cell_words(values, newline))
+    samples = sample_region(random_channels(np.random.default_rng(960), 2, k), CONFIG, resolution,
+                            mode=mode, seed=3)
+    rows = len(samples)
+    for workers in each_split(monkeypatch):
+        first = rows // workers             # this process formats the first range
+        blocks = [min(_REGION_BLOCK_ROWS, first - start)
+                  for start in range(0, first, _REGION_BLOCK_ROWS)]
+        cells = [block * k for block in blocks] if table else [block * 2 * k for block in blocks]
+        for _ in range(2):
+            sizes.clear()
+            write_region_csv(tmp_path / "ours.csv", samples)
+            assert sizes == ([table] if table else []) + cells, workers
+        assert_no_child_left()
+
+
 def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, monkeypatch):
     # a few power values repeated over 3000 rows, with 0.0 and -0.0 (equal
     # as values, distinct as bits) and the subnormals +-5e-324 in every
@@ -285,7 +312,7 @@ def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, m
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     reference_region_csv(ref, powers, mses)
     for workers in each_split(monkeypatch):
-        write_region_csv(ours, RegionSampleSet(powers, mses))
+        write_region_csv(ours, held_region_set(powers, mses))
         assert ours.read_bytes() == ref.read_bytes(), workers
         written, _ = read_region_csv(ours)
         assert np.array_equal(np.signbit(written), np.signbit(powers))
@@ -295,7 +322,7 @@ def test_region_csv_repeated_powers_keep_signed_zeros_and_subnormals(tmp_path, m
 def _region_rows(rows, k=3, seed=500):
     rng = np.random.default_rng(seed)
     powers, mses = rng.uniform(0.0, 10.0, size=(rows, k)), rng.uniform(0.0, 1.0, size=(rows, k))
-    return RegionSampleSet(powers, mses)
+    return held_region_set(powers, mses)
 
 
 def test_region_csv_ranges_follow_the_affinity_mask(monkeypatch):
@@ -310,10 +337,10 @@ def test_region_csv_ranges_follow_the_affinity_mask(monkeypatch):
 def test_region_csv_failing_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
     write_rows = io_module._write_region_rows
 
-    def failing(handle, points, levels, mses, lo, hi):
+    def failing(handle, sample_set, level_words, mses, lo, hi):
         if lo > 0:                      # a worker's range
             raise RuntimeError("worker failure")
-        write_rows(handle, points, levels, mses, lo, hi)
+        write_rows(handle, sample_set, level_words, mses, lo, hi)
 
     monkeypatch.setattr(io_module, "_write_region_rows", failing)
     monkeypatch.setattr(io_module, "_range_count", lambda rows: 3)

@@ -20,7 +20,7 @@ from mseregion import (
     segment_test,
 )
 from mseregion.boundary import boundary_sweep, mse_pair_at_power
-from mseregion.simplex import budget_simplex_lattice, lattice_size
+from mseregion.simplex import budget_simplex_lattice, lattice_size, sample_budget_simplex
 from mseregion.tolerances import TOL_MEMBER
 
 from helpers import (
@@ -110,7 +110,9 @@ def test_sampled_mses_are_evaluated_by_row_range_on_demand(monkeypatch):
     lattice = budget_simplex_lattice(3, 30)
     assert grid.lattice.tobytes() == lattice.tobytes()
     assert grid.powers.tobytes() == (lattice * (REF_CONFIG.power_budget / 30)).tobytes()
-    assert draws.lattice is None and draws.levels is None
+    # a draw's levels are its powers, bitwise, in row order
+    drawn = sample_budget_simplex(np.random.default_rng(4), 3, REF_CONFIG.power_budget, 500)
+    assert draws.levels.tobytes() == draws.powers.tobytes() == drawn.tobytes()
     for samples in (grid, draws):
         rows.clear()
         count = len(samples)
