@@ -217,12 +217,12 @@ def _pairs(pairs) -> np.ndarray:
 
 
 def _pair(h1, h2) -> np.ndarray:
-    """One channel pair as a validated stack of one, shape (1, N, 2)."""
+    """One channel pair, validated as an (N, 2) matrix, as a stack of one."""
     v1 = np.asarray(h1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(h2, dtype=np.complex128).reshape(-1)
     if v1.size != v2.size:
         raise ValueError(f"channel length mismatch: {v1.size} vs {v2.size}")
-    return _pairs(np.column_stack([v1, v2])[None])
+    return _checked_channels(np.column_stack([v1, v2]), ndim=2)[None]
 
 
 def _split(config: SystemConfig, p) -> np.ndarray:
@@ -492,7 +492,8 @@ def closed_form_ratios(h1, h2, config: SystemConfig, p: float):
 def colinearity_classify(h1, h2) -> BoundaryClass:
     """Affine iff d = |det R|^2 vanishes relative to |h1|^2 |h2|^2
     (threshold 1e-12), else strictly convex."""
-    n1, n2, _, d = _pair_scalars(_pair(h1, h2))
+    with _quiet_overflow():
+        n1, n2, _, d = _pair_scalars(_pair(h1, h2))
     return _classes(n1, n2, d)[0]
 
 

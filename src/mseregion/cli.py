@@ -164,6 +164,8 @@ def _scan_pairs(rng, trials: int, dim: int, colinear: bool) -> np.ndarray:
 def cmd_convexity_scan(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
+    if args.dim < 1:
+        raise ValueError(f"dim must be >= 1, got {args.dim}")
     config = _config(args)
     pairs = _scan_pairs(np.random.default_rng(args.seed), args.trials, args.dim, args.colinear)
     scan = convexity_certificates(pairs, config)

@@ -41,7 +41,7 @@ the same evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -141,8 +141,19 @@ def _freeze_vector(obj, field: str, name: str) -> np.ndarray:
     return vec
 
 
+class _VectorRecord:
+    """A record of one read-only vector, which `len` and numpy's array protocol read."""
+
+    def __len__(self) -> int:
+        return np.asarray(self).size
+
+    def __array__(self, dtype=None, copy=None):    # numpy 1.x passes no copy
+        (field,) = fields(self)
+        return np.array(getattr(self, field.name), dtype=dtype, copy=copy)
+
+
 @dataclass(frozen=True, eq=False)
-class PowerAllocation:
+class PowerAllocation(_VectorRecord):
     """Nonnegative per-user transmit powers."""
 
     powers: np.ndarray
@@ -152,15 +163,9 @@ class PowerAllocation:
         if (vec < 0.0).any():
             raise ValueError(f"negative transmit power: {vec.min()}")
 
-    def __len__(self) -> int:
-        return self.powers.size
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.powers, dtype=dtype)
-
 
 @dataclass(frozen=True, eq=False)
-class MseTuple:
+class MseTuple(_VectorRecord):
     """Per-user MSE values, each in (0, 1]."""
 
     values: np.ndarray
@@ -170,18 +175,12 @@ class MseTuple:
         if (vec <= 0.0).any() or (vec > 1.0).any():
             raise ValueError(f"MSE values must lie in (0, 1], got {vec}")
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def __getitem__(self, k):
         return self.values[k]
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
-
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(_VectorRecord):
     """Nonnegative MSE weights, not all zero."""
 
     weights: np.ndarray
@@ -193,15 +192,9 @@ class WeightVector:
         if not (vec > 0.0).any():
             raise ValueError("at least one weight must be positive")
 
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.weights, dtype=dtype)
-
 
 def _weight_vector(weights, n_users: int) -> np.ndarray:
-    vec = weights.weights if isinstance(weights, WeightVector) else WeightVector(weights).weights
+    vec = WeightVector(weights).weights
     if vec.size != n_users:
         raise ValueError(f"{vec.size} weights for {n_users} users")
     return vec
@@ -216,7 +209,8 @@ def _checked_channels(entries, ndim: int | None = None) -> np.ndarray:
         raise ValueError(f"channel matrix needs at least one antenna and one user, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise ValueError("channel matrix contains non-finite entries")
-    dead = np.argwhere(np.linalg.norm(mat, axis=-2) == 0.0)
+    with np.errstate(over="ignore"):     # a norm past the float64 range is inf, so not dead
+        dead = np.argwhere(np.linalg.norm(mat, axis=-2) == 0.0)
     if dead.size:
         *stack, user = dead[0].tolist()
         where = f" in matrix {tuple(stack)}" if stack else ""
@@ -240,7 +234,7 @@ def _power_rows(powers, n_users: int) -> np.ndarray:
 
 def ensure_feasible(powers, config: SystemConfig) -> np.ndarray:
     """Validate sum(p) <= budget within the feasibility slack; return the vector."""
-    vec = powers.powers if isinstance(powers, PowerAllocation) else PowerAllocation(powers).powers
+    vec = PowerAllocation(powers).powers
     total = float(vec.sum())
     if total > config.power_budget + config.feasibility_tol:
         raise ValueError(

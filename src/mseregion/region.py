@@ -221,7 +221,8 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
     """Membership along the chord between two achievable tuples.
 
     Both endpoints must pass the membership test themselves; interior
-    points sit at t = i / (steps + 1).  Any interior failure makes the
+    points sit at t = i / (steps + 1), their targets formed from the
+    validated endpoints as one array.  Any interior failure makes the
     report a nonconvexity witness.  The endpoints and the interior points
     are solved as one batch.
     """
@@ -232,14 +233,15 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
     if vec_a.size != vec_b.size:
         raise ValueError(f"endpoint sizes differ: {vec_a.size} vs {vec_b.size}")
     chan = _channel_set(channels)
-    ts = [i / (steps + 1) for i in range(1, steps + 1)]
-    stack = _target_stack(chan, vec_a, vec_b, *[(1.0 - t) * vec_a + t * vec_b for t in ts])
-    end_a, end_b, *interior = _solve(chan, config, stack)
+    ends = _target_stack(chan, vec_a, vec_b)
+    ts = np.arange(1, steps + 1) / (steps + 1)
+    chord = (1.0 - ts[:, None]) * vec_a + ts[:, None] * vec_b
+    end_a, end_b, *interior = _solve(chan, config, np.vstack([ends, chord]))
     if not end_a.dominated:
         raise ValueError(f"endpoint a is not achievable (margin {end_a.margin:.3e})")
     if not end_b.dominated:
         raise ValueError(f"endpoint b is not achievable (margin {end_b.margin:.3e})")
-    points = [SegmentPoint(**vars(verdict), t=t) for verdict, t in zip(interior, ts)]
+    points = [SegmentPoint(**vars(verdict), t=t) for verdict, t in zip(interior, ts.tolist())]
     return SegmentReport(
         endpoint_a=end_a,
         endpoint_b=end_b,

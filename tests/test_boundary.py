@@ -479,8 +479,11 @@ def test_certificates_reject_invalid_stacks():
         convexity_certificates(bad, UNIT)
     bad = pairs.copy()
     bad[3, :, 1] = 0.0
-    with pytest.raises(ValueError, match="all-zero"):
+    with pytest.raises(ValueError, match=r"^user 1 in matrix \(3,\) has an all-zero channel"):
         convexity_certificates(bad, UNIT)
+    # a single pair is one (N, 2) matrix, named as a ChannelSet's users are
+    with pytest.raises(ValueError, match="^user 1 has an all-zero channel"):
+        coupling_bundle(pairs[0, :, 0], bad[3, :, 1], UNIT, 5.0)
     with pytest.raises(ValueError):
         convexity_certificates(pairs[:, :, :1], UNIT)
     with pytest.raises(ValueError):

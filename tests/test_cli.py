@@ -172,6 +172,18 @@ def test_boundary_with_underflowing_slopes_is_a_range_error(tmp_path):
     assert not out.exists()
 
 
+def test_boundary_channels_past_the_float64_range_print_one_error_line(tmp_path):
+    # |h1|^2 overflows in the dead-user check, the classification and the
+    # sweep: the one range error line, with no RuntimeWarning and no CSV
+    out = tmp_path / "b.csv"
+    proc = run_cli("boundary", "--h1", "1e200,0", "--h2", "0,1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: boundary closed forms leave the float64 range at P/sigma^2 = 10 "
+        "(sigma^2 = 1, P = 10)"]
+    assert not out.exists()
+
+
 def test_boundary_endpoints_leave_slopes_unformed(tmp_path):
     # orthogonal unit pair, sigma^2 = 1, P = 1e80: g'' at p = P would
     # overflow, but endpoint rows carry no slope; every interior cell is
@@ -232,10 +244,12 @@ def test_convexity_scan_reproducible(tmp_path):
 
 def test_convexity_scan_input_errors(tmp_path):
     out = str(tmp_path / "scan.json")
-    for bad in (("--dim", "0"), ("--trials", "0"), ("--power", "1e200")):
+    for bad in (("--dim", "-1"), ("--dim", "0"), ("--trials", "0"), ("--power", "1e200")):
         proc = run_cli("convexity-scan", *bad, "--out", out)
         assert proc.returncode == 2, bad
         assert "error:" in proc.stderr
+        if bad == ("--dim", "-1"):
+            assert proc.stderr.splitlines() == ["error: dim must be >= 1, got -1"]
     assert "P/sigma^2 = 1e+200" in proc.stderr
     assert not os.path.exists(out)
 
@@ -254,12 +268,14 @@ def _address_space_cap():
     ["region", "--random", "1000000000000000"],
     ["convexity-scan", "--trials", "1000000000000000"],
     ["boundary", "--h1", "1+0i,0+0i", "--h2", "0+0i,1+0i", "--samples", "1000000000000000"],
-], ids=["region", "convexity-scan", "boundary"])
+    ["segment", "--a", "0.21389147,0.13652377,1.0", "--b", "1.0,0.19774107,0.23353177",
+     "--steps", "1000000000000000"],
+], ids=["region", "convexity-scan", "boundary", "segment"])
 def test_sizes_past_any_memory_are_an_input_error(tmp_path, ref_channels_file, argv):
     # numpy's MemoryError: exit 2 with one error line, not a traceback and
     # not exit 1, counterexample's "a reference check failed"
     out = tmp_path / "out"
-    channels = ["--channels", ref_channels_file] if argv[0] == "region" else []
+    channels = ["--channels", ref_channels_file] if argv[0] in ("region", "segment") else []
     proc = subprocess.run([sys.executable, "-m", "mseregion", *argv, *channels, "--out", str(out)],
                           capture_output=True, text=True, preexec_fn=_address_space_cap)
     assert proc.returncode == 2

@@ -14,6 +14,8 @@ from mseregion import (
     MseTuple,
     PowerAllocation,
     SystemConfig,
+    WeightVector,
+    dominated_membership,
     ensure_feasible,
     mse_jacobian,
     mse_tuple,
@@ -21,12 +23,13 @@ from mseregion import (
     rate_from_mse,
     receive_covariance,
     resolvent_grams,
+    segment_test,
     sinr_from_mse,
     weighted_mse_derivatives,
     weighted_mse_gradient,
     weighted_sum_mse,
 )
-from mseregion import model
+from mseregion import kkt, model
 from mseregion.model import _chunk_rows
 from mseregion.simplex import budget_simplex_lattice
 
@@ -514,6 +517,36 @@ def test_power_and_mse_tuple_validation():
     with pytest.raises(ValueError):
         MseTuple([0.5, 1.0 + 1e-9])
     assert len(MseTuple([0.5, 1.0])) == 2
+
+
+def test_vector_records_follow_numpy_array_protocol():
+    # numpy 2 passes `copy` to __array__; a record converts, to an array or
+    # to a new record, with no DeprecationWarning, and so do the region
+    # solves that take MseTuple targets
+    config = SystemConfig(noise_variance=kkt.REFERENCE_NOISE_VARIANCE,
+                          power_budget=kkt.REFERENCE_POWER_BUDGET)
+    ends = ([0.21389147, 0.13652377, 1.0], [1.0, 0.19774107, 0.23353177])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cls, field in ((PowerAllocation, "powers"), (MseTuple, "values"),
+                           (WeightVector, "weights")):
+            record = cls([0.5, 0.25, 1.0])
+            vec = getattr(record, field)
+            for copied in (np.array(record), np.array(record, copy=True)):
+                assert copied.tolist() == vec.tolist() and copied.flags.writeable, cls
+                assert not np.shares_memory(copied, vec), cls
+            assert np.asarray(record) is vec, cls
+            single = np.asarray(record, dtype=np.float32)
+            assert single.dtype == np.float32 and single.tolist() == [0.5, 0.25, 1.0], cls
+            assert len(record) == 3, cls
+            assert getattr(cls(record), field).tobytes() == vec.tobytes(), cls
+        verdict = dominated_membership(kkt.REFERENCE_CHANNELS, config, MseTuple([0.5, 0.5, 0.9]))
+        report = segment_test(kkt.REFERENCE_CHANNELS, config, *map(MseTuple, ends), steps=3)
+    assert verdict.target.tolist() == [0.5, 0.5, 0.9] and verdict.dominated
+    plain = segment_test(kkt.REFERENCE_CHANNELS, config, *map(np.array, ends), steps=3)
+    assert [(pt.t, pt.target.tobytes(), pt.margin) for pt in report.points] \
+        == [(pt.t, pt.target.tobytes(), pt.margin) for pt in plain.points]
+    assert report.nonconvex_witness
 
 
 def test_system_config_validation():
