@@ -145,11 +145,11 @@ class _VectorRecord:
     """A record of one read-only vector, which `len` and numpy's array protocol read."""
 
     def __len__(self) -> int:
-        return np.asarray(self).size
+        return self.__array__().size
 
-    def __array__(self, dtype=None, copy=None):    # numpy 1.x passes no copy
-        (field,) = fields(self)
-        return np.array(getattr(self, field.name), dtype=dtype, copy=copy)
+    def __array__(self, dtype=None, copy=None):    # numpy 1.x passes no copy, and rejects None
+        vec = getattr(self, fields(self)[0].name)
+        return np.asarray(vec, dtype) if copy is None else np.array(vec, dtype, copy=copy)
 
 
 @dataclass(frozen=True, eq=False)

@@ -220,11 +220,9 @@ def dominated_membership(channels, config: SystemConfig, target) -> MembershipVe
 def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> SegmentReport:
     """Membership along the chord between two achievable tuples.
 
-    Both endpoints must pass the membership test themselves; interior
-    points sit at t = i / (steps + 1), their targets formed from the
-    validated endpoints as one array.  Any interior failure makes the
-    report a nonconvexity witness.  The endpoints and the interior points
-    are solved as one batch.
+    Both endpoints must be achievable; interior targets at t = i / (steps + 1)
+    are formed from them as one array and held to (0, 1].  Any interior
+    failure makes the report a nonconvexity witness; all are solved at once.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -233,9 +231,10 @@ def segment_test(channels, config: SystemConfig, a, b, steps: int = 9) -> Segmen
     if vec_a.size != vec_b.size:
         raise ValueError(f"endpoint sizes differ: {vec_a.size} vs {vec_b.size}")
     chan = _channel_set(channels)
-    ends = _target_stack(chan, vec_a, vec_b)
     ts = np.arange(1, steps + 1) / (steps + 1)
     chord = (1.0 - ts[:, None]) * vec_a + ts[:, None] * vec_b
+    rounded_out = ((chord <= 0.0) | (chord > 1.0)).any(axis=1)
+    ends = _target_stack(chan, vec_a, vec_b, *chord[rounded_out][:1])    # rejects such a row
     end_a, end_b, *interior = _solve(chan, config, np.vstack([ends, chord]))
     if not end_a.dominated:
         raise ValueError(f"endpoint a is not achievable (margin {end_a.margin:.3e})")

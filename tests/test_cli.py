@@ -469,6 +469,14 @@ def test_segment_cli_exit_codes(tmp_path, ref_channels_file):
     assert proc.returncode == 2
     assert "not achievable" in proc.stderr
 
+    # halfway between two smallest subnormals the chord entry rounds to 0.0
+    out = tmp_path / "seg.json"
+    proc = run_cli("segment", "--channels", ref_channels_file, "--a", "5e-324,1,1",
+                   "--b", "5e-324,1,1", "--steps", "1", "--power", "1e10", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: MSE values must lie in (0, 1], got [0. 1. 1.]\n"
+    assert proc.stdout == "" and not out.exists()
+
 
 def test_segment_cli_size_errors(ref_channels_file):
     """Endpoint sizes are checked once, by the region module."""

@@ -549,6 +549,32 @@ def test_vector_records_follow_numpy_array_protocol():
     assert report.nonconvex_witness
 
 
+class _Numpy1Array:
+    """numpy with numpy 1.x's np.array, which rejects copy=None."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array(obj, dtype=None, copy=True, **kwargs):
+        if copy is None:
+            raise ValueError("NoneType copy mode not allowed")
+        return np.array(obj, dtype=dtype, copy=copy, **kwargs)
+
+
+def test_vector_records_follow_numpy_1_array_protocol(monkeypatch):
+    # numpy 1.x calls __array__() or __array__(dtype), never with a copy,
+    # so a None copy must not reach its np.array
+    monkeypatch.setattr(model, "np", _Numpy1Array())
+    for cls, field in ((PowerAllocation, "powers"), (MseTuple, "values"),
+                       (WeightVector, "weights")):
+        record = cls([0.5, 0.25, 1.0])
+        assert record.__array__() is getattr(record, field), cls
+        single = record.__array__(np.float32)
+        assert single.dtype == np.float32 and single.tolist() == [0.5, 0.25, 1.0], cls
+        assert len(record) == 3, cls
+
+
 def test_system_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(noise_variance=0.0, power_budget=1.0)
