@@ -74,7 +74,6 @@ near-colinear pairs, are exempt.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import operator
@@ -253,11 +252,6 @@ def _pair_scalars(pairs: np.ndarray):
 def _affine(n1, n2, d) -> np.ndarray:
     """The flat mask of pairs whose d = |det R|^2 vanishes relative to n1 n2."""
     return (d <= COLINEARITY_RTOL * n1 * n2).ravel()
-
-
-def _classes(n1, n2, d) -> list:
-    """Affine where d = |det R|^2 vanishes relative to n1 n2, else strictly convex."""
-    return [_LABELS[flat] for flat in _affine(n1, n2, d).tolist()]
 
 
 def _couplings(a12, b12):
@@ -494,29 +488,24 @@ def colinearity_classify(h1, h2) -> BoundaryClass:
     (threshold 1e-12), else strictly convex."""
     with _quiet_overflow():
         n1, n2, _, d = _pair_scalars(_pair(h1, h2))
-    return _classes(n1, n2, d)[0]
+    return _LABELS[bool(_affine(n1, n2, d)[0])]
 
 
 def affine_boundary(h1, alpha, config: SystemConfig):
     """(slope, intercept, eps_min1) of the boundary line for h2 = alpha h1.
 
     g(eps1) = slope * eps1 + intercept over [eps_min1, 1], with
-    g(1) = eps_min2 and g(eps_min1) = 1.  Raises ValueError for a
-    non-finite h1 or alpha, and the closed forms' range ValueError where
-    a returned value is not finite.
+    g(1) = eps_min2 and g(eps_min1) = 1.  Raises the ValueError of `_pair`
+    where the pair (h1, alpha h1) is not a valid one, and the closed
+    forms' range ValueError where a returned value is not finite.
     """
     vec = np.asarray(h1, dtype=np.complex128).reshape(-1)
     scalar = complex(alpha)
-    if not (np.isfinite(vec).all() and cmath.isfinite(scalar)):
-        raise ValueError("h1 and alpha must be finite")
-    if scalar == 0:
-        raise ValueError("colinearity factor alpha must be nonzero")
-    # numpy squares, so one past the float64 range is inf, not OverflowError
+    # numpy multiplies and squares, so one past the float64 range is inf, not OverflowError
     with _quiet_overflow():
+        _pair(vec, scalar * vec)
         n1 = float(np.linalg.norm(vec) ** 2)
         mag = float(np.float64(abs(scalar)) ** 2)
-    if n1 == 0.0:
-        raise ValueError("h1 must be nonzero")
     gamma = config.snr
     den = 1.0 + mag * gamma * n1
     slope = -(mag + mag * gamma * n1) / den

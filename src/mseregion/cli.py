@@ -193,10 +193,7 @@ def cmd_counterexample(args) -> int:
         write_region_csv(args.region_csv, samples)
         write_json(args.region_csv + ".manifest.json", _manifest(args, config))
     _report(args, config, {
-        "sigma2_assumed": report.sigma2_assumed,
-        "all_passed": report.all_passed,
-        "checks": report.checks,
-        "clusters": report.clusters,
+        **vars(report),
         "segment": None if report.segment is None else _segment_block(report.segment),
     })
     return 0 if report.all_passed else 1

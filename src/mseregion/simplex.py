@@ -92,10 +92,16 @@ def sample_budget_simplex(rng: np.random.Generator, k: int, budget: float, count
 
     k+1 iid exponentials normalized by their total give a Dirichlet(1,..,1)
     point on the k+1 simplex; dropping the last coordinate yields a point
-    uniform over {p >= 0, sum(p) <= 1}, scaled by the budget.
+    uniform over {p >= 0, sum(p) <= 1}, scaled by the budget.  Raises
+    ValueError where a draw leaves the float64 range, as it can from
+    budgets of about 5e307.
     """
     gaps = rng.exponential(size=(count, k + 1))
-    return budget * gaps[:, :k] / gaps.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        draws = budget * gaps[:, :k] / gaps.sum(axis=1, keepdims=True)
+    if not np.isfinite(draws).all():
+        raise ValueError(f"power budget {budget:g} is past the float64 range of the simplex draws")
+    return draws
 
 
 def budget_simplex_lattice(k: int, resolution: int) -> np.ndarray:

@@ -328,15 +328,26 @@ def test_affine_sweep_stays_on_line():
         affine_boundary(E1, 0.0, UNIT)
 
 
-@pytest.mark.parametrize("h1, alpha", [
-    ([np.inf], 1.0), ([complex(1.0, np.nan)], 1.0), ([1.0], np.nan), ([1.0], complex(1.0, -np.inf)),
-    ([1e200], 1.0), ([1.0], 1e200), ([1e100], 1e100),
-], ids=["inf h1", "nan h1", "nan alpha", "inf alpha", "huge h1", "huge alpha", "huge product"])
-def test_affine_boundary_raises_where_its_line_is_not_finite(h1, alpha):
-    # non-finite inputs, and finite ones whose line leaves the float64 range
+_NON_FINITE = "channel matrix contains non-finite entries"
+_OUT_OF_RANGE = "boundary closed forms leave the float64 range"
+
+
+@pytest.mark.parametrize("h1, alpha, message", [
+    ([np.inf], 1.0, _NON_FINITE), ([complex(1.0, np.nan)], 1.0, _NON_FINITE),
+    ([1.0], np.nan, _NON_FINITE), ([1.0], complex(1.0, -np.inf), _NON_FINITE),
+    ([1e200], 1e200, _NON_FINITE),
+    ([1e200], 1.0, _OUT_OF_RANGE), ([1.0], 1e200, _OUT_OF_RANGE), ([1e100], 1e100, _OUT_OF_RANGE),
+    ([0.0, 0.0], 2.0, "user 0 has an all-zero channel"),
+    ([1.0, 0.5], 0.0, "user 1 has an all-zero channel"),
+    ([], 1.0, "channel matrix needs at least one antenna"),
+], ids=["inf h1", "nan h1", "nan alpha", "inf alpha", "huge alpha h1", "huge h1", "huge alpha",
+        "huge product", "zero h1", "zero alpha", "empty h1"])
+def test_affine_boundary_raises_where_its_line_is_not_finite(h1, alpha, message):
+    # the pair (h1, alpha h1) is validated as every two-user reader's pair is;
+    # a valid pair whose line leaves the float64 range gets the range error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             affine_boundary(h1, alpha, SystemConfig(1.0, 10.0))
 
 
@@ -769,9 +780,9 @@ def _former_certificates(pairs, config, grid):
     cs_ok = (cs_gram & holds(link0, link1) & holds(link1, link2) & holds(link2, link3)).all(axis=1)
     worst = np.argmax(disc, axis=1)
     worst_disc = np.take_along_axis(disc, worst[:, None], axis=1)[:, 0]
-    reports = [boundary.ConvexityReport(bool(proven[t]), label, float(worst_disc[t]),
-                                        float(ps[worst[t]]))
-               for t, label in enumerate(boundary._classes(n1, n2, d))]
+    reports = [boundary.ConvexityReport(bool(proven[t]), boundary._LABELS[affine],
+                                        float(worst_disc[t]), float(ps[worst[t]]))
+               for t, affine in enumerate(boundary._affine(n1, n2, d).tolist())]
     return reports, list(zip(cs_ok.tolist(), summands_ok.tolist(), mono_ok.tolist()))
 
 

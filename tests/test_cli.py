@@ -2,6 +2,7 @@
 stderr summaries, seeds, and byte-level reproducibility."""
 
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -389,6 +390,15 @@ def test_counterexample_cli_full_pass(tmp_path):
     assert "together" in proc.stderr
 
 
+def test_counterexample_report_is_its_record_under_the_manifest(tmp_path):
+    # every CounterexampleReport field reaches the JSON with no CLI edit
+    out = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--starts", "8", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    fields = {field.name for field in dataclasses.fields(kkt.CounterexampleReport)}
+    assert set(payload) == {"manifest"} | fields
+
+
 def test_counterexample_rejects_a_bad_grid_before_the_suite(monkeypatch, tmp_path, capsys):
     def suite(**kwargs):
         raise AssertionError("the suite ran before --grid was checked")
@@ -622,6 +632,23 @@ def test_wsmse_on_a_subnormal_pivot_is_one_error_line(tmp_path):
                    "--sigma2", "1e-320")
     assert proc.returncode == 2
     assert (proc.stdout, proc.stderr) == ("", "error: Matrix is not positive definite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--random", "7"],
+    ["wsmse", "--weights", "0.22,0.54,0.24"],
+], ids=["region", "wsmse"])
+def test_budgets_past_the_simplex_draws_range_are_one_error_line(tmp_path, ref_channels_file,
+                                                                 argv):
+    # P = 1.7e308 overflows the scaled exponential draws: exit 2 with the one
+    # error line naming the budget, no RuntimeWarning and no output file
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--channels", ref_channels_file, "--power", "1.7e308",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr.splitlines()) == ("", [
+        "error: power budget 1.7e+308 is past the float64 range of the simplex draws"])
+    assert list(tmp_path.iterdir()) == [tmp_path / "ref.json"]
 
 
 def test_wsmse_on_a_flat_objective_warns_nothing(tmp_path):

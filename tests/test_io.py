@@ -125,6 +125,14 @@ def test_header_only_region_csv_is_two_empty_tables(tmp_path):
     assert powers.shape == mses.shape == (0, 3)
 
 
+@pytest.mark.parametrize("header", ["p_1,p_2,eps_1", "eps_1,eps_2,p_1,p_2"])
+def test_unrecognized_region_csv_header_is_a_value_error(tmp_path, header):
+    path = tmp_path / "header.csv"
+    path.write_text(header + "\n0.5,0.5,0.7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="unrecognized region CSV header"):
+        read_region_csv(path)
+
+
 def test_region_csv_rows_must_hold_the_header_cells(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("p_1,p_2,eps_1,eps_2\n1.0,0.0,0.5,1.0\n0.5,0.5,0.7\n", encoding="utf-8")
@@ -334,7 +342,7 @@ def test_region_csv_ranges_follow_the_affinity_mask(monkeypatch):
     assert io_module._range_count(64 * _MIN_RANGE_ROWS) == 1
 
 
-def test_region_csv_failing_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
+def test_region_csv_failing_worker_raises_and_leaves_no_child(tmp_path, monkeypatch, capfd):
     write_rows = io_module._write_region_rows
 
     def failing(handle, sample_set, level_words, mses, lo, hi):
@@ -347,6 +355,12 @@ def test_region_csv_failing_worker_raises_and_leaves_no_child(tmp_path, monkeypa
     with pytest.raises(OSError, match="exited with status 1"):
         write_region_csv(tmp_path / "ours.csv", _region_rows(3000))
     assert_no_child_left()
+    # each worker names its rows on stderr; the second may be killed before it writes
+    lines = capfd.readouterr().err.splitlines()
+    expected = [f"region CSV worker, rows {lo}-{hi}: RuntimeError('worker failure')"
+                for lo, hi in ((1000, 2000), (2000, 3000))]
+    assert expected[0] in lines
+    assert set(lines) <= set(expected)
 
 
 def test_region_csv_failed_fork_writes_the_range_itself(tmp_path, monkeypatch):

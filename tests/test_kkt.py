@@ -91,6 +91,13 @@ def test_published_variable_sets_replay():
         assert abs(res.budget_slack) <= 1e-3
 
 
+def test_residuals_need_one_multiplier_per_user():
+    pub = PUBLISHED[0]
+    with pytest.raises(ValueError, match="2 multipliers for 3 users"):
+        kkt_residuals(REF_H, REF_CONFIG, REF_WEIGHTS, np.array(pub["powers"]), pub["lam"],
+                      [0.0, 0.0])
+
+
 def test_starts_near_known_points_converge_to_them():
     cert = minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, [4.0, 6.0, 0.0])
     assert cert.converged

@@ -388,8 +388,10 @@ def test_segment_same_endpoint_is_trivial():
 
 
 def test_segment_endpoint_validation():
-    with pytest.raises(ValueError, match="not achievable"):
+    with pytest.raises(ValueError, match="endpoint a is not achievable"):
         segment_test(REF_H, REF_CONFIG, [0.01, 0.01, 0.01], TRIPLE_A)
+    with pytest.raises(ValueError, match="endpoint b is not achievable"):
+        segment_test(REF_H, REF_CONFIG, TRIPLE_A, [0.01, 0.01, 0.01])
     with pytest.raises(ValueError):
         segment_test(REF_H, REF_CONFIG, TRIPLE_A, [0.5, 0.5])
     with pytest.raises(ValueError):
