@@ -1,8 +1,8 @@
 """Weighted sum-MSE minimization over the power simplex.
 
 Solves min_p sum_k w_k eps_k(p) subject to p >= 0, sum(p) <= P with
-projected Newton steps, recovers the multipliers (lambda for the
-budget, mu_k for nonnegativity), and evaluates the stationarity system
+projected Newton steps on sum(p) = P (see `simplex`), recovers lambda for
+the budget and mu_k for nonnegativity, and evaluates the stationarity system
 
     h_k^H X^{-1} (w_k X - S) X^{-1} h_k = lambda - mu_k,
     p_k mu_k = 0,  lambda (sum(p) - P) = 0,  p, mu, lambda >= 0,
@@ -207,7 +207,7 @@ def _solve(chan: ChannelSet, config: SystemConfig, w: np.ndarray, starts: np.nda
 
 
 def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start):
-    """Projected Newton descent from a feasible start.
+    """Projected Newton descent from a feasible start projected onto sum(p) = P.
 
     `start` is one power vector, giving one certificate, or an (S, K)
     batch of them, giving a list with one certificate per row; each is
@@ -228,13 +228,12 @@ def minimize_weighted_sum_mse(channels, config: SystemConfig, weights, start):
 
 
 def _start_points(k: int, budget: float, starts: int, seed: int) -> np.ndarray:
-    """`starts` uniform simplex draws, the vertices and the centroid."""
-    rng = np.random.default_rng(seed)
+    """`starts` uniform draws on the face sum(p) = budget, its vertices and its centroid."""
+    draws = sample_budget_simplex(np.random.default_rng(seed), k - 1, budget, starts)
     return np.vstack([
-        sample_budget_simplex(rng, k, budget, starts),
-        np.zeros(k),
+        np.column_stack([draws, budget - draws.sum(axis=1)]),
         budget * np.eye(k),
-        np.full(k, budget / (k + 1.0)),
+        np.full(k, budget / k),
     ])
 
 
@@ -242,9 +241,9 @@ def enumerate_stationary_points(channels, config: SystemConfig, weights,
                                 starts: int = 16, seed: int = 0):
     """Multistart minimization with power-space clustering.
 
-    Start points: `starts` uniform draws from the solid simplex, plus all
-    its vertices (origin and the single-user corners) and the centroid.
-    They descend together as one lockstep batch, each start with its own
+    Start points: `starts` uniform draws from the face sum(p) = P, plus
+    its vertices (the single-user corners) and its centroid P/K.  They
+    descend together as one lockstep batch, each start with its own
     step size and iteration count.  Certificates within a power distance
     of 1e-3 * P collapse into one cluster represented by the lowest
     objective (ties broken by powers, then iterations), so the clusters do

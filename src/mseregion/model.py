@@ -401,7 +401,8 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     A chunk's work array fits a 1 MiB budget, so the
     intermediates stay a few MB at any batch size or N; every row is
     computed independently, so the output does not depend on the chunk
-    size.
+    size.  Raises ValueError for a chunk that holds an MSE outside (0, 1],
+    as `mse_tuple` does.
     """
     mat = _channel_set(channels).factor
     n, k = mat.shape
@@ -411,7 +412,11 @@ def mse_tuples(channels, powers, config: SystemConfig) -> np.ndarray:
     chunk = _chunk_rows(n, k)
     out = np.empty_like(pw)
     for lo in range(0, pw.shape[0], chunk):
-        out[lo:lo + chunk] = _mse_terms(mat, pw[lo:lo + chunk], config.noise_variance)[0]
+        block = out[lo:lo + chunk]
+        block[...] = _mse_terms(mat, pw[lo:lo + chunk], config.noise_variance)[0]
+        bad = (block <= 0.0) | (block > 1.0)
+        if bad.any():
+            raise ValueError(f"MSE values must lie in (0, 1], got {float(block[bad][0])!r}")
     return out
 
 

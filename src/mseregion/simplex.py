@@ -1,6 +1,8 @@
 """Power-simplex utilities: Euclidean projection, uniform sampling,
 lattice enumeration, and the projected Newton loop of the weighted
-sum-MSE solver.  The feasible set everywhere is {p >= 0, sum(p) <= budget}.
+sum-MSE solver, which works on the face {p >= 0, sum(p) = budget}: scaling
+p up to the budget lowers every transmitting user's MSE, so every minimum
+of a weighted sum-MSE with nonnegative weights lies there.
 
 The loop runs a batch of starts in lockstep rounds of one
 `value_and_grad` call each.  A start that is backtracking sends several
@@ -52,38 +54,36 @@ _LADDER = 4
 _RUNG_SCALES = _SHRINK ** np.arange(_LADDER)
 # Projected Newton directions (`_newton_directions`): a user is held at
 # zero when the scaled gradient step sends it there and its power is at
-# most _ACTIVE_FRACTION of the budget; the budget face is tight when that
-# step's total is within _FACE_REL of the budget; Hessian eigenvalues are
-# floored at _EIGEN_FLOOR times the Hessian's scale.
+# most _ACTIVE_FRACTION of the budget; Hessian eigenvalues are floored at
+# _EIGEN_FLOOR times the Hessian's scale.
 _ACTIVE_FRACTION = 1e-2
-_FACE_REL = 1e-12
 _EIGEN_FLOOR = 1e-10
 # Iteration cap of `projected_gradient`; with PGD_TOL_REL it is the fixed
 # stopping rule of every weighted sum-MSE solve.
 _MAX_ITERS = 5000
 
 
+def _project_onto_face(rows: np.ndarray, budget: float) -> np.ndarray:
+    """Sort-based Euclidean projection of (S, K) rows onto {p >= 0, sum(p) = budget}."""
+    srt = np.sort(rows, axis=1)[:, ::-1]
+    excess = np.cumsum(srt, axis=1) - budget
+    keep = srt - excess / np.arange(1, rows.shape[1] + 1) > 0.0
+    rho = rows.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)   # last kept index
+    tau = excess[np.arange(rows.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(rows - tau[:, None], 0.0)
+
+
 def project_onto_budget_simplex(point, budget: float) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum(p) <= budget}.
 
     `point` is one vector or an (S, K) batch projected row by row.  Clips
-    negatives first; only rows whose clipped point still violates the
-    budget get the sort-based threshold projection onto the face
-    {p >= 0, sum(p) = budget}.
+    negatives, then projects the rows still over budget onto the face.
     """
     vec = np.asarray(point, dtype=np.float64)
     rows = np.atleast_2d(vec)
     out = np.maximum(rows, 0.0)
-    over = np.flatnonzero(out.sum(axis=1) > budget)
-    if over.size:
-        raw = rows[over]
-        srt = np.sort(raw, axis=1)[:, ::-1]
-        excess = np.cumsum(srt, axis=1) - budget
-        counts = np.arange(1, rows.shape[1] + 1)
-        keep = srt - excess / counts > 0.0
-        rho = rows.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)   # last kept index
-        tau = excess[np.arange(over.size), rho] / (rho + 1.0)
-        out[over] = np.maximum(raw - tau[:, None], 0.0)
+    over = out.sum(axis=1) > budget
+    out[over] = _project_onto_face(rows[over], budget)
     return out if vec.ndim == 2 else out[0]
 
 
@@ -130,7 +130,7 @@ def lattice_size(k: int, resolution: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class PgdResult:
-    """Outcome of one start.
+    """Outcome of one start: `point` is on the face {p >= 0, sum(p) = budget}.
 
     `backtracks` counts the rejected trial steps.  `stalled` marks a run
     whose backtracking fell below 1e-18 without an accepted step;
@@ -170,23 +170,22 @@ def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
 
     Bertsekas, "Projected Newton methods for optimization problems with
     simple constraints", SIAM J. Control Optim. 1982, adapted to the
-    budget simplex.  The gradient step x = proj(p - grad / s) (`probe`),
+    budget face.  The gradient step x = proj(p - grad / s) (`probe`),
     with s = K max|H| (`scale`) bounding the Hessian's spectral radius,
     both formed by the caller, picks the users held at zero (x_k = 0 and
-    p_k <= min(_ACTIVE_FRACTION * P, |p - x|)); they get d_k = -p_k.  The free users take a Newton step on their
-    coordinates or, when x is on the budget face, on the face
-    sum(d_free) = 0 plus an equal share of P - sum(p_free), which puts
-    p + d on the face.  The projected Hessian's eigenvalues are replaced
-    by their absolute values floored at _EIGEN_FLOOR * s, so every
-    direction descends on this nonconvex objective.
+    p_k <= min(_ACTIVE_FRACTION * P, |p - x|)); they get d_k = -p_k.  The
+    free users take a Newton step on the face sum(d_free) = 0 plus an
+    equal share of P - sum(p_free), which puts p + d on the face.  The
+    projected Hessian's eigenvalues are replaced by their absolute values
+    floored at _EIGEN_FLOOR * s, so every direction descends on this
+    nonconvex objective.
     """
     eye = np.eye(point.shape[1])
     gap = np.linalg.norm(point - probe, axis=1)
     fixed = (probe == 0.0) & (point <= np.minimum(_ACTIVE_FRACTION * budget, gap)[:, None])
     free = (~fixed).astype(np.float64)
-    tight = probe.sum(axis=1) >= budget * (1.0 - _FACE_REL)
-    share = np.where(tight, 1.0 / np.maximum(free.sum(axis=1), 1.0), 0.0)
-    # orthogonal projector onto the free coordinates (and the face when tight)
+    share = 1.0 / np.maximum(free.sum(axis=1), 1.0)
+    # orthogonal projector onto the free coordinates within the face
     zmat = free[:, :, None] * eye - share[:, None, None] * free[:, :, None] * free[:, None, :]
     reduced = np.einsum("sil,slm->sim", np.einsum("sij,sjl->sil", zmat, hess), zmat)
     # the complement of zmat's range gets eigenvalue `scale`, so the
@@ -200,7 +199,8 @@ def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
 
 
 def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
-    """Projected Newton descent with the Armijo step rule of the module constants.
+    """Projected Newton descent on the face {p >= 0, sum(p) = budget}, where every
+    weighted sum-MSE minimum lies, with the Armijo step rule of the module constants.
 
     Convergence is declared when the unit projected-gradient norm drops
     below PGD_TOL_REL * (1 + |f|); a start that has not converged after
@@ -229,7 +229,7 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
     starts = np.asarray(start, dtype=np.float64)
     if starts.ndim != 2:
         raise ValueError(f"starts must be an (S, K) batch, got shape {starts.shape}")
-    point = project_onto_budget_simplex(starts, budget)
+    point = _project_onto_face(starts, budget)
     count, k = point.shape
     value, derive = value_and_grad(point)
     value = np.array(value, dtype=np.float64)
@@ -252,7 +252,7 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
             # zero Hessian comes with a flat objective, whose row passes the
             # test: its probe is proj(p - grad), and it is never read
             scale = k * np.abs(hss).max(axis=(1, 2))
-            both = project_onto_budget_simplex(np.concatenate(
+            both = _project_onto_face(np.concatenate(
                 (pts - grs, pts - grs / np.where(scale > 0.0, scale, 1.0)[:, None])), budget)
             pg = np.linalg.norm(pts - both[:top.size], axis=1)
             done = pg <= PGD_TOL_REL * (1.0 + np.abs(value[top]))
@@ -277,7 +277,7 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
         owner, rung = np.nonzero(sent)
         rep = rows[owner]
         base = point[rep]
-        cand = project_onto_budget_simplex(base + steps[sent][:, None] * direction[rep], budget)
+        cand = _project_onto_face(base + steps[sent][:, None] * direction[rep], budget)
         cand_val, cand_derive = value_and_grad(cand)
         decrease = np.einsum("sk,sk->s", grad[rep], cand - base)
         passed = np.flatnonzero(cand_val <= value[rep] + _ARMIJO_SLOPE * decrease)

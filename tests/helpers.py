@@ -3,6 +3,7 @@
 import csv
 import math
 
+import mpmath
 import numpy as np
 from scipy.optimize import minimize as sp_minimize
 
@@ -20,7 +21,6 @@ from mseregion.simplex import (
     PgdBatch,
     PgdResult,
     budget_simplex_lattice,
-    project_onto_budget_simplex,
 )
 
 
@@ -117,6 +117,49 @@ def two_user_dominated(mat, config: SystemConfig, target) -> bool:
         root = math.sqrt(max(slope ** 2 - 4.0 * lead * const, 0.0))
         p0 = min(-2.0 * const / (slope + root), budget)
     return s2 * (s2 + p0 * n1) / delta(p0) <= t2
+
+
+def colinear_weighted_minimum(gains, weights, sigma2: float, budget: float) -> float:
+    """Weighted sum-MSE minimum on colinear channels (h_k = alpha_k h),
+    `gains` g_k = |h_k|^2, in 40-digit arithmetic.
+
+    u_k = 1 - eps_k = p_k g_k / (sigma^2 + sum_j p_j g_j) maps the power
+    simplex onto {u >= 0, sum_k u_k (sigma^2 / g_k + P) <= P}, where the
+    objective sum(w) - sum_k w_k u_k is linear.  Its minimum puts the whole
+    budget on one user: sum(w) - max_k w_k P / (sigma^2 / g_k + P).
+    """
+    with mpmath.workdps(40):
+        s2, pw = mpmath.mpf(sigma2), mpmath.mpf(budget)
+        w = [mpmath.mpf(float(v)) for v in weights]
+        best = max(wk * pw / (s2 / mpmath.mpf(float(g)) + pw) for wk, g in zip(w, gains))
+        return float(sum(w) - best)
+
+
+def orthogonal_weighted_minimum(gains, weights, sigma2: float, budget: float) -> float:
+    """Weighted sum-MSE minimum on orthogonal channels, `gains` g_k = |h_k|^2,
+    by water-filling in 40-digit arithmetic.
+
+    eps_k = sigma^2 / (sigma^2 + p_k g_k), and stationarity on sum(p) = P
+    gives p_k = (sqrt(w_k g_k / (sigma^2 lam)) - 1)_+ sigma^2 / g_k, with lam
+    the one root of sum(p) = P.  On the users A that transmit, those with
+    w_k g_k > sigma^2 lam, the root is sqrt(lam) = sigma sum_A sqrt(w_k / g_k)
+    / (P + sum_A sigma^2 / g_k), and w_k eps_k = sigma sqrt(lam w_k / g_k);
+    A is the largest set of the users with the highest w_k g_k whose root
+    keeps its weakest user transmitting.
+    """
+    with mpmath.workdps(40):
+        s2, pw = mpmath.mpf(sigma2), mpmath.mpf(budget)
+        users = sorted(((mpmath.mpf(float(v)), mpmath.mpf(float(g))) for v, g in zip(weights, gains)),
+                       key=lambda user: -user[0] * user[1])
+        for count in range(len(users), 0, -1):
+            active = users[:count]
+            root = (mpmath.sqrt(s2) * sum(mpmath.sqrt(w / g) for w, g in active)
+                    / (pw + sum(s2 / g for _, g in active)))
+            weakest_w, weakest_g = active[-1]
+            if weakest_w * weakest_g > s2 * root ** 2:
+                break
+        value = sum(mpmath.sqrt(s2) * root * mpmath.sqrt(w / g) for w, g in active)
+        return float(value + sum(w for w, _ in users[count:]))
 
 
 def minimax_margin_oracle(channels, config: SystemConfig, targets, resolution: int = 200):
@@ -217,11 +260,11 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
     pending candidate of every running row, derives every one of them
     (`value_and_grad` returns values and a `derive` callable, as for
     `projected_gradient`), and a rejected step is halved for the next
-    round.  The convergence test and the Newton probe are projected in
-    separate calls.  Returns the `PgdBatch` and, per start, the most
+    round.  Every point is projected onto the face {p >= 0, sum(p) =
+    budget}, the convergence test and the Newton probe in separate calls.  Returns the `PgdBatch` and, per start, the most
     steps it had rejected within one iteration.
     """
-    point = project_onto_budget_simplex(np.asarray(start, dtype=np.float64), budget)
+    point = simplex._project_onto_face(np.asarray(start, dtype=np.float64), budget)
     count, k = point.shape
     value, derive = value_and_grad(point)
     value = np.array(value, dtype=np.float64)
@@ -241,7 +284,7 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
         if top.size:
             fresh[top] = False
             pts, grs = point[top], grad[top]
-            pg = np.linalg.norm(pts - project_onto_budget_simplex(pts - grs, budget), axis=1)
+            pg = np.linalg.norm(pts - simplex._project_onto_face(pts - grs, budget), axis=1)
             done = pg <= simplex.PGD_TOL_REL * (1.0 + np.abs(value[top]))
             converged[top] = done
             done |= iters[top] >= simplex._MAX_ITERS
@@ -251,14 +294,14 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
             trial[go] = 1.0
             run[go] = 0
             scale = k * np.abs(hess[go]).max(axis=(1, 2))
-            probe = project_onto_budget_simplex(point[go] - grad[go] / scale[:, None], budget)
+            probe = simplex._project_onto_face(point[go] - grad[go] / scale[:, None], budget)
             direction[go] = simplex._newton_directions(point[go], grad[go], hess[go], budget,
                                                        probe, scale)
         rows = np.flatnonzero(running)
         if not rows.size:
             break
         base = point[rows]
-        cand = project_onto_budget_simplex(base + trial[rows, None] * direction[rows], budget)
+        cand = simplex._project_onto_face(base + trial[rows, None] * direction[rows], budget)
         cand_val, cand_derive = value_and_grad(cand)
         cand_grad, cand_hess = cand_derive(np.arange(rows.size))
         decrease = np.einsum("sk,sk->s", grad[rows], cand - base)

@@ -173,6 +173,19 @@ def test_boundary_with_underflowing_slopes_is_a_range_error(tmp_path):
     assert not out.exists()
 
 
+def test_region_with_mses_outside_the_unit_interval_is_an_input_error(tmp_path):
+    # orthonormal K = 3, N = 4 channel at P/sigma^2 = 1e16: rounding puts
+    # some grid MSEs at 0 or below; one error line and no CSV
+    channels, out = tmp_path / "orthonormal.json", tmp_path / "region.csv"
+    save_channels(channels, ChannelSet(np.eye(4, 3)))
+    proc = run_cli("region", "--channels", str(channels), "--grid", "30", "--power", "1e16",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MSE values must lie in (0, 1], got ")
+    assert not out.exists()
+
+
 def test_boundary_channels_past_the_float64_range_print_one_error_line(tmp_path):
     # |h1|^2 overflows in the dead-user check, the classification and the
     # sweep: the one range error line, with no RuntimeWarning and no CSV
@@ -660,7 +673,7 @@ def test_wsmse_on_a_flat_objective_warns_nothing(tmp_path):
                            str(path), "--weights", "0.22,0.54,0.24"], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     payload = json.loads(proc.stdout)
-    assert payload["cluster_count"] == len(payload["clusters"]) == 21
+    assert payload["cluster_count"] == len(payload["clusters"]) == 20
     assert all(c["converged"] and c["objective"] == 1.0 for c in payload["clusters"])
 
 

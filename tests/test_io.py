@@ -264,14 +264,15 @@ OUTSIDE_DIGIT_PATH_GRIDS = {1: 3000, 2: 100, 3: 30, 4: 15}
 def test_region_csv_grid_levels_outside_the_digit_path_match_reference_writer(tmp_path, k, monkeypatch):
     # at P = 1e-6 every nonzero level is below 1e-4, in exponent form; at
     # P = 1e17 the levels reach 2**52 and beyond.  N = 1 keeps the kernel
-    # finite at either end.
+    # finite at either end, and sigma^2 = P at 1e17 keeps every MSE in
+    # (0, 1], which rounding at P/sigma^2 = 1e17 would not.
     resolution = OUTSIDE_DIGIT_PATH_GRIDS[k]
     channels = random_channels(np.random.default_rng(950 + k), 1, k)
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
     for workers in each_split(monkeypatch):
         for power in (1e-6, 1e17):
-            samples = sample_region(channels, SystemConfig(noise_variance=1.0, power_budget=power),
-                                    resolution, mode="grid")
+            config = SystemConfig(noise_variance=max(1.0, power), power_budget=power)
+            samples = sample_region(channels, config, resolution, mode="grid")
             levels = samples.levels[1:]
             assert (levels < 1e-4).all() if power < 1.0 else (levels[-1] >= 2.0 ** 52)
             write_region_csv(ours, samples)

@@ -24,7 +24,13 @@ from mseregion.io import to_jsonable
 from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
 from mseregion.tolerances import TOL_ACTIVE_REL, TOL_KKT
 
-from helpers import random_channels, random_config
+from helpers import (
+    colinear_weighted_minimum,
+    orthogonal_weighted_minimum,
+    random_channels,
+    random_config,
+    random_powers,
+)
 
 # Three-user instance with two stationary points, restated independently
 # of the library's own copy.
@@ -76,7 +82,7 @@ def test_reference_instance_two_clusters():
 def test_reference_starts_take_few_newton_steps():
     starts = kkt._start_points(3, REF_CONFIG.power_budget, 16, 0)
     certs = minimize_weighted_sum_mse(REF_H, REF_CONFIG, REF_WEIGHTS, starts)
-    assert len(certs) == 16 + 3 + 2
+    assert len(certs) == 16 + 3 + 1
     for cert in certs:
         assert cert.converged
         assert not cert.stalled
@@ -165,6 +171,59 @@ def test_weight_scaling_law(monkeypatch):
         assert scaled.objective == pytest.approx(3.0 * base.objective, rel=1e-9)
         assert scaled.lam == pytest.approx(3.0 * base.lam, rel=1e-4, abs=1e-9)
         np.testing.assert_allclose(scaled.mu, 3.0 * base.mu, rtol=1e-4, atol=1e-9)
+
+
+def test_full_budget_lowers_every_transmitting_mse():
+    # the lemma the solver's face rests on: from interior powers, scaling
+    # up to the budget strictly lowers the MSE of every user that
+    # transmits and leaves a silent user's at 1.  So every start and every
+    # certificate spends the whole budget
+    rng = np.random.default_rng(27)
+    for k in range(2, 7):
+        for _ in range(4):
+            channels = random_channels(rng, int(rng.integers(1, 9)), k)
+            config = random_config(rng)
+            budget = config.power_budget
+            p = random_powers(rng, k, budget) * rng.uniform(0.1, 0.9)
+            p[1:][rng.random(k - 1) < 0.3] = 0.0
+            inner, full = mse_tuples(channels, np.stack([p, p * (budget / p.sum())]), config)
+            on = p > 0.0
+            assert (full[on] < inner[on]).all()
+            assert (full[~on] == 1.0).all() and (inner[~on] == 1.0).all()
+            seed = int(rng.integers(1000))
+            starts = kkt._start_points(k, budget, 8, seed)
+            certs = enumerate_stationary_points(channels, config, rng.uniform(0.05, 1.0, k),
+                                                starts=8, seed=seed)
+            for powers in (starts, np.array([c.powers for c in certs])):
+                np.testing.assert_allclose(powers.sum(axis=1), budget, rtol=1e-12, atol=0.0)
+
+
+def _closed_form_family(family, rng, n_antennas, k):
+    """Channels of one closed-form family: colinear columns alpha_k h, or
+    scaled orthonormal columns."""
+    if family == "colinear":
+        h = rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)
+        return np.outer(h, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    basis = np.linalg.qr(rng.standard_normal((n_antennas, n_antennas))
+                         + 1j * rng.standard_normal((n_antennas, n_antennas)))[0]
+    return basis[:, :k] * rng.uniform(0.5, 2.0, k)
+
+
+@pytest.mark.parametrize("family, oracle", [("colinear", colinear_weighted_minimum),
+                                            ("orthogonal", orthogonal_weighted_minimum)])
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_closed_form_families_give_one_cluster_at_the_minimum(family, oracle, k):
+    # both families have one local minimum of the weighted sum-MSE, in
+    # closed form (tests/helpers.py)
+    rng = np.random.default_rng(k)
+    for snr in (1e-2, 1.0, 1e2):
+        mat = _closed_form_family(family, rng, 8, k)
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        w = rng.uniform(0.05, 1.0, k)
+        exact = oracle(np.sum(np.abs(mat) ** 2, axis=0), w, 1.0, snr)
+        clusters = enumerate_stationary_points(mat, config, w)
+        assert len(clusters) == 1 and clusters[0].converged, (snr, len(clusters))
+        assert clusters[0].objective == pytest.approx(exact, rel=1e-12, abs=0.0), snr
 
 
 def test_two_user_solver_beats_lattice_oracle():
@@ -306,7 +365,7 @@ def test_enumerate_invariant_under_start_permutation(monkeypatch):
     base = kkt._start_points
     for channels, config, w, _ in _invariance_instances():
         plain = enumerate_stationary_points(channels, config, w, starts=16, seed=3)
-        count = 16 + channels.n_users + 2
+        count = 16 + channels.n_users + 1
         perm = np.random.default_rng(count).permutation(count)
         monkeypatch.setattr(kkt, "_start_points", lambda *a: base(*a)[perm])
         shuffled = enumerate_stationary_points(channels, config, w, starts=16, seed=3)
@@ -351,10 +410,10 @@ def test_counterexample_checks_missing_clusters(monkeypatch):
         assert (report.segment is None) == (keep < 2)
 
 
-def _per_start_certificate(run, budget):
-    """The former certificate of one start: multipliers, residuals and
-    the residual test formed for that start alone."""
-    grad, p = run.gradient, run.point
+def _per_start_certificate(grad, p, budget):
+    """The former certificate of one start at powers `p` with gradient
+    `grad`: multipliers, residuals and the residual test formed for that
+    start alone."""
     active = p > TOL_ACTIVE_REL * budget
     tight = p.sum() >= budget * (1.0 - kkt._TIGHT_REL)
     lam = max(0.0, float((-grad[active]).max())) if tight and active.any() else 0.0
@@ -365,14 +424,15 @@ def _per_start_certificate(run, budget):
     passed = (float(np.abs(stationarity).max()) <= TOL_KKT
               and float(np.abs(complementarity).max()) <= TOL_KKT
               and abs(budget_comp) <= TOL_KKT * budget)
-    return lam, mu, stationarity, complementarity, slack, budget_comp, run.converged and passed
+    return lam, mu, stationarity, complementarity, slack, budget_comp, passed
 
 
 @pytest.mark.parametrize("max_iters", [0, 5000])
 def test_one_pass_certificates_match_per_start_fits_bitwise(max_iters, monkeypatch):
-    # with no iterations every start is its own end point: the origin (no
-    # active user), the vertices, the centroid and interior draws, whose
-    # budgets are not tight
+    # with no iterations every start is its own end point: the vertices
+    # (one active user), the centroid and draws on the face.  Every start
+    # is on the face, so the untight fit is checked through
+    # `recover_multipliers` at interior powers
     monkeypatch.setattr(simplex, "_MAX_ITERS", max_iters)
     rng = np.random.default_rng(33)
     untight = 0
@@ -384,7 +444,8 @@ def test_one_pass_certificates_match_per_start_fits_bitwise(max_iters, monkeypat
         runs = simplex.projected_gradient(kkt._evaluator(chan, config, w), starts, snr).results
         certs = kkt._solve(chan, config, w, starts)
         for run, cert in zip(runs, certs):
-            lam, mu, stat, comp, slack, budget_comp, converged = _per_start_certificate(run, snr)
+            lam, mu, stat, comp, slack, budget_comp, passed = _per_start_certificate(
+                run.gradient, run.point, snr)
             assert np.float64(cert.lam).tobytes() == np.float64(lam).tobytes()
             assert cert.mu.tobytes() == mu.tobytes()
             assert cert.residuals.stationarity.tobytes() == stat.tobytes()
@@ -392,7 +453,12 @@ def test_one_pass_certificates_match_per_start_fits_bitwise(max_iters, monkeypat
             assert np.float64(cert.residuals.budget_slack).tobytes() == np.float64(slack).tobytes()
             assert np.float64(cert.residuals.budget_complementarity).tobytes() \
                 == np.float64(budget_comp).tobytes()
-            assert cert.converged == converged
+            assert cert.converged == (run.converged and passed)
+        for p in sample_budget_simplex(rng, k, snr, 8):
+            lam, mu = recover_multipliers(chan, config, w, p)
+            grad = weighted_mse_gradient(chan, p, config, w)
+            ref_lam, ref_mu, _, _, slack, _, _ = _per_start_certificate(grad, p, snr)
+            assert np.float64(lam).tobytes() == np.float64(ref_lam).tobytes()
+            assert mu.tobytes() == ref_mu.tobytes()
             untight += slack > kkt._TIGHT_REL * snr
-    if max_iters == 0:
-        assert untight > 0
+    assert untight > 0

@@ -519,6 +519,19 @@ def test_power_and_mse_tuple_validation():
     assert len(MseTuple([0.5, 1.0])) == 2
 
 
+def test_mse_tuples_reject_mses_outside_the_unit_interval():
+    # orthonormal channels at P/sigma^2 = 1e16: eps_1 = 1 / (1 + p) rounds
+    # to 0 at p = 1e16, which both the batch and the one-row reader reject
+    channels = ChannelSet(np.eye(4, 3))
+    config = SystemConfig(noise_variance=1.0, power_budget=1e16)
+    rows = np.array([[1e15, 0.0, 0.0], [1e16, 0.0, 0.0]])
+    assert (mse_tuples(channels, rows[:1], config) > 0.0).all()
+    with pytest.raises(ValueError, match=r"MSE values must lie in \(0, 1\], got 0\.0"):
+        mse_tuples(channels, rows, config)
+    with pytest.raises(ValueError, match=r"MSE values must lie in \(0, 1\]"):
+        mse_tuple(channels, rows[1], config)
+
+
 def test_vector_records_follow_numpy_array_protocol():
     # numpy 2 passes `copy` to __array__; a record converts, to an array or
     # to a new record, with no DeprecationWarning, and so do the region
