@@ -101,8 +101,9 @@ class KktResiduals:
 class KktCertificate:
     """A solver end point with its multipliers and residual replay.
 
-    `backtracks` counts the solver's rejected trial steps; `stalled`
-    marks a run whose Armijo backtracking gave out before the
+    `backtracks` counts the solver's rejected trial steps at or below
+    t = 1, never a first try's longer steps; `stalled` marks a run whose
+    Armijo backtracking gave out before the
     projected-gradient test passed (see `projected_gradient`).
     """
 

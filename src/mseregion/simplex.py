@@ -5,9 +5,10 @@ p up to the budget lowers every transmitting user's MSE, so every minimum
 of a weighted sum-MSE with nonnegative weights lies there.
 
 The loop runs a batch of starts in lockstep rounds of one
-`value_and_grad` call each.  A start that is backtracking sends several
-trial steps of its Armijo ladder in the same call, so a round serves
-every running start and a start needs fewer rounds than rejected steps.
+`value_and_grad` call each.  A start sends several trial steps of its
+Armijo search in the same call: t = 1, 2, 4, 8 on an iteration's first
+try, and its next halvings after a rejection, so a round serves every
+running start and a start needs fewer rounds than trial steps.
 The call returns the values of every trial step and a `derive` closure;
 the loop asks it for gradients and Hessians only at the steps it
 accepts, the only points a direction is computed from.
@@ -36,22 +37,31 @@ __all__ = [
 # direction d gives the candidate c = proj(p + t d), accepted when
 # f(c) <= f(p) + _ARMIJO_SLOPE * <grad, c - p>; a rejected step is
 # multiplied by _SHRINK, and a step below _MIN_STEP stalls the start.
-# Every iteration first tries t = 1.
+# Every iteration first tries t = 1 together with the longer steps
+# 1 / _RUNG_SCALES (see `projected_gradient`).
 _ARMIJO_SLOPE = 1e-4
 _SHRINK = 0.5
 _MIN_STEP = 1e-18
 # Trial steps one round sends for a start whose step was just rejected:
-# t, t/2, ..., t/2**(_LADDER - 1).  _SHRINK is a power of two, so each
-# rung is exactly the step that halving one rejection at a time would
-# reach.  On four rounds of the benchmark's wsmse-multistart panel (seed
-# 5), ladders of 1, 2, 3, 4, 6 and 8 rungs made 692, 527, 476, 450, 426
-# and 414 kernel calls on 7944, 8214, 8492, 8804, 9446 and 10092 rows.
-# Eight rounds took 0.81, 0.79, 0.81, 0.80 and 0.80 of the one-rung time
-# from 2 rungs on (median of 9 interleaved repeats, 2-core VM), so the
-# time is flat there; 4 is the shortest ladder under 460 calls, and a
-# longer one only adds rows.
+# t, t/2, ..., t/2**(_LADDER - 1), and on an iteration's first try t = 1,
+# 2, ..., 2**(_LADDER - 1).  _SHRINK is a power of two, so each rung after
+# a rejection is exactly the step that halving one rejection at a time
+# would reach.  On four rounds of the benchmark's wsmse-multistart panel
+# (seed 5), ladders of 1, 2, 3, 4, 6 and 8 rungs after a rejection made
+# 692, 527, 476, 450, 426 and 414 kernel calls on 7944, 8214, 8492, 8804,
+# 9446 and 10092 rows, with t = 1 alone on each first try and the
+# gradient and Hessian formed at every row.  Eight rounds took 0.81,
+# 0.79, 0.81, 0.80 and 0.80 of the one-rung time from 2 rungs on (median
+# of 9 interleaved repeats, 2-core VM), so the time is flat there; 4 is
+# the shortest ladder under 460 calls, and a longer one only adds rows.
+# On the face, with derivatives formed only at accepted steps, the same
+# rounds made 367 calls on 5662 value rows and 5290 derived rows with t =
+# 1 alone on each first try, and make 251 calls on 15224 value rows and
+# 4138 derived rows with the four first-try rungs: a vertex start's
+# Newton step raises a silent user's power only about 1.5-fold.
 _LADDER = 4
 _RUNG_SCALES = _SHRINK ** np.arange(_LADDER)
+_FIRST_TRY = 1.0 / _RUNG_SCALES
 # Projected Newton directions (`_newton_directions`): a user is held at
 # zero when the scaled gradient step sends it there and its power is at
 # most _ACTIVE_FRACTION of the budget; Hessian eigenvalues are floored at
@@ -132,7 +142,8 @@ def lattice_size(k: int, resolution: int) -> int:
 class PgdResult:
     """Outcome of one start: `point` is on the face {p >= 0, sum(p) = budget}.
 
-    `backtracks` counts the rejected trial steps.  `stalled` marks a run
+    `backtracks` counts the rejected trial steps at or below t = 1; a
+    first try's longer steps never count.  `stalled` marks a run
     whose backtracking fell below 1e-18 without an accepted step;
     `converged` is then decided by the projected-gradient test at the
     last accepted point.
@@ -213,16 +224,21 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
     callable that maps an integer array of row indices into those points
     to the rows' (M, K) gradients and (M, K, K) Hessians.  The loop
     derives every start and, in each round, only the trial steps it
-    accepts.  Each iteration searches along `_newton_directions` from
-    t = 1.  The starts run in lockstep: every row keeps its own step,
-    iteration count and backtracking, and each round is one call on the
-    trial steps of every running row.  A row on the first try of an
-    iteration sends t = 1 alone; a row whose step was just rejected sends
-    the next _LADDER halvings t, t/2, ..., t/2**(_LADDER - 1) at once,
-    none below 1e-18, and takes the first that passes the Armijo test.
-    These are exactly the steps that halving one rejection per round
-    would try, and `backtracks` counts the rejected ones the same way, so
-    only the number of rounds differs.  When `value_and_grad` evaluates
+    accepts.  Each iteration searches along `_newton_directions`.  The
+    starts run in lockstep: every row keeps its own step, iteration count
+    and backtracking, and each round is one call on the trial steps of
+    every running row.  A row on the first try of an iteration sends t =
+    1, 2, ..., 2**(_LADDER - 1).  Among those that pass the Armijo test
+    it takes the lowest-valued, ties to the smaller step, if its value is
+    below the unit step's by more than the stopping tolerance PGD_TOL_REL
+    * (1 + |f|), and t = 1 otherwise; near a minimum the longer steps
+    cannot beat the Newton step by that much, so the path there is
+    Newton's.  If t = 1 fails, the longer steps are dropped.  A row whose
+    step was just rejected sends the next _LADDER halvings t, t/2, ...,
+    t/2**(_LADDER - 1) at once, none below 1e-18, and takes the first
+    that passes.  These are exactly the steps that halving one rejection
+    per round would try, and `backtracks` counts the rejected ones, from
+    t = 1 down, the same way.  When `value_and_grad` evaluates
     and derives rows independently, a start's result does not depend on
     the batch it ran in; a single start is a batch of one.
     """
@@ -268,19 +284,34 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
         rows = np.flatnonzero(running)
         if not rows.size:
             break
-        # rung i of a row tries its step times _SHRINK**i: one rung on the
-        # first try of an iteration, _LADDER after a rejection, and none
-        # below _MIN_STEP, so the rungs are the steps halving would try
+        # rung i of a row tries t = _FIRST_TRY[i] on the first try of an
+        # iteration, and after a rejection its step times _SHRINK**i, none
+        # below _MIN_STEP: the steps halving would try
+        first = trial[rows] == 1.0
         steps = trial[rows, None] * _RUNG_SCALES
+        steps[first] = _FIRST_TRY
         sent = steps >= _MIN_STEP
-        sent[trial[rows] == 1.0, 1:] = False
         owner, rung = np.nonzero(sent)
         rep = rows[owner]
         base = point[rep]
         cand = _project_onto_face(base + steps[sent][:, None] * direction[rep], budget)
         cand_val, cand_derive = value_and_grad(cand)
         decrease = np.einsum("sk,sk->s", grad[rep], cand - base)
-        passed = np.flatnonzero(cand_val <= value[rep] + _ARMIJO_SLOPE * decrease)
+        passed = cand_val <= value[rep] + _ARMIJO_SLOPE * decrease
+        # a first try keeps one rung, the lowest-valued passing one, ties to
+        # the smaller step and to t = 1 within the stopping tolerance, and
+        # none if t = 1 fails; it counts no backtrack, and a failed one
+        # leaves the row its unit rung to halve
+        block = np.flatnonzero(first[owner]).reshape(-1, _LADDER)
+        score = np.where(passed[block], cand_val[block], np.inf)
+        score[:, 0] -= PGD_TOL_REL * (1.0 + np.abs(value[rows[first]]))
+        keep = block[np.arange(block.shape[0]), np.argmin(score, axis=1)]
+        unit = passed[block[:, 0]]
+        passed[block] = False
+        passed[keep] = unit
+        rung[block] = 0
+        sent[first, 1:] = False
+        passed = np.flatnonzero(passed)
         # each row takes its first passing rung, the largest passing step;
         # `owner` ascends, so that is where the owner changes
         owners = owner[passed]

@@ -255,14 +255,20 @@ def reference_region_csv(path, powers, mses) -> None:
 def sequential_projected_gradient(value_and_grad, start, budget: float):
     """Reference projected Newton loop: one trial step per start per round.
 
-    The same iteration as `simplex.projected_gradient` with its Armijo
-    backtracking done one rejection at a time: each round evaluates the
-    pending candidate of every running row, derives every one of them
-    (`value_and_grad` returns values and a `derive` callable, as for
-    `projected_gradient`), and a rejected step is halved for the next
-    round.  Every point is projected onto the face {p >= 0, sum(p) =
-    budget}, the convergence test and the Newton probe in separate calls.  Returns the `PgdBatch` and, per start, the most
-    steps it had rejected within one iteration.
+    The same iteration as `simplex.projected_gradient` with every trial
+    step in a round of its own.  An iteration's first try evaluates t =
+    2**(_LADDER - 1), ..., 2, 1 one per round and keeps the lowest-valued
+    longer step that passes the Armijo test, ties to the later, smaller
+    step.  At t = 1 it takes the kept step if its value is below the unit
+    step's by more than PGD_TOL_REL * (1 + |f|), else the unit step; a
+    failed unit step drops the kept one and is halved one rejection per
+    round.  Each round evaluates the pending candidate of every running
+    row and derives every one of them (`value_and_grad` returns values and
+    a `derive` callable, as for `projected_gradient`).  Every point is
+    projected onto the face {p >= 0, sum(p) = budget}, the convergence
+    test and the Newton probe in separate calls.  Returns the `PgdBatch`
+    and, per start, the most steps at or below t = 1 it had rejected
+    within one iteration.
     """
     point = simplex._project_onto_face(np.asarray(start, dtype=np.float64), budget)
     count, k = point.shape
@@ -271,6 +277,8 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
     grad, hess = (np.array(out, dtype=np.float64) for out in derive(np.arange(count)))
     direction = np.zeros_like(point)
     trial = np.zeros(count)
+    kept_val = np.full(count, np.inf)               # best longer step of this first try
+    kept_point, kept_grad, kept_hess = np.zeros_like(point), np.zeros_like(grad), np.zeros_like(hess)
     iters = np.zeros(count, dtype=np.int64)
     backtracks = np.zeros(count, dtype=np.int64)
     run = np.zeros(count, dtype=np.int64)            # rejections in this iteration
@@ -291,7 +299,8 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
             running[top[done]] = False
             go = top[~done]
             iters[go] += 1
-            trial[go] = 1.0
+            trial[go] = 2.0 ** (simplex._LADDER - 1)
+            kept_val[go] = np.inf
             run[go] = 0
             scale = k * np.abs(hess[go]).max(axis=(1, 2))
             probe = simplex._project_onto_face(point[go] - grad[go] / scale[:, None], budget)
@@ -306,11 +315,25 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
         cand_grad, cand_hess = cand_derive(np.arange(rows.size))
         decrease = np.einsum("sk,sk->s", grad[rows], cand - base)
         ok = cand_val <= value[rows] + simplex._ARMIJO_SLOPE * decrease
-        acc = rows[ok]
-        point[acc], value[acc] = cand[ok], cand_val[ok]
-        grad[acc], hess[acc] = cand_grad[ok], cand_hess[ok]
+        longer = trial[rows] > 1.0
+        keep = longer & ok & (cand_val <= kept_val[rows])
+        kept = rows[keep]
+        kept_val[kept], kept_point[kept] = cand_val[keep], cand[keep]
+        kept_grad[kept], kept_hess[kept] = cand_grad[keep], cand_hess[keep]
+        trial[rows[longer]] *= simplex._SHRINK
+        # a step at or below t = 1: the kept step only beats the unit one
+        take = ~longer & ok
+        gate = simplex.PGD_TOL_REL * (1.0 + np.abs(value[rows]))
+        ahead = take & (kept_val[rows] < cand_val - gate)
+        acc = rows[take]
+        point[acc], value[acc] = cand[take], cand_val[take]
+        grad[acc], hess[acc] = cand_grad[take], cand_hess[take]
+        far = rows[ahead]
+        point[far], value[far] = kept_point[far], kept_val[far]
+        grad[far], hess[far] = kept_grad[far], kept_hess[far]
         fresh[acc] = True
-        back = rows[~ok]
+        kept_val[rows[~longer]] = np.inf
+        back = rows[~longer & ~ok]
         backtracks[back] += 1
         run[back] += 1
         longest[back] = np.maximum(longest[back], run[back])

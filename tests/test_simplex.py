@@ -169,14 +169,51 @@ def test_pgd_stall_is_reported():
     assert result.iterations == 1
     assert result.backtracks == 60       # 2**-60 is the first step below 1e-18
     np.testing.assert_array_equal(result.point, s)
-    # the start, then each step halving would try, once, and none below 1e-18
-    assert steps == [0.0] + [2.0 ** -j for j in range(60)]
-    assert min(steps[1:]) >= 1e-18
-    # t = 1 goes alone; the 59 halvings go _LADDER to a call
+    # the start, the first try's t = 1, 2, 4, 8 (the longer ones projected
+    # onto the vertex (1, 0)), then each step halving would try from t =
+    # 1/2, once, and none below 1e-18
     rungs = simplex._LADDER
-    assert sizes == [1, 1] + [rungs] * (59 // rungs) + [59 % rungs] * (59 % rungs > 0)
+    assert steps == [0.0, 1.0] + [2.0] * (rungs - 1) + [2.0 ** -j for j in range(1, 60)]
+    assert min(steps[1:]) >= 1e-18
+    # the first try goes in one call; the 59 halvings go _LADDER to a call
+    assert sizes == [1, rungs] + [rungs] * (59 // rungs) + [59 % rungs] * (59 % rungs > 0)
     # no step was accepted, so only the start was derived
     assert derived == [1]
+
+
+def test_pgd_first_try_takes_the_unit_step_on_a_quadratic():
+    # on |p - target|^2 / 2 the Newton step t = 1 lands on the face
+    # minimum.  Inside the face the longer rungs t = 2, 4, 8 fail the
+    # Armijo test; past an edge they project to about the same point, and
+    # a value no lower than the unit step's by the stopping tolerance
+    # leaves t = 1 taken
+    for target, budget, longer_pass in ((np.array([0.2, 0.5, 0.1]), 2.0, False),
+                                        (np.array([3.0, 2.0, -1.0]), 1.0, True)):
+        quad = _quad_rows(target)
+        sizes, values, derived = [], [], []
+
+        def counted(p):
+            sizes.append(p.shape[0])
+            vals, derive = quad(p)
+            values.append(vals)
+
+            def counted_derive(index):
+                derived.append(np.asarray(index).tolist())
+                return derive(index)
+            return vals, counted_derive
+
+        starts = budget * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                    [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
+        batch = projected_gradient(counted, starts, budget)
+        assert batch.converged
+        assert [(r.iterations, r.backtracks) for r in batch.results] == [(1, 0)] * 4
+        # one call on the starts, one on the four rungs of every first try,
+        # and each start takes its first rung, t = 1
+        rungs = simplex._LADDER
+        assert sizes == [4, 4 * rungs]
+        assert derived == [[0, 1, 2, 3], list(range(0, 4 * rungs, rungs))]
+        trial = values[1].reshape(4, rungs)
+        assert (trial[:, 1:] <= trial[:, :1] + simplex.PGD_TOL_REL).any() == longer_pass
 
 
 def test_pgd_batch_rows_match_single_runs():
@@ -249,7 +286,8 @@ def test_pgd_ladder_needs_fewer_rounds():
     calls.clear()
     reference, runs = sequential_projected_gradient(derivatives, starts, 18.5)
     assert_pgd_batches_equal(batch, reference)
-    assert runs.max() > simplex._LADDER
+    # some start rejected several steps in one iteration, which one round sends
+    assert runs.max() > 1
     assert ladder < len(calls)
 
 
@@ -275,7 +313,7 @@ def test_pgd_derives_only_starts_and_accepted_steps():
     # one derived row per start and per accepted step: every iteration
     # but a stalled one ends in an accepted step
     accepted = sum(r.iterations - r.stalled for r in batch.results)
-    assert sum(derived) == len(starts) + accepted == 22 + 192
-    # the trial steps are those of deriving every row: 14 calls on 258 rows
-    assert (len(valued), sum(valued)) == (14, 258)
+    assert sum(derived) == len(starts) + accepted == 22 + 160
+    # the trial steps: 12 calls on 706 rows, four per first try
+    assert (len(valued), sum(valued)) == (12, 706)
     assert sum(derived) < sum(valued)
