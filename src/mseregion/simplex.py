@@ -54,11 +54,14 @@ _MIN_STEP = 1e-18
 # 0.79, 0.81, 0.80 and 0.80 of the one-rung time from 2 rungs on (median
 # of 9 interleaved repeats, 2-core VM), so the time is flat there; 4 is
 # the shortest ladder under 460 calls, and a longer one only adds rows.
-# On the face, with derivatives formed only at accepted steps, the same
-# rounds made 367 calls on 5662 value rows and 5290 derived rows with t =
-# 1 alone on each first try, and make 251 calls on 15224 value rows and
-# 4138 derived rows with the four first-try rungs: a vertex start's
-# Newton step raises a silent user's power only about 1.5-fold.
+# On the face, with derivatives formed only at accepted steps, first
+# tries up to t = 1, 2, 4, 8 and 16 made 367, 279, 262, 251 and 260 calls
+# on 5662, 8584, 11755, 15224 and 18695 value rows and 5290, 4408, 4181,
+# 4138 and 4107 derived rows: a vertex start's Newton step raises a
+# silent user's power only about 1.5-fold.  Their pass times over those
+# rounds were 0.84-0.97 of t = 1 alone in the median ratio, but the run
+# spread was wider than their differences (9 interleaved repeats, 2-core
+# VM), so the top step is the one with the fewest calls, 2**(_LADDER - 1).
 _LADDER = 4
 _RUNG_SCALES = _SHRINK ** np.arange(_LADDER)
 _FIRST_TRY = 1.0 / _RUNG_SCALES
@@ -301,16 +304,18 @@ def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:
         # a first try keeps one rung, the lowest-valued passing one, ties to
         # the smaller step and to t = 1 within the stopping tolerance, and
         # none if t = 1 fails; it counts no backtrack, and a failed one
-        # leaves the row its unit rung to halve
-        block = np.flatnonzero(first[owner]).reshape(-1, _LADDER)
-        score = np.where(passed[block], cand_val[block], np.inf)
-        score[:, 0] -= PGD_TOL_REL * (1.0 + np.abs(value[rows[first]]))
-        keep = block[np.arange(block.shape[0]), np.argmin(score, axis=1)]
-        unit = passed[block[:, 0]]
-        passed[block] = False
-        passed[keep] = unit
-        rung[block] = 0
-        sent[first, 1:] = False
+        # leaves the row its unit rung to halve.  A round of backtracking
+        # rows alone skips this
+        if first.any():
+            block = np.flatnonzero(first[owner]).reshape(-1, _LADDER)
+            score = np.where(passed[block], cand_val[block], np.inf)
+            score[:, 0] -= PGD_TOL_REL * (1.0 + np.abs(value[rows[first]]))
+            keep = block[np.arange(block.shape[0]), np.argmin(score, axis=1)]
+            unit = passed[block[:, 0]]
+            passed[block] = False
+            passed[keep] = unit
+            rung[block] = 0
+            sent[first, 1:] = False
         passed = np.flatnonzero(passed)
         # each row takes its first passing rung, the largest passing step;
         # `owner` ascends, so that is where the owner changes

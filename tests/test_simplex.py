@@ -273,7 +273,7 @@ def test_pgd_ladder_needs_fewer_rounds():
     chan = random_channels(rng, 4, 5)
     config = SystemConfig(noise_variance=1.0, power_budget=18.5)
     weights = WeightVector(rng.uniform(0.05, 1.0, 5))
-    starts = kkt._start_points(5, 18.5, 16, 2)
+    starts = kkt._start_points(5, 18.5, 16, 1)
     calls = []
     evaluate = kkt._evaluator(chan, config, weights.weights)
 
@@ -286,8 +286,7 @@ def test_pgd_ladder_needs_fewer_rounds():
     calls.clear()
     reference, runs = sequential_projected_gradient(derivatives, starts, 18.5)
     assert_pgd_batches_equal(batch, reference)
-    # some start rejected several steps in one iteration, which one round sends
-    assert runs.max() > 1
+    assert runs.max() > simplex._LADDER
     assert ladder < len(calls)
 
 
