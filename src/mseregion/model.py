@@ -520,9 +520,9 @@ def _weighted_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float, w:
 
     The value phase runs here on every row: f = sum_k w_k eps_k from the
     MSEs of `_mse_terms`.  `derive(index)` weights its terms for
-    `rows[index]` only into (grad, Hessian).  Every reduction is an
-    `einsum` over one row, not BLAS, so a derived row is bitwise the same
-    whichever rows are derived with it.
+    `rows[index]` only into (grad, Hessian).  Every reduction runs over
+    one row, an `einsum` or a stacked `@` (one BLAS product per row), so
+    a derived row is bitwise the same whichever rows are derived with it.
     """
     eps, terms = _mse_terms(mat, rows, noise_variance)
     value = np.einsum("...k,k->...", eps, w)
@@ -531,7 +531,7 @@ def _weighted_terms(mat: np.ndarray, rows: np.ndarray, noise_variance: float, w:
         pw, (gram, mag, jac) = rows[index], terms(index)
         grad = np.einsum("...lk,l->...k", jac, w)
         # A diag(w p) A
-        sandwich = np.einsum("...kl,...lj->...kj", gram * (pw * w)[..., None, :], gram)
+        sandwich = (gram * (pw * w)[..., None, :]) @ gram
         coupling = (np.swapaxes(gram, -1, -2) * sandwich).real
         hess = (w[:, None] + w) * mag - 2.0 * coupling
         return grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))

@@ -11,7 +11,10 @@ try, and its next halvings after a rejection, so a round serves every
 running start and a start needs fewer rounds than trial steps.
 The call returns the values of every trial step and a `derive` closure;
 the loop asks it for gradients and Hessians only at the steps it
-accepts, the only points a direction is computed from.
+accepts, the only points a direction is computed from.  A direction is
+the plain Newton step on the face, one batched linear solve, wherever one
+batched Cholesky factorisation shows the projected Hessian's eigenvalues
+all above their floor; only the other rows take an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the gufuncs behind np.linalg.cholesky, which fills a row it cannot factor
+# with NaN where np.linalg.cholesky raises for the whole stack, and behind
+# np.linalg.solve for one right-hand side, without the wrapper's checks
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .tolerances import PGD_TOL_REL
 
@@ -193,6 +201,15 @@ def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     projected Hessian's eigenvalues are replaced by their absolute values
     floored at _EIGEN_FLOOR * s, so every direction descends on this
     nonconvex objective.
+
+    That modification changes nothing on a row whose eigenvalues all lie
+    above the floor, which is most rows: there the step is the plain
+    Newton step, one linear solve.  One batched Cholesky factorisation of
+    the matrix shifted down by the floor decides which rows those are
+    (the factor exists exactly when every eigenvalue is above it), and
+    only the other rows take `_eigen_steps`.  Each row's path is chosen
+    by its own factor, and every product is one per row, so a row's
+    direction does not depend on its batch.
     """
     eye = np.eye(point.shape[1])
     gap = np.linalg.norm(point - probe, axis=1)
@@ -201,15 +218,40 @@ def _newton_directions(point: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     share = 1.0 / np.maximum(free.sum(axis=1), 1.0)
     # orthogonal projector onto the free coordinates within the face
     zmat = free[:, :, None] * eye - share[:, None, None] * free[:, :, None] * free[:, None, :]
-    reduced = np.einsum("sil,slm->sim", np.einsum("sij,sjl->sil", zmat, hess), zmat)
+    zgrad = np.einsum("sjl,sl->sj", zmat, grad)
     # the complement of zmat's range gets eigenvalue `scale`, so the
-    # modified inverse keeps zmat @ grad in the free subspace
-    lam, vec = np.linalg.eigh(reduced + scale[:, None, None] * (eye - zmat))
-    lam = np.maximum(np.abs(lam), _EIGEN_FLOOR * scale[:, None])
-    coeff = np.einsum("sji,sj->si", vec, np.einsum("sjl,sl->sj", zmat, grad)) / lam
-    step = -np.einsum("sij,sj->si", zmat, np.einsum("sjl,sl->sj", vec, coeff))
+    # inverse keeps zmat @ grad in the free subspace
+    newton = zmat @ hess @ zmat + scale[:, None, None] * (eye - zmat)
+    # NaN in exactly the rows whose shifted matrix has no Cholesky factor
+    with np.errstate(invalid="ignore"):
+        low = _cholesky_lo(newton - (_EIGEN_FLOOR * scale)[:, None, None] * eye)
+    rest = np.flatnonzero(~np.isfinite(low.diagonal(axis1=1, axis2=2)).all(axis=1))
+    # every matrix solved is then positive definite or I, and the eigen
+    # steps overwrite the rows solved against I
+    newton[rest] = eye
+    step = _solve1(newton, zgrad)
+    if rest.size:
+        step[rest] = _eigen_steps(zmat[rest], hess[rest], zgrad[rest], scale[rest])
+    step = -np.einsum("sij,sj->si", zmat, step)
     fill = share * (budget - np.einsum("sk,sk->s", free, point))
     return np.where(fixed, -point, step + fill[:, None])
+
+
+def _eigen_steps(zmat: np.ndarray, hess: np.ndarray, zgrad: np.ndarray,
+                 scale: np.ndarray) -> np.ndarray:
+    """(M^+)^{-1} zgrad row by row, where M^+ is the projected Hessian
+    zmat H zmat + scale (I - zmat) with its eigenvalues replaced by their
+    absolute values floored at _EIGEN_FLOOR * scale.
+
+    It forms the projected Hessian with einsum contractions, not the `@`
+    of `_newton_directions`, so its rows are bitwise those of the tests'
+    eigen-only reference, `helpers.eigen_newton_directions`."""
+    eye = np.eye(zmat.shape[1])
+    reduced = np.einsum("sil,slm->sim", np.einsum("sij,sjl->sil", zmat, hess), zmat)
+    lam, vec = np.linalg.eigh(reduced + scale[:, None, None] * (eye - zmat))
+    lam = np.maximum(np.abs(lam), _EIGEN_FLOOR * scale[:, None])
+    coeff = np.einsum("sji,sj->si", vec, zgrad) / lam
+    return np.einsum("sjl,sl->sj", vec, coeff)
 
 
 def projected_gradient(value_and_grad, start, budget: float) -> PgdBatch:

@@ -350,6 +350,32 @@ def sequential_projected_gradient(value_and_grad, start, budget: float):
     return batch, longest
 
 
+def eigen_newton_directions(point, grad, hess, budget: float, probe, scale) -> np.ndarray:
+    """Reference projected Newton directions: every row's projected Hessian
+    through `np.linalg.eigh`, its eigenvalues replaced by their absolute
+    values floored at simplex._EIGEN_FLOOR * scale.
+
+    The former body of `simplex._newton_directions`, kept verbatim, so the
+    solver's rows whose shifted Cholesky factor fails are bitwise this.
+    """
+    eye = np.eye(point.shape[1])
+    gap = np.linalg.norm(point - probe, axis=1)
+    fixed = (probe == 0.0) & (point <= np.minimum(simplex._ACTIVE_FRACTION * budget, gap)[:, None])
+    free = (~fixed).astype(np.float64)
+    share = 1.0 / np.maximum(free.sum(axis=1), 1.0)
+    # orthogonal projector onto the free coordinates within the face
+    zmat = free[:, :, None] * eye - share[:, None, None] * free[:, :, None] * free[:, None, :]
+    reduced = np.einsum("sil,slm->sim", np.einsum("sij,sjl->sil", zmat, hess), zmat)
+    # the complement of zmat's range gets eigenvalue `scale`, so the
+    # modified inverse keeps zmat @ grad in the free subspace
+    lam, vec = np.linalg.eigh(reduced + scale[:, None, None] * (eye - zmat))
+    lam = np.maximum(np.abs(lam), simplex._EIGEN_FLOOR * scale[:, None])
+    coeff = np.einsum("sji,sj->si", vec, np.einsum("sjl,sl->sj", zmat, grad)) / lam
+    step = -np.einsum("sij,sj->si", zmat, np.einsum("sjl,sl->sj", vec, coeff))
+    fill = share * (budget - np.einsum("sk,sk->s", free, point))
+    return np.where(fixed, -point, step + fill[:, None])
+
+
 def assert_pgd_batches_equal(batch, reference) -> None:
     """Every field of every start bitwise equal, floats compared by their bytes."""
     assert len(batch.results) == len(reference.results)

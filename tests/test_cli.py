@@ -1,5 +1,11 @@
-"""End-to-end CLI checks through subprocess: artifacts, exit codes,
-stderr summaries, seeds, and byte-level reproducibility."""
+"""End-to-end CLI checks: artifacts, exit codes, stderr summaries, seeds,
+and byte-level reproducibility.
+
+Commands run through `cli.main` in the test process (`run_cli`).  What is
+a property of the process itself runs in a fresh interpreter: `python -m`
+exit codes (`run_module`), `-W error`, an address-space cap, the imports
+of a run without the test extras and a patched kernel.
+"""
 
 import contextlib
 import dataclasses
@@ -11,6 +17,8 @@ import os
 import resource
 import subprocess
 import sys
+import traceback
+import warnings
 
 import mpmath
 import numpy as np
@@ -36,9 +44,34 @@ from helpers import reference_region_csv
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
 
 
-def run_cli(*args):
+def run_module(*args):
+    """A fresh `python -m mseregion` process."""
     return subprocess.run([sys.executable, "-m", "mseregion", *args],
                           capture_output=True, text=True)
+
+
+def run_cli(*args):
+    """`cli.main(args)` in this process, finished as `run_module` finishes:
+    its stdout, its stderr with any warning printed there, and the exit
+    code, a `SystemExit`'s included (None as 0, a message to stderr as 1)
+    and an escaping exception's traceback as 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exit_:
+            code = exit_.code
+            if code is not None and not isinstance(code, int):
+                print(code, file=sys.stderr)
+                code = 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+        for w in caught:
+            err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno, w.line))
+    return subprocess.CompletedProcess(args, code or 0, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture()
@@ -779,10 +812,10 @@ def test_csv_sidecar_inputs_are_the_parsed_options(tmp_path, ref_channels_file, 
 
 
 def test_version_and_missing_subcommand():
-    proc = run_cli("--version")
+    proc = run_module("--version")
     assert proc.returncode == 0
     assert "mseregion" in proc.stdout
-    assert run_cli().returncode == 2
+    assert run_module().returncode == 2
 
 
 def test_main_reuses_one_parser_and_leaks_nothing(monkeypatch, tmp_path, ref_channels_file):
@@ -825,7 +858,7 @@ def test_main_reuses_one_parser_and_leaks_nothing(monkeypatch, tmp_path, ref_cha
             except SystemExit as exit_:
                 rc = exit_.code or 0
         results.append((rc, out.getvalue(), err.getvalue(), outputs()))
-        proc = run_cli(*argv)
+        proc = run_module(*argv)
         assert results[-1] == (proc.returncode, proc.stdout, proc.stderr, outputs()), argv
     assert len(builds) == 1
     assert [rc for rc, *_ in results] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]

@@ -2,6 +2,7 @@
 projected Newton engine on known convex problems."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mseregion.simplex import (
 
 from helpers import (
     assert_pgd_batches_equal,
+    eigen_newton_directions,
     random_channels,
     recursive_lattice,
     sequential_projected_gradient,
@@ -316,3 +318,107 @@ def test_pgd_derives_only_starts_and_accepted_steps():
     # the trial steps: 12 calls on 706 rows, four per first try
     assert (len(valued), sum(valued)) == (12, 706)
     assert sum(derived) < sum(valued)
+
+
+def _direction_stack(k: int):
+    """(point, grad, hess, budget, probe, scale) stacks of one budget each,
+    with the mask of the rows that fail the stopping test: the face
+    projections of a `_wsmse_panel` instance's starts with their
+    derivatives, the probe and scale formed as `projected_gradient` forms
+    them, and one constructed interior row, of value 0, whose face
+    Hessian has a negative eigenvalue."""
+    rng = np.random.default_rng(5300 + k)
+    for derivatives, starts, budget in _wsmse_panel(k):
+        point = simplex._project_onto_face(starts, budget)
+        value, derive = derivatives(point)
+        grad, hess = derive(np.arange(len(point)))
+        saddle = rng.standard_normal((k, k))
+        point = np.vstack((point, np.full(k, budget / k)))
+        value = np.append(value, 0.0)
+        grad = np.vstack((grad, 1e-3 * rng.standard_normal(k)))
+        hess = np.concatenate((hess, [0.1 * (saddle + saddle.T) - np.eye(k)]))
+        scale = k * np.abs(hess).max(axis=(1, 2))
+        probe = simplex._project_onto_face(point - grad / scale[:, None], budget)
+        pg = np.linalg.norm(point - simplex._project_onto_face(point - grad, budget), axis=1)
+        moving = pg > simplex.PGD_TOL_REL * (1.0 + np.abs(value))
+        yield (point, grad, hess, budget, probe, scale), moving
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_newton_directions_take_cholesky_or_eigen_rows(k):
+    panel_paths = {"cholesky": 0, "eigen": 0}
+    for (point, grad, hess, budget, probe, scale), moving in _direction_stack(k):
+        step = simplex._newton_directions(point, grad, hess, budget, probe, scale)
+        oracle = eigen_newton_directions(point, grad, hess, budget, probe, scale)
+        for i in range(len(point)):
+            alone = simplex._newton_directions(point[i:i + 1], grad[i:i + 1], hess[i:i + 1],
+                                               budget, probe[i:i + 1], scale[i:i + 1])
+            assert alone.tobytes() == step[i:i + 1].tobytes()
+        # a row's path: every eigenvalue of its face matrix above the floor
+        free = ~((probe == 0.0) & (point <= np.minimum(simplex._ACTIVE_FRACTION * budget,
+                                                       np.linalg.norm(point - probe, axis=1))[:, None]))
+        share = 1.0 / np.maximum(free.sum(axis=1), 1)
+        zmat = free[:, :, None] * np.eye(k) - share[:, None, None] * free[:, :, None] * free[:, None, :]
+        lowest = np.linalg.eigvalsh(zmat @ hess @ zmat + scale[:, None, None] * (np.eye(k) - zmat))[:, 0]
+        floor = simplex._EIGEN_FLOOR * scale
+        # no row is within rounding of the floor, so its path is certain
+        assert (np.abs(lowest - floor) > 1e-13 * scale).all()
+        above = lowest > floor
+        assert not above[-1]
+        panel_paths["cholesky"] += int(above[:-1].sum())
+        panel_paths["eigen"] += int((~above[:-1]).sum())
+        # the solve and the eigen form each miss the exact step by about
+        # eps times the condition number, at most scale / lowest; the panel
+        # reaches 1e10, where the two differ by up to 2e-7 (4.5e-16 times it)
+        cond = scale[above] / lowest[above]
+        err = np.abs(step[above] - oracle[above]).max(axis=1)
+        assert (err <= np.maximum(1e-12, 1e-14 * cond) * np.abs(oracle[above]).max(axis=1)).all()
+        assert step[~above].tobytes() == oracle[~above].tobytes()
+        # every direction descends where the stopping test fails
+        assert (np.einsum("sk,sk->s", grad[moving], step[moving]) < 0.0).all()
+    # panel rows take both paths from K = 3 on
+    assert panel_paths["cholesky"] > 0
+    assert panel_paths["eigen"] > 0 or k == 2
+
+
+def test_linalg_kernels_match_their_wrappers():
+    # the solver's per-row verdict: the gufunc behind np.linalg.cholesky
+    # leaves NaN in exactly the rows np.linalg.cholesky raises for, the
+    # factor bitwise elsewhere, and under errstate warns of nothing; the
+    # gufunc behind np.linalg.solve gives its bytes on positive definite
+    # matrices and on I
+    rng = np.random.default_rng(5301)
+    for k in range(1, 9):
+        base = rng.standard_normal((12, k, k))
+        sym = base @ np.swapaxes(base, 1, 2)
+        lowest = np.linalg.eigvalsh(sym)[:, 0]
+        shifts = np.array([1.0, 0.0, -1.0, -2.0, 1e-12, -1e-12] * 2)
+        stack = sym - (lowest - shifts)[:, None, None] * np.eye(k)
+        stack[-1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                low = simplex._cholesky_lo(stack)
+        for row, factor in zip(stack, low):
+            try:
+                expected = np.linalg.cholesky(row)
+            except np.linalg.LinAlgError:
+                assert np.isnan(factor).all()
+            else:
+                assert factor.tobytes() == expected.tobytes()
+        assert np.isnan(low[:, -1, -1]).sum() >= 4 and np.isfinite(low[:, -1, -1]).sum() >= 2
+        # the solver hands it matrices whose eigenvalues clear the floor, or I
+        solved = np.where((shifts == 1.0)[:, None, None], stack, np.eye(k))
+        rhs = rng.standard_normal((12, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = simplex._solve1(solved, rhs)
+        for mat, vec, got in zip(solved, rhs, step):
+            assert got.tobytes() == np.linalg.solve(mat, vec[:, None])[:, 0].tobytes()
+
+
+def test_newton_directions_warn_of_nothing_on_indefinite_rows():
+    rows = next(_direction_stack(4))[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simplex._newton_directions(*rows)
