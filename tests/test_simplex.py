@@ -415,10 +415,3 @@ def test_linalg_kernels_match_their_wrappers():
             step = simplex._solve1(solved, rhs)
         for mat, vec, got in zip(solved, rhs, step):
             assert got.tobytes() == np.linalg.solve(mat, vec[:, None])[:, 0].tobytes()
-
-
-def test_newton_directions_warn_of_nothing_on_indefinite_rows():
-    rows = next(_direction_stack(4))[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        simplex._newton_directions(*rows)
