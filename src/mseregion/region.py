@@ -11,8 +11,12 @@ users with t_k + s* < 1 meet t_k + s* exactly, and the others are silent.
 `_solve` finds that point by Newton on G(p, s) = [eps(p) - t - s; sum p - P],
 whose Jacobian [[J, -1], [1^T, 0]] takes J from the kernel: one kernel call
 per round for a whole stack of targets in lockstep, J derived only for the
-targets still open, plus one batched (K+1) x (K+1) solve.  Every iterate
-tightens a bracket lo <= s* <= margin.
+targets still open, plus one batched (K+1) x (K+1) solve.  Each target
+starts at its interference-free allocation, p_k proportional to
+(1/t_k - 1)_+ / g_k with g_k = |h_k|^2, scaled onto sum p = P: the powers
+that would meet t if no user heard another.  On orthogonal channels that
+is p*(t) itself, so at a target on the full-budget face (s* = 0) the start
+is the solution.  Every iterate tightens a bracket lo <= s* <= margin.
 One that spends at most P is a witness of its own max_k (eps_k - t_k),
 the reported margin.  One that spends at least P proves s* >= the least
 eps_k - t_k of its transmitting users: below that level it is a strict
@@ -132,9 +136,17 @@ class RegionSampleSet:
 def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
     """Verdicts for a (B, K) stack of targets, solved in lockstep.
 
-    Each target starts at p = P/K with the all-silent witness (margin
-    max(1 - t)) and lo = -min t (some tau_k = 0 is beyond any power).  A
-    user is held silent, its row replaced by p_k + dp_k = 0, once
+    Each target starts at p proportional to (1/t_k - 1)_+ / g_k, g_k the
+    squared column norms of `chan.factor`, scaled onto sum p = P.  With no
+    interference eps_k = sigma^2 / (sigma^2 + p_k g_k), so these powers meet
+    t exactly on orthogonal channels, and at a face target they already
+    spend P: the start is the solution.  A row where the rule is undefined
+    starts at p = P/K: every t_k is 1, or a ratio overflows or underflows
+    to zero, or the row sum is not finite and positive.  Every row starts
+    with the all-silent witness (margin max(1 - t)) and lo = -min t (some
+    tau_k = 0 is beyond any power).
+
+    A user is held silent, its row replaced by p_k + dp_k = 0, once
     1 - t_k <= lo proves it silent, or while it is at zero power and its
     silent MSE meets the last Newton level.  A step that would take a
     user's power to zero or below silences it if 1 - t_k <= margin;
@@ -149,7 +161,13 @@ def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
     rows = np.arange(count)
     lo = -tgt.min(axis=1)
     margin = level = (1.0 - tgt).max(axis=1)
-    powers, witness = np.full((count, k), budget / k), np.zeros((count, k))
+    with np.errstate(all="ignore"):     # a row left non-finite or zero here fails `sound`
+        gain = (chan.factor.real ** 2 + chan.factor.imag ** 2).sum(axis=0)
+        need = np.where(tgt < 1.0, (1.0 / tgt - 1.0) / gain, 0.0)
+        powers = need * (budget / need.sum(axis=1, keepdims=True))
+    sound = (np.isfinite(powers) & ((powers > 0.0) | (tgt >= 1.0))).all(axis=1)
+    powers[~sound] = budget / k
+    witness = np.zeros((count, k))
     rounds = np.zeros(count, int)
     while True:
         eps, derive = _mse_terms(chan.factor, powers, config.noise_variance)

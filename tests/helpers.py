@@ -119,6 +119,72 @@ def two_user_dominated(mat, config: SystemConfig, target) -> bool:
     return s2 * (s2 + p0 * n1) / delta(p0) <= t2
 
 
+def closed_form_channels(family, rng, n_antennas: int, k: int) -> np.ndarray:
+    """Channels of one closed-form family: colinear columns alpha_k h, or
+    scaled orthonormal columns."""
+    if family == "colinear":
+        h = rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)
+        return np.outer(h, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    basis = np.linalg.qr(rng.standard_normal((n_antennas, n_antennas))
+                         + 1j * rng.standard_normal((n_antennas, n_antennas)))[0]
+    return basis[:, :k] * rng.uniform(0.5, 2.0, k)
+
+
+def _decreasing_root(spend, slope, start):
+    """Root of a convex, decreasing spend(s) by Newton from `start`, where
+    spend > 0.  Each tangent (the right derivative at a kink) lies below the
+    curve, so no step passes the root and s increases to it; the steps end
+    once they fall below the working precision."""
+    s, tol = start, mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    while True:
+        step = -spend(s) / slope(s)
+        if step <= tol * (1 + abs(s)):
+            return s
+        s += step
+
+
+def colinear_membership_margin(gains, target, sigma2: float, budget: float) -> float:
+    """Membership margin s* on colinear channels, `gains` g_k = |h_k|^2, in
+    50-digit arithmetic.
+
+    With u_k = 1 - eps_k the region is the upward closure of {1 - u : u >= 0,
+    sum_k u_k c_k <= P}, c_k = sigma^2 / g_k + P (see
+    `colinear_weighted_minimum`), so t + s is achievable when
+    sum_k (1 - t_k - s)_+ c_k <= P, and s* is the root of that piecewise
+    linear sum.  At s = -min t the user j of least t_j alone adds c_j > P.
+    """
+    with mpmath.workdps(50):
+        s2, pw = mpmath.mpf(sigma2), mpmath.mpf(budget)
+        users = [(mpmath.mpf(float(t)), s2 / mpmath.mpf(float(g)) + pw)
+                 for t, g in zip(target, gains)]
+        root = _decreasing_root(
+            lambda s: sum((1 - t - s) * c for t, c in users if 1 - t - s > 0) - pw,
+            lambda s: -sum(c for t, c in users if 1 - t - s > 0),
+            -min(t for t, _ in users))
+        return float(root)
+
+
+def orthogonal_membership_margin(gains, target, sigma2: float, budget: float) -> float:
+    """Membership margin s* on orthogonal channels, `gains` g_k = |h_k|^2,
+    in 50-digit arithmetic.
+
+    eps_k = sigma^2 / (sigma^2 + p_k g_k) depends on p_k alone, so the least
+    power meeting eps_k <= t_k + s is sigma^2 (1 / (t_k + s) - 1)_+ / g_k, and
+    s* is the root of sum_k sigma^2 (1 / (t_k + s) - 1)_+ / g_k = P.  Newton
+    starts where the user j of least t_j alone needs 2P.
+    """
+    with mpmath.workdps(50):
+        s2, pw = mpmath.mpf(sigma2), mpmath.mpf(budget)
+        users = [(mpmath.mpf(float(t)), s2 / mpmath.mpf(float(g)))
+                 for t, g in zip(target, gains)]
+        least, scale = min(users)
+        root = _decreasing_root(
+            lambda s: sum((1 / (t + s) - 1) * c for t, c in users if t + s < 1) - pw,
+            lambda s: -sum(c / (t + s) ** 2 for t, c in users if t + s < 1),
+            -least + scale / (scale + 2 * pw))
+        return float(root)
+
+
 def colinear_weighted_minimum(gains, weights, sigma2: float, budget: float) -> float:
     """Weighted sum-MSE minimum on colinear channels (h_k = alpha_k h),
     `gains` g_k = |h_k|^2, in 40-digit arithmetic.

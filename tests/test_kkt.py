@@ -26,6 +26,7 @@ from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
 from mseregion.tolerances import TOL_ACTIVE_REL, TOL_KKT
 
 from helpers import (
+    closed_form_channels,
     colinear_weighted_minimum,
     orthogonal_weighted_minimum,
     random_channels,
@@ -220,17 +221,6 @@ def test_full_budget_lowers_every_transmitting_mse():
                 np.testing.assert_allclose(powers.sum(axis=1), budget, rtol=1e-12, atol=0.0)
 
 
-def _closed_form_family(family, rng, n_antennas, k):
-    """Channels of one closed-form family: colinear columns alpha_k h, or
-    scaled orthonormal columns."""
-    if family == "colinear":
-        h = rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)
-        return np.outer(h, rng.standard_normal(k) + 1j * rng.standard_normal(k))
-    basis = np.linalg.qr(rng.standard_normal((n_antennas, n_antennas))
-                         + 1j * rng.standard_normal((n_antennas, n_antennas)))[0]
-    return basis[:, :k] * rng.uniform(0.5, 2.0, k)
-
-
 @pytest.mark.parametrize("family, oracle", [("colinear", colinear_weighted_minimum),
                                             ("orthogonal", orthogonal_weighted_minimum)])
 @pytest.mark.parametrize("k", [3, 5, 8])
@@ -239,7 +229,7 @@ def test_closed_form_families_give_one_cluster_at_the_minimum(family, oracle, k)
     # closed form (tests/helpers.py)
     rng = np.random.default_rng(k)
     for snr in (1e-2, 1.0, 1e2):
-        mat = _closed_form_family(family, rng, 8, k)
+        mat = closed_form_channels(family, rng, 8, k)
         config = SystemConfig(noise_variance=1.0, power_budget=snr)
         w = rng.uniform(0.05, 1.0, k)
         exact = oracle(np.sum(np.abs(mat) ** 2, axis=0), w, 1.0, snr)

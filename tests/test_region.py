@@ -24,8 +24,11 @@ from mseregion.simplex import budget_simplex_lattice, lattice_size, sample_budge
 from mseregion.tolerances import TOL_MEMBER
 
 from helpers import (
+    closed_form_channels,
+    colinear_membership_margin,
     dense_mse,
     minimax_margin_oracle,
+    orthogonal_membership_margin,
     random_channels,
     random_config,
     random_powers,
@@ -208,7 +211,8 @@ def test_membership_derives_only_the_targets_it_keeps(monkeypatch):
     # a round evaluates the MSEs of every live target and derives J only
     # for the targets still open after it, so a target's last round
     # derives nothing: the 11 verdicts of the reference chord as `segment`
-    # takes it from 8-digit endpoints, same bytes
+    # takes it from 8-digit endpoints, same bytes (81 and 70 rows from the
+    # uniform start P/K)
     ends = ([0.21389147, 0.13652377, 1.0], [1.0, 0.19774107, 0.23353177])
     plain = segment_test(REF_H, REF_CONFIG, *ends, steps=9)
     kernel = region._mse_terms
@@ -227,8 +231,8 @@ def test_membership_derives_only_the_targets_it_keeps(monkeypatch):
     monkeypatch.setattr(region, "_mse_terms", recorded)
     report = segment_test(REF_H, REF_CONFIG, *ends, steps=9)
     verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
-    assert sum(evaluated) == sum(v.rounds for v in verdicts) == 81
-    assert sum(derived) == sum(v.rounds - 1 for v in verdicts) == 70
+    assert sum(evaluated) == sum(v.rounds for v in verdicts) == 55
+    assert sum(derived) == sum(v.rounds - 1 for v in verdicts) == 44
     for verdict, alone in zip(verdicts, [plain.endpoint_a, plain.endpoint_b, *plain.points]):
         for field in dataclasses.fields(verdict):
             got = np.asarray(getattr(verdict, field.name))
@@ -236,12 +240,13 @@ def test_membership_derives_only_the_targets_it_keeps(monkeypatch):
 
 
 def test_reference_chord_takes_few_kernel_calls():
-    # one Newton system in (p, s): no verdict of the reference chord takes
-    # more than 16 rounds, one kernel call each
+    # one Newton system in (p, s) from the interference-free start: no
+    # verdict of the reference chord takes more than 7 rounds, one kernel
+    # call each (6 measured; 8 from the uniform start P/K)
     report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=9)
     verdicts = [report.endpoint_a, report.endpoint_b, *report.points]
     assert all(v.converged for v in verdicts)
-    assert max(v.rounds for v in verdicts) <= 16
+    assert max(v.rounds for v in verdicts) <= 7
 
 
 def test_membership_batch_rows_are_single_solves():
@@ -253,6 +258,25 @@ def test_membership_batch_rows_are_single_solves():
         for field in dataclasses.fields(alone):
             got = np.asarray(getattr(verdict, field.name))
             assert got.tobytes() == np.asarray(getattr(alone, field.name)).tobytes()
+
+
+@pytest.mark.parametrize("target, margin, dominated", [
+    ([1e-310, 0.5, 1.0], 0.09685647168069833, False),      # 1 / t overflows
+    ([1.0, 1.0, 1.0], -0.5611765131000043, True),          # nothing to meet
+    ([1e-300, 1e-300, 0.9], 0.16666666666666685, False),
+    ([0.999999, 1.0, 1.0], -0.561176189619371, True),      # one user's need
+], ids=["subnormal", "all-ones", "tiny-pair", "near-silent"])
+def test_membership_start_rule_edge_targets(target, margin, dominated):
+    # targets at the edges of the interference-free start: 1 / t overflows
+    # or nothing is to be met (both start at P/K), a start with a power of
+    # 3e-301, one user carrying the whole budget.  The rule raises no
+    # RuntimeWarning (the suite's filterwarnings make one an error), and
+    # each verdict is the one the uniform start P/K gave, its margin
+    # (frozen here) within 1e-14
+    verdict = dominated_membership(REF_H, REF_CONFIG, target)
+    assert verdict.converged
+    assert verdict.dominated == dominated
+    assert verdict.margin == pytest.approx(margin, rel=0.0, abs=1e-14)
 
 
 def test_membership_capped_solve_is_reported_unconverged(monkeypatch):
@@ -361,6 +385,33 @@ def test_membership_high_snr_targets_of_known_allocations(k):
                 replay = dense_mse(channels.entries, verdict.witness_powers, 1.0)
                 assert float((replay - target).max()) == pytest.approx(verdict.margin, abs=1e-9)
                 assert verdict.dominated and verdict.converged, (seed, n, snr, scale)
+
+
+@pytest.mark.parametrize("family, oracle", [("colinear", colinear_membership_margin),
+                                            ("orthogonal", orthogonal_membership_margin)],
+                         ids=["colinear", "orthogonal"])
+@pytest.mark.parametrize("k", (3, 5, 8))
+def test_membership_matches_closed_form_families(family, oracle, k):
+    # s* in closed form (tests/helpers.py) at face targets (the MSEs of four
+    # full-budget allocations), at 0.9 of them (outside) and at
+    # min(1.05 of them, 1) (inside).  On orthogonal channels a face
+    # target's interference-free start is its solution, so its bracket
+    # closes within the rounds that rounding takes
+    rng = np.random.default_rng([23, k])
+    for snr in (1e-2, 1.0, 1e2, 1e4):
+        mat = closed_form_channels(family, rng, 8, k)
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        raw = rng.exponential(size=(4, k))
+        face = mse_tuples(mat, raw * (snr / raw.sum(axis=1, keepdims=True)), config)
+        targets = np.vstack([face, 0.9 * face, np.minimum(1.05 * face, 1.0)])
+        verdicts = region._solve(ChannelSet(mat), config, targets)
+        gains = np.sum(np.abs(mat) ** 2, axis=0)
+        exact = [oracle(gains, target, 1.0, snr) for target in targets]
+        assert all(v.converged for v in verdicts), snr
+        np.testing.assert_allclose([v.margin for v in verdicts], exact, rtol=0.0, atol=1e-14)
+        assert [v.dominated for v in verdicts] == [True] * 4 + [False] * 4 + [True] * 4, snr
+        if family == "orthogonal":
+            assert max(v.rounds for v in verdicts[:4]) <= 4, snr
 
 
 def test_membership_matches_bruteforce_oracle():
