@@ -32,10 +32,14 @@ complexes: -0.0 == 0.0).  The filled records are joined in one `%`.
 
 CSV floats use repr(), which round-trips exactly through float().
 Region CSVs are written as bytes a block of rows at a time, every cell
-formatted in numpy (_cells_text): where 1e-4 <= x < 2**52 and x is no
-power of two, repr's shortest round-trip digits come from exact integer
-arithmetic and are laid out as repr lays them out; every other cell goes
-through repr, once per distinct bit pattern of the block.  A repr holds
+formatted in numpy (_cells_text) into 24 bytes (three 64-bit words) and
+stripped of NULs: where 1e-4 <= x < 2**52 and x is no power of two,
+repr's shortest round-trip digits come from exact integer arithmetic,
+are written into the cell's words from digit tables and are finished by
+one XOR with a row of one table, keyed by the point, the trailing zeros
+and the separator; every other cell goes through repr, once per
+distinct bit pattern of the block (a negative 17-digit exponent form
+widens its call's cells to 32 bytes).  A repr holds
 no delimiter, quote or newline, so the bytes are those a `csv.writer` of
 repr() cells would write.  A sample set with fewer levels than power
 cells (a grid of two or more users) copies its power cells from the
@@ -193,6 +197,11 @@ _K0 = ((np.arange(2048, dtype=_I64) - _I64(1023)) * _I64(78913)) >> _I64(18)
 _NEXT_TEN = np.array([float(f"1e{p}") for p in range(-5, 18)])[np.clip(_K0 + _I64(6), 0, 22)]
 _POW5 = np.array([5 ** q for q in range(21)], dtype=_I64)
 _TENS = np.array([float(f"1e{q}") for q in range(21)])
+# g per (u mod 100) 32 + w, for the interval's upper integer u and its
+# width w <= 22: 100 where u mod 100 <= w, else 10 where u mod 10 <= w,
+# else 1
+_STEPS = np.where(np.arange(100)[:, None] <= np.arange(32), 100,
+                  np.where(np.arange(100)[:, None] % 10 <= np.arange(32), 10, 1)).astype(_I64).ravel()
 
 
 def _shortest_digits(values):
@@ -201,11 +210,11 @@ def _shortest_digits(values):
     Where `fast` (1e-4 <= value < 2**52, not a power of two), repr(value)
     writes the significant digits of the 17-digit int64 `digits`, with the
     decimal point `point` (int64) places after the first: value is about
-    0.digits * 10**point.  Other cells hold arbitrary numbers.
+    0.digits * 10**point.  Other cells hold arbitrary digits and point 0.
     """
     fraction = values.view(_I64) & _MANTISSA
     fast = (values >= _FAST_LOW) & (values < _FAST_HIGH) & (fraction != _I64(0))
-    x = np.where(fast, values, 1.5)
+    x = np.where(fast, values, 0.5)
     biased = x.view(_I64) >> _I64(52)
     m = fraction | _I64(1 << 52)
     k = _K0[biased] + (x >= _NEXT_TEN[biased])
@@ -220,89 +229,142 @@ def _shortest_digits(values):
     s1 = s + _I64(1)
     upper = whole + ((five + frac2) >> s1)
     width = upper - whole + ((five - frac2) >> s1)
-    tens = upper // _I64(10)
-    step = np.where(upper - tens // _I64(10) * _I64(100) <= width, _I64(100),
-                    np.where(upper - tens * _I64(10) <= width, _I64(10), _I64(1)))
+    # "clip" keeps the index of any other cell in the table
+    step = np.take(_STEPS, upper % _I64(100) * _I64(32) + width, mode="clip")
     below = whole // step
     digits = below * step
     twice = ((whole - digits) << s1) + frac2            # 2 (V - digits) 2**s
-    unit = step << s
-    digits += step * ((twice > unit) | ((twice == unit) & (below & _I64(1)).astype(bool)))
+    # up past half a step, or at half a step from an odd multiple
+    digits += step * (twice + (below & _I64(1)) > step << s)
     return fast, digits, k + _I64(1)
 
 
-# A fast cell's text is laid out in five 64-bit words (40 bytes) and
-# stripped of its NULs: the "0.", "0.0", "0.00" or "0.000" of a point at
-# or before the first digit, a NUL, then the 17 digits, each followed by a
-# slot holding "." where the point follows that digit, the cell's
-# separator after its last written digit, and NUL otherwise.  A digit is
-# written up to the last significant one or to the one after the point.
+# A fast cell's text is laid out in three 64-bit words (24 bytes) and
+# stripped of its NULs.  Its 17 digits D, of point p >= 1, first take a
+# 0 digit after their p-th: the 18-digit D' = D + floor(x) 9 10**(17 - p)
+# (floor(x) is the integer part of the repr too: no integer but x itself
+# reads back as x).  For p <= 0, D' = D, read as 18 digits with a leading
+# 0.  D' is written in bytes 4-21: four digits in word 0, eight in word
+# 1 and six in word 2.  Its digits past the kept ones (up to the last
+# significant one or to the one after the point) are all "0", so one XOR,
+# the row of `_text_tables`' finishing table for (p, D's trailing zeros,
+# separator), completes the cell: it clears those digits, writes the
+# separator after the last kept one, and turns the inserted 0 into "." or
+# writes the "0.", "0.0", "0.00" or "0.000" of a point at or before the
+# first digit so that it ends on the leading 0, in bytes 0-4.  The
+# longest text (17 digits, a point and the separator) fills the 24 bytes.
 # The tables are built on first use, so that a command that writes no
 # region CSV neither builds nor holds them.
+_WORDS = 3
+
+
 @functools.cache
 def _text_tables():
-    digit_byte = 6 + 2 * np.arange(17)
-    slot = digit_byte + 1
-    groups = np.arange(10000)
-    four = np.zeros((10000, 8), dtype=np.uint8)
-    four[:, 0::2] = 48 + groups[:, None] // np.array([1000, 100, 10, 1]) % 10
-    first = np.zeros((10, 8), dtype=np.uint8)
-    first[:, 6] = 48 + np.arange(10)
-    zeros = ((groups % 10 == 0).astype(_I64) + (groups % 100 == 0) + (groups % 1000 == 0)
-             + (groups == 0))
-    keep = np.zeros((18, 40), dtype=np.uint8)
-    keep[:, digit_byte] = 255 * (np.arange(17) < np.arange(18)[:, None])
-    point = np.zeros((20, 40), dtype=np.uint8)
-    end = np.zeros((36, 40), dtype=np.uint8)
-    for p in range(-3, 17):
-        if p > 0:
-            point[p + 3, slot[p - 1]] = ord(".")
-        else:
-            point[p + 3, :2 - p] = np.frombuffer(b"0." + b"0" * -p, dtype=np.uint8)
-    for count in range(1, 18):
-        end[count, slot[count - 1]] = ord(",")
-        end[count + 18, slot[count - 1]] = ord("\n")
-    return (first.view(_U64).ravel(), four.view(_U64).ravel(), zeros,
-            keep.view(_U64), point.view(_U64), end.view(_U64))
+    """(digit words, trailing zeros, finishing XOR table) of a fast cell.
 
+    The digit words are the texts of 4, 4, 4, 2 and 4 digits at their
+    places: D' digits 0-3 in bytes 4-7 of word 0, digits 4-7 and 8-11 in
+    bytes 0-3 and 4-7 of word 1, digits 12-13 and 14-17 in bytes 0-1 and
+    2-5 of word 2.  The trailing zeros are those that end a 4- or 2-digit
+    group (a group of 0 counts its width).  The finishing table has a row
+    of three words per (p + 3, zeros, newline), 20 x 19 x 2, for D' ending
+    in `zeros` zeros: it keeps max(18 - zeros, p + 2) digits.
+    """
+    def place(width, byte):
+        groups = np.arange(10 ** width)
+        text = np.zeros((groups.size, 8), dtype=np.uint8)
+        zeros = np.zeros(groups.size, dtype=_I64)
+        for i in range(width):
+            text[:, byte + i] = 48 + groups // 10 ** (width - 1 - i) % 10
+            zeros += groups % 10 ** (i + 1) == 0
+        return text.view(_U64).ravel(), zeros
+
+    (high, zeros4), (low, _), (late, _), (pair, zeros2) = place(4, 4), place(4, 0), place(4, 2), place(2, 0)
+    finish = np.zeros((20, 19, 2, 8 * _WORDS), dtype=np.uint8)
+    for p in range(-3, 17):
+        for zeros in range(19):
+            kept = max(18 - zeros, p + 2)
+            row = finish[p + 3, zeros]
+            row[:, 4 + kept:22] = ord("0")
+            if p > 0:
+                row[:, 4 + p] = ord("0") ^ ord(".")
+            else:
+                row[:, 3 + p:5] = np.frombuffer(b"0." + b"0" * -p, dtype=np.uint8)
+                row[:, 4] ^= ord("0")
+            row[:, 4 + kept] ^= np.array([ord(","), ord("\n")], dtype=np.uint8)
+    return (high, low, late, pair), (zeros4, zeros2), finish.reshape(-1, 8 * _WORDS).view(_U64)
+
+
+# 9 10**(17 - p) at p = 1..16, the digit D' inserts after the point;
+# a cell of p <= 0 (x < 1) has integer part 0 and reads any entry
+_NINES = np.array([9 * 10 ** (17 - p) for p in range(17)], dtype=_I64)
 
 
 def _cell_words(values, newline):
-    """The (size, 5) uint64 words of the cells of `values`: each cell's
-    repr(float), followed by "," or, where `newline` is 1, by "\n", in
-    40 bytes padded with NULs.
+    """The (size, width) uint64 words of the cells of `values`: each
+    cell's repr(float), followed by "," or, where `newline` is 1, by
+    "\n", padded with NULs.
 
-    Fast cells (_shortest_digits) are written from their digits; each
-    distinct bit pattern among the others is repr'd once.
+    The width is 3 words (24 bytes), enough for every nonnegative repr
+    and its separator, and 4 where a repr needs more (a negative
+    17-digit exponent form).  Fast cells (_shortest_digits) are written
+    from their digits; each distinct bit pattern among the others is
+    repr'd once.
     """
-    first_table, four_table, group_zeros, keep_table, point_table, end_table = _text_tables()
+    (high, low, late, pair), (zeros4, zeros2), finish = _text_tables()
     fast, digits, point = _shortest_digits(values)
-    first = digits // _I64(10 ** 16)
-    rest = digits - first * _I64(10 ** 16)
-    high = rest // _I64(10 ** 8)
-    low = rest - high * _I64(10 ** 8)
-    h1, l1 = high // _I64(10 ** 4), low // _I64(10 ** 4)
-    h2, l2 = high - h1 * _I64(10 ** 4), low - l1 * _I64(10 ** 4)
-    zeros = group_zeros[l2] + (l2 == 0) * (
-        group_zeros[l1] + (l1 == 0) * (group_zeros[h2] + (h2 == 0) * group_zeros[h1]))
-    written = np.maximum(_I64(17) - zeros, point + _I64(1))
-    words = np.empty((values.size, 5), dtype=_U64)
-    words[:, 0] = first_table[first]
-    for column, group in enumerate((h1, h2, l1, l2), 1):
-        words[:, column] = four_table[group]
-    words &= np.take(keep_table, written, axis=0)
-    words |= np.take(point_table, point + _I64(3), axis=0)
-    words |= np.take(end_table, written + _I64(18) * newline, axis=0)
+    if point.max(initial=0) > 0:         # some cell is >= 1 (other cells have p = 0)
+        digits += np.where(fast, values, 0.0).astype(_I64) * _NINES[point]
+    a = digits // _I64(10 ** 14)
+    rest = digits - a * _I64(10 ** 14)
+    b = rest // _I64(10 ** 6)
+    c = rest - b * _I64(10 ** 6)
+    b1 = b // _I64(10 ** 4)
+    c1 = c // _I64(10 ** 4)
+    b2, c2 = b - b1 * _I64(10 ** 4), c - c1 * _I64(10 ** 4)
+    words = np.empty((values.size, _WORDS), dtype=_U64)
+    words[:, 0] = high[a]
+    np.bitwise_or(low[b1], high[b2], out=words[:, 1])
+    np.bitwise_or(pair[c1], late[c2], out=words[:, 2])
+    # D' ends in the zeros of its last group, and where that is 0 in
+    # those before it (a >= 100: D' >= 1e16)
+    zeros = zeros4[c2]
+    more = np.flatnonzero(c2 == 0)
+    if more.size:
+        c1, b2, b1, a = c1[more], b2[more], b1[more], a[more]
+        zeros[more] += zeros2[c1] + (c1 == 0) * (
+            zeros4[b2] + (b2 == 0) * (zeros4[b1] + (b1 == 0) * zeros4[a]))
+    words ^= np.take(finish, point * _I64(38) + zeros * _I64(2) + newline + _I64(114), axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        keys, inverse = np.unique(values[slow].view(_U64), return_inverse=True)
+        bits = values[slow].view(_U64)
+        if (bits == bits[0]).all():         # one pattern, as the 1.0 MSEs of silent users
+            keys, inverse = bits[:1], np.zeros(slow.size, dtype=np.intp)
+        else:
+            keys, inverse = np.unique(bits, return_inverse=True)
         texts = [repr(value).encode() for value in keys.view(np.float64).tolist()]
-        table = np.frombuffer(b"".join(text.ljust(40, b"\0") for text in texts),
-                              dtype=np.uint8).reshape(-1, 40)[inverse]
-        lengths = np.array(list(map(len, texts)), dtype=np.intp)[inverse]
-        table[np.arange(slow.size), lengths] = np.where(newline[slow] == 1, ord("\n"), ord(","))
-        words[slow] = table.view(_U64)
+        width = max(_WORDS, max(map(len, texts)) // 8 + 1)
+        # each text followed by "," and by "\n"
+        table = np.frombuffer(b"".join((text + end).ljust(8 * width, b"\0")
+                                       for text in texts for end in (b",", b"\n")),
+                              dtype=_U64).reshape(-1, width)
+        words = _widened(words, width)
+        _cells(words)[slow] = np.take(_cells(table), inverse * 2 + newline[slow])
     return words
+
+
+def _cells(words):
+    """The (size,) view of (size, w) cell words, one void item per cell,
+    so that gathers and scatters move a cell at a time."""
+    return words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).reshape(-1)
+
+
+def _widened(words, width):
+    """`words`, (size, w) cell words, padded with NUL words to `width`."""
+    if words.shape[1] == width:
+        return words
+    return np.concatenate((words, np.zeros((len(words), width - words.shape[1]), dtype=_U64)),
+                          axis=1)
 
 
 def _cells_text(values, newline) -> bytes:
@@ -317,6 +379,12 @@ def _cells_text(values, newline) -> bytes:
 # random rows) peaked at 45.9 and 41.8 MB RSS with 1024-row blocks, as
 # with the former repr writer (45.6, 41.8); 2048-row blocks read 47.4 and
 # 44.1 MB and 4096-row blocks 50.4 and 48.1 MB, none of them faster.
+# With 24-byte cells, one process running both commands peaked at 42.5
+# MB with 1024-row blocks, 43.6 MB with 2048 and 46.6 MB with 4096; in
+# process (one range, medians of 9 writes, sizes alternating) 2048- and
+# 4096-row blocks wrote the grid 8% and 13% faster and the random rows
+# 1% faster and 18% slower, within the runs' spread, so blocks stay at
+# 1024 rows and the lowest peak.
 _REGION_BLOCK_ROWS = 1024
 
 # The fewest rows a range needs to be worth a worker of its own; a range
@@ -332,7 +400,14 @@ _REGION_BLOCK_ROWS = 1024
 # Splits start at twice this, 24576 rows, where a second range saved
 # 15-25% of the write for K = 2..4 (N = 1, K = 3: -12%), 6% for K = 1 at
 # N = 8 and -65% at N = 1, the cheapest kernel; at 49152 rows it saved
-# 15-32% in every case.
+# 15-32% in every case.  With 24-byte cells (random rows, medians of 15
+# writes a side, alternating) two ranges took 0.84, 0.78 and 0.80 of one
+# range's time at K = 4, N = 8 and 12288, 16384 and 24576 rows; 0.93 and
+# 0.73 at K = 3, N = 8 and 16384 and 24576; 1.73 and 0.83 at K = 2, N = 8;
+# and 1.78 at K = 1, N = 1 and 24576 rows.  The break-even moved up by
+# at most one step, so splits still start at 24576 rows: 32768 would
+# leave a 28000-row K = 4 draw, which two ranges write 20% faster, in
+# one range.
 _MIN_RANGE_ROWS = 12288
 
 
@@ -367,9 +442,12 @@ def _write_region_rows(handle, sample_set, level_words, mses, lo, hi) -> None:
             cells = np.concatenate((levels[lattice[start:stop]], block), axis=1)
             handle.write(_cells_text(cells.ravel(), newline[:stop - start].ravel()))
         else:
-            words = np.empty((stop - start, 2 * k, 5), dtype=_U64)
-            words[:, :k] = level_words[lattice[start:stop]]
-            words[:, k:] = _cell_words(block.ravel(), last[:block.size]).reshape(-1, k, 5)
+            mse_words = _cell_words(block.ravel(), last[:block.size])
+            width = max(level_words.shape[1], mse_words.shape[1])
+            words = np.empty((stop - start, 2 * k, width), dtype=_U64)
+            cells = _cells(words.reshape(-1, width)).reshape(-1, 2 * k)
+            cells[:, :k] = np.take(_cells(_widened(level_words, width)), lattice[start:stop])
+            cells[:, k:] = _cells(_widened(mse_words, width)).reshape(-1, k)
             handle.write(words.tobytes().translate(None, b"\0"))
 
 

@@ -623,6 +623,35 @@ def test_cli_runs_without_scipy(tmp_path, ref_channels_file):
     assert result == {"codes": [0, 0, 0, 0, 3, 0], "loaded": []}
 
 
+# Run CLI commands in one fresh process and report, after each, how many
+# region-CSV text tables (io._text_tables, built on first use) it holds
+TEXT_TABLES_SCRIPT = """
+import json, sys
+from mseregion import cli, io
+sizes = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) in (0, 3), argv
+    sizes.append(io._text_tables.cache_info().currsize)
+print(json.dumps(sizes))
+"""
+
+
+def test_commands_without_a_region_csv_build_no_text_tables(tmp_path, ref_channels_file):
+    argvs = [
+        ["wsmse", "--channels", ref_channels_file, "--weights", "0.22,0.54,0.24",
+         "--starts", "4", "--out", str(tmp_path / "w.json")],
+        ["segment", "--channels", ref_channels_file, *REF_CHORD, "--steps", "1",
+         "--out", str(tmp_path / "seg.json")],
+        ["region", "--channels", ref_channels_file, "--grid", "4",
+         "--out", str(tmp_path / "r.csv")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", TEXT_TABLES_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the tables appear with the first region CSV, and only then
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 1]
+
+
 def test_region_cli_grid_round_trip(tmp_path, ref_channels_file):
     out = tmp_path / "region.csv"
     proc = run_cli("region", "--channels", ref_channels_file,

@@ -20,6 +20,7 @@ import mseregion.model as model
 from mseregion import (
     BoundaryClass,
     ConvexityScan,
+    RegionSampleSet,
     SystemConfig,
     boundary_sweep,
     load_channels,
@@ -436,6 +437,40 @@ def test_cells_text_matches_repr_on_a_fixed_corpus():
     uniform = np.concatenate([rng.uniform(0.0, 1.0, 5000), 10.0 ** rng.uniform(-6.0, 18.0, 5000)])
     corpus = np.concatenate([binades, powers_of_two, neighbours.ravel(), short, edges, uniform])
     _cells_text_is_repr(np.concatenate([corpus, -corpus[::7]]))
+
+
+def test_cells_text_matches_repr_on_the_widest_texts():
+    # the longest reprs: 23 characters for a nonnegative exponent form, 24
+    # for a negative one (a 25-byte cell with its separator), and the
+    # longest positional texts on and off the digit path
+    widest = [2.2250738585072014e-308, 1.7976931348623157e308, 2.225073858507201e-308,
+              1.2345678901234567e-100, 5e-324, 4503599627370496.0, 9999999999999998.0,
+              4503599627370495.5, 0.00012345678901234567, 1234567890123.4568]
+    widest += [-value for value in widest]
+    assert max(map(len, map(repr, widest))) == 24
+    for count in range(1, len(widest) + 1):
+        _cells_text_is_repr(widest[:count])
+        _cells_text_is_repr(widest[-count:])
+    # one wide cell among narrow ones
+    _cells_text_is_repr([0.5, 0.25, -2.2250738585072014e-308, 0.125, 1.0, 3.0])
+
+
+def test_region_csv_level_texts_and_mses_of_different_widths(tmp_path):
+    # a set with fewer levels than power cells copies its power cells from
+    # level texts: a 25-byte cell among its levels or among its MSEs makes
+    # the two widths differ
+    rng = np.random.default_rng(410)
+    wide = -2.2250738585072014e-308
+    lattice = rng.integers(0, 4, size=(3000, 3))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    for levels, wide_mse in (([0.0, 2.5, wide, 7.5], False), ([0.0, 2.5, 5.0, 7.5], True)):
+        levels = np.array(levels)
+        mses = rng.uniform(0.0, 1.0, size=lattice.shape)
+        if wide_mse:
+            mses[1500, 1] = wide
+        write_region_csv(ours, RegionSampleSet(lattice, levels, lambda lo, hi: mses[lo:hi]))
+        reference_region_csv(ref, levels[lattice], mses)
+        assert ours.read_bytes() == ref.read_bytes(), wide_mse
 
 
 @settings(max_examples=300, deadline=None)
