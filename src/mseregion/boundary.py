@@ -170,13 +170,11 @@ class ConvexityScan(Sequence):
     float64: the fields of each pair's ConvexityReport, whose label is
     AFFINE where `affine` holds.  As a Sequence of ConvexityReport it
     builds reports on demand, for an index, a slice or an iteration.
-    `io` writes it as the list of its reports, a column at a time from
-    `column` (a record table: `record_type` names the record class), with
-    no report formed.  It compares and hashes by identity.
+    `io` writes it as the list of its reports straight from the columns.
+    It compares and hashes by identity.
     """
 
     __slots__ = ("certified", "affine", "worst_discriminant", "worst_p")
-    record_type = ConvexityReport
 
     def __init__(self, certified, affine, worst_discriminant, worst_p):
         columns = (certified, affine, worst_discriminant, worst_p)
@@ -197,14 +195,6 @@ class ConvexityScan(Sequence):
                                classification=_LABELS[bool(self.affine[t])],
                                worst_discriminant=float(self.worst_discriminant[t]),
                                worst_p=float(self.worst_p[t]))
-
-    def column(self, name: str) -> list:
-        """The values of ConvexityReport field `name` in trial order, the
-        labels as their Enum values."""
-        if name == "classification":
-            values = tuple(label.value for label in _LABELS)
-            return list(map(values.__getitem__, self.affine.tolist()))
-        return getattr(self, name).tolist()
 
 
 def _pairs(pairs) -> np.ndarray:
@@ -282,14 +272,10 @@ def _summands(a11, a22, b11, b22, cross, re_ab, sig2, budget):
 
 
 def _derivatives(a11, a22, a12, b11, b22, b12, sig2, budget):
-    """(eps1', eps2', eps1'', eps2'', D, summands) from the Gram entries,
-    a12 and b12 complex; D is the direct product difference and
-    `summands` the tuple of its three nonpositive terms."""
+    """(eps1', eps2', eps1'', eps2'') from the Gram entries, a12 and b12 complex."""
     cross, re_ab = _couplings(a12, b12)
-    terms = (a11, a22, b11, b22, cross, re_ab, sig2, budget)
-    deps1, deps2 = _slopes(b11, b22, cross, sig2, budget)
-    ddeps1, ddeps2 = _curvatures(*terms)
-    return deps1, deps2, ddeps1, ddeps2, ddeps2 * deps1 - ddeps1 * deps2, _summands(*terms)
+    return (*_slopes(b11, b22, cross, sig2, budget),
+            *_curvatures(a11, a22, b11, b22, cross, re_ab, sig2, budget))
 
 
 def _bundle_derivatives(bundle: CouplingBundle, config: SystemConfig):
@@ -395,7 +381,7 @@ class _SweepData(_ClosedForms):
             self.b11 = head11 / den / den
             self.b22 = (sig4 * n2 + 2.0 * sig2 * p * d + p ** 2 * n1 * d) / den / den
             self.b12 = c * (sig4 - p * q * d) / den / den
-            self.deps1, self.deps2, self.ddeps1, self.ddeps2, *_ = _derivatives(
+            self.deps1, self.deps2, self.ddeps1, self.ddeps2 = _derivatives(
                 self.a11, self.a22, self.a12, self.b11, self.b22, self.b12, sig2, self.budget)
             self.disc = self.discriminant()
             deps1, deps2 = self.deps1[:, slopes], self.deps2[:, slopes]
@@ -453,8 +439,11 @@ def convexity_discriminant(bundle: CouplingBundle, config: SystemConfig):
     and summands the decomposition; their sum reproduces value to 1e-10
     relative to the derivative scale.
     """
-    *_, value, summands = _bundle_derivatives(bundle, config)
-    return float(value), np.array(summands)
+    deps1, deps2, ddeps1, ddeps2 = _bundle_derivatives(bundle, config)
+    cross, re_ab = _couplings(bundle.a12, bundle.b12)
+    summands = _summands(bundle.a11, bundle.a22, bundle.b11, bundle.b22, cross, re_ab,
+                         config.noise_variance, config.power_budget)
+    return float(ddeps2 * deps1 - ddeps1 * deps2), np.array(summands)
 
 
 def g_derivatives(h1, h2, config: SystemConfig, p: float):

@@ -21,14 +21,9 @@ sort_keys=True, indent=2) + "\n" by construction.  A record is written
 through one template per (class, indent), cached, with the sorted field
 names baked in and a `%s` per value; that cache is the one record test.
 A list or tuple is written item by item, so each of its records fills
-its template value by value.  A record table, such as a scan's trials
-(`boundary.ConvexityScan`, whose class names its record class as
-`record_type`), is written as the list of its records in the same
-template, its columns read from the table (`column(name)`) one at a
-time: an all-float column in one map of float.__repr__, any other value
-through `_text` itself, written once per distinct value where the column
-is all bool, all int, all str or all None (never for floats or
-complexes: -0.0 == 0.0).  The filled records are joined in one `%`.
+its template value by value.  A scan's trials (`boundary.ConvexityScan`)
+are written as the list of their reports, filled from the scan's four
+columns with no report formed (`_scan_records`).
 
 CSV floats use repr(), which round-trips exactly through float().
 Region CSVs are written as bytes a block of rows at a time, every cell
@@ -58,7 +53,6 @@ import enum
 import functools
 import itertools
 import json
-import math
 import operator
 import os
 import pickle
@@ -71,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .boundary import BoundarySample
+from .boundary import _LABELS, BoundarySample, ConvexityReport, ConvexityScan
 from .model import ChannelSet, SystemConfig
 from .tolerances import TOLERANCES
 
@@ -619,11 +613,6 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # also one of these is written as that type, never through a template.
 _NOT_RECORDS = (np.generic, float, str, int, complex, enum.Enum, np.ndarray)
 
-# Exact types whose text is a function of the value alone, so a column of
-# one of them may be written once per distinct value.  A float or complex
-# is not: -0.0 == 0.0 and -0j == 0j, so a value key would merge them.
-_MEMO_TYPES = frozenset((bool, int, str, type(None)))
-
 
 @functools.cache
 def _record_template(cls, indent: str) -> Optional[tuple]:
@@ -643,39 +632,28 @@ def _record_template(cls, indent: str) -> Optional[tuple]:
     return text, tuple(names), tuple(map(operator.attrgetter, names))
 
 
-def _column(values: list, indent: str) -> list:
-    """The texts of one field's values across a record table.
+def _scan_records(scan: ConvexityScan, indent: str) -> str:
+    """A scan's reports at nesting `indent`, as list items, filled from
+    its columns with no report formed.
 
-    An all-float column is repr'd in one map.  A column of one of
-    _MEMO_TYPES is written once per distinct value; any other column
-    goes through _text value by value.
+    The flags are written as true/false, the labels as their texts (each
+    formed once by _text), and the floats by one map of float.__repr__,
+    spelled as json spells them where a column holds a NaN or an
+    infinity.  Every report fills the ConvexityReport template in one
+    `%` over the joined copies.
     """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        texts = list(map(float.__repr__, values))
-        if not math.isfinite(sum(values)):      # some value is NaN or infinite
-            texts = [_NONFINITE.get(text, text) for text in texts]
-        return texts
-    if len(kinds) == 1 and kinds <= _MEMO_TYPES:
-        table = dict.fromkeys(values)
-        for value in table:
-            table[value] = _text(value, indent)
-        return list(map(table.__getitem__, values))
-    return [_text(value, indent) for value in values]
-
-
-def _records(table, template: tuple, indent: str) -> str:
-    """A record table's records at nesting `indent`, as list items.
-
-    The table gives each field's column (`column(name)`), which is
-    written a column at a time (_column); every record fills the
-    template in one `%` over the joined copies.
-    """
-    text, names, _ = template
-    inner = indent + "  "
-    texts = [_column(table.column(name), inner) for name in names]
-    cells = tuple(itertools.chain.from_iterable(zip(*texts)))
-    return (",\n" + indent).join([text] * len(table)) % cells
+    text, names, _ = _record_template(ConvexityReport, indent)
+    labels = tuple(_text(label, "") for label in _LABELS)
+    columns = {"certified": map(("false", "true").__getitem__, scan.certified.tolist()),
+               "classification": map(labels.__getitem__, scan.affine.tolist())}
+    for name in ("worst_discriminant", "worst_p"):
+        values = getattr(scan, name)
+        texts = map(float.__repr__, values.tolist())
+        if not np.isfinite(values).all():
+            texts = (_NONFINITE.get(text, text) for text in texts)
+        columns[name] = texts
+    cells = tuple(itertools.chain.from_iterable(zip(*map(columns.__getitem__, names))))
+    return (",\n" + indent).join([text] * len(scan)) % cells
 
 
 def _text(value, indent: str) -> str:
@@ -690,14 +668,9 @@ def _text(value, indent: str) -> str:
     order: a complex is written as [re, im], an Enum as its value, an
     ndarray as its .tolist(); a record (a dataclass, _record_template) by
     its sorted fields in its template, a dict's items under str(key)
-    sorted by key, a list or tuple item by item.
-
-    A record table, a sequence whose class names its record class as
-    `record_type` (a `boundary.ConvexityScan`), is written as the list
-    of its records, in that class's template, one field column at a
-    time (_records).  Every value that is not a float is written by this
-    rule, and a float as the float leaf above, so the bytes are those of
-    writing each record on its own.
+    sorted by key, a list or tuple item by item, and a
+    `boundary.ConvexityScan` as the list of its reports (_scan_records).
+    Any other node raises TypeError.
     """
     if isinstance(value, np.generic):
         value = value.item()
@@ -735,11 +708,10 @@ def _text(value, indent: str) -> str:
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)):
         body = (",\n" + inner).join([_text(v, inner) for v in value])
+    elif isinstance(value, ConvexityScan):
+        body = _scan_records(value, inner)
     else:
-        template = _record_template(getattr(type(value), "record_type", None), inner)
-        if not template:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-        body = _records(value, template, inner)
+        raise TypeError(f"cannot serialize {type(value).__name__}")
     return "[\n" + inner + body + "\n" + indent + "]" if body else "[]"
 
 

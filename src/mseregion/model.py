@@ -175,9 +175,6 @@ class MseTuple(_VectorRecord):
         if (vec <= 0.0).any() or (vec > 1.0).any():
             raise ValueError(f"MSE values must lie in (0, 1], got {vec}")
 
-    def __getitem__(self, k):
-        return self.values[k]
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector(_VectorRecord):

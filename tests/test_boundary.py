@@ -562,10 +562,11 @@ def test_certificates_on_reduced_pairs_match_raw_grams():
             assert (np.abs(data.eps1 - (1.0 - ps * gram_a[..., 0, 0].real)) <= bound).all(), where
             assert (np.abs(data.eps2 - (1.0 - (snr - ps) * gram_a[..., 1, 1].real))
                     <= bound).all(), where
-            disc = boundary._derivatives(
+            d1, d2, dd1, dd2 = boundary._derivatives(
                 gram_a[..., 0, 0].real, gram_a[..., 1, 1].real, gram_a[..., 0, 1],
                 gram_b[..., 0, 0].real, gram_b[..., 1, 1].real, gram_b[..., 0, 1],
-                config.noise_variance, config.power_budget)[4]
+                config.noise_variance, config.power_budget)
+            disc = dd2 * d1 - dd1 * d2
             inner = slice(1, -1)
             scale = np.abs(data.ddeps2 * data.deps1) + np.abs(data.ddeps1 * data.deps2)
             assert (np.abs(data.disc - disc)[:, inner]
@@ -611,10 +612,10 @@ def _exact_boundary(h1, h2, config, p):
         grams = [(u.H * m * v)[0] for m in (inv, inv2) for u, v in
                  ((col1, col1), (col2, col2), (col1, col2))]
         a11, a22, a12, b11, b22, b12 = grams
-        d1, d2, dd1, dd2, disc, _ = boundary._derivatives(
+        d1, d2, dd1, dd2 = boundary._derivatives(
             a11.real, a22.real, a12, b11.real, b22.real, b12,
             mpmath.mpf(config.noise_variance), budget)
-        return (1 - split * a11.real, 1 - (budget - split) * a22.real, disc,
+        return (1 - split * a11.real, 1 - (budget - split) * a22.real, dd2 * d1 - dd1 * d2,
                 abs(dd2 * d1) + abs(dd1 * d2))
 
 

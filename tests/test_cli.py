@@ -143,6 +143,24 @@ def test_boundary_input_errors(tmp_path, ref_channels_file):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["boundary", "--h1", "1+0i,,0", "--h2", "0+0i,1+0i,0"],
+     "empty entry in complex list '1+0i,,0'"),
+    (["boundary", "--h1", "1+0x,0", "--h2", "0+0i,1+0i"], "cannot parse '1+0x' as a complex scalar"),
+    (["wsmse", "--weights", "0.2,x,0.3"],
+     "cannot parse '0.2,x,0.3' as a comma-separated float list"),
+    (["segment", "--a", "0.5,", "--b", "1,1,1"], "cannot parse '0.5,' as a comma-separated float list"),
+], ids=["empty complex entry", "bad complex entry", "bad weight", "trailing comma"])
+def test_list_parse_errors_exit_2_and_write_nothing(tmp_path, ref_channels_file, argv, message):
+    out = tmp_path / "out"
+    if argv[0] != "boundary":
+        argv = argv + ["--channels", ref_channels_file]
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert proc.stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("inline", [
     ["--h1", "5+0i,5+0i", "--h2", "1+0i,2+0i"],
     ["--h1", "5+0i,5+0i"],

@@ -592,7 +592,7 @@ def _former_to_jsonable(value):
         return {str(k): _former_to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_former_to_jsonable(v) for v in value]
-    if isinstance(value, (ConvexityScan, _Table)):      # a record table is the list of its records
+    if isinstance(value, ConvexityScan):        # a scan is the list of its reports
         return [_former_to_jsonable(value[t]) for t in range(len(value))]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -646,29 +646,6 @@ class _Child(_Leaf):
     extra: object = None
 
 
-class _Table:
-    """A record table of the test's own: it gives its records' field
-    columns as `boundary.ConvexityScan` gives a scan's."""
-
-    def __init__(self, records):
-        self.records = list(records)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, t):
-        return self.records[t]
-
-    def column(self, name):
-        return [getattr(record, name) for record in self.records]
-
-
-def _table(records):
-    """The records, all of one class, as a table of that class."""
-    cls = type(records[0])
-    return type(f"{cls.__name__}Table", (_Table,), {"record_type": cls})(records)
-
-
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072e-308,
                 1e308, 1.7976931348623157e308, 0.1, 1e16, 1e-7, 123456789.0]
 _STRINGS = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\bé \ud800\U0001f600')),
@@ -701,7 +678,7 @@ def _containers(children):
     records = [st.builds(_Node, children, children, children),
                st.builds(_Leaf, children, _STRINGS),
                st.builds(_Child, children, _STRINGS, children)]
-    # 2-6 records of one class, as a list, a tuple and a record table
+    # 2-6 records of one class, as a list and a tuple
     runs = [st.lists(record, min_size=2, max_size=6) for record in records]
     return st.one_of(
         st.lists(children, max_size=4),
@@ -710,7 +687,6 @@ def _containers(children):
         *records,
         *runs,
         *[run.map(tuple) for run in runs],
-        *[run.map(_table) for run in runs],
     )
 
 
@@ -769,10 +745,10 @@ class _Unhashable(enum.Enum):      # __eq__ without __hash__: members are unhash
         return self is other
 
 
-# Field columns of a record table, each written a column at a time.
-# Values that compare equal, such as -0.0 and 0.0 or True, 1, 1.0 and
-# _Level.LOW, must still be written each as itself: a writer that reuses
-# a float's or a mixed column's text by value fails here.
+# Field values of runs of records.  Values that compare equal, such as
+# -0.0 and 0.0 or True, 1, 1.0 and _Level.LOW, must still be written each
+# as itself: a writer that reuses a float's or a mixed value's text by
+# value fails here.
 _COLUMNS = {
     "floats": [0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, 1e308],
     "finite floats": [-0.0, 0.0, 0.1, 1e16],
@@ -804,10 +780,6 @@ def test_record_sequences_match_json_dumps(column):
     for run in (leaves, nodes, children):
         _assert_same_text(run)
         _assert_same_text({"run": tuple(run), "nested": [run, run[:2]]})
-        # a table is written a column at a time, as the list of its records
-        table = _table(run)
-        assert json_text(table) == json_text(run)
-        _assert_same_text({"table": table, "nested": [table, _table(run[:2]), _table(run[:1])]})
     # a _Child is not a _Leaf: a sequence of both must not share _Leaf's template
     _assert_same_text([leaves[0], children[0], *leaves[1:]])
     _assert_same_text(tuple(children[:1] + leaves))
@@ -845,8 +817,6 @@ def test_records_that_subclass_a_container_or_a_dataclass(kind):
     run = [record] * 4
     _assert_same_text(run)
     _assert_same_text({"run": tuple(run), "mixed": [_record_kinds()[kind], *run]})
-    assert json_text(_table(run)) == json_text(run)
-    _assert_same_text({"table": _table(run)})
 
 
 @dataclass(frozen=True)
@@ -944,3 +914,19 @@ def test_scan_tables_are_written_as_their_report_lists(setting):
         short = ConvexityScan(*(getattr(scan, name)[:count] for name in names))
         assert json_text(short) == json_text(reports[:count]), count
         _assert_same_text({"trials": short})
+
+
+def test_scans_with_nonfinite_columns_are_written_as_their_report_lists():
+    # a scan built by hand may hold what no certificate returns
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e308, 0.1]
+    scan = ConvexityScan([t % 3 == 0 for t in range(8)], [t % 2 == 1 for t in range(8)],
+                         floats, floats[::-1])
+    reports = list(scan)
+    assert {r.classification for r in reports} == set(BoundaryClass)
+    assert json_text({"trials": scan}) == json_text({"trials": reports})
+    _assert_same_text({"trials": scan, "nested": [scan, {"again": scan}]})
+    # nonfinite values in one float column only
+    for worst, at in ((floats[:4], floats[4:]), (floats[4:], floats[:4])):
+        short = ConvexityScan(scan.certified[:4], scan.affine[:4], worst, at)
+        assert json_text(short) == json_text(list(short))
+        _assert_same_text(short)
