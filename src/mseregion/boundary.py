@@ -11,7 +11,9 @@ discriminant
 its three-term decomposition (each term nonpositive), the closed-form
 coupling ratios whose Cauchy-Schwarz bounds drive that sign argument,
 and the affine special case that arises for colinear channels
-h2 = alpha h1.
+h2 = alpha h1.  It also gives the membership solve its two-user start,
+the split where the excesses eps_k - t_k of a target cross
+(`_face_crossings`).
 
 Every evaluation takes a (T, N, 2) stack of channel pairs, a single pair
 being a stack of one, and depends on a pair only through four scalars
@@ -242,6 +244,45 @@ def _pair_scalars(pairs: np.ndarray):
 def _affine(n1, n2, d) -> np.ndarray:
     """The flat mask of pairs whose d = |det R|^2 vanishes relative to n1 n2."""
     return (d <= COLINEARITY_RTOL * n1 * n2).ravel()
+
+
+def _face_crossings(factor: np.ndarray, config: SystemConfig, targets: np.ndarray) -> np.ndarray:
+    """The full-budget allocation minimising max(eps1 - t1, eps2 - t2), for
+    the pair of triangular factor `factor` (N, 2) and each row (t1, t2) of
+    an (S, 2) stack of targets: an (S, 2) array of powers.
+
+    On the face user k's power x and the other's P - x make eps_k - eps_o
+    = sigma^2 ((P - x) n_o - x n_k) / Delta fall strictly in x, so the two
+    excesses cross where f(x) = sigma^2 ((P - x) n_o - x n_k) - (t_k - t_o)
+    Delta = a x^2 - 2 h x + f(0) changes sign, a = (t_k - t_o) d: at x = 0
+    (user k silent) where f(0) <= 0, at x = P where f(P) >= 0, else at the
+    one root in (0, P).  That root is f(0) / r for h >= 0 and r / a for
+    h < 0 (then a < 0), r = h + sign(h) sqrt(h^2 - a f(0)), neither form
+    cancelling; at a = 0 it is f(0) / (2 h).  Each user's power is found
+    so, and the smaller is kept with the rest of P given to the other, so
+    that a small power keeps its relative digits; where that float sum
+    misses P by a rounding tie, the smaller becomes P minus the larger,
+    which is exact, so every row sums to P.  A row whose values leave the
+    float64 range holds NaN, with no warning.
+    """
+    sig2, budget = np.float64(config.noise_variance), config.power_budget
+    gap = targets - targets[:, ::-1]
+    with _quiet_overflow():
+        n1, n2, _, d = _pair_scalars(factor[None])
+        own, other = np.concatenate([n1, n2]), np.concatenate([n2, n1])
+        lead = gap * d
+        half = 0.5 * (sig2 * (own * (1.0 + gap) + other * (1.0 - gap)) + gap * budget * d)
+        start = sig2 * budget * other * (1.0 - gap) - gap * sig2 ** 2
+        end = -sig2 * budget * own * (1.0 + gap) - gap * sig2 ** 2
+        root = half + np.copysign(np.sqrt(np.maximum(half * half - lead * start, 0.0)), half)
+        inner = np.where(half >= 0.0, start / root, root / lead)
+        power = np.where(start <= 0.0, 0.0,
+                         np.where(end >= 0.0, budget, np.clip(inner, 0.0, budget)))
+        first = power[:, :1] <= power[:, 1:]
+        low = np.where(first, power[:, :1], power[:, 1:])
+        high = budget - low
+        low = np.where(low + high == budget, low, budget - high)
+        return np.where(first, np.hstack([low, high]), np.hstack([high, low]))
 
 
 def _couplings(a12, b12):

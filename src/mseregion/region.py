@@ -16,7 +16,12 @@ starts at its interference-free allocation, p_k proportional to
 (1/t_k - 1)_+ / g_k with g_k = |h_k|^2, scaled onto sum p = P: the powers
 that would meet t if no user heard another.  On orthogonal channels that
 is p*(t) itself, so at a target on the full-budget face (s* = 0) the start
-is the solution.  Every iterate tightens a bracket lo <= s* <= margin.
+is the solution.  A two-user target starts at its solution on any
+channels: on the face p1 = p, p2 = P - p, eps1 - t1 falls and eps2 - t2
+rises in p, so s* is their value where they cross, at the root of one
+quadratic in p or at an end where one user is silent
+(`boundary._face_crossings`), and its first round closes the bracket up
+to the kernel's rounding.  Every iterate tightens a bracket lo <= s* <= margin.
 One that spends at most P is a witness of its own max_k (eps_k - t_k),
 the reported margin.  One that spends at least P proves s* >= the least
 eps_k - t_k of its transmitting users: below that level it is a strict
@@ -38,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from .boundary import _face_crossings
 from .model import ChannelSet, MseTuple, SystemConfig, _channel_set, _mse_terms, mse_tuples
 from .simplex import budget_simplex_lattice, lattice_size, sample_budget_simplex
 from .tolerances import TOL_MEMBER
@@ -142,7 +148,13 @@ def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
     t exactly on orthogonal channels, and at a face target they already
     spend P: the start is the solution.  A row where the rule is undefined
     starts at p = P/K: every t_k is 1, or a ratio overflows or underflows
-    to zero, or the row sum is not finite and positive.  Every row starts
+    to zero, or the row sum is not finite and positive.  At K = 2 a row
+    starts instead at the full-budget allocation where eps1 - t1 = eps2 -
+    t2, or at the end of the face where one user is silent if they do not
+    cross (`boundary._face_crossings`): its float sum is P and its
+    excesses meet at s*, so its first round closes the bracket up to the
+    kernel's rounding.  A row whose crossing is not finite keeps the rule
+    above.  Every row starts
     with the all-silent witness (margin max(1 - t)) and lo = -min t (some
     tau_k = 0 is beyond any power).
 
@@ -167,6 +179,10 @@ def _solve(chan: ChannelSet, config: SystemConfig, tgt: np.ndarray) -> list:
         powers = need * (budget / need.sum(axis=1, keepdims=True))
     sound = (np.isfinite(powers) & ((powers > 0.0) | (tgt >= 1.0))).all(axis=1)
     powers[~sound] = budget / k
+    if k == 2:
+        crossing = _face_crossings(chan.factor, config, tgt)
+        exact = np.isfinite(crossing).all(axis=1)
+        powers[exact] = crossing[exact]
     witness = np.zeros((count, k))
     rounds = np.zeros(count, int)
     while True:

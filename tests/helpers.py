@@ -119,6 +119,43 @@ def two_user_dominated(mat, config: SystemConfig, target) -> bool:
     return s2 * (s2 + p0 * n1) / delta(p0) <= t2
 
 
+def two_user_margin(mat, config: SystemConfig, target) -> float:
+    """Exact two-user membership margin s* = min_p max_k (eps_k - t_k), in
+    50-digit arithmetic.
+
+    As in `two_user_dominated`, the minimum is on the full-budget face, where
+    with p1 = p, p2 = P - p the excess eps1 - t1 falls and eps2 - t2 rises in
+    p.  So s* is their larger value where they cross: at the root of their
+    difference, or at p = 0 or p = P where it does not change sign on [0, P].
+    n_k = |h_k|^2 and d = n1 n2 - |h1^H h2|^2 are formed from the channel
+    entries in the same arithmetic, so d is exact for colinear columns.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    with mpmath.workdps(50):
+        h1, h2 = ([mpmath.mpc(complex(v)) for v in mat[:, k]] for k in range(2))
+        n1, n2 = (sum(v.real ** 2 + v.imag ** 2 for v in h) for h in (h1, h2))
+        c = sum(mpmath.conj(a) * b for a, b in zip(h1, h2))
+        d = n1 * n2 - (c.real ** 2 + c.imag ** 2)
+        s2, budget = mpmath.mpf(config.noise_variance), mpmath.mpf(config.power_budget)
+        t1, t2 = (mpmath.mpf(float(v)) for v in target)
+
+        def excesses(p):
+            delta = s2 ** 2 + s2 * (p * n1 + (budget - p) * n2) + p * (budget - p) * d
+            return s2 * (s2 + (budget - p) * n2) / delta - t1, s2 * (s2 + p * n1) / delta - t2
+
+        def crossing(p):
+            first, second = excesses(p)
+            return first - second
+
+        if crossing(0) <= 0:
+            split = mpmath.mpf(0)
+        elif crossing(budget) >= 0:
+            split = budget
+        else:
+            split = mpmath.findroot(crossing, (0, budget), solver="anderson")
+        return float(max(excesses(split)))
+
+
 def closed_form_channels(family, rng, n_antennas: int, k: int) -> np.ndarray:
     """Channels of one closed-form family: colinear columns alpha_k h, or
     scaled orthonormal columns."""

@@ -33,6 +33,7 @@ from helpers import (
     random_config,
     random_powers,
     two_user_dominated,
+    two_user_margin,
 )
 
 REF_H = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
@@ -249,12 +250,17 @@ def test_reference_chord_takes_few_kernel_calls():
     assert max(v.rounds for v in verdicts) <= 7
 
 
-def test_membership_batch_rows_are_single_solves():
-    # lockstep rows do not see each other: a segment's verdicts are the
-    # verdicts of its targets solved one at a time, bit for bit
-    report = segment_test(REF_H, REF_CONFIG, TRIPLE_A, TRIPLE_B, steps=3)
+@pytest.mark.parametrize("channels, ends", [
+    (REF_H, (TRIPLE_A, TRIPLE_B)),
+    (REF_H[:, 1:], mse_tuples(REF_H[:, 1:], [[2.0, 8.0], [7.0, 3.0]], REF_CONFIG)),
+], ids=["reference", "two-user"])
+def test_membership_batch_rows_are_single_solves(channels, ends):
+    # lockstep rows do not see each other, nor does a two-user row's start
+    # at its face crossing: a segment's verdicts are the verdicts of its
+    # targets solved one at a time, bit for bit
+    report = segment_test(channels, REF_CONFIG, *ends, steps=3)
     for verdict in (report.endpoint_a, report.endpoint_b, *report.points):
-        alone = dominated_membership(REF_H, REF_CONFIG, verdict.target)
+        alone = dominated_membership(channels, REF_CONFIG, verdict.target)
         for field in dataclasses.fields(alone):
             got = np.asarray(getattr(verdict, field.name))
             assert got.tobytes() == np.asarray(getattr(alone, field.name)).tobytes()
@@ -414,6 +420,44 @@ def test_membership_matches_closed_form_families(family, oracle, k):
             assert max(v.rounds for v in verdicts[:4]) <= 4, snr
 
 
+def _two_user_panel():
+    """(channels, config, targets) of 100 two-user problems: N = 1..5
+    antennas, every fifth pair colinear, P / sigma^2 = 10^U(-2, 10).  The
+    targets are the MSEs of a full-budget allocation (face), min(1.05 face,
+    1) (inside), 0.95 face (outside) and face with one t_k = 1."""
+    rng = np.random.default_rng(58)
+    for i in range(100):
+        n = 1 + i % 5
+        mat = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        if i % 5 == 4:
+            mat[:, 1] = mat[:, 0] * complex(*rng.standard_normal(2))
+        config = SystemConfig(noise_variance=1.0, power_budget=float(10.0 ** rng.uniform(-2, 10)))
+        raw = rng.exponential(size=2)
+        face = mse_tuple(mat, raw * (config.power_budget / raw.sum()), config).values
+        silent = face.copy()
+        silent[i % 2] = 1.0
+        yield mat, config, np.vstack([face, np.minimum(1.05 * face, 1.0), 0.95 * face, silent])
+
+
+def test_two_user_margins_are_exact_in_few_rounds():
+    # a two-user target starts at its exact face crossing, so its margin is
+    # the 50-digit crossing of tests/helpers.py to 1e-14, its verdict that
+    # margin's, and its first kernel round closes the bracket: the 112 face
+    # and inside targets at P / sigma^2 <= 1e4 took mean 4.4, max 7 rounds
+    # from the interference-free start, and take one each (measured)
+    rounds = []
+    for mat, config, targets in _two_user_panel():
+        verdicts = region._solve(ChannelSet(mat), config, targets)
+        exact = [two_user_margin(mat, config, t) for t in targets]
+        np.testing.assert_allclose([v.margin for v in verdicts], exact, rtol=0.0, atol=1e-14)
+        assert [v.dominated for v in verdicts] == [e <= TOL_MEMBER for e in exact], exact
+        assert all(v.converged for v in verdicts), config
+        if config.snr <= 1e4:
+            rounds += [v.rounds for v in verdicts[:2]]
+    assert len(rounds) == 112
+    assert max(rounds) <= 2 and np.mean(rounds) <= 1.1, (max(rounds), np.mean(rounds))
+
+
 def test_membership_matches_bruteforce_oracle():
     rng = np.random.default_rng(31)
     for _ in range(2):
@@ -495,10 +539,12 @@ def _face_chord_midpoints(chan, config, grid):
 def test_batched_membership_checks_both_claims():
     # K = 2 (N = 4, P / sigma^2 = 10^U(-1, 3)): every chord midpoint of the
     # face is dominated, as the two-user theorem says (measured worst margin
-    # -1.6e-7).  Convergence is not required: one target of instance 1 ends
-    # its 64 rounds with the bracket open, yet its witness, spending at most
-    # P, replays a margin that proves dominance
+    # -1.6e-7), and its witness, spending at most P, replays its margin.
+    # All 16 400 midpoints converge: from the interference-free start in
+    # 81 920 rounds (max 33), from the face crossing in 16 696 (max 21, the
+    # longest next to a silent end at P / sigma^2 ~ 1e3)
     rng = np.random.default_rng(7)
+    rounds = 0
     for instance in range(20):
         chan = ChannelSet(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
         config = SystemConfig(noise_variance=1.0, power_budget=float(10.0 ** rng.uniform(-1, 3)))
@@ -509,6 +555,9 @@ def test_batched_membership_checks_both_claims():
         assert (witness.sum(axis=1) <= config.power_budget).all(), instance
         assert (replay == [v.margin for v in verdicts]).all(), instance
         assert (replay <= TOL_MEMBER).all(), (instance, replay.max())
+        assert all(v.converged for v in verdicts), instance
+        rounds += sum(v.rounds for v in verdicts)
+    assert rounds < 20_000, rounds
     # the reference instance: the deepest midpoint of face grid 12 lies
     # deeper outside the region than the published chord's midpoint
     chan = ChannelSet(REF_H)
