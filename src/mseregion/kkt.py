@@ -139,8 +139,8 @@ def _multipliers(grad: np.ndarray, p: np.ndarray, budget: float):
 
 def kkt_residuals(channels, config: SystemConfig, weights, powers, lam: float, mu) -> KktResiduals:
     """Evaluate every first-order condition at (p, lambda, mu)."""
-    grad = weighted_mse_gradient(channels, powers, config, weights)
-    p = _power_rows(powers, grad.size)
+    p = _power_rows(powers, _channel_set(channels).n_users, ndim=1)
+    grad = weighted_mse_gradient(channels, p, config, weights)
     mu_vec = np.asarray(mu, dtype=np.float64).reshape(-1)
     if mu_vec.size != p.size:
         raise ValueError(f"{mu_vec.size} multipliers for {p.size} users")
@@ -157,8 +157,8 @@ def recover_multipliers(channels, config: SystemConfig, weights, powers):
     inactive users and 0 for active ones.  At a certificate's powers this
     returns its lam and mu exactly.
     """
-    grad = weighted_mse_gradient(channels, powers, config, weights)
-    p = _power_rows(powers, grad.size)
+    p = _power_rows(powers, _channel_set(channels).n_users, ndim=1)
+    grad = weighted_mse_gradient(channels, p, config, weights)
     lam, mu = _multipliers(grad, p, config.power_budget)
     return float(lam), mu
 

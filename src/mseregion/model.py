@@ -219,11 +219,13 @@ def _channel_set(channels) -> ChannelSet:
     return channels if isinstance(channels, ChannelSet) else ChannelSet(channels)
 
 
-def _power_rows(powers, n_users: int) -> np.ndarray:
-    """Validated float powers of shape (..., K): one vector, an (S, K) batch or a grid."""
+def _power_rows(powers, n_users: int, ndim: int | None = None) -> np.ndarray:
+    """Validated float powers of shape (..., K), with exactly `ndim` axes if given."""
     pw = np.asarray(powers, dtype=np.float64)
     if pw.ndim < 1 or pw.shape[-1] != n_users:
         raise ValueError(f"power shape {pw.shape} does not match {n_users} users")
+    if ndim is not None and pw.ndim != ndim:
+        raise ValueError(f"power shape {pw.shape} is not {ndim}-D")
     if not np.isfinite(pw).all() or (pw < 0.0).any():
         raise ValueError("powers must be finite and nonnegative")
     return pw

@@ -84,28 +84,25 @@ _EIGEN_FLOOR = 1e-10
 _MAX_ITERS = 5000
 
 
-def _project_onto_face(rows: np.ndarray, budget: float) -> np.ndarray:
-    """Sort-based Euclidean projection of (S, K) rows onto {p >= 0, sum(p) = budget}."""
+def _thresholds(rows: np.ndarray, budget: float) -> np.ndarray:
+    """tau = max_j c_j per (S, K) row, c_j = (sum of its j largest entries - budget) / j.
+    c_j is a weighted mean of c_(j-1) and the j-th largest entry, so the c_j rise exactly
+    while entries are kept, and their maximum is the kept set's threshold (Condat 2016)."""
     srt = np.sort(rows, axis=1)[:, ::-1]
-    excess = np.cumsum(srt, axis=1) - budget
-    keep = srt - excess / np.arange(1, rows.shape[1] + 1) > 0.0
-    rho = rows.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)   # last kept index
-    tau = excess[np.arange(rows.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(rows - tau[:, None], 0.0)
+    return ((np.cumsum(srt, axis=1) - budget) / np.arange(1, rows.shape[1] + 1)).max(axis=1)
+
+
+def _project_onto_face(rows: np.ndarray, budget: float) -> np.ndarray:
+    """Euclidean projection of (S, K) rows onto {p >= 0, sum(p) = budget}: max(x - tau, 0)."""
+    return np.maximum(rows - _thresholds(rows, budget)[:, None], 0.0)
 
 
 def project_onto_budget_simplex(point, budget: float) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum(p) <= budget}.
-
-    `point` is one vector or an (S, K) batch projected row by row.  Clips
-    negatives, then projects the rows still over budget onto the face.
-    """
-    vec = np.asarray(point, dtype=np.float64)
-    rows = np.atleast_2d(vec)
-    out = np.maximum(rows, 0.0)
-    over = out.sum(axis=1) > budget
-    out[over] = _project_onto_face(rows[over], budget)
-    return out if vec.ndim == 2 else out[0]
+    """Euclidean projection onto {p >= 0, sum(p) <= budget}, row by row for an (S, K) batch:
+    max(x - max(tau, 0), 0), where tau <= 0 exactly if the positive entries fit the budget."""
+    rows = np.atleast_2d(np.asarray(point, dtype=np.float64))
+    out = np.maximum(rows - np.maximum(_thresholds(rows, budget), 0.0)[:, None], 0.0)
+    return out if np.ndim(point) == 2 else out[0]
 
 
 def sample_budget_simplex(rng: np.random.Generator, k: int, budget: float, count: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 import csv
+import itertools
 import math
 
 import mpmath
@@ -220,6 +221,63 @@ def orthogonal_membership_margin(gains, target, sigma2: float, budget: float) ->
             lambda s: -sum(c / (t + s) ** 2 for t, c in users if t + s < 1),
             -least + scale / (scale + 2 * pw))
         return float(root)
+
+
+def grouped_channels(rng, n_antennas: int, sizes) -> np.ndarray:
+    """Channels of users in mutually orthogonal groups, colinear within a
+    group: group g of `sizes[g]` users takes columns alpha_k q_g, with q_g
+    the g-th column of a random unitary matrix."""
+    basis = np.linalg.qr(rng.standard_normal((n_antennas, n_antennas))
+                         + 1j * rng.standard_normal((n_antennas, n_antennas)))[0]
+    return np.hstack([
+        np.outer(basis[:, g], rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        for g, size in enumerate(sizes)
+    ])
+
+
+def grouped_membership_margin(gains, sizes, target, sigma2: float, budget: float) -> float:
+    """Membership margin s* of `grouped_channels`, `gains` g_k = |h_k|^2 in
+    user order, groups of `sizes` consecutive users, in 50-digit arithmetic.
+
+    Within a group G, u_k = 1 - eps_k = p_k g_k / (sigma^2 + sum_{j in G}
+    p_j g_j), so G spends sigma^2 (sum_{k in G} u_k / g_k) / (1 - U_G), U_G =
+    sum_{k in G} u_k < 1, a spend that rises in every u_k.  t + s is
+    achievable when u_k = (1 - t_k - s)_+ spends at most P, and s* is the
+    root of that convex, decreasing total spend.  It is finite for s above
+    s_lo, where the first U_G reaches 1: each group's s with U_G = 1 is the
+    largest over m of ((sum of its m largest 1 - t_k) - 1) / m.  Newton
+    starts where the spend first exceeds P on halving the distance to s_lo.
+    """
+    with mpmath.workdps(50):
+        s2, pw = mpmath.mpf(sigma2), mpmath.mpf(budget)
+        ends = list(itertools.accumulate(sizes, initial=0))
+        groups = [[(1 - mpmath.mpf(float(target[k])), mpmath.mpf(float(gains[k])))
+                   for k in range(lo, hi)] for lo, hi in zip(ends[:-1], ends[1:])]
+
+        def spend(s):
+            total = -pw
+            for group in groups:
+                u = [(c - s, g) for c, g in group if c > s]
+                total += s2 * sum(v / g for v, g in u) / (1 - sum(v for v, _ in u))
+            return total
+
+        def slope(s):
+            total = 0
+            for group in groups:
+                u = [(c - s, g) for c, g in group if c > s]
+                num, den = sum(v / g for v, g in u), 1 - sum(v for v, _ in u)
+                total -= s2 * (sum(1 / g for _, g in u) * den + num * len(u)) / den ** 2
+            return total
+
+        def saturation(group):
+            tops = itertools.accumulate(sorted((c for c, _ in group), reverse=True))
+            return max((top - 1) / m for m, top in enumerate(tops, start=1))
+
+        s_lo = max(saturation(group) for group in groups)
+        s = s_lo + (max(c for group in groups for c, _ in group) - s_lo) / 2
+        while spend(s) <= 0:
+            s = s_lo + (s - s_lo) / 2
+        return float(_decreasing_root(spend, slope, s))
 
 
 def colinear_weighted_minimum(gains, weights, sigma2: float, budget: float) -> float:

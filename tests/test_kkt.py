@@ -23,7 +23,7 @@ from mseregion import (
 from mseregion import kkt, simplex
 from mseregion.io import to_jsonable
 from mseregion.simplex import budget_simplex_lattice, sample_budget_simplex
-from mseregion.tolerances import TOL_ACTIVE_REL, TOL_KKT
+from mseregion.tolerances import TOL_ACTIVE_REL, TOL_FEAS_REL, TOL_KKT
 
 from helpers import (
     closed_form_channels,
@@ -309,6 +309,34 @@ def test_recover_multipliers_reference_and_slack_budget():
     lam, mu = recover_multipliers(h, REF_CONFIG, [1.0], [5.0])
     assert lam == 0.0
     np.testing.assert_array_equal(mu, [0.0])
+
+
+def test_certificate_replays_reject_power_batches_before_evaluating(monkeypatch):
+    # one certificate is one length-K vector; a batch is rejected by its
+    # shape, before any gradient is formed
+    def unreachable(*args):
+        raise AssertionError("gradient evaluated before the powers were checked")
+    monkeypatch.setattr(kkt, "weighted_mse_gradient", unreachable)
+    batch = np.full((2, 3), 1.0)
+    with pytest.raises(ValueError, match=r"^power shape \(2, 3\) is not 1-D$"):
+        recover_multipliers(REF_H, REF_CONFIG, REF_WEIGHTS, batch)
+    with pytest.raises(ValueError, match=r"^power shape \(2, 3\) is not 1-D$"):
+        kkt_residuals(REF_H, REF_CONFIG, REF_WEIGHTS, batch, 0.0, np.zeros(3))
+    with pytest.raises(ValueError, match=r"^power shape \(2,\) does not match 3 users$"):
+        recover_multipliers(REF_H, REF_CONFIG, REF_WEIGHTS, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("power", (1e-17, 1e-20, 1e-300))
+def test_clusters_stay_within_a_budget_below_the_rounding_of_the_starts(power):
+    # the solver projects points minus their O(1) gradients, rows whose
+    # largest entry's half ulp exceeds these budgets; every cluster must
+    # still spend at most P
+    config = SystemConfig(noise_variance=1.0, power_budget=power)
+    clusters = enumerate_stationary_points(REF_H, config, REF_WEIGHTS)
+    assert clusters
+    totals = [float(c.powers.sum()) for c in clusters]
+    assert all((c.powers >= 0.0).all() for c in clusters)
+    assert max(totals) <= power * (1.0 + TOL_FEAS_REL), totals
 
 
 def test_weight_vector_validation():

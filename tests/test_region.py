@@ -27,6 +27,8 @@ from helpers import (
     closed_form_channels,
     colinear_membership_margin,
     dense_mse,
+    grouped_channels,
+    grouped_membership_margin,
     minimax_margin_oracle,
     orthogonal_membership_margin,
     random_channels,
@@ -399,15 +401,19 @@ def test_membership_high_snr_targets_of_known_allocations(k):
 @pytest.mark.parametrize("k", (3, 5, 8))
 def test_membership_matches_closed_form_families(family, oracle, k):
     # s* in closed form (tests/helpers.py) at face targets (the MSEs of four
-    # full-budget allocations), at 0.9 of them (outside) and at
-    # min(1.05 of them, 1) (inside).  On orthogonal channels a face
-    # target's interference-free start is its solution, so its bracket
-    # closes within the rounds that rounding takes
+    # full-budget allocations), at 0.9 of them (outside up to P/sigma^2 =
+    # 1e4) and at min(1.05 of them, 1) (inside).  From 1e6 on, the 0.9 x
+    # face targets of orthogonal channels lie within TOL_MEMBER of the
+    # face, so every verdict is checked against its exact margin.  On
+    # orthogonal channels a face target's interference-free start is its
+    # solution, so its bracket closes within the rounds that rounding takes
     rng = np.random.default_rng([23, k])
-    for snr in (1e-2, 1.0, 1e2, 1e4):
+    for snr in (1e-2, 1.0, 1e2, 1e4, 1e6, 1e8, 1e12, 1e15):
         mat = closed_form_channels(family, rng, 8, k)
-        config = SystemConfig(noise_variance=1.0, power_budget=snr)
         raw = rng.exponential(size=(4, k))
+        if family == "colinear" and k == 8 and snr == 1e15:
+            continue    # K = N: the kernel's face MSEs raise LinAlgError here
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
         face = mse_tuples(mat, raw * (snr / raw.sum(axis=1, keepdims=True)), config)
         targets = np.vstack([face, 0.9 * face, np.minimum(1.05 * face, 1.0)])
         verdicts = region._solve(ChannelSet(mat), config, targets)
@@ -415,9 +421,54 @@ def test_membership_matches_closed_form_families(family, oracle, k):
         exact = [oracle(gains, target, 1.0, snr) for target in targets]
         assert all(v.converged for v in verdicts), snr
         np.testing.assert_allclose([v.margin for v in verdicts], exact, rtol=0.0, atol=1e-14)
-        assert [v.dominated for v in verdicts] == [True] * 4 + [False] * 4 + [True] * 4, snr
+        assert [v.dominated for v in verdicts] == [e <= TOL_MEMBER for e in exact], snr
+        if snr <= 1e4:
+            assert [v.dominated for v in verdicts] == [True] * 4 + [False] * 4 + [True] * 4, snr
         if family == "orthogonal":
             assert max(v.rounds for v in verdicts[:4]) <= 4, snr
+
+
+def test_grouped_oracle_reduces_to_the_closed_form_families():
+    # one group is the colinear family, singleton groups the orthogonal one
+    rng = np.random.default_rng(27)
+    for family, oracle, sizes in (("colinear", colinear_membership_margin, (4,)),
+                                  ("orthogonal", orthogonal_membership_margin, (1, 1, 1, 1))):
+        for snr in (0.1, 10.0, 1e3):
+            mat = closed_form_channels(family, rng, 6, 4)
+            gains = np.sum(np.abs(mat) ** 2, axis=0)
+            config = SystemConfig(noise_variance=1.0, power_budget=snr)
+            raw = rng.exponential(size=(3, 4))
+            face = mse_tuples(mat, raw * (snr / raw.sum(axis=1, keepdims=True)), config)
+            for target in np.vstack([face, 0.9 * face, np.minimum(1.05 * face, 1.0)]):
+                exact = oracle(gains, target, 1.0, snr)
+                assert grouped_membership_margin(gains, sizes, target, 1.0, snr) \
+                    == pytest.approx(exact, rel=1e-15, abs=1e-15), (family, snr)
+
+
+def test_membership_matches_the_grouped_family_and_finds_its_nonconvexity():
+    # K = 3: a colinear pair and a user orthogonal to it, N = 4, P / sigma^2
+    # = 10^U(-1, 3).  Its region is not convex, and membership is in closed
+    # form (tests/helpers.py): targets are the MSEs of five full-budget
+    # allocations and the midpoints of their ten chords, some of which
+    # leave the region
+    outside = 0
+    for instance in range(12):
+        rng = np.random.default_rng([27, instance])
+        mat = grouped_channels(rng, 4, (2, 1))
+        snr = float(10.0 ** rng.uniform(-1.0, 3.0))
+        config = SystemConfig(noise_variance=1.0, power_budget=snr)
+        raw = rng.exponential(size=(5, 3))
+        face = mse_tuples(mat, raw * (snr / raw.sum(axis=1, keepdims=True)), config)
+        first, second = np.triu_indices(5, 1)
+        targets = np.vstack([face, 0.5 * (face[first] + face[second])])
+        verdicts = region._solve(ChannelSet(mat), config, targets)
+        gains = np.sum(np.abs(mat) ** 2, axis=0)
+        exact = np.array([grouped_membership_margin(gains, (2, 1), t, 1.0, snr) for t in targets])
+        assert all(v.converged for v in verdicts), instance
+        np.testing.assert_allclose([v.margin for v in verdicts], exact, rtol=0.0, atol=1e-14)
+        assert [v.dominated for v in verdicts] == list(exact <= TOL_MEMBER), instance
+        outside += int((exact[5:] > TOL_MEMBER).sum())
+    assert outside >= 1
 
 
 def _two_user_panel():

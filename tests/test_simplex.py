@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mseregion import SystemConfig, WeightVector, kkt, simplex
@@ -64,6 +64,62 @@ def test_projection_is_nearest_feasible_point():
         others = sample_budget_simplex(rng, k, budget, 50)
         for z in others:
             assert base <= np.linalg.norm(point - z) + 1e-12
+
+
+def _within_budget(proj, rows, budget):
+    """Every row of `proj` sums to at most the budget plus K ulps of its row's largest entry."""
+    rows = np.atleast_2d(rows)
+    return (np.atleast_2d(proj).sum(axis=1)
+            <= budget + rows.shape[1] * np.spacing(rows.max(axis=1))).all()
+
+
+@pytest.mark.parametrize("point, budget", [([3.0, 1.0], 1e-17), ([1.6, 0.0, 0.0], 1e-300)],
+                         ids=["1e-17", "1e-300"])
+def test_projection_stays_within_a_budget_below_the_rounding_of_its_entries(point, budget):
+    # the budget is below half an ulp of the largest entry, so no single
+    # entry's excess over the threshold survives rounding: a kept-set
+    # search finds no kept entry there, while the largest c_j is still at
+    # least the largest entry minus the budget
+    proj = project_onto_budget_simplex(point, budget)
+    assert (proj >= 0.0).all() and _within_budget(proj, point, budget), proj
+
+
+def test_face_projection_of_huge_rows_stays_within_the_budget():
+    rng = np.random.default_rng(59)
+    for k in range(1, 9):
+        rows = rng.random((200, k)) * 1e20
+        proj = simplex._project_onto_face(rows, 1.0)
+        assert (proj >= 0.0).all() and _within_budget(proj, rows, 1.0), k
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(min_value=-1.0, max_value=1.0),
+                          st.sampled_from([0.5, 0.25, 0.0, -0.5])), min_size=1, max_size=8),
+       st.integers(min_value=-8, max_value=8),
+       st.floats(min_value=-8.0, max_value=8.0))
+@example([2.0], 0, 0.0)
+@example([0.5, 0.5, 0.5, 0.5], 0, -1.0)
+@example([1.0, 1.0, 0.25, -0.5], 3, 2.0)
+def test_face_projection_is_one_threshold_on_the_budget(values, row_exp, budget_exp):
+    # the projection onto {p >= 0, sum(p) = P} is the p >= 0 summing to P
+    # with x - p one threshold tau where p > 0 and x <= tau where p = 0.
+    # Rows span 10^-8..10^8 and budgets 10^-8..10^8; the sum's rounding
+    # bound is (K + 2)^2 eps (max|x| + P): each c_j of the threshold is
+    # off by at most about (K + 2) eps (max|x| + P), and the sum moves
+    # by at most K times that
+    row = np.array(values) * 10.0 ** row_exp
+    budget = 10.0 ** budget_exp
+    proj = simplex._project_onto_face(row[None], budget)[0]
+    k, scale = row.size, np.abs(row).max() + budget
+    eps = np.finfo(np.float64).eps
+    assert (proj >= 0.0).all()
+    assert abs(proj.sum() - budget) <= (k + 2) ** 2 * eps * scale, (proj.sum(), budget)
+    support = proj > 0.0
+    if support.any():
+        gaps = row[support] - proj[support]
+        tau = gaps.max()
+        assert tau - gaps.min() <= 2.0 * eps * scale, gaps
+        assert (row[~support] <= tau).all(), (row, tau)
 
 
 def test_sampler_shape_feasibility_determinism():
